@@ -1,103 +1,14 @@
-"""Numeric kernels, JIT-compiled with numba when available.
-
-The hot loops (pairwise IoU and cosine scoring) carry numba ``@njit``
-versions with pure-numpy fallbacks. Set ``RAVU_PURE_NUMPY=1`` to force the
-numpy path, e.g. for debugging or on platforms without numba. Both paths
-produce identical results; ``benchmarks/bench_kernels.py`` compares them.
+"""Numeric kernels: pairwise box IoU (association) and cosine scoring
+(retrieval), vectorised with numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY = os.environ.get("RAVU_PURE_NUMPY", "0") not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not PURE_NUMPY
-
-
-def _iou_matrix_py(a, b):
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            iw = min(a[i, 2], b[j, 2]) - max(a[i, 0], b[j, 0])
-            ih = min(a[i, 3], b[j, 3]) - max(a[i, 1], b[j, 1])
-            if iw <= 0.0 or ih <= 0.0:
-                continue
-            inter = iw * ih
-            union = (
-                (a[i, 2] - a[i, 0]) * (a[i, 3] - a[i, 1])
-                + (b[j, 2] - b[j, 0]) * (b[j, 3] - b[j, 1])
-                - inter
-            )
-            out[i, j] = inter / union
-    return out
-
-
-def _iou_matrix_np(a, b):
-    ix0 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy0 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix1 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy1 = np.minimum(a[:, None, 3], b[None, :, 3])
-    iw = np.clip(ix1 - ix0, 0.0, None)
-    ih = np.clip(iy1 - iy0, 0.0, None)
-    inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(inter > 0.0, inter / union, 0.0)
-    return out
-
-
-def _cosine_scores_py(mat, q):
-    n, d = mat.shape
-    qn = 0.0
-    for t in range(d):
-        qn += q[t] * q[t]
-    qn = np.sqrt(qn)
-    out = np.zeros(n, dtype=np.float64)
-    if qn == 0.0:
-        return out
-    for i in range(n):
-        dot = 0.0
-        rn = 0.0
-        for t in range(d):
-            dot += mat[i, t] * q[t]
-            rn += mat[i, t] * mat[i, t]
-        rn = np.sqrt(rn)
-        if rn > 0.0:
-            out[i] = dot / (rn * qn)
-    return out
-
-
-def _cosine_scores_np(mat, q):
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0 or mat.shape[0] == 0:
-        return np.zeros(mat.shape[0], dtype=np.float64)
-    rn = np.linalg.norm(mat, axis=1)
-    dots = mat @ q
-    out = np.zeros(mat.shape[0], dtype=np.float64)
-    nz = rn > 0.0
-    out[nz] = dots[nz] / (rn[nz] * qn)
-    return out
-
-
-if USE_NUMBA:
-    _iou_matrix_impl = njit(cache=True)(_iou_matrix_py)
-    _cosine_scores_impl = njit(cache=True)(_cosine_scores_py)
-else:
-    _iou_matrix_impl = _iou_matrix_np
-    _cosine_scores_impl = _cosine_scores_np
+# Always False: there is one numpy kernel path. Kept only because
+# ``pipebench/run.py``'s ``environment()`` records it.
+USE_NUMBA = False
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -106,7 +17,16 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(boxes_b, dtype=np.float64).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    return _iou_matrix_impl(a, b)
+    ix0 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy0 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix1 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy1 = np.minimum(a[:, None, 3], b[None, :, 3])
+    inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inter > 0.0, inter / union, 0.0)
 
 
 def iou_pair(box_a, box_b) -> float:
@@ -118,18 +38,18 @@ def cosine_scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Cosine similarity of every row of ``matrix`` against ``query``.
 
     Zero rows and a zero query score 0 rather than NaN. Scores are
-    quantized to 1e-9 so that mathematically tied rows stay exact ties
-    regardless of floating-point summation order, keeping rankings
-    identical between the compiled and pure-numpy kernels.
+    quantized to 1e-9 so that duplicate rows stay exact ties whatever
+    summation order BLAS picks for each row, which keeps the
+    (frame, entity) tie order of rankings deterministic.
     """
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
-    if mat.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.round(_cosine_scores_impl(mat, q), 9)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed sections do not pay for it."""
-    iou_matrix(np.asarray([[0.0, 0.0, 1.0, 1.0]]), np.asarray([[0.0, 0.0, 1.0, 1.0]]))
-    cosine_scores(np.ones((2, 4)), np.ones(4))
+    out = np.zeros(mat.shape[0], dtype=np.float64)
+    qn = float(np.linalg.norm(q))
+    if qn == 0.0 or mat.shape[0] == 0:
+        return out
+    rn = np.linalg.norm(mat, axis=1)
+    dots = mat @ q
+    nz = rn > 0.0
+    out[nz] = dots[nz] / (rn[nz] * qn)
+    return np.round(out, 9)

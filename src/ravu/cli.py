@@ -182,6 +182,7 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
             audit = answer_question(
                 VideoAssets(graph, index, None), item, backend,
                 budget=budget, top_k=cfg.top_k, per_event=cfg.hier_per_event,
+                max_retries=cfg.max_retries,
             )
             out = {
                 "choice": audit.choice,
@@ -191,8 +192,11 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
                 "flags": audit.flags,
             }
         else:
-            bd = breakdown(question, load_example_library(), backend)
-            result = execute(bd.plan, graph, index, backend, budget=budget, top_k=cfg.top_k)
+            bd = breakdown(question, load_example_library(), backend, cfg.max_retries)
+            result = execute(
+                bd.plan, graph, index, backend,
+                budget=budget, top_k=cfg.top_k, max_retries=cfg.max_retries,
+            )
             out = {
                 "frames": result.frames,
                 "plan": render(bd.plan),
@@ -224,7 +228,7 @@ def eval_qa_cmd(ctx, corpus, dataset, out, fmt):
     try:
         items = load_mcq(dataset)
         assets = _load_corpus(corpus, cfg, backend)
-        report = eval_qa(items, assets, backend, budget=cfg.budget, top_k=cfg.top_k)
+        report = eval_qa(items, assets, backend, cfg)
     except RavuError as exc:
         raise click.ClickException(str(exc))
     text = report_to_csv(report) if fmt == "csv" else report_to_json(report)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
@@ -26,14 +26,10 @@ class RavuConfig:
     min_iou: float = 0.1
     top_k: int = 10
     budget: int = 5
-    global_budget: int = 10
     max_retries: int = 2
     deadline_s: float = 60.0
-    context_frames: int = 2
-    max_in_flight: int = 4
     fps: float = 1.0
     hier_per_event: int = 3
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RavuConfig":
@@ -43,10 +39,9 @@ class RavuConfig:
             raise ParseError(f"invalid config JSON: {exc.msg}", line=exc.lineno) from exc
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
+        # Unknown keys are ignored so files written for other versions still load.
         known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in raw.items() if k in known}
-        kwargs["extra"] = {k: v for k, v in raw.items() if k not in known}
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in raw.items() if k in known})
 
 
 def load_config(path: str | Path | None = None) -> RavuConfig:

@@ -110,6 +110,7 @@ def answer_question(
     example_library: list[BreakdownExample] | None = None,
     top_k: int = 10,
     per_event: int = 3,
+    max_retries: int = 2,
 ) -> AnswerAudit:
     """Retrieve frames for the question and answer it with the backend.
 
@@ -132,11 +133,13 @@ def answer_question(
             frames = list(range(min(budget, graph.num_frames)))
     else:
         library = example_library if example_library is not None else load_example_library()
-        bd = breakdown(item.question, library, backend)
+        bd = breakdown(item.question, library, backend, max_retries)
         plan = bd.plan
         if bd.fallback:
             flags.append("breakdown fallback")
-        result = execute(plan, graph, index, backend, budget=budget, top_k=top_k)
+        result = execute(
+            plan, graph, index, backend, budget=budget, top_k=top_k, max_retries=max_retries
+        )
         frames = result.frames
         notes = result.notes
         flags.extend(result.flags)
@@ -159,16 +162,17 @@ def eval_qa(
     items: list[McqItem],
     assets_by_video: dict[str, VideoAssets],
     backend,
-    budget: int = 5,
+    config: RavuConfig | None = None,
     example_library: list[BreakdownExample] | None = None,
-    top_k: int = 10,
 ) -> dict:
     """Accuracy by category and overall, in both blocked-content modes.
 
     ``non_blocked`` excludes blocked items; ``overall`` counts them as
     incorrect. Items whose video has no graph are reported separately and
-    excluded from both accuracies.
+    excluded from both accuracies. Retrieval follows ``config`` exactly as
+    ``ravu ask`` does.
     """
+    cfg = config or RavuConfig()
     library = example_library if example_library is not None else load_example_library()
     counting = TokenCountingBackend(backend)
 
@@ -181,7 +185,8 @@ def eval_qa(
             continue
         try:
             audit = answer_question(
-                assets, item, counting, budget=budget, example_library=library, top_k=top_k
+                assets, item, counting, budget=cfg.budget, example_library=library,
+                top_k=cfg.top_k, per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
             )
         except BlockedContent:
             rows.append(

@@ -258,9 +258,8 @@ def build_graph(
     backend,
     fps: float = 1.0,
     max_retries: int = 2,
-    segment: bool = True,
 ) -> tuple[SpatioTemporalGraph, BuildReport]:
-    """Full build: edges, descriptions, and (optionally) events."""
+    """Full build: edges, descriptions, and events."""
     graph = SpatioTemporalGraph(frames=list(frames), nodes=list(nodes), fps=fps)
     report = BuildReport()
 
@@ -279,12 +278,11 @@ def build_graph(
         edges = node_edges(graph, node.entity_id, node.frame_index)
         node.description = describe_node(node, edges, backend, max_retries)
 
-    if segment:
-        for entity_id in graph.entity_ids():
-            seg = segment_events(graph, entity_id, backend, max_retries)
-            graph.events[entity_id] = seg.events
-            if seg.fallback:
-                report.fallback_entities.append(entity_id)
+    for entity_id in graph.entity_ids():
+        seg = segment_events(graph, entity_id, backend, max_retries)
+        graph.events[entity_id] = seg.events
+        if seg.fallback:
+            report.fallback_entities.append(entity_id)
 
     return graph, report
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import accel, backends
 from .backends import make_bundle
-from .errors import BlockedContent, EmptyIndex, Timeout
+from .errors import EmptyIndex, MalformedResponse
 from .graph_builder import EmbeddingRecord
 
 
@@ -91,8 +91,6 @@ class EmbeddingIndex:
             chosen = int(text)
             if not 0 <= chosen < len(candidates):
                 raise ValueError(f"rerank index {chosen} out of range")
-        except (BlockedContent, Timeout):
-            raise
-        except Exception:
+        except (ValueError, MalformedResponse):
             return LocalizeResult(candidate=candidates[0], fallback=True)
         return LocalizeResult(candidate=candidates[chosen])

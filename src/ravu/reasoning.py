@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import backends
+from . import accel, backends
 from .backends import generate_with_retries, make_bundle
 from .errors import (
     BlockedContent,
@@ -213,9 +213,7 @@ def fn_identify_node(
         chosen = int(backend.generate(bundle).strip())
         if not 0 <= chosen < len(reps):
             raise ValueError("index out of range")
-    except (BlockedContent, Timeout):
-        raise
-    except Exception:
+    except (ValueError, MalformedResponse):
         entity_id, frame_index, _ = reps[0]
         return NodeRef(entity_id, frame_index), True
     entity_id, frame_index, _ = reps[chosen]
@@ -456,8 +454,6 @@ def hierarchical_retrieve(
         raise ValueError("hierarchical retrieval requires entity events")
     qvec = backend.embed(question)
 
-    from . import accel
-
     pooled: list[tuple[float, int, int, str]] = []  # (score, frame, entity, desc)
     by_entity: dict[int, list[int]] = {}
     for row, rec in enumerate(index.records):
@@ -495,9 +491,7 @@ def hierarchical_retrieve(
         if not chosen or any(not 0 <= c < len(pooled) for c in chosen):
             raise ValueError("bad selection indices")
         chosen = chosen[:top]
-    except (BlockedContent, Timeout):
-        raise
-    except Exception:
+    except (ValueError, MalformedResponse):
         chosen = list(range(min(top, len(pooled))))
         fallback = True
 

@@ -1,17 +1,9 @@
 import pytest
 
-from ravu import accel
 from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.synth import synth_world
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT-compile the numba kernels up front so timed tests and hypothesis
-    # deadlines never pay for compilation.
-    accel.warmup()
 
 
 @pytest.fixture

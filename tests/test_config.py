@@ -1,0 +1,42 @@
+import json
+
+import pytest
+
+from ravu.config import RavuConfig, load_config
+from ravu.errors import ParseError
+
+
+def write(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return path
+
+
+def test_from_file_ignores_unknown_keys(tmp_path):
+    path = write(tmp_path, json.dumps({"top_k": 7, "max_in_flight": 8, "no_such_key": 1}))
+    assert RavuConfig.from_file(path) == RavuConfig(top_k=7)
+
+
+def test_invalid_json_reports_line(tmp_path):
+    path = write(tmp_path, '{\n  "top_k": 7,\n  oops\n}')
+    with pytest.raises(ParseError) as info:
+        RavuConfig.from_file(path)
+    assert info.value.line == 3
+    assert "line 3" in str(info.value)
+
+
+def test_non_object_document_rejected(tmp_path):
+    with pytest.raises(ParseError):
+        RavuConfig.from_file(write(tmp_path, "[1, 2, 3]"))
+
+
+def test_env_overrides_file_values(tmp_path, monkeypatch):
+    path = write(
+        tmp_path, json.dumps({"endpoint": "http://file", "token": "file", "embed_dim": 64})
+    )
+    monkeypatch.setenv("RAVU_ENDPOINT", "http://env")
+    monkeypatch.setenv("RAVU_TOKEN", "env-token")
+    monkeypatch.setenv("RAVU_EMBED_DIM", "32")
+    cfg = load_config(path)
+    assert (cfg.endpoint, cfg.token, cfg.embed_dim) == ("http://env", "env-token", 32)
+

@@ -121,3 +121,43 @@ def test_determinism_two_runs():
         report = eval_qa(w.questions, {w.video_id: assets}, backend)
         results.append(report_to_json(report))
     assert results[0] == results[1]
+
+
+class RecordingBackend(MockBackend):
+    """Mock that records the frames of every answer call and counts
+    breakdown calls, optionally replying garbage to breakdown."""
+
+    def __init__(self, garbage_breakdown=False):
+        super().__init__()
+        self.garbage_breakdown = garbage_breakdown
+        self.answered_frames = []
+        self.breakdown_calls = 0
+
+    def generate(self, bundle):
+        if bundle.role == "breakdown":
+            self.breakdown_calls += 1
+            if self.garbage_breakdown:
+                return "no plan here"
+        return super().generate(bundle)
+
+    def answer(self, bundle, question, options):
+        self.answered_frames.append([f for f, _, _ in bundle.frame_refs])
+        return super().answer(bundle, question, options)
+
+
+def test_eval_qa_follows_config_like_ask(world, assets):
+    cfg = RavuConfig(hier_per_event=1, max_retries=3)
+    item = next(q for q in world.questions if q.category == "global")
+    want = answer_question(assets, item, MockBackend(), per_event=1).frames
+    assert want != answer_question(assets, item, MockBackend(), per_event=3).frames
+
+    recording = RecordingBackend()
+    eval_qa([item], {world.video_id: assets}, recording, cfg)
+    assert recording.answered_frames == [want]
+
+
+def test_eval_qa_threads_max_retries_to_breakdown(world, assets):
+    items = [q for q in world.questions if q.category != "global"]
+    recording = RecordingBackend(garbage_breakdown=True)
+    eval_qa(items, {world.video_id: assets}, recording, RavuConfig(max_retries=3))
+    assert items and recording.breakdown_calls == 3 * len(items)

@@ -110,6 +110,20 @@ def test_localize_falls_back_on_garbage(backend):
     assert out.candidate.description == "alpha"
 
 
+def test_localize_propagates_programming_errors():
+    class Broken(MockBackend):
+        def generate(self, bundle):
+            raise TypeError("bug in the backend")
+
+    b = Broken()
+    records = [
+        EmbeddingRecord(0, 0, "alpha", b.embed("alpha")),
+        EmbeddingRecord(1, 1, "beta", b.embed("beta")),
+    ]
+    with pytest.raises(TypeError):
+        EmbeddingIndex(records).localize("alpha", 2, b)
+
+
 def test_localize_rejects_empty_phrase(backend):
     index = EmbeddingIndex([EmbeddingRecord(0, 0, "x", backend.embed("x"))])
     with pytest.raises(ValueError):
