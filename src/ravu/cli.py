@@ -11,16 +11,17 @@ import click
 from . import graph_model
 from .backends import MockBackend, RemoteBackend
 from .config import RavuConfig, load_config
-from .datasets import dump_loc, dump_mcq, load_loc, load_mcq
+from .datasets import CATEGORIES, dump_loc, dump_mcq, load_loc, load_mcq
 from .errors import RavuError
 from .evaluate import (
     VideoAssets,
-    answer_question,
+    answer,
     build_video,
     eval_localization,
     eval_qa,
     report_to_csv,
     report_to_json,
+    retrieve,
 )
 from .graph_builder import read_embeddings, write_embeddings
 from .graph_model import SpatioTemporalGraph
@@ -157,55 +158,44 @@ def events(ctx, graph_path, entity):
 @click.option("--question", required=True)
 @click.option("--option", "options", multiple=True,
               help="Answer options; repeat for each. Omit to only retrieve frames.")
-@click.option("--category", default="temporal",
-              type=click.Choice(["causal", "temporal", "descriptive", "global"]))
+@click.option("--category", default="temporal", type=click.Choice(CATEGORIES))
 @click.option("--budget", type=int, default=None)
 @click.pass_context
 def ask(ctx, graph_path, emb_path, question, options, category, budget):
     """Answer a question (or just retrieve frames) over one built video."""
-    from .datasets import McqItem
-    from .reasoning import breakdown, execute, load_example_library
-
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
-    budget = budget if budget is not None else cfg.budget
     graph = _load_graph(graph_path)
     records = read_embeddings(emb_path, f"{emb_path}.index.jsonl", graph)
-    index = EmbeddingIndex(records)
+    assets = VideoAssets(graph, EmbeddingIndex(records), None)
 
     try:
+        retrieval = retrieve(
+            assets, question, category, backend,
+            budget=budget if budget is not None else cfg.budget, top_k=cfg.top_k,
+            per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
+        )
+        out = {
+            "frames": retrieval.frames,
+            "plan": render(retrieval.plan) if retrieval.plan else None,
+            "notes": retrieval.notes,
+            "flags": retrieval.flags,
+        }
         if options:
-            item = McqItem(
-                question=question, options=list(options), answer_index=0,
-                category=category, video_id="cli",
-            )
-            audit = answer_question(
-                VideoAssets(graph, index, None), item, backend,
-                budget=budget, top_k=cfg.top_k, per_event=cfg.hier_per_event,
-                max_retries=cfg.max_retries,
-            )
-            out = {
-                "choice": audit.choice,
-                "answer": list(options)[audit.choice],
-                "frames": audit.frames,
-                "plan": render(audit.plan) if audit.plan else None,
-                "flags": audit.flags,
-            }
-        else:
-            bd = breakdown(question, load_example_library(), backend, cfg.max_retries)
-            result = execute(
-                bd.plan, graph, index, backend,
-                budget=budget, top_k=cfg.top_k, max_retries=cfg.max_retries,
-            )
-            out = {
-                "frames": result.frames,
-                "plan": render(bd.plan),
-                "notes": result.notes,
-                "flags": result.flags + (["breakdown fallback"] if bd.fallback else []),
-            }
+            out["choice"] = answer(assets, question, list(options), retrieval, backend)
+            out["answer"] = options[out["choice"]]
     except RavuError as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps(out, indent=2, sort_keys=True))
+
+
+def _emit_report(report: dict, out: str | None, fmt: str) -> None:
+    text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
+    if out:
+        Path(out).write_text(text)
+        click.echo(f"wrote {out}")
+    else:
+        click.echo(text, nl=False)
 
 
 @main.group(name="eval")
@@ -231,19 +221,14 @@ def eval_qa_cmd(ctx, corpus, dataset, out, fmt):
         report = eval_qa(items, assets, backend, cfg)
     except RavuError as exc:
         raise click.ClickException(str(exc))
-    text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    if out:
-        Path(out).write_text(text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text, nl=False)
+    _emit_report(report, out, fmt)
 
 
 @eval_group.command(name="loc")
 @click.option("--corpus", required=True, type=click.Path(exists=True))
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 @click.option("--method", default="rerank",
-              type=click.Choice(["rerank", "text_embedding", "raw_vector"]))
+              type=click.Choice(["rerank", "text_embedding"]))
 @click.option("--out", default=None, type=click.Path())
 @click.option("--fmt", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.pass_context
@@ -257,12 +242,7 @@ def eval_loc_cmd(ctx, corpus, dataset, method, out, fmt):
         report = eval_localization(annotations, assets, backend, method=method, top_k=cfg.top_k)
     except RavuError as exc:
         raise click.ClickException(str(exc))
-    text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    if out:
-        Path(out).write_text(text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text, nl=False)
+    _emit_report(report, out, fmt)
 
 
 @main.command()

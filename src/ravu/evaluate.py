@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel, backends
+from . import backends
 from .backends import make_bundle
 from .config import RavuConfig
 from .datasets import CATEGORIES, LocalizationAnnotation, McqItem
@@ -40,7 +40,6 @@ class VideoAssets:
     graph: SpatioTemporalGraph
     index: EmbeddingIndex
     build_report: BuildReport
-    frame_vectors: np.ndarray | None = None  # optional external frame-image vectors
 
 
 def build_video(
@@ -95,11 +94,69 @@ class TokenCountingBackend:
 
 
 @dataclass
+class Retrieval:
+    frames: list[int]
+    plan: ReasoningPlan | None
+    notes: str = ""
+    flags: list[str] = field(default_factory=list)
+
+
+@dataclass
 class AnswerAudit:
     choice: int
     frames: list[int]
     plan: ReasoningPlan | None
     flags: list[str] = field(default_factory=list)
+
+
+def retrieve(
+    assets: VideoAssets,
+    question: str,
+    category: str,
+    backend,
+    budget: int = 5,
+    example_library: list[BreakdownExample] | None = None,
+    top_k: int = 10,
+    per_event: int = 3,
+    max_retries: int = 2,
+) -> Retrieval:
+    """Frames, and the plan that found them, for one question.
+
+    Global questions take the hierarchical-retrieval route; everything else,
+    and a global question over a graph without events, is broken down into
+    a plan and executed. An empty hierarchical pick falls back to the first
+    ``budget`` frames. Blocked content propagates to the caller, which
+    records the item as blocked.
+    """
+    graph = assets.graph
+    if category == "global" and graph.events:
+        frames, fell_back = hierarchical_retrieve(
+            question, graph, assets.index, backend, per_event=per_event, top=budget
+        )
+        return Retrieval(
+            frames=frames or list(range(min(budget, graph.num_frames))),
+            plan=None,
+            flags=["hierarchical selection fallback"] if fell_back else [],
+        )
+    library = example_library if example_library is not None else load_example_library()
+    bd = breakdown(question, library, backend, max_retries)
+    result = execute(
+        bd.plan, graph, assets.index, backend, budget=budget, top_k=top_k, max_retries=max_retries
+    )
+    flags = (["breakdown fallback"] if bd.fallback else []) + result.flags
+    return Retrieval(frames=result.frames, plan=bd.plan, notes=result.notes, flags=flags)
+
+
+def answer(
+    assets: VideoAssets, question: str, options: list[str], retrieval: Retrieval, backend
+) -> int:
+    """The backend's choice among ``options``, over the retrieved frames."""
+    frames = assets.graph.frames
+    frame_refs = [(f, frames[f].source_ref, frames[f].description) for f in retrieval.frames]
+    bundle = make_bundle(
+        "answer", backends.answer_payload(question, options, retrieval.notes), frame_refs
+    )
+    return backend.answer(bundle, question, options)
 
 
 def answer_question(
@@ -112,46 +169,14 @@ def answer_question(
     per_event: int = 3,
     max_retries: int = 2,
 ) -> AnswerAudit:
-    """Retrieve frames for the question and answer it with the backend.
-
-    Global questions take the hierarchical-retrieval route; everything else
-    is broken down into a plan and executed. Blocked content propagates to
-    the caller, which records the item as blocked.
-    """
-    graph, index = assets.graph, assets.index
-    flags: list[str] = []
-    notes = ""
-    plan = None
-
-    if item.category == "global" and graph.events:
-        frames, fell_back = hierarchical_retrieve(
-            item.question, graph, index, backend, per_event=per_event, top=budget
-        )
-        if fell_back:
-            flags.append("hierarchical selection fallback")
-        if not frames:
-            frames = list(range(min(budget, graph.num_frames)))
-    else:
-        library = example_library if example_library is not None else load_example_library()
-        bd = breakdown(item.question, library, backend, max_retries)
-        plan = bd.plan
-        if bd.fallback:
-            flags.append("breakdown fallback")
-        result = execute(
-            plan, graph, index, backend, budget=budget, top_k=top_k, max_retries=max_retries
-        )
-        frames = result.frames
-        notes = result.notes
-        flags.extend(result.flags)
-
-    frame_refs = [
-        (f, graph.frames[f].source_ref, graph.frames[f].description) for f in frames
-    ]
-    bundle = make_bundle(
-        "answer", backends.answer_payload(item.question, item.options, notes), frame_refs
+    """``retrieve`` frames for the item's question, then ``answer`` it."""
+    retrieval = retrieve(
+        assets, item.question, item.category, backend, budget=budget,
+        example_library=example_library, top_k=top_k, per_event=per_event,
+        max_retries=max_retries,
     )
-    choice = backend.answer(bundle, item.question, item.options)
-    return AnswerAudit(choice=choice, frames=frames, plan=plan, flags=flags)
+    choice = answer(assets, item.question, item.options, retrieval, backend)
+    return AnswerAudit(choice, retrieval.frames, retrieval.plan, retrieval.flags)
 
 
 def _accuracy(correct: int, total: int) -> float | None:
@@ -239,11 +264,10 @@ def eval_localization(
 ) -> dict:
     """Frame-localization accuracy: correct iff the predicted frame is in gt.
 
-    Methods: ``rerank`` (two-stage localize), ``text_embedding`` (rank-1 of
-    the cosine top-k), ``raw_vector`` (rank-1 over external frame-image
-    vectors; items without vectors are skipped).
+    Methods: ``rerank`` (two-stage localize) and ``text_embedding`` (rank-1
+    of the cosine top-k). Items whose video has no assets are skipped.
     """
-    if method not in ("rerank", "text_embedding", "raw_vector"):
+    if method not in ("rerank", "text_embedding"):
         raise ValueError(f"unknown localization method {method!r}")
 
     per_category: dict[str, list[bool]] = {}
@@ -255,14 +279,8 @@ def eval_localization(
             continue
         if method == "rerank":
             predicted = assets.index.localize(ann.question, top_k, backend).candidate.frame_index
-        elif method == "text_embedding":
-            predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
         else:
-            if assets.frame_vectors is None:
-                skipped += 1
-                continue
-            scores = accel.cosine_scores(assets.frame_vectors, backend.embed(ann.question))
-            predicted = int(np.argmax(scores))
+            predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
         per_category.setdefault(ann.category, []).append(predicted in ann.gt_frames)
 
     report: dict = {"method": method, "categories": {}, "skipped": skipped}

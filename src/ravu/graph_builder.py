@@ -9,6 +9,7 @@ never affects the output.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,8 +91,6 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[int, str, int]], int]:
 
 
 def _has_comention(description: str) -> bool:
-    import re
-
     for sentence in re.split(r"[.!?]", description):
         if len(re.findall(r"\[E\d+\]", sentence)) >= 2:
             return True
@@ -108,7 +107,9 @@ def build_frame_graph(
 
     Backend output is parsed as ``subject|relation|object`` triple lines;
     lines that fail to parse or reference entities absent from the frame
-    are dropped and counted. Node attributes are never touched here.
+    are dropped and counted. A reply with no triples for a frame whose
+    description co-mentions two entities is retried, then raises
+    MalformedResponse. Node attributes are never touched here.
     """
     present = {n.entity_id for n in nodes_in_frame}
     payload = backends.frame_graph_payload(
@@ -116,19 +117,15 @@ def build_frame_graph(
     )
     bundle = make_bundle("frame_graph", payload)
 
-    attempts = max(1, max_retries)
-    text = ""
-    for attempt in range(attempts):
-        text = backend.generate(bundle)
-        triples, _ = _parse_edge_lines(text)
-        if triples or not _has_comention(frame.description):
-            break
-        if attempt == attempts - 1:
-            raise MalformedResponse(
+    def parse(text: str) -> tuple[list[tuple[int, str, int]], int]:
+        triples, bad = _parse_edge_lines(text)
+        if not triples and _has_comention(frame.description):
+            raise ValueError(
                 f"no parseable edges for frame {frame.frame_index} despite co-mentioned entities"
             )
+        return triples, bad
 
-    triples, bad = _parse_edge_lines(text)
+    triples, bad = generate_with_retries(backend, bundle, parse, max_retries)
     edges = []
     dropped = bad
     for subject, relation, obj in triples:

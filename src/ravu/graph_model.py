@@ -107,9 +107,6 @@ class Violation:
     detail: str
 
 
-ValidationReport = list
-
-
 def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     """Check every structural invariant; an empty report means valid.
 

@@ -30,6 +30,34 @@ class LocalizeResult:
     fallback: bool = False
 
 
+def rank(records: list[EmbeddingRecord], scores, rows, k: int) -> list[int]:
+    """The ``k`` best of ``rows`` by descending score.
+
+    Ties break by (frame_index, entity_id) ascending; this is the one tie
+    order of every ranking over node embeddings.
+    """
+    return sorted(
+        rows, key=lambda r: (-scores[r], records[r].frame_index, records[r].entity_id)
+    )[:k]
+
+
+def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]:
+    """Backend picks the description that best matches the grounding phrase.
+
+    Returns (index, fallback). The backend must reply with a bare index in
+    range; anything else falls back to index 0 with the fallback flag set.
+    A single description makes no backend call.
+    """
+    if len(descriptions) == 1:
+        return 0, False
+    bundle = make_bundle("rerank", backends.rerank_payload(grounding, descriptions))
+    try:
+        chosen = int(backend.generate(bundle).strip())
+    except (ValueError, MalformedResponse):
+        return 0, True
+    return (chosen, False) if 0 <= chosen < len(descriptions) else (0, True)
+
+
 class EmbeddingIndex:
     """Immutable node-embedding index; safe for concurrent queries."""
 
@@ -53,44 +81,21 @@ class EmbeddingIndex:
         if not self.records:
             raise EmptyIndex("no embeddings in index")
         scores = accel.cosine_scores(self.matrix, np.asarray(query_vector, dtype=np.float64))
-        order = sorted(
-            range(len(self.records)),
-            key=lambda i: (-scores[i], self.records[i].frame_index, self.records[i].entity_id),
-        )
         out = []
-        for i in order[: min(k, len(order))]:
+        for i in rank(self.records, scores, range(len(self.records)), k):
             rec = self.records[i]
-            out.append(
-                Candidate(
-                    entity_id=rec.entity_id,
-                    frame_index=rec.frame_index,
-                    score=float(scores[i]),
-                    description=rec.description,
-                )
-            )
+            out.append(Candidate(rec.entity_id, rec.frame_index, float(scores[i]), rec.description))
         return out
 
     def localize(self, grounding_phrase: str, k: int, backend) -> LocalizeResult:
         """Two-stage retrieval: cosine top-k filter, then backend rerank.
 
-        The backend sees the candidate descriptions in score order and must
-        reply with a bare index; anything else falls back to the rank-1
-        candidate with the fallback flag set.
+        The backend reranks the candidate descriptions in score order (see
+        ``rerank``); a bad reply falls back to the rank-1 candidate.
         """
         if not grounding_phrase:
             raise ValueError("grounding phrase must be non-empty")
         query = backend.embed(grounding_phrase)
         candidates = self.top_k(query, k)
-        if len(candidates) == 1:
-            return LocalizeResult(candidate=candidates[0])
-
-        payload = backends.rerank_payload(grounding_phrase, [c.description for c in candidates])
-        bundle = make_bundle("rerank", payload)
-        try:
-            text = backend.generate(bundle).strip()
-            chosen = int(text)
-            if not 0 <= chosen < len(candidates):
-                raise ValueError(f"rerank index {chosen} out of range")
-        except (ValueError, MalformedResponse):
-            return LocalizeResult(candidate=candidates[0], fallback=True)
-        return LocalizeResult(candidate=candidates[chosen])
+        chosen, fallback = rerank(grounding_phrase, [c.description for c in candidates], backend)
+        return LocalizeResult(candidate=candidates[chosen], fallback=fallback)

@@ -24,7 +24,7 @@ from .errors import (
     Timeout,
 )
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_timeline
-from .index import EmbeddingIndex
+from .index import EmbeddingIndex, rank, rerank
 from .plan import FRAME_PRODUCING, ReasoningPlan, Ref, parse_plan
 
 
@@ -196,28 +196,13 @@ def fn_get_global_context(n_frames: int, quota: int) -> list[int]:
 def fn_identify_node(
     graph: SpatioTemporalGraph, query: str, backend
 ) -> tuple[NodeRef, bool]:
-    """Backend picks an entity from one representative description each."""
+    """Backend picks an entity by reranking each entity's first description."""
     entity_ids = graph.entity_ids()
     if not entity_ids:
         raise EmptyIndex("graph has no entities")
-    reps = []
-    for entity_id in entity_ids:
-        first = entity_timeline(graph, entity_id)[0]
-        reps.append((entity_id, first.frame_index, first.description or ""))
-    if len(reps) == 1:
-        entity_id, frame_index, _ = reps[0]
-        return NodeRef(entity_id, frame_index), False
-
-    bundle = make_bundle("rerank", backends.rerank_payload(query, [r[2] for r in reps]))
-    try:
-        chosen = int(backend.generate(bundle).strip())
-        if not 0 <= chosen < len(reps):
-            raise ValueError("index out of range")
-    except (ValueError, MalformedResponse):
-        entity_id, frame_index, _ = reps[0]
-        return NodeRef(entity_id, frame_index), True
-    entity_id, frame_index, _ = reps[chosen]
-    return NodeRef(entity_id, frame_index), False
+    reps = [entity_timeline(graph, entity_id)[0] for entity_id in entity_ids]
+    chosen, fallback = rerank(query, [n.description or "" for n in reps], backend)
+    return NodeRef(reps[chosen].entity_id, reps[chosen].frame_index), fallback
 
 
 def execute(
@@ -454,46 +439,34 @@ def hierarchical_retrieve(
         raise ValueError("hierarchical retrieval requires entity events")
     qvec = backend.embed(question)
 
-    pooled: list[tuple[float, int, int, str]] = []  # (score, frame, entity, desc)
+    records = index.records
+    scores = accel.cosine_scores(index.matrix, qvec)
     by_entity: dict[int, list[int]] = {}
-    for row, rec in enumerate(index.records):
+    for row, rec in enumerate(records):
         by_entity.setdefault(rec.entity_id, []).append(row)
 
+    pool: list[int] = []
     for entity_id, events in sorted(graph.events.items()):
         rows = by_entity.get(entity_id, [])
         for ev in sorted(events, key=lambda ev: ev.start_frame):
-            in_event = [r for r in rows if ev.start_frame <= index.records[r].frame_index <= ev.end_frame]
-            if not in_event:
-                continue
-            scores = accel.cosine_scores(index.matrix[in_event], qvec)
-            ranked = sorted(
-                range(len(in_event)),
-                key=lambda i: (
-                    -scores[i],
-                    index.records[in_event[i]].frame_index,
-                    index.records[in_event[i]].entity_id,
-                ),
-            )
-            for i in ranked[:per_event]:
-                rec = index.records[in_event[i]]
-                pooled.append((float(scores[i]), rec.frame_index, rec.entity_id, rec.description))
-
-    pooled.sort(key=lambda c: (-c[0], c[1], c[2]))
-    if not pooled:
+            in_event = [r for r in rows if ev.start_frame <= records[r].frame_index <= ev.end_frame]
+            pool.extend(rank(records, scores, in_event, per_event))
+    if not pool:
         return [], False
+    pool = rank(records, scores, pool, len(pool))
 
-    descriptions = [c[3] for c in pooled]
+    descriptions = [records[r].description for r in pool]
     bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))
     fallback = False
     try:
         text = backend.generate(bundle)
         chosen = [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
-        if not chosen or any(not 0 <= c < len(pooled) for c in chosen):
+        if not chosen or any(not 0 <= c < len(pool) for c in chosen):
             raise ValueError("bad selection indices")
         chosen = chosen[:top]
     except (ValueError, MalformedResponse):
-        chosen = list(range(min(top, len(pooled))))
+        chosen = list(range(min(top, len(pool))))
         fallback = True
 
-    frames = sorted({pooled[c][1] for c in chosen})
+    frames = sorted({records[pool[c]].frame_index for c in chosen})
     return frames, fallback

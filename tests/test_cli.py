@@ -29,10 +29,29 @@ def test_synth_layout(corpus_dir):
     assert (vd / "tracklets.json").exists()
 
 
-def test_ingest_build_embed_events_ask(corpus_dir, tmp_path):
+@pytest.fixture(scope="module")
+def built(corpus_dir, tmp_path_factory):
+    """(graph, embeddings) paths of the first video, built and embedded by the CLI."""
+    runner = CliRunner()
+    vd = video_dir(corpus_dir)
+    out = tmp_path_factory.mktemp("built")
+    graph, emb = out / "graph.json", out / "embeddings.bin"
+    result = runner.invoke(
+        main, ["build", "--observations", str(vd / "observations.jsonl"),
+               "--tracklets", str(vd / "tracklets.json"), "--out", str(graph)]
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["embed", "--graph", str(graph), "--out", str(emb)])
+    assert result.exit_code == 0, result.output
+    assert emb.exists() and (out / "embeddings.bin.index.jsonl").exists()
+    return graph, emb
+
+
+def test_ingest_build_embed_events_ask(corpus_dir, built, tmp_path):
     runner = CliRunner()
     vd = video_dir(corpus_dir)
     obs, tracks = str(vd / "observations.jsonl"), str(vd / "tracklets.json")
+    graph, emb = built
 
     partial = tmp_path / "partial.json"
     result = runner.invoke(
@@ -40,17 +59,6 @@ def test_ingest_build_embed_events_ask(corpus_dir, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(partial.read_text())["frames"]
-
-    graph = tmp_path / "graph.json"
-    result = runner.invoke(
-        main, ["build", "--observations", obs, "--tracklets", tracks, "--out", str(graph)]
-    )
-    assert result.exit_code == 0, result.output
-
-    emb = tmp_path / "embeddings.bin"
-    result = runner.invoke(main, ["embed", "--graph", str(graph), "--out", str(emb)])
-    assert result.exit_code == 0, result.output
-    assert emb.exists() and (tmp_path / "embeddings.bin.index.jsonl").exists()
 
     result = runner.invoke(main, ["events", "--graph", str(graph)])
     assert result.exit_code == 0, result.output
@@ -77,6 +85,29 @@ def test_ingest_build_embed_events_ask(corpus_dir, tmp_path):
     assert result.exit_code == 0, result.output
     out = json.loads(result.output)
     assert out["frames"] and "plan" in out
+
+
+def test_ask_routes_global_by_category_with_or_without_options(corpus_dir, built):
+    graph, emb = built
+    item = next(
+        q for q in map(json.loads, (corpus_dir / "questions.jsonl").read_text().splitlines())
+        if q["category"] == "global" and q["video_id"] == video_dir(corpus_dir).name
+    )
+    args = ["ask", "--graph", str(graph), "--embeddings", str(emb),
+            "--question", item["question"], "--category", "global"]
+    runner = CliRunner()
+    bare = runner.invoke(main, args)
+    assert bare.exit_code == 0, bare.output
+    with_options = runner.invoke(
+        main, args + ["--option", item["options"][0], "--option", item["options"][1]]
+    )
+    assert with_options.exit_code == 0, with_options.output
+    bare, with_options = json.loads(bare.output), json.loads(with_options.output)
+
+    assert bare["frames"] and bare["frames"] == with_options["frames"]
+    assert bare["plan"] is None and with_options["plan"] is None
+    assert set(bare) == {"frames", "plan", "notes", "flags"}
+    assert set(with_options) == set(bare) | {"choice", "answer"}
 
 
 def test_eval_qa_and_loc(corpus_dir, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -9,12 +10,15 @@ from ravu.config import RavuConfig
 from ravu.datasets import McqItem
 from ravu.evaluate import (
     TokenCountingBackend,
+    VideoAssets,
+    answer,
     answer_question,
     build_video,
     eval_localization,
     eval_qa,
     report_to_csv,
     report_to_json,
+    retrieve,
 )
 from ravu.graph_model import validate
 from ravu.synth import synth_world
@@ -33,6 +37,26 @@ def test_answer_question_all_categories(world, assets, backend):
         assert len(audit.frames) <= 5
         if item.category != "global":
             assert audit.plan is not None
+
+
+def test_answer_question_is_retrieve_then_answer(world, assets, backend):
+    for item in world.questions:
+        retrieval = retrieve(assets, item.question, item.category, backend)
+        audit = answer_question(assets, item, backend)
+        assert (audit.frames, audit.plan, audit.flags) == (
+            retrieval.frames, retrieval.plan, retrieval.flags
+        )
+        assert answer(assets, item.question, item.options, retrieval, backend) == audit.choice
+        assert (retrieval.plan is None) == (item.category == "global")
+
+
+def test_retrieve_global_without_events_breaks_down(assets, backend):
+    graph = copy.copy(assets.graph)
+    graph.events = {}
+    retrieval = retrieve(
+        VideoAssets(graph, assets.index, None), "Which of these happens?", "global", backend
+    )
+    assert retrieval.plan is not None and retrieval.frames
 
 
 def test_eval_qa_report_shape(world, assets, backend):
@@ -79,9 +103,6 @@ def test_eval_localization_methods(world, assets, backend):
     text = eval_localization(world.loc_annotations, lookup, backend, method="text_embedding")
     assert rerank["overall"]["accuracy"] >= text["overall"]["accuracy"]
     assert rerank["skipped"] == 0
-    # raw_vector requires external frame vectors, absent here -> all skipped
-    raw = eval_localization(world.loc_annotations, lookup, backend, method="raw_vector")
-    assert raw["skipped"] == len(world.loc_annotations)
     with pytest.raises(ValueError):
         eval_localization([], lookup, backend, method="psychic")
 

@@ -64,6 +64,36 @@ def test_build_frame_graph_raises_when_comention_unparseable():
         build_frame_graph(frame, [node(1, 0), node(2, 0)], FailingGenBackend())
 
 
+class FlakyGenBackend(MockBackend):
+    """Mock whose first ``bad`` generate() calls return garbage."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
+        self.calls = 0
+
+    def generate(self, bundle):
+        self.calls += 1
+        return "@@@ not parseable @@@" if self.calls <= self.bad else super().generate(bundle)
+
+
+@pytest.mark.parametrize("max_retries, calls", [(0, 1), (1, 1), (3, 3)])
+def test_build_frame_graph_calls_at_most_max_retries(max_retries, calls):
+    frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
+    flaky = FlakyGenBackend(bad=99)
+    with pytest.raises(MalformedResponse):
+        build_frame_graph(frame, [node(1, 0), node(2, 0)], flaky, max_retries)
+    assert flaky.calls == calls
+
+
+def test_build_frame_graph_counts_drops_of_the_accepted_reply():
+    frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
+    flaky = FlakyGenBackend(bad=1)
+    edges, dropped = build_frame_graph(frame, [node(1, 0), node(2, 0)], flaky, max_retries=2)
+    assert flaky.calls == 2
+    assert len(edges) == 1 and dropped == 0
+
+
 def test_describe_node(backend):
     text = describe_node(node(3, 0), [], backend)
     assert text == "entity 3: red fox; running; relations: none"

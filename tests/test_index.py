@@ -7,7 +7,7 @@ from ravu import accel
 from ravu.backends import MockBackend
 from ravu.errors import EmptyIndex
 from ravu.graph_builder import EmbeddingRecord
-from ravu.index import EmbeddingIndex
+from ravu.index import EmbeddingIndex, rank, rerank
 
 
 def rec(entity, frame, vector, description=""):
@@ -68,6 +68,32 @@ def test_top_k_matches_full_sort(n, k, seed):
     assert [(c.frame_index, c.entity_id) for c in got] == [
         (records[i].frame_index, records[i].entity_id) for i in oracle
     ]
+
+
+def test_rank_orders_a_subset_of_rows():
+    records = [rec(5, 2, [1]), rec(1, 2, [1]), rec(9, 0, [1]), rec(0, 1, [1])]
+    scores = [0.5, 0.5, 0.5, 0.9]
+    assert rank(records, scores, [0, 1, 2, 3], 4) == [3, 2, 1, 0]
+    assert rank(records, scores, [0, 1], 1) == [1]
+    assert rank(records, scores, [], 3) == []
+
+
+def test_rerank_protocol():
+    class Reply(MockBackend):
+        def __init__(self, text):
+            super().__init__()
+            self.text, self.calls = text, 0
+
+        def generate(self, bundle):
+            self.calls += 1
+            return self.text
+
+    assert rerank("x", ["a", "b", "c"], Reply(" 2\n")) == (2, False)
+    assert rerank("x", ["a", "b", "c"], Reply("3")) == (0, True)
+    assert rerank("x", ["a", "b", "c"], Reply("-1")) == (0, True)
+    assert rerank("x", ["a", "b", "c"], Reply("b")) == (0, True)
+    single = Reply("0")
+    assert rerank("x", ["a"], single) == (0, False) and single.calls == 0
 
 
 def test_localize_uses_rerank(backend):

@@ -20,6 +20,7 @@ from ravu.reasoning import (
     breakdown,
     execute,
     fn_count_nodes,
+    fn_identify_node,
     fn_sample_entity_events,
     hierarchical_retrieve,
     load_example_library,
@@ -115,6 +116,31 @@ def test_count_nodes(backend):
     assert fn_count_nodes(graph, "elephant") == 0
     # Plural-insensitive matching
     assert fn_count_nodes(graph, "jays") == 1
+
+
+def test_identify_node_reranks_first_descriptions(backend):
+    graph, _ = make_graph(backend)
+    assert fn_identify_node(graph, "blue jay", backend) == (NodeRef(1, 0), False)
+    assert fn_identify_node(graph, "red fox running", backend) == (NodeRef(0, 0), False)
+
+
+def test_identify_node_falls_back_to_first_entity_on_garbage(backend):
+    class Garbage(MockBackend):
+        def generate(self, bundle):
+            return "the jay, obviously"
+
+    graph, _ = make_graph(backend)
+    assert fn_identify_node(graph, "blue jay", Garbage()) == (NodeRef(0, 0), True)
+
+
+def test_identify_node_single_entity_makes_no_backend_call(backend):
+    class NoGenerate(MockBackend):
+        def generate(self, bundle):
+            raise AssertionError("generate must not be called")
+
+    graph, _ = make_graph(backend)
+    graph.nodes = [n for n in graph.nodes if n.entity_id == 1]
+    assert fn_identify_node(graph, "red fox", NoGenerate()) == (NodeRef(1, 0), False)
 
 
 def test_execute_canonical_before_plan(backend):
