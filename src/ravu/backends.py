@@ -34,6 +34,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -95,8 +96,9 @@ class PromptBundle:
             raise ValueError(f"frame_refs not allowed for role {self.role!r}")
 
 
+@cache
 def load_system_prompt(role: str) -> str:
-    """System prompt template for a role, shipped as a package asset."""
+    """System prompt template for a role, shipped as a package asset; read once."""
     return resources.files("ravu").joinpath(f"prompts/{role}.txt").read_text().strip()
 
 

@@ -43,7 +43,10 @@ def make_backend(cfg: RavuConfig):
 
 
 def _load_graph(path: str) -> SpatioTemporalGraph:
-    return graph_model.deserialize(Path(path).read_text())
+    try:
+        return graph_model.deserialize(Path(path).read_text())
+    except RavuError as exc:
+        raise click.ClickException(f"{path}: {exc}")
 
 
 def _load_corpus(corpus_dir: str, cfg: RavuConfig, backend) -> dict[str, VideoAssets]:
@@ -166,10 +169,9 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     graph = _load_graph(graph_path)
-    records = read_embeddings(emb_path, f"{emb_path}.index.jsonl", graph)
-    assets = VideoAssets(graph, EmbeddingIndex(records), None)
-
     try:
+        records = read_embeddings(emb_path, f"{emb_path}.index.jsonl", graph)
+        assets = VideoAssets(graph, EmbeddingIndex(records), None)
         retrieval = retrieve(
             assets, question, category, backend,
             budget=budget if budget is not None else cfg.budget, top_k=cfg.top_k,

@@ -310,7 +310,12 @@ def write_embeddings(records: list[EmbeddingRecord], bin_path: str | Path, index
 def read_embeddings(
     bin_path: str | Path, index_path: str | Path, graph: SpatioTemporalGraph | None = None
 ) -> list[EmbeddingRecord]:
-    """Load records; descriptions are restored from ``graph`` when given."""
+    """Load records; descriptions are restored from ``graph`` when given.
+
+    The index must list each row and each ``(entity_id, frame_index)`` key
+    once, as many rows as the header counts, and, when ``graph`` is given,
+    exactly the graph's node keys; anything else raises ParseError.
+    """
     raw = Path(bin_path).read_bytes()
     if len(raw) < _MAGIC.size:
         raise ParseError("embeddings file too short for header", field="header")
@@ -329,7 +334,10 @@ def read_embeddings(
         }
 
     records = []
-    for lineno, line in enumerate(Path(index_path).read_text().splitlines(), start=1):
+    seen_rows: set[int] = set()
+    seen_keys: set[tuple[int, int]] = set()
+    lines = Path(index_path).read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -339,14 +347,32 @@ def read_embeddings(
             frame_index = int(entry["frame_index"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed index row: {exc}", line=lineno) from exc
+        key = (entity_id, frame_index)
+        if len(records) == count:
+            raise ParseError(f"index lists more than the header's {count} rows", line=lineno, field="row")
         if not 0 <= row < count:
             raise ParseError(f"row {row} out of range", line=lineno, field="row")
+        if row in seen_rows:
+            raise ParseError(f"row {row} listed twice", line=lineno, field="row")
+        if key in seen_keys:
+            raise ParseError(f"entity {entity_id} frame {frame_index} listed twice", line=lineno)
+        if graph is not None and key not in descriptions:
+            raise ParseError(f"entity {entity_id} frame {frame_index} is not a graph node", line=lineno)
+        seen_rows.add(row)
+        seen_keys.add(key)
         records.append(
             EmbeddingRecord(
                 entity_id=entity_id,
                 frame_index=frame_index,
-                description=descriptions.get((entity_id, frame_index), ""),
+                description=descriptions.get(key, ""),
                 vector=matrix[row].astype(np.float64),
             )
         )
+    if len(records) < count:
+        raise ParseError(
+            f"index lists {len(records)} rows, header counts {count}", line=len(lines) + 1, field="row"
+        )
+    if graph is not None and len(records) < len(descriptions):
+        entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)
+        raise ParseError(f"graph node entity {entity_id} frame {frame_index} has no embedding row")
     return records

@@ -8,12 +8,17 @@ contiguous behavioral segments.
 
 Graphs are immutable by convention after construction and safe for
 concurrent reads; no mutation API is provided beyond building the fields.
+The lookups (``nodes_in_frame``, ``entity_ids``, ``entity_timeline`` and
+``node_edges``) read tables built from ``nodes`` and ``edges`` on first use.
+Assigning either list drops those tables; mutating a list in place after
+the first lookup is not supported.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotFound, ParseError
 
@@ -88,17 +93,55 @@ class SpatioTemporalGraph:
     events: dict[int, list[EntityEvent]] = field(default_factory=dict)
     fps: float = 1.0
 
+    def __setattr__(self, name, value):
+        if name in ("nodes", "edges"):
+            self.__dict__.pop("_lookup", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def _lookup(self) -> _Lookup:
+        return _Lookup(self.nodes, self.edges)
+
     @property
     def num_frames(self) -> int:
         return len(self.frames)
 
     def entity_ids(self) -> list[int]:
-        return sorted({n.entity_id for n in self.nodes})
+        return list(self._lookup.timeline)
 
     def nodes_in_frame(self, frame_index: int) -> list[EntityNode]:
-        out = [n for n in self.nodes if n.frame_index == frame_index]
-        out.sort(key=lambda n: n.entity_id)
-        return out
+        return list(self._lookup.by_frame.get(frame_index, ()))
+
+
+class _Lookup:
+    """Tables derived from a graph's nodes and edges, built in one pass each.
+
+    ``by_frame``: nodes per frame, sorted by entity. ``timeline``: nodes per
+    entity (keys in entity order), sorted by frame. ``edges_at``: edges per
+    node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is
+    listed once. Sorts are stable, so ties keep node-list order.
+    """
+
+    def __init__(self, nodes: list[EntityNode], edges: list[RelationEdge]):
+        by_frame: dict[int, list[EntityNode]] = {}
+        timeline: dict[int, list[EntityNode]] = {}
+        edges_at: dict[tuple[int, int], list[RelationEdge]] = {}
+        for n in nodes:
+            by_frame.setdefault(n.frame_index, []).append(n)
+            timeline.setdefault(n.entity_id, []).append(n)
+            edges_at[(n.entity_id, n.frame_index)] = []
+        for out in by_frame.values():
+            out.sort(key=lambda n: n.entity_id)
+        for out in timeline.values():
+            out.sort(key=lambda n: n.frame_index)
+        for e in edges:
+            for entity_id in {e.subject_id, e.object_id}:
+                bucket = edges_at.get((entity_id, e.frame_index))
+                if bucket is not None:
+                    bucket.append(e)
+        self.by_frame = by_frame
+        self.timeline = dict(sorted(timeline.items()))
+        self.edges_at = edges_at
 
 
 @dataclass(frozen=True)
@@ -184,22 +227,18 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
 
 def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityNode]:
     """All nodes of one entity, ordered by frame index."""
-    nodes = [n for n in graph.nodes if n.entity_id == entity_id]
+    nodes = graph._lookup.timeline.get(entity_id)
     if not nodes:
         raise NotFound(f"entity {entity_id} not in graph")
-    nodes.sort(key=lambda n: n.frame_index)
-    return nodes
+    return list(nodes)
 
 
 def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> list[RelationEdge]:
     """Edges of the given frame that touch the given entity."""
-    if not any(n.entity_id == entity_id and n.frame_index == frame_index for n in graph.nodes):
+    edges = graph._lookup.edges_at.get((entity_id, frame_index))
+    if edges is None:
         raise NotFound(f"no node for entity {entity_id} in frame {frame_index}")
-    return [
-        e
-        for e in graph.edges
-        if e.frame_index == frame_index and entity_id in (e.subject_id, e.object_id)
-    ]
+    return list(edges)
 
 
 def _canonical_doc(graph: SpatioTemporalGraph) -> dict:

@@ -175,11 +175,15 @@ def _matches(query: str, text: str) -> bool:
 def fn_count_nodes(
     graph: SpatioTemporalGraph, node_query: str, event_condition: str | None = None
 ) -> int:
-    """Distinct entities with any node description matching the query."""
+    """Distinct entities with any node description matching the query.
+
+    Each distinct description of an entity is matched once.
+    """
     count = 0
     for entity_id in graph.entity_ids():
         nodes = entity_timeline(graph, entity_id)
-        if not any(_matches(node_query, n.description or "") for n in nodes):
+        descriptions = dict.fromkeys(n.description or "" for n in nodes)
+        if not any(_matches(node_query, d) for d in descriptions):
             continue
         if event_condition:
             events = graph.events.get(entity_id, [])

@@ -26,6 +26,11 @@ def test_system_prompts_exist_for_all_roles():
         assert backends.load_system_prompt(role)
 
 
+def test_system_prompt_is_read_once_per_role():
+    first, second = make_bundle("rerank", "a"), make_bundle("rerank", "b")
+    assert first.system_prompt is second.system_prompt
+
+
 def test_embed_deterministic_unit_norm(backend):
     v1 = backend.embed("a red dog runs")
     v2 = backend.embed("a red dog runs")

@@ -161,3 +161,50 @@ def test_ingest_error_is_clean(tmp_path):
     )
     assert result.exit_code != 0
     assert "invalid JSON" in result.output
+
+
+@pytest.fixture()
+def bad_inputs(built, tmp_path):
+    """(graph without ``nodes``, embeddings cut to 20 bytes next to a copy of its index)."""
+    graph, emb = built
+    doc = json.loads(graph.read_text())
+    del doc["nodes"]
+    bad_graph = tmp_path / "graph.json"
+    bad_graph.write_text(json.dumps(doc))
+    cut = tmp_path / "embeddings.bin"
+    cut.write_bytes(emb.read_bytes()[:20])
+    (tmp_path / "embeddings.bin.index.jsonl").write_text(
+        (emb.parent / "embeddings.bin.index.jsonl").read_text()
+    )
+    return bad_graph, cut
+
+
+def assert_clean_error(result, message):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("Error: ") and message in result.output
+
+
+def test_events_on_bad_graph_is_clean(bad_inputs):
+    bad_graph, _ = bad_inputs
+    result = CliRunner().invoke(main, ["events", "--graph", str(bad_graph)])
+    assert_clean_error(result, "missing key 'nodes'")
+
+
+def test_embed_on_bad_graph_is_clean(bad_inputs, tmp_path):
+    bad_graph, _ = bad_inputs
+    result = CliRunner().invoke(
+        main, ["embed", "--graph", str(bad_graph), "--out", str(tmp_path / "out.bin")]
+    )
+    assert_clean_error(result, "missing key 'nodes'")
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
+    graph, _ = built
+    _, cut = bad_inputs
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(graph), "--embeddings", str(cut), "--question", "Who runs?"]
+    )
+    assert_clean_error(result, "bytes, expected")

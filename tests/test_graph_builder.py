@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ravu.backends import MockBackend
-from ravu.errors import MalformedResponse
+from ravu.errors import MalformedResponse, ParseError
 from ravu.graph_builder import (
     build_frame_graph,
     build_graph,
@@ -173,6 +175,70 @@ def test_embed_graph_and_persistence_round_trip(tmp_path, backend):
     # float32 storage: vectors agree to storage precision
     for a, b in zip(records, loaded):
         np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
+
+
+def persisted(tmp_path, backend):
+    """(graph, bin path, index path, index entries) of small_described_graph."""
+    graph = small_described_graph()
+    bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
+    write_embeddings(embed_graph(graph, backend), bin_path, idx_path)
+    entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
+    return graph, bin_path, idx_path, entries
+
+
+def rewrite(idx_path, entries):
+    idx_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def test_read_embeddings_rejects_repeated_row(tmp_path, backend):
+    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
+    entries[2]["row"] = 0
+    rewrite(idx_path, entries)
+    with pytest.raises(ParseError, match="row 0 listed twice") as exc:
+        read_embeddings(bin_path, idx_path)
+    assert exc.value.line == 3
+
+
+def test_read_embeddings_rejects_repeated_key(tmp_path, backend):
+    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
+    entries[1]["frame_index"] = entries[0]["frame_index"]
+    rewrite(idx_path, entries)
+    with pytest.raises(ParseError, match="listed twice") as exc:
+        read_embeddings(bin_path, idx_path)
+    assert exc.value.line == 2
+
+
+def test_read_embeddings_rejects_missing_index_line(tmp_path, backend):
+    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
+    rewrite(idx_path, entries[:-1])
+    with pytest.raises(ParseError, match="3 rows, header counts 4") as exc:
+        read_embeddings(bin_path, idx_path)
+    assert exc.value.line == 4
+
+
+def test_read_embeddings_rejects_extra_index_line(tmp_path, backend):
+    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
+    rewrite(idx_path, entries + [{"row": 0, "entity_id": 0, "frame_index": 9}])
+    with pytest.raises(ParseError, match="more than the header's 4 rows") as exc:
+        read_embeddings(bin_path, idx_path)
+    assert exc.value.line == 5
+
+
+def test_read_embeddings_rejects_keys_not_in_graph(tmp_path, backend):
+    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
+    entries[3]["entity_id"] = 7
+    rewrite(idx_path, entries)
+    assert len(read_embeddings(bin_path, idx_path)) == 4
+    with pytest.raises(ParseError, match="entity 7 frame 3 is not a graph node") as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    assert exc.value.line == 4
+
+
+def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
+    graph, bin_path, idx_path, _ = persisted(tmp_path, backend)
+    graph.nodes = graph.nodes + [node(1, 0, desc="entity 1: red fox; running")]
+    with pytest.raises(ParseError, match="entity 1 frame 0 has no embedding row"):
+        read_embeddings(bin_path, idx_path, graph)
 
 
 def test_write_embeddings_is_byte_stable(tmp_path, backend):

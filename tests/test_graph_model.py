@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ravu.errors import NotFound, ParseError
 from ravu.graph_model import (
@@ -122,6 +124,88 @@ def test_node_edges():
     assert node_edges(g, 0, 1) == []
     with pytest.raises(NotFound):
         node_edges(g, 1, 1)
+
+
+node_keys = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12)
+edge_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(["near", "holding"]), st.integers(0, 3)),
+    max_size=12,
+)
+
+
+def make_nodes(keys):
+    return [EntityNode(entity_id, frame, dict(ATTRS), box()) for entity_id, frame in keys]
+
+
+def make_edges(rows):
+    return [RelationEdge(*row) for row in rows]
+
+
+def ids(items):
+    return [id(x) for x in items]
+
+
+def assert_lookups_match_scans(g):
+    assert g.entity_ids() == sorted({n.entity_id for n in g.nodes})
+    for frame in range(5):
+        expected = sorted((n for n in g.nodes if n.frame_index == frame), key=lambda n: n.entity_id)
+        assert ids(g.nodes_in_frame(frame)) == ids(expected)
+    for entity_id in range(5):
+        expected = sorted((n for n in g.nodes if n.entity_id == entity_id), key=lambda n: n.frame_index)
+        if expected:
+            assert ids(entity_timeline(g, entity_id)) == ids(expected)
+        else:
+            with pytest.raises(NotFound):
+                entity_timeline(g, entity_id)
+        for frame in range(5):
+            if any(n.entity_id == entity_id and n.frame_index == frame for n in g.nodes):
+                expected = [
+                    e for e in g.edges
+                    if e.frame_index == frame and entity_id in (e.subject_id, e.object_id)
+                ]
+                assert ids(node_edges(g, entity_id, frame)) == ids(expected)
+            else:
+                with pytest.raises(NotFound):
+                    node_edges(g, entity_id, frame)
+
+
+@given(node_keys, edge_rows, node_keys, edge_rows)
+def test_lookups_match_list_scans_and_follow_reassignment(keys, rows, new_keys, new_rows):
+    g = SpatioTemporalGraph(nodes=make_nodes(keys), edges=make_edges(rows))
+    assert_lookups_match_scans(g)
+    g.edges = make_edges(new_rows)
+    assert_lookups_match_scans(g)
+    g.nodes = make_nodes(new_keys)
+    assert_lookups_match_scans(g)
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def lookup_iterations(n_frames):
+    """(node-list, edge-list) iterations for one node_edges call per node and
+    one entity_timeline call per entity."""
+    nodes = make_nodes((entity_id, frame) for frame in range(n_frames) for entity_id in range(3))
+    edges = make_edges((frame, 0, "near", 1) for frame in range(n_frames))
+    g = SpatioTemporalGraph(nodes=CountingList(nodes), edges=CountingList(edges))
+    for n in nodes:
+        node_edges(g, n.entity_id, n.frame_index)
+    for entity_id in range(3):
+        entity_timeline(g, entity_id)
+    return g.nodes.iterations, g.edges.iterations
+
+
+def test_lookups_iterate_graph_lists_a_constant_number_of_times():
+    small, large = lookup_iterations(4), lookup_iterations(64)
+    assert small == large
+    assert max(large) <= 2
 
 
 def test_serialize_round_trip():
