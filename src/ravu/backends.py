@@ -465,6 +465,10 @@ class RemoteBackend:
             vec = np.asarray(json.loads(data["text"]), dtype=np.float64)
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedResponse("remote backend returned a malformed embedding") from exc
+        if vec.shape != (self.dim,):
+            raise MalformedResponse(
+                f"remote backend returned an embedding of shape {vec.shape}, expected ({self.dim},)"
+            )
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             return vec

@@ -169,8 +169,11 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     graph = _load_graph(graph_path)
+    index_path = f"{emb_path}.index.jsonl"
+    if not Path(index_path).is_file():
+        raise click.ClickException(f"{index_path}: no such file; it holds the row index of {emb_path}")
     try:
-        records = read_embeddings(emb_path, f"{emb_path}.index.jsonl", graph)
+        records = read_embeddings(emb_path, index_path, graph)
         assets = VideoAssets(graph, EmbeddingIndex(records), None)
         retrieval = retrieve(
             assets, question, category, backend,

@@ -18,7 +18,7 @@ from . import backends
 from .backends import make_bundle
 from .config import RavuConfig
 from .datasets import CATEGORIES, LocalizationAnnotation, McqItem
-from .errors import BlockedContent
+from .errors import BackendError, BlockedContent
 from .graph_builder import BuildReport, build_graph, embed_graph
 from .graph_model import SpatioTemporalGraph
 from .index import EmbeddingIndex
@@ -193,9 +193,10 @@ def eval_qa(
     """Accuracy by category and overall, in both blocked-content modes.
 
     ``non_blocked`` excludes blocked items; ``overall`` counts them as
-    incorrect. Items whose video has no graph are reported separately and
-    excluded from both accuracies. Retrieval follows ``config`` exactly as
-    ``ravu ask`` does.
+    incorrect. Items whose video has no graph, and items whose backend
+    call failed otherwise (timeout, malformed reply), are counted as
+    ``errored`` and excluded from both accuracies. Retrieval follows
+    ``config`` exactly as ``ravu ask`` does.
     """
     cfg = config or RavuConfig()
     library = example_library if example_library is not None else load_example_library()
@@ -217,6 +218,9 @@ def eval_qa(
             rows.append(
                 {"item": item, "status": "blocked", "tokens": counting.tokens, "frames": []}
             )
+            continue
+        except BackendError:
+            rows.append({"item": item, "status": "errored", "tokens": 0, "frames": []})
             continue
         rows.append(
             {

@@ -158,25 +158,34 @@ def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retr
 
 
 def embed_graph(graph: SpatioTemporalGraph, backend) -> list[EmbeddingRecord]:
-    """One embedding record per node; all nodes must be described first."""
+    """One embedding record per node; all nodes must be described first.
+
+    Each distinct description is embedded once per call, and nodes that
+    share a description share its vector: within one build, identical
+    texts get identical vectors. A backend error is raised, naming the
+    node, and never remembered.
+    """
     records = []
+    vectors: dict[str, np.ndarray] = {}
     for node in sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id)):
         if not node.description:
             raise ValueError(
                 f"node entity {node.entity_id} frame {node.frame_index} has no description"
             )
-        try:
-            vector = backend.embed(node.description)
-        except BackendError as exc:
-            raise type(exc)(
-                f"embedding entity {node.entity_id} frame {node.frame_index}: {exc}"
-            ) from exc
+        if node.description not in vectors:
+            try:
+                vector = backend.embed(node.description)
+            except BackendError as exc:
+                raise type(exc)(
+                    f"embedding entity {node.entity_id} frame {node.frame_index}: {exc}"
+                ) from exc
+            vectors[node.description] = np.asarray(vector, dtype=np.float64)
         records.append(
             EmbeddingRecord(
                 entity_id=node.entity_id,
                 frame_index=node.frame_index,
                 description=node.description,
-                vector=np.asarray(vector, dtype=np.float64),
+                vector=vectors[node.description],
             )
         )
     return records
@@ -256,7 +265,14 @@ def build_graph(
     fps: float = 1.0,
     max_retries: int = 2,
 ) -> tuple[SpatioTemporalGraph, BuildReport]:
-    """Full build: edges, descriptions, and events."""
+    """Full build: edges, descriptions, and events.
+
+    Each distinct ``node_description`` prompt is sent to the backend once
+    per call, and nodes whose prompts are identical share its accepted
+    reply: within one build, identical prompts get identical replies. A
+    reply that fails parsing is retried as in :func:`describe_node`; a
+    backend error is raised and never remembered.
+    """
     graph = SpatioTemporalGraph(frames=list(frames), nodes=list(nodes), fps=fps)
     report = BuildReport()
 
@@ -271,9 +287,13 @@ def build_graph(
     all_edges.sort(key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
     graph.edges = all_edges
 
+    described: dict[str, str] = {}
     for node in graph.nodes:
         edges = node_edges(graph, node.entity_id, node.frame_index)
-        node.description = describe_node(node, edges, backend, max_retries)
+        payload = backends.node_description_payload(node.entity_id, node.attributes, edges)
+        if payload not in described:
+            described[payload] = describe_node(node, edges, backend, max_retries)
+        node.description = described[payload]
 
     for entity_id in graph.entity_ids():
         seg = segment_events(graph, entity_id, backend, max_retries)

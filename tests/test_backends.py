@@ -233,7 +233,7 @@ def test_remote_backend_error_mapping(monkeypatch):
 
 
 def test_remote_backend_embed_and_answer(monkeypatch):
-    remote = RemoteBackend("http://example.test")
+    remote = RemoteBackend("http://example.test", dim=2)
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "[3.0, 4.0]"}))
     vec = remote.embed("hi")
     np.testing.assert_allclose(vec, [0.6, 0.8])
@@ -245,6 +245,14 @@ def test_remote_backend_embed_and_answer(monkeypatch):
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "7"}))
     with pytest.raises(MalformedResponse, match="out of range"):
         remote.answer(bundle, "q", ["a", "b"])
+
+
+@pytest.mark.parametrize("text", ["[3.0, 4.0, 0.0]", "[3.0]", "[[3.0, 4.0]]", "5.0"])
+def test_remote_backend_rejects_embeddings_of_the_wrong_dimension(monkeypatch, text):
+    remote = RemoteBackend("http://example.test", dim=2)
+    _patch_post(monkeypatch, _FakeResponse(payload={"text": text}))
+    with pytest.raises(MalformedResponse, match=r"expected \(2,\)"):
+        remote.embed("hi")
 
 
 def test_remote_backend_requires_endpoint():

@@ -208,3 +208,13 @@ def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
         main, ["ask", "--graph", str(graph), "--embeddings", str(cut), "--question", "Who runs?"]
     )
     assert_clean_error(result, "bytes, expected")
+
+
+def test_ask_without_embeddings_index_is_clean(built, tmp_path):
+    graph, emb = built
+    alone = tmp_path / "f.bin"
+    alone.write_bytes(emb.read_bytes())
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(graph), "--embeddings", str(alone), "--question", "Who runs?"]
+    )
+    assert_clean_error(result, f"{alone}.index.jsonl: no such file")

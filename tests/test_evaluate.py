@@ -8,6 +8,7 @@ import pytest
 from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.datasets import McqItem
+from ravu.errors import Timeout
 from ravu.evaluate import (
     TokenCountingBackend,
     VideoAssets,
@@ -182,3 +183,25 @@ def test_eval_qa_threads_max_retries_to_breakdown(world, assets):
     recording = RecordingBackend(garbage_breakdown=True)
     eval_qa(items, {world.video_id: assets}, recording, RavuConfig(max_retries=3))
     assert items and recording.breakdown_calls == 3 * len(items)
+
+
+class BreakdownTimeoutBackend(MockBackend):
+    """Mock that times out on the breakdown of one question."""
+
+    def __init__(self, question):
+        super().__init__()
+        self.question = question
+
+    def generate(self, bundle):
+        if bundle.role == "breakdown" and f"question: {self.question}\n" in bundle.user_payload:
+            raise Timeout("slow")
+        return super().generate(bundle)
+
+
+def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
+    victim = next(q for q in world.questions if q.category != "global")
+    others = [q for q in world.questions if q is not victim]
+    report = eval_qa(world.questions, {world.video_id: assets}, BreakdownTimeoutBackend(victim.question))
+    want = eval_qa(others, {world.video_id: assets}, MockBackend())
+    assert report["errored"] == 1 and want["errored"] == 0
+    assert {**report, "errored": 0} == want

@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ravu.backends import MockBackend
-from ravu.errors import MalformedResponse, ParseError
+from ravu import graph_model
+from ravu.backends import MockBackend, node_description_payload
+from ravu.config import RavuConfig
+from ravu.errors import MalformedResponse, ParseError, Timeout
+from ravu.evaluate import build_video
 from ravu.graph_builder import (
     build_frame_graph,
     build_graph,
@@ -19,8 +23,11 @@ from ravu.graph_model import (
     EntityNode,
     FrameRecord,
     SpatioTemporalGraph,
+    node_edges,
     validate,
 )
+from ravu.ingestion import associate, parse_observations, parse_tracklets
+from ravu.synth import synth_world
 
 
 def node(entity_id, frame, action="running", appearance="red fox", desc=None):
@@ -251,3 +258,157 @@ def test_write_embeddings_is_byte_stable(tmp_path, backend):
         write_embeddings(records, bin_path, idx_path)
         paths.append((bin_path.read_bytes(), idx_path.read_bytes()))
     assert paths[0] == paths[1]
+
+
+# ---------------------------------------------------------------------------
+# A build asks each distinct description prompt and embed text once.
+
+
+class CountingBackend(MockBackend):
+    """Mock that records every node_description payload and embed text."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = Counter()
+        self.texts = Counter()
+
+    def generate(self, bundle):
+        if bundle.role == "node_description":
+            self.payloads[bundle.user_payload] += 1
+        return super().generate(bundle)
+
+    def embed(self, text):
+        self.texts[text] += 1
+        return super().embed(text)
+
+
+def associated(world):
+    """Freshly associated frames and nodes; a build sets node descriptions in place."""
+    cfg = RavuConfig()
+    return associate(
+        parse_observations(world.observations_text),
+        parse_tracklets(world.tracklets_text),
+        min_iou=cfg.min_iou,
+        fps=cfg.fps,
+    )
+
+
+def build(world, backend, **kwargs):
+    assoc = associated(world)
+    return build_graph(assoc.frames, assoc.nodes, backend, **kwargs)[0]
+
+
+def node_payloads(graph):
+    """Each node's node_description payload, in node order."""
+    return [
+        node_description_payload(n.entity_id, n.attributes, node_edges(graph, n.entity_id, n.frame_index))
+        for n in graph.nodes
+    ]
+
+
+def test_build_asks_each_distinct_prompt_once():
+    world = synth_world(1, 200, 6)
+    backend = CountingBackend()
+    assets = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig())
+    graph = assets.graph
+    payloads = set(node_payloads(graph))
+    texts = {n.description for n in graph.nodes}
+    assert len(graph.nodes) == 1204
+    assert len(payloads) == len(texts) == 395
+    assert set(backend.payloads) == payloads and set(backend.payloads.values()) == {1}
+    assert set(backend.texts) == texts and set(backend.texts.values()) == {1}
+
+
+def reference_build(world, backend):
+    """(graph, embedding matrix) built asking the backend once per node."""
+    assoc = associated(world)
+    graph = SpatioTemporalGraph(frames=list(assoc.frames), nodes=list(assoc.nodes), fps=1.0)
+    edges = []
+    for frame in graph.frames:
+        in_frame = graph.nodes_in_frame(frame.frame_index)
+        if in_frame:
+            edges.extend(build_frame_graph(frame, in_frame, backend)[0])
+    graph.edges = sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
+    for n in graph.nodes:
+        n.description = describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend)
+    for entity_id in graph.entity_ids():
+        graph.events[entity_id] = segment_events(graph, entity_id, backend).events
+    ordered = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
+    return graph, np.stack([backend.embed(n.description) for n in ordered])
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
+def test_memoised_build_matches_one_call_per_node(shape):
+    world = synth_world(1, *shape)
+    graph, matrix = reference_build(world, MockBackend())
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assert graph_model.serialize(assets.graph) == graph_model.serialize(graph)
+    assert assets.index.matrix.tobytes() == matrix.tobytes()
+
+
+class FirstReplyEmptyBackend(CountingBackend):
+    """Replies with nothing the first time it sees a description payload."""
+
+    def generate(self, bundle):
+        if bundle.role == "node_description" and bundle.user_payload not in self.payloads:
+            self.payloads[bundle.user_payload] += 1
+            return "  "
+        return super().generate(bundle)
+
+
+def test_memo_keeps_the_retry_and_reuses_the_accepted_reply():
+    world = synth_world(1, 24, 3)
+    flaky = FirstReplyEmptyBackend()
+    graph = build(world, flaky, max_retries=2)
+    want = build(world, MockBackend())
+    assert len(flaky.payloads) < len(graph.nodes)
+    assert set(flaky.payloads.values()) == {2}
+    assert graph_model.serialize(graph) == graph_model.serialize(want)
+
+
+class TimeoutOnceBackend(CountingBackend):
+    """Times out the first time it is asked ``payload``."""
+
+    def __init__(self, payload):
+        super().__init__()
+        self.payload = payload
+        self.timed_out = False
+
+    def generate(self, bundle):
+        if bundle.user_payload == self.payload and not self.timed_out:
+            self.timed_out = True
+            raise Timeout("slow")
+        return super().generate(bundle)
+
+
+def test_timeout_on_a_repeated_prompt_propagates_and_is_not_remembered():
+    world = synth_world(1, 24, 3)
+    want = build(world, MockBackend())
+    repeated = next(p for p, n in Counter(node_payloads(want)).items() if n > 1)
+
+    flaky = TimeoutOnceBackend(repeated)
+    with pytest.raises(Timeout):
+        build(world, flaky)
+    assert flaky.timed_out and repeated not in flaky.payloads
+    graph = build(world, flaky)
+    assert flaky.payloads[repeated] == 1
+    assert graph_model.serialize(graph) == graph_model.serialize(want)
+
+
+def test_embed_error_names_the_node_and_is_not_remembered():
+    class EmbedTimeoutOnce(MockBackend):
+        calls = 0
+
+        def embed(self, text):
+            self.calls += 1
+            if self.calls == 1:
+                raise Timeout("slow")
+            return super().embed(text)
+
+    graph = small_described_graph()
+    backend = EmbedTimeoutOnce()
+    with pytest.raises(Timeout, match="embedding entity 0 frame 0: slow"):
+        embed_graph(graph, backend)
+    records = embed_graph(graph, backend)
+    assert backend.calls == 1 + len({n.description for n in graph.nodes})
+    assert records == embed_graph(graph, MockBackend())
