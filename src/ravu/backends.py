@@ -494,10 +494,7 @@ def generate_with_retries(backend, bundle: PromptBundle, parse, max_retries: int
     """
     last: Exception | None = None
     for _ in range(max(1, max_retries)):
-        try:
-            text = backend.generate(bundle)
-        except (BlockedContent, Timeout):
-            raise
+        text = backend.generate(bundle)
         try:
             return parse(text)
         except (ValueError, MalformedResponse) as exc:

@@ -24,13 +24,7 @@ from .graph_model import SpatioTemporalGraph
 from .index import EmbeddingIndex
 from .ingestion import associate, parse_observations, parse_tracklets
 from .plan import ReasoningPlan
-from .reasoning import (
-    BreakdownExample,
-    breakdown,
-    execute,
-    hierarchical_retrieve,
-    load_example_library,
-)
+from .reasoning import breakdown, execute, hierarchical_retrieve, load_example_library
 
 
 @dataclass
@@ -115,7 +109,6 @@ def retrieve(
     category: str,
     backend,
     budget: int = 5,
-    example_library: list[BreakdownExample] | None = None,
     top_k: int = 10,
     per_event: int = 3,
     max_retries: int = 2,
@@ -138,8 +131,7 @@ def retrieve(
             plan=None,
             flags=["hierarchical selection fallback"] if fell_back else [],
         )
-    library = example_library if example_library is not None else load_example_library()
-    bd = breakdown(question, library, backend, max_retries)
+    bd = breakdown(question, load_example_library(), backend, max_retries)
     result = execute(
         bd.plan, graph, assets.index, backend, budget=budget, top_k=top_k, max_retries=max_retries
     )
@@ -164,16 +156,14 @@ def answer_question(
     item: McqItem,
     backend,
     budget: int = 5,
-    example_library: list[BreakdownExample] | None = None,
     top_k: int = 10,
     per_event: int = 3,
     max_retries: int = 2,
 ) -> AnswerAudit:
     """``retrieve`` frames for the item's question, then ``answer`` it."""
     retrieval = retrieve(
-        assets, item.question, item.category, backend, budget=budget,
-        example_library=example_library, top_k=top_k, per_event=per_event,
-        max_retries=max_retries,
+        assets, item.question, item.category, backend, budget=budget, top_k=top_k,
+        per_event=per_event, max_retries=max_retries,
     )
     choice = answer(assets, item.question, item.options, retrieval, backend)
     return AnswerAudit(choice, retrieval.frames, retrieval.plan, retrieval.flags)
@@ -188,18 +178,19 @@ def eval_qa(
     assets_by_video: dict[str, VideoAssets],
     backend,
     config: RavuConfig | None = None,
-    example_library: list[BreakdownExample] | None = None,
 ) -> dict:
     """Accuracy by category and overall, in both blocked-content modes.
 
     ``non_blocked`` excludes blocked items; ``overall`` counts them as
     incorrect. Items whose video has no graph, and items whose backend
     call failed otherwise (timeout, malformed reply), are counted as
-    ``errored`` and excluded from both accuracies. Retrieval follows
-    ``config`` exactly as ``ravu ask`` does.
+    ``errored`` and excluded from both accuracies. ``mean_prompt_tokens``
+    averages the prompt tokens spent on every item whose video has a
+    graph, up to the failing call for a blocked or errored one; items
+    without a graph make no backend call and are left out of it.
+    Retrieval follows ``config`` exactly as ``ravu ask`` does.
     """
     cfg = config or RavuConfig()
-    library = example_library if example_library is not None else load_example_library()
     counting = TokenCountingBackend(backend)
 
     rows = []
@@ -207,20 +198,16 @@ def eval_qa(
         counting.reset()
         assets = assets_by_video.get(item.video_id)
         if assets is None:
-            rows.append({"item": item, "status": "errored", "tokens": 0, "frames": []})
+            rows.append({"item": item, "status": "errored", "tokens": None, "frames": []})
             continue
         try:
             audit = answer_question(
-                assets, item, counting, budget=cfg.budget, example_library=library,
-                top_k=cfg.top_k, per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
+                assets, item, counting, budget=cfg.budget, top_k=cfg.top_k,
+                per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
             )
-        except BlockedContent:
-            rows.append(
-                {"item": item, "status": "blocked", "tokens": counting.tokens, "frames": []}
-            )
-            continue
-        except BackendError:
-            rows.append({"item": item, "status": "errored", "tokens": 0, "frames": []})
+        except BackendError as exc:
+            status = "blocked" if isinstance(exc, BlockedContent) else "errored"
+            rows.append({"item": item, "status": status, "tokens": counting.tokens, "frames": []})
             continue
         rows.append(
             {
@@ -254,7 +241,7 @@ def eval_qa(
     report["overall"] = bucket(answered + blocked)
     frame_counts = [len(r["frames"]) for r in answered]
     report["mean_frames"] = float(np.mean(frame_counts)) if frame_counts else 0.0
-    token_counts = [r["tokens"] for r in answered + blocked]
+    token_counts = [r["tokens"] for r in rows if r["tokens"] is not None]
     report["mean_prompt_tokens"] = float(np.mean(token_counts)) if token_counts else 0.0
     return report
 

@@ -360,8 +360,6 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             ]
             for entity_id, evs in events_raw.items()
         }
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
 

@@ -91,8 +91,6 @@ def parse_observations(document: str) -> list[FrameObservation]:
                 local_id = int(ent["local_id"])
                 attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
                 box = _box_from_raw(ent["box"], line=lineno)
-            except ParseError:
-                raise
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise ParseError(f"malformed entity: {exc}", line=lineno) from exc
             if local_id in local_seen:
@@ -128,8 +126,6 @@ def parse_tracklets(document: str) -> list[Tracklet]:
         try:
             track_id = int(tr["track_id"])
             boxes = {int(fi): _box_from_raw(b) for fi, b in tr["boxes"].items()}
-        except ParseError:
-            raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"malformed tracklet: {exc}") from exc
         if track_id in seen:

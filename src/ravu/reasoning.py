@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from . import accel, backends
 from .backends import generate_with_retries, make_bundle
-from .errors import (
-    BlockedContent,
-    EmptyIndex,
-    MalformedResponse,
-    NotFound,
-    ParseError,
-    Timeout,
-)
+from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_timeline
 from .index import EmbeddingIndex, rank, rerank
 from .plan import FRAME_PRODUCING, ReasoningPlan, Ref, parse_plan
@@ -94,12 +89,8 @@ def fn_analyze_events(
     timeline = entity_timeline(graph, node.entity_id)
     first, last = timeline[0].frame_index, timeline[-1].frame_index
     bundle = make_bundle("event_analysis", backends.event_analysis_payload(query, events))
-
-    def parse(text: str) -> int:
-        return int(text.strip())
-
     try:
-        t = generate_with_retries(backend, bundle, parse, max_retries)
+        t = generate_with_retries(backend, bundle, int, max_retries)
     except MalformedResponse:
         anchor = events[_anchor_event_index(events, node.frame_index)]
         return anchor.start_frame, True
@@ -221,8 +212,10 @@ def execute(
     """Run the plan's steps in sequence and collect the retrieved frames.
 
     Frame-producing steps share the budget: each gets a quota of
-    ceil(remaining / remaining frame-producing steps). Step errors are
-    recorded and execution continues; if nothing produced frames, a
+    ceil(remaining / remaining frame-producing steps). A step that fails
+    with ``ValueError``, ``NotFound``, ``EmptyIndex`` or
+    ``MalformedResponse`` is recorded and execution continues; any other
+    exception propagates. If nothing produced frames, a
     uniform-sampling fallback is appended. The final set is sorted,
     de-duplicated, and truncated uniformly to the budget.
     """
@@ -296,9 +289,7 @@ def execute(
                 pool.extend(frames)
             else:  # pragma: no cover - parser rejects unknown functions
                 raise ValueError(f"unknown function {step.function}")
-        except (BlockedContent, Timeout):
-            raise
-        except Exception as exc:
+        except (ValueError, NotFound, EmptyIndex, MalformedResponse) as exc:
             values.append(None)
             result.errors.append((step_index + 1, str(exc)))
 
@@ -318,7 +309,7 @@ def execute(
 # Question breakdown
 
 
-@dataclass
+@dataclass(frozen=True)
 class BreakdownExample:
     category: str
     question: str
@@ -334,39 +325,41 @@ class BreakdownExample:
         )
 
 
-def load_example_library() -> list[BreakdownExample]:
-    """Shipped few-shot examples for question breakdown."""
+def _split_plan(text: str) -> tuple[dict[str, str], list[str] | None]:
+    """Split a ``key: value`` block from the lines after its ``plan:`` line.
+
+    Returns the fields before ``plan:`` (a repeated key keeps its last
+    value) and the plan lines, or ``None`` when no line is ``plan:``.
+    """
+    fields: dict[str, str] = {}
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() == "plan:":
+            return fields, lines[i + 1 :]
+        key, colon, value = line.partition(":")
+        if colon:
+            fields[key] = value.strip()
+    return fields, None
+
+
+@cache
+def load_example_library() -> tuple[BreakdownExample, ...]:
+    """Shipped few-shot examples for question breakdown, read once per process."""
     examples = []
     root = resources.files("ravu").joinpath("breakdown_examples")
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".txt"):
             continue
-        text = entry.read_text()
-        category = ""
-        question = ""
-        analysis = ""
-        plan_lines: list[str] = []
-        in_plan = False
-        for line in text.splitlines():
-            if in_plan:
-                plan_lines.append(line)
-            elif line.startswith("category:"):
-                category = line.partition(":")[2].strip()
-            elif line.startswith("question:"):
-                question = line.partition(":")[2].strip()
-            elif line.startswith("analysis:"):
-                analysis = line.partition(":")[2].strip()
-            elif line.strip() == "plan:":
-                in_plan = True
+        fields, plan_lines = _split_plan(entry.read_text())
         examples.append(
             BreakdownExample(
-                category=category,
-                question=question,
-                analysis=analysis,
-                plan_text="\n".join(plan_lines).strip(),
+                category=fields.get("category", ""),
+                question=fields.get("question", ""),
+                analysis=fields.get("analysis", ""),
+                plan_text="\n".join(plan_lines or []).strip(),
             )
         )
-    return examples
+    return tuple(examples)
 
 
 @dataclass
@@ -377,7 +370,7 @@ class BreakdownResult:
 
 def breakdown(
     question: str,
-    example_library: list[BreakdownExample],
+    example_library: Sequence[BreakdownExample],
     backend,
     max_retries: int = 2,
 ) -> BreakdownResult:
@@ -392,27 +385,15 @@ def breakdown(
     bundle = make_bundle("breakdown", backends.breakdown_payload(question, examples_text))
 
     def parse(text: str) -> ReasoningPlan:
-        analysis = ""
-        lines = text.splitlines()
-        plan_lines = []
-        in_plan = False
-        for line in lines:
-            if in_plan:
-                plan_lines.append(line)
-            elif line.startswith("analysis:"):
-                analysis = line.partition(":")[2].strip()
-            elif line.strip() == "plan:":
-                in_plan = True
-        plan_text = "\n".join(plan_lines) if in_plan else text
+        fields, plan_lines = _split_plan(text)
+        plan_text = text if plan_lines is None else "\n".join(plan_lines)
         try:
-            return parse_plan(plan_text, question=question, analysis=analysis)
+            return parse_plan(plan_text, question=question, analysis=fields.get("analysis", ""))
         except ParseError as exc:
             raise MalformedResponse(str(exc)) from exc
 
     try:
         return BreakdownResult(plan=generate_with_retries(backend, bundle, parse, max_retries))
-    except BlockedContent:
-        raise
     except MalformedResponse:
         fallback_plan = parse_plan("get_global_context()", question=question)
         return BreakdownResult(plan=fallback_plan, fallback=True)

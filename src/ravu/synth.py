@@ -145,7 +145,6 @@ def synth_world(
     n_frames: int = 24,
     n_entities: int = 3,
     n_questions: int = 4,
-    fps: float = 1.0,
 ) -> SyntheticWorld:
     """Deterministic world: same seed, byte-identical artifacts."""
     if min(n_frames, n_entities, n_questions) < 1:
@@ -202,7 +201,7 @@ def synth_world(
     )
 
     _build_questions(world, rng, n_questions, action_pool)
-    _render_artifacts(world, rng, fps)
+    _render_artifacts(world, rng)
     return world
 
 
@@ -332,7 +331,7 @@ def _build_questions(world: SyntheticWorld, rng: random.Random, n_questions: int
     world.questions = [slots[i] for i in sorted(slots)]
 
 
-def _render_artifacts(world: SyntheticWorld, rng: random.Random, fps: float) -> None:
+def _render_artifacts(world: SyntheticWorld, rng: random.Random) -> None:
     obs_lines = []
     track_boxes: dict[int, dict[str, list[float]]] = {e.slot: {} for e in world.entities}
     for f in range(world.n_frames):

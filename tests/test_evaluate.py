@@ -96,6 +96,8 @@ def test_eval_qa_missing_video_is_errored(world, assets, backend):
     report = eval_qa([item] + list(world.questions), {world.video_id: assets}, backend)
     assert report["errored"] == 1
     assert report["overall"]["items"] == len(world.questions)
+    want = eval_qa(world.questions, {world.video_id: assets}, backend)
+    assert report["mean_prompt_tokens"] == want["mean_prompt_tokens"]
 
 
 def test_eval_localization_methods(world, assets, backend):
@@ -201,7 +203,17 @@ class BreakdownTimeoutBackend(MockBackend):
 def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
     victim = next(q for q in world.questions if q.category != "global")
     others = [q for q in world.questions if q is not victim]
-    report = eval_qa(world.questions, {world.video_id: assets}, BreakdownTimeoutBackend(victim.question))
+    failing = BreakdownTimeoutBackend(victim.question)
+    report = eval_qa(world.questions, {world.video_id: assets}, failing)
     want = eval_qa(others, {world.video_id: assets}, MockBackend())
     assert report["errored"] == 1 and want["errored"] == 0
-    assert {**report, "errored": 0} == want
+
+    # The failed breakdown prompt still counts towards the mean.
+    counting = TokenCountingBackend(failing)
+    with pytest.raises(Timeout):
+        answer_question(assets, victim, counting)
+    assert counting.tokens > 0
+    others_tokens = round(want["mean_prompt_tokens"] * len(others))
+    mean = (others_tokens + counting.tokens) / len(world.questions)
+    assert report["mean_prompt_tokens"] == mean
+    assert {**report, "errored": 0, "mean_prompt_tokens": 0} == {**want, "mean_prompt_tokens": 0}

@@ -1,3 +1,6 @@
+import dataclasses
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +17,11 @@ from ravu.graph_model import (
 )
 from ravu.index import EmbeddingIndex
 from ravu.plan import parse_plan
+from ravu import reasoning
 from ravu.reasoning import (
     NodeRef,
     Segment,
+    _split_plan,
     breakdown,
     execute,
     fn_count_nodes,
@@ -194,6 +199,63 @@ def test_execute_propagates_blocked(backend):
     plan = parse_plan('localize_node(query="[BLOCK] fox")')
     with pytest.raises(BlockedContent):
         execute(plan, graph, index, backend)
+
+
+def test_execute_propagates_programming_errors(backend, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a step")
+
+    graph, index = make_graph(backend)
+    monkeypatch.setattr(reasoning, "fn_count_nodes", broken)
+    with pytest.raises(TypeError, match="bug in a step"):
+        execute(parse_plan('count_nodes(node_query="fox")'), graph, index, backend)
+
+
+def test_example_library_is_read_once_and_immutable(monkeypatch):
+    opened = []
+    files = resources.files
+
+    def counting_files(package):
+        opened.append(package)
+        return files(package)
+
+    load_example_library.cache_clear()
+    monkeypatch.setattr(reasoning.resources, "files", counting_files)
+    first, second = load_example_library(), load_example_library()
+    assert opened == ["ravu"]
+    assert first is second and isinstance(first, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].plan_text = "get_global_context()"
+
+
+def test_split_plan_reads_every_shipped_example():
+    root = resources.files("ravu").joinpath("breakdown_examples")
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".txt")), key=lambda e: e.name)
+    assert len(entries) == len(load_example_library())
+    for entry, example in zip(entries, load_example_library()):
+        fields, plan_lines = _split_plan(entry.read_text())
+        assert set(fields) == {"category", "question", "analysis"}
+        assert (fields["category"], fields["question"], fields["analysis"]) == (
+            example.category, example.question, example.analysis
+        )
+        assert plan_lines and "\n".join(plan_lines).strip() == example.plan_text
+        parse_plan("\n".join(plan_lines))
+
+
+def test_split_plan_keeps_the_last_repeated_key_and_reads_a_reply_without_plan():
+    assert _split_plan("analysis: a\nanalysis: b\nplan:\nx: y\n") == (
+        {"analysis": "b"}, ["x: y"]
+    )
+    reply = 'localize_node(query="fox")'
+    assert _split_plan(reply) == ({}, None)
+
+    class BarePlan(MockBackend):
+        def generate(self, bundle):
+            return reply
+
+    out = breakdown("Where is the fox?", load_example_library(), BarePlan())
+    assert not out.fallback
+    assert [s.function for s in out.plan.steps] == ["localize_node"]
 
 
 def test_example_library_loads_and_parses():
