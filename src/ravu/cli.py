@@ -62,17 +62,24 @@ def _load_corpus(corpus_dir: str, cfg: RavuConfig, backend) -> dict[str, VideoAs
     return assets
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends any RavuError a command raises as ``Error: ...`` with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RavuError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON config file; defaults to $RAVU_CONFIG.")
 @click.pass_context
 def main(ctx, config_path):
     """Build spatio-temporal video graphs and answer questions over them."""
     ctx.ensure_object(dict)
-    try:
-        ctx.obj["config"] = load_config(config_path)
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    ctx.obj["config"] = load_config(config_path)
 
 
 @main.command()
@@ -83,12 +90,9 @@ def main(ctx, config_path):
 def ingest(ctx, observations, tracklets, out):
     """Associate per-frame observations with tracklets into a partial graph."""
     cfg = ctx.obj["config"]
-    try:
-        obs = parse_observations(Path(observations).read_text())
-        tracks = parse_tracklets(Path(tracklets).read_text())
-        assoc = associate(obs, tracks, min_iou=cfg.min_iou, fps=cfg.fps)
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    obs = parse_observations(Path(observations).read_text())
+    tracks = parse_tracklets(Path(tracklets).read_text())
+    assoc = associate(obs, tracks, min_iou=cfg.min_iou, fps=cfg.fps)
     graph = SpatioTemporalGraph(
         frames=assoc.frames, nodes=assoc.nodes, edges=[], events={}, fps=cfg.fps
     )
@@ -105,12 +109,9 @@ def build(ctx, observations, tracklets, out):
     """Full build: association, relation edges, descriptions, events."""
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
-    try:
-        assets = build_video(
-            Path(observations).read_text(), Path(tracklets).read_text(), backend, cfg
-        )
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    assets = build_video(
+        Path(observations).read_text(), Path(tracklets).read_text(), backend, cfg
+    )
     Path(out).write_text(graph_model.serialize(assets.graph))
     report = assets.build_report
     click.echo(
@@ -132,10 +133,7 @@ def embed(ctx, graph_path, out):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     graph = _load_graph(graph_path)
-    try:
-        records = embed_graph(graph, backend)
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    records = embed_graph(graph, backend)
     index_path = f"{out}.index.jsonl"
     write_embeddings(records, out, index_path)
     click.echo(f"wrote {len(records)} vectors to {out} (+ {index_path})")
@@ -172,25 +170,22 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     index_path = f"{emb_path}.index.jsonl"
     if not Path(index_path).is_file():
         raise click.ClickException(f"{index_path}: no such file; it holds the row index of {emb_path}")
-    try:
-        records = read_embeddings(emb_path, index_path, graph)
-        assets = VideoAssets(graph, EmbeddingIndex(records), None)
-        retrieval = retrieve(
-            assets, question, category, backend,
-            budget=budget if budget is not None else cfg.budget, top_k=cfg.top_k,
-            per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
-        )
-        out = {
-            "frames": retrieval.frames,
-            "plan": render(retrieval.plan) if retrieval.plan else None,
-            "notes": retrieval.notes,
-            "flags": retrieval.flags,
-        }
-        if options:
-            out["choice"] = answer(assets, question, list(options), retrieval, backend)
-            out["answer"] = options[out["choice"]]
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    records = read_embeddings(emb_path, index_path, graph)
+    assets = VideoAssets(graph, EmbeddingIndex(records), None)
+    retrieval = retrieve(
+        assets, question, category, backend,
+        budget=budget if budget is not None else cfg.budget, top_k=cfg.top_k,
+        per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
+    )
+    out = {
+        "frames": retrieval.frames,
+        "plan": render(retrieval.plan) if retrieval.plan else None,
+        "notes": retrieval.notes,
+        "flags": retrieval.flags,
+    }
+    if options:
+        out["choice"] = answer(assets, question, list(options), retrieval, backend)
+        out["answer"] = options[out["choice"]]
     click.echo(json.dumps(out, indent=2, sort_keys=True))
 
 
@@ -220,12 +215,9 @@ def eval_qa_cmd(ctx, corpus, dataset, out, fmt):
     """Multiple-choice accuracy by category, in both blocked-content modes."""
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
-    try:
-        items = load_mcq(dataset)
-        assets = _load_corpus(corpus, cfg, backend)
-        report = eval_qa(items, assets, backend, cfg)
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    items = load_mcq(dataset)
+    assets = _load_corpus(corpus, cfg, backend)
+    report = eval_qa(items, assets, backend, cfg)
     _emit_report(report, out, fmt)
 
 
@@ -241,12 +233,9 @@ def eval_loc_cmd(ctx, corpus, dataset, method, out, fmt):
     """Frame-localization accuracy for one retrieval method."""
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
-    try:
-        annotations = load_loc(dataset)
-        assets = _load_corpus(corpus, cfg, backend)
-        report = eval_localization(annotations, assets, backend, method=method, top_k=cfg.top_k)
-    except RavuError as exc:
-        raise click.ClickException(str(exc))
+    annotations = load_loc(dataset)
+    assets = _load_corpus(corpus, cfg, backend)
+    report = eval_localization(annotations, assets, backend, method=method, top_k=cfg.top_k)
     _emit_report(report, out, fmt)
 
 

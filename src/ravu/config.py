@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, json_object
 
 ENV_CONFIG = "RAVU_CONFIG"
 ENV_ENDPOINT = "RAVU_ENDPOINT"
 ENV_TOKEN = "RAVU_TOKEN"
 ENV_EMBED_DIM = "RAVU_EMBED_DIM"
+
+# Accepted JSON values per field annotation; a bool is never a number.
+_ACCEPTS = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 @dataclass
@@ -33,15 +35,13 @@ class RavuConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RavuConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid config JSON: {exc.msg}", line=exc.lineno) from exc
-        if not isinstance(raw, dict):
-            raise ParseError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
         # Unknown keys are ignored so files written for other versions still load.
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        values = {k: v for k, v in json_object(Path(path).read_text(), "config").items() if k in types}
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[types[name]]):
+                raise ParseError(f"config field '{name}' must be {types[name]}, got {value!r}", field=name)
+        return cls(**values)
 
 
 def load_config(path: str | Path | None = None) -> RavuConfig:
@@ -56,6 +56,9 @@ def load_config(path: str | Path | None = None) -> RavuConfig:
         cfg.endpoint = os.environ[ENV_ENDPOINT]
     if os.environ.get(ENV_TOKEN):
         cfg.token = os.environ[ENV_TOKEN]
-    if os.environ.get(ENV_EMBED_DIM):
-        cfg.embed_dim = int(os.environ[ENV_EMBED_DIM])
+    if embed_dim := os.environ.get(ENV_EMBED_DIM):
+        try:
+            cfg.embed_dim = int(embed_dim)
+        except ValueError as exc:
+            raise ParseError(f"{ENV_EMBED_DIM} must be an integer, got {embed_dim!r}", field=ENV_EMBED_DIM) from exc
     return cfg

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import MALFORMED, ParseError, json_objects
 
 CATEGORIES = ("causal", "temporal", "descriptive", "global")
 
@@ -41,11 +41,8 @@ class LocalizationAnnotation:
 
 def load_mcq(path: str | Path) -> list[McqItem]:
     items = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in json_objects(Path(path).read_text(), "mcq item"):
         try:
-            raw = json.loads(line)
             items.append(
                 McqItem(
                     question=str(raw["question"]),
@@ -56,7 +53,7 @@ def load_mcq(path: str | Path) -> list[McqItem]:
                     subcategory=str(raw.get("subcategory", "")),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ParseError(f"malformed mcq item: {exc}", line=lineno) from exc
     return items
 
@@ -82,11 +79,8 @@ def dump_mcq(items: list[McqItem]) -> str:
 
 def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
     items = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in json_objects(Path(path).read_text(), "localization item"):
         try:
-            raw = json.loads(line)
             items.append(
                 LocalizationAnnotation(
                     video_id=str(raw["video_id"]),
@@ -95,7 +89,7 @@ def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
                     category=str(raw.get("category", "temporal")),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ParseError(f"malformed localization item: {exc}", line=lineno) from exc
     return items
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decoder of every document it reads."""
 
 from __future__ import annotations
+
+import json
+from collections.abc import Iterator
 
 
 class RavuError(Exception):
@@ -44,3 +47,25 @@ class BlockedContent(BackendError):
 
 class MalformedResponse(BackendError):
     """The backend reply failed caller-side validation after all retries."""
+
+
+# What converting a wrong-shaped field raises; each reader turns these into a ParseError.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def json_object(text: str, what: str, line: int | None = None) -> dict:
+    """Decode one JSON object; ``line`` is where ``text`` sits in its document, None for all of it."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno if line is None else line) from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object", line=line)
+    return value
+
+
+def json_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON-lines document."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, json_object(line, what, lineno)

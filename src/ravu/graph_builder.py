@@ -18,7 +18,7 @@ import numpy as np
 
 from . import backends
 from .backends import generate_with_retries, make_bundle
-from .errors import BackendError, MalformedResponse, ParseError
+from .errors import MALFORMED, BackendError, MalformedResponse, ParseError, json_objects
 from .graph_model import (
     EntityEvent,
     EntityNode,
@@ -345,7 +345,8 @@ def read_embeddings(
         raise ParseError(
             f"embeddings file has {len(raw)} bytes, expected {expected}", field="body"
         )
-    matrix = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, dim)
+    # One float64 copy of the whole matrix; each record's vector is a row of it.
+    matrix = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, dim).astype(np.float64)
 
     descriptions: dict[tuple[int, int], str] = {}
     if graph is not None:
@@ -356,16 +357,13 @@ def read_embeddings(
     records = []
     seen_rows: set[int] = set()
     seen_keys: set[tuple[int, int]] = set()
-    lines = Path(index_path).read_text().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    text = Path(index_path).read_text()
+    for lineno, entry in json_objects(text, "index row"):
         try:
-            entry = json.loads(line)
             row = int(entry["row"])
             entity_id = int(entry["entity_id"])
             frame_index = int(entry["frame_index"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ParseError(f"malformed index row: {exc}", line=lineno) from exc
         key = (entity_id, frame_index)
         if len(records) == count:
@@ -385,12 +383,12 @@ def read_embeddings(
                 entity_id=entity_id,
                 frame_index=frame_index,
                 description=descriptions.get(key, ""),
-                vector=matrix[row].astype(np.float64),
+                vector=matrix[row],
             )
         )
     if len(records) < count:
         raise ParseError(
-            f"index lists {len(records)} rows, header counts {count}", line=len(lines) + 1, field="row"
+            f"index lists {len(records)} rows, header counts {count}", line=len(text.splitlines()) + 1, field="row"
         )
     if graph is not None and len(records) < len(descriptions):
         entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotFound, ParseError
+from .errors import MALFORMED, NotFound, ParseError, json_object
 
 REQUIRED_ATTRIBUTES = ("appearance", "action", "body_pose")
 
@@ -290,34 +290,19 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     return json.dumps(_canonical_doc(graph), sort_keys=True, indent=2) + "\n"
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ParseError(f"missing key '{key}'", field=key)
-    return doc[key]
-
-
-def _parse_box(raw, context: str) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError(f"malformed box in {context}", field="box")
-    box = BoundingBox(*(float(v) for v in raw))
-    if not box.is_valid():
-        raise ParseError(f"invalid box coordinates in {context}", field="box")
+def parse_box(raw, where: str) -> BoundingBox:
+    """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``."""
+    box = BoundingBox(*map(float, raw)) if isinstance(raw, list) and len(raw) == 4 else None
+    if box is None or not box.is_valid():
+        raise ValueError(f"box of {where} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1")
     return box
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level document must be an object")
-
-    frames_raw = _require(doc, "frames")
-    nodes_raw = _require(doc, "nodes")
-    edges_raw = _require(doc, "edges")
-    events_raw = _require(doc, "events")
-    fps = float(_require(doc, "fps"))
+    doc = json_object(document, "graph document")
+    for key in ("frames", "nodes", "edges", "events", "fps"):
+        if key not in doc:
+            raise ParseError(f"missing key '{key}'", field=key)
 
     try:
         frames = [
@@ -327,17 +312,17 @@ def deserialize(document: str) -> SpatioTemporalGraph:
                 description=str(f["description"]),
                 source_ref=str(f.get("source_ref", "")),
             )
-            for f in frames_raw
+            for f in doc["frames"]
         ]
         nodes = [
             EntityNode(
                 entity_id=int(n["entity_id"]),
                 frame_index=int(n["frame_index"]),
                 attributes={str(k): str(v) for k, v in n["attributes"].items()},
-                box=_parse_box(n["box"], f"node {n.get('entity_id')}"),
+                box=parse_box(n["box"], f"node {n['entity_id']} frame {n['frame_index']}"),
                 description=None if n.get("description") is None else str(n["description"]),
             )
-            for n in nodes_raw
+            for n in doc["nodes"]
         ]
         edges = [
             RelationEdge(
@@ -346,7 +331,7 @@ def deserialize(document: str) -> SpatioTemporalGraph:
                 relation=str(e["relation"]),
                 object_id=int(e["object_id"]),
             )
-            for e in edges_raw
+            for e in doc["edges"]
         ]
         events = {
             int(entity_id): [
@@ -358,9 +343,10 @@ def deserialize(document: str) -> SpatioTemporalGraph:
                 )
                 for ev in evs
             ]
-            for entity_id, evs in events_raw.items()
+            for entity_id, evs in doc["events"].items()
         }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        fps = float(doc["fps"])
+    except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
 
     return SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)

@@ -11,15 +11,14 @@ association they reference the consistent ID.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import accel
-from .errors import ParseError
-from .graph_model import BoundingBox, EntityNode, FrameRecord
+from .errors import MALFORMED, ParseError, json_object, json_objects
+from .graph_model import BoundingBox, EntityNode, FrameRecord, parse_box
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
 
@@ -49,18 +48,6 @@ class AssociationResult:
     id_map: dict[int, dict[int, int]]  # frame_index -> local_id -> entity_id
 
 
-def _box_from_raw(raw, line: int | None = None) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError("malformed box: expected [x0, y0, x1, y1]", line=line, field="box")
-    try:
-        box = BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed box: {exc}", line=line, field="box") from exc
-    if not box.is_valid():
-        raise ParseError("invalid box: need 0 <= x_min < x_max and 0 <= y_min < y_max", line=line, field="box")
-    return box
-
-
 def parse_observations(document: str) -> list[FrameObservation]:
     """Parse an observations.jsonl document, one frame object per line.
 
@@ -68,42 +55,28 @@ def parse_observations(document: str) -> list[FrameObservation]:
     malformed boxes are rejected.
     """
     observations: dict[int, FrameObservation] = {}
-    for lineno, line in enumerate(document.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    for lineno, raw in json_objects(document, "frame"):
         try:
             frame_index = int(raw["frame_index"])
-            description = str(raw.get("description", ""))
-            entities_raw = raw.get("entities", [])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed frame object: {exc}", line=lineno) from exc
-        if frame_index in observations:
-            raise ParseError(f"duplicate frame {frame_index}", line=lineno, field="frame_index")
-
-        entities = []
-        local_seen: set[int] = set()
-        for ent in entities_raw:
-            try:
+            if frame_index in observations:
+                raise ParseError(f"duplicate frame {frame_index}", line=lineno, field="frame_index")
+            entities = []
+            local_seen: set[int] = set()
+            for ent in raw.get("entities", []):
                 local_id = int(ent["local_id"])
+                if local_id in local_seen:
+                    raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
+                local_seen.add(local_id)
                 attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
-                box = _box_from_raw(ent["box"], line=lineno)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise ParseError(f"malformed entity: {exc}", line=lineno) from exc
-            if local_id in local_seen:
-                raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
-            local_seen.add(local_id)
-            entities.append((local_id, attributes, box))
-
-        observations[frame_index] = FrameObservation(
-            frame_index=frame_index,
-            description=description,
-            entities=entities,
-            source_ref=str(raw.get("source_ref", "")),
-        )
+                entities.append((local_id, attributes, parse_box(ent["box"], f"entity {local_id}")))
+            observations[frame_index] = FrameObservation(
+                frame_index=frame_index,
+                description=str(raw.get("description", "")),
+                entities=entities,
+                source_ref=str(raw.get("source_ref", "")),
+            )
+        except MALFORMED as exc:
+            raise ParseError(f"malformed frame: {exc}", line=lineno) from exc
 
     for expected in range(len(observations)):
         if expected not in observations:
@@ -113,28 +86,23 @@ def parse_observations(document: str) -> list[FrameObservation]:
 
 def parse_tracklets(document: str) -> list[Tracklet]:
     """Parse a tracklets.json document: {"tracks": [{track_id, boxes}]}."""
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(raw, dict) or "tracks" not in raw:
+    raw = json_object(document, "tracklets document")
+    if "tracks" not in raw:
         raise ParseError("missing key 'tracks'", field="tracks")
 
-    tracklets = []
-    seen: set[int] = set()
-    for tr in raw["tracks"]:
-        try:
+    tracklets: dict[int, Tracklet] = {}
+    try:
+        for tr in raw["tracks"]:
             track_id = int(tr["track_id"])
-            boxes = {int(fi): _box_from_raw(b) for fi, b in tr["boxes"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"malformed tracklet: {exc}") from exc
-        if track_id in seen:
-            raise ParseError(f"duplicate track_id {track_id}", field="track_id")
-        if not boxes:
-            raise ParseError(f"tracklet {track_id} has no boxes", field="boxes")
-        seen.add(track_id)
-        tracklets.append(Tracklet(track_id=track_id, boxes=boxes))
-    return tracklets
+            if track_id in tracklets:
+                raise ParseError(f"duplicate track_id {track_id}", field="track_id")
+            boxes = {int(fi): parse_box(b, f"track {track_id} frame {fi}") for fi, b in tr["boxes"].items()}
+            if not boxes:
+                raise ParseError(f"tracklet {track_id} has no boxes", field="boxes")
+            tracklets[track_id] = Tracklet(track_id=track_id, boxes=boxes)
+    except MALFORMED as exc:
+        raise ParseError(f"malformed tracklet: {exc}") from exc
+    return list(tracklets.values())
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -125,7 +125,7 @@ def _parse_args(raw: str, lineno: int) -> dict[str, object]:
     return args
 
 
-def _check_step(function: str, args: dict[str, object], index: int, lineno: int) -> None:
+def _check_step(function: str, args: dict[str, object], steps: list[ReasoningStep], lineno: int) -> None:
     spec = SIGNATURES[function]
     for name in args:
         if name not in spec:
@@ -141,8 +141,15 @@ def _check_step(function: str, args: dict[str, object], index: int, lineno: int)
                 raise ParseError(
                     f"argument '{name}' of {function} does not accept references", line=lineno
                 )
-            if value.step < 1 or value.step > index:
+            if value.step < 1 or value.step > len(steps):
                 raise ParseError(f"forward reference ${value.step}", line=lineno)
+            produced = RESULT_TYPES[steps[value.step - 1].function]
+            if produced not in arg_spec.ref_types:
+                raise ParseError(
+                    f"argument '{name}' of {function} cannot take a "
+                    f"{produced} result from step {value.step}",
+                    line=lineno,
+                )
             continue
         if isinstance(value, str):
             if arg_spec.literal != "str":
@@ -158,24 +165,8 @@ def _check_step(function: str, args: dict[str, object], index: int, lineno: int)
                 raise ParseError(f"argument '{name}' of {function} must not be an integer", line=lineno)
 
 
-def _check_ref_types(steps: list[ReasoningStep], linenos: list[int]) -> None:
-    for idx, (step, lineno) in enumerate(zip(steps, linenos)):
-        for name, value in step.args.items():
-            if not isinstance(value, Ref):
-                continue
-            spec = SIGNATURES[step.function][name]
-            produced = RESULT_TYPES[steps[value.step - 1].function]
-            if produced not in spec.ref_types:
-                raise ParseError(
-                    f"argument '{name}' of {step.function} cannot take a "
-                    f"{produced} result from step {value.step}",
-                    line=lineno,
-                )
-
-
 def parse_plan(text: str, question: str = "", analysis: str = "") -> ReasoningPlan:
     steps: list[ReasoningStep] = []
-    linenos: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -187,13 +178,11 @@ def parse_plan(text: str, question: str = "", analysis: str = "") -> ReasoningPl
         if function not in SIGNATURES:
             raise ParseError(f"unknown function '{match.group(1)}'", line=lineno)
         args = _parse_args(match.group(2), lineno)
-        _check_step(function, args, index=len(steps), lineno=lineno)
+        _check_step(function, args, steps, lineno)
         steps.append(ReasoningStep(function=function, args=args))
-        linenos.append(lineno)
 
     if not steps:
         raise ParseError("plan has no steps")
-    _check_ref_types(steps, linenos)
     return ReasoningPlan(question=question, analysis=analysis, steps=steps)
 
 

@@ -218,3 +218,43 @@ def test_ask_without_embeddings_index_is_clean(built, tmp_path):
         main, ["ask", "--graph", str(graph), "--embeddings", str(alone), "--question", "Who runs?"]
     )
     assert_clean_error(result, f"{alone}.index.jsonl: no such file")
+
+
+def test_build_on_wrong_shaped_observations_is_clean(corpus_dir, tmp_path):
+    obs = tmp_path / "observations.jsonl"
+    obs.write_text('{"frame_index": 0, "entities": 5}\n')
+    result = CliRunner().invoke(
+        main, ["build", "--observations", str(obs),
+               "--tracklets", str(video_dir(corpus_dir) / "tracklets.json"),
+               "--out", str(tmp_path / "g.json")]
+    )
+    assert_clean_error(result, "line 1: malformed frame")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_events_on_graph_with_bad_fps_is_clean(built, tmp_path):
+    graph, _ = built
+    doc = json.loads(graph.read_text())
+    doc["fps"] = "x"
+    bad_graph = tmp_path / "graph.json"
+    bad_graph.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["events", "--graph", str(bad_graph)])
+    assert_clean_error(result, "malformed graph document")
+
+
+def test_bad_config_value_is_clean(corpus_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"top_k": "ten"}')
+    result = CliRunner().invoke(
+        main, ["--config", str(config), "eval", "loc", "--corpus", str(corpus_dir),
+               "--dataset", str(corpus_dir / "localization.jsonl")]
+    )
+    assert_clean_error(result, "config field 'top_k' must be int")
+
+
+def test_bad_env_value_is_clean(tmp_path):
+    result = CliRunner().invoke(
+        main, ["synth", "--seed", "1", "--videos", "1", "--out", str(tmp_path / "c")],
+        env={"RAVU_EMBED_DIM": "abc"},
+    )
+    assert_clean_error(result, "RAVU_EMBED_DIM must be an integer")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -40,3 +41,39 @@ def test_env_overrides_file_values(tmp_path, monkeypatch):
     cfg = load_config(path)
     assert (cfg.endpoint, cfg.token, cfg.embed_dim) == ("http://env", "env-token", 32)
 
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"top_k": "ten"}, "top_k"),
+        ({"top_k": 2.5}, "top_k"),
+        ({"budget": True}, "budget"),
+        ({"min_iou": False}, "min_iou"),
+        ({"fps": None}, "fps"),
+        ({"endpoint": 5}, "endpoint"),
+    ],
+)
+def test_wrong_value_type_names_the_field(tmp_path, values, field):
+    with pytest.raises(ParseError) as info:
+        RavuConfig.from_file(write(tmp_path, json.dumps(values)))
+    assert info.value.field == field
+    assert f"config field '{field}'" in str(info.value)
+
+
+def test_every_default_value_loads_back(tmp_path):
+    assert RavuConfig.from_file(write(tmp_path, json.dumps(asdict(RavuConfig())))) == RavuConfig()
+
+
+def test_int_is_accepted_for_a_float_field(tmp_path):
+    cfg = RavuConfig.from_file(write(tmp_path, json.dumps({"fps": 2, "deadline_s": 30.5})))
+    assert (cfg.fps, cfg.deadline_s) == (2, 30.5)
+
+
+def test_bad_env_value_names_the_variable(monkeypatch):
+    monkeypatch.delenv("RAVU_CONFIG", raising=False)
+    monkeypatch.setenv("RAVU_EMBED_DIM", "abc")
+    with pytest.raises(ParseError) as info:
+        load_config()
+    assert info.value.field == "RAVU_EMBED_DIM"
+    assert "RAVU_EMBED_DIM" in str(info.value)

@@ -1,0 +1,178 @@
+"""Every outside document is decoded in ``ravu.errors``; a malformed one ends as ParseError."""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ravu
+from ravu.config import RavuConfig
+from ravu.datasets import load_loc, load_mcq
+from ravu.errors import ParseError
+from ravu.graph_builder import EmbeddingRecord, read_embeddings, write_embeddings
+from ravu.graph_model import deserialize
+from ravu.ingestion import parse_observations, parse_tracklets
+
+MODULES = sorted(p for p in Path(ravu.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+# errors.py decodes documents; backends.py decodes a provider's reply.
+JSON_DECODERS = {"errors.py", "backends.py"}
+
+
+def json_decode_calls(source: str) -> list[int]:
+    """Lines that call ``json.load``/``json.loads``, directly or as imported names."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in ("load", "loads")
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "json"
+        ) or (isinstance(func, ast.Name) and func.id in aliases):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_json_decoding():
+    source = (
+        "import json\nfrom json import loads as parse\n"
+        "json.loads('1')\nparse('2')\njson.dumps(3)\njson.load(open('x'))\n"
+    )
+    assert json_decode_calls(source) == [3, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in JSON_DECODERS], ids=lambda p: p.name
+)
+def test_module_does_not_decode_json(path):
+    assert json_decode_calls(path.read_text()) == []
+
+
+FRAME = json.dumps({"frame_index": 0, "entities": [{"local_id": 0, "box": [0, 0, 1, 1]}]})
+GRAPH = {"fps": 1.0, "frames": [], "nodes": [], "edges": [], "events": {}}
+NODE = {"entity_id": 0, "frame_index": 0, "attributes": {}, "box": [0, 0, 1, 1]}
+MCQ = json.dumps(
+    {"question": "q", "options": ["a", "b"], "answer_index": 0, "category": "temporal", "video_id": "v"}
+)
+LOC = json.dumps({"video_id": "v", "question": "q", "gt_frames": [0]})
+ROW = json.dumps({"row": 0, "entity_id": 0, "frame_index": 0})
+
+
+def second_frame(**fields):
+    return FRAME + "\n" + json.dumps({"frame_index": 1, **fields})
+
+
+def entity(**fields):
+    return {"local_id": 0, "box": [0, 0, 1, 1], **fields}
+
+
+def graph(**fields):
+    return json.dumps({**GRAPH, **fields})
+
+
+def tracks(*entries):
+    return json.dumps({"tracks": list(entries)})
+
+
+def read_config(text, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return RavuConfig.from_file(path)
+
+
+def read_path(loader):
+    def read(text, tmp_path):
+        path = tmp_path / "items.jsonl"
+        path.write_text(text)
+        return loader(path)
+
+    return read
+
+
+def read_index(text, tmp_path):
+    bin_path, index_path = tmp_path / "e.bin", tmp_path / "e.bin.index.jsonl"
+    write_embeddings([EmbeddingRecord(0, 0, "", np.ones(2))], bin_path, index_path)
+    index_path.write_text(text)
+    return read_embeddings(bin_path, index_path)
+
+
+READERS = {
+    "config": read_config,
+    "observations": lambda text, _: parse_observations(text),
+    "tracklets": lambda text, _: parse_tracklets(text),
+    "graph": lambda text, _: deserialize(text),
+    "mcq": read_path(load_mcq),
+    "loc": read_path(load_loc),
+    "embeddings-index": read_index,
+}
+
+# (reader, document, line the ParseError names or None for a whole-document error)
+MALFORMED_DOCUMENTS = [
+    ("config", '{\n  "top_k": 7,\n  oops\n}', 3),
+    ("config", "[1, 2]", None),
+    ("config", '{"top_k": "ten"}', None),
+    ("config", '{"budget": true}', None),
+    ("config", '{"fps": null}', None),
+    ("observations", second_frame(entities=5), 2),
+    ("observations", FRAME + "\n\n[1, 2]", 3),
+    ("observations", FRAME + "\n{not json", 2),
+    ("observations", second_frame(frame_index=None), 2),
+    ("observations", second_frame(entities=[5]), 2),
+    ("observations", second_frame(entities=[entity(box="abcd")]), 2),
+    ("observations", second_frame(entities=[entity(box=[0, 0, "x", 1])]), 2),
+    ("observations", second_frame(entities=[entity(attributes=5)]), 2),
+    ("tracklets", '{"tracks": 5}', None),
+    ("tracklets", "[]", None),
+    ("tracklets", "{\n  oops", 2),
+    ("tracklets", tracks(5), None),
+    ("tracklets", tracks({"track_id": 0, "boxes": 5}), None),
+    ("tracklets", tracks({"track_id": 0, "boxes": {"x": [0, 0, 1, 1]}}), None),
+    ("tracklets", tracks({"track_id": 0, "boxes": {"0": [0, 0, 1]}}), None),
+    ("graph", graph(fps=None), None),
+    ("graph", graph(fps="x"), None),
+    ("graph", graph(frames=5), None),
+    ("graph", graph(events=[]), None),
+    ("graph", graph(nodes=[{**NODE, "box": None}]), None),
+    ("graph", graph(nodes=[{**NODE, "attributes": []}]), None),
+    ("graph", "[]", None),
+    ("graph", '{\n  "frames": [,]\n}', 2),
+    ("mcq", MCQ + '\n{"question": "q"}', 2),
+    ("mcq", MCQ + "\n5", 2),
+    ("mcq", MCQ + "\n" + MCQ.replace('["a", "b"]', "5"), 2),
+    ("mcq", MCQ.replace('"answer_index": 0', '"answer_index": 9'), 1),
+    ("loc", LOC + "\n" + LOC.replace("[0]", "5"), 2),
+    ("loc", LOC.replace("[0]", "[]"), 1),
+    ("loc", "\n" + LOC + "\n{oops", 3),
+    ("embeddings-index", '{"row": "a", "entity_id": 0, "frame_index": 0}', 1),
+    ("embeddings-index", "\n[]", 2),
+    ("embeddings-index", "{oops", 1),
+    ("embeddings-index", ROW.replace('"frame_index": 0', '"frame_index": null'), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, document, line",
+    MALFORMED_DOCUMENTS,
+    ids=[f"{reader}-{i}" for i, (reader, _, _) in enumerate(MALFORMED_DOCUMENTS)],
+)
+def test_malformed_document_raises_parse_error(reader, document, line, tmp_path):
+    with pytest.raises(ParseError) as exc:
+        READERS[reader](document, tmp_path)
+    assert exc.value.line == line
+
+
+def test_every_reader_has_a_malformed_case():
+    assert {reader for reader, _, _ in MALFORMED_DOCUMENTS} == set(READERS)

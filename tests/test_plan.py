@@ -77,6 +77,11 @@ NEGATIVE_CASES = [
      'analyze_events(query="y", node=$1)\n'
      'sample_entity_events(node=$2, sample_start_time=$2, events_to_sample="all")',
      3, "cannot take a time result"),
+    # The first bad line is reported, even when a later line is bad too.
+    ('localize_node(query="x")\n'
+     'sample_entity_events(node=$1, sample_start_time=$1, events_to_sample="all")\n'
+     'frobnicate()',
+     2, "cannot take a node result"),
     ('localize_node(query="x")\n'
      'sample_entity_events(node=$1, sample_start_time=0, events_to_sample="previous:0")',
      2, "malformed"),
