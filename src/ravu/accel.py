@@ -34,13 +34,34 @@ def iou_pair(box_a, box_b) -> float:
     return float(iou_matrix(np.asarray([box_a]), np.asarray([box_b]))[0, 0])
 
 
-def cosine_scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+# Rows per block of ``norms``: 512 rows of 256 float64s is a 1 MB temporary.
+NORM_BLOCK = 512
+
+
+def norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)``, bit for bit: the same squares, row
+    sums and square roots, computed ``NORM_BLOCK`` rows at a time so that the
+    squares never take a second full-size matrix.
+    """
+    mat = np.ascontiguousarray(matrix, dtype=np.float64)
+    out = np.empty(len(mat), dtype=np.float64)
+    for start in range(0, len(mat), NORM_BLOCK):
+        block = mat[start:start + NORM_BLOCK]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + NORM_BLOCK])
+    return out
+
+
+def cosine_scores(
+    matrix: np.ndarray, query: np.ndarray, row_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Cosine similarity of every row of ``matrix`` against ``query``.
 
     Zero rows and a zero query score 0 rather than NaN. Scores are
     quantized to 1e-9 so that duplicate rows stay exact ties whatever
     summation order BLAS picks for each row, which keeps the
-    (frame, entity) tie order of rankings deterministic.
+    (frame, entity) tie order of rankings deterministic. ``row_norms``, when
+    given, must equal ``norms(matrix)``; an index passes the norms it
+    computed once instead of recomputing them per query.
     """
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
@@ -48,8 +69,7 @@ def cosine_scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     qn = float(np.linalg.norm(q))
     if qn == 0.0 or mat.shape[0] == 0:
         return out
-    rn = np.linalg.norm(mat, axis=1)
+    rn = norms(mat) if row_norms is None else row_norms
     dots = mat @ q
-    nz = rn > 0.0
-    out[nz] = dots[nz] / (rn[nz] * qn)
+    np.divide(dots, rn * qn, out=out, where=rn > 0.0)
     return np.round(out, 9)

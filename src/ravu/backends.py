@@ -418,17 +418,21 @@ class RemoteBackend:
         self.model = model
         self.deadline_s = deadline_s
         self.dim = dim
+        self._session = None
 
     def _post(self, body: dict) -> dict:
         import requests
 
+        # One session per backend, so every call reuses its pooled connection.
+        if self._session is None:
+            self._session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         if self.model:
             body = {**body, "model": self.model}
         try:
-            resp = requests.post(
+            resp = self._session.post(
                 self.endpoint, json=body, headers=headers, timeout=self.deadline_s
             )
         except (requests.exceptions.Timeout, requests.exceptions.ConnectionError) as exc:

@@ -12,7 +12,7 @@ from . import graph_model
 from .backends import MockBackend, RemoteBackend
 from .config import RavuConfig, load_config
 from .datasets import CATEGORIES, dump_loc, dump_mcq, load_loc, load_mcq
-from .errors import RavuError
+from .errors import RavuError, read_document
 from .evaluate import (
     VideoAssets,
     answer,
@@ -43,8 +43,9 @@ def make_backend(cfg: RavuConfig):
 
 
 def _load_graph(path: str) -> SpatioTemporalGraph:
+    text = read_document(path)
     try:
-        return graph_model.deserialize(Path(path).read_text())
+        return graph_model.deserialize(text)
     except RavuError as exc:
         raise click.ClickException(f"{path}: {exc}")
 
@@ -57,7 +58,7 @@ def _load_corpus(corpus_dir: str, cfg: RavuConfig, backend) -> dict[str, VideoAs
         if not obs.exists() or not tracks.exists():
             continue
         assets[video_dir.name] = build_video(
-            obs.read_text(), tracks.read_text(), backend, cfg
+            read_document(obs), read_document(tracks), backend, cfg
         )
     return assets
 
@@ -90,8 +91,8 @@ def main(ctx, config_path):
 def ingest(ctx, observations, tracklets, out):
     """Associate per-frame observations with tracklets into a partial graph."""
     cfg = ctx.obj["config"]
-    obs = parse_observations(Path(observations).read_text())
-    tracks = parse_tracklets(Path(tracklets).read_text())
+    obs = parse_observations(read_document(observations))
+    tracks = parse_tracklets(read_document(tracklets))
     assoc = associate(obs, tracks, min_iou=cfg.min_iou, fps=cfg.fps)
     graph = SpatioTemporalGraph(
         frames=assoc.frames, nodes=assoc.nodes, edges=[], events={}, fps=cfg.fps
@@ -110,7 +111,7 @@ def build(ctx, observations, tracklets, out):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     assets = build_video(
-        Path(observations).read_text(), Path(tracklets).read_text(), backend, cfg
+        read_document(observations), read_document(tracklets), backend, cfg
     )
     Path(out).write_text(graph_model.serialize(assets.graph))
     report = assets.build_report

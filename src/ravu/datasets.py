@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MALFORMED, ParseError, json_objects
+from .errors import MALFORMED, ParseError, json_objects, read_document
 
 CATEGORIES = ("causal", "temporal", "descriptive", "global")
 
@@ -41,7 +41,7 @@ class LocalizationAnnotation:
 
 def load_mcq(path: str | Path) -> list[McqItem]:
     items = []
-    for lineno, raw in json_objects(Path(path).read_text(), "mcq item"):
+    for lineno, raw in json_objects(read_document(path), "mcq item"):
         try:
             items.append(
                 McqItem(
@@ -79,7 +79,7 @@ def dump_mcq(items: list[McqItem]) -> str:
 
 def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
     items = []
-    for lineno, raw in json_objects(Path(path).read_text(), "localization item"):
+    for lineno, raw in json_objects(read_document(path), "localization item"):
         try:
             items.append(
                 LocalizationAnnotation(

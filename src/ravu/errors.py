@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the decoder of every document it reads."""
+"""Exception types shared across the package, and the reader and decoder of every document it reads."""
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from pathlib import Path
 
 
 class RavuError(Exception):
@@ -51,6 +52,20 @@ class MalformedResponse(BackendError):
 
 # What converting a wrong-shaped field raises; each reader turns these into a ParseError.
 MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def read_document(path: str | Path, binary: bool = False) -> str | bytes:
+    """The file at ``path`` as UTF-8 text, or as bytes when ``binary``.
+
+    A file that cannot be read (a directory, say) or is not UTF-8 text
+    raises ParseError naming it.
+    """
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def json_object(text: str, what: str, line: int | None = None) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import backends
 from .backends import generate_with_retries, make_bundle
-from .errors import MALFORMED, BackendError, MalformedResponse, ParseError, json_objects
+from .errors import MALFORMED, BackendError, MalformedResponse, ParseError, json_objects, read_document
 from .graph_model import (
     EntityEvent,
     EntityNode,
@@ -336,7 +336,7 @@ def read_embeddings(
     once, as many rows as the header counts, and, when ``graph`` is given,
     exactly the graph's node keys; anything else raises ParseError.
     """
-    raw = Path(bin_path).read_bytes()
+    raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
         raise ParseError("embeddings file too short for header", field="header")
     dim, count = _MAGIC.unpack_from(raw)
@@ -357,7 +357,7 @@ def read_embeddings(
     records = []
     seen_rows: set[int] = set()
     seen_keys: set[tuple[int, int]] = set()
-    text = Path(index_path).read_text()
+    text = read_document(index_path)
     for lineno, entry in json_objects(text, "index row"):
         try:
             row = int(entry["row"])

@@ -1,11 +1,27 @@
 """Exact cosine retrieval over node embeddings, with two-stage localize.
 
 The index is a linear scan: at 1 fps a video yields at most a few thousand
-nodes, so exact search is cheap and keeps retrieval deterministic.
+nodes, so exact search is cheap and keeps retrieval deterministic. It is
+columnar: construction stacks the vectors into one float64 ``matrix`` and
+keeps int arrays of frames and entities and a list of descriptions. It also
+computes, once, every row norm and the rows sorted by (entity, frame) with
+each entity's slice of that order.
+
+A query is then one matrix-vector product (``accel.cosine_scores`` with the
+cached norms), a partial selection of the rows scoring at least the k-th
+best score, and a sort of that short list. An entity's frame range is two
+binary searches in the entity's slice.
+
+The matrix is not stored unit-normalised: dividing each row by its norm
+before the dot product rounds differently from dividing the dot product,
+which can move a score by one ulp across the 1e-9 quantisation edge, and a
+second copy of the matrix would double the index's memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +46,6 @@ class LocalizeResult:
     fallback: bool = False
 
 
-def rank(records: list[EmbeddingRecord], scores, rows, k: int) -> list[int]:
-    """The ``k`` best of ``rows`` by descending score.
-
-    Ties break by (frame_index, entity_id) ascending; this is the one tie
-    order of every ranking over node embeddings.
-    """
-    return sorted(
-        rows, key=lambda r: (-scores[r], records[r].frame_index, records[r].entity_id)
-    )[:k]
-
-
 def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]:
     """Backend picks the description that best matches the grounding phrase.
 
@@ -59,17 +64,98 @@ def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]
 
 
 class EmbeddingIndex:
-    """Immutable node-embedding index; safe for concurrent queries."""
+    """Immutable node-embedding index; safe for concurrent queries.
+
+    It keeps columns, not the records it was built from: ``matrix`` (one
+    read-only float64 row per record), ``frames``, ``entities`` and
+    ``descriptions``. Dropping the records therefore frees their vectors.
+    """
 
     def __init__(self, records: list[EmbeddingRecord]):
-        self.records = list(records)
-        if records:
-            self.matrix = np.stack([r.vector for r in records]).astype(np.float64)
+        records = list(records)
+        n = len(records)
+        if n:
+            self.matrix = np.stack([r.vector for r in records], dtype=np.float64)
         else:
             self.matrix = np.zeros((0, 0), dtype=np.float64)
+        self.matrix.flags.writeable = False
+        self.descriptions = [r.description for r in records]
+        self.frames = np.fromiter((r.frame_index for r in records), dtype=np.int64, count=n)
+        self.entities = np.fromiter((r.entity_id for r in records), dtype=np.int64, count=n)
+        self._norms = accel.norms(self.matrix)
+        # Rows by (entity, frame); lexsort is stable, so equal keys keep row order.
+        self._by_entity = np.lexsort((self.frames, self.entities))
+        # Frames in that order, as a list for ``bisect``, and each entity's slice of it.
+        self._entity_frames = self.frames[self._by_entity].tolist()
+        entities = self.entities[self._by_entity]
+        cuts = (np.flatnonzero(np.diff(entities)) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, n]
+        self._entity_slice = dict(zip(entities[starts].tolist(), zip(starts, stops))) if n else {}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.descriptions)
+
+    @property
+    def records(self) -> list[EmbeddingRecord]:
+        """The rows as records, made on each access; each vector is a row of ``matrix``."""
+        return [
+            EmbeddingRecord(entity_id, frame_index, description, vector)
+            for entity_id, frame_index, description, vector in zip(
+                self.entities.tolist(), self.frames.tolist(), self.descriptions, self.matrix
+            )
+        ]
+
+    def scores(self, query_vector: np.ndarray) -> np.ndarray:
+        """Cosine score of every row against ``query_vector`` (see ``accel.cosine_scores``)."""
+        return accel.cosine_scores(
+            self.matrix, np.asarray(query_vector, dtype=np.float64), row_norms=self._norms
+        )
+
+    def rank(self, scores: np.ndarray, rows: Sequence[int], k: int) -> list[int]:
+        """The ``k`` best of ``rows`` by descending score.
+
+        Ties break by (frame_index, entity_id) ascending, then by position in
+        ``rows``; this is the one tie order of every ranking over node
+        embeddings. Only the rows scoring at least the k-th best score are
+        sorted, so rows tied at the cut are ordered like the rest.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        picked = np.asarray(scores, dtype=np.float64)[rows]
+        if 0 < k < len(rows):
+            cut = np.partition(picked, len(rows) - k)[len(rows) - k]
+            keep = picked >= cut
+            rows, picked = rows[keep], picked[keep]
+        order = np.lexsort((self.entities[rows], self.frames[rows], -picked))
+        return rows[order[:k]].tolist()
+
+    def rank_ranges(
+        self, scores: np.ndarray, ranges: Sequence[tuple[int, int, int]], k: int
+    ) -> list[int]:
+        """The ``k`` best rows of each range, range after range, each in ``rank`` order.
+
+        A range ``(entity_id, start_frame, end_frame)`` holds the entity's rows
+        with ``start_frame <= frame_index <= end_frame``; a row in two ranges
+        is listed for each. Ties on all of ``rank``'s keys keep row order.
+        """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        frames = self._entity_frames
+        bounds = []
+        for entity_id, start_frame, end_frame in ranges:
+            lo, hi = self._entity_slice.get(entity_id, (0, 0))
+            bounds.append(
+                (bisect_left(frames, start_frame, lo, hi), bisect_right(frames, end_frame, lo, hi))
+            )
+        firsts, lasts = np.array(bounds, dtype=np.intp).reshape(-1, 2).T
+        sizes = np.maximum(lasts - firsts, 0)
+        offsets = np.cumsum(sizes) - sizes
+        group = np.repeat(np.arange(len(ranges)), sizes)
+        rows = self._by_entity[np.arange(sizes.sum()) - offsets[group] + firsts[group]]
+        picked = np.asarray(scores, dtype=np.float64)[rows]
+        order = np.lexsort((self.entities[rows], self.frames[rows], -picked, group))
+        # Sorting by range first keeps each range's rows together and in place.
+        place = np.arange(len(rows)) - offsets[group]
+        return rows[order][place < k].tolist()
 
     def top_k(self, query_vector: np.ndarray, k: int) -> list[Candidate]:
         """Exactly min(k, n) candidates by descending cosine similarity.
@@ -78,14 +164,13 @@ class EmbeddingIndex:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not self.records:
+        if not self.descriptions:
             raise EmptyIndex("no embeddings in index")
-        scores = accel.cosine_scores(self.matrix, np.asarray(query_vector, dtype=np.float64))
-        out = []
-        for i in rank(self.records, scores, range(len(self.records)), k):
-            rec = self.records[i]
-            out.append(Candidate(rec.entity_id, rec.frame_index, float(scores[i]), rec.description))
-        return out
+        scores = self.scores(query_vector)
+        return [
+            Candidate(int(self.entities[i]), int(self.frames[i]), float(scores[i]), self.descriptions[i])
+            for i in self.rank(scores, np.arange(len(self)), k)
+        ]
 
     def localize(self, grounding_phrase: str, k: int, backend) -> LocalizeResult:
         """Two-stage retrieval: cosine top-k filter, then backend rerank.

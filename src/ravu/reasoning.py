@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
-from . import accel, backends
+from . import backends
 from .backends import generate_with_retries, make_bundle
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_timeline
-from .index import EmbeddingIndex, rank, rerank
+from .index import EmbeddingIndex, rerank
 from .plan import FRAME_PRODUCING, ReasoningPlan, Ref, parse_plan
 
 
@@ -424,23 +424,18 @@ def hierarchical_retrieve(
         raise ValueError("hierarchical retrieval requires entity events")
     qvec = backend.embed(question)
 
-    records = index.records
-    scores = accel.cosine_scores(index.matrix, qvec)
-    by_entity: dict[int, list[int]] = {}
-    for row, rec in enumerate(records):
-        by_entity.setdefault(rec.entity_id, []).append(row)
-
-    pool: list[int] = []
-    for entity_id, events in sorted(graph.events.items()):
-        rows = by_entity.get(entity_id, [])
-        for ev in sorted(events, key=lambda ev: ev.start_frame):
-            in_event = [r for r in rows if ev.start_frame <= records[r].frame_index <= ev.end_frame]
-            pool.extend(rank(records, scores, in_event, per_event))
+    scores = index.scores(qvec)
+    ranges = [
+        (entity_id, ev.start_frame, ev.end_frame)
+        for entity_id, events in sorted(graph.events.items())
+        for ev in sorted(events, key=lambda ev: ev.start_frame)
+    ]
+    pool = index.rank_ranges(scores, ranges, per_event)
     if not pool:
         return [], False
-    pool = rank(records, scores, pool, len(pool))
+    pool = index.rank(scores, pool, len(pool))
 
-    descriptions = [records[r].description for r in pool]
+    descriptions = [index.descriptions[r] for r in pool]
     bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))
     fallback = False
     try:
@@ -453,5 +448,5 @@ def hierarchical_retrieve(
         chosen = list(range(min(top, len(pool))))
         fallback = True
 
-    frames = sorted({records[pool[c]].frame_index for c in chosen})
+    frames = sorted({int(index.frames[pool[c]]) for c in chosen})
     return frames, fallback

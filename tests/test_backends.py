@@ -184,16 +184,17 @@ class _FakeResponse:
 
 
 def _patch_post(monkeypatch, response=None, exc=None, record=None):
+    """Stub ``requests.Session.post``; a session opens no socket until it posts."""
     import requests
 
-    def fake_post(url, json=None, headers=None, timeout=None):
+    def fake_post(session, url, json=None, headers=None, timeout=None):
         if record is not None:
-            record.append({"url": url, "json": json, "headers": headers})
+            record.append({"session": session, "url": url, "json": json, "headers": headers})
         if exc is not None:
             raise exc
         return response
 
-    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", fake_post)
 
 
 def test_remote_backend_generate(monkeypatch):
@@ -207,6 +208,19 @@ def test_remote_backend_generate(monkeypatch):
     assert sent["headers"]["Authorization"] == "Bearer tok"
     assert sent["json"]["model"] == "m1"
     assert sent["json"]["role"] == "rerank"
+
+
+def test_remote_backend_reuses_one_session(monkeypatch):
+    import requests
+
+    record = []
+    _patch_post(monkeypatch, _FakeResponse(payload={"text": "[3.0, 4.0]"}), record=record)
+    remote = RemoteBackend("http://example.test", dim=2)
+    remote.embed("a")
+    remote.embed("b")
+    first, second = (sent["session"] for sent in record)
+    assert isinstance(first, requests.Session) and first is second
+    assert RemoteBackend("http://example.test", dim=2)._session is None
 
 
 def test_remote_backend_error_mapping(monkeypatch):

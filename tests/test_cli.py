@@ -258,3 +258,76 @@ def test_bad_env_value_is_clean(tmp_path):
         env={"RAVU_EMBED_DIM": "abc"},
     )
     assert_clean_error(result, "RAVU_EMBED_DIM must be an integer")
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"fps": 0}, "config field 'fps' must be a finite number > 0"),
+        ({"embed_dim": -3}, "config field 'embed_dim' must be >= 1"),
+        ({"budget": 0}, "config field 'budget' must be >= 1"),
+        ({"hier_per_event": 0}, "config field 'hier_per_event' must be >= 1"),
+        ({"max_retries": 0}, "config field 'max_retries' must be >= 1"),
+        ({"deadline_s": -1.5}, "config field 'deadline_s' must be a finite number > 0"),
+        ({"min_iou": 1.5}, "config field 'min_iou' must be between 0 and 1"),
+    ],
+)
+def test_out_of_range_config_value_fails_build_cleanly(corpus_dir, tmp_path, values, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    vd = video_dir(corpus_dir)
+    result = CliRunner().invoke(
+        main, ["--config", str(config), "build", "--observations", str(vd / "observations.jsonl"),
+               "--tracklets", str(vd / "tracklets.json"), "--out", str(tmp_path / "g.json")]
+    )
+    assert_clean_error(result, message)
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_zero_top_k_fails_eval_loc_cleanly(corpus_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"top_k": 0}')
+    result = CliRunner().invoke(
+        main, ["--config", str(config), "eval", "loc", "--corpus", str(corpus_dir),
+               "--dataset", str(corpus_dir / "localization.jsonl")]
+    )
+    assert_clean_error(result, "config field 'top_k' must be >= 1, got 0")
+
+
+def test_out_of_range_env_value_is_clean(tmp_path):
+    result = CliRunner().invoke(
+        main, ["synth", "--seed", "1", "--videos", "1", "--out", str(tmp_path / "c")],
+        env={"RAVU_EMBED_DIM": "0"},
+    )
+    assert_clean_error(result, "RAVU_EMBED_DIM must be >= 1, got 0")
+
+
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
+def test_build_on_non_utf8_observations_is_clean(corpus_dir, tmp_path):
+    obs = tmp_path / "observations.jsonl"
+    obs.write_bytes(NOT_UTF8)
+    result = CliRunner().invoke(
+        main, ["build", "--observations", str(obs),
+               "--tracklets", str(video_dir(corpus_dir) / "tracklets.json"),
+               "--out", str(tmp_path / "g.json")]
+    )
+    assert_clean_error(result, f"{obs}: not UTF-8 text")
+
+
+def test_eval_qa_on_non_utf8_dataset_is_clean(corpus_dir, tmp_path):
+    dataset = tmp_path / "questions.jsonl"
+    dataset.write_bytes(NOT_UTF8)
+    result = CliRunner().invoke(
+        main, ["eval", "qa", "--corpus", str(corpus_dir), "--dataset", str(dataset)]
+    )
+    assert_clean_error(result, f"{dataset}: not UTF-8 text")
+
+
+def test_config_directory_is_clean(tmp_path):
+    result = CliRunner().invoke(
+        main, ["--config", str(tmp_path), "synth", "--seed", "1", "--videos", "1",
+               "--out", str(tmp_path / "c")]
+    )
+    assert_clean_error(result, f"{tmp_path}: cannot read")

@@ -61,6 +61,29 @@ def test_wrong_value_type_names_the_field(tmp_path, values, field):
     assert f"config field '{field}'" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"fps": 0}, "fps"),
+        ({"fps": float("nan")}, "fps"),
+        ({"deadline_s": 0}, "deadline_s"),
+        ({"deadline_s": float("inf")}, "deadline_s"),
+        ({"embed_dim": -3}, "embed_dim"),
+        ({"top_k": 0}, "top_k"),
+        ({"budget": 0}, "budget"),
+        ({"hier_per_event": -1}, "hier_per_event"),
+        ({"max_retries": 0}, "max_retries"),
+        ({"min_iou": -0.1}, "min_iou"),
+        ({"min_iou": 1.01}, "min_iou"),
+    ],
+)
+def test_out_of_range_value_names_the_field(tmp_path, values, field):
+    with pytest.raises(ParseError) as info:
+        RavuConfig.from_file(write(tmp_path, json.dumps(values)))
+    assert info.value.field == field
+    assert f"config field '{field}' must be" in str(info.value)
+
+
 def test_every_default_value_loads_back(tmp_path):
     assert RavuConfig.from_file(write(tmp_path, json.dumps(asdict(RavuConfig())))) == RavuConfig()
 
@@ -70,6 +93,13 @@ def test_int_is_accepted_for_a_float_field(tmp_path):
     assert (cfg.fps, cfg.deadline_s) == (2, 30.5)
 
 
+def test_range_edges_load(tmp_path):
+    edges = {"embed_dim": 1, "top_k": 1, "budget": 1, "hier_per_event": 1, "max_retries": 1,
+             "min_iou": 0, "fps": 0.5, "deadline_s": 0.01, "mock_seed": -4}
+    assert RavuConfig.from_file(write(tmp_path, json.dumps(edges))) == RavuConfig(**edges)
+    assert RavuConfig.from_file(write(tmp_path, '{"min_iou": 1}')).min_iou == 1
+
+
 def test_bad_env_value_names_the_variable(monkeypatch):
     monkeypatch.delenv("RAVU_CONFIG", raising=False)
     monkeypatch.setenv("RAVU_EMBED_DIM", "abc")
@@ -77,3 +107,12 @@ def test_bad_env_value_names_the_variable(monkeypatch):
         load_config()
     assert info.value.field == "RAVU_EMBED_DIM"
     assert "RAVU_EMBED_DIM" in str(info.value)
+
+
+def test_out_of_range_env_value_names_the_variable(monkeypatch):
+    monkeypatch.delenv("RAVU_CONFIG", raising=False)
+    monkeypatch.setenv("RAVU_EMBED_DIM", "-3")
+    with pytest.raises(ParseError) as info:
+        load_config()
+    assert info.value.field == "RAVU_EMBED_DIM"
+    assert "RAVU_EMBED_DIM must be >= 1" in str(info.value)

@@ -176,3 +176,39 @@ def test_malformed_document_raises_parse_error(reader, document, line, tmp_path)
 
 def test_every_reader_has_a_malformed_case():
     assert {reader for reader, _, _ in MALFORMED_DOCUMENTS} == set(READERS)
+
+
+def read_embeddings_index(path):
+    bin_path = path.parent / "e.bin"
+    write_embeddings([EmbeddingRecord(0, 0, "", np.ones(2))], bin_path, path.parent / "unused.jsonl")
+    return read_embeddings(bin_path, path)
+
+
+def read_embeddings_body(path):
+    index_path = path.parent / "e.bin.index.jsonl"
+    index_path.write_text(ROW)
+    return read_embeddings(path, index_path)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [RavuConfig.from_file, load_mcq, load_loc, read_embeddings_index],
+    ids=["config", "mcq", "loc", "embeddings-index"],
+)
+def test_reader_rejects_a_file_that_is_not_utf8(reader, tmp_path):
+    path = tmp_path / "doc"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [RavuConfig.from_file, load_mcq, load_loc, read_embeddings_index, read_embeddings_body],
+    ids=["config", "mcq", "loc", "embeddings-index", "embeddings"],
+)
+def test_reader_rejects_a_directory(reader, tmp_path):
+    path = tmp_path / "doc"
+    path.mkdir()
+    with pytest.raises(ParseError, match=f"{path}: cannot read"):
+        reader(path)

@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ravu import accel
-from ravu.backends import MockBackend
-from ravu.errors import EmptyIndex
+from ravu import accel, backends
+from ravu.backends import MockBackend, make_bundle
+from ravu.errors import EmptyIndex, MalformedResponse
 from ravu.graph_builder import EmbeddingRecord
-from ravu.index import EmbeddingIndex, rank, rerank
+from ravu.graph_model import EntityEvent, SpatioTemporalGraph
+from ravu.index import EmbeddingIndex, rerank
+from ravu.reasoning import hierarchical_retrieve
 
 
 def rec(entity, frame, vector, description=""):
@@ -70,12 +74,143 @@ def test_top_k_matches_full_sort(n, k, seed):
     ]
 
 
+# The reference implementations: Python's stable ``sorted`` over every row,
+# and hierarchical retrieval that rescans an entity's rows for every event.
+
+
+def sorted_rank(records, scores, rows, k):
+    return sorted(
+        rows, key=lambda r: (-scores[r], records[r].frame_index, records[r].entity_id)
+    )[:k]
+
+
+def sorted_top_k(records, q, k):
+    scores = accel.cosine_scores(np.stack([r.vector for r in records]), q)
+    return [
+        (records[i].frame_index, records[i].entity_id, float(scores[i]), records[i].description)
+        for i in sorted_rank(records, scores, range(len(records)), k)
+    ]
+
+
+def sorted_hierarchical_retrieve(question, graph, records, backend, per_event, top):
+    qvec = backend.embed(question)
+    matrix = np.stack([r.vector for r in records]) if records else np.zeros((0, 0))
+    scores = accel.cosine_scores(matrix, qvec)
+    by_entity = {}
+    for row, r in enumerate(records):
+        by_entity.setdefault(r.entity_id, []).append(row)
+    pool = []
+    for entity_id, events in sorted(graph.events.items()):
+        rows = by_entity.get(entity_id, [])
+        for ev in sorted(events, key=lambda ev: ev.start_frame):
+            in_event = [r for r in rows if ev.start_frame <= records[r].frame_index <= ev.end_frame]
+            pool.extend(sorted_rank(records, scores, in_event, per_event))
+    if not pool:
+        return [], False
+    pool = sorted_rank(records, scores, pool, len(pool))
+    descriptions = [records[r].description for r in pool]
+    bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))
+    fallback = False
+    try:
+        text = backend.generate(bundle)
+        chosen = [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+        if not chosen or any(not 0 <= c < len(pool) for c in chosen):
+            raise ValueError("bad selection indices")
+        chosen = chosen[:top]
+    except (ValueError, MalformedResponse):
+        chosen = list(range(min(top, len(pool))))
+        fallback = True
+    return sorted({records[pool[c]].frame_index for c in chosen}), fallback
+
+
+# Few distinct vectors, so rows tie on score; zero and parallel rows included.
+VECTORS = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 2, 0], [-1, 0.5, 2], [0.3, -0.7, 0.1]]
+vectors = st.one_of(
+    st.sampled_from(VECTORS),
+    st.lists(st.floats(-2, 2, allow_nan=False), min_size=3, max_size=3),
+)
+# Few entities and frames, so rows also tie on (frame, entity), and on all
+# three keys when the vector repeats too.
+rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 6), vectors), min_size=0, max_size=30
+)
+
+
+def index_of(drawn):
+    records = [rec(e, f, v, f"row{i}") for i, (e, f, v) in enumerate(drawn)]
+    return records, EmbeddingIndex(records)
+
+
+@given(rows.filter(bool), vectors, st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_top_k_matches_the_sorted_reference(drawn, q, k):
+    records, index = index_of(drawn)
+    q = np.asarray(q, dtype=np.float64)
+    scores = index.scores(q)
+    assert np.array_equal(scores, accel.cosine_scores(index.matrix, q))
+    got = [(c.frame_index, c.entity_id, c.score, c.description) for c in index.top_k(q, k)]
+    assert got == sorted_top_k(records, q, k)
+
+
+class Selecting(MockBackend):
+    """Embeds every text as ``query`` and answers event selection with ``reply``."""
+
+    def __init__(self, query, reply):
+        super().__init__()
+        self.query, self.reply, self.payloads = query, reply, []
+
+    def embed(self, text):
+        return self.query
+
+    def generate(self, bundle):
+        self.payloads.append(bundle.user_payload)
+        return self.reply
+
+
+# Events may overlap, and entity 4 has events but never a row.
+events = st.dictionaries(
+    st.integers(0, 4),
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+        min_size=1, max_size=4,
+    ),
+    min_size=1,
+)
+
+
+@given(rows, vectors, events, st.integers(0, 4), st.integers(1, 6),
+       st.sampled_from(["0", "2, 0", "1 3 40", "none"]))
+@settings(max_examples=200, deadline=None)
+def test_hierarchical_retrieve_matches_the_sorted_reference(drawn, q, spans, per_event, top, reply):
+    records, index = index_of(drawn)
+    q = np.asarray(q, dtype=np.float64)
+    graph = SpatioTemporalGraph(events={
+        e: [EntityEvent(e, start, end, "") for start, end in ranges] for e, ranges in spans.items()
+    })
+    got_backend, want_backend = Selecting(q, reply), Selecting(q, reply)
+    got = hierarchical_retrieve("q", graph, index, got_backend, per_event=per_event, top=top)
+    want = sorted_hierarchical_retrieve("q", graph, records, want_backend, per_event, top)
+    assert got == want
+    assert got_backend.payloads == want_backend.payloads
+
+
+def test_index_keeps_columns_and_gives_back_equal_records():
+    records = [rec(3, 1, [1, 2]), rec(0, 5, [0, 0]), rec(3, 0, [2, -1])]
+    index = EmbeddingIndex(records)
+    assert index.records == records
+    assert (index.frames.tolist(), index.entities.tolist()) == ([1, 5, 0], [3, 0, 3])
+    assert index.descriptions == ["e3f1", "e0f5", "e3f0"]
+    assert not index.matrix.flags.writeable
+    assert len(EmbeddingIndex([])) == 0 and EmbeddingIndex([]).records == []
+
+
 def test_rank_orders_a_subset_of_rows():
     records = [rec(5, 2, [1]), rec(1, 2, [1]), rec(9, 0, [1]), rec(0, 1, [1])]
     scores = [0.5, 0.5, 0.5, 0.9]
-    assert rank(records, scores, [0, 1, 2, 3], 4) == [3, 2, 1, 0]
-    assert rank(records, scores, [0, 1], 1) == [1]
-    assert rank(records, scores, [], 3) == []
+    index = EmbeddingIndex(records)
+    assert index.rank(scores, [0, 1, 2, 3], 4) == [3, 2, 1, 0]
+    assert index.rank(scores, [0, 1], 1) == [1]
+    assert index.rank(scores, [], 3) == []
 
 
 def test_rerank_protocol():
