@@ -171,7 +171,7 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     index_path = f"{emb_path}.index.jsonl"
     if not Path(index_path).is_file():
         raise click.ClickException(f"{index_path}: no such file; it holds the row index of {emb_path}")
-    records = read_embeddings(emb_path, index_path, graph)
+    records = read_embeddings(emb_path, index_path, graph, dim=cfg.embed_dim)
     assets = VideoAssets(graph, EmbeddingIndex(records), None)
     retrieval = retrieve(
         assets, question, category, backend,

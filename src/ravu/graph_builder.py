@@ -8,9 +8,9 @@ never affects the output.
 
 from __future__ import annotations
 
-import json
 import re
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +47,52 @@ class EmbeddingRecord:
             and self.description == other.description
             and np.array_equal(self.vector, other.vector)
         )
+
+
+class EmbeddingColumns(Sequence[EmbeddingRecord]):
+    """Embedding records held as read-only columns.
+
+    ``matrix`` holds one float64 row per record, ``entities`` and ``frames``
+    are int64 arrays and ``descriptions`` is a list. An item is an
+    ``EmbeddingRecord`` made on access, whose vector is a row of ``matrix``.
+    The columns compare equal to any sequence of equal records.
+    """
+
+    def __init__(self, matrix: np.ndarray, entities: np.ndarray, frames: np.ndarray, descriptions: list[str]):
+        for column in (matrix, entities, frames):
+            column.flags.writeable = False
+        self.matrix, self.entities, self.frames, self.descriptions = matrix, entities, frames, descriptions
+
+    @classmethod
+    def of(cls, records: Sequence[EmbeddingRecord]) -> EmbeddingColumns:
+        """``records`` as columns, stacked with one copy; columns are returned as they are."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        n = len(records)
+        return cls(
+            np.stack([r.vector for r in records], dtype=np.float64) if n else np.zeros((0, 0)),
+            np.fromiter((r.entity_id for r in records), dtype=np.int64, count=n),
+            np.fromiter((r.frame_index for r in records), dtype=np.int64, count=n),
+            [r.description for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.descriptions)
+
+    def __getitem__(self, i: int) -> EmbeddingRecord:
+        return EmbeddingRecord(int(self.entities[i]), int(self.frames[i]), self.descriptions[i], self.matrix[i])
+
+    def __iter__(self) -> Iterator[EmbeddingRecord]:
+        for entity_id, frame_index, description, vector in zip(
+            self.entities.tolist(), self.frames.tolist(), self.descriptions, self.matrix
+        ):
+            yield EmbeddingRecord(entity_id, frame_index, description, vector)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -308,45 +354,76 @@ def build_graph(
 # Embedding persistence: embeddings.bin + embeddings.index.jsonl
 
 _MAGIC = struct.Struct("<II")  # dimension, count
+# One line of the row index, as ``json.dumps(entry, sort_keys=True)`` writes it.
+_ROW_LINE = '{"entity_id": %d, "frame_index": %d, "row": %d}\n'
+# An int as JSON spells it (no leading zero, no plus sign), so the pattern accepts no line json.loads rejects.
+_INT = "(-?(?:0|[1-9][0-9]*))"
+_CANONICAL_ROW = re.compile(
+    r'^\{"entity_id": %s, "frame_index": %s, "row": %s\}\n' % (_INT, _INT, _INT), re.MULTILINE
+)
 
 
-def write_embeddings(records: list[EmbeddingRecord], bin_path: str | Path, index_path: str | Path) -> None:
-    dim = records[0].vector.shape[0] if records else 0
+def write_embeddings(records: Sequence[EmbeddingRecord], bin_path: str | Path, index_path: str | Path) -> None:
+    """Write the vectors as little-endian float32 rows and one index line per row."""
+    columns = EmbeddingColumns.of(records)
+    count, dim = columns.matrix.shape
     with open(bin_path, "wb") as fh:
-        fh.write(_MAGIC.pack(dim, len(records)))
-        for rec in records:
-            fh.write(np.asarray(rec.vector, dtype="<f4").tobytes())
+        fh.write(_MAGIC.pack(dim, count))
+        fh.write(columns.matrix.astype("<f4").tobytes())
     with open(index_path, "w") as fh:
-        for row, rec in enumerate(records):
-            fh.write(
-                json.dumps(
-                    {"row": row, "entity_id": rec.entity_id, "frame_index": rec.frame_index},
-                    sort_keys=True,
+        fh.write(
+            "".join(
+                _ROW_LINE % (entity_id, frame_index, row)
+                for row, (entity_id, frame_index) in enumerate(
+                    zip(columns.entities.tolist(), columns.frames.tolist())
                 )
-                + "\n"
             )
+        )
+
+
+def _index_entries(text: str) -> Iterator[tuple[int, int, int, int]]:
+    """``(line, row, entity_id, frame_index)`` of each row the index document lists.
+
+    A document of canonical lines only (what ``write_embeddings`` writes) is
+    read with one regex pass; any other is decoded line by line as JSON.
+    """
+    found = _CANONICAL_ROW.findall(text)
+    if text.endswith("\n") and len(found) == text.count("\n"):
+        for lineno, (entity_id, frame_index, row) in enumerate(found, start=1):
+            yield lineno, int(row), int(entity_id), int(frame_index)
+        return
+    for lineno, entry in json_objects(text, "index row"):
+        try:
+            yield lineno, int(entry["row"]), int(entry["entity_id"]), int(entry["frame_index"])
+        except MALFORMED as exc:
+            raise ParseError(f"malformed index row: {exc}", line=lineno) from exc
 
 
 def read_embeddings(
-    bin_path: str | Path, index_path: str | Path, graph: SpatioTemporalGraph | None = None
-) -> list[EmbeddingRecord]:
-    """Load records; descriptions are restored from ``graph`` when given.
+    bin_path: str | Path,
+    index_path: str | Path,
+    graph: SpatioTemporalGraph | None = None,
+    dim: int | None = None,
+) -> EmbeddingColumns:
+    """Load the records, in index order; descriptions are restored from ``graph`` when given.
 
     The index must list each row and each ``(entity_id, frame_index)`` key
     once, as many rows as the header counts, and, when ``graph`` is given,
-    exactly the graph's node keys; anything else raises ParseError.
+    exactly the graph's node keys. A non-empty file's vectors must have
+    ``dim`` entries when ``dim`` is given. Anything else raises ParseError.
     """
     raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
         raise ParseError("embeddings file too short for header", field="header")
-    dim, count = _MAGIC.unpack_from(raw)
-    expected = _MAGIC.size + 4 * dim * count
+    stored_dim, count = _MAGIC.unpack_from(raw)
+    expected = _MAGIC.size + 4 * stored_dim * count
     if len(raw) != expected:
         raise ParseError(
             f"embeddings file has {len(raw)} bytes, expected {expected}", field="body"
         )
-    # One float64 copy of the whole matrix; each record's vector is a row of it.
-    matrix = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, dim).astype(np.float64)
+    if dim is not None and count and stored_dim != dim:
+        raise ParseError(f"{bin_path}: vectors have dimension {stored_dim}, expected {dim}", field="dim")
+    matrix = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim).astype(np.float64)
 
     descriptions: dict[tuple[int, int], str] = {}
     if graph is not None:
@@ -354,19 +431,14 @@ def read_embeddings(
             (n.entity_id, n.frame_index): n.description or "" for n in graph.nodes
         }
 
-    records = []
+    rows: list[int] = []
+    keys: list[tuple[int, int]] = []
     seen_rows: set[int] = set()
     seen_keys: set[tuple[int, int]] = set()
     text = read_document(index_path)
-    for lineno, entry in json_objects(text, "index row"):
-        try:
-            row = int(entry["row"])
-            entity_id = int(entry["entity_id"])
-            frame_index = int(entry["frame_index"])
-        except MALFORMED as exc:
-            raise ParseError(f"malformed index row: {exc}", line=lineno) from exc
+    for lineno, row, entity_id, frame_index in _index_entries(text):
         key = (entity_id, frame_index)
-        if len(records) == count:
+        if len(rows) == count:
             raise ParseError(f"index lists more than the header's {count} rows", line=lineno, field="row")
         if not 0 <= row < count:
             raise ParseError(f"row {row} out of range", line=lineno, field="row")
@@ -378,19 +450,16 @@ def read_embeddings(
             raise ParseError(f"entity {entity_id} frame {frame_index} is not a graph node", line=lineno)
         seen_rows.add(row)
         seen_keys.add(key)
-        records.append(
-            EmbeddingRecord(
-                entity_id=entity_id,
-                frame_index=frame_index,
-                description=descriptions.get(key, ""),
-                vector=matrix[row],
-            )
-        )
-    if len(records) < count:
+        rows.append(row)
+        keys.append(key)
+    if len(rows) < count:
         raise ParseError(
-            f"index lists {len(records)} rows, header counts {count}", line=len(text.splitlines()) + 1, field="row"
+            f"index lists {len(rows)} rows, header counts {count}", line=len(text.splitlines()) + 1, field="row"
         )
-    if graph is not None and len(records) < len(descriptions):
+    if graph is not None and len(rows) < len(descriptions):
         entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)
         raise ParseError(f"graph node entity {entity_id} frame {frame_index} has no embedding row")
-    return records
+    if rows != list(range(count)):
+        matrix = matrix[rows]
+    entities, frames = np.array(keys, dtype=np.int64).reshape(count, 2).T.copy()
+    return EmbeddingColumns(matrix, entities, frames, [descriptions.get(key, "") for key in keys])

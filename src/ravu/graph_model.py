@@ -16,9 +16,10 @@ the first lookup is not supported.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
 from .errors import MALFORMED, NotFound, ParseError, json_object
 
@@ -241,61 +242,138 @@ def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> 
     return list(edges)
 
 
-def _canonical_doc(graph: SpatioTemporalGraph) -> dict:
-    frames = sorted(graph.frames, key=lambda f: f.frame_index)
-    nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
-    edges = sorted(graph.edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
-    return {
-        "fps": float(graph.fps),
-        "frames": [
-            {
-                "frame_index": f.frame_index,
-                "timestamp_s": float(f.timestamp_s),
-                "description": f.description,
-                "source_ref": f.source_ref,
-            }
-            for f in frames
-        ],
-        "nodes": [
-            {
-                "entity_id": n.entity_id,
-                "frame_index": n.frame_index,
-                "attributes": n.attributes,
-                "box": [float(v) for v in n.box.as_list()],
-                "description": n.description,
-            }
-            for n in nodes
-        ],
-        "edges": [
-            {
-                "frame_index": e.frame_index,
-                "subject_id": e.subject_id,
-                "relation": e.relation,
-                "object_id": e.object_id,
-            }
-            for e in edges
-        ],
-        "events": {
-            str(entity_id): [
-                {"start_frame": ev.start_frame, "end_frame": ev.end_frame, "summary": ev.summary}
-                for ev in sorted(evs, key=lambda ev: ev.start_frame)
-            ]
-            for entity_id, evs in sorted(graph.events.items())
-        },
-    }
+# The graph document is what ``json.dumps(doc, sort_keys=True, indent=2)``
+# writes for the graph's fields, rendered here from templates: with any
+# ``indent`` CPython's json falls back to its pure-Python encoder, which
+# costs several times more than these templates. Leaf values go through the
+# primitives json itself uses, so the bytes are the same.
+_FRAME = """    {
+      "description": %s,
+      "frame_index": %s,
+      "source_ref": %s,
+      "timestamp_s": %s
+    }"""
+_NODE = """    {
+      "attributes": %s,
+      "box": [
+        %s,
+        %s,
+        %s,
+        %s
+      ],
+      "description": %s,
+      "entity_id": %s,
+      "frame_index": %s
+    }"""
+_EDGE = """    {
+      "frame_index": %s,
+      "object_id": %s,
+      "relation": %s,
+      "subject_id": %s
+    }"""
+_EVENT = """      {
+        "end_frame": %s,
+        "start_frame": %s,
+        "summary": %s
+      }"""
+_DOCUMENT = """{
+  "edges": %s,
+  "events": %s,
+  "fps": %s,
+  "frames": %s,
+  "nodes": %s
+}
+"""
+_str = encode_basestring_ascii
+_int = int.__repr__
+
+
+def _float(value) -> str:
+    """``float(value)`` as json writes it, non-finite values included."""
+    value = float(value)
+    if value - value == 0:
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _container(items: list[str], indent: str, brackets: str) -> str:
+    """Rendered ``items`` between ``brackets``; the closing one sits at ``indent``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _node(n: EntityNode, attribute_blocks: dict[tuple, str]) -> str:
+    """One node's object; ``attribute_blocks`` caches rendered attributes by their items."""
+    items = tuple(n.attributes.items())
+    attributes = attribute_blocks.get(items)
+    if attributes is None:
+        attributes = attribute_blocks[items] = _container(
+            [f"        {_str(k)}: {_str(v)}" for k, v in sorted(items)], "      ", "{}"
+        )
+    box = n.box
+    return _NODE % (
+        attributes,
+        _float(box.x_min),
+        _float(box.y_min),
+        _float(box.x_max),
+        _float(box.y_max),
+        "null" if n.description is None else _str(n.description),
+        _int(n.entity_id),
+        _int(n.frame_index),
+    )
 
 
 def serialize(graph: SpatioTemporalGraph) -> str:
-    """Canonical JSON document: equal graphs serialize byte-identically."""
-    return json.dumps(_canonical_doc(graph), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON document: equal graphs serialize byte-identically.
+
+    Keys are sorted and nested two spaces deep; frames are ordered by index,
+    nodes by (frame, entity), edges by (frame, subject, object, relation)
+    and each entity's events by start frame. Int and string fields must
+    hold ints and strings, as the fields declare, or TypeError is raised;
+    float fields take what ``float()`` takes.
+    """
+    frames = [
+        _FRAME % (_str(f.description), _int(f.frame_index), _str(f.source_ref), _float(f.timestamp_s))
+        for f in sorted(graph.frames, key=attrgetter("frame_index"))
+    ]
+    attribute_blocks: dict[tuple, str] = {}
+    nodes = [_node(n, attribute_blocks) for n in sorted(graph.nodes, key=attrgetter("frame_index", "entity_id"))]
+    edges = [
+        _EDGE % (_int(e.frame_index), _int(e.object_id), _str(e.relation), _int(e.subject_id))
+        for e in sorted(graph.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))
+    ]
+    events = [
+        f"    {_str(key)}: "
+        + _container(
+            [
+                _EVENT % (_int(ev.end_frame), _int(ev.start_frame), _str(ev.summary))
+                for ev in sorted(evs, key=attrgetter("start_frame"))
+            ],
+            "    ",
+            "[]",
+        )
+        for key, evs in sorted(((str(k), evs) for k, evs in graph.events.items()), key=itemgetter(0))
+    ]
+    return _DOCUMENT % (
+        _container(edges, "  ", "[]"),
+        _container(events, "  ", "{}"),
+        _float(graph.fps),
+        _container(frames, "  ", "[]"),
+        _container(nodes, "  ", "[]"),
+    )
 
 
-def parse_box(raw, where: str) -> BoundingBox:
-    """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``."""
-    box = BoundingBox(*map(float, raw)) if isinstance(raw, list) and len(raw) == 4 else None
-    if box is None or not box.is_valid():
-        raise ValueError(f"box of {where} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1")
-    return box
+def parse_box(raw, where: str, *args) -> BoundingBox:
+    """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``.
+
+    The error names the box's owner as ``where % args``, formatted only then.
+    """
+    if isinstance(raw, list) and len(raw) == 4:
+        x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
+        if 0 <= x_min < x_max and 0 <= y_min < y_max:
+            return BoundingBox(x_min, y_min, x_max, y_max)
+    raise ValueError(f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1")
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
@@ -314,23 +392,19 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             )
             for f in doc["frames"]
         ]
+        # Nodes and edges, the long lists, take positional arguments: keywords cost more per call.
         nodes = [
             EntityNode(
-                entity_id=int(n["entity_id"]),
-                frame_index=int(n["frame_index"]),
-                attributes={str(k): str(v) for k, v in n["attributes"].items()},
-                box=parse_box(n["box"], f"node {n['entity_id']} frame {n['frame_index']}"),
-                description=None if n.get("description") is None else str(n["description"]),
+                int(n["entity_id"]),
+                int(n["frame_index"]),
+                {str(k): str(v) for k, v in n["attributes"].items()},
+                parse_box(n["box"], "node %s frame %s", n["entity_id"], n["frame_index"]),
+                None if n.get("description") is None else str(n["description"]),
             )
             for n in doc["nodes"]
         ]
         edges = [
-            RelationEdge(
-                frame_index=int(e["frame_index"]),
-                subject_id=int(e["subject_id"]),
-                relation=str(e["relation"]),
-                object_id=int(e["object_id"]),
-            )
+            RelationEdge(int(e["frame_index"]), int(e["subject_id"]), str(e["relation"]), int(e["object_id"]))
             for e in doc["edges"]
         ]
         events = {

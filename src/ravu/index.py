@@ -2,10 +2,12 @@
 
 The index is a linear scan: at 1 fps a video yields at most a few thousand
 nodes, so exact search is cheap and keeps retrieval deterministic. It is
-columnar: construction stacks the vectors into one float64 ``matrix`` and
-keeps int arrays of frames and entities and a list of descriptions. It also
-computes, once, every row norm and the rows sorted by (entity, frame) with
-each entity's slice of that order.
+columnar: it keeps the ``EmbeddingColumns`` it is given, such as those
+``read_embeddings`` returns, without a copy, and stacks a list of records
+into columns once: one float64 ``matrix``, int arrays of frames and
+entities and a list of descriptions. It also computes, once, every row
+norm and the rows sorted by (entity, frame) with each entity's slice of
+that order.
 
 A query is then one matrix-vector product (``accel.cosine_scores`` with the
 cached norms), a partial selection of the rows scoring at least the k-th
@@ -29,7 +31,7 @@ import numpy as np
 from . import accel, backends
 from .backends import make_bundle
 from .errors import EmptyIndex, MalformedResponse
-from .graph_builder import EmbeddingRecord
+from .graph_builder import EmbeddingColumns, EmbeddingRecord
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,15 @@ class EmbeddingIndex:
 
     It keeps columns, not the records it was built from: ``matrix`` (one
     read-only float64 row per record), ``frames``, ``entities`` and
-    ``descriptions``. Dropping the records therefore frees their vectors.
+    ``descriptions``. Dropping a list of records therefore frees their vectors.
     """
 
-    def __init__(self, records: list[EmbeddingRecord]):
-        records = list(records)
-        n = len(records)
-        if n:
-            self.matrix = np.stack([r.vector for r in records], dtype=np.float64)
-        else:
-            self.matrix = np.zeros((0, 0), dtype=np.float64)
-        self.matrix.flags.writeable = False
-        self.descriptions = [r.description for r in records]
-        self.frames = np.fromiter((r.frame_index for r in records), dtype=np.int64, count=n)
-        self.entities = np.fromiter((r.entity_id for r in records), dtype=np.int64, count=n)
+    def __init__(self, records: Sequence[EmbeddingRecord]):
+        columns = EmbeddingColumns.of(records)
+        self._columns = columns
+        self.matrix, self.frames, self.entities = columns.matrix, columns.frames, columns.entities
+        self.descriptions = columns.descriptions
+        n = len(columns)
         self._norms = accel.norms(self.matrix)
         # Rows by (entity, frame); lexsort is stable, so equal keys keep row order.
         self._by_entity = np.lexsort((self.frames, self.entities))
@@ -96,14 +93,9 @@ class EmbeddingIndex:
         return len(self.descriptions)
 
     @property
-    def records(self) -> list[EmbeddingRecord]:
-        """The rows as records, made on each access; each vector is a row of ``matrix``."""
-        return [
-            EmbeddingRecord(entity_id, frame_index, description, vector)
-            for entity_id, frame_index, description, vector in zip(
-                self.entities.tolist(), self.frames.tolist(), self.descriptions, self.matrix
-            )
-        ]
+    def records(self) -> EmbeddingColumns:
+        """The rows as read-only columns, whose items are records; each vector is a row of ``matrix``."""
+        return self._columns
 
     def scores(self, query_vector: np.ndarray) -> np.ndarray:
         """Cosine score of every row against ``query_vector`` (see ``accel.cosine_scores``)."""

@@ -68,7 +68,7 @@ def parse_observations(document: str) -> list[FrameObservation]:
                     raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
                 local_seen.add(local_id)
                 attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
-                entities.append((local_id, attributes, parse_box(ent["box"], f"entity {local_id}")))
+                entities.append((local_id, attributes, parse_box(ent["box"], "entity %s", local_id)))
             observations[frame_index] = FrameObservation(
                 frame_index=frame_index,
                 description=str(raw.get("description", "")),
@@ -96,7 +96,7 @@ def parse_tracklets(document: str) -> list[Tracklet]:
             track_id = int(tr["track_id"])
             if track_id in tracklets:
                 raise ParseError(f"duplicate track_id {track_id}", field="track_id")
-            boxes = {int(fi): parse_box(b, f"track {track_id} frame {fi}") for fi, b in tr["boxes"].items()}
+            boxes = {int(fi): parse_box(b, "track %s frame %s", track_id, fi) for fi, b in tr["boxes"].items()}
             if not boxes:
                 raise ParseError(f"tracklet {track_id} has no boxes", field="boxes")
             tracklets[track_id] = Tracklet(track_id=track_id, boxes=boxes)

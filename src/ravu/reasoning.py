@@ -156,11 +156,21 @@ def _norm_word(word: str) -> str:
     return word
 
 
-def _matches(query: str, text: str) -> bool:
-    """All non-stopword query words present in the text (plural-insensitive)."""
-    need = {_norm_word(w) for w in backends.content_words(query)}
-    have = {_norm_word(w) for w in backends.words(text)}
-    return bool(need) and need <= have
+def _needed_words(query: str) -> set[str]:
+    """The query's non-stopword words, plural-insensitive."""
+    return {_norm_word(w) for w in backends.content_words(query)}
+
+
+def _has_words(needed: set[str], text: str) -> bool:
+    """Every needed word is a word of the text (plural-insensitive); none are needed means no match.
+
+    A text lacking a needed word as a substring is skipped untokenised:
+    ``_norm_word(x) == n`` implies that ``n`` is a substring of ``x``.
+    """
+    lower = text.lower()
+    if not needed or not all(w in lower for w in needed):
+        return False
+    return needed <= {_norm_word(w) for w in backends.words(lower)}
 
 
 def fn_count_nodes(
@@ -170,15 +180,17 @@ def fn_count_nodes(
 
     Each distinct description of an entity is matched once.
     """
+    node_words = _needed_words(node_query)
+    event_words = _needed_words(event_condition) if event_condition else None
     count = 0
     for entity_id in graph.entity_ids():
         nodes = entity_timeline(graph, entity_id)
         descriptions = dict.fromkeys(n.description or "" for n in nodes)
-        if not any(_matches(node_query, d) for d in descriptions):
+        if not any(_has_words(node_words, d) for d in descriptions):
             continue
-        if event_condition:
+        if event_words is not None:
             events = graph.events.get(entity_id, [])
-            if not any(_matches(event_condition, ev.summary) for ev in events):
+            if not any(_has_words(event_words, ev.summary) for ev in events):
                 continue
         count += 1
     return count

@@ -210,6 +210,18 @@ def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
     assert_clean_error(result, "bytes, expected")
 
 
+@pytest.mark.parametrize("category", ["global", "temporal"])
+def test_ask_with_another_embedding_dimension_is_clean(built, category):
+    graph, emb = built
+    result = CliRunner().invoke(
+        main,
+        ["ask", "--graph", str(graph), "--embeddings", str(emb), "--question", "Who runs?",
+         "--category", category],
+        env={"RAVU_EMBED_DIM": "64"},
+    )
+    assert_clean_error(result, f"{emb}: vectors have dimension 256, expected 64")
+
+
 def test_ask_without_embeddings_index_is_clean(built, tmp_path):
     graph, emb = built
     alone = tmp_path / "f.bin"

@@ -248,5 +248,5 @@ def test_deserialize_invalid_box():
         '"nodes": [{"entity_id": 0, "frame_index": 0, '
         '"attributes": {}, "box": [5, 0, 1, 2]}]}'
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"box of node 0 frame 0 must be \[x0, y0, x1, y1\]"):
         deserialize(doc)

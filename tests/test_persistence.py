@@ -1,0 +1,304 @@
+"""Persisted artifacts: byte-level goldens, the graph writer against ``json.dumps``,
+and the embedding row index read in its canonical and hand-edited forms."""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ravu.backends import MockBackend
+from ravu.config import RavuConfig
+from ravu.evaluate import build_video
+from ravu.errors import ParseError
+from ravu.graph_builder import EmbeddingRecord, read_embeddings, write_embeddings
+from ravu.graph_model import (
+    BoundingBox,
+    EntityEvent,
+    EntityNode,
+    FrameRecord,
+    RelationEdge,
+    SpatioTemporalGraph,
+    serialize,
+)
+from ravu.index import EmbeddingIndex
+from ravu.synth import synth_world
+
+# sha256 of (graph document, embeddings.bin, row index) for synth_world(1, frames, entities)
+# built with the mock backend and the default config.
+GOLDEN_SHA256 = {
+    (24, 3): (
+        "aaded7e26af0bafa11cc16095e644215ca84ba2e6315ab860cf962192a6b9b20",
+        "52aac5f3b630fccc1631ec143ae0130a008a58004f4b95be4e1a7bd036cd559f",
+        "8251d8d821769ffa79682b956e5e49c57788ebd3f04809020a1c21df8dab0b23",
+    ),
+    (200, 6): (
+        "c780d7c46fa314aff6a556b19b0e1360a01e6f3758f35cb07d20ad6d9363cadb",
+        "b5a4856039d85edf9353cbaa03af78cf4dc59cba9c2a55620389a1758650048c",
+        "5fbd7717057a11f6b52a6b78a067a8d2f80bce7fe886be86951cedc09a2dfd5b",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SHA256))
+def test_artifacts_match_their_golden_bytes(tmp_path, shape):
+    world = synth_world(1, *shape)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
+    write_embeddings(assets.index.records, bin_path, idx_path)
+    got = (
+        sha256(serialize(assets.graph).encode()),
+        sha256(bin_path.read_bytes()),
+        sha256(idx_path.read_bytes()),
+    )
+    assert got == GOLDEN_SHA256[shape]
+
+
+# ---------------------------------------------------------------------------
+# The graph writer against the json.dumps document it replaced.
+
+
+def oracle_serialize(graph):
+    """``serialize`` as it was: build the document as dicts and lists, then ``json.dumps`` it."""
+    frames = sorted(graph.frames, key=lambda f: f.frame_index)
+    nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
+    edges = sorted(graph.edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
+    doc = {
+        "fps": float(graph.fps),
+        "frames": [
+            {
+                "frame_index": f.frame_index,
+                "timestamp_s": float(f.timestamp_s),
+                "description": f.description,
+                "source_ref": f.source_ref,
+            }
+            for f in frames
+        ],
+        "nodes": [
+            {
+                "entity_id": n.entity_id,
+                "frame_index": n.frame_index,
+                "attributes": n.attributes,
+                "box": [float(v) for v in n.box.as_list()],
+                "description": n.description,
+            }
+            for n in nodes
+        ],
+        "edges": [
+            {
+                "frame_index": e.frame_index,
+                "subject_id": e.subject_id,
+                "relation": e.relation,
+                "object_id": e.object_id,
+            }
+            for e in edges
+        ],
+        "events": {
+            str(entity_id): [
+                {"start_frame": ev.start_frame, "end_frame": ev.end_frame, "summary": ev.summary}
+                for ev in sorted(evs, key=lambda ev: ev.start_frame)
+            ]
+            for entity_id, evs in sorted(graph.events.items())
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Non-ASCII text, quotes, backslashes and control characters, besides any text.
+texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f\x7f", "é", "€", "😀", " ", 'a "b" \\c']),
+)
+floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, 0.1, 1e16, 1e-7, 2.5, math.inf, -math.inf, math.nan])
+)
+ints = st.integers(-3, 10**20)
+frames = st.builds(FrameRecord, ints, floats, texts, texts)
+nodes = st.builds(
+    EntityNode,
+    st.integers(0, 12),
+    st.integers(0, 5),
+    st.dictionaries(texts, texts, max_size=3),
+    st.builds(BoundingBox, floats, floats, floats, floats),
+    st.one_of(st.none(), texts),
+)
+edges = st.builds(RelationEdge, st.integers(0, 3), st.integers(0, 3), texts, st.integers(0, 3))
+events = st.dictionaries(
+    st.integers(0, 12),
+    st.lists(st.builds(EntityEvent, st.integers(0, 12), ints, ints, texts), max_size=3),
+    max_size=4,
+)
+graphs = st.builds(
+    SpatioTemporalGraph,
+    st.lists(frames, max_size=3),
+    st.lists(nodes, max_size=5),
+    st.lists(edges, max_size=4),
+    events,
+    floats,
+)
+
+
+@settings(max_examples=300)
+@given(graphs)
+def test_serialize_matches_the_json_dumps_document(graph):
+    assert serialize(graph) == oracle_serialize(graph)
+
+
+def test_serialize_matches_the_json_dumps_document_on_built_graphs():
+    for shape in [(24, 3), (200, 6)]:
+        world = synth_world(2, *shape)
+        graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+        assert serialize(graph) == oracle_serialize(graph)
+
+
+def test_serialize_of_an_empty_graph():
+    text = serialize(SpatioTemporalGraph())
+    assert text == oracle_serialize(SpatioTemporalGraph())
+    assert '"nodes": []' in text and '"events": {}' in text
+
+
+# ---------------------------------------------------------------------------
+# The row index: canonical lines are read in one pass, any other document
+# line by line, and both go through the same checks.
+
+
+def described_graph():
+    nodes = [
+        EntityNode(entity_id, frame, {"action": "running"}, BoundingBox(0, 0, 4, 4), f"e{entity_id}f{frame}")
+        for frame in range(3)
+        for entity_id in (0, 1)
+    ]
+    return SpatioTemporalGraph(frames=[FrameRecord(f, float(f), "") for f in range(3)], nodes=nodes)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """(graph, bin path, index path, index entries) of ``described_graph`` with random vectors."""
+    graph = described_graph()
+    rng = np.random.default_rng(5)
+    records = [
+        EmbeddingRecord(n.entity_id, n.frame_index, n.description, rng.standard_normal(4))
+        for n in graph.nodes
+    ]
+    bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
+    write_embeddings(records, bin_path, idx_path)
+    entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
+    return graph, bin_path, idx_path, entries
+
+
+def canonical(entries):
+    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda es: "".join(json.dumps(e) + "\n" for e in es),
+        lambda es: "".join(
+            json.dumps({"row": e["row"], "frame_index": e["frame_index"], "entity_id": e["entity_id"]}) + "\n"
+            for e in es
+        ),
+        lambda es: "".join(json.dumps(e, sort_keys=True, separators=(" ,  ", " :  ")) + "\n" for e in es),
+        lambda es: "\n  \n".join(json.dumps(e, sort_keys=True) for e in es) + "\n\n",
+        lambda es: canonical(es).rstrip("\n"),
+        lambda es: canonical(es).replace('"row": 1}', '"row": 1.0}'),
+        lambda es: canonical(es).replace('"row": 0}', '"row": -0}'),
+    ],
+    ids=["unsorted keys", "reordered keys", "extra spaces", "blank lines", "no final newline",
+         "float row", "negative zero"],
+)
+def test_read_embeddings_gives_equal_records_for_any_spelling_of_the_index(saved, render):
+    graph, bin_path, idx_path, entries = saved
+    expected = read_embeddings(bin_path, idx_path, graph)
+    assert idx_path.read_text() == canonical(entries)
+    idx_path.write_text(render(entries))
+    assert read_embeddings(bin_path, idx_path, graph) == expected
+
+
+@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)])
+def test_read_embeddings_follows_the_index_order(saved, render):
+    graph, bin_path, idx_path, entries = saved
+    records = list(read_embeddings(bin_path, idx_path, graph))
+    order = [4, 0, 5, 2, 1, 3]
+    idx_path.write_text(render([entries[i] for i in order]))
+    assert read_embeddings(bin_path, idx_path, graph) == [records[i] for i in order]
+
+
+def break_row(entries, i, **values):
+    return [dict(e, **values) if j == i else e for j, e in enumerate(entries)]
+
+
+MALFORMED_INDEXES = [
+    (lambda es: break_row(es, 2, row=0), "row 0 listed twice", 3),
+    (lambda es: break_row(es, 1, frame_index=es[0]["frame_index"], entity_id=es[0]["entity_id"]),
+     "entity 0 frame 0 listed twice", 2),
+    (lambda es: es[:-1], "5 rows, header counts 6", 6),
+    (lambda es: es + [{"entity_id": 0, "frame_index": 9, "row": 0}], "more than the header's 6 rows", 7),
+    (lambda es: break_row(es, 3, row=6), "row 6 out of range", 4),
+    (lambda es: break_row(es, 3, row=-1), "row -1 out of range", 4),
+    (lambda es: break_row(es, 3, entity_id=7), "entity 7 frame 1 is not a graph node", 4),
+]
+
+
+@pytest.mark.parametrize("mutate, message, line", MALFORMED_INDEXES)
+@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)],
+                         ids=["canonical", "json"])
+def test_read_embeddings_reports_a_bad_index_the_same_way_in_any_spelling(saved, mutate, message, line, render):
+    graph, bin_path, idx_path, entries = saved
+    idx_path.write_text(render(mutate(entries)))
+    with pytest.raises(ParseError, match=message) as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("bad", ['"row": 01}', '"row": +1}', '"row": 1 }x'])
+def test_read_embeddings_rejects_what_json_rejects(saved, bad):
+    graph, bin_path, idx_path, entries = saved
+    idx_path.write_text(canonical(entries).replace('"row": 1}', bad))
+    with pytest.raises(ParseError, match="invalid JSON") as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    assert exc.value.line == 2
+
+
+def test_read_embeddings_checks_the_dimension_only_when_asked(saved):
+    graph, bin_path, idx_path, _ = saved
+    assert len(read_embeddings(bin_path, idx_path, graph, dim=4)) == 6
+    with pytest.raises(ParseError, match=f"{bin_path}: vectors have dimension 4, expected 3") as exc:
+        read_embeddings(bin_path, idx_path, graph, dim=3)
+    assert exc.value.field == "dim"
+
+
+# ---------------------------------------------------------------------------
+# Loaded columns go to the index as they are.
+
+
+def test_index_adopts_loaded_columns_without_a_copy(saved):
+    graph, bin_path, idx_path, _ = saved
+    columns = read_embeddings(bin_path, idx_path, graph)
+    index = EmbeddingIndex(columns)
+    assert index.matrix is columns.matrix and index.records is columns
+    assert not (columns.matrix.flags.writeable or columns.entities.flags.writeable)
+    rebuilt = EmbeddingIndex(list(columns))
+    assert rebuilt.records == columns and list(rebuilt.records) == list(columns)
+    assert np.array_equal(rebuilt.matrix, index.matrix)
+    assert np.array_equal(rebuilt._norms, index._norms)
+    assert (rebuilt.frames.tolist(), rebuilt.entities.tolist()) == (index.frames.tolist(), index.entities.tolist())
+    assert rebuilt.descriptions == index.descriptions
+
+
+def test_write_embeddings_takes_columns_and_records_alike(saved, tmp_path):
+    graph, bin_path, idx_path, _ = saved
+    columns = read_embeddings(bin_path, idx_path, graph)
+    out = []
+    for records in (columns, list(columns)):
+        b, i = tmp_path / "again.bin", tmp_path / "again.idx"
+        write_embeddings(records, b, i)
+        out.append((b.read_bytes(), i.read_bytes()))
+    assert out[0] == out[1] == (bin_path.read_bytes(), idx_path.read_bytes())

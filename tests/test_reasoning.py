@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ravu.backends import MockBackend
+from ravu.backends import MockBackend, content_words, words
 from ravu.errors import BlockedContent, NotFound
 from ravu.graph_builder import embed_graph
 from ravu.graph_model import (
@@ -121,6 +121,57 @@ def test_count_nodes(backend):
     assert fn_count_nodes(graph, "elephant") == 0
     # Plural-insensitive matching
     assert fn_count_nodes(graph, "jays") == 1
+
+
+def oracle_matches(query, text):
+    """``reasoning._matches`` as it was before counting normalised the query once."""
+    need = {reasoning._norm_word(w) for w in content_words(query)}
+    have = {reasoning._norm_word(w) for w in words(text)}
+    return bool(need) and need <= have
+
+
+def oracle_count_nodes(graph, node_query, event_condition=None):
+    count = 0
+    for entity_id in graph.entity_ids():
+        descriptions = dict.fromkeys(n.description or "" for n in graph._lookup.timeline[entity_id])
+        if not any(oracle_matches(node_query, d) for d in descriptions):
+            continue
+        if event_condition:
+            events = graph.events.get(entity_id, [])
+            if not any(oracle_matches(event_condition, ev.summary) for ev in events):
+                continue
+        count += 1
+    return count
+
+
+# Plurals, words ending in "ss", words of three letters or fewer, stopwords,
+# a word inside another ("cat" in "cats", "scatter") and mixed case.
+COUNT_WORDS = [
+    "boy", "boys", "Boys", "glass", "glasses", "bus", "buses", "cat", "cats", "scatter",
+    "ss", "is", "as", "gas", "the", "a", "of", "red", "RED", "running", "runs", "dogs!", "dog,",
+]
+count_text = st.lists(st.sampled_from(COUNT_WORDS), max_size=5).map(" ".join)
+
+
+@given(
+    descriptions=st.lists(st.lists(count_text, min_size=1, max_size=3), min_size=1, max_size=4),
+    summaries=st.lists(st.lists(count_text, max_size=2), min_size=1, max_size=4),
+    node_query=count_text,
+    event_condition=st.one_of(st.none(), count_text),
+)
+def test_count_nodes_matches_the_per_description_reference(
+    descriptions, summaries, node_query, event_condition
+):
+    nodes, events = [], {}
+    for entity_id, texts in enumerate(descriptions):
+        for frame, text in enumerate(texts):
+            nodes.append(EntityNode(entity_id, frame, {}, BoundingBox(0, 0, 1, 1), text or None))
+        evs = summaries[entity_id % len(summaries)]
+        events[entity_id] = [EntityEvent(entity_id, i, i, summary) for i, summary in enumerate(evs)]
+    graph = SpatioTemporalGraph(nodes=nodes, events=events)
+    assert fn_count_nodes(graph, node_query, event_condition) == oracle_count_nodes(
+        graph, node_query, event_condition
+    )
 
 
 def test_identify_node_reranks_first_descriptions(backend):
