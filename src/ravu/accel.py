@@ -1,5 +1,9 @@
-"""Numeric kernels: pairwise box IoU (association) and cosine scoring
-(retrieval), vectorised with numpy.
+"""Numeric kernels: box IoU (association) and cosine scoring (retrieval),
+vectorised with numpy.
+
+``iou_rows`` is the one IoU kernel; ``iou_matrix`` and ``iou_pair`` are
+broadcasts over it, so every IoU the package computes is bit-identical to
+the one ``associate``'s batched pass computes for the same two boxes.
 """
 
 from __future__ import annotations
@@ -11,27 +15,33 @@ import numpy as np
 USE_NUMBA = False
 
 
-def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two box arrays in xyxy layout, shape (n,4) x (m,4)."""
-    a = np.ascontiguousarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    b = np.ascontiguousarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    ix0 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy0 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix1 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy1 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+def iou_rows(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Elementwise IoU: box ``a[i]`` against box ``b[i]``, boxes in xyxy layout
+    on the last axis; the other axes broadcast as in any numpy ufunc.
+    Disjoint or touching boxes score exactly 0.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64)
+    b = np.asarray(boxes_b, dtype=np.float64)
+    ax0, ay0, ax1, ay1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx0, by0, bx1, by1 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    inter = np.clip(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0, None) * np.clip(
+        np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0, None
+    )
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(inter > 0.0, inter / union, 0.0)
 
 
+def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two box arrays in xyxy layout, shape (n,4) x (m,4) -> (n,m)."""
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    return iou_rows(a[:, None, :], b[None, :, :])
+
+
 def iou_pair(box_a, box_b) -> float:
     """IoU of two boxes given as (x0, y0, x1, y1) sequences."""
-    return float(iou_matrix(np.asarray([box_a]), np.asarray([box_b]))[0, 0])
+    return float(iou_rows(box_a, box_b))
 
 
 # Rows per block of ``norms``: 512 rows of 256 float64s is a 1 MB temporary.

@@ -39,7 +39,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import BlockedContent, MalformedResponse, Timeout
+from .errors import BackendError, BlockedContent, MalformedResponse, Timeout
 
 ROLES = frozenset(
     {
@@ -437,6 +437,8 @@ class RemoteBackend:
             )
         except (requests.exceptions.Timeout, requests.exceptions.ConnectionError) as exc:
             raise Timeout(f"remote backend unreachable: {exc}") from exc
+        except requests.exceptions.RequestException as exc:
+            raise BackendError(f"remote backend request failed: {exc}") from exc
         if resp.status_code == 451:
             raise BlockedContent("remote provider blocked the request")
         if resp.status_code != 200:

@@ -364,6 +364,20 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     )
 
 
+_new = object.__new__
+
+
+def _frozen(cls, fields: dict):
+    """``cls(**fields)`` for a frozen dataclass, built by filling the new
+    instance's ``__dict__`` instead of one ``object.__setattr__`` call per
+    field: about half the time, for an instance dict of about 130 bytes
+    more. ``fields`` must name every field of ``cls``, in field order.
+    """
+    obj = _new(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def parse_box(raw, where: str, *args) -> BoundingBox:
     """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``.
 
@@ -372,7 +386,7 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
     if isinstance(raw, list) and len(raw) == 4:
         x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
         if 0 <= x_min < x_max and 0 <= y_min < y_max:
-            return BoundingBox(x_min, y_min, x_max, y_max)
+            return _frozen(BoundingBox, {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max})
     raise ValueError(f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1")
 
 
@@ -404,7 +418,15 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             for n in doc["nodes"]
         ]
         edges = [
-            RelationEdge(int(e["frame_index"]), int(e["subject_id"]), str(e["relation"]), int(e["object_id"]))
+            _frozen(
+                RelationEdge,
+                {
+                    "frame_index": int(e["frame_index"]),
+                    "subject_id": int(e["subject_id"]),
+                    "relation": str(e["relation"]),
+                    "object_id": int(e["object_id"]),
+                },
+            )
             for e in doc["edges"]
         ]
         events = {

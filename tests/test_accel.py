@@ -34,6 +34,17 @@ def test_iou_range(a, b):
 
 def test_iou_disjoint():
     assert accel.iou_pair([0, 0, 1, 1], [5, 5, 6, 6]) == 0.0
+    assert accel.iou_pair([0, 0, 1, 1], [3, 3, 4, 4]) == 0.0
+
+
+def test_iou_pair_identity():
+    assert accel.iou_pair([0, 0, 2, 2], [0, 0, 2, 2]) == 1.0
+
+
+def test_iou_of_boxes_without_area_is_zero_not_nan():
+    assert accel.iou_pair([1, 1, 1, 1], [1, 1, 1, 1]) == 0.0
+    assert accel.iou_pair([0, 1, 3, 1], [0, 1, 3, 1]) == 0.0
+    assert accel.iou_rows([[2, 2, 2, 2]], [[0, 0, 4, 4]]).tolist() == [0.0]
 
 
 def test_iou_touching_edge():
@@ -43,6 +54,40 @@ def test_iou_touching_edge():
 def test_iou_known_value():
     # 1x1 overlap out of 2*2 + 2*2 - 1 = 7 total area
     assert accel.iou_pair([0, 0, 2, 2], [1, 1, 3, 3]) == pytest.approx(1 / 7)
+
+
+def reference_iou_matrix(a, b):
+    """The pairwise kernel as it was before it became a broadcast over ``iou_rows``."""
+    ix0 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy0 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix1 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy1 = np.minimum(a[:, None, 3], b[None, :, 3])
+    inter = np.clip(ix1 - ix0, 0.0, None) * np.clip(iy1 - iy0, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inter > 0.0, inter / union, 0.0)
+
+
+@settings(max_examples=60)
+@given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
+def test_iou_rows_matrix_and_pair_are_bit_identical(a, b):
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    matrix = accel.iou_matrix(a, b)
+    assert np.array_equal(matrix, reference_iou_matrix(a, b))
+    rows = accel.iou_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
+    assert np.array_equal(rows, matrix.reshape(-1))
+    for i, j in np.ndindex(matrix.shape):
+        assert accel.iou_pair(a[i], b[j]) == matrix[i, j]
+
+
+def test_iou_rows_scores_row_against_row():
+    a = np.array([[0.0, 0.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]])
+    b = np.array([[1.0, 1.0, 3.0, 3.0], [1.0, 0.0, 2.0, 1.0], [0.0, 0.0, 2.0, 2.0]])
+    assert accel.iou_rows(a, b).tolist() == [1 / 7, 0.0, 1.0]
+    assert accel.iou_rows(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
 
 
 def test_iou_matrix_shape_and_empty():

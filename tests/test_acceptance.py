@@ -123,49 +123,95 @@ def _oracle_greedy(entities, tracks, min_iou=0.1):
     return mapping
 
 
+def _random_frame(rng, pool=None):
+    """(entity boxes, {track_id: box}) of one random frame, biased towards overlaps and ties.
+
+    Track IDs are ``0..n-1``, or ``n`` drawn from ``pool`` when one is given.
+    """
+    n_ents = rng.randint(0, 4)
+    n_trks = rng.randint(0, 4)
+    ent_boxes = []
+    for lid in range(n_ents):
+        x0, y0 = rng.randint(0, 30), rng.randint(0, 30)
+        ent_boxes.append((lid, [x0, y0, x0 + rng.randint(4, 12), y0 + rng.randint(4, 12)]))
+    tracks = {}
+    for tid in range(n_trks) if pool is None else rng.sample(pool, n_trks):
+        if ent_boxes and rng.random() < 0.6:
+            # Bias toward overlap (and exact ties via duplicated boxes).
+            base = rng.choice(ent_boxes)[1]
+            dx = rng.choice([0, 0, 1, 3, 8])
+            box = [base[0] + dx, base[1], base[2] + dx, base[3]]
+        else:
+            x0, y0 = rng.randint(0, 30), rng.randint(0, 30)
+            box = [x0, y0, x0 + rng.randint(4, 12), y0 + rng.randint(4, 12)]
+        tracks[tid] = box
+    return ent_boxes, tracks
+
+
+_ATTRS = {"appearance": "x", "action": "y", "body_pose": "z"}
+
+
+def _observation(frame, ent_boxes):
+    return FrameObservation(
+        frame_index=frame,
+        description="",
+        entities=[(lid, _ATTRS, BoundingBox(*box)) for lid, box in ent_boxes],
+    )
+
+
+def _oracle_ids(ent_boxes, tracks, fresh):
+    """The oracle's mapping of one frame, and the next fresh ID after it."""
+    expected = _oracle_greedy(ent_boxes, tracks)
+    for lid, _ in sorted(ent_boxes):
+        if lid not in expected:
+            expected[lid] = fresh
+            fresh += 1
+    return expected, fresh
+
+
 def test_criterion_2_association_oracle():
     rng = random.Random(2)
     start = time.perf_counter()
     for frame in range(200):
-        n_ents = rng.randint(0, 4)
-        n_trks = rng.randint(0, 4)
-        ent_boxes = []
-        for lid in range(n_ents):
-            x0, y0 = rng.randint(0, 30), rng.randint(0, 30)
-            ent_boxes.append((lid, [x0, y0, x0 + rng.randint(4, 12), y0 + rng.randint(4, 12)]))
-        tracks = {}
-        for tid in range(n_trks):
-            if ent_boxes and rng.random() < 0.6:
-                # Bias toward overlap (and exact ties via duplicated boxes).
-                base = rng.choice(ent_boxes)[1]
-                dx = rng.choice([0, 0, 1, 3, 8])
-                box = [base[0] + dx, base[1], base[2] + dx, base[3]]
-            else:
-                x0, y0 = rng.randint(0, 30), rng.randint(0, 30)
-                box = [x0, y0, x0 + rng.randint(4, 12), y0 + rng.randint(4, 12)]
-            tracks[tid] = box
-
-        attrs = {"appearance": "x", "action": "y", "body_pose": "z"}
-        obs = [
-            FrameObservation(
-                frame_index=0,
-                description="",
-                entities=[(lid, attrs, BoundingBox(*box)) for lid, box in ent_boxes],
-            )
-        ]
+        ent_boxes, tracks = _random_frame(rng)
         tracklets = [Tracklet(tid, {0: BoundingBox(*box)}) for tid, box in tracks.items()]
-        got = associate(obs, tracklets, min_iou=0.1).id_map[0]
+        got = associate([_observation(0, ent_boxes)], tracklets, min_iou=0.1).id_map[0]
 
-        expected = _oracle_greedy(ent_boxes, tracks)
-        fresh = max(tracks, default=-1) + 1
-        for lid, _ in sorted(ent_boxes):
-            if lid not in expected:
-                expected[lid] = fresh
-                fresh += 1
+        expected, _ = _oracle_ids(ent_boxes, tracks, max(tracks, default=-1) + 1)
         assert got == expected, f"frame {frame}: {got} != {expected}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report("2 (association vs greedy oracle)")
+
+
+def test_criterion_2_association_oracle_across_frames():
+    """All 200 random frames in one call: tracks span frames, observations and
+    tracklets arrive shuffled, and fresh IDs carry over in observation order."""
+    rng = random.Random(22)
+    frames = [_random_frame(rng, pool=range(9)) for _ in range(200)]
+    boxes_by_track: dict[int, dict[int, BoundingBox]] = {}
+    for frame, (_, tracks) in enumerate(frames):
+        for tid, box in tracks.items():
+            boxes_by_track.setdefault(tid, {})[frame] = BoundingBox(*box)
+    tracklets = [Tracklet(tid, boxes) for tid, boxes in boxes_by_track.items()]
+    rng.shuffle(tracklets)
+    order = list(range(len(frames)))
+    rng.shuffle(order)
+
+    start = time.perf_counter()
+    got = associate([_observation(f, frames[f][0]) for f in order], tracklets, min_iou=0.1)
+    elapsed = time.perf_counter() - start
+
+    fresh = max(boxes_by_track, default=-1) + 1
+    expected = {}
+    for f in order:
+        expected[f], fresh = _oracle_ids(*frames[f], fresh)
+        assert got.id_map[f] == expected[f], f"frame {f}: {got.id_map[f]} != {expected[f]}"
+    assert got.id_map == expected
+    nodes = sorted((f, entity_id) for f, mapping in expected.items() for entity_id in mapping.values())
+    assert [(n.frame_index, n.entity_id) for n in got.nodes] == nodes
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    _report("2 (association vs greedy oracle, 200 frames in one call)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from ravu.backends import (
     make_bundle,
     mock_breakdown,
 )
-from ravu.errors import BlockedContent, MalformedResponse, Timeout
+from ravu.errors import BackendError, BlockedContent, MalformedResponse, Timeout
 from ravu.graph_model import EntityEvent, RelationEdge
 
 
@@ -244,6 +244,32 @@ def test_remote_backend_error_mapping(monkeypatch):
     _patch_post(monkeypatch, _FakeResponse(bad_json=True))
     with pytest.raises(MalformedResponse):
         remote.generate(bundle)
+
+
+REQUEST_FAILURES = ["ChunkedEncodingError", "TooManyRedirects", "InvalidURL", "RequestException"]
+
+
+@pytest.mark.parametrize("name", REQUEST_FAILURES)
+def test_remote_backend_maps_any_request_failure_to_a_backend_error(monkeypatch, name):
+    import requests
+
+    _patch_post(monkeypatch, exc=getattr(requests.exceptions, name)("broken"))
+    remote = RemoteBackend("http://example.test", dim=2)
+    bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
+    for call in (lambda: remote.generate(bundle), lambda: remote.embed("a")):
+        with pytest.raises(BackendError, match="remote backend request failed: broken") as exc:
+            call()
+        assert type(exc.value) is BackendError
+        assert isinstance(exc.value.__cause__, getattr(requests.exceptions, name))
+
+
+@pytest.mark.parametrize("name", ["Timeout", "ConnectTimeout", "ReadTimeout", "ConnectionError"])
+def test_remote_backend_maps_timeouts_and_refused_connections_to_timeout(monkeypatch, name):
+    import requests
+
+    _patch_post(monkeypatch, exc=getattr(requests.exceptions, name)("slow"))
+    with pytest.raises(Timeout, match="remote backend unreachable: slow"):
+        RemoteBackend("http://example.test", dim=2).embed("a")
 
 
 def test_remote_backend_embed_and_answer(monkeypatch):

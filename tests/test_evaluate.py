@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ravu.backends import MockBackend
+from ravu.backends import MockBackend, RemoteBackend
 from ravu.config import RavuConfig
 from ravu.datasets import McqItem
 from ravu.errors import Timeout
@@ -217,3 +217,17 @@ def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
     mean = (others_tokens + counting.tokens) / len(world.questions)
     assert report["mean_prompt_tokens"] == mean
     assert {**report, "errored": 0, "mean_prompt_tokens": 0} == {**want, "mean_prompt_tokens": 0}
+
+
+@pytest.mark.parametrize("name", ["ChunkedEncodingError", "TooManyRedirects", "InvalidURL"])
+def test_eval_qa_records_a_failed_remote_request_as_errored(world, assets, monkeypatch, name):
+    import requests
+
+    def fail(session, url, json=None, headers=None, timeout=None):
+        raise getattr(requests.exceptions, name)("broken")
+
+    monkeypatch.setattr(requests.Session, "post", fail)
+    items = world.questions[:4]
+    report = eval_qa(items, {world.video_id: assets}, RemoteBackend("http://example.test"))
+    assert report["errored"] == len(items)
+    assert report["categories"] == {} and report["overall"]["items"] == 0

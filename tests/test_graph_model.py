@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +12,11 @@ from ravu.graph_model import (
     FrameRecord,
     RelationEdge,
     SpatioTemporalGraph,
+    _frozen,
     deserialize,
     entity_timeline,
     node_edges,
+    parse_box,
     serialize,
     validate,
 )
@@ -250,3 +254,31 @@ def test_deserialize_invalid_box():
     )
     with pytest.raises(ParseError, match=r"box of node 0 frame 0 must be \[x0, y0, x1, y1\]"):
         deserialize(doc)
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (BoundingBox, {"x_min": 1.0, "y_min": 2.5, "x_max": 3.0, "y_max": 4.0}),
+        (RelationEdge, {"frame_index": 3, "subject_id": 1, "relation": "holds", "object_id": 2}),
+    ],
+)
+def test_frozen_constructor_builds_what_the_dataclass_builds(cls, fields):
+    built, made = cls(**fields), _frozen(cls, fields)
+    assert type(made) is cls
+    assert made == built and built == made and hash(made) == hash(built) and repr(made) == repr(built)
+    assert {made, built} == {built}
+    name = next(iter(fields))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, name, fields[name])
+    changed = dataclasses.replace(made, **{name: fields[name] * 2})
+    assert changed == cls(**{**fields, name: fields[name] * 2}) and made == built
+    assert dataclasses.astuple(made) == dataclasses.astuple(built)
+
+
+def test_parsed_boxes_and_reloaded_edges_equal_dataclass_built_ones():
+    assert parse_box([1, 2, 3, 4], "box") == BoundingBox(1.0, 2.0, 3.0, 4.0)
+    g = small_graph()
+    again = deserialize(serialize(g))
+    assert len(again.edges) == len(g.edges) and set(again.edges) == set(g.edges)
+    assert [n.box for n in again.nodes] == [n.box for n in sorted(g.nodes, key=lambda n: (n.frame_index, n.entity_id))]

@@ -1,14 +1,18 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ravu import accel
 from ravu.errors import ParseError
-from ravu.graph_model import BoundingBox
+from ravu.graph_model import BoundingBox, EntityNode, FrameRecord
 from ravu.ingestion import (
+    AssociationResult,
     FrameObservation,
     Tracklet,
     associate,
-    iou,
     parse_observations,
     parse_tracklets,
 )
@@ -80,11 +84,6 @@ def test_parse_tracklets():
         parse_tracklets(tracks_doc([(1, {})]))
 
 
-def test_iou_helper():
-    assert iou(bb(0, 0, 2, 2), bb(0, 0, 2, 2)) == 1.0
-    assert iou(bb(0, 0, 1, 1), bb(3, 3, 4, 4)) == 0.0
-
-
 def frame_obs(frame, entities, description=""):
     return FrameObservation(
         frame_index=frame,
@@ -117,6 +116,24 @@ def test_associate_tie_breaks_to_lowest_track_id():
     tracklets = [Tracklet(7, {0: shared}), Tracklet(2, {0: shared})]
     result = associate(observations, tracklets)
     assert result.id_map[0][0] == 2
+
+
+def test_associate_tie_between_entities_breaks_to_lowest_local_id():
+    shared = bb(0, 0, 10, 10)
+    observations = [frame_obs(0, [(3, shared), (1, shared), (2, bb(0, 0, 10, 5))])]
+    result = associate(observations, [Tracklet(0, {0: shared})])
+    assert result.id_map[0] == {1: 0, 2: 1, 3: 2}
+
+
+def test_associate_keeps_ids_of_any_size():
+    # 2**63 and up do not fit an int64; numpy would hold them as equal floats.
+    big = 2**63
+    shared = bb(0, 0, 10, 10)
+    observations = [frame_obs(0, [(big + 1, shared), (big, shared), (2**70, bb(50, 50, 60, 60))])]
+    tracklets = [Tracklet(big + 1, {0: shared}), Tracklet(big, {0: shared})]
+    result = associate(observations, tracklets)
+    assert result.id_map[0] == {big: big, big + 1: big + 1, 2**70: big + 2}
+    assert all(type(v) is int for v in result.id_map[0].values())
 
 
 def test_associate_one_to_one_with_fallthrough():
@@ -159,3 +176,142 @@ def test_associate_timestamps_follow_fps():
     observations = [frame_obs(0, []), frame_obs(1, [])]
     result = associate(observations, [], fps=2.0)
     assert [f.timestamp_s for f in result.frames] == [0.0, 0.5]
+
+
+def test_associate_matches_at_exactly_min_iou():
+    # IoU is exactly 0.5: inter 2, union 4.
+    observations = [frame_obs(0, [(0, bb(0, 0, 2, 2))])]
+    tracklets = [Tracklet(3, {0: bb(0, 0, 2, 1)})]
+    assert associate(observations, tracklets, min_iou=0.5).id_map[0] == {0: 3}
+    assert associate(observations, tracklets, min_iou=0.5000001).id_map[0] == {0: 4}
+
+
+def test_associate_min_iou_bounds():
+    observations = [frame_obs(0, [(0, bb(0, 0, 2, 2)), (1, bb(10, 10, 12, 12)), (2, bb(20, 20, 22, 22))])]
+    tracklets = [
+        Tracklet(0, {0: bb(0, 0, 2, 2)}),
+        Tracklet(1, {0: bb(11, 11, 13, 13)}),
+        Tracklet(2, {0: bb(30, 30, 31, 31)}),
+    ]
+    # min_iou 1 takes only identical boxes; min_iou 0 takes any overlap but never a disjoint pair.
+    assert associate(observations, tracklets, min_iou=1.0).id_map[0] == {0: 0, 1: 3, 2: 4}
+    assert associate(observations, tracklets, min_iou=0.0).id_map[0] == {0: 0, 1: 1, 2: 3}
+
+
+def test_associate_takes_observations_in_any_order():
+    observations = [
+        frame_obs(2, [(0, bb(0, 0, 4, 4)), (1, bb(20, 20, 24, 24))], "[E1] sees [E0]"),
+        frame_obs(0, [(5, bb(50, 50, 54, 54))]),
+        frame_obs(1, [(0, bb(20, 20, 24, 24))]),
+    ]
+    tracklets = [Tracklet(1, {1: bb(20, 20, 24, 24), 2: bb(0, 0, 4, 4)}), Tracklet(0, {0: bb(0, 0, 4, 4)})]
+    result = associate(observations, tracklets)
+    # Fresh IDs are handed out in the order the observations come.
+    assert result.id_map == {2: {0: 1, 1: 2}, 0: {5: 3}, 1: {0: 1}}
+    assert [f.frame_index for f in result.frames] == [2, 0, 1]
+    assert result.frames[0].description == "[E2] sees [E1]"
+    assert [(n.frame_index, n.entity_id) for n in result.nodes] == [(0, 3), (1, 1), (2, 1), (2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# ``associate`` against the per-frame loop it replaced, kept here as the oracle.
+
+
+def _oracle_rewrite(text, mapping):
+    def repl(match):
+        local = int(match.group(1))
+        return f"[E{mapping[local]}]" if local in mapping else match.group(0)
+
+    return re.sub(r"\[E(\d+)\]", repl, text)
+
+
+def oracle_associate(observations, tracklets, min_iou=0.1, fps=1.0):
+    next_fresh = max((tr.track_id for tr in tracklets), default=-1) + 1
+    nodes, frames, id_map = [], [], {}
+    for obs in observations:
+        frame_tracks = [
+            (tr.track_id, tr.boxes[obs.frame_index])
+            for tr in sorted(tracklets, key=lambda t: t.track_id)
+            if obs.frame_index in tr.boxes
+        ]
+        mapping = {}
+        if obs.entities and frame_tracks:
+            matrix = accel.iou_matrix(
+                [e[2].as_list() for e in obs.entities], [b.as_list() for _, b in frame_tracks]
+            )
+            pairs = [
+                (matrix[ei, ti], frame_tracks[ti][0], obs.entities[ei][0])
+                for ei in range(len(obs.entities))
+                for ti in range(len(frame_tracks))
+                if matrix[ei, ti] >= min_iou and matrix[ei, ti] > 0.0
+            ]
+            pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+            used_tracks = set()
+            for _, track_id, local_id in pairs:
+                if local_id in mapping or track_id in used_tracks:
+                    continue
+                mapping[local_id] = track_id
+                used_tracks.add(track_id)
+        for local_id, _, _ in sorted(obs.entities, key=lambda e: e[0]):
+            if local_id not in mapping:
+                mapping[local_id] = next_fresh
+                next_fresh += 1
+        id_map[obs.frame_index] = mapping
+        for local_id, attributes, box in obs.entities:
+            nodes.append(EntityNode(mapping[local_id], obs.frame_index, dict(attributes), box))
+        description = _oracle_rewrite(obs.description, mapping)
+        frames.append(FrameRecord(obs.frame_index, obs.frame_index / fps, description, obs.source_ref))
+    nodes.sort(key=lambda n: (n.frame_index, n.entity_id))
+    return AssociationResult(nodes=nodes, frames=frames, id_map=id_map)
+
+
+# Boxes on a small integer lattice, so that equal boxes, tied IoUs and IoUs of
+# exactly 1/2, 1/3 or 1/4 (the sampled thresholds) come up often.
+@st.composite
+def lattice_boxes(draw):
+    x0, y0 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return bb(x0, y0, x0 + draw(st.integers(1, 3)), y0 + draw(st.integers(1, 3)))
+
+
+# Text that is, or looks like, a mention: other spellings of a number, nested
+# and unclosed brackets, and no digits at all.
+MENTION_TRAPS = st.sampled_from(["[E007]", "[E\u0663]", "[E[E1]", "[E2]]", "[E1", "[E]", "[Ex]", "E3]", "[e3]", ""])
+
+
+@st.composite
+def videos(draw):
+    n_frames = draw(st.integers(0, 5))
+    # Most boxes repeat a few shared ones, so that exact ties are common.
+    shared = draw(st.lists(lattice_boxes(), min_size=1, max_size=3))
+    boxes = st.one_of(st.sampled_from(shared), lattice_boxes())
+    observations = []
+    for frame in range(n_frames):
+        local_ids = draw(st.lists(st.integers(0, 6), unique=True, max_size=5))
+        mentions = draw(st.lists(st.one_of(st.integers(0, 7).map("[E{}]".format), MENTION_TRAPS), max_size=4))
+        observations.append(
+            FrameObservation(
+                frame,
+                " and ".join(mentions),
+                [(lid, dict(ATTRS), draw(boxes)) for lid in local_ids],
+                f"f{frame}",
+            )
+        )
+    observations = draw(st.permutations(observations))
+    track_ids = draw(st.lists(st.integers(0, 12), unique=True, max_size=6))
+    frame_ids = st.sampled_from(range(n_frames)) if n_frames else st.nothing()
+    tracklets = [
+        Tracklet(tid, draw(st.dictionaries(frame_ids, boxes, max_size=n_frames)))
+        for tid in track_ids
+    ]
+    min_iou = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 0.25, 0.1]), st.floats(0.0, 1.0)))
+    return observations, tracklets, min_iou
+
+
+@settings(max_examples=200, deadline=None)
+@given(videos(), st.sampled_from([1.0, 2.0, 0.5]))
+@example(([], [], 0.1), 1.0)
+@example(([frame_obs(0, [(0, bb(0, 0, 2, 2)), (1, bb(0, 0, 2, 2))])],
+          [Tracklet(4, {0: bb(0, 0, 2, 2)}), Tracklet(2, {0: bb(0, 0, 2, 2)})], 1.0), 1.0)
+def test_associate_equals_the_per_frame_loop(video, fps):
+    observations, tracklets, min_iou = video
+    assert associate(observations, tracklets, min_iou, fps) == oracle_associate(observations, tracklets, min_iou, fps)

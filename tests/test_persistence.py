@@ -40,6 +40,11 @@ GOLDEN_SHA256 = {
         "b5a4856039d85edf9353cbaa03af78cf4dc59cba9c2a55620389a1758650048c",
         "5fbd7717057a11f6b52a6b78a067a8d2f80bce7fe886be86951cedc09a2dfd5b",
     ),
+    (600, 8): (
+        "1360cb3ca4372006f904bb2c5c1f04b68cd6cd42f178c2d455f4724d36d55c70",
+        "093c32b050083720e38f84ce493e6176fd36cdd7d85747e8a6df262d28889371",
+        "843bc5532532de57977cd42792a7050c3ca619f10cf503e286d061afb2b9f0f2",
+    ),
 }
 
 
