@@ -67,11 +67,15 @@ def cosine_scores(
     """Cosine similarity of every row of ``matrix`` against ``query``.
 
     Zero rows and a zero query score 0 rather than NaN. Scores are
-    quantized to 1e-9 so that duplicate rows stay exact ties whatever
-    summation order BLAS picks for each row, which keeps the
-    (frame, entity) tie order of rankings deterministic. ``row_norms``, when
-    given, must equal ``norms(matrix)``; an index passes the norms it
-    computed once instead of recomputing them per query.
+    quantized to 1e-9 so that near-equal scores compare the same whatever
+    summation order BLAS picks for each row, which keeps the (frame,
+    entity) tie order of rankings deterministic. ``EmbeddingIndex`` scores
+    each distinct vector once and gives every row that shares it the same
+    score, so its duplicate rows are exact ties by construction; a matrix
+    with repeated rows passed here directly still relies on the
+    quantization. ``row_norms``, when given, must equal ``norms(matrix)``;
+    an index passes the norms it computed once instead of recomputing
+    them per query.
     """
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)

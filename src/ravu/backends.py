@@ -70,6 +70,11 @@ STOPWORDS = frozenset(
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+_SECTION_HEADER_RE = re.compile(r"^[a-z_]+:\s*$")
+_SENTENCE_END_RE = re.compile(r"[.!?]")
+_MENTION_RE = re.compile(r"\[E(\d+)\]")
+_APPEARANCE_RE = re.compile(r"entity \d+: ([^;]+);")
+_OPTION_INDEX_RE = re.compile(r"-?\d+")
 
 
 def words(text: str) -> list[str]:
@@ -189,7 +194,7 @@ def _section_lines(payload: str, key: str) -> list[str]:
             active = True
             continue
         if active:
-            if re.match(r"^[a-z_]+:\s*$", line.strip()):
+            if _SECTION_HEADER_RE.match(line.strip()):
                 break
             if line.strip():
                 out.append(line)
@@ -269,8 +274,8 @@ class MockBackend:
     def _role_frame_graph(self, payload: str) -> str:
         description = _header_value(payload, "description")
         triples: list[str] = []
-        for sentence in re.split(r"[.!?]", description):
-            mentions = list(re.finditer(r"\[E(\d+)\]", sentence))
+        for sentence in _SENTENCE_END_RE.split(description):
+            mentions = list(_MENTION_RE.finditer(sentence))
             for left, right in zip(mentions, mentions[1:]):
                 between = sentence[left.end() : right.start()]
                 relation = " ".join(words(between))
@@ -309,7 +314,7 @@ class MockBackend:
 
         lines = []
         for s, e, action, description in out:
-            match = re.match(r"entity \d+: ([^;]+);", description)
+            match = _APPEARANCE_RE.match(description)
             appearance = match.group(1).strip() if match else description
             lines.append(f"{s}|{e}|{appearance} {action}")
         return "\n".join(lines)
@@ -475,6 +480,8 @@ class RemoteBackend:
             raise MalformedResponse(
                 f"remote backend returned an embedding of shape {vec.shape}, expected ({self.dim},)"
             )
+        if not np.isfinite(vec).all():
+            raise MalformedResponse("remote backend returned an embedding with a non-finite value")
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             return vec
@@ -482,7 +489,7 @@ class RemoteBackend:
 
     def answer(self, bundle: PromptBundle, question: str, options: list[str]) -> int:
         text = self.generate(bundle)
-        match = re.search(r"-?\d+", text)
+        match = _OPTION_INDEX_RE.search(text)
         if not match:
             raise MalformedResponse(f"expected an option index, got {text!r}")
         idx = int(match.group(0))

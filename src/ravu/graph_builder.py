@@ -50,44 +50,63 @@ class EmbeddingRecord:
 
 
 class EmbeddingColumns(Sequence[EmbeddingRecord]):
-    """Embedding records held as read-only columns.
+    """Embedding records held as read-only columns, each distinct vector once.
 
-    ``matrix`` holds one float64 row per record, ``entities`` and ``frames``
+    ``vectors`` is a float64 array with one row per distinct vector and
+    ``vector_of`` an intp array giving each record's row of it, so record
+    ``i``'s vector is ``vectors[vector_of[i]]``. ``entities`` and ``frames``
     are int64 arrays and ``descriptions`` is a list. An item is an
-    ``EmbeddingRecord`` made on access, whose vector is a row of ``matrix``.
-    The columns compare equal to any sequence of equal records.
+    ``EmbeddingRecord`` made on access. The columns compare equal to any
+    sequence of equal records.
     """
 
-    def __init__(self, matrix: np.ndarray, entities: np.ndarray, frames: np.ndarray, descriptions: list[str]):
-        for column in (matrix, entities, frames):
+    def __init__(
+        self,
+        vectors: np.ndarray,
+        vector_of: np.ndarray,
+        entities: np.ndarray,
+        frames: np.ndarray,
+        descriptions: list[str],
+    ):
+        for column in (vectors, vector_of, entities, frames):
             column.flags.writeable = False
-        self.matrix, self.entities, self.frames, self.descriptions = matrix, entities, frames, descriptions
+        self.vectors, self.vector_of = vectors, vector_of
+        self.entities, self.frames, self.descriptions = entities, frames, descriptions
 
     @classmethod
     def of(cls, records: Sequence[EmbeddingRecord]) -> EmbeddingColumns:
-        """``records`` as columns, stacked with one copy; columns are returned as they are."""
+        """``records`` as columns, each with its own vector; columns are returned as they are."""
         if isinstance(records, cls):
             return records
         records = list(records)
         n = len(records)
         return cls(
             np.stack([r.vector for r in records], dtype=np.float64) if n else np.zeros((0, 0)),
+            np.arange(n, dtype=np.intp),
             np.fromiter((r.entity_id for r in records), dtype=np.int64, count=n),
             np.fromiter((r.frame_index for r in records), dtype=np.int64, count=n),
             [r.description for r in records],
         )
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Every record's vector, one row each: a new full-size array on every access."""
+        return self.vectors[self.vector_of]
+
     def __len__(self) -> int:
         return len(self.descriptions)
 
     def __getitem__(self, i: int) -> EmbeddingRecord:
-        return EmbeddingRecord(int(self.entities[i]), int(self.frames[i]), self.descriptions[i], self.matrix[i])
+        return EmbeddingRecord(
+            int(self.entities[i]), int(self.frames[i]), self.descriptions[i], self.vectors[self.vector_of[i]]
+        )
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        for entity_id, frame_index, description, vector in zip(
-            self.entities.tolist(), self.frames.tolist(), self.descriptions, self.matrix
+        vectors = self.vectors
+        for entity_id, frame_index, description, j in zip(
+            self.entities.tolist(), self.frames.tolist(), self.descriptions, self.vector_of.tolist()
         ):
-            yield EmbeddingRecord(entity_id, frame_index, description, vector)
+            yield EmbeddingRecord(entity_id, frame_index, description, vectors[j])
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -136,9 +155,13 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[int, str, int]], int]:
     return triples, bad
 
 
+_SENTENCE_END = re.compile(r"[.!?]")
+_MENTION = re.compile(r"\[E\d+\]")
+
+
 def _has_comention(description: str) -> bool:
-    for sentence in re.split(r"[.!?]", description):
-        if len(re.findall(r"\[E\d+\]", sentence)) >= 2:
+    for sentence in _SENTENCE_END.split(description):
+        if len(_MENTION.findall(sentence)) >= 2:
             return True
     return False
 
@@ -192,7 +215,11 @@ def build_frame_graph(
 def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retries: int = 2) -> str:
     """One-sentence node description covering attributes and relations."""
     payload = backends.node_description_payload(node.entity_id, node.attributes, edges)
-    bundle = make_bundle("node_description", payload)
+    return _describe(payload, backend, max_retries)
+
+
+def _describe(payload: str, backend, max_retries: int) -> str:
+    """The accepted reply to one ``node_description`` payload."""
 
     def parse(text: str) -> str:
         text = text.strip()
@@ -200,41 +227,44 @@ def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retr
             raise ValueError("empty description")
         return text
 
-    return generate_with_retries(backend, bundle, parse, max_retries)
+    return generate_with_retries(backend, make_bundle("node_description", payload), parse, max_retries)
 
 
-def embed_graph(graph: SpatioTemporalGraph, backend) -> list[EmbeddingRecord]:
-    """One embedding record per node; all nodes must be described first.
+def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
+    """One embedding record per node, in (frame, entity) order; all nodes must be described first.
 
-    Each distinct description is embedded once per call, and nodes that
-    share a description share its vector: within one build, identical
-    texts get identical vectors. A backend error is raised, naming the
-    node, and never remembered.
+    Each distinct description is embedded once per call and held once in
+    the columns' ``vectors``; nodes that share a description share its
+    vector: within one build, identical texts get identical vectors. A
+    backend error is raised, naming the node, and never remembered.
     """
-    records = []
-    vectors: dict[str, np.ndarray] = {}
-    for node in sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id)):
+    nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
+    vectors: list[np.ndarray] = []
+    slot: dict[str, int] = {}
+    vector_of = np.empty(len(nodes), dtype=np.intp)
+    for i, node in enumerate(nodes):
         if not node.description:
             raise ValueError(
                 f"node entity {node.entity_id} frame {node.frame_index} has no description"
             )
-        if node.description not in vectors:
+        j = slot.get(node.description)
+        if j is None:
             try:
                 vector = backend.embed(node.description)
             except BackendError as exc:
                 raise type(exc)(
                     f"embedding entity {node.entity_id} frame {node.frame_index}: {exc}"
                 ) from exc
-            vectors[node.description] = np.asarray(vector, dtype=np.float64)
-        records.append(
-            EmbeddingRecord(
-                entity_id=node.entity_id,
-                frame_index=node.frame_index,
-                description=node.description,
-                vector=vectors[node.description],
-            )
-        )
-    return records
+            j = slot[node.description] = len(vectors)
+            vectors.append(np.asarray(vector, dtype=np.float64))
+        vector_of[i] = j
+    return EmbeddingColumns(
+        np.stack(vectors) if vectors else np.zeros((0, 0)),
+        vector_of,
+        np.fromiter((n.entity_id for n in nodes), dtype=np.int64, count=len(nodes)),
+        np.fromiter((n.frame_index for n in nodes), dtype=np.int64, count=len(nodes)),
+        [n.description for n in nodes],
+    )
 
 
 def _appearance_runs(nodes: list[EntityNode]) -> list[list[EntityNode]]:
@@ -315,9 +345,9 @@ def build_graph(
 
     Each distinct ``node_description`` prompt is sent to the backend once
     per call, and nodes whose prompts are identical share its accepted
-    reply: within one build, identical prompts get identical replies. A
-    reply that fails parsing is retried as in :func:`describe_node`; a
-    backend error is raised and never remembered.
+    reply: within one build, identical prompts get identical replies. Each
+    node's payload is built once. A reply that fails parsing is retried as
+    in :func:`describe_node`; a backend error is raised and never remembered.
     """
     graph = SpatioTemporalGraph(frames=list(frames), nodes=list(nodes), fps=fps)
     report = BuildReport()
@@ -338,7 +368,7 @@ def build_graph(
         edges = node_edges(graph, node.entity_id, node.frame_index)
         payload = backends.node_description_payload(node.entity_id, node.attributes, edges)
         if payload not in described:
-            described[payload] = describe_node(node, edges, backend, max_retries)
+            described[payload] = _describe(payload, backend, max_retries)
         node.description = described[payload]
 
     for entity_id in graph.entity_ids():
@@ -364,12 +394,13 @@ _CANONICAL_ROW = re.compile(
 
 
 def write_embeddings(records: Sequence[EmbeddingRecord], bin_path: str | Path, index_path: str | Path) -> None:
-    """Write the vectors as little-endian float32 rows and one index line per row."""
+    """Write the vectors as little-endian float32 rows, one per record, and one index line per row."""
     columns = EmbeddingColumns.of(records)
-    count, dim = columns.matrix.shape
+    rows = columns.vectors.astype("<f4")[columns.vector_of]
+    count, dim = rows.shape
     with open(bin_path, "wb") as fh:
         fh.write(_MAGIC.pack(dim, count))
-        fh.write(columns.matrix.astype("<f4").tobytes())
+        fh.write(rows.tobytes())
     with open(index_path, "w") as fh:
         fh.write(
             "".join(
@@ -410,7 +441,13 @@ def read_embeddings(
     The index must list each row and each ``(entity_id, frame_index)`` key
     once, as many rows as the header counts, and, when ``graph`` is given,
     exactly the graph's node keys. A non-empty file's vectors must have
-    ``dim`` entries when ``dim`` is given. Anything else raises ParseError.
+    ``dim`` entries when ``dim`` is given, and every value must be finite.
+    Anything else raises ParseError.
+
+    With ``graph``, records that share a description share one vector when
+    their stored bytes are equal, so only distinct rows are converted to
+    float64; any other record, and every record without ``graph``, gets its
+    own vector.
     """
     raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
@@ -423,7 +460,7 @@ def read_embeddings(
         )
     if dim is not None and count and stored_dim != dim:
         raise ParseError(f"{bin_path}: vectors have dimension {stored_dim}, expected {dim}", field="dim")
-    matrix = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim).astype(np.float64)
+    stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
 
     descriptions: dict[tuple[int, int], str] = {}
     if graph is not None:
@@ -459,7 +496,51 @@ def read_embeddings(
     if graph is not None and len(rows) < len(descriptions):
         entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)
         raise ParseError(f"graph node entity {entity_id} frame {frame_index} has no embedding row")
+    texts = [descriptions.get(key, "") for key in keys]
     if rows != list(range(count)):
-        matrix = matrix[rows]
-    entities, frames = np.array(keys, dtype=np.int64).reshape(count, 2).T.copy()
-    return EmbeddingColumns(matrix, entities, frames, [descriptions.get(key, "") for key in keys])
+        stored = stored[rows]
+    vectors, vector_of = _distinct_vectors(stored, texts if graph is not None else None)
+    if not np.isfinite(vectors).all():
+        bad = int(np.argmin(np.isfinite(vectors).all(axis=1)))
+        row = rows[int(np.argmax(vector_of == bad))]
+        raise ParseError(f"row {row} has a non-finite value", field="row")
+    entities, frames = zip(*keys) if keys else ((), ())
+    return EmbeddingColumns(
+        vectors, vector_of, np.array(entities, dtype=np.int64), np.array(frames, dtype=np.int64), texts
+    )
+
+
+# Records per block of ``_distinct_vectors``' byte comparison: 96 rows of
+# 256 float32s is a 96 KB temporary, below the size at which glibc maps a
+# fresh block from the OS; the page faults of larger temporaries cost more
+# than converting only the distinct rows saves. A short video's rows fit
+# in one block.
+_SHARE_BLOCK = 96
+
+
+def _distinct_vectors(stored: np.ndarray, texts: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(vectors, vector_of)`` in float64 for float32 rows in record order.
+
+    Records with the same text share the first such record's vector when
+    their stored bytes are equal to it; any other record gets a vector of
+    its own, and so does every record when ``texts`` is None.
+    """
+    count = len(stored)
+    if texts is None:
+        return stored.astype(np.float64), np.arange(count, dtype=np.intp)
+    first: dict[str, int] = {}
+    owner = np.array([first.setdefault(text, i) for i, text in enumerate(texts)], dtype=np.intp)
+    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    # ``firsts`` ascends, so each record's position in it is its vector.
+    vector_of = np.searchsorted(firsts, owner)
+    candidates = stored[firsts]
+    bits, candidate_bits = stored.view(np.uint32), candidates.view(np.uint32)
+    differ = np.empty(count, dtype=bool)
+    for start in range(0, count, _SHARE_BLOCK):
+        block = slice(start, start + _SHARE_BLOCK)
+        differ[block] = (bits[block] != candidate_bits[vector_of[block]]).any(axis=1)
+    if differ.any():
+        own = np.flatnonzero(differ)
+        vector_of[own] = len(firsts) + np.arange(len(own))
+        candidates = np.concatenate([candidates, stored[own]])
+    return candidates.astype(np.float64), vector_of

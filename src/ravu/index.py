@@ -3,21 +3,27 @@
 The index is a linear scan: at 1 fps a video yields at most a few thousand
 nodes, so exact search is cheap and keeps retrieval deterministic. It is
 columnar: it keeps the ``EmbeddingColumns`` it is given, such as those
-``read_embeddings`` returns, without a copy, and stacks a list of records
-into columns once: one float64 ``matrix``, int arrays of frames and
-entities and a list of descriptions. It also computes, once, every row
-norm and the rows sorted by (entity, frame) with each entity's slice of
-that order.
+``embed_graph`` and ``read_embeddings`` return, without a copy, and stacks
+a list of records into columns once. The columns hold each distinct
+vector once, as a float64 ``vectors`` array, and map each row to its
+vector with ``vector_of``; nodes that share a description share a vector,
+so a 600-frame video's ~4,800 rows have ~650 vectors. Beside them sit int
+arrays of frames and entities and a list of descriptions. The index also
+computes, once, the norm of every distinct vector and the rows sorted by
+(entity, frame) with each entity's slice of that order.
 
-A query is then one matrix-vector product (``accel.cosine_scores`` with the
-cached norms), a partial selection of the rows scoring at least the k-th
-best score, and a sort of that short list. An entity's frame range is two
-binary searches in the entity's slice.
+A query is then one matrix-vector product over the distinct vectors
+(``accel.cosine_scores`` with the cached norms), a gather of those scores
+to the rows, a partial selection of the rows scoring at least the k-th
+best score, and a sort of that short list. Rows that share a vector get
+the very same score, so they are exact ties. An entity's frame range is
+two binary searches in the entity's slice.
 
-The matrix is not stored unit-normalised: dividing each row by its norm
-before the dot product rounds differently from dividing the dot product,
-which can move a score by one ulp across the 1e-9 quantisation edge, and a
-second copy of the matrix would double the index's memory.
+The vectors are not stored unit-normalised: dividing each vector by its
+norm before the dot product rounds differently from dividing the dot
+product, which can move a score by one ulp across the 1e-9 quantisation
+edge. Nothing keeps a full (rows, dim) matrix: ``EmbeddingColumns.matrix``
+builds one on each access.
 """
 
 from __future__ import annotations
@@ -68,18 +74,19 @@ def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]
 class EmbeddingIndex:
     """Immutable node-embedding index; safe for concurrent queries.
 
-    It keeps columns, not the records it was built from: ``matrix`` (one
-    read-only float64 row per record), ``frames``, ``entities`` and
-    ``descriptions``. Dropping a list of records therefore frees their vectors.
+    It keeps columns, not the records it was built from: ``vectors`` (each
+    distinct read-only float64 vector once), ``vector_of`` (each row's
+    vector), ``frames``, ``entities`` and ``descriptions``. Dropping a list
+    of records therefore frees their vectors.
     """
 
     def __init__(self, records: Sequence[EmbeddingRecord]):
         columns = EmbeddingColumns.of(records)
         self._columns = columns
-        self.matrix, self.frames, self.entities = columns.matrix, columns.frames, columns.entities
-        self.descriptions = columns.descriptions
+        self.vectors, self.vector_of = columns.vectors, columns.vector_of
+        self.frames, self.entities, self.descriptions = columns.frames, columns.entities, columns.descriptions
         n = len(columns)
-        self._norms = accel.norms(self.matrix)
+        self._norms = accel.norms(self.vectors)
         # Rows by (entity, frame); lexsort is stable, so equal keys keep row order.
         self._by_entity = np.lexsort((self.frames, self.entities))
         # Frames in that order, as a list for ``bisect``, and each entity's slice of it.
@@ -94,14 +101,18 @@ class EmbeddingIndex:
 
     @property
     def records(self) -> EmbeddingColumns:
-        """The rows as read-only columns, whose items are records; each vector is a row of ``matrix``."""
+        """The rows as read-only columns, whose items are records; each vector is one of ``vectors``."""
         return self._columns
 
     def scores(self, query_vector: np.ndarray) -> np.ndarray:
-        """Cosine score of every row against ``query_vector`` (see ``accel.cosine_scores``)."""
+        """Cosine score of every row against ``query_vector`` (see ``accel.cosine_scores``).
+
+        Each distinct vector is scored once and its score given to every row
+        that shares it.
+        """
         return accel.cosine_scores(
-            self.matrix, np.asarray(query_vector, dtype=np.float64), row_norms=self._norms
-        )
+            self.vectors, np.asarray(query_vector, dtype=np.float64), row_norms=self._norms
+        )[self.vector_of]
 
     def rank(self, scores: np.ndarray, rows: Sequence[int], k: int) -> list[int]:
         """The ``k`` best of ``rows`` by descending score.

@@ -415,6 +415,9 @@ def breakdown(
 # Hierarchical retrieval for global questions
 
 
+_SELECTION_SPLIT_RE = re.compile(r"[,\s]+")
+
+
 def hierarchical_retrieve(
     question: str,
     graph: SpatioTemporalGraph,
@@ -452,7 +455,7 @@ def hierarchical_retrieve(
     fallback = False
     try:
         text = backend.generate(bundle)
-        chosen = [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+        chosen = [int(tok) for tok in _SELECTION_SPLIT_RE.split(text.strip()) if tok]
         if not chosen or any(not 0 <= c < len(pool) for c in chosen):
             raise ValueError("bad selection indices")
         chosen = chosen[:top]

@@ -10,8 +10,10 @@ from ravu.backends import (
     make_bundle,
     mock_breakdown,
 )
-from ravu.errors import BackendError, BlockedContent, MalformedResponse, Timeout
+from ravu.errors import BackendError, BlockedContent, MalformedResponse, RavuError, Timeout
+from ravu.graph_builder import EmbeddingRecord
 from ravu.graph_model import EntityEvent, RelationEdge
+from ravu.index import EmbeddingIndex
 
 
 def test_bundle_role_validation():
@@ -293,6 +295,24 @@ def test_remote_backend_rejects_embeddings_of_the_wrong_dimension(monkeypatch, t
     _patch_post(monkeypatch, _FakeResponse(payload={"text": text}))
     with pytest.raises(MalformedResponse, match=r"expected \(2,\)"):
         remote.embed("hi")
+
+
+@pytest.mark.parametrize("text", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, 0.0]", "[1e400, 1.0]", '["nan", 1.0]'])
+def test_remote_backend_rejects_non_finite_embeddings(monkeypatch, text):
+    remote = RemoteBackend("http://example.test", dim=2)
+    _patch_post(monkeypatch, _FakeResponse(payload={"text": text}))
+    with pytest.raises(MalformedResponse, match="non-finite"):
+        remote.embed("hi")
+
+
+def test_localize_with_a_non_finite_embedding_ends_as_a_typed_error(monkeypatch):
+    index = EmbeddingIndex(
+        [EmbeddingRecord(0, 0, "alpha", np.array([1.0, 0.0])), EmbeddingRecord(1, 1, "beta", np.array([0.0, 1.0]))]
+    )
+    _patch_post(monkeypatch, _FakeResponse(payload={"text": "[NaN, 1.0]"}))
+    with pytest.raises(RavuError, match="non-finite") as exc:
+        index.localize("alpha", 2, RemoteBackend("http://example.test", dim=2))
+    assert type(exc.value) is MalformedResponse
 
 
 def test_remote_backend_requires_endpoint():

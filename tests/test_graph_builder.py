@@ -343,7 +343,7 @@ def test_memoised_build_matches_one_call_per_node(shape):
     graph, matrix = reference_build(world, MockBackend())
     assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
     assert graph_model.serialize(assets.graph) == graph_model.serialize(graph)
-    assert assets.index.matrix.tobytes() == matrix.tobytes()
+    assert assets.index.records.matrix.tobytes() == matrix.tobytes()
 
 
 class FirstReplyEmptyBackend(CountingBackend):

@@ -2,13 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ravu import accel, backends
 from ravu.backends import MockBackend, make_bundle
 from ravu.errors import EmptyIndex, MalformedResponse
-from ravu.graph_builder import EmbeddingRecord
+from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord
 from ravu.graph_model import EntityEvent, SpatioTemporalGraph
 from ravu.index import EmbeddingIndex, rerank
 from ravu.reasoning import hierarchical_retrieve
@@ -65,7 +65,7 @@ def test_top_k_matches_full_sort(n, k, seed):
     q = rng.standard_normal(8)
     got = index.top_k(q, k)
 
-    scores = accel.cosine_scores(index.matrix, q)
+    scores = accel.cosine_scores(index.records.matrix, q)
     oracle = sorted(
         range(n), key=lambda i: (-scores[i], records[i].frame_index, records[i].entity_id)
     )[: min(k, n)]
@@ -147,7 +147,7 @@ def test_top_k_matches_the_sorted_reference(drawn, q, k):
     records, index = index_of(drawn)
     q = np.asarray(q, dtype=np.float64)
     scores = index.scores(q)
-    assert np.array_equal(scores, accel.cosine_scores(index.matrix, q))
+    assert np.array_equal(scores, accel.cosine_scores(index.records.matrix, q))
     got = [(c.frame_index, c.entity_id, c.score, c.description) for c in index.top_k(q, k)]
     assert got == sorted_top_k(records, q, k)
 
@@ -200,8 +200,72 @@ def test_index_keeps_columns_and_gives_back_equal_records():
     assert index.records == records
     assert (index.frames.tolist(), index.entities.tolist()) == ([1, 5, 0], [3, 0, 3])
     assert index.descriptions == ["e3f1", "e0f5", "e3f0"]
-    assert not index.matrix.flags.writeable
+    assert index.vectors.tolist() == [[1, 2], [0, 0], [2, -1]] and index.vector_of.tolist() == [0, 1, 2]
+    for column in (index.vectors, index.vector_of, index.frames, index.entities):
+        assert not column.flags.writeable
     assert len(EmbeddingIndex([])) == 0 and EmbeddingIndex([]).records == []
+
+
+def test_index_gives_rows_that_share_a_vector_equal_records():
+    vectors = np.array([[1.0, 2.0], [0.0, 0.0]])
+    columns = EmbeddingColumns(
+        vectors, np.array([1, 0, 1, 0], dtype=np.intp), np.array([0, 1, 2, 3]), np.array([5, 5, 6, 6]),
+        ["a", "b", "a", "b"],
+    )
+    index = EmbeddingIndex(columns)
+    assert index.vectors is vectors and index.records is columns
+    assert list(columns) == [rec(0, 5, [0, 0], "a"), rec(1, 5, [1, 2], "b"), rec(2, 6, [0, 0], "a"),
+                             rec(3, 6, [1, 2], "b")]
+    assert columns[3] == rec(3, 6, [1, 2], "b")
+    assert columns.matrix.tolist() == [[0, 0], [1, 2], [0, 0], [1, 2]]
+    # A new array on every access: nothing keeps the full matrix.
+    assert columns.matrix is not columns.matrix and columns.matrix.flags.writeable
+
+
+def columns_of(drawn_vectors, vector_of, dim):
+    """Columns whose rows use ``drawn_vectors`` as ``vector_of`` says, with distinct keys."""
+    n = len(vector_of)
+    return EmbeddingColumns(
+        np.array(drawn_vectors, dtype=np.float64).reshape(-1, dim),
+        np.array(vector_of, dtype=np.intp),
+        np.arange(n, dtype=np.int64) % 3,
+        np.arange(n, dtype=np.int64) // 3,
+        [f"row{i}" for i in range(n)],
+    )
+
+
+@st.composite
+def shared_columns(draw):
+    """(columns, query): distinct vectors, zero vectors and repeats allowed, and each row's choice of one."""
+    dim = draw(st.integers(1, 4))
+    component = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-2, 2, allow_nan=False)
+    drawn = draw(st.lists(st.lists(component, min_size=dim, max_size=dim), min_size=0, max_size=6))
+    vector_of = draw(st.lists(st.integers(0, len(drawn) - 1), max_size=40)) if drawn else []
+    q = draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=dim, max_size=dim))
+    return columns_of(drawn, vector_of, dim), np.array(q)
+
+
+SHAPES = [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [-1.0, 3.0, 0.5]]
+QUERY = np.array([0.5, -1.0, 2.0])
+
+
+@given(shared_columns())
+@example((columns_of([], [], 3), QUERY))  # an empty index
+@example((columns_of(SHAPES[:1], [0], 3), QUERY))  # a single row
+@example((columns_of(SHAPES[:1], [0, 0, 0], 3), QUERY))  # every row shares one vector
+@example((columns_of(SHAPES[1:2], [0, 0], 3), QUERY))  # zero rows
+@example((columns_of(SHAPES, [0, 1, 2], 3), QUERY))  # all rows distinct
+@example((columns_of(SHAPES, [2, 0, 2, 1, 0], 3), QUERY))
+@settings(max_examples=300, deadline=None)
+def test_scores_equal_the_full_matrix_scores_bit_for_bit(drawn):
+    columns, q = drawn
+    index = EmbeddingIndex(columns)
+    full = columns.matrix
+    assert full.shape == (len(columns), len(q))
+    assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
+    if len(columns):
+        got = [(c.frame_index, c.entity_id, c.score) for c in index.top_k(q, len(columns))]
+        assert got == [t[:3] for t in sorted_top_k(list(columns), q, len(columns))]
 
 
 def test_rank_orders_a_subset_of_rows():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ravu import accel
 from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
@@ -288,12 +289,14 @@ def test_index_adopts_loaded_columns_without_a_copy(saved):
     graph, bin_path, idx_path, _ = saved
     columns = read_embeddings(bin_path, idx_path, graph)
     index = EmbeddingIndex(columns)
-    assert index.matrix is columns.matrix and index.records is columns
-    assert not (columns.matrix.flags.writeable or columns.entities.flags.writeable)
+    assert index.records is columns
+    assert index.vectors is columns.vectors and index.vector_of is columns.vector_of
+    for column in (columns.vectors, columns.vector_of, columns.entities, columns.frames):
+        assert not column.flags.writeable
     rebuilt = EmbeddingIndex(list(columns))
     assert rebuilt.records == columns and list(rebuilt.records) == list(columns)
-    assert np.array_equal(rebuilt.matrix, index.matrix)
-    assert np.array_equal(rebuilt._norms, index._norms)
+    assert np.array_equal(rebuilt.records.matrix, index.records.matrix)
+    assert np.array_equal(rebuilt._norms[rebuilt.vector_of], index._norms[index.vector_of])
     assert (rebuilt.frames.tolist(), rebuilt.entities.tolist()) == (index.frames.tolist(), index.entities.tolist())
     assert rebuilt.descriptions == index.descriptions
 
@@ -307,3 +310,112 @@ def test_write_embeddings_takes_columns_and_records_alike(saved, tmp_path):
         write_embeddings(records, b, i)
         out.append((b.read_bytes(), i.read_bytes()))
     assert out[0] == out[1] == (bin_path.read_bytes(), idx_path.read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# Records that share a description share one vector, but only when their
+# stored bytes are equal.
+
+
+def shared_graph():
+    """Six nodes in (frame, entity) order, the first three described "left", the rest "right"."""
+    keys = [(entity_id, frame) for frame in range(3) for entity_id in (0, 1)]
+    nodes = [
+        EntityNode(entity_id, frame, {}, BoundingBox(0, 0, 4, 4), description)
+        for (entity_id, frame), description in zip(keys, ["left"] * 3 + ["right"] * 3)
+    ]
+    return SpatioTemporalGraph(frames=[FrameRecord(f, float(f), "") for f in range(3)], nodes=nodes)
+
+
+@pytest.fixture
+def shared(tmp_path):
+    """(graph, bin path, index path, written records): record 4 differs from the other
+    "right" records in one float32, so it must keep a vector of its own."""
+    graph = shared_graph()
+    rng = np.random.default_rng(7)
+    left, right = rng.standard_normal(4), rng.standard_normal(4)
+    odd = right.copy()
+    odd[2] = np.nextafter(np.float32(odd[2]), np.float32(np.inf))
+    vectors = [left, left, left, right, odd, right]
+    records = [
+        EmbeddingRecord(n.entity_id, n.frame_index, n.description, vector)
+        for n, vector in zip(graph.nodes, vectors)
+    ]
+    bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
+    write_embeddings(records, bin_path, idx_path)
+    return graph, bin_path, idx_path, records
+
+
+def stored(records):
+    """``records`` with their vectors rounded to float32, as a reload gives them back."""
+    return [
+        EmbeddingRecord(r.entity_id, r.frame_index, r.description, r.vector.astype(np.float32).astype(np.float64))
+        for r in records
+    ]
+
+
+def test_read_embeddings_shares_a_vector_only_between_equal_bytes(shared):
+    graph, bin_path, idx_path, records = shared
+    columns = read_embeddings(bin_path, idx_path, graph)
+    assert columns.vector_of.tolist() == [0, 0, 0, 1, 2, 1]
+    assert len(columns.vectors) == 3
+    assert columns == stored(records)
+    q = np.random.default_rng(8).standard_normal(4)
+    index = EmbeddingIndex(columns)
+    full = np.stack([r.vector for r in stored(records)])
+    assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
+    assert index.scores(q)[3] != index.scores(q)[4]
+
+
+def test_read_embeddings_without_a_graph_gives_every_record_its_own_vector(shared):
+    _, bin_path, idx_path, records = shared
+    columns = read_embeddings(bin_path, idx_path)
+    assert columns.vector_of.tolist() == list(range(6)) and len(columns.vectors) == 6
+    assert [(r.entity_id, r.frame_index, r.vector.tolist()) for r in columns] == [
+        (r.entity_id, r.frame_index, r.vector.tolist()) for r in stored(records)
+    ]
+
+
+def test_read_embeddings_shares_vectors_in_a_reordered_index(shared):
+    graph, bin_path, idx_path, records = shared
+    entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
+    order = [4, 0, 5, 3, 2, 1]
+    idx_path.write_text(canonical([entries[i] for i in order]))
+    columns = read_embeddings(bin_path, idx_path, graph)
+    assert columns == [stored(records)[i] for i in order]
+    # The odd record is now its description's first, so the other "right"
+    # records, which differ from it, keep their own vectors.
+    assert columns.vector_of.tolist() == [0, 1, 2, 3, 1, 1] and len(columns.vectors) == 4
+    q = np.random.default_rng(9).standard_normal(4)
+    assert EmbeddingIndex(columns).scores(q).tobytes() == accel.cosine_scores(columns.matrix, q).tobytes()
+
+
+def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp_path):
+    world = synth_world(1, 600, 8)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
+    write_embeddings(assets.index.records, bin_path, idx_path)
+    reloaded = EmbeddingIndex(read_embeddings(bin_path, idx_path, assets.graph))
+    distinct = sorted(set(assets.index.descriptions))
+    assert len(assets.index) == len(assets.graph.nodes) > 4 * len(distinct)
+    for index in (assets.index, reloaded):
+        assert len(index.vectors) == len(distinct)
+        # Every row's vector is the first vector of its description.
+        first = {}
+        for description, vector in zip(index.descriptions, index.vector_of.tolist()):
+            assert first.setdefault(description, vector) == vector
+        assert len(set(first.values())) == len(distinct)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no graph"])
+def test_read_embeddings_rejects_a_non_finite_row(shared, value, graph):
+    shared_graph_, bin_path, idx_path, _ = shared
+    raw = bin_path.read_bytes()
+    body = np.frombuffer(raw, dtype="<f4", offset=8).reshape(6, 4).copy()
+    # Row 5 would otherwise share row 3's vector.
+    body[5, 1] = value
+    bin_path.write_bytes(raw[:8] + body.tobytes())
+    with pytest.raises(ParseError, match="row 5 has a non-finite value") as exc:
+        read_embeddings(bin_path, idx_path, shared_graph_ if graph else None)
+    assert exc.value.field == "row"
