@@ -51,7 +51,8 @@ class MalformedResponse(BackendError):
 
 
 # What converting a wrong-shaped field raises; each reader turns these into a ParseError.
-MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+# json reads Infinity and 1e400 as float infinity, and ``int()`` of that raises OverflowError.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def read_document(path: str | Path, binary: bool = False) -> str | bytes:

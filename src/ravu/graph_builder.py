@@ -386,8 +386,10 @@ def build_graph(
 _MAGIC = struct.Struct("<II")  # dimension, count
 # One line of the row index, as ``json.dumps(entry, sort_keys=True)`` writes it.
 _ROW_LINE = '{"entity_id": %d, "frame_index": %d, "row": %d}\n'
-# An int as JSON spells it (no leading zero, no plus sign), so the pattern accepts no line json.loads rejects.
-_INT = "(-?(?:0|[1-9][0-9]*))"
+# An int as JSON spells it (no leading zero, no plus sign), so the pattern accepts no line json.loads rejects,
+# of at most 18 digits, so every int it accepts fits in int64; a longer one sends the document to the JSON path.
+_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
+_INT64 = np.iinfo(np.int64)
 _CANONICAL_ROW = re.compile(
     r'^\{"entity_id": %s, "frame_index": %s, "row": %s\}\n' % (_INT, _INT, _INT), re.MULTILINE
 )
@@ -417,6 +419,8 @@ def _index_entries(text: str) -> Iterator[tuple[int, int, int, int]]:
 
     A document of canonical lines only (what ``write_embeddings`` writes) is
     read with one regex pass; any other is decoded line by line as JSON.
+    A field that is not an int, or an ``entity_id`` or ``frame_index``
+    outside int64, raises ParseError with the line and field.
     """
     found = _CANONICAL_ROW.findall(text)
     if text.endswith("\n") and len(found) == text.count("\n"):
@@ -424,10 +428,17 @@ def _index_entries(text: str) -> Iterator[tuple[int, int, int, int]]:
             yield lineno, int(row), int(entity_id), int(frame_index)
         return
     for lineno, entry in json_objects(text, "index row"):
-        try:
-            yield lineno, int(entry["row"]), int(entry["entity_id"]), int(entry["frame_index"])
-        except MALFORMED as exc:
-            raise ParseError(f"malformed index row: {exc}", line=lineno) from exc
+        values = []
+        for name in ("row", "entity_id", "frame_index"):
+            try:
+                values.append(int(entry[name]))
+            except MALFORMED as exc:
+                raise ParseError(f"malformed index row: {exc}", line=lineno, field=name) from exc
+        row, entity_id, frame_index = values
+        for name, value in (("entity_id", entity_id), ("frame_index", frame_index)):
+            if not _INT64.min <= value <= _INT64.max:
+                raise ParseError(f"{name} {value} does not fit in int64", line=lineno, field=name)
+        yield lineno, row, entity_id, frame_index
 
 
 def read_embeddings(

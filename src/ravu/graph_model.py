@@ -10,8 +10,10 @@ Graphs are immutable by convention after construction and safe for
 concurrent reads; no mutation API is provided beyond building the fields.
 The lookups (``nodes_in_frame``, ``entity_ids``, ``entity_timeline`` and
 ``node_edges``) read tables built from ``nodes`` and ``edges`` on first use.
-Assigning either list drops those tables; mutating a list in place after
-the first lookup is not supported.
+``entity_descriptions`` reads a table of each entity's distinct node
+descriptions, built at its own first use (the first count question), so
+node descriptions must be final by then. Assigning either list drops those
+tables; mutating a list in place after the first lookup is not supported.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class _Lookup:
     entity (keys in entity order), sorted by frame. ``edges_at``: edges per
     node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is
     listed once. Sorts are stable, so ties keep node-list order.
+
+    ``descriptions`` is built from ``timeline`` at its first use, not here:
+    ``build_graph`` makes the lookup before it assigns node descriptions.
     """
 
     def __init__(self, nodes: list[EntityNode], edges: list[RelationEdge]):
@@ -143,6 +148,30 @@ class _Lookup:
         self.by_frame = by_frame
         self.timeline = dict(sorted(timeline.items()))
         self.edges_at = edges_at
+
+    @cached_property
+    def descriptions(self) -> DescriptionTable:
+        return DescriptionTable(self.timeline)
+
+
+class DescriptionTable:
+    """Each entity's distinct node descriptions, for matching words against.
+
+    ``entities`` maps each entity (in entity order) to its distinct
+    descriptions in timeline order, a missing one read as ``""``, and to
+    their lowercased join, which holds every word of any of them as a
+    substring. ``word_sets`` is a memo from a description to its normalised
+    word set, filled by whoever tokenises the description first; two readers
+    that tokenise one description at once store equal sets, so the memo
+    needs no lock.
+    """
+
+    def __init__(self, timeline: dict[int, list[EntityNode]]):
+        self.entities: dict[int, tuple[list[str], str]] = {}
+        for entity_id, nodes in timeline.items():
+            texts = list(dict.fromkeys([n.description or "" for n in nodes]))
+            self.entities[entity_id] = (texts, "\n".join(texts).lower())
+        self.word_sets: dict[str, set[str]] = {}
 
 
 @dataclass(frozen=True)
@@ -240,6 +269,11 @@ def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> 
     if edges is None:
         raise NotFound(f"no node for entity {entity_id} in frame {frame_index}")
     return list(edges)
+
+
+def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
+    """The graph's description table, built at the first call; see ``DescriptionTable``."""
+    return graph._lookup.descriptions
 
 
 # The graph document is what ``json.dumps(doc, sort_keys=True, indent=2)``

@@ -154,8 +154,10 @@ class EmbeddingIndex:
         offsets = np.cumsum(sizes) - sizes
         group = np.repeat(np.arange(len(ranges)), sizes)
         rows = self._by_entity[np.arange(sizes.sum()) - offsets[group] + firsts[group]]
+        # A range's rows are one entity's, gathered in (frame, row) order, so
+        # the stable lexsort by (range, descending score) gives ``rank``'s order.
         picked = np.asarray(scores, dtype=np.float64)[rows]
-        order = np.lexsort((self.entities[rows], self.frames[rows], -picked, group))
+        order = np.lexsort((-picked, group))
         # Sorting by range first keeps each range's rows together and in place.
         place = np.arange(len(rows)) - offsets[group]
         return rows[order][place < k].tolist()

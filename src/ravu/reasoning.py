@@ -18,7 +18,7 @@ from importlib import resources
 from . import backends
 from .backends import generate_with_retries, make_bundle
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
-from .graph_model import EntityEvent, SpatioTemporalGraph, entity_timeline
+from .graph_model import EntityEvent, SpatioTemporalGraph, entity_descriptions, entity_timeline
 from .index import EmbeddingIndex, rerank
 from .plan import FRAME_PRODUCING, ReasoningPlan, Ref, parse_plan
 
@@ -161,16 +161,23 @@ def _needed_words(query: str) -> set[str]:
     return {_norm_word(w) for w in backends.content_words(query)}
 
 
-def _has_words(needed: set[str], text: str) -> bool:
+def _has_words(needed: set[str], text: str, word_sets: dict[str, set[str]] | None = None) -> bool:
     """Every needed word is a word of the text (plural-insensitive); none are needed means no match.
 
     A text lacking a needed word as a substring is skipped untokenised:
     ``_norm_word(x) == n`` implies that ``n`` is a substring of ``x``.
+    ``word_sets``, when given, is a memo of normalised word sets by text: a
+    text found there is not tokenised again, and one tokenised here is added.
     """
-    lower = text.lower()
-    if not needed or not all(w in lower for w in needed):
-        return False
-    return needed <= {_norm_word(w) for w in backends.words(lower)}
+    have = None if word_sets is None else word_sets.get(text)
+    if have is None:
+        lower = text.lower()
+        if not needed or not all(w in lower for w in needed):
+            return False
+        have = {_norm_word(w) for w in backends.words(lower)}
+        if word_sets is not None:
+            word_sets[text] = have
+    return bool(needed) and needed <= have
 
 
 def fn_count_nodes(
@@ -178,15 +185,19 @@ def fn_count_nodes(
 ) -> int:
     """Distinct entities with any node description matching the query.
 
-    Each distinct description of an entity is matched once.
+    Reads the graph's description table: an entity whose joined
+    descriptions lack a needed word as a substring is skipped, and the
+    others' distinct descriptions are matched with the table's word-set
+    memo, so each is tokenised at most once per graph.
     """
     node_words = _needed_words(node_query)
     event_words = _needed_words(event_condition) if event_condition else None
+    table = entity_descriptions(graph)
     count = 0
-    for entity_id in graph.entity_ids():
-        nodes = entity_timeline(graph, entity_id)
-        descriptions = dict.fromkeys(n.description or "" for n in nodes)
-        if not any(_has_words(node_words, d) for d in descriptions):
+    for entity_id, (texts, joined) in table.entities.items():
+        if not all(w in joined for w in node_words):
+            continue
+        if not any(_has_words(node_words, d, table.word_sets) for d in texts):
             continue
         if event_words is not None:
             events = graph.events.get(entity_id, [])

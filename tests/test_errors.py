@@ -160,6 +160,13 @@ MALFORMED_DOCUMENTS = [
     ("embeddings-index", "\n[]", 2),
     ("embeddings-index", "{oops", 1),
     ("embeddings-index", ROW.replace('"frame_index": 0', '"frame_index": null'), 1),
+    # json reads Infinity and 1e400 as float infinity, which int() cannot convert.
+    ("observations", FRAME + "\n" + FRAME.replace('"frame_index": 0', '"frame_index": Infinity'), 2),
+    ("tracklets", tracks({"track_id": float("inf"), "boxes": {"0": [0, 0, 1, 1]}}), None),
+    ("graph", graph(nodes=[{**NODE, "frame_index": 0.5}]).replace("0.5", "1e400"), None),
+    ("mcq", MCQ.replace('"answer_index": 0', '"answer_index": -Infinity'), 1),
+    ("loc", LOC.replace("[0]", "[Infinity]"), 1),
+    ("embeddings-index", ROW.replace('"row": 0', '"row": 1e400'), 1),
 ]
 
 

@@ -194,6 +194,34 @@ def test_hierarchical_retrieve_matches_the_sorted_reference(drawn, q, spans, per
     assert got_backend.payloads == want_backend.payloads
 
 
+@pytest.mark.parametrize("n_vectors", [3, 130])
+def test_rank_ranges_matches_the_sorted_reference_over_long_tied_runs(n_vectors):
+    # Two entities over 64 frames whose rows share ``n_vectors`` vectors, so with three
+    # vectors every range holds long runs of exact ties; entity 1's rows come in descending
+    # frame order, and the last two rows repeat keys of earlier ones.
+    n = 130
+    entities = [0] * 64 + [1] * 64 + [0, 1]
+    frames = [*range(64), *range(63, -1, -1), 7, 7]
+    rng = np.random.default_rng(n_vectors)
+    vectors = np.round(rng.standard_normal((n_vectors, 3)), 1)
+    columns = EmbeddingColumns(
+        vectors, np.array([(r * 7) % n_vectors for r in range(n)], dtype=np.intp),
+        np.array(entities), np.array(frames), [""] * n,
+    )
+    index, records = EmbeddingIndex(columns), list(columns)
+    scores = index.scores(np.array([1.0, 0.5, 0.0]))
+    ranges = [(0, 0, 63), (1, 5, 40), (0, 7, 7), (2, 0, 9), (1, 0, 63), (0, 30, 10), (0, 0, 63)]
+    for k in (0, 1, 3, 20, 200):
+        want = [
+            row
+            for entity_id, start, end in ranges
+            for row in sorted_rank(
+                records, scores, [r for r in range(n) if entities[r] == entity_id and start <= frames[r] <= end], k
+            )
+        ]
+        assert index.rank_ranges(scores, ranges, k) == want
+
+
 def test_index_keeps_columns_and_gives_back_equal_records():
     records = [rec(3, 1, [1, 2]), rec(0, 5, [0, 0]), rec(3, 0, [2, -1])]
     index = EmbeddingIndex(records)

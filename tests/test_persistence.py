@@ -281,6 +281,50 @@ def test_read_embeddings_checks_the_dimension_only_when_asked(saved):
     assert exc.value.field == "dim"
 
 
+OUTSIDE_INT64 = ["99999999999999999999", "-99999999999999999999"]  # 20 digits: more than int64 holds
+NOT_AN_INT = ["Infinity", "-Infinity", "1e400", "NaN"]  # json reads the first three as float infinity
+PLACEHOLDER = 424242424  # written in place of the bad value, then replaced by its spelling
+
+
+def spell_row(render, entries, i, field, spelling):
+    return render(break_row(entries, i, **{field: PLACEHOLDER})).replace(str(PLACEHOLDER), spelling)
+
+
+@pytest.mark.parametrize("field", ["entity_id", "frame_index"])
+@pytest.mark.parametrize("spelling", OUTSIDE_INT64 + NOT_AN_INT)
+@pytest.mark.parametrize("with_graph", [False, True], ids=["no graph", "graph holds the id"])
+@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)],
+                         ids=["canonical", "json"])
+def test_read_embeddings_reports_an_id_outside_int64_with_its_line(saved, field, spelling, with_graph, render):
+    graph, bin_path, idx_path, entries = saved
+    idx_path.write_text(spell_row(render, entries, 2, field, spelling))
+    if with_graph:
+        # The row's graph node holds the same id, so the graph-membership check lets the row through.
+        key = (entries[2]["entity_id"], entries[2]["frame_index"])
+        setattr(next(n for n in graph.nodes if (n.entity_id, n.frame_index) == key), field, json.loads(spelling))
+    message = f"{field} {spelling} does not fit in int64" if spelling in OUTSIDE_INT64 else "malformed index row"
+    with pytest.raises(ParseError, match=message) as exc:
+        read_embeddings(bin_path, idx_path, graph if with_graph else None)
+    assert (exc.value.line, exc.value.field) == (3, field)
+
+
+@pytest.mark.parametrize("spelling", NOT_AN_INT)
+def test_read_embeddings_reports_a_row_number_that_is_not_an_int_with_its_line(saved, spelling):
+    graph, bin_path, idx_path, entries = saved
+    idx_path.write_text(spell_row(canonical, entries, 4, "row", spelling))
+    with pytest.raises(ParseError, match="malformed index row") as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    assert (exc.value.line, exc.value.field) == (5, "row")
+
+
+def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
+    graph, bin_path, idx_path, entries = saved
+    low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    idx_path.write_text(canonical(break_row(break_row(entries, 0, entity_id=low), 5, frame_index=high)))
+    columns = read_embeddings(bin_path, idx_path)
+    assert (columns.entities[0], columns.frames[5]) == (low, high)
+
+
 # ---------------------------------------------------------------------------
 # Loaded columns go to the index as they are.
 

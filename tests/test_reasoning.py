@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ravu.backends import MockBackend, content_words, words
 from ravu.errors import BlockedContent, NotFound
+from ravu.evaluate import build_video
 from ravu.graph_builder import embed_graph
 from ravu.graph_model import (
     BoundingBox,
@@ -14,6 +15,7 @@ from ravu.graph_model import (
     EntityNode,
     FrameRecord,
     SpatioTemporalGraph,
+    entity_descriptions,
 )
 from ravu.index import EmbeddingIndex
 from ravu.plan import parse_plan
@@ -32,6 +34,7 @@ from ravu.reasoning import (
     temporal_thirds,
     uniform_sample,
 )
+from ravu.synth import synth_world
 
 
 def test_uniform_sample_canonical_positions():
@@ -145,10 +148,12 @@ def oracle_count_nodes(graph, node_query, event_condition=None):
 
 
 # Plurals, words ending in "ss", words of three letters or fewer, stopwords,
-# a word inside another ("cat" in "cats", "scatter") and mixed case.
+# a word inside another ("cat" in "cats", "scatter"; "man" in "woman",
+# "mans") and mixed case.
 COUNT_WORDS = [
     "boy", "boys", "Boys", "glass", "glasses", "bus", "buses", "cat", "cats", "scatter",
     "ss", "is", "as", "gas", "the", "a", "of", "red", "RED", "running", "runs", "dogs!", "dog,",
+    "man", "mans", "woman", "Women",
 ]
 count_text = st.lists(st.sampled_from(COUNT_WORDS), max_size=5).map(" ".join)
 
@@ -156,12 +161,9 @@ count_text = st.lists(st.sampled_from(COUNT_WORDS), max_size=5).map(" ".join)
 @given(
     descriptions=st.lists(st.lists(count_text, min_size=1, max_size=3), min_size=1, max_size=4),
     summaries=st.lists(st.lists(count_text, max_size=2), min_size=1, max_size=4),
-    node_query=count_text,
-    event_condition=st.one_of(st.none(), count_text),
+    queries=st.lists(st.tuples(count_text, st.one_of(st.none(), count_text)), min_size=1, max_size=4),
 )
-def test_count_nodes_matches_the_per_description_reference(
-    descriptions, summaries, node_query, event_condition
-):
+def test_count_nodes_matches_the_per_description_reference(descriptions, summaries, queries):
     nodes, events = [], {}
     for entity_id, texts in enumerate(descriptions):
         for frame, text in enumerate(texts):
@@ -169,9 +171,62 @@ def test_count_nodes_matches_the_per_description_reference(
         evs = summaries[entity_id % len(summaries)]
         events[entity_id] = [EntityEvent(entity_id, i, i, summary) for i, summary in enumerate(evs)]
     graph = SpatioTemporalGraph(nodes=nodes, events=events)
-    assert fn_count_nodes(graph, node_query, event_condition) == oracle_count_nodes(
-        graph, node_query, event_condition
-    )
+    # Every query after the first reads the word sets the earlier ones memoised.
+    for node_query, event_condition in [*queries, ("man", None), ("mans", "man"), *queries]:
+        assert fn_count_nodes(graph, node_query, event_condition) == oracle_count_nodes(
+            graph, node_query, event_condition
+        )
+
+
+def test_count_nodes_tells_a_word_from_a_substring():
+    texts = ["woman", "mans", "a man", "Women running"]
+    nodes = [EntityNode(e, 0, {}, BoundingBox(0, 0, 1, 1), text) for e, text in enumerate(texts)]
+    events = {e: [EntityEvent(e, 0, 0, "running" if e % 2 else "sitting")] for e in range(len(texts))}
+    graph = SpatioTemporalGraph(nodes=nodes, events=events)
+    # "mans" normalises to "man"; "woman" and "women" hold "man" and "men" only as substrings.
+    assert [fn_count_nodes(graph, q) for q in ("man", "mans", "woman", "women", "men")] == [2, 2, 1, 1, 0]
+    assert fn_count_nodes(graph, "man", "running") == 1
+    assert fn_count_nodes(graph, "man", "sitting") == 1
+    assert fn_count_nodes(graph, "man", "runs") == 0
+    assert set(entity_descriptions(graph).word_sets) == {"woman", "mans", "a man", "Women running"}
+
+
+def per_node_count(graph, node_query, event_condition=None):
+    """Entities with a matching node, found by testing every node's description."""
+    matched = {n.entity_id for n in graph.nodes if oracle_matches(node_query, n.description or "")}
+    if event_condition:
+        matched = {
+            e for e in matched
+            if any(oracle_matches(event_condition, ev.summary) for ev in graph.events.get(e, []))
+        }
+    return len(matched)
+
+
+def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
+    world = synth_world(3, 60, 4)
+    # build_video makes the graph's lookup before build_graph assigns the descriptions.
+    graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+    vocabulary = sorted({w for n in graph.nodes for w in content_words(n.description or "")})
+    queries = [*vocabulary, *(w + "s" for w in vocabulary), "man", "golden girls", "entity"]
+    counts = [fn_count_nodes(graph, q) for q in queries]
+    assert counts == [per_node_count(graph, q) for q in queries]
+    assert 0 < counts[vocabulary.index("girl")] < len(graph.entity_ids())
+    for q in ("girl", "boy", "woman"):
+        for condition in ("digging", "running up the stairs", "swimming"):
+            assert fn_count_nodes(graph, q, condition) == per_node_count(graph, q, condition)
+
+
+def test_reassigning_nodes_or_edges_drops_the_description_table():
+    graph, _ = make_graph(MockBackend())
+    table = entity_descriptions(graph)
+    assert entity_descriptions(graph) is table
+    assert fn_count_nodes(graph, "yak") == 0
+    graph.nodes = [dataclasses.replace(n, description="a purple yak") for n in graph.nodes]
+    assert entity_descriptions(graph) is not table
+    assert fn_count_nodes(graph, "yak") == len(graph.entity_ids())
+    table = entity_descriptions(graph)
+    graph.edges = list(graph.edges)
+    assert entity_descriptions(graph) is not table
 
 
 def test_identify_node_reranks_first_descriptions(backend):
