@@ -161,7 +161,7 @@ def events(ctx, graph_path, entity):
 @click.option("--option", "options", multiple=True,
               help="Answer options; repeat for each. Omit to only retrieve frames.")
 @click.option("--category", default="temporal", type=click.Choice(CATEGORIES))
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=click.IntRange(min=1), default=None)
 @click.pass_context
 def ask(ctx, graph_path, emb_path, question, options, category, budget):
     """Answer a question (or just retrieve frames) over one built video."""

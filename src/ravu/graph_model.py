@@ -8,12 +8,13 @@ contiguous behavioral segments.
 
 Graphs are immutable by convention after construction and safe for
 concurrent reads; no mutation API is provided beyond building the fields.
-The lookups (``nodes_in_frame``, ``entity_ids``, ``entity_timeline`` and
-``node_edges``) read tables built from ``nodes`` and ``edges`` on first use.
-``entity_descriptions`` reads a table of each entity's distinct node
-descriptions, built at its own first use (the first count question), so
-node descriptions must be final by then. Assigning either list drops those
-tables; mutating a list in place after the first lookup is not supported.
+The lookups (``nodes_in_frame``, ``entity_ids`` and ``entity_timeline``)
+read tables built from ``nodes`` on first use. ``node_edges`` reads a table
+of ``edges`` built at its own first use, and ``entity_descriptions`` a
+table of each entity's distinct node descriptions, built at its own first
+use (the first count question), so node descriptions must be final by
+then. Assigning either list drops those tables; mutating a list in place
+after the first lookup is not supported.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from math import inf
 from operator import attrgetter, itemgetter
 
 from .errors import MALFORMED, NotFound, ParseError, json_object
@@ -30,7 +32,7 @@ REQUIRED_ATTRIBUTES = ("appearance", "action", "body_pose")
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box in frame pixel coordinates, xyxy."""
+    """Axis-aligned box in frame pixel coordinates, xyxy; valid when finite, non-negative and non-empty."""
 
     x_min: float
     y_min: float
@@ -41,12 +43,7 @@ class BoundingBox:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
     def is_valid(self) -> bool:
-        return (
-            self.x_min >= 0
-            and self.y_min >= 0
-            and self.x_min < self.x_max
-            and self.y_min < self.y_max
-        )
+        return 0 <= self.x_min < self.x_max < inf and 0 <= self.y_min < self.y_max < inf
 
 
 @dataclass
@@ -120,34 +117,40 @@ class _Lookup:
     """Tables derived from a graph's nodes and edges, built in one pass each.
 
     ``by_frame``: nodes per frame, sorted by entity. ``timeline``: nodes per
-    entity (keys in entity order), sorted by frame. ``edges_at``: edges per
-    node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is
-    listed once. Sorts are stable, so ties keep node-list order.
+    entity (keys in entity order), sorted by frame. Sorts are stable, so
+    ties keep node-list order.
 
-    ``descriptions`` is built from ``timeline`` at its first use, not here:
-    ``build_graph`` makes the lookup before it assigns node descriptions.
+    ``edges_at`` and ``descriptions`` are built at their first use, not
+    here. No question reads ``edges_at``, and ``build_graph`` makes the
+    lookup before it assigns node descriptions.
     """
 
     def __init__(self, nodes: list[EntityNode], edges: list[RelationEdge]):
         by_frame: dict[int, list[EntityNode]] = {}
         timeline: dict[int, list[EntityNode]] = {}
-        edges_at: dict[tuple[int, int], list[RelationEdge]] = {}
         for n in nodes:
             by_frame.setdefault(n.frame_index, []).append(n)
             timeline.setdefault(n.entity_id, []).append(n)
-            edges_at[(n.entity_id, n.frame_index)] = []
         for out in by_frame.values():
             out.sort(key=lambda n: n.entity_id)
         for out in timeline.values():
             out.sort(key=lambda n: n.frame_index)
-        for e in edges:
+        self.by_frame = by_frame
+        self.timeline = dict(sorted(timeline.items()))
+        self._edges = edges
+
+    @cached_property
+    def edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
+        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once."""
+        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
+            (n.entity_id, n.frame_index): [] for nodes in self.by_frame.values() for n in nodes
+        }
+        for e in self._edges:
             for entity_id in {e.subject_id, e.object_id}:
                 bucket = edges_at.get((entity_id, e.frame_index))
                 if bucket is not None:
                     bucket.append(e)
-        self.by_frame = by_frame
-        self.timeline = dict(sorted(timeline.items()))
-        self.edges_at = edges_at
+        return edges_at
 
     @cached_property
     def descriptions(self) -> DescriptionTable:
@@ -419,9 +422,12 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
     """
     if isinstance(raw, list) and len(raw) == 4:
         x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
-        if 0 <= x_min < x_max and 0 <= y_min < y_max:
+        # A NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
+        if 0 <= x_min < x_max < inf and 0 <= y_min < y_max < inf:
             return _frozen(BoundingBox, {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max})
-    raise ValueError(f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1")
+    raise ValueError(
+        f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1, all finite"
+    )
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:

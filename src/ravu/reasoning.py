@@ -428,6 +428,11 @@ def breakdown(
 
 _SELECTION_SPLIT_RE = re.compile(r"[,\s]+")
 
+# The selector sees at most this many candidates per frame it may pick, so
+# its prompt stops growing with the number of events. Ten keeps whole every
+# pool of the 24-frame acceptance corpus (at most 42 candidates at top 5).
+CANDIDATES_PER_PICK = 10
+
 
 def hierarchical_retrieve(
     question: str,
@@ -440,9 +445,10 @@ def hierarchical_retrieve(
     """Two-stage retrieval for whole-video questions.
 
     Stage 1 keeps the ``per_event`` best node descriptions of every entity
-    event by cosine similarity against the question. Stage 2 asks the
-    backend to pick the ``top`` most relevant from the pooled candidates;
-    on failure the pool is truncated by score instead (flagged).
+    event by cosine similarity against the question, and of those pooled
+    candidates the ``CANDIDATES_PER_PICK * top`` best. Stage 2 asks the
+    backend to pick the ``top`` most relevant of them; on failure the pool
+    is truncated by score instead (flagged).
 
     Returns (frames, fallback).
     """
@@ -459,7 +465,7 @@ def hierarchical_retrieve(
     pool = index.rank_ranges(scores, ranges, per_event)
     if not pool:
         return [], False
-    pool = index.rank(scores, pool, len(pool))
+    pool = index.rank(scores, pool, CANDIDATES_PER_PICK * top)
 
     descriptions = [index.descriptions[r] for r in pool]
     bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))

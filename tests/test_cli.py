@@ -222,6 +222,16 @@ def test_ask_with_another_embedding_dimension_is_clean(built, category):
     assert_clean_error(result, f"{emb}: vectors have dimension 256, expected 64")
 
 
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_ask_rejects_a_budget_below_one(built, budget):
+    graph, emb = built
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(graph), "--embeddings", str(emb), "--question", "Who runs?",
+               "--category", "global", "--budget", budget]
+    )
+    assert result.exit_code == 2 and "Invalid value for '--budget'" in result.output
+
+
 def test_ask_without_embeddings_index_is_clean(built, tmp_path):
     graph, emb = built
     alone = tmp_path / "f.bin"

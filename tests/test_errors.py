@@ -167,6 +167,10 @@ MALFORMED_DOCUMENTS = [
     ("mcq", MCQ.replace('"answer_index": 0', '"answer_index": -Infinity'), 1),
     ("loc", LOC.replace("[0]", "[Infinity]"), 1),
     ("embeddings-index", ROW.replace('"row": 0', '"row": 1e400'), 1),
+    # A box must be finite: 0 <= x0 < x1 alone holds for an infinite x1.
+    ("observations", second_frame(entities=[entity(box=[0, 0, float("inf"), 1])]), 2),
+    ("tracklets", tracks({"track_id": 0, "boxes": {"0": [0, 0, 1, float("inf")]}}), None),
+    ("graph", graph(nodes=[{**NODE, "box": [0, 0, 0.5, 1]}]).replace("0.5", "1e400"), None),
 ]
 
 

@@ -48,6 +48,8 @@ def test_bounding_box_validity():
     assert not BoundingBox(5, 0, 5, 10).is_valid()  # zero width
     assert not BoundingBox(-1, 0, 4, 10).is_valid()  # negative origin
     assert not BoundingBox(4, 10, 1, 2).is_valid()  # inverted
+    assert not BoundingBox(0, 0, float("inf"), 1).is_valid()  # unbounded
+    assert not BoundingBox(0, float("nan"), 1, 1).is_valid()
 
 
 def test_valid_graph_has_no_violations():
@@ -212,6 +214,23 @@ def test_lookups_iterate_graph_lists_a_constant_number_of_times():
     assert max(large) <= 2
 
 
+def test_lookups_without_node_edges_build_no_edge_table():
+    nodes = make_nodes((entity_id, frame) for frame in range(4) for entity_id in range(3))
+    g = SpatioTemporalGraph(nodes=nodes, edges=CountingList(make_edges((f, 0, "near", 1) for f in range(4))))
+    g.nodes_in_frame(2)
+    entity_timeline(g, 1)
+    assert "edges_at" not in vars(g._lookup)
+    assert g.edges.iterations == 0
+
+
+def test_node_edges_reads_the_reassigned_edge_list():
+    g = SpatioTemporalGraph(nodes=make_nodes([(0, 0), (1, 0)]), edges=make_edges([(0, 0, "near", 1)]))
+    assert [e.relation for e in node_edges(g, 1, 0)] == ["near"]
+    g.edges = make_edges([(0, 1, "holding", 0), (0, 0, "near", 0)])
+    assert [e.relation for e in node_edges(g, 1, 0)] == ["holding"]
+    assert [e.relation for e in node_edges(g, 0, 0)] == ["holding", "near"]
+
+
 def test_serialize_round_trip():
     g = small_graph()
     text = serialize(g)
@@ -274,6 +293,14 @@ def test_frozen_constructor_builds_what_the_dataclass_builds(cls, fields):
     changed = dataclasses.replace(made, **{name: fields[name] * 2})
     assert changed == cls(**{**fields, name: fields[name] * 2}) and made == built
     assert dataclasses.astuple(made) == dataclasses.astuple(built)
+
+
+@pytest.mark.parametrize(
+    "raw", [[0, 0, float("inf"), 1], [0, 0, 1, float("inf")], [0, float("-inf"), 1, 1], [0, 0, float("nan"), 1]]
+)
+def test_parse_box_rejects_a_coordinate_that_is_not_finite(raw):
+    with pytest.raises(ValueError, match="all finite"):
+        parse_box(raw, "box")
 
 
 def test_parsed_boxes_and_reloaded_edges_equal_dataclass_built_ones():

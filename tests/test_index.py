@@ -75,7 +75,8 @@ def test_top_k_matches_full_sort(n, k, seed):
 
 
 # The reference implementations: Python's stable ``sorted`` over every row,
-# and hierarchical retrieval that rescans an entity's rows for every event.
+# and hierarchical retrieval that rescans an entity's rows for every event
+# and shows the selector the ``10 * top`` best of the pool.
 
 
 def sorted_rank(records, scores, rows, k):
@@ -107,7 +108,7 @@ def sorted_hierarchical_retrieve(question, graph, records, backend, per_event, t
             pool.extend(sorted_rank(records, scores, in_event, per_event))
     if not pool:
         return [], False
-    pool = sorted_rank(records, scores, pool, len(pool))
+    pool = sorted_rank(records, scores, pool, 10 * top)
     descriptions = [records[r].description for r in pool]
     bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))
     fallback = False
@@ -178,10 +179,32 @@ events = st.dictionaries(
 )
 
 
-@given(rows, vectors, events, st.integers(0, 4), st.integers(1, 6),
-       st.sampled_from(["0", "2, 0", "1 3 40", "none"]))
+replies = st.sampled_from(["0", "2, 0", "1 3 40", "none"])
+
+
+@given(rows, vectors, events, st.integers(0, 4), st.integers(1, 6), replies)
 @settings(max_examples=200, deadline=None)
 def test_hierarchical_retrieve_matches_the_sorted_reference(drawn, q, spans, per_event, top, reply):
+    check_hierarchical_retrieve(drawn, q, spans, per_event, top, reply)
+
+
+# Many rows and events with short spans, so most pools exceed ``10 * top``.
+many_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), vectors), min_size=40, max_size=90)
+many_events = st.dictionaries(
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)).map(lambda t: (t[0], t[0] + t[1])),
+             min_size=3, max_size=6),
+    min_size=3,
+)
+
+
+@given(many_rows, vectors, many_events, st.integers(2, 4), st.integers(1, 2), replies)
+@settings(max_examples=100, deadline=None)
+def test_hierarchical_retrieve_caps_the_pool_like_the_sorted_reference(drawn, q, spans, per_event, top, reply):
+    check_hierarchical_retrieve(drawn, q, spans, per_event, top, reply)
+
+
+def check_hierarchical_retrieve(drawn, q, spans, per_event, top, reply):
     records, index = index_of(drawn)
     q = np.asarray(q, dtype=np.float64)
     graph = SpatioTemporalGraph(events={
@@ -192,6 +215,29 @@ def test_hierarchical_retrieve_matches_the_sorted_reference(drawn, q, spans, per
     want = sorted_hierarchical_retrieve("q", graph, records, want_backend, per_event, top)
     assert got == want
     assert got_backend.payloads == want_backend.payloads
+
+
+@pytest.mark.parametrize("reply, fallback", [("49, 0, 7", False), ("none", True)])
+def test_hierarchical_retrieve_shows_the_selector_the_ten_per_pick_best(reply, fallback):
+    # One entity with 40 four-frame events: at per_event 3 the pool holds 120
+    # rows, of which the selector sees the 50 best for a budget of 5.
+    rng = np.random.default_rng(7)
+    records = [rec(0, f, rng.standard_normal(4)) for f in range(160)]
+    index = EmbeddingIndex(records)
+    graph = SpatioTemporalGraph(events={0: [EntityEvent(0, f, f + 3, "") for f in range(0, 160, 4)]})
+    q = rng.standard_normal(4)
+    scores = accel.cosine_scores(np.stack([r.vector for r in records]), q)
+    pool = [r for f in range(0, 160, 4) for r in sorted_rank(records, scores, range(f, f + 4), 3)]
+    best = sorted_rank(records, scores, pool, 50)
+    assert len(pool) == 120 and len(best) == 50
+
+    backend = Selecting(q, reply)
+    frames, fell_back = hierarchical_retrieve("q", graph, index, backend, per_event=3, top=5)
+    assert backend.payloads == [
+        backends.event_select_payload("q", [records[r].description for r in best], 5)
+    ]
+    chosen = [0, 1, 2, 3, 4] if fallback else [49, 0, 7]
+    assert (frames, fell_back) == (sorted(records[best[c]].frame_index for c in chosen), fallback)
 
 
 @pytest.mark.parametrize("n_vectors", [3, 130])
