@@ -13,8 +13,9 @@ read tables built from ``nodes`` on first use. ``node_edges`` reads a table
 of ``edges`` built at its own first use, and ``entity_descriptions`` a
 table of each entity's distinct node descriptions, built at its own first
 use (the first count question), so node descriptions must be final by
-then. Assigning either list drops those tables; mutating a list in place
-after the first lookup is not supported.
+then. Assigning ``nodes`` drops every table; assigning ``edges`` drops only
+the edge table, so ``build_graph`` reads one node table per build.
+Mutating a list in place after the first lookup is not supported.
 """
 
 from __future__ import annotations
@@ -94,13 +95,32 @@ class SpatioTemporalGraph:
     fps: float = 1.0
 
     def __setattr__(self, name, value):
-        if name in ("nodes", "edges"):
+        if name == "nodes":
             self.__dict__.pop("_lookup", None)
+        if name in ("nodes", "edges"):
+            self.__dict__.pop("_edges_at", None)
         super().__setattr__(name, value)
 
     @cached_property
     def _lookup(self) -> _Lookup:
-        return _Lookup(self.nodes, self.edges)
+        return _Lookup(self.nodes)
+
+    @cached_property
+    def _edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
+        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once.
+
+        Built at the first ``node_edges``, not with the node tables: no
+        question reads it.
+        """
+        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
+            (n.entity_id, n.frame_index): [] for nodes in self._lookup.by_frame.values() for n in nodes
+        }
+        for e in self.edges:
+            for entity_id in {e.subject_id, e.object_id}:
+                bucket = edges_at.get((entity_id, e.frame_index))
+                if bucket is not None:
+                    bucket.append(e)
+        return edges_at
 
     @property
     def num_frames(self) -> int:
@@ -114,18 +134,17 @@ class SpatioTemporalGraph:
 
 
 class _Lookup:
-    """Tables derived from a graph's nodes and edges, built in one pass each.
+    """Tables derived from a graph's nodes, built in one pass.
 
     ``by_frame``: nodes per frame, sorted by entity. ``timeline``: nodes per
     entity (keys in entity order), sorted by frame. Sorts are stable, so
     ties keep node-list order.
 
-    ``edges_at`` and ``descriptions`` are built at their first use, not
-    here. No question reads ``edges_at``, and ``build_graph`` makes the
-    lookup before it assigns node descriptions.
+    ``descriptions`` is built at its first use, not here: ``build_graph``
+    makes the lookup before it assigns node descriptions.
     """
 
-    def __init__(self, nodes: list[EntityNode], edges: list[RelationEdge]):
+    def __init__(self, nodes: list[EntityNode]):
         by_frame: dict[int, list[EntityNode]] = {}
         timeline: dict[int, list[EntityNode]] = {}
         for n in nodes:
@@ -137,20 +156,6 @@ class _Lookup:
             out.sort(key=lambda n: n.frame_index)
         self.by_frame = by_frame
         self.timeline = dict(sorted(timeline.items()))
-        self._edges = edges
-
-    @cached_property
-    def edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
-        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once."""
-        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
-            (n.entity_id, n.frame_index): [] for nodes in self.by_frame.values() for n in nodes
-        }
-        for e in self._edges:
-            for entity_id in {e.subject_id, e.object_id}:
-                bucket = edges_at.get((entity_id, e.frame_index))
-                if bucket is not None:
-                    bucket.append(e)
-        return edges_at
 
     @cached_property
     def descriptions(self) -> DescriptionTable:
@@ -268,7 +273,7 @@ def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityNo
 
 def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> list[RelationEdge]:
     """Edges of the given frame that touch the given entity."""
-    edges = graph._lookup.edges_at.get((entity_id, frame_index))
+    edges = graph._edges_at.get((entity_id, frame_index))
     if edges is None:
         raise NotFound(f"no node for entity {entity_id} in frame {frame_index}")
     return list(edges)

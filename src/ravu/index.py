@@ -19,6 +19,14 @@ best score, and a sort of that short list. Rows that share a vector get
 the very same score, so they are exact ties. An entity's frame range is
 two binary searches in the entity's slice.
 
+A whole-video question ranks the rows of every entity event at once
+(``rank_ranges``): it gathers each event's rows, ranks the distinct
+vectors' scores (equal scores sharing a rank), and sorts the rows once,
+stably, by one small integer key, range position times the number of
+vectors plus the row's rank. On a 600-frame video that sorts ~650 vector
+scores and then ~4,800 small integers instead of ~4,800 row scores. This
+needs one score per distinct vector, as ``scores`` gives, and is checked.
+
 The vectors are not stored unit-normalised: dividing each vector by its
 norm before the dot product rounds differently from dividing the dot
 product, which can move a score by one ulp across the 1e-9 quantisation
@@ -122,6 +130,8 @@ class EmbeddingIndex:
         embeddings. Only the rows scoring at least the k-th best score are
         sorted, so rows tied at the cut are ordered like the rest.
         """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         rows = np.asarray(rows, dtype=np.intp)
         picked = np.asarray(scores, dtype=np.float64)[rows]
         if 0 < k < len(rows):
@@ -139,28 +149,57 @@ class EmbeddingIndex:
         A range ``(entity_id, start_frame, end_frame)`` holds the entity's rows
         with ``start_frame <= frame_index <= end_frame``; a row in two ranges
         is listed for each. Ties on all of ``rank``'s keys keep row order.
+
+        ``scores`` must give rows that share a vector the same score, as
+        ``scores()`` does (NaN equals NaN); otherwise this raises
+        ``ValueError``. The rows are sorted once, stably, by one integer key:
+        the range's position times the number of distinct vectors, plus the
+        rank of the row's score among the distinct vectors' scores (16-bit
+        when that product fits, else ``intp``).
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        frames = self._entity_frames
-        bounds = []
+        if not len(self):
+            return []
+        rank_of, width = self._score_ranks(scores)
+        frames, entity_slice = self._entity_frames, self._entity_slice.get
+        firsts, lasts = [], []
         for entity_id, start_frame, end_frame in ranges:
-            lo, hi = self._entity_slice.get(entity_id, (0, 0))
-            bounds.append(
-                (bisect_left(frames, start_frame, lo, hi), bisect_right(frames, end_frame, lo, hi))
-            )
-        firsts, lasts = np.array(bounds, dtype=np.intp).reshape(-1, 2).T
-        sizes = np.maximum(lasts - firsts, 0)
-        offsets = np.cumsum(sizes) - sizes
-        group = np.repeat(np.arange(len(ranges)), sizes)
-        rows = self._by_entity[np.arange(sizes.sum()) - offsets[group] + firsts[group]]
-        # A range's rows are one entity's, gathered in (frame, row) order, so
-        # the stable lexsort by (range, descending score) gives ``rank``'s order.
-        picked = np.asarray(scores, dtype=np.float64)[rows]
-        order = np.lexsort((-picked, group))
-        # Sorting by range first keeps each range's rows together and in place.
-        place = np.arange(len(rows)) - offsets[group]
-        return rows[order][place < k].tolist()
+            lo, hi = entity_slice(entity_id, (0, 0))
+            firsts.append(bisect_left(frames, start_frame, lo, hi))
+            lasts.append(bisect_right(frames, end_frame, lo, hi))
+        firsts = np.array(firsts, dtype=np.intp)
+        sizes = np.maximum(np.array(lasts, dtype=np.intp) - firsts, 0)
+        starts = np.cumsum(sizes) - sizes
+        # Each gathered row's place in its range, and the row.
+        place = np.arange(sizes.sum()) - starts.repeat(sizes)
+        rows = self._by_entity[place + firsts.repeat(sizes)]
+        # A range's rows are one entity's, gathered in (frame, row) order, so a
+        # stable sort by (range, score rank) gives ``rank``'s order and keeps
+        # each range's rows together and in place.
+        dtype = np.uint16 if len(ranges) * width < 1 << 16 else np.intp
+        key = rank_of.astype(dtype)[self.vector_of[rows]]
+        key += np.arange(0, len(ranges) * width, width, dtype=dtype).repeat(sizes)
+        order = key.argsort(kind="stable")
+        return rows[order[place < k]].tolist()
+
+    def _score_ranks(self, scores: np.ndarray) -> tuple[np.ndarray, int]:
+        """A rank per distinct vector by descending score, and the number of vectors.
+
+        A vector's rank is the number of vectors scoring above it, so equal
+        scores share a rank and NaN ranks last, as a float sort orders them.
+        Raises ``ValueError`` if two rows that share a vector have different
+        scores (NaN equals NaN).
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        by_vector = np.zeros(len(self.vectors))
+        by_vector[self.vector_of] = scores
+        given = by_vector[self.vector_of]
+        differ = given != scores
+        if np.count_nonzero(differ) and not (np.isnan(given[differ]) & np.isnan(scores[differ])).all():
+            raise ValueError("rows that share a vector must have equal scores")
+        descending = -by_vector
+        return np.sort(descending).searchsorted(descending), len(by_vector)
 
     def top_k(self, query_vector: np.ndarray, k: int) -> list[Candidate]:
         """Exactly min(k, n) candidates by descending cosine similarity.

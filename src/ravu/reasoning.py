@@ -450,8 +450,11 @@ def hierarchical_retrieve(
     backend to pick the ``top`` most relevant of them; on failure the pool
     is truncated by score instead (flagged).
 
-    Returns (frames, fallback).
+    Returns (frames, fallback). Raises ``ValueError`` if ``per_event`` or
+    ``top`` is below 1.
     """
+    if per_event < 1 or top < 1:
+        raise ValueError(f"per_event and top must be >= 1, got {per_event} and {top}")
     if not graph.events:
         raise ValueError("hierarchical retrieval requires entity events")
     qvec = backend.embed(question)

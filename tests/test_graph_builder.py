@@ -319,6 +319,21 @@ def test_build_asks_each_distinct_prompt_once():
     assert set(backend.texts) == texts and set(backend.texts.values()) == {1}
 
 
+def test_build_makes_one_node_lookup(monkeypatch):
+    made = []
+
+    class CountingLookup(graph_model._Lookup):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph_model, "_Lookup", CountingLookup)
+    world = synth_world(1, 24, 3)
+    graph = build(world, MockBackend())
+    assert len(made) == 1
+    assert graph.edges and graph.events
+
+
 def reference_build(world, backend):
     """(graph, embedding matrix) built asking the backend once per node."""
     assoc = associated(world)

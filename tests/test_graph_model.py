@@ -219,8 +219,18 @@ def test_lookups_without_node_edges_build_no_edge_table():
     g = SpatioTemporalGraph(nodes=nodes, edges=CountingList(make_edges((f, 0, "near", 1) for f in range(4))))
     g.nodes_in_frame(2)
     entity_timeline(g, 1)
-    assert "edges_at" not in vars(g._lookup)
+    assert "_edges_at" not in vars(g)
     assert g.edges.iterations == 0
+
+
+def test_assigning_edges_keeps_the_node_tables():
+    g = SpatioTemporalGraph(nodes=make_nodes([(0, 0), (1, 0)]), edges=make_edges([(0, 0, "near", 1)]))
+    lookup = g._lookup
+    node_edges(g, 0, 0)
+    g.edges = make_edges([(0, 1, "holding", 0)])
+    assert g._lookup is lookup and "_edges_at" not in vars(g)
+    g.nodes = list(g.nodes)
+    assert g._lookup is not lookup
 
 
 def test_node_edges_reads_the_reassigned_edge_list():

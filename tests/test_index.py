@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -182,7 +183,7 @@ events = st.dictionaries(
 replies = st.sampled_from(["0", "2, 0", "1 3 40", "none"])
 
 
-@given(rows, vectors, events, st.integers(0, 4), st.integers(1, 6), replies)
+@given(rows, vectors, events, st.integers(1, 4), st.integers(1, 6), replies)
 @settings(max_examples=200, deadline=None)
 def test_hierarchical_retrieve_matches_the_sorted_reference(drawn, q, spans, per_event, top, reply):
     check_hierarchical_retrieve(drawn, q, spans, per_event, top, reply)
@@ -240,32 +241,94 @@ def test_hierarchical_retrieve_shows_the_selector_the_ten_per_pick_best(reply, f
     assert (frames, fell_back) == (sorted(records[best[c]].frame_index for c in chosen), fallback)
 
 
-@pytest.mark.parametrize("n_vectors", [3, 130])
-def test_rank_ranges_matches_the_sorted_reference_over_long_tied_runs(n_vectors):
-    # Two entities over 64 frames whose rows share ``n_vectors`` vectors, so with three
-    # vectors every range holds long runs of exact ties; entity 1's rows come in descending
-    # frame order, and the last two rows repeat keys of earlier ones.
-    n = 130
-    entities = [0] * 64 + [1] * 64 + [0, 1]
-    frames = [*range(64), *range(63, -1, -1), 7, 7]
-    rng = np.random.default_rng(n_vectors)
-    vectors = np.round(rng.standard_normal((n_vectors, 3)), 1)
-    columns = EmbeddingColumns(
-        vectors, np.array([(r * 7) % n_vectors for r in range(n)], dtype=np.intp),
-        np.array(entities), np.array(frames), [""] * n,
+# Two entities over 64 frames; entity 1's rows come in descending frame order,
+# and the last two rows repeat keys of earlier ones.
+TIED_ENTITIES = [0] * 64 + [1] * 64 + [0, 1]
+TIED_FRAMES = [*range(64), *range(63, -1, -1), 7, 7]
+TIED_RANGES = [(0, 0, 63), (1, 5, 40), (0, 7, 7), (2, 0, 9), (1, 0, 63), (0, 30, 10), (0, 0, 63)]
+
+
+def tied_columns(vectors):
+    """The 130 tied rows over ``vectors``, or over that many rounded random vectors if it is an int."""
+    if isinstance(vectors, int):
+        vectors = np.round(np.random.default_rng(vectors).standard_normal((vectors, 3)), 1)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(TIED_FRAMES)
+    return EmbeddingColumns(
+        vectors, np.array([(r * 7) % len(vectors) for r in range(n)], dtype=np.intp),
+        np.array(TIED_ENTITIES), np.array(TIED_FRAMES), [""] * n,
     )
-    index, records = EmbeddingIndex(columns), list(columns)
-    scores = index.scores(np.array([1.0, 0.5, 0.0]))
-    ranges = [(0, 0, 63), (1, 5, 40), (0, 7, 7), (2, 0, 9), (1, 0, 63), (0, 30, 10), (0, 0, 63)]
+
+
+def sorted_ranges(columns, scores, ranges, k):
+    """Each range's ``k`` best rows by descending score, NaN after every number, then frame, then row."""
+    def key(r):
+        nan = math.isnan(scores[r])
+        return nan, 0.0 if nan else -scores[r], columns.frames[r]
+
+    return [
+        row
+        for entity_id, start, end in ranges
+        for row in sorted(
+            (r for r in range(len(columns)) if columns.entities[r] == entity_id and start <= columns.frames[r] <= end),
+            key=key,
+        )[:k]
+    ]
+
+
+@pytest.mark.parametrize("vectors, query, copies", [
+    # Three vectors give every range long runs of exact ties.
+    pytest.param(3, [1.0, 0.5, 0.0], 1, id="3"),
+    pytest.param(130, [1.0, 0.5, 0.0], 1, id="130"),
+    # Two distinct vectors with bitwise-equal scores, interleaved over frames.
+    pytest.param([[1, 0, 0], [0, 1, 0]], [1.0, 1.0, 0.0], 1, id="equal-scores"),
+    # 560 ranges times 130 vectors is past 16 bits.
+    pytest.param(130, [1.0, 0.5, 0.0], 80, id="wide-key"),
+    # Scores of -0.0 and 0.0, equal to a float sort, interleaved over frames.
+    pytest.param([[1, 0, 0], [0, 0, 1]], [-1e-12, 1.0, 0.0], 1, id="signed-zeros"),
+    # A NaN query scores the zero vector 0 and the others NaN, which ranks last.
+    pytest.param([[1, 0, 0], [0, 0, 0], [0, 1, 0]], [math.nan, 1.0, 0.0], 1, id="nan-query"),
+])
+def test_rank_ranges_matches_the_sorted_reference_over_long_tied_runs(vectors, query, copies):
+    columns = tied_columns(vectors)
+    index = EmbeddingIndex(columns)
+    scores = index.scores(np.array(query))
+    ranges = TIED_RANGES * copies
+    assert (len(ranges) * len(columns.vectors) >= 1 << 16) == (copies > 1)
     for k in (0, 1, 3, 20, 200):
-        want = [
-            row
-            for entity_id, start, end in ranges
-            for row in sorted_rank(
-                records, scores, [r for r in range(n) if entities[r] == entity_id and start <= frames[r] <= end], k
-            )
-        ]
-        assert index.rank_ranges(scores, ranges, k) == want
+        assert index.rank_ranges(scores, ranges, k) == sorted_ranges(columns, scores, ranges, k)
+
+
+def test_rank_ranges_rejects_scores_that_differ_within_a_shared_vector():
+    columns = tied_columns(3)
+    index = EmbeddingIndex(columns)
+    scores = index.scores(np.array([1.0, 0.5, 0.0]))
+    shared = columns.vector_of == columns.vector_of[0]
+    nan_shared = scores.copy()
+    nan_shared[shared] = math.nan
+    assert index.rank_ranges(nan_shared, TIED_RANGES, 3) == sorted_ranges(columns, nan_shared, TIED_RANGES, 3)
+    for row, score in [(0, scores[0] + 1e-9), (0, math.nan), (7, -0.5)]:
+        bad = scores.copy()
+        bad[row] = score
+        with pytest.raises(ValueError, match="share a vector"):
+            index.rank_ranges(bad, TIED_RANGES, 3)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_rank_rejects_a_negative_k(k):
+    index = EmbeddingIndex([rec(0, f, [1, f]) for f in range(5)])
+    with pytest.raises(ValueError, match="k must be"):
+        index.rank(index.scores(np.array([1.0, 0.0])), range(5), k)
+
+
+@pytest.mark.parametrize("per_event, top", [(0, 5), (3, 0), (-1, 5), (3, -2)])
+def test_hierarchical_retrieve_rejects_an_empty_pick(per_event, top):
+    records = [rec(0, f, [1, f]) for f in range(5)]
+    graph = SpatioTemporalGraph(events={0: [EntityEvent(0, 0, 4, "")]})
+    backend = Selecting(np.array([1.0, 0.0]), "0")
+    with pytest.raises(ValueError, match="must be >= 1"):
+        hierarchical_retrieve("q", graph, EmbeddingIndex(records), backend, per_event=per_event, top=top)
+    assert backend.payloads == []
 
 
 def test_index_keeps_columns_and_gives_back_equal_records():

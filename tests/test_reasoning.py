@@ -216,7 +216,7 @@ def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
             assert fn_count_nodes(graph, q, condition) == per_node_count(graph, q, condition)
 
 
-def test_reassigning_nodes_or_edges_drops_the_description_table():
+def test_reassigning_nodes_drops_the_description_table_and_edges_keep_it():
     graph, _ = make_graph(MockBackend())
     table = entity_descriptions(graph)
     assert entity_descriptions(graph) is table
@@ -226,7 +226,7 @@ def test_reassigning_nodes_or_edges_drops_the_description_table():
     assert fn_count_nodes(graph, "yak") == len(graph.entity_ids())
     table = entity_descriptions(graph)
     graph.edges = list(graph.edges)
-    assert entity_descriptions(graph) is not table
+    assert entity_descriptions(graph) is table
 
 
 def test_identify_node_reranks_first_descriptions(backend):
