@@ -9,10 +9,16 @@ pipeline is testable without network or model weights.
 
 Mock rules per role:
 
-- ``frame_graph``: extract ``[Ea] <words> [Eb]`` patterns within sentences
-  of the frame description; each becomes a ``a|words|b`` triple line.
-- ``node_description``: template ``entity <id>: <appearance>; <action>;
-  relations: <rendered edges or 'none'>``.
+- ``frame_graph``: the payload holds one block per frame, its ``frame:``,
+  ``entities:`` and ``description:`` lines. Each ``[Ea] <words> [Eb]``
+  pattern within a sentence of a frame's description becomes a
+  ``frame|a|words|b`` line, frames in payload order.
+- ``node_description``: the payload holds numbered node blocks, each an
+  ``item <k>`` line (``k`` counts from 0) followed by the node's
+  ``entity:`` line, its attribute lines and its ``relations:`` section.
+  Each block gets one ``k|<sentence>`` line, the sentence templated as
+  ``entity <id>: <appearance>; <action>; relations: <rendered edges or
+  'none'>``.
 - ``event_segmentation``: event boundary wherever the action column changes
   between consecutive rows; summary is ``<appearance> <action>``.
 - ``rerank``: candidate with maximum word overlap against the grounding
@@ -75,6 +81,7 @@ _SENTENCE_END_RE = re.compile(r"[.!?]")
 _MENTION_RE = re.compile(r"\[E(\d+)\]")
 _APPEARANCE_RE = re.compile(r"entity \d+: ([^;]+);")
 _OPTION_INDEX_RE = re.compile(r"-?\d+")
+_ITEM_RE = re.compile(r"item (\d+)")
 
 
 def words(text: str) -> list[str]:
@@ -119,12 +126,21 @@ def make_bundle(role: str, user_payload: str, frame_refs=None) -> PromptBundle:
 # ---------------------------------------------------------------------------
 # Payload builders (the caller side of the per-role payload contract)
 
-def frame_graph_payload(frame_index: int, entity_ids: list[int], description: str) -> str:
-    ids = ", ".join(str(i) for i in entity_ids)
-    return f"frame: {frame_index}\nentities: {ids}\ndescription: {description}"
+def frame_graph_payload(frames: list[tuple[int, list[int], str]]) -> str:
+    """One block per ``(frame_index, entity_ids, description)``, in the given order."""
+    return "\n".join(
+        f"frame: {frame_index}\nentities: {', '.join(map(str, entity_ids))}\ndescription: {description}"
+        for frame_index, entity_ids, description in frames
+    )
 
 
-def node_description_payload(entity_id: int, attributes: dict[str, str], edges) -> str:
+def node_description_payload(blocks: list[str]) -> str:
+    """The :func:`node_block` texts, each after an ``item <k>`` line that numbers it from 0."""
+    return "\n".join(f"item {k}\n{block}" for k, block in enumerate(blocks))
+
+
+def node_block(entity_id: int, attributes: dict[str, str], edges) -> str:
+    """One node's block of a ``node_description`` payload: its entity, attributes and relations."""
     lines = [f"entity: {entity_id}"]
     for key in sorted(attributes):
         lines.append(f"{key}: {attributes[key]}")
@@ -179,10 +195,49 @@ def event_select_payload(question: str, candidates: list[str], top: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _header_value(payload: str, key: str) -> str:
-    for line in payload.splitlines():
+    return _line_value(payload.splitlines(), key)
+
+
+def _line_value(lines: list[str], key: str) -> str:
+    """The value of the first ``key:`` line, stripped; empty when there is none."""
+    for line in lines:
         if line.startswith(key + ":"):
             return line[len(key) + 1 :].strip()
     return ""
+
+
+def _item_blocks(payload: str) -> list[tuple[str, list[str]]]:
+    """``(k, lines)`` for each ``item <k>`` block of a payload, in order."""
+    blocks: list[tuple[str, list[str]]] = []
+    for line in payload.splitlines():
+        item = _ITEM_RE.fullmatch(line)
+        if item:
+            blocks.append((item.group(1), []))
+        elif blocks:
+            blocks[-1][1].append(line)
+    return blocks
+
+
+def _describe_block(lines: list[str]) -> str:
+    """The mock's sentence for one node block.
+
+    The relation lines are those after the block's last ``relations:``
+    line, since an attribute named ``relations`` comes before it.
+    """
+    entity_id = int(_line_value(lines, "entity"))
+    start = max(i for i, line in enumerate(lines) if line.strip() == "relations:") + 1
+    rendered = []
+    for line in lines[start:]:
+        if not line.strip():
+            continue
+        subj, rel, obj = line.split("|")
+        if int(subj) == entity_id:
+            rendered.append(f"{rel} entity {obj}")
+        else:
+            rendered.append(f"entity {subj} {rel}")
+    relations = ", ".join(rendered) if rendered else "none"
+    appearance, action = _line_value(lines, "appearance"), _line_value(lines, "action")
+    return f"entity {entity_id}: {appearance}; {action}; relations: {relations}"
 
 
 def _section_lines(payload: str, key: str) -> list[str]:
@@ -272,30 +327,25 @@ class MockBackend:
     # -- per-role rules
 
     def _role_frame_graph(self, payload: str) -> str:
-        description = _header_value(payload, "description")
         triples: list[str] = []
-        for sentence in _SENTENCE_END_RE.split(description):
-            mentions = list(_MENTION_RE.finditer(sentence))
-            for left, right in zip(mentions, mentions[1:]):
-                between = sentence[left.end() : right.start()]
-                relation = " ".join(words(between))
-                if relation:
-                    triples.append(f"{left.group(1)}|{relation}|{right.group(1)}")
+        frame = ""
+        for line in payload.splitlines():
+            if line.startswith("frame:"):
+                frame = line[len("frame:") :].strip()
+                continue
+            if not line.startswith("description:"):
+                continue
+            for sentence in _SENTENCE_END_RE.split(line[len("description:") :].strip()):
+                mentions = list(_MENTION_RE.finditer(sentence))
+                for left, right in zip(mentions, mentions[1:]):
+                    between = sentence[left.end() : right.start()]
+                    relation = " ".join(words(between))
+                    if relation:
+                        triples.append(f"{frame}|{left.group(1)}|{relation}|{right.group(1)}")
         return "\n".join(triples)
 
     def _role_node_description(self, payload: str) -> str:
-        entity_id = int(_header_value(payload, "entity"))
-        appearance = _header_value(payload, "appearance")
-        action = _header_value(payload, "action")
-        rendered = []
-        for line in _section_lines(payload, "relations"):
-            subj, rel, obj = line.split("|")
-            if int(subj) == entity_id:
-                rendered.append(f"{rel} entity {obj}")
-            else:
-                rendered.append(f"entity {subj} {rel}")
-        relations = ", ".join(rendered) if rendered else "none"
-        return f"entity {entity_id}: {appearance}; {action}; relations: {relations}"
+        return "\n".join(f"{k}|{_describe_block(lines)}" for k, lines in _item_blocks(payload))
 
     def _role_event_segmentation(self, payload: str) -> str:
         rows = []
@@ -498,18 +548,52 @@ class RemoteBackend:
         return idx
 
 
+def generate_items_with_retries(backend, items: list, bundle, parse, name, max_retries: int = 2) -> list:
+    """One value per item, asking for the items together in one prompt.
+
+    ``bundle(asked)`` builds the prompt for a sublist of ``items``, and
+    ``parse(text, asked)`` reads its reply into one entry per asked item:
+    the item's value, or the ValueError or MalformedResponse that rejects
+    it. Only rejected items are asked again, each at most
+    ``max(1, max_retries)`` times in all; then MalformedResponse names
+    ``name(item)`` of the first item still rejected. Blocked content and
+    timeouts propagate immediately.
+    """
+    values: list = [None] * len(items)
+    errors: dict[int, Exception] = {}
+    pending = list(range(len(items)))
+    for _ in range(max(1, max_retries)):
+        if not pending:
+            break
+        asked = [items[i] for i in pending]
+        outcome = parse(backend.generate(bundle(asked)), asked)
+        rejected = []
+        for i, value in zip(pending, outcome):
+            if isinstance(value, Exception):
+                errors[i] = value
+                rejected.append(i)
+            else:
+                values[i] = value
+        pending = rejected
+    if pending:
+        first = pending[0]
+        raise MalformedResponse(f"{name(items[first])}: backend response invalid after retries: {errors[first]}")
+    return values
+
+
 def generate_with_retries(backend, bundle: PromptBundle, parse, max_retries: int = 2):
     """Call generate up to ``max_retries`` times, validating with ``parse``.
 
     ``parse`` receives the raw text and either returns the final value or
     raises ValueError / MalformedResponse. Blocked content and timeouts
-    propagate immediately; only validation failures are retried.
+    propagate immediately; only validation failures are retried. This is
+    :func:`generate_items_with_retries` for one item, named by its role.
     """
-    last: Exception | None = None
-    for _ in range(max(1, max_retries)):
-        text = backend.generate(bundle)
+
+    def parse_one(text: str, _asked) -> list:
         try:
-            return parse(text)
+            return [parse(text)]
         except (ValueError, MalformedResponse) as exc:
-            last = exc
-    raise MalformedResponse(f"backend response invalid after retries: {last}")
+            return [exc]
+
+    return generate_items_with_retries(backend, [bundle.role], lambda _asked: bundle, parse_one, str, max_retries)[0]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backends
-from .backends import generate_with_retries, make_bundle
+from .backends import generate_items_with_retries, generate_with_retries, make_bundle
 from .errors import MALFORMED, BackendError, MalformedResponse, ParseError, json_objects, read_document
 from .graph_model import (
     EntityEvent,
@@ -126,33 +126,20 @@ class BuildReport:
     fallback_entities: list[int] = field(default_factory=list)
 
 
-_TRIPLE_SPLIT = "|"
+# Frames or distinct node prompts a build sends in one backend call.
+ITEMS_PER_CALL = 8
 
 
-def _parse_edge_lines(text: str) -> tuple[list[tuple[int, str, int]], int]:
-    """Return (parsed triples, count of unparseable non-empty lines)."""
+def _triples(lines: list[list[str]]) -> list[tuple[int, str, int]]:
+    """The ``[subject, relation, object]`` field lists that parse, as triples."""
     triples = []
-    bad = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(_TRIPLE_SPLIT)
-        if len(parts) != 3:
-            bad += 1
-            continue
-        try:
-            subject = int(parts[0].strip())
-            obj = int(parts[2].strip())
-        except ValueError:
-            bad += 1
-            continue
-        relation = parts[1].strip()
-        if not relation:
-            bad += 1
-            continue
-        triples.append((subject, relation, obj))
-    return triples, bad
+    for fields in lines:
+        if len(fields) == 3 and fields[1].strip():
+            try:
+                triples.append((int(fields[0]), fields[1].strip(), int(fields[2])))
+            except ValueError:
+                pass
+    return triples
 
 
 _SENTENCE_END = re.compile(r"[.!?]")
@@ -167,67 +154,110 @@ def _has_comention(description: str) -> bool:
 
 
 def build_frame_graph(
-    frame: FrameRecord,
-    nodes_in_frame: list[EntityNode],
+    batch: list[tuple[FrameRecord, list[EntityNode]]],
     backend,
     max_retries: int = 2,
 ) -> tuple[list[RelationEdge], int]:
-    """Relation edges for one frame, plus the count of dropped lines.
+    """Relation edges for distinct frames asked in one prompt, plus the count of dropped lines.
 
-    Backend output is parsed as ``subject|relation|object`` triple lines;
-    lines that fail to parse or reference entities absent from the frame
-    are dropped and counted. A reply with no triples for a frame whose
-    description co-mentions two entities is retried, then raises
-    MalformedResponse. Node attributes are never touched here.
+    ``batch`` pairs each frame with the nodes in it. The reply is parsed as
+    ``frame|subject|relation|object`` lines, each charged to the frame it
+    names. A line of a requested frame is dropped if its triple does not
+    parse, references an entity absent from that frame, or relates an
+    entity to itself. A line that names no requested frame (its first
+    field is not the index of one) is dropped too, and charged to the
+    reply's first kept frame. A frame whose description co-mentions two
+    entities in a sentence but which gets no parseable triple is
+    rejected; only rejected frames are asked again, as in
+    :func:`generate_items_with_retries`. Edges come in batch order; the
+    count covers the lines of kept frames only. Node attributes are never
+    touched here.
     """
-    present = {n.entity_id for n in nodes_in_frame}
-    payload = backends.frame_graph_payload(
-        frame.frame_index, sorted(present), frame.description
+    present = {frame.frame_index: {n.entity_id for n in nodes} for frame, nodes in batch}
+
+    def bundle(asked: list[tuple[FrameRecord, list[EntityNode]]]) -> backends.PromptBundle:
+        return make_bundle("frame_graph", backends.frame_graph_payload(
+            [(frame.frame_index, sorted(present[frame.frame_index]), frame.description) for frame, _ in asked]
+        ))
+
+    def parse(text: str, asked: list[tuple[FrameRecord, list[EntityNode]]]) -> list:
+        charged: dict[int, list[list[str]]] = {frame.frame_index: [] for frame, _ in asked}
+        stray = 0
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split("|")
+            try:
+                charged[int(fields[0])].append(fields[1:])
+            except (ValueError, KeyError):
+                stray += 1
+        outcome: list = []
+        for frame, _ in asked:
+            lines = charged[frame.frame_index]
+            triples = _triples(lines)
+            if not triples and _has_comention(frame.description):
+                outcome.append(ValueError(
+                    f"no parseable edges for frame {frame.frame_index} despite co-mentioned entities"
+                ))
+                continue
+            entities = present[frame.frame_index]
+            edges = [
+                RelationEdge(frame.frame_index, subject, relation, obj)
+                for subject, relation, obj in triples
+                if subject in entities and obj in entities and subject != obj
+            ]
+            outcome.append((edges, len(lines) - len(edges) + stray))
+            stray = 0
+        return outcome
+
+    replies = generate_items_with_retries(
+        backend, batch, bundle, parse, lambda item: f"frame {item[0].frame_index}", max_retries
     )
-    bundle = make_bundle("frame_graph", payload)
-
-    def parse(text: str) -> tuple[list[tuple[int, str, int]], int]:
-        triples, bad = _parse_edge_lines(text)
-        if not triples and _has_comention(frame.description):
-            raise ValueError(
-                f"no parseable edges for frame {frame.frame_index} despite co-mentioned entities"
-            )
-        return triples, bad
-
-    triples, bad = generate_with_retries(backend, bundle, parse, max_retries)
-    edges = []
-    dropped = bad
-    for subject, relation, obj in triples:
-        if subject not in present or obj not in present or subject == obj:
-            dropped += 1
-            continue
-        edges.append(
-            RelationEdge(
-                frame_index=frame.frame_index,
-                subject_id=subject,
-                relation=relation,
-                object_id=obj,
-            )
-        )
-    return edges, dropped
+    edges = [edge for frame_edges, _ in replies for edge in frame_edges]
+    return edges, sum(dropped for _, dropped in replies)
 
 
 def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retries: int = 2) -> str:
-    """One-sentence node description covering attributes and relations."""
-    payload = backends.node_description_payload(node.entity_id, node.attributes, edges)
-    return _describe(payload, backend, max_retries)
+    """One-sentence node description covering attributes and relations: a one-node :func:`_describe`."""
+    block = backends.node_block(node.entity_id, node.attributes, edges)
+    return _describe([(node, block)], backend, max_retries)[0]
 
 
-def _describe(payload: str, backend, max_retries: int) -> str:
-    """The accepted reply to one ``node_description`` payload."""
+def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) -> list[str]:
+    """The accepted sentence for each ``(node, node block)``, the blocks asked in one prompt.
 
-    def parse(text: str) -> str:
-        text = text.strip()
-        if not text:
-            raise ValueError("empty description")
-        return text
+    The reply is parsed as ``k|sentence`` lines, where ``k`` is a block's
+    position in the prompt, from 0. A line whose ``k`` is not an integer
+    in range is ignored. A block with no line, with more than one line or
+    with an empty sentence is rejected; only rejected blocks are asked
+    again, as in :func:`generate_items_with_retries`, and an error names
+    the block's node.
+    """
 
-    return generate_with_retries(backend, make_bundle("node_description", payload), parse, max_retries)
+    def parse(text: str, asked: list[tuple[EntityNode, str]]) -> list:
+        sentences: list[list[str]] = [[] for _ in asked]
+        for line in text.splitlines():
+            head, _, sentence = line.partition("|")
+            try:
+                k = int(head)
+            except ValueError:
+                continue
+            if 0 <= k < len(asked):
+                sentences[k].append(sentence.strip())
+        return [
+            ValueError(f"{len(found)} reply lines for item {k}") if len(found) != 1
+            else found[0] or ValueError(f"empty description for item {k}")
+            for k, found in enumerate(sentences)
+        ]
+
+    def bundle(asked: list[tuple[EntityNode, str]]) -> backends.PromptBundle:
+        return make_bundle("node_description", backends.node_description_payload([block for _, block in asked]))
+
+    return generate_items_with_retries(
+        backend, items, bundle, parse,
+        lambda item: f"entity {item[0].entity_id} frame {item[0].frame_index}", max_retries,
+    )
 
 
 def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
@@ -343,33 +373,45 @@ def build_graph(
 ) -> tuple[SpatioTemporalGraph, BuildReport]:
     """Full build: edges, descriptions, and events.
 
-    Each distinct ``node_description`` prompt is sent to the backend once
-    per call, and nodes whose prompts are identical share its accepted
-    reply: within one build, identical prompts get identical replies. Each
-    node's payload is built once. A reply that fails parsing is retried as
-    in :func:`describe_node`; a backend error is raised and never remembered.
+    The frames that hold nodes are asked for their edges
+    ``ITEMS_PER_CALL`` at a time, in frame order (:func:`build_frame_graph`).
+    Each node's ``node_description`` block is built once; each distinct
+    block is asked once per call, ``ITEMS_PER_CALL`` blocks to a prompt in
+    first-seen order, and nodes whose blocks are identical share its
+    accepted sentence: within one build, identical blocks get identical
+    replies. Replies that fail parsing are retried item by item as in
+    :func:`generate_items_with_retries`; a backend error is raised and
+    never remembered.
     """
     graph = SpatioTemporalGraph(frames=list(frames), nodes=list(nodes), fps=fps)
     report = BuildReport()
 
+    batch = [(frame, graph.nodes_in_frame(frame.frame_index)) for frame in graph.frames]
+    batch = [(frame, in_frame) for frame, in_frame in batch if in_frame]
     all_edges: list[RelationEdge] = []
-    for frame in graph.frames:
-        in_frame = graph.nodes_in_frame(frame.frame_index)
-        if not in_frame:
-            continue
-        edges, dropped = build_frame_graph(frame, in_frame, backend, max_retries)
+    for start in range(0, len(batch), ITEMS_PER_CALL):
+        edges, dropped = build_frame_graph(batch[start : start + ITEMS_PER_CALL], backend, max_retries)
         all_edges.extend(edges)
         report.dropped_edge_lines += dropped
     all_edges.sort(key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
     graph.edges = all_edges
 
-    described: dict[str, str] = {}
+    # Each distinct block, with the first node that has it, and each node's block number.
+    slot: dict[str, int] = {}
+    distinct: list[tuple[EntityNode, str]] = []
+    slot_of: list[int] = []
     for node in graph.nodes:
         edges = node_edges(graph, node.entity_id, node.frame_index)
-        payload = backends.node_description_payload(node.entity_id, node.attributes, edges)
-        if payload not in described:
-            described[payload] = _describe(payload, backend, max_retries)
-        node.description = described[payload]
+        block = backends.node_block(node.entity_id, node.attributes, edges)
+        j = slot.setdefault(block, len(distinct))
+        if j == len(distinct):
+            distinct.append((node, block))
+        slot_of.append(j)
+    sentences: list[str] = []
+    for start in range(0, len(distinct), ITEMS_PER_CALL):
+        sentences.extend(_describe(distinct[start : start + ITEMS_PER_CALL], backend, max_retries))
+    for node, j in zip(graph.nodes, slot_of):
+        node.description = sentences[j]
 
     for entity_id in graph.entity_ids():
         seg = segment_events(graph, entity_id, backend, max_retries)

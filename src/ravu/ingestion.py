@@ -26,6 +26,8 @@ from .errors import MALFORMED, ParseError, json_object, json_objects
 from .graph_model import BoundingBox, EntityNode, FrameRecord, parse_box
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
+# What ``str.splitlines`` splits at: every backend payload is line-oriented.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass
@@ -57,8 +59,12 @@ def parse_observations(document: str) -> list[FrameObservation]:
     """Parse an observations.jsonl document, one frame object per line.
 
     Frame indices must be dense 0..N-1 (any line order); duplicates and
-    malformed boxes are rejected.
+    malformed boxes are rejected, and so is a line break in a description
+    or an attribute key or value, since backend payloads are line-oriented.
     """
+    # A document line is split at every line break, so a decoded string
+    # holds one only where the document escapes it.
+    escapes = "\\" in document
     observations: dict[int, FrameObservation] = {}
     for lineno, raw in json_objects(document, "frame"):
         try:
@@ -73,10 +79,18 @@ def parse_observations(document: str) -> list[FrameObservation]:
                     raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
                 local_seen.add(local_id)
                 attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
+                if escapes and any(map(_LINE_BREAK.search, chain(attributes, attributes.values()))):
+                    raise ParseError(
+                        f"entity {local_id} has a line break in an attribute key or value",
+                        line=lineno, field="attributes",
+                    )
                 entities.append((local_id, attributes, parse_box(ent["box"], "entity %s", local_id)))
+            description = str(raw.get("description", ""))
+            if escapes and _LINE_BREAK.search(description):
+                raise ParseError("line break in description", line=lineno, field="description")
             observations[frame_index] = FrameObservation(
                 frame_index=frame_index,
-                description=str(raw.get("description", "")),
+                description=description,
                 entities=entities,
                 source_ref=str(raw.get("source_ref", "")),
             )

@@ -56,27 +56,59 @@ def test_embed_similarity_orders_by_overlap(backend):
 
 def test_frame_graph_rule(backend):
     payload = backends.frame_graph_payload(
-        0, [1, 2], "[E1] stands beside [E2]. [E2] is alone. [E1] waves."
+        [(0, [1, 2], "[E1] stands beside [E2]. [E2] is alone. [E1] waves.")]
     )
     out = backend.generate(make_bundle("frame_graph", payload))
-    assert out == "1|stands beside|2"
+    assert out == "0|1|stands beside|2"
+
+
+def test_frame_graph_rule_answers_each_frame_of_a_batch(backend):
+    frames = [
+        (4, [1, 2], "[E1] stands beside [E2]. [E2] looks at [E1]."),
+        (5, [3], "[E3] sits alone."),
+        (6, [1, 3], "[E3] chases [E1]."),
+    ]
+    out = backend.generate(make_bundle("frame_graph", backends.frame_graph_payload(frames)))
+    assert out.splitlines() == ["4|1|stands beside|2", "4|2|looks at|1", "6|3|chases|1"]
+    alone = [backend.generate(make_bundle("frame_graph", backends.frame_graph_payload([f]))) for f in frames]
+    assert "\n".join(a for a in alone if a) == out
 
 
 def test_node_description_rule(backend):
     edges = [RelationEdge(0, 3, "next to", 4), RelationEdge(0, 5, "behind", 3)]
-    payload = backends.node_description_payload(
+    block = backends.node_block(
         3, {"appearance": "red fox", "action": "digging", "body_pose": "crouched"}, edges
     )
-    out = backend.generate(make_bundle("node_description", payload))
-    assert out == "entity 3: red fox; digging; relations: next to entity 4, entity 5 behind"
+    out = backend.generate(make_bundle("node_description", backends.node_description_payload([block])))
+    assert out == "0|entity 3: red fox; digging; relations: next to entity 4, entity 5 behind"
 
 
 def test_node_description_no_relations(backend):
-    payload = backends.node_description_payload(
-        0, {"appearance": "red fox", "action": "digging"}, []
-    )
-    out = backend.generate(make_bundle("node_description", payload))
+    block = backends.node_block(0, {"appearance": "red fox", "action": "digging"}, [])
+    out = backend.generate(make_bundle("node_description", backends.node_description_payload([block])))
     assert out.endswith("relations: none")
+
+
+def test_node_description_rule_numbers_each_block(backend):
+    blocks = [
+        backends.node_block(3, {"appearance": "red fox", "action": "digging"}, [RelationEdge(0, 3, "near", 4)]),
+        backends.node_block(4, {"appearance": "blue jay", "action": "singing"}, []),
+    ]
+    payload = backends.node_description_payload(blocks)
+    assert payload.splitlines()[0] == "item 0" and "\nitem 1\nentity: 4\n" in payload
+    out = backend.generate(make_bundle("node_description", payload))
+    assert out.splitlines() == [
+        "0|entity 3: red fox; digging; relations: near entity 4",
+        "1|entity 4: blue jay; singing; relations: none",
+    ]
+
+
+def test_node_description_rule_reads_relations_after_a_relations_attribute(backend):
+    block = backends.node_block(
+        3, {"action": "digging", "relations": "", "zone": "garden"}, [RelationEdge(0, 3, "near", 4)]
+    )
+    out = backend.generate(make_bundle("node_description", backends.node_description_payload([block])))
+    assert out == "0|entity 3: ; digging; relations: near entity 4"
 
 
 def test_event_segmentation_rule(backend):

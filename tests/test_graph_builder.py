@@ -1,11 +1,13 @@
 import json
+import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ravu import graph_model
-from ravu.backends import MockBackend, node_description_payload
+from ravu import graph_builder, graph_model
+from ravu.backends import MockBackend, frame_graph_payload, node_block
 from ravu.config import RavuConfig
 from ravu.errors import MalformedResponse, ParseError, Timeout
 from ravu.evaluate import build_video
@@ -49,7 +51,7 @@ class FailingGenBackend(MockBackend):
 
 def test_build_frame_graph_parses_triples(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2]. [E2] rests.")
-    edges, dropped = build_frame_graph(frame, [node(1, 0), node(2, 0)], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], backend)
     assert dropped == 0
     assert len(edges) == 1
     assert (edges[0].subject_id, edges[0].relation, edges[0].object_id) == (1, "chases", 2)
@@ -57,20 +59,20 @@ def test_build_frame_graph_parses_triples(backend):
 
 def test_build_frame_graph_drops_unknown_entities(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E9].")
-    edges, dropped = build_frame_graph(frame, [node(1, 0)], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend)
     assert edges == [] and dropped == 1
 
 
 def test_build_frame_graph_no_comention_tolerates_empty(backend):
     frame = FrameRecord(0, 0.0, "[E1] sits alone.")
-    edges, dropped = build_frame_graph(frame, [node(1, 0)], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend)
     assert edges == [] and dropped == 0
 
 
 def test_build_frame_graph_raises_when_comention_unparseable():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     with pytest.raises(MalformedResponse):
-        build_frame_graph(frame, [node(1, 0), node(2, 0)], FailingGenBackend())
+        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], FailingGenBackend())
 
 
 class FlakyGenBackend(MockBackend):
@@ -91,14 +93,14 @@ def test_build_frame_graph_calls_at_most_max_retries(max_retries, calls):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     flaky = FlakyGenBackend(bad=99)
     with pytest.raises(MalformedResponse):
-        build_frame_graph(frame, [node(1, 0), node(2, 0)], flaky, max_retries)
+        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], flaky, max_retries)
     assert flaky.calls == calls
 
 
 def test_build_frame_graph_counts_drops_of_the_accepted_reply():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     flaky = FlakyGenBackend(bad=1)
-    edges, dropped = build_frame_graph(frame, [node(1, 0), node(2, 0)], flaky, max_retries=2)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], flaky, max_retries=2)
     assert flaky.calls == 2
     assert len(edges) == 1 and dropped == 0
 
@@ -264,17 +266,33 @@ def test_write_embeddings_is_byte_stable(tmp_path, backend):
 # A build asks each distinct description prompt and embed text once.
 
 
+_ITEM_LINE = re.compile(r"(?:^|\n)item \d+\n")
+
+
+def node_blocks(payload):
+    """The node blocks of a node_description payload, in item order."""
+    return _ITEM_LINE.split(payload)[1:]
+
+
 class CountingBackend(MockBackend):
-    """Mock that records every node_description payload and embed text."""
+    """Mock that records every node block it is asked, each embed text and the calls per role."""
 
     def __init__(self):
         super().__init__()
         self.payloads = Counter()
         self.texts = Counter()
+        self.calls = Counter()
+        self.most_items = Counter()  # role -> most items in one prompt
 
     def generate(self, bundle):
+        self.calls[bundle.role] += 1
         if bundle.role == "node_description":
-            self.payloads[bundle.user_payload] += 1
+            blocks = node_blocks(bundle.user_payload)
+            self.payloads.update(blocks)
+            self.most_items[bundle.role] = max(self.most_items[bundle.role], len(blocks))
+        elif bundle.role == "frame_graph":
+            frames = sum(line.startswith("frame: ") for line in bundle.user_payload.splitlines())
+            self.most_items[bundle.role] = max(self.most_items[bundle.role], frames)
         return super().generate(bundle)
 
     def embed(self, text):
@@ -299,9 +317,9 @@ def build(world, backend, **kwargs):
 
 
 def node_payloads(graph):
-    """Each node's node_description payload, in node order."""
+    """Each node's node_description block, in node order."""
     return [
-        node_description_payload(n.entity_id, n.attributes, node_edges(graph, n.entity_id, n.frame_index))
+        node_block(n.entity_id, n.attributes, node_edges(graph, n.entity_id, n.frame_index))
         for n in graph.nodes
     ]
 
@@ -334,6 +352,155 @@ def test_build_makes_one_node_lookup(monkeypatch):
     assert graph.edges and graph.events
 
 
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
+def test_batched_build_equals_one_item_per_call(monkeypatch, shape):
+    assert graph_builder.ITEMS_PER_CALL == 8
+    for seed in range(10):
+        world = synth_world(seed, *shape)
+        built = {}
+        for per_call in (1, 8):
+            monkeypatch.setattr(graph_builder, "ITEMS_PER_CALL", per_call)
+            counting = CountingBackend()
+            built[per_call] = counting, build_video(
+                world.observations_text, world.tracklets_text, counting, RavuConfig()
+            )
+        (one, single), (eight, batched) = built[1], built[8]
+        graph = batched.graph
+        assert graph_model.serialize(graph) == graph_model.serialize(single.graph)
+        assert batched.index.records.matrix.tobytes() == single.index.records.matrix.tobytes()
+        assert batched.build_report == single.build_report
+        framed = sum(1 for f in graph.frames if graph.nodes_in_frame(f.frame_index))
+        distinct = len(set(node_payloads(graph)))
+        assert (one.calls["frame_graph"], one.calls["node_description"]) == (framed, distinct)
+        assert eight.calls["frame_graph"] == math.ceil(framed / 8)
+        assert eight.calls["node_description"] == math.ceil(distinct / 8)
+        assert max(eight.most_items.values()) == 8 and max(one.most_items.values()) == 1
+
+
+class ScriptedBackend(MockBackend):
+    """Answers ``role`` from scripted replies, in turn, and records its payloads; the mock answers the rest."""
+
+    def __init__(self, role, replies):
+        super().__init__()
+        self.role, self.replies, self.asked = role, list(replies), []
+
+    def generate(self, bundle):
+        if bundle.role != self.role:
+            return super().generate(bundle)
+        self.asked.append(bundle.user_payload)
+        return self.replies.pop(0) if self.replies else ""
+
+
+def chase_frames(n=3):
+    """``n`` frames in each of which entity 1 chases entity 2, with their nodes."""
+    frames = [FrameRecord(i, float(i), f"[E1] chases [E2] in field {i}.") for i in range(n)]
+    return [(f, [node(1, f.frame_index), node(2, f.frame_index)]) for f in frames]
+
+
+def triples(edges):
+    return [(e.frame_index, e.subject_id, e.relation, e.object_id) for e in edges]
+
+
+def test_frame_graph_reply_missing_a_frame_reasks_only_that_frame():
+    batch = chase_frames()
+    scripted = ScriptedBackend("frame_graph", ["0|1|chases|2\n2|1|chases|2", "1|2|flees|1"])
+    edges, dropped = build_frame_graph(batch, scripted)
+    assert scripted.asked[1] == frame_graph_payload([(1, [1, 2], batch[1][0].description)])
+    assert triples(edges) == [(0, 1, "chases", 2), (1, 2, "flees", 1), (2, 1, "chases", 2)]
+    assert dropped == 0
+
+
+def test_frame_graph_line_naming_no_requested_frame_is_dropped_with_the_first_kept_frame():
+    batch = chase_frames()
+    reply = "7|1|chases|2\n1|1|chases|2\n2|1|chases|2\nchases\nx|1|chases|2"
+    scripted = ScriptedBackend("frame_graph", [reply, "0|1|chases|2"])
+    edges, dropped = build_frame_graph(batch, scripted)
+    # Frame 0 got no line and is asked again; the three stray lines count once, with frame 1.
+    assert len(scripted.asked) == 2
+    assert triples(edges) == [(0, 1, "chases", 2), (1, 1, "chases", 2), (2, 1, "chases", 2)]
+    assert dropped == 3
+
+
+def test_dropped_edge_lines_counts_only_the_lines_of_kept_replies():
+    batch = chase_frames(2)
+    frames = [frame for frame, _ in batch]
+    nodes = [n for _, in_frame in batch for n in in_frame]
+    first = "\n".join([
+        "0|1|chases|2",
+        "0|1|chases|9",  # kept frame, absent entity: counted
+        "1|1|chases",  # the only line of frame 1, which is rejected: not counted
+        "5|1|chases|2",  # no requested frame: counted with frame 0
+    ])
+    rejected = "@@@\n1|2|2|x"  # frame 1 rejected again: nothing counted
+    scripted = ScriptedBackend("frame_graph", [first, rejected, "1|1|chases|2\n1|1|chases|1"])
+    graph, report = build_graph(frames, nodes, scripted, max_retries=3)
+    assert len(scripted.asked) == 3
+    assert triples(graph.edges) == [(0, 1, "chases", 2), (1, 1, "chases", 2)]
+    assert report.dropped_edge_lines == 3  # two of frame 0's reply, one (self-relation) of frame 1's
+
+
+def test_frame_graph_error_names_the_first_rejected_frame():
+    scripted = ScriptedBackend("frame_graph", ["0|1|chases|2"] * 2)
+    with pytest.raises(MalformedResponse, match="^frame 1: "):
+        build_frame_graph(chase_frames(), scripted, max_retries=2)
+    assert len(scripted.asked) == 2
+
+
+def described_build(replies, max_retries=2):
+    """(node descriptions, scripted backend) of a build of three nodes in one calm frame."""
+    nodes = [node(i, 0, appearance=f"animal {i}") for i in range(3)]
+    scripted = ScriptedBackend("node_description", replies)
+    graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, max_retries=max_retries)
+    return [n.description for n in graph.nodes], scripted
+
+
+def test_description_reply_missing_a_block_reasks_only_that_block():
+    descriptions, scripted = described_build(["0|first\n2|third", "0|second"])
+    assert descriptions == ["first", "second", "third"]
+    want = node_block(1, node(1, 0, appearance="animal 1").attributes, [])
+    assert scripted.asked[1] == f"item 0\n{want}"
+
+
+def test_description_reply_ignores_stray_lines_and_reasks_a_repeated_item():
+    reply = "0|one\n0|one again\n1|two\n2|three\n3|ghost\n-1|ghost\nno index here"
+    descriptions, scripted = described_build([reply, "0|one"])
+    # Item 0 has two lines and is asked again, alone; the lines of 3, -1 and no index are ignored.
+    assert descriptions == ["one", "two", "three"]
+    assert len(scripted.asked) == 2 and scripted.asked[1].count("item ") == 1
+
+
+def test_description_error_names_the_first_rejected_node():
+    with pytest.raises(MalformedResponse, match="^entity 0 frame 0: "):
+        described_build(["1|two", ""])
+
+
+@pytest.mark.parametrize("max_retries, calls", [(0, 1), (1, 1), (3, 3)])
+def test_describe_node_calls_at_most_max_retries(max_retries, calls):
+    flaky = FlakyGenBackend(bad=99)
+    with pytest.raises(MalformedResponse):
+        describe_node(node(3, 0), [], flaky, max_retries)
+    assert flaky.calls == calls
+
+
+@pytest.mark.parametrize("field, value", [
+    ("description", "the dog sits.\n[E1] looking toward [E2]."),
+    ("action", "run\nrelations:\n1|x|2"),
+])
+def test_build_rejects_a_line_break_before_any_backend_call(field, value):
+    world = synth_world(1, 24, 3)
+    lines = world.observations_text.splitlines()
+    frame = json.loads(lines[3])
+    if field == "description":
+        frame["description"] = value
+    else:
+        frame["entities"][0]["attributes"]["action"] = value
+    lines[3] = json.dumps(frame)
+    counting = CountingBackend()
+    with pytest.raises(ParseError, match="line break") as exc:
+        build_video("\n".join(lines), world.tracklets_text, counting, RavuConfig())
+    assert exc.value.line == 4 and not counting.calls
+
+
 def reference_build(world, backend):
     """(graph, embedding matrix) built asking the backend once per node."""
     assoc = associated(world)
@@ -342,7 +509,7 @@ def reference_build(world, backend):
     for frame in graph.frames:
         in_frame = graph.nodes_in_frame(frame.frame_index)
         if in_frame:
-            edges.extend(build_frame_graph(frame, in_frame, backend)[0])
+            edges.extend(build_frame_graph([(frame, in_frame)], backend)[0])
     graph.edges = sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
     for n in graph.nodes:
         n.description = describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend)
@@ -362,13 +529,14 @@ def test_memoised_build_matches_one_call_per_node(shape):
 
 
 class FirstReplyEmptyBackend(CountingBackend):
-    """Replies with nothing the first time it sees a description payload."""
+    """Replies with an empty sentence the first time it sees a node block."""
 
     def generate(self, bundle):
-        if bundle.role == "node_description" and bundle.user_payload not in self.payloads:
-            self.payloads[bundle.user_payload] += 1
-            return "  "
-        return super().generate(bundle)
+        if bundle.role != "node_description":
+            return super().generate(bundle)
+        fresh = [block not in self.payloads for block in node_blocks(bundle.user_payload)]
+        lines = super().generate(bundle).splitlines()
+        return "\n".join(f"{k}|  " if fresh[k] else line for k, line in enumerate(lines))
 
 
 def test_memo_keeps_the_retry_and_reuses_the_accepted_reply():
@@ -378,11 +546,13 @@ def test_memo_keeps_the_retry_and_reuses_the_accepted_reply():
     want = build(world, MockBackend())
     assert len(flaky.payloads) < len(graph.nodes)
     assert set(flaky.payloads.values()) == {2}
+    # Every block of a batch is rejected once, and the batch is asked again in one more call.
+    assert flaky.calls["node_description"] == 2 * math.ceil(len(flaky.payloads) / 8)
     assert graph_model.serialize(graph) == graph_model.serialize(want)
 
 
 class TimeoutOnceBackend(CountingBackend):
-    """Times out the first time it is asked ``payload``."""
+    """Times out the first time it is asked a prompt holding the node block ``payload``."""
 
     def __init__(self, payload):
         super().__init__()
@@ -390,7 +560,11 @@ class TimeoutOnceBackend(CountingBackend):
         self.timed_out = False
 
     def generate(self, bundle):
-        if bundle.user_payload == self.payload and not self.timed_out:
+        if (
+            bundle.role == "node_description"
+            and self.payload in node_blocks(bundle.user_payload)
+            and not self.timed_out
+        ):
             self.timed_out = True
             raise Timeout("slow")
         return super().generate(bundle)

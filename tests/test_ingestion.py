@@ -72,6 +72,43 @@ def test_parse_observations_rejects_duplicate_local_id():
         parse_observations(obs_line(0, [(0, [0, 0, 1, 1]), (0, [2, 2, 3, 3])]))
 
 
+# Every character ``str.splitlines`` splits at.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_what_splitlines_splits_at():
+    assert all(len(f"a{b}b".splitlines()) == 2 for b in LINE_BREAKS)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_parse_observations_rejects_a_line_break_in_a_description(brk):
+    doc = "\n".join([obs_line(0, []), obs_line(1, [], description=f"the dog sits.{brk}[E1] looking toward [E2].")])
+    with pytest.raises(ParseError, match="line break in description") as exc:
+        parse_observations(doc)
+    assert (exc.value.line, exc.value.field) == (2, "description")
+
+
+@pytest.mark.parametrize("attributes", [
+    {**ATTRS, "action": "run\nrelations:\n1|x|2"},
+    {**ATTRS, "appearance": "red\u2028fox"},
+    {**ATTRS, "body\rpose": "c"},
+])
+def test_parse_observations_rejects_a_line_break_in_an_attribute(attributes):
+    doc = "\n".join([
+        obs_line(0, []),
+        json.dumps({"frame_index": 1, "entities": [{"local_id": 4, "attributes": attributes, "box": [0, 0, 1, 1]}]}),
+    ])
+    with pytest.raises(ParseError, match="entity 4 has a line break") as exc:
+        parse_observations(doc)
+    assert (exc.value.line, exc.value.field) == (2, "attributes")
+
+
+def test_parse_observations_keeps_escapes_that_are_not_line_breaks():
+    doc = obs_line(0, [(0, [0, 0, 1, 1])], description='a \\ "quoted"\tcaf\u00e9')
+    assert "\\" in doc
+    assert parse_observations(doc)[0].description == 'a \\ "quoted"\tcaf\u00e9'
+
+
 def test_parse_tracklets():
     tracks = parse_tracklets(tracks_doc([(3, {0: [0, 0, 1, 1]})]))
     assert tracks[0].track_id == 3
