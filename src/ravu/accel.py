@@ -1,9 +1,10 @@
 """Numeric kernels: box IoU (association) and cosine scoring (retrieval),
 vectorised with numpy.
 
-``iou_rows`` is the one IoU kernel; ``iou_matrix`` and ``iou_pair`` are
-broadcasts over it, so every IoU the package computes is bit-identical to
-the one ``associate``'s batched pass computes for the same two boxes.
+``iou_rows`` is the one IoU kernel; ``associate`` scores a whole video in
+one call to it. ``iou_matrix``, a pairwise broadcast over it with
+bit-identical values, has no caller in the package: the benchmark's tracer
+wraps it by name.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
     return iou_rows(a[:, None, :], b[None, :, :])
-
-
-def iou_pair(box_a, box_b) -> float:
-    """IoU of two boxes given as (x0, y0, x1, y1) sequences."""
-    return float(iou_rows(box_a, box_b))
 
 
 # Rows per block of ``norms``: 512 rows of 256 float64s is a 1 MB temporary.

@@ -499,9 +499,12 @@ class RemoteBackend:
         if resp.status_code != 200:
             raise MalformedResponse(f"remote backend returned HTTP {resp.status_code}")
         try:
-            return resp.json()
+            data = resp.json()
         except ValueError as exc:
             raise MalformedResponse("remote backend returned non-JSON body") from exc
+        if not isinstance(data, dict):
+            raise MalformedResponse("remote backend returned a JSON body that is not an object")
+        return data
 
     def generate(self, bundle: PromptBundle) -> str:
         body = {
@@ -514,10 +517,10 @@ class RemoteBackend:
                 {"frame_index": fi, "source_ref": ref, "description": desc}
                 for fi, ref, desc in bundle.frame_refs
             ]
-        data = self._post(body)
-        text = data.get("text", "")
-        if not text:
-            raise MalformedResponse("remote backend returned empty text")
+        # An empty text is a reply like any other: each caller's parser decides.
+        text = self._post(body).get("text")
+        if not isinstance(text, str):
+            raise MalformedResponse("remote backend reply has no text string")
         return text
 
     def embed(self, text: str) -> np.ndarray:

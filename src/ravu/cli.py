@@ -134,10 +134,10 @@ def embed(ctx, graph_path, out):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     graph = _load_graph(graph_path)
-    records = embed_graph(graph, backend)
+    embeddings = embed_graph(graph, backend)
     index_path = f"{out}.index.jsonl"
-    write_embeddings(records, out, index_path)
-    click.echo(f"wrote {len(records)} vectors to {out} (+ {index_path})")
+    write_embeddings(embeddings, out, index_path)
+    click.echo(f"wrote {len(embeddings)} vectors to {out} (+ {index_path})")
 
 
 @main.command()
@@ -171,8 +171,8 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     index_path = f"{emb_path}.index.jsonl"
     if not Path(index_path).is_file():
         raise click.ClickException(f"{index_path}: no such file; it holds the row index of {emb_path}")
-    records = read_embeddings(emb_path, index_path, graph, dim=cfg.embed_dim)
-    assets = VideoAssets(graph, EmbeddingIndex(records), None)
+    embeddings = read_embeddings(emb_path, index_path, graph, dim=cfg.embed_dim)
+    assets = VideoAssets(graph, EmbeddingIndex(embeddings), None)
     retrieval = retrieve(
         assets, question, category, backend,
         budget=budget if budget is not None else cfg.budget, top_k=cfg.top_k,

@@ -50,8 +50,7 @@ def build_video(
     graph, report = build_graph(
         assoc.frames, assoc.nodes, backend, fps=cfg.fps, max_retries=cfg.max_retries
     )
-    records = embed_graph(graph, backend)
-    return VideoAssets(graph=graph, index=EmbeddingIndex(records), build_report=report)
+    return VideoAssets(graph=graph, index=EmbeddingIndex(embed_graph(graph, backend)), build_report=report)
 
 
 class TokenCountingBackend:

@@ -3,14 +3,16 @@
 Stages: per-frame relation edges, per-node descriptions, node embeddings,
 and per-entity event segmentation. Each stage is deterministic under the
 mock backend; results are keyed and sorted canonically so completion order
-never affects the output.
+never affects the output. Node embeddings are ``EmbeddingColumns``, the one
+embedding type: ``embed_graph`` returns them, ``write_embeddings`` persists
+them, and ``read_embeddings`` loads them back against their graph.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .graph_model import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingRecord:
     """One node's description text and its unit-norm embedding vector."""
 
@@ -39,25 +41,15 @@ class EmbeddingRecord:
     description: str
     vector: np.ndarray
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, EmbeddingRecord)
-            and self.entity_id == other.entity_id
-            and self.frame_index == other.frame_index
-            and self.description == other.description
-            and np.array_equal(self.vector, other.vector)
-        )
 
-
-class EmbeddingColumns(Sequence[EmbeddingRecord]):
-    """Embedding records held as read-only columns, each distinct vector once.
+class EmbeddingColumns:
+    """Node embeddings held as read-only columns, each distinct vector once.
 
     ``vectors`` is a float64 array with one row per distinct vector and
-    ``vector_of`` an intp array giving each record's row of it, so record
-    ``i``'s vector is ``vectors[vector_of[i]]``. ``entities`` and ``frames``
-    are int64 arrays and ``descriptions`` is a list. An item is an
-    ``EmbeddingRecord`` made on access. The columns compare equal to any
-    sequence of equal records.
+    ``vector_of`` an intp array giving each row's vector, so row ``i``'s
+    vector is ``vectors[vector_of[i]]``. ``entities`` and ``frames`` are
+    int64 arrays and ``descriptions`` is a list. Iterating yields each row
+    as an ``EmbeddingRecord`` made on access.
     """
 
     def __init__(
@@ -73,33 +65,8 @@ class EmbeddingColumns(Sequence[EmbeddingRecord]):
         self.vectors, self.vector_of = vectors, vector_of
         self.entities, self.frames, self.descriptions = entities, frames, descriptions
 
-    @classmethod
-    def of(cls, records: Sequence[EmbeddingRecord]) -> EmbeddingColumns:
-        """``records`` as columns, each with its own vector; columns are returned as they are."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        n = len(records)
-        return cls(
-            np.stack([r.vector for r in records], dtype=np.float64) if n else np.zeros((0, 0)),
-            np.arange(n, dtype=np.intp),
-            np.fromiter((r.entity_id for r in records), dtype=np.int64, count=n),
-            np.fromiter((r.frame_index for r in records), dtype=np.int64, count=n),
-            [r.description for r in records],
-        )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Every record's vector, one row each: a new full-size array on every access."""
-        return self.vectors[self.vector_of]
-
     def __len__(self) -> int:
         return len(self.descriptions)
-
-    def __getitem__(self, i: int) -> EmbeddingRecord:
-        return EmbeddingRecord(
-            int(self.entities[i]), int(self.frames[i]), self.descriptions[i], self.vectors[self.vector_of[i]]
-        )
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
         vectors = self.vectors
@@ -107,11 +74,6 @@ class EmbeddingColumns(Sequence[EmbeddingRecord]):
             self.entities.tolist(), self.frames.tolist(), self.descriptions, self.vector_of.tolist()
         ):
             yield EmbeddingRecord(entity_id, frame_index, description, vectors[j])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -261,7 +223,7 @@ def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) ->
 
 
 def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
-    """One embedding record per node, in (frame, entity) order; all nodes must be described first.
+    """One embedding row per node, in (frame, entity) order; all nodes must be described first.
 
     Each distinct description is embedded once per call and held once in
     the columns' ``vectors``; nodes that share a description share its
@@ -437,9 +399,8 @@ _CANONICAL_ROW = re.compile(
 )
 
 
-def write_embeddings(records: Sequence[EmbeddingRecord], bin_path: str | Path, index_path: str | Path) -> None:
-    """Write the vectors as little-endian float32 rows, one per record, and one index line per row."""
-    columns = EmbeddingColumns.of(records)
+def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path: str | Path) -> None:
+    """Write the vectors as little-endian float32 rows, one per node, and one index line per row."""
     rows = columns.vectors.astype("<f4")[columns.vector_of]
     count, dim = rows.shape
     with open(bin_path, "wb") as fh:
@@ -486,21 +447,20 @@ def _index_entries(text: str) -> Iterator[tuple[int, int, int, int]]:
 def read_embeddings(
     bin_path: str | Path,
     index_path: str | Path,
-    graph: SpatioTemporalGraph | None = None,
+    graph: SpatioTemporalGraph,
     dim: int | None = None,
 ) -> EmbeddingColumns:
-    """Load the records, in index order; descriptions are restored from ``graph`` when given.
+    """Load the rows, in index order, with their descriptions restored from ``graph``.
 
     The index must list each row and each ``(entity_id, frame_index)`` key
-    once, as many rows as the header counts, and, when ``graph`` is given,
-    exactly the graph's node keys. A non-empty file's vectors must have
-    ``dim`` entries when ``dim`` is given, and every value must be finite.
-    Anything else raises ParseError.
+    once, as many rows as the header counts, and exactly the graph's node
+    keys. A non-empty file's vectors must have ``dim`` entries when ``dim``
+    is given, and every value must be finite. Anything else raises
+    ParseError.
 
-    With ``graph``, records that share a description share one vector when
-    their stored bytes are equal, so only distinct rows are converted to
-    float64; any other record, and every record without ``graph``, gets its
-    own vector.
+    Rows that share a description share one vector when their stored bytes
+    are equal, so only distinct rows are converted to float64; any other
+    row gets its own vector.
     """
     raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
@@ -515,11 +475,7 @@ def read_embeddings(
         raise ParseError(f"{bin_path}: vectors have dimension {stored_dim}, expected {dim}", field="dim")
     stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
 
-    descriptions: dict[tuple[int, int], str] = {}
-    if graph is not None:
-        descriptions = {
-            (n.entity_id, n.frame_index): n.description or "" for n in graph.nodes
-        }
+    descriptions = {(n.entity_id, n.frame_index): n.description or "" for n in graph.nodes}
 
     rows: list[int] = []
     keys: list[tuple[int, int]] = []
@@ -536,7 +492,7 @@ def read_embeddings(
             raise ParseError(f"row {row} listed twice", line=lineno, field="row")
         if key in seen_keys:
             raise ParseError(f"entity {entity_id} frame {frame_index} listed twice", line=lineno)
-        if graph is not None and key not in descriptions:
+        if key not in descriptions:
             raise ParseError(f"entity {entity_id} frame {frame_index} is not a graph node", line=lineno)
         seen_rows.add(row)
         seen_keys.add(key)
@@ -546,13 +502,13 @@ def read_embeddings(
         raise ParseError(
             f"index lists {len(rows)} rows, header counts {count}", line=len(text.splitlines()) + 1, field="row"
         )
-    if graph is not None and len(rows) < len(descriptions):
+    if len(rows) < len(descriptions):
         entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)
         raise ParseError(f"graph node entity {entity_id} frame {frame_index} has no embedding row")
-    texts = [descriptions.get(key, "") for key in keys]
+    texts = [descriptions[key] for key in keys]
     if rows != list(range(count)):
         stored = stored[rows]
-    vectors, vector_of = _distinct_vectors(stored, texts if graph is not None else None)
+    vectors, vector_of = _distinct_vectors(stored, texts)
     if not np.isfinite(vectors).all():
         bad = int(np.argmin(np.isfinite(vectors).all(axis=1)))
         row = rows[int(np.argmax(vector_of == bad))]
@@ -563,7 +519,7 @@ def read_embeddings(
     )
 
 
-# Records per block of ``_distinct_vectors``' byte comparison: 96 rows of
+# Rows per block of ``_distinct_vectors``' byte comparison: 96 rows of
 # 256 float32s is a 96 KB temporary, below the size at which glibc maps a
 # fresh block from the OS; the page faults of larger temporaries cost more
 # than converting only the distinct rows saves. A short video's rows fit
@@ -571,20 +527,17 @@ def read_embeddings(
 _SHARE_BLOCK = 96
 
 
-def _distinct_vectors(stored: np.ndarray, texts: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
-    """``(vectors, vector_of)`` in float64 for float32 rows in record order.
+def _distinct_vectors(stored: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(vectors, vector_of)`` in float64 for float32 rows in index order.
 
-    Records with the same text share the first such record's vector when
-    their stored bytes are equal to it; any other record gets a vector of
-    its own, and so does every record when ``texts`` is None.
+    Rows with the same text share the first such row's vector when their
+    stored bytes are equal to it; any other row gets a vector of its own.
     """
     count = len(stored)
-    if texts is None:
-        return stored.astype(np.float64), np.arange(count, dtype=np.intp)
     first: dict[str, int] = {}
     owner = np.array([first.setdefault(text, i) for i, text in enumerate(texts)], dtype=np.intp)
     firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    # ``firsts`` ascends, so each record's position in it is its vector.
+    # ``firsts`` ascends, so each row's position in it is its vector.
     vector_of = np.searchsorted(firsts, owner)
     candidates = stored[firsts]
     bits, candidate_bits = stored.view(np.uint32), candidates.view(np.uint32)

@@ -20,8 +20,10 @@ Mutating a list in place after the first lookup is not supported.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import attrgetter, itemgetter
@@ -29,6 +31,9 @@ from operator import attrgetter, itemgetter
 from .errors import MALFORMED, NotFound, ParseError, json_object
 
 REQUIRED_ATTRIBUTES = ("appearance", "action", "body_pose")
+# What ``str.splitlines`` splits at: every backend payload is line-oriented.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,6 @@ class BoundingBox:
     y_min: float
     x_max: float
     y_max: float
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
 
     def is_valid(self) -> bool:
         return 0 <= self.x_min < self.x_max < inf and 0 <= self.y_min < self.y_max < inf
@@ -435,7 +437,48 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
     )
 
 
+def _reject_line_breaks(frames, nodes, edges, events) -> None:
+    """Raise ParseError naming the first text field that holds a line break, and its owner."""
+    texts = "\0".join(chain(
+        (f.description for f in frames),
+        (n.description or "" for n in nodes),
+        chain.from_iterable(chain(n.attributes, n.attributes.values()) for n in nodes),
+        (e.relation for e in edges),
+        (ev.summary for ev in chain.from_iterable(events.values())),
+    ))
+    # One substring scan per break of all the text is a fifth of a regex search per field.
+    if not any(c in texts for c in LINE_BREAKS):
+        return
+    for f in frames:
+        if LINE_BREAK.search(f.description):
+            raise ParseError(f"frame {f.frame_index} has a line break in its description", field="description")
+    for n in nodes:
+        if n.description is not None and LINE_BREAK.search(n.description):
+            raise ParseError(
+                f"node entity {n.entity_id} frame {n.frame_index} has a line break in its description",
+                field="description",
+            )
+        if any(map(LINE_BREAK.search, chain(n.attributes, n.attributes.values()))):
+            raise ParseError(
+                f"node entity {n.entity_id} frame {n.frame_index} has a line break in an attribute key or value",
+                field="attributes",
+            )
+    for e in edges:
+        if LINE_BREAK.search(e.relation):
+            raise ParseError(
+                f"edge frame {e.frame_index} {e.subject_id}->{e.object_id} has a line break in its relation",
+                field="relation",
+            )
+    for ev in chain.from_iterable(events.values()):
+        if LINE_BREAK.search(ev.summary):
+            raise ParseError(
+                f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}] has a line break in its summary",
+                field="summary",
+            )
+
+
 def deserialize(document: str) -> SpatioTemporalGraph:
+    """The graph a document holds; a malformed document or a line break in a text field raises ParseError."""
     doc = json_object(document, "graph document")
     for key in ("frames", "nodes", "edges", "events", "fps"):
         if key not in doc:
@@ -489,5 +532,8 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         fps = float(doc["fps"])
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
+    # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
+    if any(c in document for c in "\\\x85\u2028\u2029"):
+        _reject_line_breaks(frames, nodes, edges, events)
 
     return SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)

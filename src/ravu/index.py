@@ -3,14 +3,14 @@
 The index is a linear scan: at 1 fps a video yields at most a few thousand
 nodes, so exact search is cheap and keeps retrieval deterministic. It is
 columnar: it keeps the ``EmbeddingColumns`` it is given, such as those
-``embed_graph`` and ``read_embeddings`` return, without a copy, and stacks
-a list of records into columns once. The columns hold each distinct
-vector once, as a float64 ``vectors`` array, and map each row to its
-vector with ``vector_of``; nodes that share a description share a vector,
-so a 600-frame video's ~4,800 rows have ~650 vectors. Beside them sit int
-arrays of frames and entities and a list of descriptions. The index also
-computes, once, the norm of every distinct vector and the rows sorted by
-(entity, frame) with each entity's slice of that order.
+``embed_graph`` and ``read_embeddings`` return, without a copy. The
+columns hold each distinct vector once, as a float64 ``vectors`` array,
+and map each row to its vector with ``vector_of``; nodes that share a
+description share a vector, so a 600-frame video's ~4,800 rows have ~650
+vectors. Beside them sit int arrays of frames and entities and a list of
+descriptions. The index also computes, once, the norm of every distinct
+vector and the rows sorted by (entity, frame) with each entity's slice of
+that order.
 
 A query is then one matrix-vector product over the distinct vectors
 (``accel.cosine_scores`` with the cached norms), a gather of those scores
@@ -30,8 +30,7 @@ needs one score per distinct vector, as ``scores`` gives, and is checked.
 The vectors are not stored unit-normalised: dividing each vector by its
 norm before the dot product rounds differently from dividing the dot
 product, which can move a score by one ulp across the 1e-9 quantisation
-edge. Nothing keeps a full (rows, dim) matrix: ``EmbeddingColumns.matrix``
-builds one on each access.
+edge. Nothing keeps or builds a full (rows, dim) matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 from . import accel, backends
 from .backends import make_bundle
 from .errors import EmptyIndex, MalformedResponse
-from .graph_builder import EmbeddingColumns, EmbeddingRecord
+from .graph_builder import EmbeddingColumns
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,12 @@ def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]
 class EmbeddingIndex:
     """Immutable node-embedding index; safe for concurrent queries.
 
-    It keeps columns, not the records it was built from: ``vectors`` (each
+    It keeps the columns it is given, without a copy: ``vectors`` (each
     distinct read-only float64 vector once), ``vector_of`` (each row's
-    vector), ``frames``, ``entities`` and ``descriptions``. Dropping a list
-    of records therefore frees their vectors.
+    vector), ``frames``, ``entities`` and ``descriptions``.
     """
 
-    def __init__(self, records: Sequence[EmbeddingRecord]):
-        columns = EmbeddingColumns.of(records)
+    def __init__(self, columns: EmbeddingColumns):
         self._columns = columns
         self.vectors, self.vector_of = columns.vectors, columns.vector_of
         self.frames, self.entities, self.descriptions = columns.frames, columns.entities, columns.descriptions
@@ -109,7 +106,7 @@ class EmbeddingIndex:
 
     @property
     def records(self) -> EmbeddingColumns:
-        """The rows as read-only columns, whose items are records; each vector is one of ``vectors``."""
+        """The columns the index was built from; iterating them yields each row as a record."""
         return self._columns
 
     def scores(self, query_vector: np.ndarray) -> np.ndarray:

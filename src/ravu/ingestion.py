@@ -23,11 +23,9 @@ import numpy as np
 
 from . import accel
 from .errors import MALFORMED, ParseError, json_object, json_objects
-from .graph_model import BoundingBox, EntityNode, FrameRecord, parse_box
+from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, parse_box
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
-# What ``str.splitlines`` splits at: every backend payload is line-oriented.
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass
@@ -79,14 +77,14 @@ def parse_observations(document: str) -> list[FrameObservation]:
                     raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
                 local_seen.add(local_id)
                 attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
-                if escapes and any(map(_LINE_BREAK.search, chain(attributes, attributes.values()))):
+                if escapes and any(map(LINE_BREAK.search, chain(attributes, attributes.values()))):
                     raise ParseError(
                         f"entity {local_id} has a line break in an attribute key or value",
                         line=lineno, field="attributes",
                     )
                 entities.append((local_id, attributes, parse_box(ent["box"], "entity %s", local_id)))
             description = str(raw.get("description", ""))
-            if escapes and _LINE_BREAK.search(description):
+            if escapes and LINE_BREAK.search(description):
                 raise ParseError("line break in description", line=lineno, field="description")
             observations[frame_index] = FrameObservation(
                 frame_index=frame_index,

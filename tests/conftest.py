@@ -1,9 +1,31 @@
+import numpy as np
 import pytest
 
 from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
+from ravu.graph_builder import EmbeddingColumns
 from ravu.synth import synth_world
+
+
+def make_columns(records) -> EmbeddingColumns:
+    """Columns of ``records`` (``EmbeddingRecord``s, or anything with their four
+    attributes), in order, each row with a vector of its own."""
+    records = list(records)
+    n = len(records)
+    return EmbeddingColumns(
+        np.stack([r.vector for r in records], dtype=np.float64) if n else np.zeros((0, 0)),
+        np.arange(n, dtype=np.intp),
+        np.array([r.entity_id for r in records], dtype=np.int64),
+        np.array([r.frame_index for r in records], dtype=np.int64),
+        [r.description for r in records],
+    )
+
+
+def record_rows(records) -> list[tuple]:
+    """``(entity_id, frame_index, description, vector as a list)`` of each record, for comparing
+    columns with columns or with a list of records."""
+    return [(r.entity_id, r.frame_index, r.description, np.asarray(r.vector).tolist()) for r in records]
 
 
 @pytest.fixture

@@ -32,6 +32,8 @@ from ravu.graph_model import BoundingBox
 from ravu.plan import parse_plan
 from ravu.synth import make_corpus, synth_world
 
+from conftest import make_columns
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -76,10 +78,10 @@ def test_criterion_1_iou_oracle():
     start = time.perf_counter()
     for _ in range(1000):
         a, b = _lattice_box(rng), _lattice_box(rng)
-        got = accel.iou_pair(a, b)
+        got = float(accel.iou_rows(a, b))
         assert abs(got - _raster_iou(a, b)) < 1e-3
-        assert got == accel.iou_pair(b, a)  # symmetry exact
-        assert accel.iou_pair(a, a) == 1.0  # identity exact
+        assert got == float(accel.iou_rows(b, a))  # symmetry exact
+        assert float(accel.iou_rows(a, a)) == 1.0  # identity exact
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report("1 (IoU vs rasterization oracle)")
@@ -232,7 +234,7 @@ def test_criterion_3_index_exactness():
             EmbeddingRecord(int(rng.integers(0, 8)), i, f"r{i}", vectors[i])
             for i in range(n)
         ]
-        index = EmbeddingIndex(records)
+        index = EmbeddingIndex(make_columns(records))
         k = int(rng.integers(1, n + 2))
         q = rng.standard_normal(dim)
         got = [(c.frame_index, c.entity_id) for c in index.top_k(q, k)]
@@ -361,11 +363,7 @@ def test_criterion_8_determinism(corpus):
             a = build_video(w.observations_text, w.tracklets_text, backend, cfg)
             assets[w.video_id] = a
             graphs.append(serialize(a.graph))
-            records = [
-                EmbeddingRecord(r.entity_id, r.frame_index, r.description, r.vector)
-                for r in a.index.records
-            ]
-            embeddings.append(_embedding_bytes(records))
+            embeddings.append(_embedding_bytes(a.index.records))
         items = [item for w in rebuilt_worlds for item in w.questions]
         report = report_to_json(eval_qa(items, assets, backend))
         runs.append((graphs, embeddings, report))
@@ -377,13 +375,13 @@ def test_criterion_8_determinism(corpus):
     _report("8 (two full runs byte-identical)")
 
 
-def _embedding_bytes(records):
+def _embedding_bytes(columns):
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         bin_path = Path(tmp) / "e.bin"
         idx_path = Path(tmp) / "e.idx"
-        write_embeddings(records, bin_path, idx_path)
+        write_embeddings(columns, bin_path, idx_path)
         return bin_path.read_bytes() + idx_path.read_bytes()
 
 

@@ -11,9 +11,11 @@ from ravu.backends import (
     mock_breakdown,
 )
 from ravu.errors import BackendError, BlockedContent, MalformedResponse, RavuError, Timeout
-from ravu.graph_builder import EmbeddingRecord
-from ravu.graph_model import EntityEvent, RelationEdge
-from ravu.index import EmbeddingIndex
+from ravu.graph_builder import EmbeddingRecord, build_frame_graph
+from ravu.graph_model import BoundingBox, EntityEvent, EntityNode, FrameRecord, RelationEdge
+from ravu.index import EmbeddingIndex, rerank
+
+from conftest import make_columns
 
 
 def test_bundle_role_validation():
@@ -280,6 +282,40 @@ def test_remote_backend_error_mapping(monkeypatch):
         remote.generate(bundle)
 
 
+def two_entity_frame(description):
+    return FrameRecord(0, 0.0, description), [EntityNode(e, 0, {}, BoundingBox(0, 0, 1, 1)) for e in (0, 1)]
+
+
+def remote_generate(remote):
+    return remote.generate(make_bundle("rerank", backends.rerank_payload("x", ["x"])))
+
+
+REMOTE_REPLIES = [
+    # An empty text is a reply like any other: the caller's parser accepts it or not.
+    pytest.param({"text": ""}, remote_generate, "", id="empty text"),
+    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] waits. [E1] sits.")], r),
+                 ([], 0), id="frame graph, no relation stated"),
+    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] greets [E1].")], r),
+                 MalformedResponse, id="frame graph, co-mention"),
+    pytest.param({"text": ""}, lambda r: rerank("x", ["a", "b"], r), (0, True), id="rerank"),
+    pytest.param({"text": 5}, remote_generate, MalformedResponse, id="int text"),
+    pytest.param({"answer": "0"}, remote_generate, MalformedResponse, id="no text"),
+    pytest.param([1, 2], remote_generate, MalformedResponse, id="list body, generate"),
+    pytest.param([1, 2], lambda r: r.embed("a"), MalformedResponse, id="list body, embed"),
+]
+
+
+@pytest.mark.parametrize("payload, call, expected", REMOTE_REPLIES)
+def test_remote_backend_reply_shapes(monkeypatch, payload, call, expected):
+    _patch_post(monkeypatch, _FakeResponse(payload=payload))
+    remote = RemoteBackend("http://example.test", dim=2)
+    if expected is MalformedResponse:
+        with pytest.raises(MalformedResponse):
+            call(remote)
+    else:
+        assert call(remote) == expected
+
+
 REQUEST_FAILURES = ["ChunkedEncodingError", "TooManyRedirects", "InvalidURL", "RequestException"]
 
 
@@ -338,9 +374,9 @@ def test_remote_backend_rejects_non_finite_embeddings(monkeypatch, text):
 
 
 def test_localize_with_a_non_finite_embedding_ends_as_a_typed_error(monkeypatch):
-    index = EmbeddingIndex(
+    index = EmbeddingIndex(make_columns(
         [EmbeddingRecord(0, 0, "alpha", np.array([1.0, 0.0])), EmbeddingRecord(1, 1, "beta", np.array([0.0, 1.0]))]
-    )
+    ))
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "[NaN, 1.0]"}))
     with pytest.raises(RavuError, match="non-finite") as exc:
         index.localize("alpha", 2, RemoteBackend("http://example.test", dim=2))

@@ -12,8 +12,10 @@ from ravu.config import RavuConfig
 from ravu.datasets import load_loc, load_mcq
 from ravu.errors import ParseError
 from ravu.graph_builder import EmbeddingRecord, read_embeddings, write_embeddings
-from ravu.graph_model import deserialize
+from ravu.graph_model import BoundingBox, EntityNode, SpatioTemporalGraph, deserialize
 from ravu.ingestion import parse_observations, parse_tracklets
+
+from conftest import make_columns
 
 MODULES = sorted(p for p in Path(ravu.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -102,11 +104,19 @@ def read_path(loader):
     return read
 
 
+# One node, entity 0 in frame 0, and its one embedding row.
+ONE_NODE = SpatioTemporalGraph(nodes=[EntityNode(0, 0, {}, BoundingBox(0, 0, 1, 1), "")])
+
+
+def write_one_row(bin_path, index_path):
+    write_embeddings(make_columns([EmbeddingRecord(0, 0, "", np.ones(2))]), bin_path, index_path)
+
+
 def read_index(text, tmp_path):
     bin_path, index_path = tmp_path / "e.bin", tmp_path / "e.bin.index.jsonl"
-    write_embeddings([EmbeddingRecord(0, 0, "", np.ones(2))], bin_path, index_path)
+    write_one_row(bin_path, index_path)
     index_path.write_text(text)
-    return read_embeddings(bin_path, index_path)
+    return read_embeddings(bin_path, index_path, ONE_NODE)
 
 
 READERS = {
@@ -191,14 +201,14 @@ def test_every_reader_has_a_malformed_case():
 
 def read_embeddings_index(path):
     bin_path = path.parent / "e.bin"
-    write_embeddings([EmbeddingRecord(0, 0, "", np.ones(2))], bin_path, path.parent / "unused.jsonl")
-    return read_embeddings(bin_path, path)
+    write_one_row(bin_path, path.parent / "unused.jsonl")
+    return read_embeddings(bin_path, path, ONE_NODE)
 
 
 def read_embeddings_body(path):
     index_path = path.parent / "e.bin.index.jsonl"
     index_path.write_text(ROW)
-    return read_embeddings(path, index_path)
+    return read_embeddings(path, index_path, ONE_NODE)
 
 
 @pytest.mark.parametrize(

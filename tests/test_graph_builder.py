@@ -31,6 +31,8 @@ from ravu.graph_model import (
 from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.synth import synth_world
 
+from conftest import record_rows
+
 
 def node(entity_id, frame, action="running", appearance="red fox", desc=None):
     return EntityNode(
@@ -204,7 +206,7 @@ def test_read_embeddings_rejects_repeated_row(tmp_path, backend):
     entries[2]["row"] = 0
     rewrite(idx_path, entries)
     with pytest.raises(ParseError, match="row 0 listed twice") as exc:
-        read_embeddings(bin_path, idx_path)
+        read_embeddings(bin_path, idx_path, graph)
     assert exc.value.line == 3
 
 
@@ -213,7 +215,7 @@ def test_read_embeddings_rejects_repeated_key(tmp_path, backend):
     entries[1]["frame_index"] = entries[0]["frame_index"]
     rewrite(idx_path, entries)
     with pytest.raises(ParseError, match="listed twice") as exc:
-        read_embeddings(bin_path, idx_path)
+        read_embeddings(bin_path, idx_path, graph)
     assert exc.value.line == 2
 
 
@@ -221,7 +223,7 @@ def test_read_embeddings_rejects_missing_index_line(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     rewrite(idx_path, entries[:-1])
     with pytest.raises(ParseError, match="3 rows, header counts 4") as exc:
-        read_embeddings(bin_path, idx_path)
+        read_embeddings(bin_path, idx_path, graph)
     assert exc.value.line == 4
 
 
@@ -229,7 +231,7 @@ def test_read_embeddings_rejects_extra_index_line(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     rewrite(idx_path, entries + [{"row": 0, "entity_id": 0, "frame_index": 9}])
     with pytest.raises(ParseError, match="more than the header's 4 rows") as exc:
-        read_embeddings(bin_path, idx_path)
+        read_embeddings(bin_path, idx_path, graph)
     assert exc.value.line == 5
 
 
@@ -237,7 +239,6 @@ def test_read_embeddings_rejects_keys_not_in_graph(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     entries[3]["entity_id"] = 7
     rewrite(idx_path, entries)
-    assert len(read_embeddings(bin_path, idx_path)) == 4
     with pytest.raises(ParseError, match="entity 7 frame 3 is not a graph node") as exc:
         read_embeddings(bin_path, idx_path, graph)
     assert exc.value.line == 4
@@ -367,7 +368,8 @@ def test_batched_build_equals_one_item_per_call(monkeypatch, shape):
         (one, single), (eight, batched) = built[1], built[8]
         graph = batched.graph
         assert graph_model.serialize(graph) == graph_model.serialize(single.graph)
-        assert batched.index.records.matrix.tobytes() == single.index.records.matrix.tobytes()
+        assert batched.index.vectors.tobytes() == single.index.vectors.tobytes()
+        assert np.array_equal(batched.index.vector_of, single.index.vector_of)
         assert batched.build_report == single.build_report
         framed = sum(1 for f in graph.frames if graph.nodes_in_frame(f.frame_index))
         distinct = len(set(node_payloads(graph)))
@@ -525,7 +527,7 @@ def test_memoised_build_matches_one_call_per_node(shape):
     graph, matrix = reference_build(world, MockBackend())
     assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
     assert graph_model.serialize(assets.graph) == graph_model.serialize(graph)
-    assert assets.index.records.matrix.tobytes() == matrix.tobytes()
+    assert assets.index.vectors[assets.index.vector_of].tobytes() == matrix.tobytes()
 
 
 class FirstReplyEmptyBackend(CountingBackend):
@@ -598,6 +600,6 @@ def test_embed_error_names_the_node_and_is_not_remembered():
     backend = EmbedTimeoutOnce()
     with pytest.raises(Timeout, match="embedding entity 0 frame 0: slow"):
         embed_graph(graph, backend)
-    records = embed_graph(graph, backend)
+    columns = embed_graph(graph, backend)
     assert backend.calls == 1 + len({n.description for n in graph.nodes})
-    assert records == embed_graph(graph, MockBackend())
+    assert record_rows(columns) == record_rows(embed_graph(graph, MockBackend()))

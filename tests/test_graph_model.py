@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -283,6 +284,52 @@ def test_deserialize_invalid_box():
     )
     with pytest.raises(ParseError, match=r"box of node 0 frame 0 must be \[x0, y0, x1, y1\]"):
         deserialize(doc)
+
+
+def set_attribute(node, key, value):
+    node.attributes[key] = value
+
+
+# Each text field of ``small_graph``, given a marker that the document's spelling of a line break replaces,
+# and the owner and field the ParseError names.
+LINE_BREAK_FIELDS = [
+    pytest.param(lambda g: setattr(g.frames[1], "description", "another MARK frame"), "frame 1", "description",
+                 id="frame description"),
+    pytest.param(lambda g: setattr(g.nodes[1], "description", "red MARK ball"), "node entity 0 frame 1",
+                 "description", id="node description"),
+    pytest.param(lambda g: set_attribute(g.nodes[2], "action", "rolling MARK"), "node entity 1 frame 0",
+                 "attributes", id="attribute value"),
+    pytest.param(lambda g: set_attribute(g.nodes[2], "MARK", "x"), "node entity 1 frame 0", "attributes",
+                 id="attribute key"),
+    pytest.param(lambda g: setattr(g, "edges", [RelationEdge(0, 0, "next MARK to", 1)]), "edge frame 0 0->1",
+                 "relation", id="edge relation"),
+    pytest.param(lambda g: setattr(g, "events", {0: [EntityEvent(0, 0, 1, "red MARK ball")]}),
+                 "event entity 0 [0..1]", "summary", id="event summary"),
+]
+LINE_BREAK_SPELLINGS = {"escaped \\n": "\\n", "escaped \\u000b": "\\u000b", "raw U+2028": "\u2028",
+                        "raw U+0085": "\x85"}
+
+
+@pytest.mark.parametrize("spelling", LINE_BREAK_SPELLINGS.values(), ids=LINE_BREAK_SPELLINGS.keys())
+@pytest.mark.parametrize("mark, owner, field", LINE_BREAK_FIELDS)
+def test_deserialize_rejects_a_line_break_in_a_text_field(mark, owner, field, spelling):
+    g = small_graph()
+    mark(g)
+    document = serialize(g).replace("MARK", spelling)
+    assert serialize(g).count("MARK") == 1
+    with pytest.raises(ParseError, match=f"^{re.escape(owner)} has a line break in") as exc:
+        deserialize(document)
+    assert exc.value.field == field
+
+
+def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():
+    g = small_graph()
+    g.frames[0].description = "a backslash then n: \\n, a tab\t, a quote \" and caf\u00e9"
+    g.nodes[0].description = "\u2027 \u202a \x84 \x86"
+    text = serialize(g)
+    assert "\\\\n" in text and "\\u00e9" in text
+    assert serialize(deserialize(text)) == text
+    assert deserialize(text.replace("\\u2027", "\u2027")).nodes[0].description == g.nodes[0].description
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from ravu.graph_model import EntityEvent, SpatioTemporalGraph
 from ravu.index import EmbeddingIndex, rerank
 from ravu.reasoning import hierarchical_retrieve
 
+from conftest import make_columns, record_rows
+
 
 def rec(entity, frame, vector, description=""):
     v = np.asarray(vector, dtype=np.float64)
@@ -27,18 +29,18 @@ def unit(v):
 
 def test_empty_index_raises():
     with pytest.raises(EmptyIndex):
-        EmbeddingIndex([]).top_k(np.ones(4), 1)
+        EmbeddingIndex(make_columns([])).top_k(np.ones(4), 1)
 
 
 def test_k_must_be_positive():
-    index = EmbeddingIndex([rec(0, 0, [1, 0])])
+    index = EmbeddingIndex(make_columns([rec(0, 0, [1, 0])]))
     with pytest.raises(ValueError):
         index.top_k(np.ones(2), 0)
 
 
 def test_top_k_orders_by_score():
     index = EmbeddingIndex(
-        [rec(0, 0, unit([1, 0])), rec(1, 1, unit([0, 1])), rec(2, 2, unit([1, 1]))]
+        make_columns([rec(0, 0, unit([1, 0])), rec(1, 1, unit([0, 1])), rec(2, 2, unit([1, 1]))])
     )
     out = index.top_k(unit([1, 0.1]), 3)
     assert [c.entity_id for c in out] == [0, 2, 1]
@@ -46,13 +48,13 @@ def test_top_k_orders_by_score():
 
 def test_top_k_tie_breaks_by_frame_then_entity():
     same = unit([1, 1])
-    index = EmbeddingIndex([rec(5, 2, same), rec(1, 2, same), rec(9, 0, same)])
+    index = EmbeddingIndex(make_columns([rec(5, 2, same), rec(1, 2, same), rec(9, 0, same)]))
     out = index.top_k(same, 3)
     assert [(c.frame_index, c.entity_id) for c in out] == [(0, 9), (2, 1), (2, 5)]
 
 
 def test_top_k_clamps_to_size():
-    index = EmbeddingIndex([rec(0, 0, unit([1, 0]))])
+    index = EmbeddingIndex(make_columns([rec(0, 0, unit([1, 0]))]))
     assert len(index.top_k(unit([1, 0]), 10)) == 1
 
 
@@ -62,11 +64,11 @@ def test_top_k_clamps_to_size():
 def test_top_k_matches_full_sort(n, k, seed):
     rng = np.random.default_rng(seed)
     records = [rec(i % 7, i, rng.standard_normal(8)) for i in range(n)]
-    index = EmbeddingIndex(records)
+    index = EmbeddingIndex(make_columns(records))
     q = rng.standard_normal(8)
     got = index.top_k(q, k)
 
-    scores = accel.cosine_scores(index.records.matrix, q)
+    scores = accel.cosine_scores(np.stack([r.vector for r in records]), q)
     oracle = sorted(
         range(n), key=lambda i: (-scores[i], records[i].frame_index, records[i].entity_id)
     )[: min(k, n)]
@@ -140,7 +142,7 @@ rows = st.lists(
 
 def index_of(drawn):
     records = [rec(e, f, v, f"row{i}") for i, (e, f, v) in enumerate(drawn)]
-    return records, EmbeddingIndex(records)
+    return records, EmbeddingIndex(make_columns(records))
 
 
 @given(rows.filter(bool), vectors, st.integers(1, 40))
@@ -149,7 +151,7 @@ def test_top_k_matches_the_sorted_reference(drawn, q, k):
     records, index = index_of(drawn)
     q = np.asarray(q, dtype=np.float64)
     scores = index.scores(q)
-    assert np.array_equal(scores, accel.cosine_scores(index.records.matrix, q))
+    assert np.array_equal(scores, accel.cosine_scores(np.stack([r.vector for r in records]), q))
     got = [(c.frame_index, c.entity_id, c.score, c.description) for c in index.top_k(q, k)]
     assert got == sorted_top_k(records, q, k)
 
@@ -224,7 +226,7 @@ def test_hierarchical_retrieve_shows_the_selector_the_ten_per_pick_best(reply, f
     # rows, of which the selector sees the 50 best for a budget of 5.
     rng = np.random.default_rng(7)
     records = [rec(0, f, rng.standard_normal(4)) for f in range(160)]
-    index = EmbeddingIndex(records)
+    index = EmbeddingIndex(make_columns(records))
     graph = SpatioTemporalGraph(events={0: [EntityEvent(0, f, f + 3, "") for f in range(0, 160, 4)]})
     q = rng.standard_normal(4)
     scores = accel.cosine_scores(np.stack([r.vector for r in records]), q)
@@ -316,7 +318,7 @@ def test_rank_ranges_rejects_scores_that_differ_within_a_shared_vector():
 
 @pytest.mark.parametrize("k", [-1, -3])
 def test_rank_rejects_a_negative_k(k):
-    index = EmbeddingIndex([rec(0, f, [1, f]) for f in range(5)])
+    index = EmbeddingIndex(make_columns([rec(0, f, [1, f]) for f in range(5)]))
     with pytest.raises(ValueError, match="k must be"):
         index.rank(index.scores(np.array([1.0, 0.0])), range(5), k)
 
@@ -327,20 +329,21 @@ def test_hierarchical_retrieve_rejects_an_empty_pick(per_event, top):
     graph = SpatioTemporalGraph(events={0: [EntityEvent(0, 0, 4, "")]})
     backend = Selecting(np.array([1.0, 0.0]), "0")
     with pytest.raises(ValueError, match="must be >= 1"):
-        hierarchical_retrieve("q", graph, EmbeddingIndex(records), backend, per_event=per_event, top=top)
+        hierarchical_retrieve("q", graph, EmbeddingIndex(make_columns(records)), backend, per_event=per_event, top=top)
     assert backend.payloads == []
 
 
 def test_index_keeps_columns_and_gives_back_equal_records():
     records = [rec(3, 1, [1, 2]), rec(0, 5, [0, 0]), rec(3, 0, [2, -1])]
-    index = EmbeddingIndex(records)
-    assert index.records == records
+    index = EmbeddingIndex(make_columns(records))
+    assert record_rows(index.records) == record_rows(records)
     assert (index.frames.tolist(), index.entities.tolist()) == ([1, 5, 0], [3, 0, 3])
     assert index.descriptions == ["e3f1", "e0f5", "e3f0"]
     assert index.vectors.tolist() == [[1, 2], [0, 0], [2, -1]] and index.vector_of.tolist() == [0, 1, 2]
     for column in (index.vectors, index.vector_of, index.frames, index.entities):
         assert not column.flags.writeable
-    assert len(EmbeddingIndex([])) == 0 and EmbeddingIndex([]).records == []
+    empty = EmbeddingIndex(make_columns([]))
+    assert len(empty) == 0 and list(empty.records) == []
 
 
 def test_index_gives_rows_that_share_a_vector_equal_records():
@@ -351,12 +354,10 @@ def test_index_gives_rows_that_share_a_vector_equal_records():
     )
     index = EmbeddingIndex(columns)
     assert index.vectors is vectors and index.records is columns
-    assert list(columns) == [rec(0, 5, [0, 0], "a"), rec(1, 5, [1, 2], "b"), rec(2, 6, [0, 0], "a"),
-                             rec(3, 6, [1, 2], "b")]
-    assert columns[3] == rec(3, 6, [1, 2], "b")
-    assert columns.matrix.tolist() == [[0, 0], [1, 2], [0, 0], [1, 2]]
-    # A new array on every access: nothing keeps the full matrix.
-    assert columns.matrix is not columns.matrix and columns.matrix.flags.writeable
+    assert record_rows(columns) == record_rows([
+        rec(0, 5, [0, 0], "a"), rec(1, 5, [1, 2], "b"), rec(2, 6, [0, 0], "a"), rec(3, 6, [1, 2], "b")
+    ])
+    assert all(r.vector.base is vectors for r in columns)
 
 
 def columns_of(drawn_vectors, vector_of, dim):
@@ -397,7 +398,7 @@ QUERY = np.array([0.5, -1.0, 2.0])
 def test_scores_equal_the_full_matrix_scores_bit_for_bit(drawn):
     columns, q = drawn
     index = EmbeddingIndex(columns)
-    full = columns.matrix
+    full = columns.vectors[columns.vector_of]
     assert full.shape == (len(columns), len(q))
     assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
     if len(columns):
@@ -408,7 +409,7 @@ def test_scores_equal_the_full_matrix_scores_bit_for_bit(drawn):
 def test_rank_orders_a_subset_of_rows():
     records = [rec(5, 2, [1]), rec(1, 2, [1]), rec(9, 0, [1]), rec(0, 1, [1])]
     scores = [0.5, 0.5, 0.5, 0.9]
-    index = EmbeddingIndex(records)
+    index = EmbeddingIndex(make_columns(records))
     assert index.rank(scores, [0, 1, 2, 3], 4) == [3, 2, 1, 0]
     assert index.rank(scores, [0, 1], 1) == [1]
     assert index.rank(scores, [], 3) == []
@@ -440,7 +441,7 @@ def test_localize_uses_rerank(backend):
         EmbeddingRecord(0, 0, descs[0], backend.embed(descs[0])),
         EmbeddingRecord(1, 1, descs[1], backend.embed(descs[1])),
     ]
-    index = EmbeddingIndex(records)
+    index = EmbeddingIndex(make_columns(records))
     out = index.localize("gray cat sleeping quietly", 2, backend)
     assert not out.fallback
     assert out.candidate.entity_id == 0
@@ -452,7 +453,7 @@ def test_localize_single_candidate_skips_rerank():
             raise AssertionError("generate must not be called")
 
     b = NoGenerate()
-    index = EmbeddingIndex([EmbeddingRecord(3, 4, "only one", b.embed("only one"))])
+    index = EmbeddingIndex(make_columns([EmbeddingRecord(3, 4, "only one", b.embed("only one"))]))
     out = index.localize("anything", 5, b)
     assert out.candidate.entity_id == 3 and not out.fallback
 
@@ -467,7 +468,7 @@ def test_localize_falls_back_on_garbage(backend):
         EmbeddingRecord(0, 0, "alpha", b.embed("alpha")),
         EmbeddingRecord(1, 1, "beta", b.embed("beta")),
     ]
-    out = EmbeddingIndex(records).localize("alpha", 2, b)
+    out = EmbeddingIndex(make_columns(records)).localize("alpha", 2, b)
     assert out.fallback
     assert out.candidate.description == "alpha"
 
@@ -483,10 +484,10 @@ def test_localize_propagates_programming_errors():
         EmbeddingRecord(1, 1, "beta", b.embed("beta")),
     ]
     with pytest.raises(TypeError):
-        EmbeddingIndex(records).localize("alpha", 2, b)
+        EmbeddingIndex(make_columns(records)).localize("alpha", 2, b)
 
 
 def test_localize_rejects_empty_phrase(backend):
-    index = EmbeddingIndex([EmbeddingRecord(0, 0, "x", backend.embed("x"))])
+    index = EmbeddingIndex(make_columns([EmbeddingRecord(0, 0, "x", backend.embed("x"))]))
     with pytest.raises(ValueError):
         index.localize("", 1, backend)

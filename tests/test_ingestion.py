@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -274,7 +275,7 @@ def oracle_associate(observations, tracklets, min_iou=0.1, fps=1.0):
         mapping = {}
         if obs.entities and frame_tracks:
             matrix = accel.iou_matrix(
-                [e[2].as_list() for e in obs.entities], [b.as_list() for _, b in frame_tracks]
+                [astuple(e[2]) for e in obs.entities], [astuple(b) for _, b in frame_tracks]
             )
             pairs = [
                 (matrix[ei, ti], frame_tracks[ti][0], obs.entities[ei][0])

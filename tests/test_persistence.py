@@ -28,6 +28,8 @@ from ravu.graph_model import (
 from ravu.index import EmbeddingIndex
 from ravu.synth import synth_world
 
+from conftest import make_columns, record_rows
+
 # sha256 of (graph document, embeddings.bin, row index) for synth_world(1, frames, entities)
 # built with the mock backend and the default config.
 GOLDEN_SHA256 = {
@@ -92,7 +94,7 @@ def oracle_serialize(graph):
                 "entity_id": n.entity_id,
                 "frame_index": n.frame_index,
                 "attributes": n.attributes,
-                "box": [float(v) for v in n.box.as_list()],
+                "box": [float(n.box.x_min), float(n.box.y_min), float(n.box.x_max), float(n.box.y_max)],
                 "description": n.description,
             }
             for n in nodes
@@ -194,7 +196,7 @@ def saved(tmp_path):
         for n in graph.nodes
     ]
     bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
-    write_embeddings(records, bin_path, idx_path)
+    write_embeddings(make_columns(records), bin_path, idx_path)
     entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
     return graph, bin_path, idx_path, entries
 
@@ -225,16 +227,16 @@ def test_read_embeddings_gives_equal_records_for_any_spelling_of_the_index(saved
     expected = read_embeddings(bin_path, idx_path, graph)
     assert idx_path.read_text() == canonical(entries)
     idx_path.write_text(render(entries))
-    assert read_embeddings(bin_path, idx_path, graph) == expected
+    assert record_rows(read_embeddings(bin_path, idx_path, graph)) == record_rows(expected)
 
 
 @pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)])
 def test_read_embeddings_follows_the_index_order(saved, render):
     graph, bin_path, idx_path, entries = saved
-    records = list(read_embeddings(bin_path, idx_path, graph))
+    rows = record_rows(read_embeddings(bin_path, idx_path, graph))
     order = [4, 0, 5, 2, 1, 3]
     idx_path.write_text(render([entries[i] for i in order]))
-    assert read_embeddings(bin_path, idx_path, graph) == [records[i] for i in order]
+    assert record_rows(read_embeddings(bin_path, idx_path, graph)) == [rows[i] for i in order]
 
 
 def break_row(entries, i, **values):
@@ -292,19 +294,19 @@ def spell_row(render, entries, i, field, spelling):
 
 @pytest.mark.parametrize("field", ["entity_id", "frame_index"])
 @pytest.mark.parametrize("spelling", OUTSIDE_INT64 + NOT_AN_INT)
-@pytest.mark.parametrize("with_graph", [False, True], ids=["no graph", "graph holds the id"])
+@pytest.mark.parametrize("graph_holds_it", [False, True], ids=["graph lacks the id", "graph holds the id"])
 @pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)],
                          ids=["canonical", "json"])
-def test_read_embeddings_reports_an_id_outside_int64_with_its_line(saved, field, spelling, with_graph, render):
+def test_read_embeddings_reports_an_id_outside_int64_with_its_line(saved, field, spelling, graph_holds_it, render):
     graph, bin_path, idx_path, entries = saved
     idx_path.write_text(spell_row(render, entries, 2, field, spelling))
-    if with_graph:
+    if graph_holds_it:
         # The row's graph node holds the same id, so the graph-membership check lets the row through.
         key = (entries[2]["entity_id"], entries[2]["frame_index"])
         setattr(next(n for n in graph.nodes if (n.entity_id, n.frame_index) == key), field, json.loads(spelling))
     message = f"{field} {spelling} does not fit in int64" if spelling in OUTSIDE_INT64 else "malformed index row"
     with pytest.raises(ParseError, match=message) as exc:
-        read_embeddings(bin_path, idx_path, graph if with_graph else None)
+        read_embeddings(bin_path, idx_path, graph)
     assert (exc.value.line, exc.value.field) == (3, field)
 
 
@@ -321,7 +323,8 @@ def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
     graph, bin_path, idx_path, entries = saved
     low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
     idx_path.write_text(canonical(break_row(break_row(entries, 0, entity_id=low), 5, frame_index=high)))
-    columns = read_embeddings(bin_path, idx_path)
+    graph.nodes[0].entity_id, graph.nodes[5].frame_index = low, high
+    columns = read_embeddings(bin_path, idx_path, graph)
     assert (columns.entities[0], columns.frames[5]) == (low, high)
 
 
@@ -337,23 +340,8 @@ def test_index_adopts_loaded_columns_without_a_copy(saved):
     assert index.vectors is columns.vectors and index.vector_of is columns.vector_of
     for column in (columns.vectors, columns.vector_of, columns.entities, columns.frames):
         assert not column.flags.writeable
-    rebuilt = EmbeddingIndex(list(columns))
-    assert rebuilt.records == columns and list(rebuilt.records) == list(columns)
-    assert np.array_equal(rebuilt.records.matrix, index.records.matrix)
-    assert np.array_equal(rebuilt._norms[rebuilt.vector_of], index._norms[index.vector_of])
-    assert (rebuilt.frames.tolist(), rebuilt.entities.tolist()) == (index.frames.tolist(), index.entities.tolist())
-    assert rebuilt.descriptions == index.descriptions
-
-
-def test_write_embeddings_takes_columns_and_records_alike(saved, tmp_path):
-    graph, bin_path, idx_path, _ = saved
-    columns = read_embeddings(bin_path, idx_path, graph)
-    out = []
-    for records in (columns, list(columns)):
-        b, i = tmp_path / "again.bin", tmp_path / "again.idx"
-        write_embeddings(records, b, i)
-        out.append((b.read_bytes(), i.read_bytes()))
-    assert out[0] == out[1] == (bin_path.read_bytes(), idx_path.read_bytes())
+    assert index.frames is columns.frames and index.entities is columns.entities
+    assert index.descriptions is columns.descriptions
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +374,7 @@ def shared(tmp_path):
         for n, vector in zip(graph.nodes, vectors)
     ]
     bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
-    write_embeddings(records, bin_path, idx_path)
+    write_embeddings(make_columns(records), bin_path, idx_path)
     return graph, bin_path, idx_path, records
 
 
@@ -403,21 +391,12 @@ def test_read_embeddings_shares_a_vector_only_between_equal_bytes(shared):
     columns = read_embeddings(bin_path, idx_path, graph)
     assert columns.vector_of.tolist() == [0, 0, 0, 1, 2, 1]
     assert len(columns.vectors) == 3
-    assert columns == stored(records)
+    assert record_rows(columns) == record_rows(stored(records))
     q = np.random.default_rng(8).standard_normal(4)
     index = EmbeddingIndex(columns)
     full = np.stack([r.vector for r in stored(records)])
     assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
     assert index.scores(q)[3] != index.scores(q)[4]
-
-
-def test_read_embeddings_without_a_graph_gives_every_record_its_own_vector(shared):
-    _, bin_path, idx_path, records = shared
-    columns = read_embeddings(bin_path, idx_path)
-    assert columns.vector_of.tolist() == list(range(6)) and len(columns.vectors) == 6
-    assert [(r.entity_id, r.frame_index, r.vector.tolist()) for r in columns] == [
-        (r.entity_id, r.frame_index, r.vector.tolist()) for r in stored(records)
-    ]
 
 
 def test_read_embeddings_shares_vectors_in_a_reordered_index(shared):
@@ -426,12 +405,20 @@ def test_read_embeddings_shares_vectors_in_a_reordered_index(shared):
     order = [4, 0, 5, 3, 2, 1]
     idx_path.write_text(canonical([entries[i] for i in order]))
     columns = read_embeddings(bin_path, idx_path, graph)
-    assert columns == [stored(records)[i] for i in order]
+    assert record_rows(columns) == [record_rows(stored(records))[i] for i in order]
     # The odd record is now its description's first, so the other "right"
     # records, which differ from it, keep their own vectors.
     assert columns.vector_of.tolist() == [0, 1, 2, 3, 1, 1] and len(columns.vectors) == 4
     q = np.random.default_rng(9).standard_normal(4)
-    assert EmbeddingIndex(columns).scores(q).tobytes() == accel.cosine_scores(columns.matrix, q).tobytes()
+    full = columns.vectors[columns.vector_of]
+    assert EmbeddingIndex(columns).scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
+
+
+def test_write_embeddings_of_reloaded_columns_gives_back_the_same_bytes(shared, tmp_path):
+    graph, bin_path, idx_path, _ = shared
+    again_bin, again_idx = tmp_path / "again.bin", tmp_path / "again.idx"
+    write_embeddings(read_embeddings(bin_path, idx_path, graph), again_bin, again_idx)
+    assert (again_bin.read_bytes(), again_idx.read_bytes()) == (bin_path.read_bytes(), idx_path.read_bytes())
 
 
 def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp_path):
@@ -452,14 +439,14 @@ def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no graph"])
-def test_read_embeddings_rejects_a_non_finite_row(shared, value, graph):
-    shared_graph_, bin_path, idx_path, _ = shared
+# Row 5 would otherwise share row 3's vector; row 0 is the first "left" row, whose vector rows 1 and 2 would share.
+@pytest.mark.parametrize("row", [5, 0], ids=["a later row", "a description's first row"])
+def test_read_embeddings_rejects_a_non_finite_row(shared, value, row):
+    graph, bin_path, idx_path, _ = shared
     raw = bin_path.read_bytes()
     body = np.frombuffer(raw, dtype="<f4", offset=8).reshape(6, 4).copy()
-    # Row 5 would otherwise share row 3's vector.
-    body[5, 1] = value
+    body[row, 1] = value
     bin_path.write_bytes(raw[:8] + body.tobytes())
-    with pytest.raises(ParseError, match="row 5 has a non-finite value") as exc:
-        read_embeddings(bin_path, idx_path, shared_graph_ if graph else None)
+    with pytest.raises(ParseError, match=f"row {row} has a non-finite value") as exc:
+        read_embeddings(bin_path, idx_path, graph)
     assert exc.value.field == "row"

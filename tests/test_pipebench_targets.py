@@ -1,27 +1,35 @@
-"""The traced benchmark wraps program functions by name; they must exist.
+"""The benchmark calls the program by name; every name it calls must exist.
 
 ``pipebench/tracing.py`` lists every (owner, attribute) it replaces while
-tracing. A rename in ``src/`` would otherwise only show when the traced
-benchmark runs.
+tracing, and ``pipebench/workloads.py`` persists, reloads and checks each
+build through ``pipebench/checks.py``. A rename or deletion in ``src/``
+would otherwise only show when the benchmark runs.
 """
 
 import importlib.util
 from pathlib import Path
 
+from ravu import accel
 from ravu.backends import MockBackend
+from ravu.config import RavuConfig
+from ravu.evaluate import build_video
+from ravu.graph_builder import read_embeddings, write_embeddings
+from ravu.graph_model import deserialize, serialize
+from ravu.index import EmbeddingIndex
+from ravu.synth import synth_world
 
-TRACING = Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
+PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("pipebench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"pipebench_{name}", PIPEBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_layer_resolves():
-    targets = load_tracing().layer_targets(MockBackend)
+    targets = load("tracing").layer_targets(MockBackend)
     assert targets
     missing = []
     for owner, attr, name, _ in targets:
@@ -30,3 +38,19 @@ def test_every_traced_layer_resolves():
         if not callable(found):
             missing.append(f"{getattr(owner, '__name__', owner)}.{attr} ({name})")
     assert missing == []
+
+
+def test_the_untraced_persist_reload_and_checks_run(tmp_path):
+    """What ``pipebench/workloads.py`` does with a build, checked as ``pipebench/checks.py`` checks it."""
+    checks = load("checks")
+    world = synth_world(1, 24, 3)
+    built = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    graph_text = serialize(built.graph)
+    bin_path, rows_path = tmp_path / "e.bin", tmp_path / "e.index.jsonl"
+    write_embeddings(built.index.records, bin_path, rows_path)
+    graph = deserialize(graph_text)
+    reloaded = EmbeddingIndex(read_embeddings(bin_path, rows_path, graph))
+    assert checks.roundtrip_problems(graph_text, graph, built.index.records, reloaded.records) == []
+    query = MockBackend().embed(built.index.descriptions[0])
+    assert checks.top_k_problems(reloaded, query, 5) == []
+    assert accel.USE_NUMBA is False
