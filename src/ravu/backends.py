@@ -19,8 +19,12 @@ Mock rules per role:
   Each block gets one ``k|<sentence>`` line, the sentence templated as
   ``entity <id>: <appearance>; <action>; relations: <rendered edges or
   'none'>``.
-- ``event_segmentation``: event boundary wherever the action column changes
-  between consecutive rows; summary is ``<appearance> <action>``.
+- ``event_segmentation``: the payload holds a ``states:`` table, one
+  ``k|action|description`` line per distinct state of the run, then a
+  ``frames:`` list of ``frame|k`` lines in frame order. Each frame is
+  resolved to its state; an event boundary falls wherever the action
+  changes between consecutive frames; summary is ``<appearance> <action>``,
+  read from the event's last frame.
 - ``rerank``: candidate with maximum word overlap against the grounding
   phrase; ties go to the lowest index. Output is the bare index.
 - ``event_analysis``: start frame of the first event whose summary contains
@@ -151,11 +155,22 @@ def node_block(entity_id: int, attributes: dict[str, str], edges) -> str:
 
 
 def event_segmentation_payload(entity_id: int, rows: list[tuple[int, str, str]]) -> str:
-    """Rows are (frame_index, action, node_description)."""
-    lines = [f"entity: {entity_id}", "frames:"]
+    """A table of the run's states, then its frames, for rows of (frame_index, action, node_description).
+
+    Each distinct ``(action, description)`` pair is one ``k|action|description``
+    line of the ``states:`` section, ``k`` counting from 0 in first-seen
+    order; the ``frames:`` section has one ``frame_index|k`` line per row.
+    """
+    state_of: dict[tuple[str, str], str] = {}
+    states, frames = [], []
     for frame_index, action, description in rows:
-        lines.append(f"{frame_index}|{action}|{description}")
-    return "\n".join(lines)
+        key = action, description
+        k = state_of.get(key)
+        if k is None:
+            k = state_of[key] = str(len(states))
+            states.append(f"{k}|{action}|{description}")
+        frames.append(f"{frame_index}|{k}")
+    return "\n".join([f"entity: {entity_id}", "states:", *states, "frames:", *frames])
 
 
 def rerank_payload(grounding: str, candidates: list[str]) -> str:
@@ -348,26 +363,23 @@ class MockBackend:
         return "\n".join(f"{k}|{_describe_block(lines)}" for k, lines in _item_blocks(payload))
 
     def _role_event_segmentation(self, payload: str) -> str:
-        rows = []
-        for line in _section_lines(payload, "frames"):
-            frame_str, action, description = line.split("|", 2)
-            rows.append((int(frame_str), action, description))
-        if not rows:
-            return ""
+        lines = payload.splitlines()
+        at = lines.index("frames:")
+        states = [line.split("|", 2)[1:] for line in lines[lines.index("states:") + 1 : at]]
+        events: list[list[str]] = []  # [start, end, action, last description]
+        for line in lines[at + 1 :]:
+            frame, k = line.split("|")
+            action, description = states[int(k)]
+            if events and events[-1][2] == action:
+                events[-1][1], events[-1][3] = frame, description
+            else:
+                events.append([frame, frame, action, description])
         out = []
-        start = rows[0][0]
-        for prev, cur in zip(rows, rows[1:]):
-            if cur[1] != prev[1]:
-                out.append((start, prev[0], prev[1], prev[2]))
-                start = cur[0]
-        out.append((start, rows[-1][0], rows[-1][1], rows[-1][2]))
-
-        lines = []
-        for s, e, action, description in out:
+        for s, e, action, description in events:
             match = _APPEARANCE_RE.match(description)
             appearance = match.group(1).strip() if match else description
-            lines.append(f"{s}|{e}|{appearance} {action}")
-        return "\n".join(lines)
+            out.append(f"{s}|{e}|{appearance} {action}")
+        return "\n".join(out)
 
     def _role_rerank(self, payload: str) -> str:
         grounding = set(words(_header_value(payload, "grounding")))

@@ -275,7 +275,12 @@ def segment_events(
     """Chunk one entity's frames into events via the backend.
 
     Absence gaps always force an event boundary, so the backend is called
-    once per maximal contiguous appearance run. If a run's response fails
+    once per maximal contiguous appearance run. The prompt lists each
+    distinct ``(action, description)`` state of the run once, numbered,
+    and then each frame with its state number
+    (:func:`backends.event_segmentation_payload`): at 1 fps a state lasts
+    many frames, so the prompt grows by one short line per frame. The
+    reply names frames, not states. If a run's response fails
     the event invariants after retries, that run falls back to a single
     event summarized by its first frame's description, and the result is
     flagged.
@@ -454,9 +459,9 @@ def read_embeddings(
 
     The index must list each row and each ``(entity_id, frame_index)`` key
     once, as many rows as the header counts, and exactly the graph's node
-    keys. A non-empty file's vectors must have ``dim`` entries when ``dim``
-    is given, and every value must be finite. Anything else raises
-    ParseError.
+    keys, which the graph must list once each. A non-empty file's vectors
+    must have ``dim`` entries when ``dim`` is given, and every value must
+    be finite. Anything else raises ParseError.
 
     Rows that share a description share one vector when their stored bytes
     are equal, so only distinct rows are converted to float64; any other
@@ -476,6 +481,13 @@ def read_embeddings(
     stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
 
     descriptions = {(n.entity_id, n.frame_index): n.description or "" for n in graph.nodes}
+    if len(descriptions) != len(graph.nodes):
+        seen: set[tuple[int, int]] = set()
+        for n in graph.nodes:
+            key = (n.entity_id, n.frame_index)
+            if key in seen:
+                raise ParseError(f"graph lists node entity {n.entity_id} frame {n.frame_index} twice")
+            seen.add(key)
 
     rows: list[int] = []
     keys: list[tuple[int, int]] = []

@@ -194,12 +194,16 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     """Check every structural invariant; an empty report means valid.
 
     Violations are data, not errors: callers decide whether to raise.
+    The ``line-break`` rule covers the text fields ``deserialize`` checks,
+    its detail naming the owner and the field as its ParseError does.
     """
     out: list[Violation] = []
 
     for i, frame in enumerate(graph.frames):
         if frame.frame_index != i:
             out.append(Violation("frame-index-dense", f"position {i} has index {frame.frame_index}"))
+        if LINE_BREAK.search(frame.description):
+            out.append(Violation("line-break", f"frame {frame.frame_index} description"))
     for prev, cur in zip(graph.frames, graph.frames[1:]):
         if cur.timestamp_s <= prev.timestamp_s:
             out.append(Violation("timestamp-order", f"frame {cur.frame_index}"))
@@ -216,6 +220,10 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
         appearance.setdefault(node.entity_id, set()).add(node.frame_index)
         if not node.box.is_valid():
             out.append(Violation("box-invalid", f"entity {node.entity_id} frame {node.frame_index}"))
+        if node.description is not None and LINE_BREAK.search(node.description):
+            out.append(Violation("line-break", f"node entity {node.entity_id} frame {node.frame_index} description"))
+        if any(map(LINE_BREAK.search, chain(node.attributes, node.attributes.values()))):
+            out.append(Violation("line-break", f"node entity {node.entity_id} frame {node.frame_index} attributes"))
         for attr in REQUIRED_ATTRIBUTES:
             if attr not in node.attributes:
                 out.append(
@@ -225,12 +233,22 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     for edge in graph.edges:
         if edge.subject_id == edge.object_id:
             out.append(Violation("self-edge", f"frame {edge.frame_index} entity {edge.subject_id}"))
+        if LINE_BREAK.search(edge.relation):
+            out.append(Violation(
+                "line-break", f"edge frame {edge.frame_index} {edge.subject_id}->{edge.object_id} relation"
+            ))
         present = nodes_by_frame.get(edge.frame_index, set())
         for endpoint in (edge.subject_id, edge.object_id):
             if endpoint not in present:
                 out.append(
                     Violation("dangling-edge", f"frame {edge.frame_index} entity {endpoint}")
                 )
+
+    for ev in chain.from_iterable(graph.events.values()):
+        if LINE_BREAK.search(ev.summary):
+            out.append(Violation(
+                "line-break", f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}] summary"
+            ))
 
     for entity_id, events in graph.events.items():
         if entity_id not in appearance:

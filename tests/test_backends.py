@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ravu import backends
 from ravu.backends import (
@@ -120,8 +122,43 @@ def test_event_segmentation_rule(backend):
         (2, "digging", "entity 0: red fox; digging; relations: none"),
     ]
     payload = backends.event_segmentation_payload(0, rows)
+    assert payload.splitlines() == [
+        "entity: 0",
+        "states:",
+        "0|running|entity 0: red fox; running; relations: none",
+        "1|digging|entity 0: red fox; digging; relations: none",
+        "frames:",
+        "0|0",
+        "1|0",
+        "2|1",
+    ]
     out = backend.generate(make_bundle("event_segmentation", payload))
     assert out.splitlines() == ["0|1|red fox running", "2|2|red fox digging"]
+
+
+def test_event_segmentation_state_is_the_action_and_description_pair(backend):
+    sentence = "entity 0: red fox; running; relations: none"
+    payload = backends.event_segmentation_payload(0, [(5, "running", sentence), (6, "digging", sentence)])
+    assert payload.splitlines() == [
+        "entity: 0", "states:", f"0|running|{sentence}", f"1|digging|{sentence}", "frames:", "5|0", "6|1"
+    ]
+    out = backend.generate(make_bundle("event_segmentation", payload))
+    assert out.splitlines() == ["5|5|red fox running", "6|6|red fox digging"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["run", "dig", "sit"]), st.sampled_from(["a fox", "a jay"])), max_size=30))
+def test_event_segmentation_payload_lists_each_state_once_and_each_frame_once(states):
+    rows = [(10 + i, action, description) for i, (action, description) in enumerate(states)]
+    lines = backends.event_segmentation_payload(3, rows).splitlines()
+    at = lines.index("frames:")
+    assert lines[:2] == ["entity: 3", "states:"]
+    table = [line.split("|", 2) for line in lines[2:at]]
+    assert [int(k) for k, _, _ in table] == list(range(len(table)))
+    assert len({(action, description) for _, action, description in table}) == len(table)
+    frames = [tuple(map(int, line.split("|"))) for line in lines[at + 1 :]]
+    assert [frame for frame, _ in frames] == [frame for frame, _, _ in rows]
+    assert all(0 <= k < len(table) for _, k in frames)
+    assert [(frame, *table[k][1:]) for frame, k in frames] == rows
 
 
 def test_rerank_rule(backend):

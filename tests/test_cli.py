@@ -210,6 +210,21 @@ def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
     assert_clean_error(result, "bytes, expected")
 
 
+def test_ask_on_a_graph_that_lists_a_node_twice_is_clean(built, tmp_path):
+    graph, emb = built
+    doc = json.loads(graph.read_text())
+    first = doc["nodes"][0]
+    doc["nodes"].append({**first, "description": "a purple elephant juggling"})
+    doubled = tmp_path / "graph.json"
+    doubled.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(doubled), "--embeddings", str(emb), "--question", "Who runs?"]
+    )
+    assert_clean_error(
+        result, f"graph lists node entity {first['entity_id']} frame {first['frame_index']} twice"
+    )
+
+
 @pytest.mark.parametrize("category", ["global", "temporal"])
 def test_ask_with_another_embedding_dimension_is_clean(built, category):
     graph, emb = built

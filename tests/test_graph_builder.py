@@ -22,9 +22,11 @@ from ravu.graph_builder import (
 )
 from ravu.graph_model import (
     BoundingBox,
+    EntityEvent,
     EntityNode,
     FrameRecord,
     SpatioTemporalGraph,
+    entity_timeline,
     node_edges,
     validate,
 )
@@ -248,6 +250,20 @@ def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
     graph, bin_path, idx_path, _ = persisted(tmp_path, backend)
     graph.nodes = graph.nodes + [node(1, 0, desc="entity 1: red fox; running")]
     with pytest.raises(ParseError, match="entity 1 frame 0 has no embedding row"):
+        read_embeddings(bin_path, idx_path, graph)
+
+
+def test_read_embeddings_rejects_a_graph_that_lists_a_node_twice(tmp_path, backend):
+    world = synth_world(1, 24, 3)
+    assets = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig())
+    bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
+    write_embeddings(embed_graph(assets.graph, backend), bin_path, idx_path)
+    graph = graph_model.deserialize(graph_model.serialize(assets.graph))
+    first = graph.nodes[0]
+    copy = EntityNode(first.entity_id, first.frame_index, dict(first.attributes), first.box,
+                      "a purple elephant juggling")
+    graph.nodes = graph.nodes + [copy]
+    with pytest.raises(ParseError, match=f"lists node entity {first.entity_id} frame 0 twice"):
         read_embeddings(bin_path, idx_path, graph)
 
 
@@ -528,6 +544,36 @@ def test_memoised_build_matches_one_call_per_node(shape):
     assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
     assert graph_model.serialize(assets.graph) == graph_model.serialize(graph)
     assert assets.index.vectors[assets.index.vector_of].tobytes() == matrix.tobytes()
+
+
+def per_frame_events(graph, entity_id):
+    """The mock's segmentation rule applied to one ``(frame, action, description)`` row per frame.
+
+    An event ends at an absence gap or where the action changes; its summary
+    is the appearance in its last frame's description, then its action.
+    """
+    spans = []
+    for n in entity_timeline(graph, entity_id):
+        action = n.attributes.get("action", "")
+        if spans and n.frame_index == spans[-1][1] + 1 and action == spans[-1][2]:
+            spans[-1][1], spans[-1][3] = n.frame_index, n.description
+        else:
+            spans.append([n.frame_index, n.frame_index, action, n.description])
+    events = []
+    for start, end, action, description in spans:
+        appearance = re.match(r"entity \d+: ([^;]+);", description)
+        summary = f"{appearance.group(1).strip() if appearance else description} {action}"
+        events.append(EntityEvent(entity_id, start, end, summary))
+    return events
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
+def test_state_table_segmentation_matches_the_per_frame_rule(shape):
+    for seed in range(10):
+        assoc = associated(synth_world(seed, *shape))
+        graph, report = build_graph(assoc.frames, assoc.nodes, MockBackend())
+        assert report.fallback_entities == []
+        assert graph.events == {e: per_frame_events(graph, e) for e in graph.entity_ids()}
 
 
 class FirstReplyEmptyBackend(CountingBackend):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ravu.errors import NotFound, ParseError
 from ravu.graph_model import (
+    LINE_BREAKS,
     BoundingBox,
     EntityEvent,
     EntityNode,
@@ -290,20 +291,20 @@ def set_attribute(node, key, value):
     node.attributes[key] = value
 
 
-# Each text field of ``small_graph``, given a marker that the document's spelling of a line break replaces,
-# and the owner and field the ParseError names.
+# Each text field of ``small_graph``, given a marker that the document's spelling of a line break replaces
+# (or, as a second argument, the text to hold in its place), and the owner and field the ParseError names.
 LINE_BREAK_FIELDS = [
-    pytest.param(lambda g: setattr(g.frames[1], "description", "another MARK frame"), "frame 1", "description",
-                 id="frame description"),
-    pytest.param(lambda g: setattr(g.nodes[1], "description", "red MARK ball"), "node entity 0 frame 1",
+    pytest.param(lambda g, m="MARK": setattr(g.frames[1], "description", f"another {m} frame"), "frame 1",
+                 "description", id="frame description"),
+    pytest.param(lambda g, m="MARK": setattr(g.nodes[1], "description", f"red {m} ball"), "node entity 0 frame 1",
                  "description", id="node description"),
-    pytest.param(lambda g: set_attribute(g.nodes[2], "action", "rolling MARK"), "node entity 1 frame 0",
+    pytest.param(lambda g, m="MARK": set_attribute(g.nodes[2], "action", f"rolling {m}"), "node entity 1 frame 0",
                  "attributes", id="attribute value"),
-    pytest.param(lambda g: set_attribute(g.nodes[2], "MARK", "x"), "node entity 1 frame 0", "attributes",
+    pytest.param(lambda g, m="MARK": set_attribute(g.nodes[2], m, "x"), "node entity 1 frame 0", "attributes",
                  id="attribute key"),
-    pytest.param(lambda g: setattr(g, "edges", [RelationEdge(0, 0, "next MARK to", 1)]), "edge frame 0 0->1",
-                 "relation", id="edge relation"),
-    pytest.param(lambda g: setattr(g, "events", {0: [EntityEvent(0, 0, 1, "red MARK ball")]}),
+    pytest.param(lambda g, m="MARK": setattr(g, "edges", [RelationEdge(0, 0, f"next {m} to", 1)]),
+                 "edge frame 0 0->1", "relation", id="edge relation"),
+    pytest.param(lambda g, m="MARK": setattr(g, "events", {0: [EntityEvent(0, 0, 1, f"red {m} ball")]}),
                  "event entity 0 [0..1]", "summary", id="event summary"),
 ]
 LINE_BREAK_SPELLINGS = {"escaped \\n": "\\n", "escaped \\u000b": "\\u000b", "raw U+2028": "\u2028",
@@ -320,6 +321,24 @@ def test_deserialize_rejects_a_line_break_in_a_text_field(mark, owner, field, sp
     with pytest.raises(ParseError, match=f"^{re.escape(owner)} has a line break in") as exc:
         deserialize(document)
     assert exc.value.field == field
+
+
+# Every character ``str.splitlines`` splits at, and some that it does not.
+TEXT_CHARACTERS = [*LINE_BREAKS, "\t", "\x1f", "\x84", "\x86", "\u2027", "\u202a", "\\"]
+
+
+@pytest.mark.parametrize("char", TEXT_CHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("mark, owner, field", LINE_BREAK_FIELDS)
+def test_validate_reports_a_line_break_exactly_when_deserialize_rejects_it(mark, owner, field, char):
+    g = small_graph()
+    mark(g, char)
+    try:
+        deserialize(serialize(g))
+        rejected = False
+    except ParseError:
+        rejected = True
+    assert rejected == (char in LINE_BREAKS)
+    assert [(v.rule, v.detail) for v in validate(g)] == ([("line-break", f"{owner} {field}")] if rejected else [])
 
 
 def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():
