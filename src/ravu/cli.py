@@ -17,6 +17,7 @@ from .evaluate import (
     VideoAssets,
     answer,
     build_video,
+    build_video_graph,
     eval_localization,
     eval_qa,
     report_to_csv,
@@ -43,11 +44,15 @@ def make_backend(cfg: RavuConfig):
 
 
 def _load_graph(path: str) -> SpatioTemporalGraph:
+    """The graph document at ``path``; a malformed one, or one listing a node twice, ends the command."""
     text = read_document(path)
     try:
-        return graph_model.deserialize(text)
+        graph = graph_model.deserialize(text)
     except RavuError as exc:
         raise click.ClickException(f"{path}: {exc}")
+    for entity_id, frame_index in graph_model.repeated_nodes(graph.nodes):
+        raise click.ClickException(f"{path}: graph lists node entity {entity_id} frame {frame_index} twice")
+    return graph
 
 
 def _load_corpus(corpus_dir: str, cfg: RavuConfig, backend) -> dict[str, VideoAssets]:
@@ -107,16 +112,13 @@ def ingest(ctx, observations, tracklets, out):
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def build(ctx, observations, tracklets, out):
-    """Full build: association, relation edges, descriptions, events."""
+    """Full build: association, relation edges, descriptions, events. `ravu embed` embeds the graph."""
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
-    assets = build_video(
-        read_document(observations), read_document(tracklets), backend, cfg
-    )
-    Path(out).write_text(graph_model.serialize(assets.graph))
-    report = assets.build_report
+    graph, report = build_video_graph(read_document(observations), read_document(tracklets), backend, cfg)
+    Path(out).write_text(graph_model.serialize(graph))
     click.echo(
-        f"wrote {out}: {len(assets.graph.nodes)} nodes, {len(assets.graph.edges)} edges, "
+        f"wrote {out}: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
         f"{report.dropped_edge_lines} dropped edge lines, "
         f"{len(report.fallback_entities)} segmentation fallbacks"
     )

@@ -36,20 +36,28 @@ class VideoAssets:
     build_report: BuildReport
 
 
+def build_video_graph(
+    observations_text: str,
+    tracklets_text: str,
+    backend,
+    config: RavuConfig | None = None,
+) -> tuple[SpatioTemporalGraph, BuildReport]:
+    """One video's graph and build report: ingest, build, segment; nothing is embedded."""
+    cfg = config or RavuConfig()
+    observations = parse_observations(observations_text)
+    tracklets = parse_tracklets(tracklets_text)
+    assoc = associate(observations, tracklets, min_iou=cfg.min_iou, fps=cfg.fps)
+    return build_graph(assoc.frames, assoc.nodes, backend, fps=cfg.fps, max_retries=cfg.max_retries)
+
+
 def build_video(
     observations_text: str,
     tracklets_text: str,
     backend,
     config: RavuConfig | None = None,
 ) -> VideoAssets:
-    """Full pipeline for one video: ingest, build, embed, segment."""
-    cfg = config or RavuConfig()
-    observations = parse_observations(observations_text)
-    tracklets = parse_tracklets(tracklets_text)
-    assoc = associate(observations, tracklets, min_iou=cfg.min_iou, fps=cfg.fps)
-    graph, report = build_graph(
-        assoc.frames, assoc.nodes, backend, fps=cfg.fps, max_retries=cfg.max_retries
-    )
+    """Full pipeline for one video: ``build_video_graph``, then embed."""
+    graph, report = build_video_graph(observations_text, tracklets_text, backend, config)
     return VideoAssets(graph=graph, index=EmbeddingIndex(embed_graph(graph, backend)), build_report=report)
 
 
@@ -117,8 +125,9 @@ def retrieve(
     Global questions take the hierarchical-retrieval route; everything else,
     and a global question over a graph without events, is broken down into
     a plan and executed. An empty hierarchical pick falls back to the first
-    ``budget`` frames. Blocked content propagates to the caller, which
-    records the item as blocked.
+    ``budget`` frames. Each plan step that failed adds a flag naming it.
+    Blocked content propagates to the caller, which records the item as
+    blocked.
     """
     graph = assets.graph
     if category == "global" and graph.events:
@@ -135,6 +144,7 @@ def retrieve(
         bd.plan, graph, assets.index, backend, budget=budget, top_k=top_k, max_retries=max_retries
     )
     flags = (["breakdown fallback"] if bd.fallback else []) + result.flags
+    flags += [f"step {step}: failed: {message}" for step, message in result.errors]
     return Retrieval(frames=result.frames, plan=bd.plan, notes=result.notes, flags=flags)
 
 

@@ -29,6 +29,7 @@ from .graph_model import (
     SpatioTemporalGraph,
     entity_timeline,
     node_edges,
+    repeated_nodes,
 )
 
 
@@ -482,12 +483,7 @@ def read_embeddings(
 
     descriptions = {(n.entity_id, n.frame_index): n.description or "" for n in graph.nodes}
     if len(descriptions) != len(graph.nodes):
-        seen: set[tuple[int, int]] = set()
-        for n in graph.nodes:
-            key = (n.entity_id, n.frame_index)
-            if key in seen:
-                raise ParseError(f"graph lists node entity {n.entity_id} frame {n.frame_index} twice")
-            seen.add(key)
+        raise ParseError("graph lists node entity %s frame %s twice" % next(repeated_nodes(graph.nodes)))
 
     rows: list[int] = []
     keys: list[tuple[int, int]] = []

@@ -21,6 +21,7 @@ Mutating a list in place after the first lookup is not supported.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -194,36 +195,26 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     """Check every structural invariant; an empty report means valid.
 
     Violations are data, not errors: callers decide whether to raise.
-    The ``line-break`` rule covers the text fields ``deserialize`` checks,
-    its detail naming the owner and the field as its ParseError does.
+    The ``line-break`` rule reports ``line_break_fields``, which ``deserialize``
+    raises from, and the ``duplicate-node`` rule ``repeated_nodes``.
     """
-    out: list[Violation] = []
+    out = [Violation("line-break", f"{owner} {name}") for owner, name in line_break_fields(graph)]
+    out += [Violation("duplicate-node", f"entity {e} frame {f}") for e, f in repeated_nodes(graph.nodes)]
 
     for i, frame in enumerate(graph.frames):
         if frame.frame_index != i:
             out.append(Violation("frame-index-dense", f"position {i} has index {frame.frame_index}"))
-        if LINE_BREAK.search(frame.description):
-            out.append(Violation("line-break", f"frame {frame.frame_index} description"))
     for prev, cur in zip(graph.frames, graph.frames[1:]):
         if cur.timestamp_s <= prev.timestamp_s:
             out.append(Violation("timestamp-order", f"frame {cur.frame_index}"))
 
-    seen: set[tuple[int, int]] = set()
     nodes_by_frame: dict[int, set[int]] = {}
     appearance: dict[int, set[int]] = {}
     for node in graph.nodes:
-        key = (node.entity_id, node.frame_index)
-        if key in seen:
-            out.append(Violation("duplicate-node", f"entity {node.entity_id} frame {node.frame_index}"))
-        seen.add(key)
         nodes_by_frame.setdefault(node.frame_index, set()).add(node.entity_id)
         appearance.setdefault(node.entity_id, set()).add(node.frame_index)
         if not node.box.is_valid():
             out.append(Violation("box-invalid", f"entity {node.entity_id} frame {node.frame_index}"))
-        if node.description is not None and LINE_BREAK.search(node.description):
-            out.append(Violation("line-break", f"node entity {node.entity_id} frame {node.frame_index} description"))
-        if any(map(LINE_BREAK.search, chain(node.attributes, node.attributes.values()))):
-            out.append(Violation("line-break", f"node entity {node.entity_id} frame {node.frame_index} attributes"))
         for attr in REQUIRED_ATTRIBUTES:
             if attr not in node.attributes:
                 out.append(
@@ -233,22 +224,12 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     for edge in graph.edges:
         if edge.subject_id == edge.object_id:
             out.append(Violation("self-edge", f"frame {edge.frame_index} entity {edge.subject_id}"))
-        if LINE_BREAK.search(edge.relation):
-            out.append(Violation(
-                "line-break", f"edge frame {edge.frame_index} {edge.subject_id}->{edge.object_id} relation"
-            ))
         present = nodes_by_frame.get(edge.frame_index, set())
         for endpoint in (edge.subject_id, edge.object_id):
             if endpoint not in present:
                 out.append(
                     Violation("dangling-edge", f"frame {edge.frame_index} entity {endpoint}")
                 )
-
-    for ev in chain.from_iterable(graph.events.values()):
-        if LINE_BREAK.search(ev.summary):
-            out.append(Violation(
-                "line-break", f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}] summary"
-            ))
 
     for entity_id, events in graph.events.items():
         if entity_id not in appearance:
@@ -281,6 +262,51 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
                 out.append(Violation("event-coverage", f"entity {entity_id} frames {sorted(missing)}"))
 
     return out
+
+
+def repeated_nodes(nodes: list[EntityNode]) -> Iterator[tuple[int, int]]:
+    """Each ``(entity_id, frame_index)`` key of ``nodes`` that an earlier node already holds, in list order."""
+    seen: set[tuple[int, int]] = set()
+    for n in nodes:
+        key = (n.entity_id, n.frame_index)
+        if key in seen:
+            yield key
+        seen.add(key)
+
+
+def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
+    """Each text field that holds a line break, as ``(owner, field)``.
+
+    The fields are frame and node descriptions, node attributes (keys and
+    values), edge relations and event summaries, walked in that order.
+    """
+    frames, nodes, edges = graph.frames, graph.nodes, graph.edges
+    events = list(chain.from_iterable(graph.events.values()))
+    texts = "\0".join(chain(
+        (f.description for f in frames),
+        (n.description or "" for n in nodes),
+        chain.from_iterable(chain(n.attributes, n.attributes.values()) for n in nodes),
+        (e.relation for e in edges),
+        (ev.summary for ev in events),
+    ))
+    # One substring scan per break of all the text is a fifth of a regex search per field.
+    if not any(c in texts for c in LINE_BREAKS):
+        return
+    for f in frames:
+        if LINE_BREAK.search(f.description):
+            yield f"frame {f.frame_index}", "description"
+    for n in nodes:
+        owner = f"node entity {n.entity_id} frame {n.frame_index}"
+        if n.description is not None and LINE_BREAK.search(n.description):
+            yield owner, "description"
+        if any(map(LINE_BREAK.search, chain(n.attributes, n.attributes.values()))):
+            yield owner, "attributes"
+    for e in edges:
+        if LINE_BREAK.search(e.relation):
+            yield f"edge frame {e.frame_index} {e.subject_id}->{e.object_id}", "relation"
+    for ev in events:
+        if LINE_BREAK.search(ev.summary):
+            yield f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}]", "summary"
 
 
 def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityNode]:
@@ -455,46 +481,6 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
     )
 
 
-def _reject_line_breaks(frames, nodes, edges, events) -> None:
-    """Raise ParseError naming the first text field that holds a line break, and its owner."""
-    texts = "\0".join(chain(
-        (f.description for f in frames),
-        (n.description or "" for n in nodes),
-        chain.from_iterable(chain(n.attributes, n.attributes.values()) for n in nodes),
-        (e.relation for e in edges),
-        (ev.summary for ev in chain.from_iterable(events.values())),
-    ))
-    # One substring scan per break of all the text is a fifth of a regex search per field.
-    if not any(c in texts for c in LINE_BREAKS):
-        return
-    for f in frames:
-        if LINE_BREAK.search(f.description):
-            raise ParseError(f"frame {f.frame_index} has a line break in its description", field="description")
-    for n in nodes:
-        if n.description is not None and LINE_BREAK.search(n.description):
-            raise ParseError(
-                f"node entity {n.entity_id} frame {n.frame_index} has a line break in its description",
-                field="description",
-            )
-        if any(map(LINE_BREAK.search, chain(n.attributes, n.attributes.values()))):
-            raise ParseError(
-                f"node entity {n.entity_id} frame {n.frame_index} has a line break in an attribute key or value",
-                field="attributes",
-            )
-    for e in edges:
-        if LINE_BREAK.search(e.relation):
-            raise ParseError(
-                f"edge frame {e.frame_index} {e.subject_id}->{e.object_id} has a line break in its relation",
-                field="relation",
-            )
-    for ev in chain.from_iterable(events.values()):
-        if LINE_BREAK.search(ev.summary):
-            raise ParseError(
-                f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}] has a line break in its summary",
-                field="summary",
-            )
-
-
 def deserialize(document: str) -> SpatioTemporalGraph:
     """The graph a document holds; a malformed document or a line break in a text field raises ParseError."""
     doc = json_object(document, "graph document")
@@ -550,8 +536,9 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         fps = float(doc["fps"])
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
+    graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
     if any(c in document for c in "\\\x85\u2028\u2029"):
-        _reject_line_breaks(frames, nodes, edges, events)
-
-    return SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
+        for owner, name in line_break_fields(graph):
+            raise ParseError(f"{owner} has a line break in its {name}", field=name)
+    return graph

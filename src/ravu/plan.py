@@ -24,25 +24,8 @@ FRAMES = "frames"
 COUNT = "count"
 SEGMENT = "segment"
 
-RESULT_TYPES = {
-    "localize_node": NODE,
-    "identify_node": NODE,
-    "analyze_events": TIME,
-    "sample_entity_events": FRAMES,
-    "extract_temporal_part": SEGMENT,
-    "count_nodes": COUNT,
-    "get_global_context": FRAMES,
-}
-
 # The written-out name is accepted and canonicalized to the short one.
 ALIASES = {"analyze_entity_events": "analyze_events"}
-
-FRAME_PRODUCING = {
-    "localize_node",
-    "sample_entity_events",
-    "extract_temporal_part",
-    "get_global_context",
-}
 
 _EVENTS_TO_SAMPLE_RE = re.compile(r"^(previous:[1-9]\d*|next:[1-9]\d*|current|all)$")
 _TARGET_PARTS = {"beginning", "middle", "end"}
@@ -64,26 +47,36 @@ class ArgSpec:
     pattern: re.Pattern | None = None
 
 
-SIGNATURES: dict[str, dict[str, ArgSpec]] = {
-    "localize_node": {"query": ArgSpec(literal="str")},
-    "identify_node": {"query": ArgSpec(literal="str")},
-    "analyze_events": {
+@dataclass(frozen=True)
+class Function:
+    """One plan function: its result type, whether it produces frames (and so
+    takes a share of the frame budget), and its arguments in rendering order."""
+
+    result: str
+    produces_frames: bool
+    args: dict[str, ArgSpec]
+
+
+FUNCTIONS: dict[str, Function] = {
+    "localize_node": Function(NODE, True, {"query": ArgSpec(literal="str")}),
+    "identify_node": Function(NODE, False, {"query": ArgSpec(literal="str")}),
+    "analyze_events": Function(TIME, False, {
         "query": ArgSpec(literal="str"),
         "node": ArgSpec(ref_types=frozenset({NODE})),
-    },
-    "sample_entity_events": {
+    }),
+    "sample_entity_events": Function(FRAMES, True, {
         "node": ArgSpec(ref_types=frozenset({NODE})),
         "sample_start_time": ArgSpec(literal="int", ref_types=frozenset({TIME})),
         "events_to_sample": ArgSpec(literal="str", pattern=_EVENTS_TO_SAMPLE_RE),
-    },
-    "extract_temporal_part": {
+    }),
+    "extract_temporal_part": Function(SEGMENT, True, {
         "target_part": ArgSpec(literal="str", choices=frozenset(_TARGET_PARTS)),
-    },
-    "count_nodes": {
+    }),
+    "count_nodes": Function(COUNT, False, {
         "node_query": ArgSpec(literal="str"),
         "event_condition": ArgSpec(literal="str", required=False),
-    },
-    "get_global_context": {},
+    }),
+    "get_global_context": Function(FRAMES, True, {}),
 }
 
 
@@ -126,7 +119,7 @@ def _parse_args(raw: str, lineno: int) -> dict[str, object]:
 
 
 def _check_step(function: str, args: dict[str, object], steps: list[ReasoningStep], lineno: int) -> None:
-    spec = SIGNATURES[function]
+    spec = FUNCTIONS[function].args
     for name in args:
         if name not in spec:
             raise ParseError(f"unknown argument '{name}' for {function}", line=lineno)
@@ -143,7 +136,7 @@ def _check_step(function: str, args: dict[str, object], steps: list[ReasoningSte
                 )
             if value.step < 1 or value.step > len(steps):
                 raise ParseError(f"forward reference ${value.step}", line=lineno)
-            produced = RESULT_TYPES[steps[value.step - 1].function]
+            produced = FUNCTIONS[steps[value.step - 1].function].result
             if produced not in arg_spec.ref_types:
                 raise ParseError(
                     f"argument '{name}' of {function} cannot take a "
@@ -175,7 +168,7 @@ def parse_plan(text: str, question: str = "", analysis: str = "") -> ReasoningPl
         if not match:
             raise ParseError(f"not a step call: {stripped!r}", line=lineno)
         function = ALIASES.get(match.group(1), match.group(1))
-        if function not in SIGNATURES:
+        if function not in FUNCTIONS:
             raise ParseError(f"unknown function '{match.group(1)}'", line=lineno)
         args = _parse_args(match.group(2), lineno)
         _check_step(function, args, steps, lineno)
@@ -191,7 +184,7 @@ def render(plan: ReasoningPlan) -> str:
     lines = []
     for step in plan.steps:
         parts = []
-        for name in SIGNATURES[step.function]:
+        for name in FUNCTIONS[step.function].args:
             if name not in step.args:
                 continue
             value = step.args[name]

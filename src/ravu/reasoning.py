@@ -20,7 +20,7 @@ from .backends import generate_with_retries, make_bundle
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_descriptions, entity_timeline
 from .index import EmbeddingIndex, rerank
-from .plan import FRAME_PRODUCING, ReasoningPlan, Ref, parse_plan
+from .plan import FUNCTIONS, ReasoningPlan, Ref, parse_plan
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,11 @@ def execute(
     result = ExecutionResult(frames=[], values=values)
     notes: list[str] = []
 
-    frame_steps_left = sum(1 for s in plan.steps if s.function in FRAME_PRODUCING)
+    frame_steps_left = sum(1 for s in plan.steps if FUNCTIONS[s.function].produces_frames)
 
     for step_index, step in enumerate(plan.steps):
-        is_frame_step = step.function in FRAME_PRODUCING
         quota = 0
-        if is_frame_step:
+        if FUNCTIONS[step.function].produces_frames:
             remaining = max(0, budget - len(set(pool)))
             quota = math.ceil(remaining / frame_steps_left) if frame_steps_left else 0
             frame_steps_left -= 1
@@ -332,22 +331,6 @@ def execute(
 # Question breakdown
 
 
-@dataclass(frozen=True)
-class BreakdownExample:
-    category: str
-    question: str
-    analysis: str
-    plan_text: str
-
-    def render(self) -> str:
-        return (
-            f"question: {self.question}\n"
-            f"analysis: {self.analysis}\n"
-            "plan:\n"
-            f"{self.plan_text}"
-        )
-
-
 def _split_plan(text: str) -> tuple[dict[str, str], list[str] | None]:
     """Split a ``key: value`` block from the lines after its ``plan:`` line.
 
@@ -366,23 +349,19 @@ def _split_plan(text: str) -> tuple[dict[str, str], list[str] | None]:
 
 
 @cache
-def load_example_library() -> tuple[BreakdownExample, ...]:
-    """Shipped few-shot examples for question breakdown, read once per process."""
-    examples = []
+def load_example_library() -> tuple[str, ...]:
+    """Shipped few-shot examples for question breakdown, read once per process.
+
+    Each ``breakdown_examples/<category>_<name>.txt`` file holds one example
+    as the prompt sends it: ``question:`` and ``analysis:`` lines, then
+    ``plan:`` and the plan's steps.
+    """
     root = resources.files("ravu").joinpath("breakdown_examples")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".txt"):
-            continue
-        fields, plan_lines = _split_plan(entry.read_text())
-        examples.append(
-            BreakdownExample(
-                category=fields.get("category", ""),
-                question=fields.get("question", ""),
-                analysis=fields.get("analysis", ""),
-                plan_text="\n".join(plan_lines or []).strip(),
-            )
-        )
-    return tuple(examples)
+    return tuple(
+        entry.read_text().strip()
+        for entry in sorted(root.iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".txt")
+    )
 
 
 @dataclass
@@ -393,7 +372,7 @@ class BreakdownResult:
 
 def breakdown(
     question: str,
-    example_library: Sequence[BreakdownExample],
+    example_library: Sequence[str],
     backend,
     max_retries: int = 2,
 ) -> BreakdownResult:
@@ -404,7 +383,7 @@ def breakdown(
     """
     if not example_library:
         raise ValueError("example library must be non-empty")
-    examples_text = "\n\n".join(ex.render() for ex in example_library)
+    examples_text = "\n\n".join(example_library)
     bundle = make_bundle("breakdown", backends.breakdown_payload(question, examples_text))
 
     def parse(text: str) -> ReasoningPlan:

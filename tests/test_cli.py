@@ -1,9 +1,14 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from ravu import cli, graph_model
 from ravu.cli import main
+from ravu.config import RavuConfig
+from ravu.errors import read_document
+from ravu.evaluate import build_video
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,37 @@ def built(corpus_dir, tmp_path_factory):
     assert result.exit_code == 0, result.output
     assert emb.exists() and (out / "embeddings.bin.index.jsonl").exists()
     return graph, emb
+
+
+def test_build_embeds_nothing_and_writes_the_graph_it_wrote_before(corpus_dir, tmp_path, monkeypatch):
+    class EmbedCounting:
+        def __init__(self, inner):
+            self.inner, self.embeds = inner, 0
+
+        def generate(self, bundle):
+            return self.inner.generate(bundle)
+
+        def embed(self, text):
+            self.embeds += 1
+            return self.inner.embed(text)
+
+    counting = EmbedCounting(cli.make_backend(RavuConfig()))
+    monkeypatch.setattr(cli, "make_backend", lambda cfg: counting)
+    vd = video_dir(corpus_dir)
+    obs, tracks = vd / "observations.jsonl", vd / "tracklets.json"
+    graph = tmp_path / "graph.json"
+    result = CliRunner().invoke(
+        main, ["build", "--observations", str(obs), "--tracklets", str(tracks), "--out", str(graph)]
+    )
+    assert result.exit_code == 0, result.output
+    assert counting.embeds == 0
+    written = graph.read_text()
+    built = build_video(read_document(obs), read_document(tracks), counting.inner, RavuConfig())
+    assert written == graph_model.serialize(built.graph)
+    # The sha256 of this video's graph as written by a build that embedded it as well.
+    assert hashlib.sha256(written.encode()).hexdigest() == (
+        "454096a93495e4f438fb537e03e0f888ab71b7322cd8b5837f7eb0a32ea9aa59"
+    )
 
 
 def test_ingest_build_embed_events_ask(corpus_dir, built, tmp_path):
@@ -210,19 +246,38 @@ def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
     assert_clean_error(result, "bytes, expected")
 
 
-def test_ask_on_a_graph_that_lists_a_node_twice_is_clean(built, tmp_path):
-    graph, emb = built
+def graph_listing_a_node_twice(graph, tmp_path):
+    """A copy of ``graph`` with its first node listed again under another description, and that node."""
     doc = json.loads(graph.read_text())
     first = doc["nodes"][0]
     doc["nodes"].append({**first, "description": "a purple elephant juggling"})
     doubled = tmp_path / "graph.json"
     doubled.write_text(json.dumps(doc))
+    return doubled, first
+
+
+def test_ask_on_a_graph_that_lists_a_node_twice_is_clean(built, tmp_path):
+    graph, emb = built
+    doubled, first = graph_listing_a_node_twice(graph, tmp_path)
     result = CliRunner().invoke(
         main, ["ask", "--graph", str(doubled), "--embeddings", str(emb), "--question", "Who runs?"]
     )
     assert_clean_error(
         result, f"graph lists node entity {first['entity_id']} frame {first['frame_index']} twice"
     )
+
+
+@pytest.mark.parametrize("command", ["embed", "events"])
+def test_embed_and_events_on_a_graph_that_lists_a_node_twice_are_clean(built, tmp_path, command):
+    graph, _ = built
+    doubled, first = graph_listing_a_node_twice(graph, tmp_path)
+    out = tmp_path / "out.bin"
+    args = [command, "--graph", str(doubled)] + (["--out", str(out)] if command == "embed" else [])
+    result = CliRunner().invoke(main, args)
+    assert_clean_error(
+        result, f"graph lists node entity {first['entity_id']} frame {first['frame_index']} twice"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("category", ["global", "temporal"])

@@ -60,6 +60,25 @@ def test_retrieve_global_without_events_breaks_down(assets, backend):
     assert retrieval.plan is not None and retrieval.frames
 
 
+def test_retrieve_flags_each_failed_plan_step(assets):
+    class Planned(MockBackend):
+        def generate(self, bundle):
+            if bundle.role == "breakdown":
+                return (
+                    'plan:\nlocalize_node(query="fox")\nanalyze_events(query="when", node=$1)\n'
+                    'sample_entity_events(node=$1, sample_start_time=$2, events_to_sample="all")'
+                )
+            return super().generate(bundle)
+
+    graph = copy.copy(assets.graph)
+    graph.events = {}
+    retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", Planned())
+    failed = [flag for flag in retrieval.flags if ": failed: " in flag]
+    assert len(failed) == 2
+    assert failed[0].startswith("step 2: failed: entity ") and failed[0].endswith(" has no events")
+    assert failed[1] == "step 3: failed: step 2 failed; cannot resolve $2"
+
+
 def test_eval_qa_report_shape(world, assets, backend):
     report = eval_qa(world.questions, {world.video_id: assets}, backend)
     assert report["overall"]["non_blocked_accuracy"] == 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from importlib import resources
 
 import pytest
@@ -277,6 +278,22 @@ def test_execute_respects_budget(backend):
     assert result.frames == [0, 3, 6, 9, 11]
 
 
+@pytest.mark.parametrize("steps, share", [
+    ('localize_node(query="red fox digging")', 2),
+    ('identify_node(query="fox")\nsample_entity_events(node=$2, sample_start_time=0, events_to_sample="all")', 2),
+    ('extract_temporal_part(target_part="end")', 2),
+    ("get_global_context()", 2),
+    ('identify_node(query="fox")', 4),
+    ('identify_node(query="fox")\nanalyze_events(query="when did the fox start digging", node=$2)', 4),
+    ('count_nodes(node_query="fox")', 4),
+], ids=["localize", "sample", "temporal-part", "global", "identify", "analyze", "count"])
+def test_only_steps_that_produce_frames_share_the_budget(backend, steps, share):
+    graph, index = make_graph(backend)
+    result = execute(parse_plan(f"get_global_context()\n{steps}"), graph, index, backend, budget=4)
+    assert result.errors == []
+    assert len(result.values[0]) == share
+
+
 def test_execute_count_plan_emits_notes_and_fallback_frames(backend):
     graph, index = make_graph(backend)
     plan = parse_plan('count_nodes(node_query="fox")')
@@ -317,6 +334,11 @@ def test_execute_propagates_programming_errors(backend, monkeypatch):
         execute(parse_plan('count_nodes(node_query="fox")'), graph, index, backend)
 
 
+def shipped_examples():
+    root = resources.files("ravu").joinpath("breakdown_examples")
+    return sorted((e for e in root.iterdir() if e.name.endswith(".txt")), key=lambda e: e.name)
+
+
 def test_example_library_is_read_once_and_immutable(monkeypatch):
     opened = []
     files = resources.files
@@ -330,21 +352,17 @@ def test_example_library_is_read_once_and_immutable(monkeypatch):
     first, second = load_example_library(), load_example_library()
     assert opened == ["ravu"]
     assert first is second and isinstance(first, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first[0].plan_text = "get_global_context()"
+    assert all(isinstance(example, str) for example in first)
 
 
 def test_split_plan_reads_every_shipped_example():
-    root = resources.files("ravu").joinpath("breakdown_examples")
-    entries = sorted((e for e in root.iterdir() if e.name.endswith(".txt")), key=lambda e: e.name)
+    entries = shipped_examples()
     assert len(entries) == len(load_example_library())
     for entry, example in zip(entries, load_example_library()):
-        fields, plan_lines = _split_plan(entry.read_text())
-        assert set(fields) == {"category", "question", "analysis"}
-        assert (fields["category"], fields["question"], fields["analysis"]) == (
-            example.category, example.question, example.analysis
-        )
-        assert plan_lines and "\n".join(plan_lines).strip() == example.plan_text
+        assert example == entry.read_text().strip()
+        fields, plan_lines = _split_plan(example)
+        assert set(fields) == {"question", "analysis"} and all(fields.values())
+        assert plan_lines
         parse_plan("\n".join(plan_lines))
 
 
@@ -367,10 +385,26 @@ def test_split_plan_keeps_the_last_repeated_key_and_reads_a_reply_without_plan()
 def test_example_library_loads_and_parses():
     library = load_example_library()
     assert len(library) >= 4
-    categories = {ex.category for ex in library}
+    # A file is named ``<category>_<name>.txt``.
+    categories = {entry.name.partition("_")[0] for entry in shipped_examples()}
     assert {"temporal", "descriptive", "causal"} <= categories
-    for ex in library:
-        parse_plan(ex.plan_text)  # every shipped example must be valid
+    for example in library:
+        parse_plan("\n".join(_split_plan(example)[1]))  # every shipped example must be valid
+
+
+def test_breakdown_bundle_is_pinned():
+    """The system prompt and payload sent for one fixed question keep their bytes; the goldens count only tokens."""
+    sent = []
+
+    class Capture(MockBackend):
+        def generate(self, bundle):
+            sent.append(bundle)
+            return super().generate(bundle)
+
+    breakdown("What did the red fox do after digging?", load_example_library(), Capture())
+    (bundle,) = sent
+    digest = hashlib.sha256(f"{bundle.system_prompt}\0{bundle.user_payload}".encode()).hexdigest()
+    assert digest == "b68b3bd5932b3e6e500911eadec92e981e3be6f8ad37f180634c840260ded0f7"
 
 
 def test_breakdown_uses_mock_templates(backend):
