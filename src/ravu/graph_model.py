@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import inf
+from math import inf, isfinite
 from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from .errors import MALFORMED, NotFound, ParseError, json_object
 
@@ -204,6 +206,9 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     for i, frame in enumerate(graph.frames):
         if frame.frame_index != i:
             out.append(Violation("frame-index-dense", f"position {i} has index {frame.frame_index}"))
+        # A NaN fails every order check below, and JSON has no token for NaN or infinity.
+        if not isfinite(frame.timestamp_s):
+            out.append(Violation("timestamp-finite", f"frame {frame.frame_index}"))
     for prev, cur in zip(graph.frames, graph.frames[1:]):
         if cur.timestamp_s <= prev.timestamp_s:
             out.append(Violation("timestamp-order", f"frame {cur.frame_index}"))
@@ -453,6 +458,7 @@ def serialize(graph: SpatioTemporalGraph) -> str:
 
 
 _new = object.__new__
+_XYXY = attrgetter("x_min", "y_min", "x_max", "y_max")
 
 
 def _frozen(cls, fields: dict):
@@ -479,6 +485,37 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
     raise ValueError(
         f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1, all finite"
     )
+
+
+def parse_boxes(raws: list) -> tuple[np.ndarray, int]:
+    """``parse_box`` over a list of raw boxes, checked as one array.
+
+    Returns the boxes as an (n, 4) float64 array in xyxy layout, and
+    ``n_ok``, the number of leading boxes that ``parse_box`` accepts; only
+    those rows are read. When ``n_ok < len(raws)``, ``parse_box`` rejects
+    ``raws[n_ok]``. JSON numbers (booleans included) convert in numpy as
+    ``float()`` converts them; a box holding anything else, such as a
+    string, null or an integer beyond uint64, makes the boxes go through
+    ``parse_box`` one by one.
+    """
+    try:
+        values = np.array(raws)
+    except MALFORMED:  # boxes of different lengths
+        values = np.empty(0)
+    if values.shape == (len(raws), 4) and values.dtype.kind in "biuf":
+        boxes = values.astype(np.float64, copy=False)
+    else:
+        rows = []
+        for raw in raws:
+            try:
+                rows.append(_XYXY(parse_box(raw, "")))
+            except MALFORMED:
+                break
+        boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    x0, y0, x1, y1 = boxes.T
+    # As in ``parse_box``: a NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
+    ok = (0 <= x0) & (x0 < x1) & (x1 < inf) & (0 <= y0) & (y0 < y1) & (y1 < inf)
+    return boxes, len(ok) if ok.all() else int(ok.argmin())
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:

@@ -3,10 +3,16 @@
 Observations arrive with frame-local entity IDs; tracklets provide
 video-consistent identities. ``associate`` rewrites local IDs into
 consistent entity IDs by greedy IoU matching against each frame's
-tracklet boxes. It scores a whole video in one batched pass: every
-(entity, track) pair that shares a frame goes through one
-``accel.iou_rows`` call, the pairs passing the threshold are sorted once,
-and only the greedy itself runs per pair in Python.
+tracklet boxes.
+
+A video's boxes stay in columns from parsing until its nodes are made.
+Each reader checks all of a document's boxes as one array
+(``graph_model.parse_boxes``). ``associate`` groups the track rows by
+frame with one stable sort, scores every (entity, track) pair that shares
+a frame in one ``accel.iou_rows`` call and sorts the pairs passing the
+threshold once; only the greedy itself runs per pair in Python. It makes
+each node's ``BoundingBox`` once, from the checked array, and emits the
+nodes frame by frame in entity order.
 
 Entity mentions inside description text use ``[E<int>]`` tokens; after
 association they reference the consistent ID.
@@ -15,35 +21,49 @@ association they reference the consistent ID.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import attrgetter, itemgetter
+from math import inf
 
 import numpy as np
 
 from . import accel
 from .errors import MALFORMED, ParseError, json_object, json_objects
-from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, parse_box
+from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, _frozen, parse_box, parse_boxes
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
 
 
-@dataclass
-class FrameObservation:
-    """One frame's raw output: description plus frame-local entities."""
+@dataclass(eq=False)
+class Observations:
+    """A video's per-frame observations: frames in index order, their entities as columns.
 
-    frame_index: int
-    description: str
-    entities: list[tuple[int, dict[str, str], BoundingBox]]
-    source_ref: str = ""
+    Frame ``f``'s entities are the ``counts[f]`` rows after the
+    ``sum(counts[:f])`` rows of the frames before it, in the order its line
+    lists them.
+    """
+
+    descriptions: list[str]
+    source_refs: list[str]
+    counts: list[int]
+    local_ids: list[int]
+    attributes: list[dict[str, str]]
+    boxes: np.ndarray  # (n, 4) float64, xyxy, as ``parse_box`` reads them
 
 
-@dataclass
-class Tracklet:
-    """One tracked object's per-frame boxes, from an external tracker."""
+@dataclass(eq=False)
+class Tracklets:
+    """Every box of a video's tracklets, one row per (track, frame), tracks in document order.
 
-    track_id: int
-    boxes: dict[int, BoundingBox] = field(default_factory=dict)
+    Row ``r`` is track ``ids[track[r]]``'s box in frame ``frames[r]``; a
+    track lists each frame once.
+    """
+
+    ids: list[int]
+    track: np.ndarray  # (n,) intp
+    frames: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float64, xyxy, as ``parse_box`` reads them
 
 
 @dataclass
@@ -53,73 +73,170 @@ class AssociationResult:
     id_map: dict[int, dict[int, int]]  # frame_index -> local_id -> entity_id
 
 
-def parse_observations(document: str) -> list[FrameObservation]:
+def _integer(value, name: str, line: int | None = None) -> int:
+    """``int(value)``; a boolean or a fractional number, which ``int()`` would truncate, raises ParseError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {value!r}", line=line, field=name)
+    return int(value)
+
+
+def parse_observations(document: str) -> Observations:
     """Parse an observations.jsonl document, one frame object per line.
 
-    Frame indices must be dense 0..N-1 (any line order); duplicates and
-    malformed boxes are rejected, and so is a line break in a description
-    or an attribute key or value, since backend payloads are line-oriented.
+    Frame indices must be dense 0..N-1 (any line order); duplicates,
+    malformed boxes and a boolean or fractional frame index or local ID are
+    rejected, and so is a line break in a description or an attribute key
+    or value, since backend payloads are line-oriented. The first error in
+    document order is the one raised.
     """
     # A document line is split at every line break, so a decoded string
     # holds one only where the document escapes it.
     escapes = "\\" in document
-    observations: dict[int, FrameObservation] = {}
-    for lineno, raw in json_objects(document, "frame"):
-        try:
-            frame_index = int(raw["frame_index"])
-            if frame_index in observations:
-                raise ParseError(f"duplicate frame {frame_index}", line=lineno, field="frame_index")
-            entities = []
-            local_seen: set[int] = set()
-            for ent in raw.get("entities", []):
-                local_id = int(ent["local_id"])
-                if local_id in local_seen:
-                    raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
-                local_seen.add(local_id)
-                attributes = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
-                if escapes and any(map(LINE_BREAK.search, chain(attributes, attributes.values()))):
-                    raise ParseError(
-                        f"entity {local_id} has a line break in an attribute key or value",
-                        line=lineno, field="attributes",
-                    )
-                entities.append((local_id, attributes, parse_box(ent["box"], "entity %s", local_id)))
-            description = str(raw.get("description", ""))
-            if escapes and LINE_BREAK.search(description):
-                raise ParseError("line break in description", line=lineno, field="description")
-            observations[frame_index] = FrameObservation(
-                frame_index=frame_index,
-                description=description,
-                entities=entities,
-                source_ref=str(raw.get("source_ref", "")),
-            )
-        except MALFORMED as exc:
-            raise ParseError(f"malformed frame: {exc}", line=lineno) from exc
+    place: dict[int, int] = {}  # frame index -> its line's place among the frame lines
+    linenos: list[int] = []
+    descriptions: list[str] = []
+    source_refs: list[str] = []
+    counts: list[int] = []
+    local_ids: list[int] = []
+    attributes: list[dict[str, str]] = []
+    raw_boxes: list = []
 
-    for expected in range(len(observations)):
-        if expected not in observations:
-            raise ParseError(f"frame indices not dense: missing frame {expected}", field="frame_index")
-    return [observations[i] for i in range(len(observations))]
+    def checked_boxes() -> np.ndarray:
+        """The boxes read so far; the first bad one raises ``parse_box``'s error, naming its line."""
+        boxes, n_ok = parse_boxes(raw_boxes)
+        if n_ok < len(raw_boxes):
+            line = linenos[bisect_right(list(accumulate(counts)), n_ok)]
+            try:
+                parse_box(raw_boxes[n_ok], "entity %s", local_ids[n_ok])
+            except MALFORMED as exc:
+                raise ParseError(f"malformed frame: {exc}", line=line) from exc
+        return boxes
+
+    try:
+        for lineno, raw in json_objects(document, "frame"):
+            linenos.append(lineno)
+            try:
+                frame_index = _integer(raw["frame_index"], "frame_index", lineno)
+                if frame_index in place:
+                    raise ParseError(f"duplicate frame {frame_index}", line=lineno, field="frame_index")
+                place[frame_index] = len(counts)
+                local_seen: set[int] = set()
+                for ent in raw.get("entities", []):
+                    local_id = ent["local_id"]
+                    if type(local_id) is not int:
+                        local_id = _integer(local_id, "local_id", lineno)
+                    if local_id in local_seen:
+                        raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
+                    local_seen.add(local_id)
+                    attrs = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
+                    if escapes and any(map(LINE_BREAK.search, chain(attrs, attrs.values()))):
+                        raise ParseError(
+                            f"entity {local_id} has a line break in an attribute key or value",
+                            line=lineno, field="attributes",
+                        )
+                    local_ids.append(local_id)
+                    attributes.append(attrs)
+                    raw_boxes.append(ent["box"])
+                description = str(raw.get("description", ""))
+                if escapes and LINE_BREAK.search(description):
+                    raise ParseError("line break in description", line=lineno, field="description")
+                descriptions.append(description)
+                source_refs.append(str(raw.get("source_ref", "")))
+                counts.append(len(local_seen))
+            except MALFORMED as exc:
+                raise ParseError(f"malformed frame: {exc}", line=lineno) from exc
+    except ParseError:
+        checked_boxes()  # a bad box on an earlier line comes first
+        raise
+    boxes = checked_boxes()
+
+    n_frames = len(counts)
+    missing = set(range(n_frames)).difference(place)
+    if missing:
+        raise ParseError(f"frame indices not dense: missing frame {min(missing)}", field="frame_index")
+    order = [place[f] for f in range(n_frames)]
+    if order != list(range(n_frames)):
+        starts = list(accumulate(counts, initial=0))
+        rows = [r for p in order for r in range(starts[p], starts[p + 1])]
+        descriptions = [descriptions[p] for p in order]
+        source_refs = [source_refs[p] for p in order]
+        counts = [counts[p] for p in order]
+        local_ids = [local_ids[r] for r in rows]
+        attributes = [attributes[r] for r in rows]
+        boxes = boxes[rows]
+    return Observations(descriptions, source_refs, counts, local_ids, attributes, boxes)
 
 
-def parse_tracklets(document: str) -> list[Tracklet]:
-    """Parse a tracklets.json document: {"tracks": [{track_id, boxes}]}."""
+def parse_tracklets(document: str) -> Tracklets:
+    """Parse a tracklets.json document: {"tracks": [{track_id, boxes}]}.
+
+    ``boxes`` maps frame indices, written as strings, to the track's box in
+    that frame. Track IDs are distinct integers (not booleans or fractions);
+    a track lists at least one frame and each frame once, so ``"1"`` and
+    ``"01"`` in one track are rejected. The first error in document order is
+    the one raised.
+    """
     raw = json_object(document, "tracklets document")
     if "tracks" not in raw:
         raise ParseError("missing key 'tracks'", field="tracks")
 
-    tracklets: dict[int, Tracklet] = {}
+    ids: list[int] = []
+    seen: set[int] = set()
+    box_maps: list[dict] = []
+    counts: list[int] = []
+    frames: list[int] = []
+    raw_boxes: list = []
+
+    def checked_boxes() -> np.ndarray:
+        """The boxes read so far; the first bad one raises ``parse_box``'s error."""
+        boxes, n_ok = parse_boxes(raw_boxes)
+        if n_ok < len(raw_boxes):
+            k = bisect_right(list(accumulate(counts)), n_ok)
+            key = list(box_maps[k])[n_ok - sum(counts[:k])]
+            try:
+                parse_box(raw_boxes[n_ok], "track %s frame %s", ids[k], key)
+            except MALFORMED as exc:
+                raise ParseError(f"malformed tracklet: {exc}") from exc
+        return boxes
+
     try:
-        for tr in raw["tracks"]:
-            track_id = int(tr["track_id"])
-            if track_id in tracklets:
-                raise ParseError(f"duplicate track_id {track_id}", field="track_id")
-            boxes = {int(fi): parse_box(b, "track %s frame %s", track_id, fi) for fi, b in tr["boxes"].items()}
-            if not boxes:
-                raise ParseError(f"tracklet {track_id} has no boxes", field="boxes")
-            tracklets[track_id] = Tracklet(track_id=track_id, boxes=boxes)
-    except MALFORMED as exc:
-        raise ParseError(f"malformed tracklet: {exc}") from exc
-    return list(tracklets.values())
+        try:
+            for tr in raw["tracks"]:
+                track_id = _integer(tr["track_id"], "track_id")
+                if track_id in seen:
+                    raise ParseError(f"duplicate track_id {track_id}", field="track_id")
+                seen.add(track_id)
+                box_map = tr["boxes"]
+                ids.append(track_id)
+                box_maps.append(box_map)
+                start = len(frames)
+                for fi, box in box_map.items():
+                    frames.append(int(fi))
+                    raw_boxes.append(box)
+                counts.append(len(frames) - start)
+                if not counts[-1]:
+                    raise ParseError(f"tracklet {track_id} has no boxes", field="boxes")
+                if len(set(frames[start:])) < counts[-1]:
+                    listed: set[int] = set()
+                    for f in frames[start:]:
+                        if f in listed:
+                            raise ParseError(f"tracklet {track_id} lists frame {f} twice", field="boxes")
+                        listed.add(f)
+        except MALFORMED as exc:
+            raise ParseError(f"malformed tracklet: {exc}") from exc
+    except ParseError:
+        checked_boxes()  # a bad box of an earlier entry comes first
+        raise
+    boxes = checked_boxes()
+
+    track = np.repeat(np.arange(len(ids)), counts)
+    try:
+        frame_column = np.array(frames, dtype=np.int64)
+    except OverflowError:
+        # Past int64, and so past the last frame of any video.
+        row = next(r for r, f in enumerate(frames) if not -(2**63) <= f < 2**63)
+        raise ParseError(f"tracklet {ids[track[row]]} references unknown frame {frames[row]}", field="boxes")
+    return Tracklets(ids, track, frame_column, boxes)
 
 
 def _rewrite_mentions(text: str, mapping: dict[int, int]) -> str:
@@ -140,8 +257,8 @@ def _mention(digits: str, mapping: dict[int, int]) -> str:
 
 
 def associate(
-    observations: list[FrameObservation],
-    tracklets: list[Tracklet],
+    observations: Observations,
+    tracklets: Tracklets,
     min_iou: float = 0.1,
     fps: float = 1.0,
 ) -> AssociationResult:
@@ -151,8 +268,10 @@ def associate(
     IoU, subject to ``max IoU >= min_iou`` and one entity per track per
     frame. Ties break to the lowest track_id. Losers fall through to their
     next-best track; entities matching nothing get a fresh singleton ID
-    allocated above all track IDs, observation by observation in list order.
-    Description mention tokens are rewritten to the consistent IDs.
+    allocated above all track IDs, frame by frame in local_id order.
+    Description mention tokens are rewritten to the consistent IDs. Nodes
+    come in (frame_index, entity_id) order and take their attribute dicts
+    from ``observations``.
 
     The whole video is scored in one batched pass: every (entity, track)
     pair that shares a frame is scored by one ``accel.iou_rows`` call, and
@@ -160,75 +279,81 @@ def associate(
     """
     if not 0.0 <= min_iou <= 1.0:
         raise ValueError(f"min_iou must be in [0, 1], got {min_iou}")
-    n_frames = len(observations)
-    # Track boxes grouped by frame; the sort below orders tracks by track_id.
-    groups: dict[int, list[tuple[int, BoundingBox]]] = {}
-    for tr in tracklets:
-        for fi, box in tr.boxes.items():
-            if fi < 0 or fi >= n_frames:
-                raise ParseError(
-                    f"tracklet {tr.track_id} references unknown frame {fi}", field="boxes"
-                )
-            groups.setdefault(fi, []).append((tr.track_id, box))
-    track_ids = [track_id for group in groups.values() for track_id, _ in group]
-    track_boxes = _box_array([box for group in groups.values() for _, box in group])
-    # A frame's group as (first row, row count) in the two lists above.
-    sizes = [len(group) for group in groups.values()]
-    span = dict(zip(groups, zip(accumulate(sizes, initial=0), sizes)))
+    if not 0.0 < fps < inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
+    counts, local_ids = observations.counts, observations.local_ids
+    n_frames = len(counts)
+    outside = np.flatnonzero((tracklets.frames < 0) | (tracklets.frames >= n_frames))
+    if len(outside):
+        row = outside[0]
+        raise ParseError(
+            f"tracklet {tracklets.ids[tracklets.track[row]]} references unknown frame {tracklets.frames[row]}",
+            field="boxes",
+        )
 
-    # Every entity, in observation order, with its observation and its frame's group.
-    entities = [e for obs in observations for e in obs.entities]
-    ent_obs = np.repeat(np.arange(n_frames), [len(obs.entities) for obs in observations])
-    obs_span = np.array([span.get(obs.frame_index, (0, 0)) for obs in observations], dtype=np.intp)
-    ent_first, ent_count = obs_span.reshape(-1, 2)[ent_obs].T
+    # Track rows grouped by frame, in document order within a frame; a row is
+    # one track in one frame.
+    by_frame = np.argsort(tracklets.frames, kind="stable")
+    row_track = tracklets.track[by_frame]
+    group_size = np.bincount(tracklets.frames, minlength=n_frames)
+    group_first = np.cumsum(group_size) - group_size
 
     # Pair p joins entity ``pair_ent[p]`` with track row ``pair_row[p]``: each
     # entity's run of pairs walks its frame's group from the group's first row.
-    pair_ent = np.repeat(np.arange(len(entities)), ent_count)
+    ent_frame = np.repeat(np.arange(n_frames), counts)
+    ent_count = group_size[ent_frame]
+    pair_ent = np.repeat(np.arange(len(ent_frame)), ent_count)
     run_start = np.cumsum(ent_count) - ent_count
-    pair_row = np.repeat(ent_first - run_start, ent_count) + np.arange(len(pair_ent))
-    ent_boxes = _box_array([e[2] for e in entities])
-    scores = accel.iou_rows(ent_boxes.take(pair_ent, axis=0), track_boxes.take(pair_row, axis=0))
+    pair_row = np.repeat(group_first[ent_frame] - run_start, ent_count) + np.arange(len(pair_ent))
+    scores = accel.iou_rows(
+        observations.boxes.take(pair_ent, axis=0), tracklets.boxes.take(by_frame.take(pair_row), axis=0)
+    )
     keep = np.flatnonzero((scores >= min_iou) & (scores > 0.0))
     pair_ent, pair_row, scores = pair_ent[keep], pair_row[keep], scores[keep]
-    pair_obs = ent_obs[pair_ent]
-    # By observation, then IoU descending, track_id, local_id; a stable sort
-    # leaves full ties (duplicate IDs) in entity-then-track order.
-    order = np.lexsort(
-        (_ranks([e[0] for e in entities])[pair_ent], _ranks(track_ids)[pair_row], -scores, pair_obs)
-    )
+    track_rank = _ranks(tracklets.ids)
+    local_rank = _ranks(local_ids)
+    order = np.lexsort((local_rank[pair_ent], track_rank[row_track[pair_row]], -scores, ent_frame[pair_ent]))
 
-    # The greedy: an observation's mapping holds exactly its taken tracks.
-    mappings: list[dict[int, int]] = [{} for _ in observations]
-    for position, ent, row in zip(pair_obs[order].tolist(), pair_ent[order].tolist(), pair_row[order].tolist()):
-        mapping, local_id, track_id = mappings[position], entities[ent][0], track_ids[row]
-        if local_id not in mapping and track_id not in mapping.values():
-            mapping[local_id] = track_id
+    # The greedy: by frame, then IoU descending, track_id, local_id, each
+    # entity takes the first free row among its pairs.
+    ent_row = [-1] * len(ent_frame)
+    row_free = [True] * len(by_frame)
+    for ent, row in zip(pair_ent[order].tolist(), pair_row[order].tolist()):
+        if ent_row[ent] < 0 and row_free[row]:
+            ent_row[ent] = row
+            row_free[row] = False
 
-    next_fresh = max((tr.track_id for tr in tracklets), default=-1) + 1
-    nodes: list[EntityNode] = []
+    # An entity's key is its ID's place in ID order: a taken track's rank
+    # among the track IDs, or the place of its fresh ID, handed out above
+    # them frame by frame in local_id order.
+    ent_row = np.array(ent_row, dtype=np.intp)
+    taken = ent_row >= 0
+    key = np.empty(len(ent_row), dtype=np.intp)
+    key[taken] = track_rank[row_track[ent_row[taken]]]
+    fresh = np.flatnonzero(~taken)
+    fresh = fresh[np.lexsort((local_rank[fresh], ent_frame[fresh]))]
+    n_tracks = len(tracklets.ids)
+    key[fresh] = np.arange(n_tracks, n_tracks + len(fresh))
+    next_fresh = max(tracklets.ids, default=-1) + 1
+    id_of_key = sorted(tracklets.ids) + list(range(next_fresh, next_fresh + len(fresh)))
+    entity_ids = list(map(id_of_key.__getitem__, key.tolist()))
+
+    boxes, attributes, frame_of = observations.boxes.tolist(), observations.attributes, ent_frame.tolist()
+    nodes = [
+        EntityNode(entity_ids[e], frame_of[e], attributes[e], _box(boxes[e]))
+        for e in np.lexsort((key, ent_frame)).tolist()
+    ]
     frames: list[FrameRecord] = []
     id_map: dict[int, dict[int, int]] = {}
-    for obs, mapping in zip(observations, mappings):
-        for local_id, _, _ in sorted(obs.entities, key=itemgetter(0)):
-            if local_id not in mapping:
-                mapping[local_id] = next_fresh
-                next_fresh += 1
-
-        id_map[obs.frame_index] = mapping
-        for local_id, attributes, box in obs.entities:
-            nodes.append(EntityNode(mapping[local_id], obs.frame_index, dict(attributes), box))
-        frames.append(
-            FrameRecord(
-                frame_index=obs.frame_index,
-                timestamp_s=obs.frame_index / fps,
-                description=_rewrite_mentions(obs.description, mapping),
-                source_ref=obs.source_ref,
-            )
-        )
-
-    nodes.sort(key=attrgetter("frame_index", "entity_id"))
+    starts = list(accumulate(counts, initial=0))
+    for f, description, source_ref in zip(range(n_frames), observations.descriptions, observations.source_refs):
+        mapping = id_map[f] = dict(zip(local_ids[starts[f]:starts[f + 1]], entity_ids[starts[f]:starts[f + 1]]))
+        frames.append(FrameRecord(f, f / fps, _rewrite_mentions(description, mapping), source_ref))
     return AssociationResult(nodes=nodes, frames=frames, id_map=id_map)
+
+
+def _box(row: list[float]) -> BoundingBox:
+    return _frozen(BoundingBox, {"x_min": row[0], "y_min": row[1], "x_max": row[2], "y_max": row[3]})
 
 
 def _ranks(ids: list[int]) -> np.ndarray:
@@ -236,11 +361,3 @@ def _ranks(ids: list[int]) -> np.ndarray:
     orders IDs of any size, where a numpy array of them could turn to floats."""
     place = {value: i for i, value in enumerate(sorted(set(ids)))}
     return np.fromiter(map(place.__getitem__, ids), dtype=np.intp, count=len(ids))
-
-
-_XYXY = attrgetter("x_min", "y_min", "x_max", "y_max")
-
-
-def _box_array(boxes: list[BoundingBox]) -> np.ndarray:
-    """``boxes`` as an (n, 4) float64 array in xyxy layout."""
-    return np.fromiter(chain.from_iterable(map(_XYXY, boxes)), dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)

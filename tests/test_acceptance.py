@@ -5,6 +5,7 @@ suite output doubles as a checklist. Oracles here are implemented
 independently of the library code they verify.
 """
 
+import json
 import random
 import time
 from pathlib import Path
@@ -27,8 +28,7 @@ from ravu.evaluate import (
 from ravu.graph_builder import EmbeddingRecord, write_embeddings
 from ravu.graph_model import serialize, validate
 from ravu.index import EmbeddingIndex
-from ravu.ingestion import FrameObservation, Tracklet, associate
-from ravu.graph_model import BoundingBox
+from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.plan import parse_plan
 from ravu.synth import make_corpus, synth_world
 
@@ -153,12 +153,15 @@ def _random_frame(rng, pool=None):
 _ATTRS = {"appearance": "x", "action": "y", "body_pose": "z"}
 
 
-def _observation(frame, ent_boxes):
-    return FrameObservation(
-        frame_index=frame,
-        description="",
-        entities=[(lid, _ATTRS, BoundingBox(*box)) for lid, box in ent_boxes],
-    )
+def _observation_line(frame, ent_boxes):
+    entities = [{"local_id": lid, "attributes": _ATTRS, "box": box} for lid, box in ent_boxes]
+    return json.dumps({"frame_index": frame, "description": "", "entities": entities})
+
+
+def _tracklets(boxes_by_track):
+    """The tracklets document of ``(track_id, {frame: box})`` pairs, tracks in that order."""
+    tracks = [{"track_id": tid, "boxes": {str(f): box for f, box in boxes.items()}} for tid, boxes in boxes_by_track]
+    return parse_tracklets(json.dumps({"tracks": tracks}))
 
 
 def _oracle_ids(ent_boxes, tracks, fresh):
@@ -176,8 +179,8 @@ def test_criterion_2_association_oracle():
     start = time.perf_counter()
     for frame in range(200):
         ent_boxes, tracks = _random_frame(rng)
-        tracklets = [Tracklet(tid, {0: BoundingBox(*box)}) for tid, box in tracks.items()]
-        got = associate([_observation(0, ent_boxes)], tracklets, min_iou=0.1).id_map[0]
+        tracklets = _tracklets((tid, {0: box}) for tid, box in tracks.items())
+        got = associate(parse_observations(_observation_line(0, ent_boxes)), tracklets, min_iou=0.1).id_map[0]
 
         expected, _ = _oracle_ids(ent_boxes, tracks, max(tracks, default=-1) + 1)
         assert got == expected, f"frame {frame}: {got} != {expected}"
@@ -187,26 +190,28 @@ def test_criterion_2_association_oracle():
 
 
 def test_criterion_2_association_oracle_across_frames():
-    """All 200 random frames in one call: tracks span frames, observations and
-    tracklets arrive shuffled, and fresh IDs carry over in observation order."""
+    """All 200 random frames in one call: tracks span frames, frame lines and
+    tracklets arrive shuffled, and fresh IDs carry over in frame order."""
     rng = random.Random(22)
     frames = [_random_frame(rng, pool=range(9)) for _ in range(200)]
-    boxes_by_track: dict[int, dict[int, BoundingBox]] = {}
+    boxes_by_track: dict[int, dict[int, list[int]]] = {}
     for frame, (_, tracks) in enumerate(frames):
         for tid, box in tracks.items():
-            boxes_by_track.setdefault(tid, {})[frame] = BoundingBox(*box)
-    tracklets = [Tracklet(tid, boxes) for tid, boxes in boxes_by_track.items()]
-    rng.shuffle(tracklets)
+            boxes_by_track.setdefault(tid, {})[frame] = box
+    shuffled = list(boxes_by_track.items())
+    rng.shuffle(shuffled)
     order = list(range(len(frames)))
     rng.shuffle(order)
+    observations = parse_observations("\n".join(_observation_line(f, frames[f][0]) for f in order))
+    tracklets = _tracklets(shuffled)
 
     start = time.perf_counter()
-    got = associate([_observation(f, frames[f][0]) for f in order], tracklets, min_iou=0.1)
+    got = associate(observations, tracklets, min_iou=0.1)
     elapsed = time.perf_counter() - start
 
     fresh = max(boxes_by_track, default=-1) + 1
     expected = {}
-    for f in order:
+    for f in range(len(frames)):
         expected[f], fresh = _oracle_ids(*frames[f], fresh)
         assert got.id_map[f] == expected[f], f"frame {f}: {got.id_map[f]} != {expected[f]}"
     assert got.id_map == expected

@@ -14,6 +14,7 @@ from ravu.graph_model import (
     FrameRecord,
     RelationEdge,
     SpatioTemporalGraph,
+    Violation,
     _frozen,
     deserialize,
     entity_timeline,
@@ -68,6 +69,13 @@ def test_timestamp_order_checked():
     g = small_graph()
     g.frames[1] = FrameRecord(1, 0.0, "same time", "")
     assert any(v.rule == "timestamp-order" for v in validate(g))
+
+
+@pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_timestamp_checked(timestamp):
+    g = small_graph()
+    g.frames[0] = FrameRecord(0, timestamp, "a frame", "")
+    assert [v for v in validate(g) if v.rule == "timestamp-finite"] == [Violation("timestamp-finite", "frame 0")]
 
 
 def test_duplicate_node_detected():

@@ -1,22 +1,27 @@
 import json
 import re
+from collections import namedtuple
 from dataclasses import astuple
+from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ravu import accel
-from ravu.errors import ParseError
-from ravu.graph_model import BoundingBox, EntityNode, FrameRecord
+from ravu.errors import MALFORMED, ParseError
+from ravu.graph_model import BoundingBox, EntityNode, FrameRecord, parse_box, parse_boxes
 from ravu.ingestion import (
     AssociationResult,
-    FrameObservation,
-    Tracklet,
     associate,
     parse_observations,
     parse_tracklets,
 )
+
+# A drawn video's records, as the oracle reads them and as ``documents`` writes them out.
+FrameObservation = namedtuple("FrameObservation", "frame_index description entities source_ref", defaults=[""])
+Tracklet = namedtuple("Tracklet", "track_id boxes")
 
 ATTRS = {"appearance": "a", "action": "b", "body_pose": "c"}
 
@@ -45,11 +50,30 @@ def tracks_doc(tracks):
     )
 
 
+def documents(observations, tracklets):
+    """The observations and tracklets documents of a video's records, lines and tracks in list order."""
+    lines = [
+        obs_line(o.frame_index, [(lid, list(astuple(box))) for lid, _, box in o.entities], o.description, o.source_ref)
+        for o in observations
+    ]
+    tracks = [(t.track_id, {f: list(astuple(box)) for f, box in t.boxes.items()}) for t in tracklets]
+    return "\n".join(lines), tracks_doc(tracks)
+
+
+def associate_video(observations, tracklets, **kwargs):
+    """``associate`` on a video's records, written out as its two documents and parsed back."""
+    observations_text, tracklets_text = documents(observations, tracklets)
+    return associate(parse_observations(observations_text), parse_tracklets(tracklets_text), **kwargs)
+
+
 def test_parse_observations_round_trip():
-    doc = "\n".join([obs_line(1, [(0, [0, 0, 5, 5])]), obs_line(0, [])])
+    doc = "\n".join([obs_line(1, [(4, [0, 0, 5, 5.5]), (2, [1, 1, 2, 2])], "one", "b"), obs_line(0, [], "zero", "a")])
     parsed = parse_observations(doc)
-    assert [o.frame_index for o in parsed] == [0, 1]
-    assert parsed[1].entities[0][0] == 0
+    assert (parsed.descriptions, parsed.source_refs, parsed.counts) == (["zero", "one"], ["a", "b"], [0, 2])
+    assert parsed.local_ids == [4, 2]
+    assert parsed.attributes == [ATTRS, ATTRS]
+    assert parsed.boxes.dtype == np.float64
+    assert parsed.boxes.tolist() == [[0.0, 0.0, 5.0, 5.5], [1.0, 1.0, 2.0, 2.0]]
 
 
 def test_parse_observations_rejects_gaps_and_duplicates():
@@ -107,13 +131,15 @@ def test_parse_observations_rejects_a_line_break_in_an_attribute(attributes):
 def test_parse_observations_keeps_escapes_that_are_not_line_breaks():
     doc = obs_line(0, [(0, [0, 0, 1, 1])], description='a \\ "quoted"\tcaf\u00e9')
     assert "\\" in doc
-    assert parse_observations(doc)[0].description == 'a \\ "quoted"\tcaf\u00e9'
+    assert parse_observations(doc).descriptions == ['a \\ "quoted"\tcaf\u00e9']
 
 
 def test_parse_tracklets():
-    tracks = parse_tracklets(tracks_doc([(3, {0: [0, 0, 1, 1]})]))
-    assert tracks[0].track_id == 3
-    assert tracks[0].boxes[0] == bb(0, 0, 1, 1)
+    tracks = parse_tracklets(tracks_doc([(3, {0: [0, 0, 1, 1], 2: [1, 1, 4, 4]}), (2**64, {1: [5, 5, 6, 7]})]))
+    assert tracks.ids == [3, 2**64]
+    assert tracks.track.tolist() == [0, 0, 1]
+    assert (tracks.frames.dtype, tracks.frames.tolist()) == (np.int64, [0, 2, 1])
+    assert tracks.boxes.tolist() == [[0, 0, 1, 1], [1, 1, 4, 4], [5, 5, 6, 7]]
     with pytest.raises(ParseError, match="tracks"):
         parse_tracklets("{}")
     with pytest.raises(ParseError, match="duplicate track_id"):
@@ -122,12 +148,133 @@ def test_parse_tracklets():
         parse_tracklets(tracks_doc([(1, {})]))
 
 
+def test_parse_tracklets_rejects_a_frame_listed_twice():
+    doc = '{"tracks": [{"track_id": 7, "boxes": {"1": [0, 0, 1, 1], "01": [5, 5, 6, 6]}}]}'
+    with pytest.raises(ParseError, match=r"^tracklet 7 lists frame 1 twice$") as exc:
+        parse_tracklets(doc)
+    assert exc.value.field == "boxes"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frame_index", 1.5), ("frame_index", True), ("local_id", 1.7), ("local_id", False), ("local_id", True),
+])
+def test_parse_observations_rejects_a_boolean_or_fractional_id(field, value):
+    frame = json.loads(obs_line(1, [(1, [0, 0, 1, 1])]))
+    if field == "frame_index":
+        frame["frame_index"] = value
+    else:
+        frame["entities"][0]["local_id"] = value
+    with pytest.raises(ParseError, match=f"{field} must be an integer, got {value!r}") as exc:
+        parse_observations(obs_line(0, []) + "\n" + json.dumps(frame))
+    assert (exc.value.line, exc.value.field) == (2, field)
+
+
+@pytest.mark.parametrize("value", [2.5, True, False])
+def test_parse_tracklets_rejects_a_boolean_or_fractional_track_id(value):
+    with pytest.raises(ParseError, match=f"track_id must be an integer, got {value!r}") as exc:
+        parse_tracklets(tracks_doc([(value, {0: [0, 0, 1, 1]})]))
+    assert exc.value.field == "track_id"
+
+
+def test_integral_numbers_still_read_as_ids():
+    assert parse_tracklets(tracks_doc([(3.0, {0: [0, 0, 1, 1]})])).ids == [3]
+    assert parse_observations(obs_line(0.0, [(2.0, [0, 0, 1, 1])])).local_ids == [2]
+
+
+def test_readers_raise_the_first_error_in_document_order():
+    # Boxes are checked after the document is read, yet a bad box still comes
+    # before a later error of another kind, and after an earlier one.
+    doc = "\n".join([obs_line(0, []), obs_line(1, [(3, [5, 5, 1, 1])]), obs_line(1, [])])
+    with pytest.raises(ParseError, match="box of entity 3") as exc:
+        parse_observations(doc)
+    assert exc.value.line == 2
+    doc = "\n".join([obs_line(0, []), obs_line(0, [(3, [5, 5, 1, 1])])])
+    with pytest.raises(ParseError, match="duplicate frame 0"):
+        parse_observations(doc)
+    with pytest.raises(ParseError, match="box of track 4 frame 01"):
+        parse_tracklets(tracks_doc([(4, {0: [0, 0, 1, 1], "01": [0, 0, 1]}), (4, {0: [0, 0, 1, 1]})]))
+    with pytest.raises(ParseError, match="duplicate track_id 4"):
+        parse_tracklets(tracks_doc([(4, {0: [0, 0, 1, 1]}), (4, {0: [0, 0, 1]})]))
+
+
+# JSON values as ``json.loads`` gives them: integers of any size, floats with
+# NaN and infinity (``1e400`` reads as infinity), booleans, strings, null,
+# arrays and objects.
+JSON_NUMBERS = st.one_of(
+    st.integers(0, 60),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1025, 2**64 - 1, 2**64, -(2**63) - 1, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e400, -1e400, -0.0, float("nan")]),
+    st.booleans(),
+)
+JSON_OTHERS = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from(["1.5", " 2 ", "nan", "Infinity", "1_0", "\u0661", "0x1"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def raw_boxes(draw):
+    """A raw box: mostly one that parses, written with ints, floats or booleans; else anything."""
+    if draw(st.integers(0, 2)):
+        number = st.one_of(st.integers(0, 40), st.floats(0, 40), st.booleans())
+        x0, y0, w, h = (draw(number) for _ in range(4))
+        return [x0, y0, x0 + w + draw(st.sampled_from([0, 1, 0.5])), y0 + h + 1]
+    return draw(st.one_of(
+        st.lists(st.one_of(JSON_NUMBERS, JSON_OTHERS), min_size=4, max_size=4),
+        st.lists(JSON_NUMBERS, max_size=6),
+        JSON_NUMBERS,
+        JSON_OTHERS,
+    ))
+
+
+def parse_box_error(raw, where, *args) -> str:
+    try:
+        parse_box(raw, where, *args)
+    except MALFORMED as exc:
+        return str(exc)
+    raise AssertionError(f"parse_box accepts {raw!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_boxes(), max_size=6))
+@example([[0, 0, 1, 1], [2**63, 0, 2**64, 1], [True, False, 2, True]])
+@example([[0, 0, 1, 1], [0, 0, 1, None], [0, 0, 1, 1]])
+@example([[0, 0, 1, 1], [0, 0, 1, 10**400]])
+@example([[0.5, 0, "2", 1]])
+def test_parse_boxes_agrees_with_parse_box(raws):
+    want = []
+    for raw in raws:
+        try:
+            want.append(astuple(parse_box(raw, "box")))
+        except MALFORMED:
+            break
+    boxes, n_ok = parse_boxes(raws)
+    assert n_ok == len(want)
+    assert boxes[:n_ok].tobytes() == np.array(want, dtype=np.float64).reshape(-1, 4).tobytes()
+
+    # Through both readers: the same boxes, or ``parse_box``'s message for the first bad one.
+    tracks = tracks_doc([(i, {0: raw}) for i, raw in enumerate(raws)])
+    frame = obs_line(0, list(enumerate(raws)))
+    if n_ok == len(raws):
+        assert parse_tracklets(tracks).boxes.tobytes() == boxes.tobytes()
+        assert parse_observations(frame).boxes.tobytes() == boxes.tobytes()
+    else:
+        bad = raws[n_ok]
+        with pytest.raises(ParseError) as exc:
+            parse_tracklets(tracks)
+        assert str(exc.value) == f"malformed tracklet: {parse_box_error(bad, 'track %s frame %s', n_ok, '0')}"
+        with pytest.raises(ParseError) as exc:
+            parse_observations(frame)
+        assert str(exc.value) == f"line 1: malformed frame: {parse_box_error(bad, 'entity %s', n_ok)}"
+
+
 def frame_obs(frame, entities, description=""):
-    return FrameObservation(
-        frame_index=frame,
-        description=description,
-        entities=[(lid, dict(ATTRS), box) for lid, box in entities],
-    )
+    return FrameObservation(frame, description, [(lid, dict(ATTRS), box) for lid, box in entities])
 
 
 def test_associate_basic_match():
@@ -136,7 +283,7 @@ def test_associate_basic_match():
         Tracklet(0, {0: bb(1, 0, 11, 10)}),
         Tracklet(1, {0: bb(39, 0, 49, 10)}),
     ]
-    result = associate(observations, tracklets)
+    result = associate_video(observations, tracklets)
     assert result.id_map[0] == {0: 0, 1: 1}
 
 
@@ -144,7 +291,7 @@ def test_associate_threshold():
     # Overlap of 1 unit area vs union 19: IoU ~ 0.053 < 0.1 -> fresh id.
     observations = [frame_obs(0, [(0, bb(0, 0, 10, 1))])]
     tracklets = [Tracklet(5, {0: bb(9, 0, 19, 1)})]
-    result = associate(observations, tracklets, min_iou=0.1)
+    result = associate_video(observations, tracklets, min_iou=0.1)
     assert result.id_map[0] == {0: 6}  # fresh id above max track id
 
 
@@ -152,14 +299,14 @@ def test_associate_tie_breaks_to_lowest_track_id():
     shared = bb(0, 0, 10, 10)
     observations = [frame_obs(0, [(0, shared)])]
     tracklets = [Tracklet(7, {0: shared}), Tracklet(2, {0: shared})]
-    result = associate(observations, tracklets)
+    result = associate_video(observations, tracklets)
     assert result.id_map[0][0] == 2
 
 
 def test_associate_tie_between_entities_breaks_to_lowest_local_id():
     shared = bb(0, 0, 10, 10)
     observations = [frame_obs(0, [(3, shared), (1, shared), (2, bb(0, 0, 10, 5))])]
-    result = associate(observations, [Tracklet(0, {0: shared})])
+    result = associate_video(observations, [Tracklet(0, {0: shared})])
     assert result.id_map[0] == {1: 0, 2: 1, 3: 2}
 
 
@@ -169,7 +316,7 @@ def test_associate_keeps_ids_of_any_size():
     shared = bb(0, 0, 10, 10)
     observations = [frame_obs(0, [(big + 1, shared), (big, shared), (2**70, bb(50, 50, 60, 60))])]
     tracklets = [Tracklet(big + 1, {0: shared}), Tracklet(big, {0: shared})]
-    result = associate(observations, tracklets)
+    result = associate_video(observations, tracklets)
     assert result.id_map[0] == {big: big, big + 1: big + 1, 2**70: big + 2}
     assert all(type(v) is int for v in result.id_map[0].values())
 
@@ -184,13 +331,13 @@ def test_associate_one_to_one_with_fallthrough():
         Tracklet(0, {0: bb(0, 0, 10, 10)}),
         Tracklet(1, {0: bb(4, 0, 14, 10)}),
     ]
-    result = associate(observations, tracklets)
+    result = associate_video(observations, tracklets)
     assert result.id_map[0] == {0: 0, 1: 1}
 
 
 def test_associate_fresh_ids_in_local_order():
     observations = [frame_obs(0, [(2, bb(0, 0, 1, 1)), (1, bb(5, 5, 6, 6))])]
-    result = associate(observations, [Tracklet(9, {0: bb(50, 50, 60, 60)})])
+    result = associate_video(observations, [Tracklet(9, {0: bb(50, 50, 60, 60)})])
     assert result.id_map[0] == {1: 10, 2: 11}
 
 
@@ -199,7 +346,7 @@ def test_associate_rewrites_mentions():
         frame_obs(0, [(0, bb(0, 0, 10, 10))], description="[E0] waves at [E3].")
     ]
     tracklets = [Tracklet(4, {0: bb(0, 0, 10, 10)})]
-    result = associate(observations, tracklets)
+    result = associate_video(observations, tracklets)
     # Mapped mention rewritten; unknown local mention left as-is.
     assert result.frames[0].description == "[E4] waves at [E3]."
 
@@ -207,21 +354,28 @@ def test_associate_rewrites_mentions():
 def test_associate_rejects_out_of_range_tracklet_frame():
     observations = [frame_obs(0, [])]
     with pytest.raises(ParseError, match="unknown frame"):
-        associate(observations, [Tracklet(0, {3: bb(0, 0, 1, 1)})])
+        associate_video(observations, [Tracklet(0, {3: bb(0, 0, 1, 1)})])
 
 
 def test_associate_timestamps_follow_fps():
     observations = [frame_obs(0, []), frame_obs(1, [])]
-    result = associate(observations, [], fps=2.0)
+    result = associate_video(observations, [], fps=2.0)
     assert [f.timestamp_s for f in result.frames] == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
+def test_associate_rejects_an_fps_that_is_not_finite_and_positive(fps):
+    # The tracklet names an unknown frame: the fps is checked before that, before any work.
+    with pytest.raises(ValueError, match="fps must be finite and > 0"):
+        associate_video([frame_obs(0, [])], [Tracklet(0, {3: bb(0, 0, 1, 1)})], fps=fps)
 
 
 def test_associate_matches_at_exactly_min_iou():
     # IoU is exactly 0.5: inter 2, union 4.
     observations = [frame_obs(0, [(0, bb(0, 0, 2, 2))])]
     tracklets = [Tracklet(3, {0: bb(0, 0, 2, 1)})]
-    assert associate(observations, tracklets, min_iou=0.5).id_map[0] == {0: 3}
-    assert associate(observations, tracklets, min_iou=0.5000001).id_map[0] == {0: 4}
+    assert associate_video(observations, tracklets, min_iou=0.5).id_map[0] == {0: 3}
+    assert associate_video(observations, tracklets, min_iou=0.5000001).id_map[0] == {0: 4}
 
 
 def test_associate_min_iou_bounds():
@@ -232,23 +386,23 @@ def test_associate_min_iou_bounds():
         Tracklet(2, {0: bb(30, 30, 31, 31)}),
     ]
     # min_iou 1 takes only identical boxes; min_iou 0 takes any overlap but never a disjoint pair.
-    assert associate(observations, tracklets, min_iou=1.0).id_map[0] == {0: 0, 1: 3, 2: 4}
-    assert associate(observations, tracklets, min_iou=0.0).id_map[0] == {0: 0, 1: 1, 2: 3}
+    assert associate_video(observations, tracklets, min_iou=1.0).id_map[0] == {0: 0, 1: 3, 2: 4}
+    assert associate_video(observations, tracklets, min_iou=0.0).id_map[0] == {0: 0, 1: 1, 2: 3}
 
 
-def test_associate_takes_observations_in_any_order():
+def test_associate_reads_frame_lines_in_any_order():
     observations = [
         frame_obs(2, [(0, bb(0, 0, 4, 4)), (1, bb(20, 20, 24, 24))], "[E1] sees [E0]"),
         frame_obs(0, [(5, bb(50, 50, 54, 54))]),
         frame_obs(1, [(0, bb(20, 20, 24, 24))]),
     ]
     tracklets = [Tracklet(1, {1: bb(20, 20, 24, 24), 2: bb(0, 0, 4, 4)}), Tracklet(0, {0: bb(0, 0, 4, 4)})]
-    result = associate(observations, tracklets)
-    # Fresh IDs are handed out in the order the observations come.
-    assert result.id_map == {2: {0: 1, 1: 2}, 0: {5: 3}, 1: {0: 1}}
-    assert [f.frame_index for f in result.frames] == [2, 0, 1]
-    assert result.frames[0].description == "[E2] sees [E1]"
-    assert [(n.frame_index, n.entity_id) for n in result.nodes] == [(0, 3), (1, 1), (2, 1), (2, 2)]
+    result = associate_video(observations, tracklets)
+    # Frames come in index order, whatever the order of their lines, and take fresh IDs in that order.
+    assert result.id_map == {0: {5: 2}, 1: {0: 1}, 2: {0: 1, 1: 3}}
+    assert [f.frame_index for f in result.frames] == [0, 1, 2]
+    assert result.frames[2].description == "[E3] sees [E1]"
+    assert [(n.frame_index, n.entity_id) for n in result.nodes] == [(0, 2), (1, 1), (2, 1), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +488,13 @@ def videos(draw):
                 f"f{frame}",
             )
         )
+    # The order of the frame lines in the document.
     observations = draw(st.permutations(observations))
-    track_ids = draw(st.lists(st.integers(0, 12), unique=True, max_size=6))
+    # A track lists at least one frame, so a video without frames has no tracks.
+    track_ids = draw(st.lists(st.integers(0, 12), unique=True, max_size=6 if n_frames else 0))
     frame_ids = st.sampled_from(range(n_frames)) if n_frames else st.nothing()
     tracklets = [
-        Tracklet(tid, draw(st.dictionaries(frame_ids, boxes, max_size=n_frames)))
+        Tracklet(tid, draw(st.dictionaries(frame_ids, boxes, min_size=1, max_size=n_frames)))
         for tid in track_ids
     ]
     min_iou = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 0.25, 0.1]), st.floats(0.0, 1.0)))
@@ -351,5 +507,9 @@ def videos(draw):
 @example(([frame_obs(0, [(0, bb(0, 0, 2, 2)), (1, bb(0, 0, 2, 2))])],
           [Tracklet(4, {0: bb(0, 0, 2, 2)}), Tracklet(2, {0: bb(0, 0, 2, 2)})], 1.0), 1.0)
 def test_associate_equals_the_per_frame_loop(video, fps):
+    """Both sides read the same drawn video: ``associate`` as its two documents, the oracle
+    as records, frames in index order as ``parse_observations`` gives them."""
     observations, tracklets, min_iou = video
-    assert associate(observations, tracklets, min_iou, fps) == oracle_associate(observations, tracklets, min_iou, fps)
+    got = associate_video(observations, tracklets, min_iou=min_iou, fps=fps)
+    in_order = sorted(observations, key=attrgetter("frame_index"))
+    assert got == oracle_associate(in_order, tracklets, min_iou, fps)

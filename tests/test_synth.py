@@ -20,7 +20,7 @@ def test_different_seeds_differ():
 def test_artifacts_parse_and_associate_to_scripted_ids(world):
     observations = parse_observations(world.observations_text)
     tracklets = parse_tracklets(world.tracklets_text)
-    assert len(observations) == world.n_frames
+    assert len(observations.counts) == world.n_frames
     result = associate(observations, tracklets)
     # Every node's entity id is a scripted slot with matching presence.
     by_slot = {e.slot: e for e in world.entities}
@@ -98,4 +98,4 @@ def test_single_entity_world():
     w = synth_world(3, n_entities=1, n_questions=2)
     assert w.questions
     observations = parse_observations(w.observations_text)
-    assert len(observations) == w.n_frames
+    assert len(observations.counts) == w.n_frames
