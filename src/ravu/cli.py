@@ -170,10 +170,7 @@ def ask(ctx, graph_path, emb_path, question, options, category, budget):
     cfg = ctx.obj["config"]
     backend = make_backend(cfg)
     graph = _load_graph(graph_path)
-    index_path = f"{emb_path}.index.jsonl"
-    if not Path(index_path).is_file():
-        raise click.ClickException(f"{index_path}: no such file; it holds the row index of {emb_path}")
-    embeddings = read_embeddings(emb_path, index_path, graph, dim=cfg.embed_dim)
+    embeddings = read_embeddings(emb_path, f"{emb_path}.index.jsonl", graph, dim=cfg.embed_dim)
     assets = VideoAssets(graph, EmbeddingIndex(embeddings), None)
     retrieval = retrieve(
         assets, question, category, backend,

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MALFORMED, ParseError, json_objects, read_document
+from .errors import MALFORMED, ParseError, integer, json_objects, read_document
 
 CATEGORIES = ("causal", "temporal", "descriptive", "global")
 
@@ -47,7 +47,7 @@ def load_mcq(path: str | Path) -> list[McqItem]:
                 McqItem(
                     question=str(raw["question"]),
                     options=[str(o) for o in raw["options"]],
-                    answer_index=int(raw["answer_index"]),
+                    answer_index=integer(raw["answer_index"], "answer_index", lineno),
                     category=str(raw["category"]),
                     video_id=str(raw["video_id"]),
                     subcategory=str(raw.get("subcategory", "")),
@@ -85,7 +85,7 @@ def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
                 LocalizationAnnotation(
                     video_id=str(raw["video_id"]),
                     question=str(raw["question"]),
-                    gt_frames={int(f) for f in raw["gt_frames"]},
+                    gt_frames={integer(f, "gt_frames", lineno) for f in raw["gt_frames"]},
                     category=str(raw.get("category", "temporal")),
                 )
             )

@@ -15,14 +15,19 @@ class ParseError(RavuError):
     """A document or DSL text could not be parsed.
 
     Carries an optional line number (1-based) and the offending field name
-    so callers can produce precise diagnostics.
+    so callers can produce precise diagnostics; the message leads with the
+    document's ``path`` when one is given, then with the line.
     """
 
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+    def __init__(
+        self, message: str, line: int | None = None, field: str | None = None, path: str | Path | None = None
+    ):
         self.line = line
         self.field = field
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -64,9 +69,9 @@ def read_document(path: str | Path, binary: bool = False) -> str | bytes:
     try:
         return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from exc
+        raise ParseError(f"not UTF-8 text (invalid byte at offset {exc.start})", path=path) from exc
     except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        raise ParseError(f"cannot read: {exc.strerror or exc}", path=path) from exc
 
 
 def json_object(text: str, what: str, line: int | None = None) -> dict:
@@ -85,3 +90,10 @@ def json_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             yield lineno, json_object(line, what, lineno)
+
+
+def integer(value, name: str, line: int | None = None) -> int:
+    """``int(value)``; a boolean or a fractional number, which ``int()`` would truncate, raises ParseError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {value!r}", line=line, field=name)
+    return int(value)

@@ -14,13 +14,14 @@ import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import backends
 from .backends import generate_items_with_retries, generate_with_retries, make_bundle
-from .errors import MALFORMED, BackendError, MalformedResponse, ParseError, json_objects, read_document
+from .errors import BackendError, MalformedResponse, ParseError, read_document
 from .graph_model import (
     EntityEvent,
     EntityNode,
@@ -223,40 +224,58 @@ def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) ->
     )
 
 
+def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """``(entities, frames, descriptions, firsts, vector_of)`` of the graph's nodes in (frame, entity) order.
+
+    ``firsts`` holds the first node of each distinct description, in
+    first-seen order, and ``vector_of`` each node's description number, so
+    node ``firsts[vector_of[i]]`` is the first with node ``i``'s
+    description. This is the one node order of ``embed_graph``,
+    ``write_embeddings`` and ``read_embeddings``. A node listed twice, or an
+    entity ID or frame index outside int64, raises ParseError naming the
+    node.
+    """
+    nodes = graph.nodes
+    try:
+        entities = np.fromiter((n.entity_id for n in nodes), dtype=np.int64, count=len(nodes))
+        frames = np.fromiter((n.frame_index for n in nodes), dtype=np.int64, count=len(nodes))
+    except OverflowError:
+        node = next(n for n in nodes if not all(-(2**63) <= v < 2**63 for v in (n.entity_id, n.frame_index)))
+        raise ParseError(f"node entity {node.entity_id} frame {node.frame_index} has an ID outside int64") from None
+    order = np.lexsort((entities, frames))
+    if (order != np.arange(len(nodes))).any():
+        entities, frames, nodes = entities[order], frames[order], [nodes[i] for i in order.tolist()]
+    if ((entities[1:] == entities[:-1]) & (frames[1:] == frames[:-1])).any():
+        raise ParseError("graph lists node entity %s frame %s twice" % next(repeated_nodes(nodes)))
+    descriptions = [n.description or "" for n in nodes]
+    first: dict[str, int] = {}
+    owner = np.fromiter((first.setdefault(d, i) for i, d in enumerate(descriptions)), dtype=np.intp, count=len(nodes))
+    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    # ``firsts`` ascends, so each node's place in it is its description number.
+    return entities, frames, descriptions, firsts, np.searchsorted(firsts, owner)
+
+
 def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
     """One embedding row per node, in (frame, entity) order; all nodes must be described first.
 
-    Each distinct description is embedded once per call and held once in
-    the columns' ``vectors``; nodes that share a description share its
-    vector: within one build, identical texts get identical vectors. A
-    backend error is raised, naming the node, and never remembered.
+    Each distinct description is embedded once per call, in first-seen
+    order, and held once in the columns' ``vectors``; nodes that share a
+    description share its vector: within one build, identical texts get
+    identical vectors. A backend error is raised, naming the node, and
+    never remembered.
     """
-    nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
+    entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
+    if not all(descriptions):
+        i = descriptions.index("")
+        raise ValueError(f"node entity {entities[i]} frame {frames[i]} has no description")
     vectors: list[np.ndarray] = []
-    slot: dict[str, int] = {}
-    vector_of = np.empty(len(nodes), dtype=np.intp)
-    for i, node in enumerate(nodes):
-        if not node.description:
-            raise ValueError(
-                f"node entity {node.entity_id} frame {node.frame_index} has no description"
-            )
-        j = slot.get(node.description)
-        if j is None:
-            try:
-                vector = backend.embed(node.description)
-            except BackendError as exc:
-                raise type(exc)(
-                    f"embedding entity {node.entity_id} frame {node.frame_index}: {exc}"
-                ) from exc
-            j = slot[node.description] = len(vectors)
-            vectors.append(np.asarray(vector, dtype=np.float64))
-        vector_of[i] = j
+    for i in firsts.tolist():
+        try:
+            vectors.append(np.asarray(backend.embed(descriptions[i]), dtype=np.float64))
+        except BackendError as exc:
+            raise type(exc)(f"embedding entity {entities[i]} frame {frames[i]}: {exc}") from exc
     return EmbeddingColumns(
-        np.stack(vectors) if vectors else np.zeros((0, 0)),
-        vector_of,
-        np.fromiter((n.entity_id for n in nodes), dtype=np.int64, count=len(nodes)),
-        np.fromiter((n.frame_index for n in nodes), dtype=np.int64, count=len(nodes)),
-        [n.description for n in nodes],
+        np.stack(vectors) if vectors else np.zeros((0, 0)), vector_of, entities, frames, descriptions
     )
 
 
@@ -396,13 +415,17 @@ def build_graph(
 _MAGIC = struct.Struct("<II")  # dimension, count
 # One line of the row index, as ``json.dumps(entry, sort_keys=True)`` writes it.
 _ROW_LINE = '{"entity_id": %d, "frame_index": %d, "row": %d}\n'
-# An int as JSON spells it (no leading zero, no plus sign), so the pattern accepts no line json.loads rejects,
-# of at most 18 digits, so every int it accepts fits in int64; a longer one sends the document to the JSON path.
-_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
-_INT64 = np.iinfo(np.int64)
-_CANONICAL_ROW = re.compile(
-    r'^\{"entity_id": %s, "frame_index": %s, "row": %s\}\n' % (_INT, _INT, _INT), re.MULTILINE
-)
+# Rows per block of ``read_embeddings``' byte comparison: 96 rows of 256
+# float32s is a 96 KB temporary, below the size at which glibc maps a fresh
+# block from the OS; the page faults of larger temporaries cost more than
+# the comparison. A short video's rows fit in one block.
+_SHARE_BLOCK = 96
+
+
+def _index_text(entities: np.ndarray, frames: np.ndarray) -> str:
+    """The row index of rows keyed by ``entities`` and ``frames``: row ``i``'s line names its key and ``i``."""
+    fields = np.stack([entities, frames, np.arange(len(entities), dtype=np.int64)], axis=1)
+    return (_ROW_LINE * len(fields)) % tuple(fields.ravel().tolist())
 
 
 def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path: str | Path) -> None:
@@ -413,41 +436,7 @@ def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path
         fh.write(_MAGIC.pack(dim, count))
         fh.write(rows.tobytes())
     with open(index_path, "w") as fh:
-        fh.write(
-            "".join(
-                _ROW_LINE % (entity_id, frame_index, row)
-                for row, (entity_id, frame_index) in enumerate(
-                    zip(columns.entities.tolist(), columns.frames.tolist())
-                )
-            )
-        )
-
-
-def _index_entries(text: str) -> Iterator[tuple[int, int, int, int]]:
-    """``(line, row, entity_id, frame_index)`` of each row the index document lists.
-
-    A document of canonical lines only (what ``write_embeddings`` writes) is
-    read with one regex pass; any other is decoded line by line as JSON.
-    A field that is not an int, or an ``entity_id`` or ``frame_index``
-    outside int64, raises ParseError with the line and field.
-    """
-    found = _CANONICAL_ROW.findall(text)
-    if text.endswith("\n") and len(found) == text.count("\n"):
-        for lineno, (entity_id, frame_index, row) in enumerate(found, start=1):
-            yield lineno, int(row), int(entity_id), int(frame_index)
-        return
-    for lineno, entry in json_objects(text, "index row"):
-        values = []
-        for name in ("row", "entity_id", "frame_index"):
-            try:
-                values.append(int(entry[name]))
-            except MALFORMED as exc:
-                raise ParseError(f"malformed index row: {exc}", line=lineno, field=name) from exc
-        row, entity_id, frame_index = values
-        for name, value in (("entity_id", entity_id), ("frame_index", frame_index)):
-            if not _INT64.min <= value <= _INT64.max:
-                raise ParseError(f"{name} {value} does not fit in int64", line=lineno, field=name)
-        yield lineno, row, entity_id, frame_index
+        fh.write(_index_text(columns.entities, columns.frames))
 
 
 def read_embeddings(
@@ -456,105 +445,58 @@ def read_embeddings(
     graph: SpatioTemporalGraph,
     dim: int | None = None,
 ) -> EmbeddingColumns:
-    """Load the rows, in index order, with their descriptions restored from ``graph``.
+    """Load the rows ``write_embeddings`` wrote for ``embed_graph(graph)``, descriptions restored from ``graph``.
 
-    The index must list each row and each ``(entity_id, frame_index)`` key
-    once, as many rows as the header counts, and exactly the graph's node
-    keys, which the graph must list once each. A non-empty file's vectors
-    must have ``dim`` entries when ``dim`` is given, and every value must
-    be finite. Anything else raises ParseError.
-
-    Rows that share a description share one vector when their stored bytes
-    are equal, so only distinct rows are converted to float64; any other
-    row gets its own vector.
+    The header must count one row per graph node, and a non-empty file's
+    vectors must have ``dim`` entries when ``dim`` is given. The index must
+    be, byte for byte, the one the graph's nodes give in (frame, entity)
+    order. Each distinct description takes the row of its first node,
+    converted to float64 once; every other row must hold the same float32
+    bytes as that row, and every value must be finite. Anything else
+    raises ParseError naming the file.
     """
     raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
-        raise ParseError("embeddings file too short for header", field="header")
+        raise ParseError("embeddings file too short for header", field="header", path=bin_path)
     stored_dim, count = _MAGIC.unpack_from(raw)
     expected = _MAGIC.size + 4 * stored_dim * count
     if len(raw) != expected:
-        raise ParseError(
-            f"embeddings file has {len(raw)} bytes, expected {expected}", field="body"
-        )
+        raise ParseError(f"embeddings file has {len(raw)} bytes, expected {expected}", field="body", path=bin_path)
     if dim is not None and count and stored_dim != dim:
-        raise ParseError(f"{bin_path}: vectors have dimension {stored_dim}, expected {dim}", field="dim")
-    stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
+        raise ParseError(f"vectors have dimension {stored_dim}, expected {dim}", field="dim", path=bin_path)
 
-    descriptions = {(n.entity_id, n.frame_index): n.description or "" for n in graph.nodes}
-    if len(descriptions) != len(graph.nodes):
-        raise ParseError("graph lists node entity %s frame %s twice" % next(repeated_nodes(graph.nodes)))
-
-    rows: list[int] = []
-    keys: list[tuple[int, int]] = []
-    seen_rows: set[int] = set()
-    seen_keys: set[tuple[int, int]] = set()
-    text = read_document(index_path)
-    for lineno, row, entity_id, frame_index in _index_entries(text):
-        key = (entity_id, frame_index)
-        if len(rows) == count:
-            raise ParseError(f"index lists more than the header's {count} rows", line=lineno, field="row")
-        if not 0 <= row < count:
-            raise ParseError(f"row {row} out of range", line=lineno, field="row")
-        if row in seen_rows:
-            raise ParseError(f"row {row} listed twice", line=lineno, field="row")
-        if key in seen_keys:
-            raise ParseError(f"entity {entity_id} frame {frame_index} listed twice", line=lineno)
-        if key not in descriptions:
-            raise ParseError(f"entity {entity_id} frame {frame_index} is not a graph node", line=lineno)
-        seen_rows.add(row)
-        seen_keys.add(key)
-        rows.append(row)
-        keys.append(key)
-    if len(rows) < count:
+    entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
+    if count != len(descriptions):
         raise ParseError(
-            f"index lists {len(rows)} rows, header counts {count}", line=len(text.splitlines()) + 1, field="row"
+            f"header counts {count} rows, graph has {len(descriptions)} nodes", field="header", path=bin_path
         )
-    if len(rows) < len(descriptions):
-        entity_id, frame_index = next(k for k in descriptions if k not in seen_keys)
-        raise ParseError(f"graph node entity {entity_id} frame {frame_index} has no embedding row")
-    texts = [descriptions[key] for key in keys]
-    if rows != list(range(count)):
-        stored = stored[rows]
-    vectors, vector_of = _distinct_vectors(stored, texts)
+    text = read_document(index_path)
+    want = _index_text(entities, frames)
+    if text != want:
+        pairs = zip_longest(want.splitlines(keepends=True), text.splitlines(keepends=True))
+        line, (should, found) = next((k, pair) for k, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+        should, found = ("the end of the file" if s is None else repr(s) for s in (should, found))
+        raise ParseError(
+            f"should be {should}, found {found}; re-run `ravu embed` to rewrite the embeddings",
+            line=line, field="row", path=index_path,
+        )
+
+    stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
+    first_rows = stored[firsts]
+    vectors = first_rows.astype(np.float64)
     if not np.isfinite(vectors).all():
-        bad = int(np.argmin(np.isfinite(vectors).all(axis=1)))
-        row = rows[int(np.argmax(vector_of == bad))]
-        raise ParseError(f"row {row} has a non-finite value", field="row")
-    entities, frames = zip(*keys) if keys else ((), ())
-    return EmbeddingColumns(
-        vectors, vector_of, np.array(entities, dtype=np.int64), np.array(frames, dtype=np.int64), texts
-    )
-
-
-# Rows per block of ``_distinct_vectors``' byte comparison: 96 rows of
-# 256 float32s is a 96 KB temporary, below the size at which glibc maps a
-# fresh block from the OS; the page faults of larger temporaries cost more
-# than converting only the distinct rows saves. A short video's rows fit
-# in one block.
-_SHARE_BLOCK = 96
-
-
-def _distinct_vectors(stored: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``(vectors, vector_of)`` in float64 for float32 rows in index order.
-
-    Rows with the same text share the first such row's vector when their
-    stored bytes are equal to it; any other row gets a vector of its own.
-    """
-    count = len(stored)
-    first: dict[str, int] = {}
-    owner = np.array([first.setdefault(text, i) for i, text in enumerate(texts)], dtype=np.intp)
-    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    # ``firsts`` ascends, so each row's position in it is its vector.
-    vector_of = np.searchsorted(firsts, owner)
-    candidates = stored[firsts]
-    bits, candidate_bits = stored.view(np.uint32), candidates.view(np.uint32)
-    differ = np.empty(count, dtype=bool)
+        row = firsts[np.argmin(np.isfinite(vectors).all(axis=1))]
+        raise ParseError(f"row {row} has a non-finite value", field="row", path=bin_path)
+    bits, first_bits = stored.view(np.uint32), first_rows.view(np.uint32)
     for start in range(0, count, _SHARE_BLOCK):
         block = slice(start, start + _SHARE_BLOCK)
-        differ[block] = (bits[block] != candidate_bits[vector_of[block]]).any(axis=1)
-    if differ.any():
-        own = np.flatnonzero(differ)
-        vector_of[own] = len(firsts) + np.arange(len(own))
-        candidates = np.concatenate([candidates, stored[own]])
-    return candidates.astype(np.float64), vector_of
+        differ = (bits[block] != first_bits[vector_of[block]]).any(axis=1)
+        if differ.any():
+            row = start + int(np.argmax(differ))
+            if not np.isfinite(stored[row]).all():
+                raise ParseError(f"row {row} has a non-finite value", field="row", path=bin_path)
+            raise ParseError(
+                f"row {row} differs from row {firsts[vector_of[row]]}, which holds the same description",
+                field="row", path=bin_path,
+            )
+    return EmbeddingColumns(vectors, vector_of, entities, frames, descriptions)

@@ -202,6 +202,9 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     """
     out = [Violation("line-break", f"{owner} {name}") for owner, name in line_break_fields(graph)]
     out += [Violation("duplicate-node", f"entity {e} frame {f}") for e, f in repeated_nodes(graph.nodes)]
+    # A NaN fails the comparison too, and JSON has no token for NaN or infinity.
+    if not (0 < graph.fps < inf):
+        out.append(Violation("fps-finite", f"fps {graph.fps}"))
 
     for i, frame in enumerate(graph.frames):
         if frame.frame_index != i:

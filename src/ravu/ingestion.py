@@ -29,7 +29,7 @@ from math import inf
 import numpy as np
 
 from . import accel
-from .errors import MALFORMED, ParseError, json_object, json_objects
+from .errors import MALFORMED, ParseError, integer, json_object, json_objects
 from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, _frozen, parse_box, parse_boxes
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
@@ -73,13 +73,6 @@ class AssociationResult:
     id_map: dict[int, dict[int, int]]  # frame_index -> local_id -> entity_id
 
 
-def _integer(value, name: str, line: int | None = None) -> int:
-    """``int(value)``; a boolean or a fractional number, which ``int()`` would truncate, raises ParseError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ParseError(f"{name} must be an integer, got {value!r}", line=line, field=name)
-    return int(value)
-
-
 def parse_observations(document: str) -> Observations:
     """Parse an observations.jsonl document, one frame object per line.
 
@@ -116,7 +109,7 @@ def parse_observations(document: str) -> Observations:
         for lineno, raw in json_objects(document, "frame"):
             linenos.append(lineno)
             try:
-                frame_index = _integer(raw["frame_index"], "frame_index", lineno)
+                frame_index = integer(raw["frame_index"], "frame_index", lineno)
                 if frame_index in place:
                     raise ParseError(f"duplicate frame {frame_index}", line=lineno, field="frame_index")
                 place[frame_index] = len(counts)
@@ -124,7 +117,7 @@ def parse_observations(document: str) -> Observations:
                 for ent in raw.get("entities", []):
                     local_id = ent["local_id"]
                     if type(local_id) is not int:
-                        local_id = _integer(local_id, "local_id", lineno)
+                        local_id = integer(local_id, "local_id", lineno)
                     if local_id in local_seen:
                         raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
                     local_seen.add(local_id)
@@ -171,10 +164,10 @@ def parse_tracklets(document: str) -> Tracklets:
     """Parse a tracklets.json document: {"tracks": [{track_id, boxes}]}.
 
     ``boxes`` maps frame indices, written as strings, to the track's box in
-    that frame. Track IDs are distinct integers (not booleans or fractions);
-    a track lists at least one frame and each frame once, so ``"1"`` and
-    ``"01"`` in one track are rejected. The first error in document order is
-    the one raised.
+    that frame. Track IDs are distinct integers that fit in int64 (not
+    booleans or fractions); a track lists at least one frame and each frame
+    once, so ``"1"`` and ``"01"`` in one track are rejected. The first error
+    in document order is the one raised.
     """
     raw = json_object(document, "tracklets document")
     if "tracks" not in raw:
@@ -202,7 +195,9 @@ def parse_tracklets(document: str) -> Tracklets:
     try:
         try:
             for tr in raw["tracks"]:
-                track_id = _integer(tr["track_id"], "track_id")
+                track_id = integer(tr["track_id"], "track_id")
+                if not -(2**63) <= track_id < 2**63:
+                    raise ParseError(f"track_id {track_id} does not fit in int64", field="track_id")
                 if track_id in seen:
                     raise ParseError(f"duplicate track_id {track_id}", field="track_id")
                 seen.add(track_id)
@@ -268,7 +263,8 @@ def associate(
     IoU, subject to ``max IoU >= min_iou`` and one entity per track per
     frame. Ties break to the lowest track_id. Losers fall through to their
     next-best track; entities matching nothing get a fresh singleton ID
-    allocated above all track IDs, frame by frame in local_id order.
+    allocated above all track IDs, frame by frame in local_id order; a
+    video whose fresh IDs would pass int64 raises ParseError.
     Description mention tokens are rewritten to the consistent IDs. Nodes
     come in (frame_index, entity_id) order and take their attribute dicts
     from ``observations``.
@@ -335,6 +331,11 @@ def associate(
     n_tracks = len(tracklets.ids)
     key[fresh] = np.arange(n_tracks, n_tracks + len(fresh))
     next_fresh = max(tracklets.ids, default=-1) + 1
+    if next_fresh + len(fresh) > 2**63:
+        raise ParseError(
+            f"{len(fresh)} unmatched entities need fresh IDs above track {next_fresh - 1}, past int64",
+            field="track_id",
+        )
     id_of_key = sorted(tracklets.ids) + list(range(next_fresh, next_fresh + len(fresh)))
     entity_ids = list(map(id_of_key.__getitem__, key.tolist()))
 

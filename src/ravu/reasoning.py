@@ -239,8 +239,10 @@ def execute(
     with ``ValueError``, ``NotFound``, ``EmptyIndex`` or
     ``MalformedResponse`` is recorded and execution continues; any other
     exception propagates. If nothing produced frames, a
-    uniform-sampling fallback is appended. The final set is sorted,
-    de-duplicated, and truncated uniformly to the budget.
+    uniform-sampling fallback is appended; it is flagged only when the plan
+    has a frame-producing step, since a count plan answers from its notes.
+    The final set is sorted, de-duplicated, and truncated uniformly to the
+    budget.
     """
     n_frames = graph.num_frames
     values: list[object] = []
@@ -249,6 +251,7 @@ def execute(
     notes: list[str] = []
 
     frame_steps_left = sum(1 for s in plan.steps if FUNCTIONS[s.function].produces_frames)
+    produces_frames = frame_steps_left > 0
 
     for step_index, step in enumerate(plan.steps):
         quota = 0
@@ -317,7 +320,8 @@ def execute(
 
     if not pool and n_frames:
         pool = fn_get_global_context(n_frames, budget)
-        result.flags.append("no frames produced; global-context fallback")
+        if produces_frames:
+            result.flags.append("no frames produced; global-context fallback")
 
     final = sorted({f for f in pool if 0 <= f < n_frames})
     if len(final) > budget:

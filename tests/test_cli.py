@@ -309,7 +309,21 @@ def test_ask_without_embeddings_index_is_clean(built, tmp_path):
     result = CliRunner().invoke(
         main, ["ask", "--graph", str(graph), "--embeddings", str(alone), "--question", "Who runs?"]
     )
-    assert_clean_error(result, f"{alone}.index.jsonl: no such file")
+    assert_clean_error(result, f"{alone}.index.jsonl: cannot read: No such file")
+
+
+def test_ask_with_a_reordered_embeddings_index_is_clean(built, tmp_path):
+    graph, emb = built
+    copy = tmp_path / "embeddings.bin"
+    copy.write_bytes(emb.read_bytes())
+    lines = (emb.parent / "embeddings.bin.index.jsonl").read_text().splitlines(keepends=True)
+    index = tmp_path / "embeddings.bin.index.jsonl"
+    index.write_text("".join([lines[1], lines[0]] + lines[2:]))
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(graph), "--embeddings", str(copy), "--question", "Who runs?"]
+    )
+    assert_clean_error(result, f"{index}: line 1: should be ")
+    assert "re-run `ravu embed`" in result.output
 
 
 def test_build_on_wrong_shaped_observations_is_clean(corpus_dir, tmp_path):

@@ -167,7 +167,7 @@ MALFORMED_DOCUMENTS = [
     ("loc", LOC.replace("[0]", "[]"), 1),
     ("loc", "\n" + LOC + "\n{oops", 3),
     ("embeddings-index", '{"row": "a", "entity_id": 0, "frame_index": 0}', 1),
-    ("embeddings-index", "\n[]", 2),
+    ("embeddings-index", "\n[]", 1),
     ("embeddings-index", "{oops", 1),
     ("embeddings-index", ROW.replace('"frame_index": 0', '"frame_index": null'), 1),
     # json reads Infinity and 1e400 as float infinity, which int() cannot convert.
@@ -193,6 +193,23 @@ def test_malformed_document_raises_parse_error(reader, document, line, tmp_path)
     with pytest.raises(ParseError) as exc:
         READERS[reader](document, tmp_path)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "loader, good, bad, field",
+    [
+        (load_mcq, MCQ, MCQ.replace('"answer_index": 0', '"answer_index": true'), "answer_index"),
+        (load_mcq, MCQ, MCQ.replace('"answer_index": 0', '"answer_index": 1.5'), "answer_index"),
+        (load_loc, LOC, LOC.replace("[0]", "[0.5, 2.9]"), "gt_frames"),
+        (load_loc, LOC, LOC.replace("[0]", "[0, false]"), "gt_frames"),
+    ],
+)
+def test_dataset_loaders_reject_a_boolean_or_fractional_integer(loader, good, bad, field, tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_text(good + "\n" + bad)
+    with pytest.raises(ParseError, match=f"^line 2: {field} must be an integer, got ") as exc:
+        loader(path)
+    assert (exc.value.line, exc.value.field) == (2, field)
 
 
 def test_every_reader_has_a_malformed_case():

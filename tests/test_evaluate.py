@@ -8,7 +8,7 @@ import pytest
 from ravu.backends import MockBackend, RemoteBackend
 from ravu.config import RavuConfig
 from ravu.datasets import McqItem
-from ravu.errors import Timeout
+from ravu.errors import ParseError, Timeout
 from ravu.evaluate import (
     TokenCountingBackend,
     VideoAssets,
@@ -29,6 +29,16 @@ def test_build_video_produces_valid_assets(world, assets):
     assert validate(assets.graph) == []
     assert len(assets.index) == len(assets.graph.nodes)
     assert assets.build_report.fallback_entities == []
+
+
+def test_build_video_rejects_track_ids_outside_int64():
+    world = synth_world(1, 24, 3)
+    doc = json.loads(world.tracklets_text)
+    for track in doc["tracks"]:
+        track["track_id"] += 2**63
+    with pytest.raises(ParseError, match="does not fit in int64") as exc:
+        build_video(world.observations_text, json.dumps(doc), MockBackend(), RavuConfig())
+    assert exc.value.field == "track_id"
 
 
 def test_answer_question_all_categories(world, assets, backend):

@@ -203,53 +203,53 @@ def rewrite(idx_path, entries):
     idx_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
 
+def index_error(bin_path, idx_path, graph, line):
+    """The ParseError of reading an index whose line ``line`` is the first that differs from the written one."""
+    with pytest.raises(ParseError) as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{idx_path}: line {line}: should be ")
+    assert "re-run `ravu embed`" in str(exc.value)
+    return str(exc.value)
+
+
 def test_read_embeddings_rejects_repeated_row(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     entries[2]["row"] = 0
     rewrite(idx_path, entries)
-    with pytest.raises(ParseError, match="row 0 listed twice") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 3
+    assert """, found '{"entity_id": 0, "frame_index": 2, "row": 0}\\n';""" in index_error(bin_path, idx_path, graph, 3)
 
 
 def test_read_embeddings_rejects_repeated_key(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     entries[1]["frame_index"] = entries[0]["frame_index"]
     rewrite(idx_path, entries)
-    with pytest.raises(ParseError, match="listed twice") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 2
+    index_error(bin_path, idx_path, graph, 2)
 
 
 def test_read_embeddings_rejects_missing_index_line(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     rewrite(idx_path, entries[:-1])
-    with pytest.raises(ParseError, match="3 rows, header counts 4") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 4
+    assert "found the end of the file" in index_error(bin_path, idx_path, graph, 4)
 
 
 def test_read_embeddings_rejects_extra_index_line(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     rewrite(idx_path, entries + [{"row": 0, "entity_id": 0, "frame_index": 9}])
-    with pytest.raises(ParseError, match="more than the header's 4 rows") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 5
+    assert "should be the end of the file" in index_error(bin_path, idx_path, graph, 5)
 
 
 def test_read_embeddings_rejects_keys_not_in_graph(tmp_path, backend):
     graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
     entries[3]["entity_id"] = 7
     rewrite(idx_path, entries)
-    with pytest.raises(ParseError, match="entity 7 frame 3 is not a graph node") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 4
+    assert '"entity_id": 7' in index_error(bin_path, idx_path, graph, 4)
 
 
 def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
     graph, bin_path, idx_path, _ = persisted(tmp_path, backend)
     graph.nodes = graph.nodes + [node(1, 0, desc="entity 1: red fox; running")]
-    with pytest.raises(ParseError, match="entity 1 frame 0 has no embedding row"):
+    with pytest.raises(ParseError, match="header counts 4 rows, graph has 5 nodes"):
         read_embeddings(bin_path, idx_path, graph)
 
 

@@ -78,6 +78,14 @@ def test_non_finite_timestamp_checked(timestamp):
     assert [v for v in validate(g) if v.rule == "timestamp-finite"] == [Violation("timestamp-finite", "frame 0")]
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_fps_checked(fps):
+    g = small_graph()
+    assert not [v for v in validate(g) if v.rule == "fps-finite"]
+    g.fps = fps
+    assert [v for v in validate(g) if v.rule == "fps-finite"] == [Violation("fps-finite", f"fps {fps}")]
+
+
 def test_duplicate_node_detected():
     g = small_graph()
     g.nodes.append(EntityNode(0, 0, dict(ATTRS), box()))

@@ -135,8 +135,8 @@ def test_parse_observations_keeps_escapes_that_are_not_line_breaks():
 
 
 def test_parse_tracklets():
-    tracks = parse_tracklets(tracks_doc([(3, {0: [0, 0, 1, 1], 2: [1, 1, 4, 4]}), (2**64, {1: [5, 5, 6, 7]})]))
-    assert tracks.ids == [3, 2**64]
+    tracks = parse_tracklets(tracks_doc([(3, {0: [0, 0, 1, 1], 2: [1, 1, 4, 4]}), (2**63 - 1, {1: [5, 5, 6, 7]})]))
+    assert tracks.ids == [3, 2**63 - 1]
     assert tracks.track.tolist() == [0, 0, 1]
     assert (tracks.frames.dtype, tracks.frames.tolist()) == (np.int64, [0, 2, 1])
     assert tracks.boxes.tolist() == [[0, 0, 1, 1], [1, 1, 4, 4], [5, 5, 6, 7]]
@@ -146,6 +146,13 @@ def test_parse_tracklets():
         parse_tracklets(tracks_doc([(1, {0: [0, 0, 1, 1]}), (1, {0: [0, 0, 1, 1]})]))
     with pytest.raises(ParseError, match="no boxes"):
         parse_tracklets(tracks_doc([(1, {})]))
+
+
+@pytest.mark.parametrize("track_id", [2**63, -(2**63) - 1, 2**70])
+def test_parse_tracklets_rejects_a_track_id_outside_int64(track_id):
+    with pytest.raises(ParseError, match=f"^track_id {track_id} does not fit in int64$") as exc:
+        parse_tracklets(tracks_doc([(1, {0: [0, 0, 1, 1]}), (track_id, {0: [0, 0, 1, 1]})]))
+    assert exc.value.field == "track_id"
 
 
 def test_parse_tracklets_rejects_a_frame_listed_twice():
@@ -310,15 +317,27 @@ def test_associate_tie_between_entities_breaks_to_lowest_local_id():
     assert result.id_map[0] == {1: 0, 2: 1, 3: 2}
 
 
-def test_associate_keeps_ids_of_any_size():
-    # 2**63 and up do not fit an int64; numpy would hold them as equal floats.
-    big = 2**63
+def test_associate_keeps_local_ids_of_any_size_and_track_ids_up_to_int64():
+    # Local IDs of 2**63 and up do not fit an int64; numpy would hold them as equal floats.
+    big, top = 2**63, 2**63 - 3
     shared = bb(0, 0, 10, 10)
     observations = [frame_obs(0, [(big + 1, shared), (big, shared), (2**70, bb(50, 50, 60, 60))])]
-    tracklets = [Tracklet(big + 1, {0: shared}), Tracklet(big, {0: shared})]
+    tracklets = [Tracklet(top + 1, {0: shared}), Tracklet(top, {0: shared})]
     result = associate_video(observations, tracklets)
-    assert result.id_map[0] == {big: big, big + 1: big + 1, 2**70: big + 2}
+    assert result.id_map[0] == {big: top, big + 1: top + 1, 2**70: top + 2}
     assert all(type(v) is int for v in result.id_map[0].values())
+
+
+def test_associate_rejects_fresh_ids_past_int64():
+    # One unmatched entity above a track at 2**63 - 1 would take the ID 2**63.
+    observations = [frame_obs(0, [(0, bb(0, 0, 10, 10)), (1, bb(50, 50, 60, 60))])]
+    tracklets = [Tracklet(2**63 - 1, {0: bb(0, 0, 10, 10)})]
+    with pytest.raises(ParseError, match="1 unmatched entities need fresh IDs above track 9223372036854775807") as exc:
+        associate_video(observations, tracklets)
+    assert exc.value.field == "track_id"
+    # With every entity matched, no fresh ID is needed.
+    matched = [frame_obs(0, [(0, bb(0, 0, 10, 10))])]
+    assert associate_video(matched, tracklets).id_map == {0: {0: 2**63 - 1}}
 
 
 def test_associate_one_to_one_with_fallthrough():

@@ -1,5 +1,5 @@
 """Persisted artifacts: byte-level goldens, the graph writer against ``json.dumps``,
-and the embedding row index read in its canonical and hand-edited forms."""
+and the embedding row index, which the reader checks against the text its graph implies."""
 
 import hashlib
 import json
@@ -15,7 +15,7 @@ from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.errors import ParseError
-from ravu.graph_builder import EmbeddingRecord, read_embeddings, write_embeddings
+from ravu.graph_builder import EmbeddingRecord, embed_graph, read_embeddings, write_embeddings
 from ravu.graph_model import (
     BoundingBox,
     EntityEvent,
@@ -23,6 +23,7 @@ from ravu.graph_model import (
     FrameRecord,
     RelationEdge,
     SpatioTemporalGraph,
+    deserialize,
     serialize,
 )
 from ravu.index import EmbeddingIndex
@@ -173,8 +174,8 @@ def test_serialize_of_an_empty_graph():
 
 
 # ---------------------------------------------------------------------------
-# The row index: canonical lines are read in one pass, any other document
-# line by line, and both go through the same checks.
+# The row index: the reader accepts exactly the text the graph implies, and
+# names the index file and its first line that differs from that text.
 
 
 def described_graph():
@@ -205,74 +206,83 @@ def canonical(entries):
     return "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
 
 
-@pytest.mark.parametrize(
-    "render",
-    [
-        lambda es: "".join(json.dumps(e) + "\n" for e in es),
-        lambda es: "".join(
-            json.dumps({"row": e["row"], "frame_index": e["frame_index"], "entity_id": e["entity_id"]}) + "\n"
-            for e in es
-        ),
-        lambda es: "".join(json.dumps(e, sort_keys=True, separators=(" ,  ", " :  ")) + "\n" for e in es),
-        lambda es: "\n  \n".join(json.dumps(e, sort_keys=True) for e in es) + "\n\n",
-        lambda es: canonical(es).rstrip("\n"),
-        lambda es: canonical(es).replace('"row": 1}', '"row": 1.0}'),
-        lambda es: canonical(es).replace('"row": 0}', '"row": -0}'),
-    ],
-    ids=["unsorted keys", "reordered keys", "extra spaces", "blank lines", "no final newline",
-         "float row", "negative zero"],
-)
-def test_read_embeddings_gives_equal_records_for_any_spelling_of_the_index(saved, render):
+def index_error(saved, text):
+    """The ParseError of reading ``saved`` with its index replaced by ``text``."""
+    graph, bin_path, idx_path, _ = saved
+    idx_path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_embeddings(bin_path, idx_path, graph)
+    message = str(exc.value)
+    assert message.startswith(f"{idx_path}: line {exc.value.line}: should be ")
+    assert message.endswith("; re-run `ravu embed` to rewrite the embeddings")
+    return exc.value
+
+
+def test_the_written_index_is_the_canonical_text(saved):
     graph, bin_path, idx_path, entries = saved
-    expected = read_embeddings(bin_path, idx_path, graph)
     assert idx_path.read_text() == canonical(entries)
-    idx_path.write_text(render(entries))
-    assert record_rows(read_embeddings(bin_path, idx_path, graph)) == record_rows(expected)
-
-
-@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)])
-def test_read_embeddings_follows_the_index_order(saved, render):
-    graph, bin_path, idx_path, entries = saved
-    rows = record_rows(read_embeddings(bin_path, idx_path, graph))
-    order = [4, 0, 5, 2, 1, 3]
-    idx_path.write_text(render([entries[i] for i in order]))
-    assert record_rows(read_embeddings(bin_path, idx_path, graph)) == [rows[i] for i in order]
+    assert [(e["entity_id"], e["frame_index"], e["row"]) for e in entries] == [
+        (n.entity_id, n.frame_index, row) for row, n in enumerate(graph.nodes)
+    ]
+    assert record_rows(read_embeddings(bin_path, idx_path, graph))[0][:3] == (0, 0, "e0f0")
 
 
 def break_row(entries, i, **values):
     return [dict(e, **values) if j == i else e for j, e in enumerate(entries)]
 
 
-MALFORMED_INDEXES = [
-    (lambda es: break_row(es, 2, row=0), "row 0 listed twice", 3),
-    (lambda es: break_row(es, 1, frame_index=es[0]["frame_index"], entity_id=es[0]["entity_id"]),
-     "entity 0 frame 0 listed twice", 2),
-    (lambda es: es[:-1], "5 rows, header counts 6", 6),
-    (lambda es: es + [{"entity_id": 0, "frame_index": 9, "row": 0}], "more than the header's 6 rows", 7),
-    (lambda es: break_row(es, 3, row=6), "row 6 out of range", 4),
-    (lambda es: break_row(es, 3, row=-1), "row -1 out of range", 4),
-    (lambda es: break_row(es, 3, entity_id=7), "entity 7 frame 1 is not a graph node", 4),
-]
+OUTSIDE_INT64 = ["99999999999999999999", "-99999999999999999999"]  # 20 digits: more than int64 holds
+NOT_AN_INT = ["Infinity", "-Infinity", "1e400", "NaN"]  # json reads the first three as float infinity
+PLACEHOLDER = 424242424  # written in place of the bad value, then replaced by its spelling
 
 
-@pytest.mark.parametrize("mutate, message, line", MALFORMED_INDEXES)
-@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)],
-                         ids=["canonical", "json"])
-def test_read_embeddings_reports_a_bad_index_the_same_way_in_any_spelling(saved, mutate, message, line, render):
-    graph, bin_path, idx_path, entries = saved
-    idx_path.write_text(render(mutate(entries)))
-    with pytest.raises(ParseError, match=message) as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == line
+def spell_row(entries, i, field, spelling):
+    return canonical(break_row(entries, i, **{field: PLACEHOLDER})).replace(str(PLACEHOLDER), spelling)
 
 
-@pytest.mark.parametrize("bad", ['"row": 01}', '"row": +1}', '"row": 1 }x'])
-def test_read_embeddings_rejects_what_json_rejects(saved, bad):
-    graph, bin_path, idx_path, entries = saved
-    idx_path.write_text(canonical(entries).replace('"row": 1}', bad))
-    with pytest.raises(ParseError, match="invalid JSON") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert exc.value.line == 2
+# (index text from the written entries, the first line that differs from the written index)
+OTHER_INDEXES = {
+    "reordered keys": (lambda es: "".join(
+        json.dumps({"row": e["row"], "frame_index": e["frame_index"], "entity_id": e["entity_id"]}) + "\n"
+        for e in es
+    ), 1),
+    "extra spaces": (lambda es: "".join(
+        json.dumps(e, sort_keys=True, separators=(" ,  ", " :  ")) + "\n" for e in es
+    ), 1),
+    "blank lines": (lambda es: "\n  \n".join(json.dumps(e, sort_keys=True) for e in es) + "\n\n", 2),
+    "no final newline": (lambda es: canonical(es).rstrip("\n"), 6),
+    "float row": (lambda es: canonical(es).replace('"row": 1}', '"row": 1.0}'), 2),
+    "negative zero": (lambda es: canonical(es).replace('"row": 0}', '"row": -0}'), 1),
+    "leading zero": (lambda es: canonical(es).replace('"row": 1}', '"row": 01}'), 2),
+    "plus sign": (lambda es: canonical(es).replace('"row": 1}', '"row": +1}'), 2),
+    "trailing text": (lambda es: canonical(es).replace('"row": 1}', '"row": 1 }x'), 2),
+    "reordered lines": (lambda es: canonical([es[i] for i in [0, 1, 5, 2, 3, 4]]), 3),
+    "swapped lines": (lambda es: canonical([es[1], es[0]] + es[2:]), 1),
+    "repeated row": (lambda es: canonical(break_row(es, 2, row=0)), 3),
+    "repeated key": (lambda es: canonical(break_row(es, 1, frame_index=0, entity_id=0)), 2),
+    "missing line": (lambda es: canonical(es[:-1]), 6),
+    "extra line": (lambda es: canonical(es + [{"entity_id": 0, "frame_index": 9, "row": 6}]), 7),
+    "row out of range": (lambda es: canonical(break_row(es, 3, row=6)), 4),
+    "negative row": (lambda es: canonical(break_row(es, 3, row=-1)), 4),
+    "key not a node": (lambda es: canonical(break_row(es, 3, entity_id=7)), 4),
+    "empty index": (lambda es: "", 1),
+    **{f"entity_id {spelling}": (lambda es, s=spelling: spell_row(es, 2, "entity_id", s), 3)
+       for spelling in OUTSIDE_INT64 + NOT_AN_INT},
+    **{f"row {spelling}": (lambda es, s=spelling: spell_row(es, 4, "row", s), 5) for spelling in NOT_AN_INT},
+}
+
+
+@pytest.mark.parametrize("render, line", OTHER_INDEXES.values(), ids=OTHER_INDEXES)
+def test_read_embeddings_rejects_any_other_index_at_its_first_differing_line(saved, render, line):
+    entries = saved[3]
+    text = render(entries)
+    error = index_error(saved, text)
+    assert (error.line, error.field) == (line, "row")
+    written = canonical(entries).splitlines(keepends=True)
+    found = text.splitlines(keepends=True)
+    should = repr(written[line - 1]) if line <= len(written) else "the end of the file"
+    got = repr(found[line - 1]) if line <= len(found) else "the end of the file"
+    assert f"should be {should}, found {got};" in str(error)
 
 
 def test_read_embeddings_checks_the_dimension_only_when_asked(saved):
@@ -283,40 +293,12 @@ def test_read_embeddings_checks_the_dimension_only_when_asked(saved):
     assert exc.value.field == "dim"
 
 
-OUTSIDE_INT64 = ["99999999999999999999", "-99999999999999999999"]  # 20 digits: more than int64 holds
-NOT_AN_INT = ["Infinity", "-Infinity", "1e400", "NaN"]  # json reads the first three as float infinity
-PLACEHOLDER = 424242424  # written in place of the bad value, then replaced by its spelling
-
-
-def spell_row(render, entries, i, field, spelling):
-    return render(break_row(entries, i, **{field: PLACEHOLDER})).replace(str(PLACEHOLDER), spelling)
-
-
-@pytest.mark.parametrize("field", ["entity_id", "frame_index"])
-@pytest.mark.parametrize("spelling", OUTSIDE_INT64 + NOT_AN_INT)
-@pytest.mark.parametrize("graph_holds_it", [False, True], ids=["graph lacks the id", "graph holds the id"])
-@pytest.mark.parametrize("render", [canonical, lambda es: "".join(json.dumps(e) + "\n" for e in es)],
-                         ids=["canonical", "json"])
-def test_read_embeddings_reports_an_id_outside_int64_with_its_line(saved, field, spelling, graph_holds_it, render):
-    graph, bin_path, idx_path, entries = saved
-    idx_path.write_text(spell_row(render, entries, 2, field, spelling))
-    if graph_holds_it:
-        # The row's graph node holds the same id, so the graph-membership check lets the row through.
-        key = (entries[2]["entity_id"], entries[2]["frame_index"])
-        setattr(next(n for n in graph.nodes if (n.entity_id, n.frame_index) == key), field, json.loads(spelling))
-    message = f"{field} {spelling} does not fit in int64" if spelling in OUTSIDE_INT64 else "malformed index row"
-    with pytest.raises(ParseError, match=message) as exc:
+def test_read_embeddings_checks_the_header_count_against_the_graph(saved):
+    graph, bin_path, idx_path, _ = saved
+    graph.nodes = graph.nodes[:-1]
+    with pytest.raises(ParseError, match=f"^{bin_path}: header counts 6 rows, graph has 5 nodes$") as exc:
         read_embeddings(bin_path, idx_path, graph)
-    assert (exc.value.line, exc.value.field) == (3, field)
-
-
-@pytest.mark.parametrize("spelling", NOT_AN_INT)
-def test_read_embeddings_reports_a_row_number_that_is_not_an_int_with_its_line(saved, spelling):
-    graph, bin_path, idx_path, entries = saved
-    idx_path.write_text(spell_row(canonical, entries, 4, "row", spelling))
-    with pytest.raises(ParseError, match="malformed index row") as exc:
-        read_embeddings(bin_path, idx_path, graph)
-    assert (exc.value.line, exc.value.field) == (5, "row")
+    assert exc.value.field == "header"
 
 
 def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
@@ -326,6 +308,20 @@ def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
     graph.nodes[0].entity_id, graph.nodes[5].frame_index = low, high
     columns = read_embeddings(bin_path, idx_path, graph)
     assert (columns.entities[0], columns.frames[5]) == (low, high)
+
+
+@pytest.mark.parametrize("field, value", [("entity_id", 2**63), ("frame_index", -(2**63) - 1)])
+def test_a_loaded_graph_with_an_id_outside_int64_is_a_parse_error(saved, field, value):
+    graph, bin_path, idx_path, entries = saved
+    doc = json.loads(serialize(graph))
+    doc["nodes"][2][field] = value
+    loaded = deserialize(json.dumps(doc))
+    node = loaded.nodes[2]
+    message = f"^node entity {node.entity_id} frame {node.frame_index} has an ID outside int64$"
+    with pytest.raises(ParseError, match=message):
+        embed_graph(loaded, MockBackend())
+    with pytest.raises(ParseError, match=message):
+        read_embeddings(bin_path, idx_path, loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +341,7 @@ def test_index_adopts_loaded_columns_without_a_copy(saved):
 
 
 # ---------------------------------------------------------------------------
-# Records that share a description share one vector, but only when their
-# stored bytes are equal.
+# Rows that share a description share one vector, and must hold equal bytes.
 
 
 def shared_graph():
@@ -361,17 +356,13 @@ def shared_graph():
 
 @pytest.fixture
 def shared(tmp_path):
-    """(graph, bin path, index path, written records): record 4 differs from the other
-    "right" records in one float32, so it must keep a vector of its own."""
+    """(graph, bin path, index path, written records) of ``shared_graph``, one vector per description."""
     graph = shared_graph()
     rng = np.random.default_rng(7)
     left, right = rng.standard_normal(4), rng.standard_normal(4)
-    odd = right.copy()
-    odd[2] = np.nextafter(np.float32(odd[2]), np.float32(np.inf))
-    vectors = [left, left, left, right, odd, right]
     records = [
         EmbeddingRecord(n.entity_id, n.frame_index, n.description, vector)
-        for n, vector in zip(graph.nodes, vectors)
+        for n, vector in zip(graph.nodes, [left] * 3 + [right] * 3)
     ]
     bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
     write_embeddings(make_columns(records), bin_path, idx_path)
@@ -386,32 +377,30 @@ def stored(records):
     ]
 
 
-def test_read_embeddings_shares_a_vector_only_between_equal_bytes(shared):
+def set_value(bin_path, row, column, value):
+    """Overwrite one float32 of the six-row, four-column ``bin_path``."""
+    raw = bin_path.read_bytes()
+    body = np.frombuffer(raw, dtype="<f4", offset=8).reshape(6, 4).copy()
+    body[row, column] = value
+    bin_path.write_bytes(raw[:8] + body.tobytes())
+
+
+def test_read_embeddings_shares_one_vector_per_description(shared):
     graph, bin_path, idx_path, records = shared
     columns = read_embeddings(bin_path, idx_path, graph)
-    assert columns.vector_of.tolist() == [0, 0, 0, 1, 2, 1]
-    assert len(columns.vectors) == 3
+    assert columns.vector_of.tolist() == [0, 0, 0, 1, 1, 1]
+    assert len(columns.vectors) == 2
     assert record_rows(columns) == record_rows(stored(records))
     q = np.random.default_rng(8).standard_normal(4)
-    index = EmbeddingIndex(columns)
     full = np.stack([r.vector for r in stored(records)])
-    assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
-    assert index.scores(q)[3] != index.scores(q)[4]
-
-
-def test_read_embeddings_shares_vectors_in_a_reordered_index(shared):
-    graph, bin_path, idx_path, records = shared
-    entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
-    order = [4, 0, 5, 3, 2, 1]
-    idx_path.write_text(canonical([entries[i] for i in order]))
-    columns = read_embeddings(bin_path, idx_path, graph)
-    assert record_rows(columns) == [record_rows(stored(records))[i] for i in order]
-    # The odd record is now its description's first, so the other "right"
-    # records, which differ from it, keep their own vectors.
-    assert columns.vector_of.tolist() == [0, 1, 2, 3, 1, 1] and len(columns.vectors) == 4
-    q = np.random.default_rng(9).standard_normal(4)
-    full = columns.vectors[columns.vector_of]
     assert EmbeddingIndex(columns).scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
+
+
+def test_read_embeddings_rejects_rows_of_one_description_with_different_bytes(shared):
+    graph, bin_path, idx_path, records = shared
+    set_value(bin_path, 4, 2, np.nextafter(np.float32(records[4].vector[2]), np.float32(np.inf)))
+    with pytest.raises(ParseError, match=f"^{bin_path}: row 4 differs from row 3, which holds the same description$"):
+        read_embeddings(bin_path, idx_path, graph)
 
 
 def test_write_embeddings_of_reloaded_columns_gives_back_the_same_bytes(shared, tmp_path):
@@ -443,10 +432,7 @@ def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp
 @pytest.mark.parametrize("row", [5, 0], ids=["a later row", "a description's first row"])
 def test_read_embeddings_rejects_a_non_finite_row(shared, value, row):
     graph, bin_path, idx_path, _ = shared
-    raw = bin_path.read_bytes()
-    body = np.frombuffer(raw, dtype="<f4", offset=8).reshape(6, 4).copy()
-    body[row, 1] = value
-    bin_path.write_bytes(raw[:8] + body.tobytes())
+    set_value(bin_path, row, 1, value)
     with pytest.raises(ParseError, match=f"row {row} has a non-finite value") as exc:
         read_embeddings(bin_path, idx_path, graph)
     assert exc.value.field == "row"

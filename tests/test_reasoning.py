@@ -294,13 +294,26 @@ def test_only_steps_that_produce_frames_share_the_budget(backend, steps, share):
     assert len(result.values[0]) == share
 
 
-def test_execute_count_plan_emits_notes_and_fallback_frames(backend):
+def test_execute_count_plan_emits_notes_and_unflagged_fallback_frames(backend):
     graph, index = make_graph(backend)
     plan = parse_plan('count_nodes(node_query="fox")')
     result = execute(plan, graph, index, backend, budget=5)
     assert "count of 'fox': 1" in result.notes
     assert result.frames  # global-context fallback supplies context frames
-    assert any("fallback" in f for f in result.flags)
+    # A count plan has no frame-producing step, so the fallback is expected, not flagged.
+    assert result.flags == []
+
+
+def test_execute_flags_the_fallback_when_a_frame_producing_step_produced_none(backend):
+    graph, index = make_graph(backend)
+    plan = parse_plan(
+        'identify_node(query="x")\n'
+        'sample_entity_events(node=$1, sample_start_time=99, events_to_sample="current")'
+    )
+    bad_graph = SpatioTemporalGraph(frames=graph.frames, nodes=[], edges=[], events={})
+    result = execute(plan, bad_graph, index, backend, budget=5)
+    assert len(result.errors) == 2 and result.frames
+    assert result.flags == ["no frames produced; global-context fallback"]
 
 
 def test_execute_records_step_error_and_continues(backend):
