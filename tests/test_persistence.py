@@ -266,23 +266,46 @@ OTHER_INDEXES = {
     "negative row": (lambda es: canonical(break_row(es, 3, row=-1)), 4),
     "key not a node": (lambda es: canonical(break_row(es, 3, entity_id=7)), 4),
     "empty index": (lambda es: "", 1),
-    **{f"entity_id {spelling}": (lambda es, s=spelling: spell_row(es, 2, "entity_id", s), 3)
-       for spelling in OUTSIDE_INT64 + NOT_AN_INT},
-    **{f"row {spelling}": (lambda es, s=spelling: spell_row(es, 4, "row", s), 5) for spelling in NOT_AN_INT},
 }
 
 
-@pytest.mark.parametrize("render, line", OTHER_INDEXES.values(), ids=OTHER_INDEXES)
-def test_read_embeddings_rejects_any_other_index_at_its_first_differing_line(saved, render, line):
-    entries = saved[3]
-    text = render(entries)
+def assert_first_difference(saved, text, line):
+    """Reading ``saved`` with ``text`` as its index fails at ``line``, quoting both versions of it."""
     error = index_error(saved, text)
     assert (error.line, error.field) == (line, "row")
-    written = canonical(entries).splitlines(keepends=True)
+    written = canonical(saved[3]).splitlines(keepends=True)
     found = text.splitlines(keepends=True)
     should = repr(written[line - 1]) if line <= len(written) else "the end of the file"
     got = repr(found[line - 1]) if line <= len(found) else "the end of the file"
     assert f"should be {should}, found {got};" in str(error)
+
+
+@pytest.mark.parametrize("render, line", OTHER_INDEXES.values(), ids=OTHER_INDEXES)
+def test_read_embeddings_rejects_any_other_index_at_its_first_differing_line(saved, render, line):
+    assert_first_difference(saved, render(saved[3]), line)
+
+
+@pytest.mark.parametrize("field", ["entity_id", "frame_index", "row"])
+@pytest.mark.parametrize("spelling", OUTSIDE_INT64 + NOT_AN_INT)
+def test_read_embeddings_reports_a_value_that_is_not_an_int64_with_its_line(saved, field, spelling):
+    assert_first_difference(saved, spell_row(saved[3], 2, field, spelling), 3)
+
+
+# Each changes only line ``i + 1`` of the written index, or removes it.
+CHANGED_LINES = {
+    "respelled": lambda es, i: canonical(es).replace(
+        json.dumps(es[i], sort_keys=True), json.dumps(es[i], sort_keys=True, separators=(",", ":"))
+    ),
+    "another row": lambda es, i: canonical(break_row(es, i, row=(i + 1) % len(es))),
+    "key not a node": lambda es, i: canonical(break_row(es, i, entity_id=7)),
+    "removed": lambda es, i: canonical(es[:i] + es[i + 1:]),
+}
+
+
+@pytest.mark.parametrize("i", range(6))
+@pytest.mark.parametrize("change", CHANGED_LINES.values(), ids=CHANGED_LINES)
+def test_read_embeddings_names_the_changed_line_wherever_it_is(saved, change, i):
+    assert_first_difference(saved, change(saved[3], i), i + 1)
 
 
 def test_read_embeddings_checks_the_dimension_only_when_asked(saved):
@@ -408,6 +431,21 @@ def test_write_embeddings_of_reloaded_columns_gives_back_the_same_bytes(shared, 
     again_bin, again_idx = tmp_path / "again.bin", tmp_path / "again.idx"
     write_embeddings(read_embeddings(bin_path, idx_path, graph), again_bin, again_idx)
     assert (again_bin.read_bytes(), again_idx.read_bytes()) == (bin_path.read_bytes(), idx_path.read_bytes())
+
+
+@pytest.mark.parametrize("n_frames", [24, 200, 600])
+def test_read_embeddings_gives_back_the_written_columns(tmp_path, n_frames):
+    world = synth_world(1, n_frames, 8)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
+    written = assets.index.records
+    write_embeddings(written, bin_path, idx_path)
+    read = read_embeddings(bin_path, idx_path, assets.graph)
+    assert read.vectors.tobytes() == written.vectors.astype("<f4").astype(np.float64).tobytes()
+    assert read.vector_of.tolist() == written.vector_of.tolist()
+    assert read.entities.tolist() == written.entities.tolist()
+    assert read.frames.tolist() == written.frames.tolist()
+    assert read.descriptions == written.descriptions
 
 
 def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp_path):
