@@ -127,7 +127,7 @@ def build(ctx, observations, tracklets, out):
 @main.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path(),
-              help="Embeddings binary; the row index goes to <out>.index.jsonl.")
+              help="Embeddings binary; the description index goes to <out>.index.jsonl.")
 @click.pass_context
 def embed(ctx, graph_path, out):
     """Embed all node descriptions of a built graph."""
@@ -139,7 +139,7 @@ def embed(ctx, graph_path, out):
     embeddings = embed_graph(graph, backend)
     index_path = f"{out}.index.jsonl"
     write_embeddings(embeddings, out, index_path)
-    click.echo(f"wrote {len(embeddings)} vectors to {out} (+ {index_path})")
+    click.echo(f"wrote {len(embeddings.vectors)} vectors for {len(embeddings)} nodes to {out} (+ {index_path})")
 
 
 @main.command()

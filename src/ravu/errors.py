@@ -94,6 +94,8 @@ def json_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
 
 def integer(value, name: str, line: int | None = None) -> int:
     """``int(value)``; a boolean or a fractional number, which ``int()`` would truncate, raises ParseError."""
+    if type(value) is int:  # the common case, checked first: graph documents hold thousands of IDs
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ParseError(f"{name} must be an integer, got {value!r}", line=line, field=name)
     return int(value)

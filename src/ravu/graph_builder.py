@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +268,7 @@ def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
     entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
     if not all(descriptions):
         i = descriptions.index("")
-        raise ValueError(f"node entity {entities[i]} frame {frames[i]} has no description")
+        raise ParseError(f"node entity {entities[i]} frame {frames[i]} has no description", field="description")
     vectors: list[np.ndarray] = []
     for i in firsts.tolist():
         try:
@@ -410,33 +411,34 @@ def build_graph(
 
 
 # ---------------------------------------------------------------------------
-# Embedding persistence: embeddings.bin + embeddings.index.jsonl
+# Embedding persistence: embeddings.bin + embeddings.bin.index.jsonl
+#
+# ``embeddings.bin`` is a (dimension, count) header, then one little-endian
+# float32 row per distinct node description, in first-seen (frame, entity)
+# order. The index file holds those descriptions, one JSON string per line, in
+# the same order. The reader renders the index from the graph and compares it
+# byte for byte, so a file embedded before a description changed cannot load.
 
 _MAGIC = struct.Struct("<II")  # dimension, count
-# One line of the row index, as ``json.dumps(entry, sort_keys=True)`` writes it.
-_ROW_LINE = '{"entity_id": %d, "frame_index": %d, "row": %d}\n'
-# Rows per block of ``read_embeddings``' byte comparison: 96 rows of 256
-# float32s is a 96 KB temporary, below the size at which glibc maps a fresh
-# block from the OS; the page faults of larger temporaries cost more than
-# the comparison. A short video's rows fit in one block.
-_SHARE_BLOCK = 96
+_RE_EMBED = "re-run `ravu embed` to rewrite the embeddings"
 
 
-def _index_text(entities: np.ndarray, frames: np.ndarray) -> str:
-    """The row index of rows keyed by ``entities`` and ``frames``: row ``i``'s line names its key and ``i``."""
-    fields = np.stack([entities, frames, np.arange(len(entities), dtype=np.int64)], axis=1)
-    return (_ROW_LINE * len(fields)) % tuple(fields.ravel().tolist())
+def _index_text(descriptions: Iterable[str]) -> str:
+    return "".join([encode_basestring_ascii(d) + "\n" for d in descriptions])
 
 
 def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path: str | Path) -> None:
-    """Write the vectors as little-endian float32 rows, one per node, and one index line per row."""
-    rows = columns.vectors.astype("<f4")[columns.vector_of]
+    """Write each distinct description, in first-seen order, and the vector of its first row as a float32 row."""
+    first: dict[str, int] = {}
+    for description, j in zip(columns.descriptions, columns.vector_of.tolist()):
+        first.setdefault(description, j)
+    rows = columns.vectors[list(first.values())].astype("<f4")
     count, dim = rows.shape
     with open(bin_path, "wb") as fh:
         fh.write(_MAGIC.pack(dim, count))
         fh.write(rows.tobytes())
     with open(index_path, "w") as fh:
-        fh.write(_index_text(columns.entities, columns.frames))
+        fh.write(_index_text(first))
 
 
 def read_embeddings(
@@ -447,13 +449,12 @@ def read_embeddings(
 ) -> EmbeddingColumns:
     """Load the rows ``write_embeddings`` wrote for ``embed_graph(graph)``, descriptions restored from ``graph``.
 
-    The header must count one row per graph node, and a non-empty file's
-    vectors must have ``dim`` entries when ``dim`` is given. The index must
-    be, byte for byte, the one the graph's nodes give in (frame, entity)
-    order. Each distinct description takes the row of its first node,
-    converted to float64 once; every other row must hold the same float32
-    bytes as that row, and every value must be finite. Anything else
-    raises ParseError naming the file.
+    The index must be, byte for byte, the one the graph's distinct node
+    descriptions give in first-seen (frame, entity) order, and the header
+    must count one row per index line. A non-empty file's vectors must have
+    ``dim`` entries when ``dim`` is given, and every value must be finite.
+    Each node takes the row of its description. Anything else raises
+    ParseError naming the file.
     """
     raw = read_document(bin_path, binary=True)
     if len(raw) < _MAGIC.size:
@@ -466,37 +467,23 @@ def read_embeddings(
         raise ParseError(f"vectors have dimension {stored_dim}, expected {dim}", field="dim", path=bin_path)
 
     entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
-    if count != len(descriptions):
-        raise ParseError(
-            f"header counts {count} rows, graph has {len(descriptions)} nodes", field="header", path=bin_path
-        )
     text = read_document(index_path)
-    want = _index_text(entities, frames)
+    want = _index_text(descriptions[i] for i in firsts.tolist())
     if text != want:
         pairs = zip_longest(want.splitlines(keepends=True), text.splitlines(keepends=True))
         line, (should, found) = next((k, pair) for k, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
         should, found = ("the end of the file" if s is None else repr(s) for s in (should, found))
         raise ParseError(
-            f"should be {should}, found {found}; re-run `ravu embed` to rewrite the embeddings",
-            line=line, field="row", path=index_path,
+            f"should be {should}, found {found}; {_RE_EMBED}", line=line, field="description", path=index_path
+        )
+    if count != len(firsts):
+        raise ParseError(
+            f"header counts {count} rows, the index lists {len(firsts)} descriptions; {_RE_EMBED}",
+            field="header", path=bin_path,
         )
 
-    stored = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim)
-    first_rows = stored[firsts]
-    vectors = first_rows.astype(np.float64)
-    if not np.isfinite(vectors).all():
-        row = firsts[np.argmin(np.isfinite(vectors).all(axis=1))]
-        raise ParseError(f"row {row} has a non-finite value", field="row", path=bin_path)
-    bits, first_bits = stored.view(np.uint32), first_rows.view(np.uint32)
-    for start in range(0, count, _SHARE_BLOCK):
-        block = slice(start, start + _SHARE_BLOCK)
-        differ = (bits[block] != first_bits[vector_of[block]]).any(axis=1)
-        if differ.any():
-            row = start + int(np.argmax(differ))
-            if not np.isfinite(stored[row]).all():
-                raise ParseError(f"row {row} has a non-finite value", field="row", path=bin_path)
-            raise ParseError(
-                f"row {row} differs from row {firsts[vector_of[row]]}, which holds the same description",
-                field="row", path=bin_path,
-            )
+    vectors = np.frombuffer(raw, dtype="<f4", offset=_MAGIC.size).reshape(count, stored_dim).astype(np.float64)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"row {int(np.argmin(finite))} has a non-finite value", field="row", path=bin_path)
     return EmbeddingColumns(vectors, vector_of, entities, frames, descriptions)

@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import MALFORMED, NotFound, ParseError, json_object
+from .errors import MALFORMED, NotFound, ParseError, integer, json_object
 
 REQUIRED_ATTRIBUTES = ("appearance", "action", "body_pose")
 # What ``str.splitlines`` splits at: every backend payload is line-oriented.
@@ -531,7 +531,7 @@ def deserialize(document: str) -> SpatioTemporalGraph:
     try:
         frames = [
             FrameRecord(
-                frame_index=int(f["frame_index"]),
+                frame_index=integer(f["frame_index"], "frame_index"),
                 timestamp_s=float(f["timestamp_s"]),
                 description=str(f["description"]),
                 source_ref=str(f.get("source_ref", "")),
@@ -541,8 +541,8 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         # Nodes and edges, the long lists, take positional arguments: keywords cost more per call.
         nodes = [
             EntityNode(
-                int(n["entity_id"]),
-                int(n["frame_index"]),
+                integer(n["entity_id"], "entity_id"),
+                integer(n["frame_index"], "frame_index"),
                 {str(k): str(v) for k, v in n["attributes"].items()},
                 parse_box(n["box"], "node %s frame %s", n["entity_id"], n["frame_index"]),
                 None if n.get("description") is None else str(n["description"]),
@@ -553,10 +553,10 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             _frozen(
                 RelationEdge,
                 {
-                    "frame_index": int(e["frame_index"]),
-                    "subject_id": int(e["subject_id"]),
+                    "frame_index": integer(e["frame_index"], "frame_index"),
+                    "subject_id": integer(e["subject_id"], "subject_id"),
                     "relation": str(e["relation"]),
-                    "object_id": int(e["object_id"]),
+                    "object_id": integer(e["object_id"], "object_id"),
                 },
             )
             for e in doc["edges"]
@@ -565,8 +565,8 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             int(entity_id): [
                 EntityEvent(
                     entity_id=int(entity_id),
-                    start_frame=int(ev["start_frame"]),
-                    end_frame=int(ev["end_frame"]),
+                    start_frame=integer(ev["start_frame"], "start_frame"),
+                    end_frame=integer(ev["end_frame"], "end_frame"),
                     summary=str(ev["summary"]),
                 )
                 for ev in evs

@@ -326,6 +326,45 @@ def test_ask_with_a_reordered_embeddings_index_is_clean(built, tmp_path):
     assert "re-run `ravu embed`" in result.output
 
 
+def test_ask_with_a_stale_description_is_clean(built, tmp_path):
+    graph, emb = built
+    doc = json.loads(graph.read_text())
+    doc["nodes"][3]["description"] = "a purple elephant juggling"
+    edited = tmp_path / "graph.json"
+    edited.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, ["ask", "--graph", str(edited), "--embeddings", str(emb), "--question", "Who runs?"]
+    )
+    assert_clean_error(result, f"{emb}.index.jsonl: line ")
+    assert """should be '"a purple elephant juggling"\\n'""" in result.output
+    assert "re-run `ravu embed`" in result.output
+
+
+def test_embed_reports_vectors_and_nodes(built, tmp_path):
+    graph, emb = built
+    out = tmp_path / "again.bin"
+    result = CliRunner().invoke(main, ["embed", "--graph", str(graph), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    nodes = len(json.loads(graph.read_text())["nodes"])
+    vectors = len((emb.parent / "embeddings.bin.index.jsonl").read_text().splitlines())
+    assert vectors < nodes
+    assert result.output == f"wrote {vectors} vectors for {nodes} nodes to {out} (+ {out}.index.jsonl)\n"
+    assert out.read_bytes() == emb.read_bytes()
+
+
+def test_embed_on_a_node_without_description_is_clean(built, tmp_path):
+    graph, _ = built
+    doc = json.loads(graph.read_text())
+    node = doc["nodes"][3]
+    node["description"] = None
+    undescribed = tmp_path / "graph.json"
+    undescribed.write_text(json.dumps(doc))
+    out = tmp_path / "out.bin"
+    result = CliRunner().invoke(main, ["embed", "--graph", str(undescribed), "--out", str(out)])
+    assert_clean_error(result, f"node entity {node['entity_id']} frame {node['frame_index']} has no description")
+    assert not out.exists()
+
+
 def test_build_on_wrong_shaped_observations_is_clean(corpus_dir, tmp_path):
     obs = tmp_path / "observations.jsonl"
     obs.write_text('{"frame_index": 0, "entities": 5}\n')

@@ -1,6 +1,7 @@
 """Every outside document is decoded in ``ravu.errors``; a malformed one ends as ParseError."""
 
 import ast
+import copy
 import json
 from pathlib import Path
 
@@ -70,7 +71,7 @@ MCQ = json.dumps(
     {"question": "q", "options": ["a", "b"], "answer_index": 0, "category": "temporal", "video_id": "v"}
 )
 LOC = json.dumps({"video_id": "v", "question": "q", "gt_frames": [0]})
-ROW = json.dumps({"row": 0, "entity_id": 0, "frame_index": 0})
+DESCRIPTION = json.dumps("a red fox")
 
 
 def second_frame(**fields):
@@ -105,11 +106,11 @@ def read_path(loader):
 
 
 # One node, entity 0 in frame 0, and its one embedding row.
-ONE_NODE = SpatioTemporalGraph(nodes=[EntityNode(0, 0, {}, BoundingBox(0, 0, 1, 1), "")])
+ONE_NODE = SpatioTemporalGraph(nodes=[EntityNode(0, 0, {}, BoundingBox(0, 0, 1, 1), "a red fox")])
 
 
 def write_one_row(bin_path, index_path):
-    write_embeddings(make_columns([EmbeddingRecord(0, 0, "", np.ones(2))]), bin_path, index_path)
+    write_embeddings(make_columns([EmbeddingRecord(0, 0, "a red fox", np.ones(2))]), bin_path, index_path)
 
 
 def read_index(text, tmp_path):
@@ -166,17 +167,17 @@ MALFORMED_DOCUMENTS = [
     ("loc", LOC + "\n" + LOC.replace("[0]", "5"), 2),
     ("loc", LOC.replace("[0]", "[]"), 1),
     ("loc", "\n" + LOC + "\n{oops", 3),
-    ("embeddings-index", '{"row": "a", "entity_id": 0, "frame_index": 0}', 1),
+    ("embeddings-index", '{"row": 0, "entity_id": 0, "frame_index": 0}', 1),
     ("embeddings-index", "\n[]", 1),
     ("embeddings-index", "{oops", 1),
-    ("embeddings-index", ROW.replace('"frame_index": 0', '"frame_index": null'), 1),
+    ("embeddings-index", "null", 1),
+    ("embeddings-index", DESCRIPTION + "\n" + DESCRIPTION, 2),
     # json reads Infinity and 1e400 as float infinity, which int() cannot convert.
     ("observations", FRAME + "\n" + FRAME.replace('"frame_index": 0', '"frame_index": Infinity'), 2),
     ("tracklets", tracks({"track_id": float("inf"), "boxes": {"0": [0, 0, 1, 1]}}), None),
     ("graph", graph(nodes=[{**NODE, "frame_index": 0.5}]).replace("0.5", "1e400"), None),
     ("mcq", MCQ.replace('"answer_index": 0', '"answer_index": -Infinity'), 1),
     ("loc", LOC.replace("[0]", "[Infinity]"), 1),
-    ("embeddings-index", ROW.replace('"row": 0', '"row": 1e400'), 1),
     # A box must be finite: 0 <= x0 < x1 alone holds for an infinite x1.
     ("observations", second_frame(entities=[entity(box=[0, 0, float("inf"), 1])]), 2),
     ("tracklets", tracks({"track_id": 0, "boxes": {"0": [0, 0, 1, float("inf")]}}), None),
@@ -212,6 +213,39 @@ def test_dataset_loaders_reject_a_boolean_or_fractional_integer(loader, good, ba
     assert (exc.value.line, exc.value.field) == (2, field)
 
 
+# A graph document with one record of each kind, every integer field an int.
+WHOLE_GRAPH = {
+    "fps": 1.0,
+    "frames": [{"frame_index": 0, "timestamp_s": 0.0, "description": "f"}],
+    "nodes": [{**NODE, "description": "a red fox"}],
+    "edges": [{"frame_index": 0, "subject_id": 0, "relation": "near", "object_id": 1}],
+    "events": {"0": [{"start_frame": 0, "end_frame": 0, "summary": "s"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("nodes", "entity_id"),
+        ("nodes", "frame_index"),
+        ("edges", "frame_index"),
+        ("edges", "subject_id"),
+        ("edges", "object_id"),
+        ("frames", "frame_index"),
+        ("events", "start_frame"),
+        ("events", "end_frame"),
+    ],
+)
+@pytest.mark.parametrize("value", [True, 0.5])
+def test_graph_document_rejects_a_boolean_or_fractional_integer(kind, field, value):
+    deserialize(json.dumps(WHOLE_GRAPH))
+    doc = copy.deepcopy(WHOLE_GRAPH)
+    (doc["events"]["0"] if kind == "events" else doc[kind])[0][field] = value
+    with pytest.raises(ParseError, match=f"^{field} must be an integer, got {value!r}$") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == field
+
+
 def test_every_reader_has_a_malformed_case():
     assert {reader for reader, _, _ in MALFORMED_DOCUMENTS} == set(READERS)
 
@@ -224,7 +258,7 @@ def read_embeddings_index(path):
 
 def read_embeddings_body(path):
     index_path = path.parent / "e.bin.index.jsonl"
-    index_path.write_text(ROW)
+    index_path.write_text(DESCRIPTION + "\n")
     return read_embeddings(path, index_path, ONE_NODE)
 
 

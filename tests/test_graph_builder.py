@@ -168,7 +168,7 @@ def test_embed_graph_requires_descriptions(backend):
     graph = SpatioTemporalGraph(
         frames=[FrameRecord(0, 0.0, "x")], nodes=[node(0, 0)]
     )
-    with pytest.raises(ValueError, match="no description"):
+    with pytest.raises(ParseError, match="^node entity 0 frame 0 has no description$"):
         embed_graph(graph, backend)
 
 
@@ -191,16 +191,16 @@ def test_embed_graph_and_persistence_round_trip(tmp_path, backend):
 
 
 def persisted(tmp_path, backend):
-    """(graph, bin path, index path, index entries) of small_described_graph."""
+    """(graph, bin path, index path, indexed descriptions) of small_described_graph."""
     graph = small_described_graph()
     bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
     write_embeddings(embed_graph(graph, backend), bin_path, idx_path)
-    entries = [json.loads(line) for line in idx_path.read_text().splitlines()]
-    return graph, bin_path, idx_path, entries
+    descriptions = [json.loads(line) for line in idx_path.read_text().splitlines()]
+    return graph, bin_path, idx_path, descriptions
 
 
-def rewrite(idx_path, entries):
-    idx_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+def rewrite(idx_path, descriptions):
+    idx_path.write_text("".join(json.dumps(d) + "\n" for d in descriptions))
 
 
 def index_error(bin_path, idx_path, graph, line):
@@ -213,44 +213,41 @@ def index_error(bin_path, idx_path, graph, line):
     return str(exc.value)
 
 
-def test_read_embeddings_rejects_repeated_row(tmp_path, backend):
-    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
-    entries[2]["row"] = 0
-    rewrite(idx_path, entries)
-    assert """, found '{"entity_id": 0, "frame_index": 2, "row": 0}\\n';""" in index_error(bin_path, idx_path, graph, 3)
+def test_read_embeddings_rejects_repeated_description(tmp_path, backend):
+    graph, bin_path, idx_path, descriptions = persisted(tmp_path, backend)
+    rewrite(idx_path, [descriptions[0], descriptions[0]])
+    found = json.dumps(descriptions[0]) + "\n"
+    assert f", found {found!r};" in index_error(bin_path, idx_path, graph, 2)
 
 
-def test_read_embeddings_rejects_repeated_key(tmp_path, backend):
-    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
-    entries[1]["frame_index"] = entries[0]["frame_index"]
-    rewrite(idx_path, entries)
-    index_error(bin_path, idx_path, graph, 2)
+def test_read_embeddings_rejects_respelled_description(tmp_path, backend):
+    graph, bin_path, idx_path, descriptions = persisted(tmp_path, backend)
+    idx_path.write_text("".join(json.dumps(d).replace(":", "\\u003a") + "\n" for d in descriptions))
+    index_error(bin_path, idx_path, graph, 1)
 
 
 def test_read_embeddings_rejects_missing_index_line(tmp_path, backend):
-    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
-    rewrite(idx_path, entries[:-1])
-    assert "found the end of the file" in index_error(bin_path, idx_path, graph, 4)
+    graph, bin_path, idx_path, descriptions = persisted(tmp_path, backend)
+    rewrite(idx_path, descriptions[:-1])
+    assert "found the end of the file" in index_error(bin_path, idx_path, graph, 2)
 
 
 def test_read_embeddings_rejects_extra_index_line(tmp_path, backend):
-    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
-    rewrite(idx_path, entries + [{"row": 0, "entity_id": 0, "frame_index": 9}])
-    assert "should be the end of the file" in index_error(bin_path, idx_path, graph, 5)
+    graph, bin_path, idx_path, descriptions = persisted(tmp_path, backend)
+    rewrite(idx_path, descriptions + ["entity 0: red fox; sleeping; relations: none"])
+    assert "should be the end of the file" in index_error(bin_path, idx_path, graph, 3)
 
 
-def test_read_embeddings_rejects_keys_not_in_graph(tmp_path, backend):
-    graph, bin_path, idx_path, entries = persisted(tmp_path, backend)
-    entries[3]["entity_id"] = 7
-    rewrite(idx_path, entries)
-    assert '"entity_id": 7' in index_error(bin_path, idx_path, graph, 4)
+def test_read_embeddings_rejects_descriptions_not_in_graph(tmp_path, backend):
+    graph, bin_path, idx_path, descriptions = persisted(tmp_path, backend)
+    rewrite(idx_path, [descriptions[0], "entity 7: blue jay; flying"])
+    assert "entity 7: blue jay" in index_error(bin_path, idx_path, graph, 2)
 
 
 def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
     graph, bin_path, idx_path, _ = persisted(tmp_path, backend)
     graph.nodes = graph.nodes + [node(1, 0, desc="entity 1: red fox; running")]
-    with pytest.raises(ParseError, match="header counts 4 rows, graph has 5 nodes"):
-        read_embeddings(bin_path, idx_path, graph)
+    assert "entity 1: red fox; running" in index_error(bin_path, idx_path, graph, 2)
 
 
 def test_read_embeddings_rejects_a_graph_that_lists_a_node_twice(tmp_path, backend):
