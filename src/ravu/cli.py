@@ -156,11 +156,18 @@ def events(ctx, graph_path, entity):
             click.echo(f"entity {entity_id}: [{ev.start_frame}, {ev.end_frame}] {ev.summary}")
 
 
+def _one_line(ctx, param, value):
+    """``value``, a string or a tuple of them, if none holds a line break: every backend payload is line-oriented."""
+    if any(map(graph_model.LINE_BREAK.search, (value,) if isinstance(value, str) else value)):
+        raise click.BadParameter("must not hold a line break")
+    return value
+
+
 @main.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(exists=True))
-@click.option("--question", required=True)
-@click.option("--option", "options", multiple=True,
+@click.option("--question", required=True, callback=_one_line)
+@click.option("--option", "options", multiple=True, callback=_one_line,
               help="Answer options; repeat for each. Omit to only retrieve frames.")
 @click.option("--category", default="temporal", type=click.Choice(CATEGORIES))
 @click.option("--budget", type=click.IntRange(min=1), default=None)

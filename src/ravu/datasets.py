@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import MALFORMED, ParseError, integer, json_objects, read_document
+from .graph_model import LINE_BREAK
 
 CATEGORIES = ("causal", "temporal", "descriptive", "global")
 
@@ -39,73 +40,54 @@ class LocalizationAnnotation:
             raise ValueError("gt_frames must be non-empty")
 
 
+def _one_line(texts: list[str], name: str, lineno: int) -> None:
+    """Raise ParseError if any of ``texts`` holds a line break: every backend payload is line-oriented."""
+    if any(map(LINE_BREAK.search, texts)):
+        raise ParseError(f"line break in {name}", line=lineno, field=name)
+
+
 def load_mcq(path: str | Path) -> list[McqItem]:
     items = []
     for lineno, raw in json_objects(read_document(path), "mcq item"):
         try:
-            items.append(
-                McqItem(
-                    question=str(raw["question"]),
-                    options=[str(o) for o in raw["options"]],
-                    answer_index=integer(raw["answer_index"], "answer_index", lineno),
-                    category=str(raw["category"]),
-                    video_id=str(raw["video_id"]),
-                    subcategory=str(raw.get("subcategory", "")),
-                )
+            item = McqItem(
+                question=str(raw["question"]),
+                options=[str(o) for o in raw["options"]],
+                answer_index=integer(raw["answer_index"], "answer_index", lineno),
+                category=str(raw["category"]),
+                video_id=str(raw["video_id"]),
+                subcategory=str(raw.get("subcategory", "")),
             )
         except MALFORMED as exc:
             raise ParseError(f"malformed mcq item: {exc}", line=lineno) from exc
+        _one_line([item.question], "question", lineno)
+        _one_line(item.options, "options", lineno)
+        items.append(item)
     return items
 
 
 def dump_mcq(items: list[McqItem]) -> str:
-    lines = []
-    for it in items:
-        lines.append(
-            json.dumps(
-                {
-                    "question": it.question,
-                    "options": it.options,
-                    "answer_index": it.answer_index,
-                    "category": it.category,
-                    "video_id": it.video_id,
-                    "subcategory": it.subcategory,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(json.dumps(asdict(it), sort_keys=True) + "\n" for it in items)
 
 
 def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
     items = []
     for lineno, raw in json_objects(read_document(path), "localization item"):
         try:
-            items.append(
-                LocalizationAnnotation(
-                    video_id=str(raw["video_id"]),
-                    question=str(raw["question"]),
-                    gt_frames={integer(f, "gt_frames", lineno) for f in raw["gt_frames"]},
-                    category=str(raw.get("category", "temporal")),
-                )
+            item = LocalizationAnnotation(
+                video_id=str(raw["video_id"]),
+                question=str(raw["question"]),
+                gt_frames={integer(f, "gt_frames", lineno) for f in raw["gt_frames"]},
+                category=str(raw.get("category", "temporal")),
             )
         except MALFORMED as exc:
             raise ParseError(f"malformed localization item: {exc}", line=lineno) from exc
+        _one_line([item.question], "question", lineno)
+        items.append(item)
     return items
 
 
 def dump_loc(items: list[LocalizationAnnotation]) -> str:
-    lines = []
-    for it in items:
-        lines.append(
-            json.dumps(
-                {
-                    "video_id": it.video_id,
-                    "question": it.question,
-                    "gt_frames": sorted(it.gt_frames),
-                    "category": it.category,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(
+        json.dumps({**asdict(it), "gt_frames": sorted(it.gt_frames)}, sort_keys=True) + "\n" for it in items
+    )

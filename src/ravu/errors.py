@@ -63,11 +63,13 @@ MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 def read_document(path: str | Path, binary: bool = False) -> str | bytes:
     """The file at ``path`` as UTF-8 text, or as bytes when ``binary``.
 
-    A file that cannot be read (a directory, say) or is not UTF-8 text
-    raises ParseError naming it.
+    The text is the file's bytes decoded, with no newline translation, so
+    ``\r\n`` stays ``\r\n``. A file that cannot be read (a directory, say)
+    or is not UTF-8 text raises ParseError naming it.
     """
     try:
-        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        return data if binary else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text (invalid byte at offset {exc.start})", path=path) from exc
     except OSError as exc:

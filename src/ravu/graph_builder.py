@@ -416,8 +416,9 @@ def build_graph(
 # ``embeddings.bin`` is a (dimension, count) header, then one little-endian
 # float32 row per distinct node description, in first-seen (frame, entity)
 # order. The index file holds those descriptions, one JSON string per line, in
-# the same order. The reader renders the index from the graph and compares it
-# byte for byte, so a file embedded before a description changed cannot load.
+# the same order, with LF line ends on every platform. The reader renders the
+# index from the graph and compares it byte for byte, with no newline
+# translation, so a file embedded before a description changed cannot load.
 
 _MAGIC = struct.Struct("<II")  # dimension, count
 _RE_EMBED = "re-run `ravu embed` to rewrite the embeddings"
@@ -437,8 +438,7 @@ def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path
     with open(bin_path, "wb") as fh:
         fh.write(_MAGIC.pack(dim, count))
         fh.write(rows.tobytes())
-    with open(index_path, "w") as fh:
-        fh.write(_index_text(first))
+    Path(index_path).write_bytes(_index_text(first).encode("ascii"))
 
 
 def read_embeddings(

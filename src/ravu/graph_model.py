@@ -6,6 +6,9 @@ Temporal linkage is implicit: nodes sharing an ``entity_id`` across frames
 are the same entity. Per-entity events chunk an entity's frames into
 contiguous behavioral segments.
 
+The records ``BoundingBox``, ``RelationEdge``, ``FrameRecord`` and
+``EntityEvent`` are named tuples, updated with ``._replace``; ``EntityNode``
+is a dataclass, since ``build_graph`` fills in each node's description.
 Graphs are immutable by convention after construction and safe for
 concurrent reads; no mutation API is provided beyond building the fields.
 The lookups (``nodes_in_frame``, ``entity_ids`` and ``entity_timeline``)
@@ -28,6 +31,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +43,7 @@ LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Axis-aligned box in frame pixel coordinates, xyxy; valid when finite, non-negative and non-empty."""
 
     x_min: float
@@ -63,8 +66,7 @@ class EntityNode:
     description: str | None = None
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     """Directed relation between two entities within a single frame."""
 
     frame_index: int
@@ -73,16 +75,14 @@ class RelationEdge:
     object_id: int
 
 
-@dataclass
-class FrameRecord:
+class FrameRecord(NamedTuple):
     frame_index: int
     timestamp_s: float
     description: str
     source_ref: str = ""
 
 
-@dataclass(frozen=True)
-class EntityEvent:
+class EntityEvent(NamedTuple):
     """Contiguous frame span of one entity sharing a behavior."""
 
     entity_id: int
@@ -407,13 +407,9 @@ def _node(n: EntityNode, attribute_blocks: dict[tuple, str]) -> str:
         attributes = attribute_blocks[items] = _container(
             [f"        {_str(k)}: {_str(v)}" for k, v in sorted(items)], "      ", "{}"
         )
-    box = n.box
     return _NODE % (
         attributes,
-        _float(box.x_min),
-        _float(box.y_min),
-        _float(box.x_max),
-        _float(box.y_max),
+        *map(_float, n.box),
         "null" if n.description is None else _str(n.description),
         _int(n.entity_id),
         _int(n.frame_index),
@@ -460,21 +456,6 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     )
 
 
-_new = object.__new__
-_XYXY = attrgetter("x_min", "y_min", "x_max", "y_max")
-
-
-def _frozen(cls, fields: dict):
-    """``cls(**fields)`` for a frozen dataclass, built by filling the new
-    instance's ``__dict__`` instead of one ``object.__setattr__`` call per
-    field: about half the time, for an instance dict of about 130 bytes
-    more. ``fields`` must name every field of ``cls``, in field order.
-    """
-    obj = _new(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def parse_box(raw, where: str, *args) -> BoundingBox:
     """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``.
 
@@ -484,7 +465,7 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
         x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
         # A NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
         if 0 <= x_min < x_max < inf and 0 <= y_min < y_max < inf:
-            return _frozen(BoundingBox, {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max})
+            return BoundingBox(x_min, y_min, x_max, y_max)
     raise ValueError(
         f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1, all finite"
     )
@@ -511,7 +492,7 @@ def parse_boxes(raws: list) -> tuple[np.ndarray, int]:
         rows = []
         for raw in raws:
             try:
-                rows.append(_XYXY(parse_box(raw, "")))
+                rows.append(parse_box(raw, ""))
             except MALFORMED:
                 break
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -519,6 +500,23 @@ def parse_boxes(raws: list) -> tuple[np.ndarray, int]:
     # As in ``parse_box``: a NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
     ok = (0 <= x0) & (x0 < x1) & (x1 < inf) & (0 <= y0) & (y0 < y1) & (y1 < inf)
     return boxes, len(ok) if ok.all() else int(ok.argmin())
+
+
+def _integer_owner(doc: dict) -> str:
+    """The record, such as ``node 3``, of the first ID that ``integer`` rejects, in ``deserialize``'s order."""
+    records = chain(
+        ((f"frame {i}", f, ("frame_index",)) for i, f in enumerate(doc["frames"])),
+        ((f"node {i}", n, ("entity_id", "frame_index")) for i, n in enumerate(doc["nodes"])),
+        ((f"edge {i}", e, ("frame_index", "subject_id", "object_id")) for i, e in enumerate(doc["edges"])),
+        ((f"event {i} of entity {k}", ev, ("start_frame", "end_frame"))
+         for k, evs in doc["events"].items() for i, ev in enumerate(evs)),
+    )
+    for owner, record, names in records:
+        try:
+            for name in names:
+                integer(record[name], name)
+        except ParseError:
+            return owner
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
@@ -550,14 +548,11 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             for n in doc["nodes"]
         ]
         edges = [
-            _frozen(
-                RelationEdge,
-                {
-                    "frame_index": integer(e["frame_index"], "frame_index"),
-                    "subject_id": integer(e["subject_id"], "subject_id"),
-                    "relation": str(e["relation"]),
-                    "object_id": integer(e["object_id"], "object_id"),
-                },
+            RelationEdge(
+                integer(e["frame_index"], "frame_index"),
+                integer(e["subject_id"], "subject_id"),
+                str(e["relation"]),
+                integer(e["object_id"], "object_id"),
             )
             for e in doc["edges"]
         ]
@@ -576,6 +571,8 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         fps = float(doc["fps"])
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
+    except ParseError as exc:  # from ``integer``: a boolean or fractional ID
+        raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
     graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
     if any(c in document for c in "\\\x85\u2028\u2029"):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import accel
 from .errors import MALFORMED, ParseError, integer, json_object, json_objects
-from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, _frozen, parse_box, parse_boxes
+from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, parse_box, parse_boxes
 
 MENTION_RE = re.compile(r"\[E(\d+)\]")
 
@@ -341,7 +341,7 @@ def associate(
 
     boxes, attributes, frame_of = observations.boxes.tolist(), observations.attributes, ent_frame.tolist()
     nodes = [
-        EntityNode(entity_ids[e], frame_of[e], attributes[e], _box(boxes[e]))
+        EntityNode(entity_ids[e], frame_of[e], attributes[e], BoundingBox(*boxes[e]))
         for e in np.lexsort((key, ent_frame)).tolist()
     ]
     frames: list[FrameRecord] = []
@@ -351,10 +351,6 @@ def associate(
         mapping = id_map[f] = dict(zip(local_ids[starts[f]:starts[f + 1]], entity_ids[starts[f]:starts[f + 1]]))
         frames.append(FrameRecord(f, f / fps, _rewrite_mentions(description, mapping), source_ref))
     return AssociationResult(nodes=nodes, frames=frames, id_map=id_map)
-
-
-def _box(row: list[float]) -> BoundingBox:
-    return _frozen(BoundingBox, {"x_min": row[0], "y_min": row[1], "x_max": row[2], "y_max": row[3]})
 
 
 def _ranks(ids: list[int]) -> np.ndarray:

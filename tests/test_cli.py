@@ -340,6 +340,31 @@ def test_ask_with_a_stale_description_is_clean(built, tmp_path):
     assert "re-run `ravu embed`" in result.output
 
 
+@pytest.mark.parametrize("text", ["Who\nruns?", "Who runs?\r", "Who\u2028runs?"])
+@pytest.mark.parametrize("name", ["--question", "--option"])
+def test_ask_rejects_a_line_break_in_a_question_or_option(built, name, text):
+    graph, emb = built
+    args = ["ask", "--graph", str(graph), "--embeddings", str(emb), "--question", "Who runs?",
+            "--option", "a fox", "--option", "a dog"]
+    args[args.index(name) + 1] = text
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Error: Invalid value for '{name}': must not hold a line break" in result.output
+
+
+def test_eval_qa_on_a_question_with_a_line_break_is_clean(corpus_dir, tmp_path):
+    lines = (corpus_dir / "questions.jsonl").read_text().splitlines()
+    item = json.loads(lines[1])
+    lines[1] = json.dumps({**item, "question": item["question"].replace(" ", "\n", 1)})
+    dataset = tmp_path / "questions.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(
+        main, ["eval", "qa", "--corpus", str(corpus_dir), "--dataset", str(dataset)]
+    )
+    assert_clean_error(result, "line 2: line break in question")
+
+
 def test_embed_reports_vectors_and_nodes(built, tmp_path):
     graph, emb = built
     out = tmp_path / "again.bin"

@@ -213,6 +213,31 @@ def test_dataset_loaders_reject_a_boolean_or_fractional_integer(loader, good, ba
     assert (exc.value.line, exc.value.field) == (2, field)
 
 
+# A line break as a JSON line can spell it inside a string; a raw one would end the line.
+ESCAPED_LINE_BREAKS = ["\\n", "\\r\\n", "\\u000b", "\\u2028"]
+
+
+@pytest.mark.parametrize("spelling", ESCAPED_LINE_BREAKS, ids=ESCAPED_LINE_BREAKS)
+@pytest.mark.parametrize(
+    "loader, good, bad, field",
+    [
+        (load_mcq, MCQ, MCQ.replace('"question": "q"', '"question": "one BREAK two"'), "question"),
+        (load_mcq, MCQ, MCQ.replace('["a", "b"]', '["a", "b BREAK c"]'), "options"),
+        (load_loc, LOC, LOC.replace('"question": "q"', '"question": "BREAK q"'), "question"),
+    ],
+    ids=["mcq question", "mcq option", "localization question"],
+)
+def test_dataset_loaders_reject_a_line_break_in_a_question_or_option(loader, good, bad, field, spelling, tmp_path):
+    assert "BREAK" in bad
+    path = tmp_path / "items.jsonl"
+    path.write_text(good + "\n" + bad.replace("BREAK", spelling))
+    with pytest.raises(ParseError, match=f"^line 2: line break in {field}$") as exc:
+        loader(path)
+    assert (exc.value.line, exc.value.field) == (2, field)
+    path.write_text(good + "\n" + bad.replace("BREAK", "\\t\\u2027"))
+    assert len(loader(path)) == 2
+
+
 # A graph document with one record of each kind, every integer field an int.
 WHOLE_GRAPH = {
     "fps": 1.0,
@@ -224,24 +249,25 @@ WHOLE_GRAPH = {
 
 
 @pytest.mark.parametrize(
-    "kind, field",
+    "kind, field, owner",
     [
-        ("nodes", "entity_id"),
-        ("nodes", "frame_index"),
-        ("edges", "frame_index"),
-        ("edges", "subject_id"),
-        ("edges", "object_id"),
-        ("frames", "frame_index"),
-        ("events", "start_frame"),
-        ("events", "end_frame"),
+        ("nodes", "entity_id", "node 1"),
+        ("nodes", "frame_index", "node 1"),
+        ("edges", "frame_index", "edge 1"),
+        ("edges", "subject_id", "edge 1"),
+        ("edges", "object_id", "edge 1"),
+        ("frames", "frame_index", "frame 1"),
+        ("events", "start_frame", "event 1 of entity 0"),
+        ("events", "end_frame", "event 1 of entity 0"),
     ],
 )
 @pytest.mark.parametrize("value", [True, 0.5])
-def test_graph_document_rejects_a_boolean_or_fractional_integer(kind, field, value):
+def test_graph_document_rejects_a_boolean_or_fractional_integer(kind, field, owner, value):
     deserialize(json.dumps(WHOLE_GRAPH))
     doc = copy.deepcopy(WHOLE_GRAPH)
-    (doc["events"]["0"] if kind == "events" else doc[kind])[0][field] = value
-    with pytest.raises(ParseError, match=f"^{field} must be an integer, got {value!r}$") as exc:
+    records = doc["events"]["0"] if kind == "events" else doc[kind]
+    records.append({**records[0], field: value})
+    with pytest.raises(ParseError, match=f"^{owner}: {field} must be an integer, got {value!r}$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == field
 

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -15,7 +14,6 @@ from ravu.graph_model import (
     RelationEdge,
     SpatioTemporalGraph,
     Violation,
-    _frozen,
     deserialize,
     entity_timeline,
     node_edges,
@@ -307,10 +305,14 @@ def set_attribute(node, key, value):
     node.attributes[key] = value
 
 
+def set_frame_description(g, i, description):
+    g.frames[i] = g.frames[i]._replace(description=description)
+
+
 # Each text field of ``small_graph``, given a marker that the document's spelling of a line break replaces
 # (or, as a second argument, the text to hold in its place), and the owner and field the ParseError names.
 LINE_BREAK_FIELDS = [
-    pytest.param(lambda g, m="MARK": setattr(g.frames[1], "description", f"another {m} frame"), "frame 1",
+    pytest.param(lambda g, m="MARK": set_frame_description(g, 1, f"another {m} frame"), "frame 1",
                  "description", id="frame description"),
     pytest.param(lambda g, m="MARK": setattr(g.nodes[1], "description", f"red {m} ball"), "node entity 0 frame 1",
                  "description", id="node description"),
@@ -359,7 +361,7 @@ def test_validate_reports_a_line_break_exactly_when_deserialize_rejects_it(mark,
 
 def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():
     g = small_graph()
-    g.frames[0].description = "a backslash then n: \\n, a tab\t, a quote \" and caf\u00e9"
+    set_frame_description(g, 0, "a backslash then n: \\n, a tab\t, a quote \" and caf\u00e9")
     g.nodes[0].description = "\u2027 \u202a \x84 \x86"
     text = serialize(g)
     assert "\\\\n" in text and "\\u00e9" in text
@@ -367,24 +369,44 @@ def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():
     assert deserialize(text.replace("\\u2027", "\u2027")).nodes[0].description == g.nodes[0].description
 
 
-@pytest.mark.parametrize(
-    "cls, fields",
-    [
-        (BoundingBox, {"x_min": 1.0, "y_min": 2.5, "x_max": 3.0, "y_max": 4.0}),
-        (RelationEdge, {"frame_index": 3, "subject_id": 1, "relation": "holds", "object_id": 2}),
-    ],
-)
-def test_frozen_constructor_builds_what_the_dataclass_builds(cls, fields):
-    built, made = cls(**fields), _frozen(cls, fields)
-    assert type(made) is cls
-    assert made == built and built == made and hash(made) == hash(built) and repr(made) == repr(built)
-    assert {made, built} == {built}
-    name = next(iter(fields))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(made, name, fields[name])
-    changed = dataclasses.replace(made, **{name: fields[name] * 2})
-    assert changed == cls(**{**fields, name: fields[name] * 2}) and made == built
-    assert dataclasses.astuple(made) == dataclasses.astuple(built)
+RECORDS = [
+    (BoundingBox, {"x_min": 1.0, "y_min": 2.5, "x_max": 3.0, "y_max": 4.0}),
+    (RelationEdge, {"frame_index": 3, "subject_id": 1, "relation": "holds", "object_id": 2}),
+    (FrameRecord, {"frame_index": 1, "timestamp_s": 0.5, "description": "a frame", "source_ref": "v/f1.jpg"}),
+    (EntityEvent, {"entity_id": 2, "start_frame": 0, "end_frame": 4, "summary": "walks"}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_graph_records_are_immutable_hashable_and_replaceable(cls, fields):
+    by_name, by_place = cls(**fields), cls(*fields.values())
+    assert cls._fields == tuple(fields)
+    assert type(by_name) is type(by_place) is cls
+    assert by_name == by_place and hash(by_name) == hash(by_place) and repr(by_name) == repr(by_place)
+    assert {by_name, by_place} == {by_place}
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(by_name, name, value)
+    name, value = next(iter(fields.items()))
+    changed = by_name._replace(**{name: value * 2})
+    assert type(changed) is cls and changed == cls(**{**fields, name: value * 2})
+    assert by_name == by_place and getattr(by_name, name) == value
+    assert tuple(by_name) == tuple(fields.values())
+
+
+def test_a_frame_record_has_no_source_by_default():
+    assert FrameRecord(0, 0.0, "a frame") == FrameRecord(0, 0.0, "a frame", "")
+
+
+def test_a_reloaded_graph_holds_exactly_the_record_types():
+    g = small_graph()
+    again = deserialize(serialize(g))
+    assert {type(f) for f in again.frames} == {FrameRecord}
+    assert {type(n.box) for n in again.nodes} == {BoundingBox}
+    assert {type(n) for n in again.nodes} == {EntityNode}
+    assert {type(e) for e in again.edges} == {RelationEdge}
+    assert {type(ev) for evs in again.events.values() for ev in evs} == {EntityEvent}
+    assert serialize(again) == serialize(g)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +417,7 @@ def test_parse_box_rejects_a_coordinate_that_is_not_finite(raw):
         parse_box(raw, "box")
 
 
-def test_parsed_boxes_and_reloaded_edges_equal_dataclass_built_ones():
+def test_parsed_boxes_and_reloaded_edges_equal_directly_built_ones():
     assert parse_box([1, 2, 3, 4], "box") == BoundingBox(1.0, 2.0, 3.0, 4.0)
     g = small_graph()
     again = deserialize(serialize(g))

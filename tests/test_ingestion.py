@@ -1,7 +1,6 @@
 import json
 import re
 from collections import namedtuple
-from dataclasses import astuple
 from operator import attrgetter
 
 import numpy as np
@@ -53,10 +52,10 @@ def tracks_doc(tracks):
 def documents(observations, tracklets):
     """The observations and tracklets documents of a video's records, lines and tracks in list order."""
     lines = [
-        obs_line(o.frame_index, [(lid, list(astuple(box))) for lid, _, box in o.entities], o.description, o.source_ref)
+        obs_line(o.frame_index, [(lid, list(box)) for lid, _, box in o.entities], o.description, o.source_ref)
         for o in observations
     ]
-    tracks = [(t.track_id, {f: list(astuple(box)) for f, box in t.boxes.items()}) for t in tracklets]
+    tracks = [(t.track_id, {f: list(box) for f, box in t.boxes.items()}) for t in tracklets]
     return "\n".join(lines), tracks_doc(tracks)
 
 
@@ -257,7 +256,7 @@ def test_parse_boxes_agrees_with_parse_box(raws):
     want = []
     for raw in raws:
         try:
-            want.append(astuple(parse_box(raw, "box")))
+            want.append(tuple(parse_box(raw, "box")))
         except MALFORMED:
             break
     boxes, n_ok = parse_boxes(raws)
@@ -448,7 +447,7 @@ def oracle_associate(observations, tracklets, min_iou=0.1, fps=1.0):
         mapping = {}
         if obs.entities and frame_tracks:
             matrix = accel.iou_matrix(
-                [astuple(e[2]) for e in obs.entities], [astuple(b) for _, b in frame_tracks]
+                [tuple(e[2]) for e in obs.entities], [tuple(b) for _, b in frame_tracks]
             )
             pairs = [
                 (matrix[ei, ti], frame_tracks[ti][0], obs.entities[ei][0])

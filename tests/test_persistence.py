@@ -211,7 +211,7 @@ def canonical(descriptions):
 def index_error(saved, text):
     """The ParseError of reading ``saved`` with its index replaced by ``text``."""
     graph, bin_path, idx_path, _ = saved
-    idx_path.write_text(text)
+    idx_path.write_bytes(text.encode())
     with pytest.raises(ParseError) as exc:
         read_embeddings(bin_path, idx_path, graph)
     message = str(exc.value)
@@ -222,7 +222,7 @@ def index_error(saved, text):
 
 def test_the_written_index_is_the_canonical_text(saved):
     graph, bin_path, idx_path, descriptions = saved
-    assert idx_path.read_text() == canonical(descriptions)
+    assert idx_path.read_bytes() == canonical(descriptions).encode()
     assert descriptions == [n.description for n in graph.nodes]
     assert record_rows(read_embeddings(bin_path, idx_path, graph))[0][:3] == (0, 0, "e0f0")
 
@@ -254,6 +254,9 @@ OTHER_INDEXES = {
     "missing line": (lambda ds: canonical(ds[:-1]), 6),
     "extra line": (lambda ds: canonical(ds + ["e0f9"]), 7),
     "empty index": (lambda ds: "", 1),
+    "CRLF line ends": (lambda ds: canonical(ds).replace("\n", "\r\n"), 1),
+    "one CRLF line end": (lambda ds: canonical(ds).replace('"e1f0"\n', '"e1f0"\r\n'), 2),
+    "CR line ends": (lambda ds: canonical(ds).replace("\n", "\r"), 1),
 }
 
 
