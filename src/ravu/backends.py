@@ -2,38 +2,38 @@
 
 Three model roles are used across the pipeline: text generation, multimodal
 answering over frames, and text embedding. Every call site builds a
-:class:`PromptBundle` whose ``user_payload`` follows a small line-oriented
-format per role (see the ``*_payload`` builders below). The mock provider
-parses those payloads and applies fixed deterministic rules, so the whole
-pipeline is testable without network or model weights.
+:class:`PromptBundle` whose ``user_payload`` is written by :func:`_payload`
+and read back by :func:`_read` in one line grammar: ``key: value`` field
+lines, and ``key:`` section lines each followed by its lines, up to the next
+field or section. Keys are ``[a-z_]+``; section lines start with an index or
+a frame number, so free text in them never reads as a key (the ``breakdown``
+examples, which the mock does not read, are the exception). ``item <k>``
+lines separate the node blocks of a batched ``node_description`` payload.
+The mock provider applies fixed deterministic rules to what it reads, so
+the whole pipeline is testable without network or model weights.
 
 Mock rules per role:
 
-- ``frame_graph``: the payload holds one block per frame, its ``frame:``,
-  ``entities:`` and ``description:`` lines. Each ``[Ea] <words> [Eb]``
-  pattern within a sentence of a frame's description becomes a
-  ``frame|a|words|b`` line, frames in payload order.
-- ``node_description``: the payload holds numbered node blocks, each an
-  ``item <k>`` line (``k`` counts from 0) followed by the node's
-  ``entity:`` line, its attribute lines and its ``relations:`` section.
-  Each block gets one ``k|<sentence>`` line, the sentence templated as
-  ``entity <id>: <appearance>; <action>; relations: <rendered edges or
-  'none'>``.
-- ``event_segmentation``: the payload holds a ``states:`` table, one
-  ``k|action|description`` line per distinct state of the run, then a
-  ``frames:`` list of ``frame|k`` lines in frame order. Each frame is
-  resolved to its state; an event boundary falls wherever the action
-  changes between consecutive frames; summary is ``<appearance> <action>``,
-  read from the event's last frame.
-- ``rerank``: candidate with maximum word overlap against the grounding
-  phrase; ties go to the lowest index. Output is the bare index.
-- ``event_analysis``: start frame of the first event whose summary contains
-  every non-stopword query word, else the first event's start frame.
-- ``breakdown``: template lookup keyed by question-prefix patterns.
+- ``frame_graph``: each ``[Ea] <words> [Eb]`` pattern within a sentence of
+  a ``frame`` block's ``description`` becomes a ``frame|a|words|b`` line,
+  frames in payload order.
+- ``node_description``: each block (``entity``, attribute fields and a
+  ``relations`` section) gets one ``k|<sentence>`` line, the sentence
+  templated as ``entity <id>: <appearance>; <action>; relations: <rendered
+  edges or 'none'>``.
+- ``event_segmentation``: each ``frames`` line (``frame|k``) is resolved to
+  its ``states`` line (``k|action|description``); an event boundary falls
+  wherever the action changes between consecutive frames; summary is
+  ``<appearance> <action>``, read from the event's last frame.
+- ``rerank``: the ``candidates`` line with maximum word overlap against
+  ``grounding``; ties go to the lowest index. Output is the bare index.
+- ``event_analysis``: start frame of the first ``events`` line whose summary
+  contains every non-stopword ``question`` word, else the first one's.
+- ``breakdown``: template lookup keyed by ``question``-prefix patterns.
 - ``answer``: option with maximum content-word overlap against the
-  concatenated frame descriptions plus the payload notes line.
-- ``event_select``: the requested number of candidates by content-word
-  overlap with the question, descending, ties to the lowest index.
+  concatenated frame descriptions plus the ``notes`` field.
+- ``event_select``: the ``select`` number of ``candidates`` by content-word
+  overlap with ``question``, descending, ties to the lowest index.
 
 The test hook ``[BLOCK]`` anywhere in a payload raises BlockedContent.
 """
@@ -63,7 +63,6 @@ ROLES = frozenset(
         "event_select",
     }
 )
-FRAME_REF_ROLES = frozenset({"answer", "event_select"})
 
 BLOCK_TOKEN = "[BLOCK]"
 
@@ -80,12 +79,13 @@ STOPWORDS = frozenset(
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-_SECTION_HEADER_RE = re.compile(r"^[a-z_]+:\s*$")
 _SENTENCE_END_RE = re.compile(r"[.!?]")
 _MENTION_RE = re.compile(r"\[E(\d+)\]")
 _APPEARANCE_RE = re.compile(r"entity \d+: ([^;]+);")
 _OPTION_INDEX_RE = re.compile(r"-?\d+")
-_ITEM_RE = re.compile(r"item (\d+)")
+# A field or section line with the line break before it; ``_read`` puts one before the first line.
+_KEY_LINE_RE = re.compile(r"\n([a-z_]+):( ?)(.*)")
+_ITEM_RE = re.compile(r"\nitem (\d+)\n")
 
 
 def words(text: str) -> list[str]:
@@ -108,7 +108,7 @@ class PromptBundle:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        if self.frame_refs is not None and self.role not in FRAME_REF_ROLES:
+        if self.frame_refs is not None and self.role != "answer":
             raise ValueError(f"frame_refs not allowed for role {self.role!r}")
 
 
@@ -128,12 +128,54 @@ def make_bundle(role: str, user_payload: str, frame_refs=None) -> PromptBundle:
 
 
 # ---------------------------------------------------------------------------
-# Payload builders (the caller side of the per-role payload contract)
+# Payloads: the one writer and the one reader, then the per-role builders
+
+
+def _payload(**entries) -> str:
+    """The payload of ``entries`` in order: a list of lines is a ``key:`` section,
+    None is left out, and any other value is a ``key: value`` field."""
+    lines = []
+    for key, value in entries.items():
+        if isinstance(value, list):
+            lines.append(f"{key}:")
+            lines += value
+        elif value is not None:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
+def _read(payload: str) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """The fields and sections of a payload, as :func:`_payload` wrote them; the first field of a key wins.
+
+    One regex scan finds the key lines, so a long section is split in one call, not read line by line.
+    """
+    payload = "\n" + payload
+    fields: dict[str, str] = {}
+    sections: dict[str, list[str]] = {}
+    section = None
+    for m in _KEY_LINE_RE.finditer(payload):
+        if section is not None:  # its lines run up to this key line, each after its line break
+            sections[section] = payload[start : m.start()].split("\n")[1:]
+            section = None
+        key, space, value = m.groups()
+        if space or value:
+            if key not in fields:
+                fields[key] = value
+        else:
+            section, start = key, m.end()
+    if section is not None:
+        sections[section] = payload[start:].split("\n")[1:]
+    return fields, sections
+
+
+def _numbered(texts: list[str]) -> list[str]:
+    return [f"{i}|{text}" for i, text in enumerate(texts)]
+
 
 def frame_graph_payload(frames: list[tuple[int, list[int], str]]) -> str:
     """One block per ``(frame_index, entity_ids, description)``, in the given order."""
     return "\n".join(
-        f"frame: {frame_index}\nentities: {', '.join(map(str, entity_ids))}\ndescription: {description}"
+        _payload(frame=frame_index, entities=", ".join(map(str, entity_ids)), description=description)
         for frame_index, entity_ids, description in frames
     )
 
@@ -144,7 +186,12 @@ def node_description_payload(blocks: list[str]) -> str:
 
 
 def node_block(entity_id: int, attributes: dict[str, str], edges) -> str:
-    """One node's block of a ``node_description`` payload: its entity, attributes and relations."""
+    """One node's block of a ``node_description`` payload: its entity, attributes and relations.
+
+    Written directly, not through :func:`_payload`: attribute keys come from
+    the observations, so one may repeat ``entity`` or ``relations``, which
+    keyword arguments cannot; and a build calls this once per node.
+    """
     lines = [f"entity: {entity_id}"]
     for key in sorted(attributes):
         lines.append(f"{key}: {attributes[key]}")
@@ -158,8 +205,8 @@ def event_segmentation_payload(entity_id: int, rows: list[tuple[int, str, str]])
     """A table of the run's states, then its frames, for rows of (frame_index, action, node_description).
 
     Each distinct ``(action, description)`` pair is one ``k|action|description``
-    line of the ``states:`` section, ``k`` counting from 0 in first-seen
-    order; the ``frames:`` section has one ``frame_index|k`` line per row.
+    line of the ``states`` section, ``k`` counting from 0 in first-seen
+    order; the ``frames`` section has one ``frame_index|k`` line per row.
     """
     state_of: dict[tuple[str, str], str] = {}
     states, frames = [], []
@@ -170,113 +217,27 @@ def event_segmentation_payload(entity_id: int, rows: list[tuple[int, str, str]])
             k = state_of[key] = str(len(states))
             states.append(f"{k}|{action}|{description}")
         frames.append(f"{frame_index}|{k}")
-    return "\n".join([f"entity: {entity_id}", "states:", *states, "frames:", *frames])
+    return _payload(entity=entity_id, states=states, frames=frames)
 
 
 def rerank_payload(grounding: str, candidates: list[str]) -> str:
-    lines = [f"grounding: {grounding}", "candidates:"]
-    for i, c in enumerate(candidates):
-        lines.append(f"{i}|{c}")
-    return "\n".join(lines)
+    return _payload(grounding=grounding, candidates=_numbered(candidates))
 
 
 def event_analysis_payload(question: str, events) -> str:
-    lines = [f"question: {question}", "events:"]
-    for ev in events:
-        lines.append(f"{ev.start_frame}|{ev.end_frame}|{ev.summary}")
-    return "\n".join(lines)
+    return _payload(question=question, events=[f"{ev.start_frame}|{ev.end_frame}|{ev.summary}" for ev in events])
 
 
 def breakdown_payload(question: str, examples_text: str) -> str:
-    return f"question: {question}\nexamples:\n{examples_text}"
+    return _payload(question=question, examples=[examples_text])
 
 
 def answer_payload(question: str, options: list[str], notes: str = "") -> str:
-    lines = [f"question: {question}", "options:"]
-    for i, opt in enumerate(options):
-        lines.append(f"{i}|{opt}")
-    if notes:
-        lines.append(f"notes: {notes}")
-    return "\n".join(lines)
+    return _payload(question=question, options=_numbered(options), notes=notes or None)
 
 
 def event_select_payload(question: str, candidates: list[str], top: int) -> str:
-    lines = [f"question: {question}", f"select: {top}", "candidates:"]
-    for i, c in enumerate(candidates):
-        lines.append(f"{i}|{c}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-
-def _header_value(payload: str, key: str) -> str:
-    return _line_value(payload.splitlines(), key)
-
-
-def _line_value(lines: list[str], key: str) -> str:
-    """The value of the first ``key:`` line, stripped; empty when there is none."""
-    for line in lines:
-        if line.startswith(key + ":"):
-            return line[len(key) + 1 :].strip()
-    return ""
-
-
-def _item_blocks(payload: str) -> list[tuple[str, list[str]]]:
-    """``(k, lines)`` for each ``item <k>`` block of a payload, in order."""
-    blocks: list[tuple[str, list[str]]] = []
-    for line in payload.splitlines():
-        item = _ITEM_RE.fullmatch(line)
-        if item:
-            blocks.append((item.group(1), []))
-        elif blocks:
-            blocks[-1][1].append(line)
-    return blocks
-
-
-def _describe_block(lines: list[str]) -> str:
-    """The mock's sentence for one node block.
-
-    The relation lines are those after the block's last ``relations:``
-    line, since an attribute named ``relations`` comes before it.
-    """
-    entity_id = int(_line_value(lines, "entity"))
-    start = max(i for i, line in enumerate(lines) if line.strip() == "relations:") + 1
-    rendered = []
-    for line in lines[start:]:
-        if not line.strip():
-            continue
-        subj, rel, obj = line.split("|")
-        if int(subj) == entity_id:
-            rendered.append(f"{rel} entity {obj}")
-        else:
-            rendered.append(f"entity {subj} {rel}")
-    relations = ", ".join(rendered) if rendered else "none"
-    appearance, action = _line_value(lines, "appearance"), _line_value(lines, "action")
-    return f"entity {entity_id}: {appearance}; {action}; relations: {relations}"
-
-
-def _section_lines(payload: str, key: str) -> list[str]:
-    lines = payload.splitlines()
-    out: list[str] = []
-    active = False
-    for line in lines:
-        if line.strip() == key + ":":
-            active = True
-            continue
-        if active:
-            if _SECTION_HEADER_RE.match(line.strip()):
-                break
-            if line.strip():
-                out.append(line)
-    return out
-
-
-def _parse_indexed(lines: list[str]) -> list[str]:
-    out = []
-    for line in lines:
-        _, _, rest = line.partition("|")
-        out.append(rest)
-    return out
+    return _payload(question=question, select=top, candidates=_numbered(candidates))
 
 
 class MockBackend:
@@ -326,7 +287,7 @@ class MockBackend:
         if not options:
             raise ValueError("at least one option required")
         context = " ".join(desc for _, _, desc in (bundle.frame_refs or []))
-        notes = _header_value(bundle.user_payload, "notes")
+        notes = _read(bundle.user_payload)[0].get("notes", "")
         haystack = content_words(context) | set(words(notes))
         overlaps = [len(content_words(opt) & haystack) for opt in options]
         best = max(range(len(options)), key=lambda i: (overlaps[i], -i))
@@ -360,16 +321,32 @@ class MockBackend:
         return "\n".join(triples)
 
     def _role_node_description(self, payload: str) -> str:
-        return "\n".join(f"{k}|{_describe_block(lines)}" for k, lines in _item_blocks(payload))
+        blocks = _ITEM_RE.split("\n" + payload)  # the text before item 0, then each k and its block
+        out = []
+        for k, block in zip(blocks[1::2], blocks[2::2]):
+            fields, sections = _read(block)
+            entity_id = int(fields["entity"])
+            rendered = []
+            for line in sections["relations"]:
+                subj, rel, obj = line.split("|")
+                rendered.append(f"{rel} entity {obj}" if int(subj) == entity_id else f"entity {subj} {rel}")
+            appearance, action = fields.get("appearance", "").strip(), fields.get("action", "").strip()
+            out.append(f"{k}|entity {entity_id}: {appearance}; {action}; relations: {', '.join(rendered) or 'none'}")
+        return "\n".join(out)
 
     def _role_event_segmentation(self, payload: str) -> str:
-        lines = payload.splitlines()
-        at = lines.index("frames:")
-        states = [line.split("|", 2)[1:] for line in lines[lines.index("states:") + 1 : at]]
+        _, sections = _read(payload)
+        states = {k: (action, description) for k, action, description in
+                  (line.split("|", 2) for line in sections["states"])}
         events: list[list[str]] = []  # [start, end, action, last description]
-        for line in lines[at + 1 :]:
+        last = None
+        for line in sections["frames"]:
             frame, k = line.split("|")
-            action, description = states[int(k)]
+            if k == last:  # the state of the frame before: its event runs on
+                events[-1][1] = frame
+                continue
+            last = k
+            action, description = states[k]
             if events and events[-1][2] == action:
                 events[-1][1], events[-1][3] = frame, description
             else:
@@ -382,16 +359,18 @@ class MockBackend:
         return "\n".join(out)
 
     def _role_rerank(self, payload: str) -> str:
-        grounding = set(words(_header_value(payload, "grounding")))
-        candidates = _parse_indexed(_section_lines(payload, "candidates"))
+        fields, sections = _read(payload)
+        grounding = set(words(fields["grounding"]))
+        candidates = [line.partition("|")[2] for line in sections["candidates"]]
         overlaps = [len(grounding & set(words(c))) for c in candidates]
         best = max(range(len(candidates)), key=lambda i: (overlaps[i], -i))
         return str(best)
 
     def _role_event_analysis(self, payload: str) -> str:
-        query = content_words(_header_value(payload, "question"))
+        fields, sections = _read(payload)
+        query = content_words(fields["question"])
         events = []
-        for line in _section_lines(payload, "events"):
+        for line in sections["events"]:
             s, e, summary = line.split("|", 2)
             events.append((int(s), int(e), summary))
         if not events:
@@ -402,16 +381,18 @@ class MockBackend:
         return str(events[0][0])
 
     def _role_breakdown(self, payload: str) -> str:
-        question = _header_value(payload, "question")
-        return mock_breakdown(question)
+        # Only the fields above the examples section are read: it is 40-odd lines long.
+        fields, _ = _read(payload.partition("\nexamples:")[0])
+        return mock_breakdown(fields["question"])
 
     def _role_answer(self, payload: str) -> str:  # pragma: no cover - answer() is the entry
         raise MalformedResponse("answer role must go through answer()")
 
     def _role_event_select(self, payload: str) -> str:
-        question = content_words(_header_value(payload, "question"))
-        top = int(_header_value(payload, "select"))
-        candidates = _parse_indexed(_section_lines(payload, "candidates"))
+        fields, sections = _read(payload)
+        question = content_words(fields["question"])
+        top = int(fields["select"])
+        candidates = [line.partition("|")[2] for line in sections["candidates"]]
         ranked = sorted(
             range(len(candidates)),
             key=lambda i: (-len(question & set(words(candidates[i]))), i),

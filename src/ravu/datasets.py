@@ -40,7 +40,7 @@ class LocalizationAnnotation:
             raise ValueError("gt_frames must be non-empty")
 
 
-def _one_line(texts: list[str], name: str, lineno: int) -> None:
+def one_line(texts: list[str], name: str, lineno: int | None = None) -> None:
     """Raise ParseError if any of ``texts`` holds a line break: every backend payload is line-oriented."""
     if any(map(LINE_BREAK.search, texts)):
         raise ParseError(f"line break in {name}", line=lineno, field=name)
@@ -60,8 +60,8 @@ def load_mcq(path: str | Path) -> list[McqItem]:
             )
         except MALFORMED as exc:
             raise ParseError(f"malformed mcq item: {exc}", line=lineno) from exc
-        _one_line([item.question], "question", lineno)
-        _one_line(item.options, "options", lineno)
+        one_line([item.question], "question", lineno)
+        one_line(item.options, "options", lineno)
         items.append(item)
     return items
 
@@ -82,7 +82,7 @@ def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
             )
         except MALFORMED as exc:
             raise ParseError(f"malformed localization item: {exc}", line=lineno) from exc
-        _one_line([item.question], "question", lineno)
+        one_line([item.question], "question", lineno)
         items.append(item)
     return items
 

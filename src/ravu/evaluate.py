@@ -17,7 +17,7 @@ import numpy as np
 from . import backends
 from .backends import make_bundle
 from .config import RavuConfig
-from .datasets import CATEGORIES, LocalizationAnnotation, McqItem
+from .datasets import CATEGORIES, LocalizationAnnotation, McqItem, one_line
 from .errors import BackendError, BlockedContent
 from .graph_builder import BuildReport, build_graph, embed_graph
 from .graph_model import SpatioTemporalGraph
@@ -127,8 +127,10 @@ def retrieve(
     a plan and executed. An empty hierarchical pick falls back to the first
     ``budget`` frames. Each plan step that failed adds a flag naming it.
     Blocked content propagates to the caller, which records the item as
-    blocked.
+    blocked. A question holding a line break raises ParseError before any
+    backend call: every payload is line-oriented.
     """
+    one_line([question], "question")
     graph = assets.graph
     if category == "global" and graph.events:
         frames, fell_back = hierarchical_retrieve(
@@ -151,7 +153,11 @@ def retrieve(
 def answer(
     assets: VideoAssets, question: str, options: list[str], retrieval: Retrieval, backend
 ) -> int:
-    """The backend's choice among ``options``, over the retrieved frames."""
+    """The backend's choice among ``options``, over the retrieved frames; a
+    question or option holding a line break raises ParseError before the
+    backend is asked."""
+    one_line([question], "question")
+    one_line(options, "options")
     frames = assets.graph.frames
     frame_refs = [(f, frames[f].source_ref, frames[f].description) for f in retrieval.frames]
     bundle = make_bundle(

@@ -520,7 +520,8 @@ def _integer_owner(doc: dict) -> str:
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    """The graph a document holds; a malformed document or a line break in a text field raises ParseError."""
+    """The graph a document holds; a malformed document, an event span outside the
+    video, or a line break in a text field raises ParseError."""
     doc = json_object(document, "graph document")
     for key in ("frames", "nodes", "edges", "events", "fps"):
         if key not in doc:
@@ -573,6 +574,12 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         raise ParseError(f"malformed graph document: {exc}") from exc
     except ParseError as exc:  # from ``integer``: a boolean or fractional ID
         raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
+    last = len(frames) - 1
+    for entity_id, evs in events.items():
+        for i, ev in enumerate(evs):
+            if not 0 <= ev.start_frame <= ev.end_frame <= last:  # sampling or validating would expand it
+                raise ParseError(f"event {i} of entity {entity_id}: {ev.start_frame}..{ev.end_frame} is not a span "
+                                 f"of frames 0..{last}", field="end_frame" if ev.end_frame > last else "start_frame")
     graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
     if any(c in document for c in "\\\x85\u2028\u2029"):

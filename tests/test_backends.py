@@ -1,10 +1,14 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ravu import backends
 from ravu.backends import (
+    BLOCK_TOKEN,
     MockBackend,
     PromptBundle,
     RemoteBackend,
@@ -12,10 +16,14 @@ from ravu.backends import (
     make_bundle,
     mock_breakdown,
 )
+from ravu.config import RavuConfig
 from ravu.errors import BackendError, BlockedContent, MalformedResponse, RavuError, Timeout
+from ravu.evaluate import build_video, eval_localization, eval_qa
 from ravu.graph_builder import EmbeddingRecord, build_frame_graph
-from ravu.graph_model import BoundingBox, EntityEvent, EntityNode, FrameRecord, RelationEdge
+from ravu.graph_model import LINE_BREAKS, BoundingBox, EntityEvent, EntityNode, FrameRecord, RelationEdge
 from ravu.index import EmbeddingIndex, rerank
+from ravu.reasoning import load_example_library
+from ravu.synth import make_corpus, synth_world
 
 from conftest import make_columns
 
@@ -25,6 +33,8 @@ def test_bundle_role_validation():
         PromptBundle(role="oracle", system_prompt="", user_payload="")
     with pytest.raises(ValueError, match="frame_refs"):
         PromptBundle(role="rerank", system_prompt="", user_payload="", frame_refs=[])
+    with pytest.raises(ValueError, match="frame_refs"):
+        PromptBundle(role="event_select", system_prompt="", user_payload="", frame_refs=[])
 
 
 def test_system_prompts_exist_for_all_roles():
@@ -423,3 +433,261 @@ def test_localize_with_a_non_finite_embedding_ends_as_a_typed_error(monkeypatch)
 def test_remote_backend_requires_endpoint():
     with pytest.raises(ValueError):
         RemoteBackend("")
+
+
+# ---------------------------------------------------------------------------
+# The payload grammar: one writer, one reader, and the scanners they replaced.
+
+# sha256 over every bundle (role, system prompt, payload, frame refs) and the MockBackend's reply
+# to it, while building, asking every question and localizing every annotation of
+# make_corpus(42, 6, 24, 3, 4) and synth_world(1, 200, 6) with the default config.
+PROMPT_GOLDEN_SHA256 = "c6e6751e7257808a0afc9faa56d57231f401fcbead2c1b08b274dd001741272f"
+
+
+class RecordingBackend:
+    """A MockBackend that hashes every bundle it is sent with its reply."""
+
+    def __init__(self):
+        self.inner = MockBackend()
+        self.digest = hashlib.sha256()
+
+    def _record(self, bundle, reply):
+        fields = (bundle.role, bundle.system_prompt, bundle.user_payload, bundle.frame_refs, reply)
+        self.digest.update(repr(fields).encode())
+        return reply
+
+    def generate(self, bundle):
+        return self._record(bundle, self.inner.generate(bundle))
+
+    def answer(self, bundle, question, options):
+        return self._record(bundle, self.inner.answer(bundle, question, options))
+
+    def embed(self, text):
+        return self.inner.embed(text)
+
+
+def test_prompts_and_mock_replies_match_their_golden_bytes():
+    recording = RecordingBackend()
+    for world in [*make_corpus(42, 6, 24, 3, 4), synth_world(1, 200, 6)]:
+        assets = {world.video_id: build_video(world.observations_text, world.tracklets_text, recording, RavuConfig())}
+        assert eval_qa(world.questions, assets, recording)["errored"] == 0
+        eval_localization(world.loc_annotations, assets, recording)
+    assert recording.digest.hexdigest() == PROMPT_GOLDEN_SHA256
+
+
+LINE = st.text(st.characters(exclude_characters=LINE_BREAKS), max_size=12)
+# Free text, with the shapes that could read as grammar.
+TEXT = st.one_of(
+    LINE,
+    st.builds("{}: {}".format, LINE, LINE),
+    st.sampled_from(["", " ", "relations:", "relations: ", "entity: 1", "item 0", "question: q", " | "]),
+)
+KEY = st.from_regex(r"[a-z_]+", fullmatch=True)
+
+
+@given(st.dictionaries(KEY, st.one_of(LINE, st.lists(LINE.filter(lambda s: not re.match(r"[a-z_]+:", s)), max_size=4))))
+@example({"a": [""], "b": "x"})
+@example({"a": [], "b": [""], "c": []})
+@example({"a": "", "b": [" ", "0|c: d"], "c": " x "})
+def test_read_gives_back_what_payload_wrote(entries):
+    fields = {key: value for key, value in entries.items() if isinstance(value, str)}
+    sections = {key: value for key, value in entries.items() if isinstance(value, list)}
+    assert backends._read(backends._payload(**entries)) == (fields, sections)
+
+
+def old_line_value(lines, key):
+    for line in lines:
+        if line.startswith(key + ":"):
+            return line[len(key) + 1 :].strip()
+    return ""
+
+
+def old_header_value(payload, key):
+    return old_line_value(payload.splitlines(), key)
+
+
+def old_section_lines(payload, key):
+    out, active = [], False
+    for line in payload.splitlines():
+        if line.strip() == key + ":":
+            active = True
+            continue
+        if active:
+            if re.match(r"^[a-z_]+:\s*$", line.strip()):
+                break
+            if line.strip():
+                out.append(line)
+    return out
+
+
+def old_parse_indexed(lines):
+    return [line.partition("|")[2] for line in lines]
+
+
+def old_node_description(payload):
+    blocks = []
+    for line in payload.splitlines():
+        item = re.fullmatch(r"item (\d+)", line)
+        if item:
+            blocks.append((item.group(1), []))
+        elif blocks:
+            blocks[-1][1].append(line)
+    out = []
+    for k, lines in blocks:
+        entity_id = int(old_line_value(lines, "entity"))
+        start = max(i for i, line in enumerate(lines) if line.strip() == "relations:") + 1
+        rendered = []
+        for line in lines[start:]:
+            if not line.strip():
+                continue
+            subj, rel, obj = line.split("|")
+            rendered.append(f"{rel} entity {obj}" if int(subj) == entity_id else f"entity {subj} {rel}")
+        appearance, action = old_line_value(lines, "appearance"), old_line_value(lines, "action")
+        out.append(f"{k}|entity {entity_id}: {appearance}; {action}; relations: {', '.join(rendered) or 'none'}")
+    return "\n".join(out)
+
+
+def old_event_segmentation(payload):
+    lines = payload.splitlines()
+    at = lines.index("frames:")
+    states = [line.split("|", 2)[1:] for line in lines[lines.index("states:") + 1 : at]]
+    events = []
+    for line in lines[at + 1 :]:
+        frame, k = line.split("|")
+        action, description = states[int(k)]
+        if events and events[-1][2] == action:
+            events[-1][1], events[-1][3] = frame, description
+        else:
+            events.append([frame, frame, action, description])
+    out = []
+    for s, e, action, description in events:
+        match = re.match(r"entity \d+: ([^;]+);", description)
+        out.append(f"{s}|{e}|{match.group(1).strip() if match else description} {action}")
+    return "\n".join(out)
+
+
+def old_rerank(payload):
+    grounding = set(backends.words(old_header_value(payload, "grounding")))
+    candidates = old_parse_indexed(old_section_lines(payload, "candidates"))
+    overlaps = [len(grounding & set(backends.words(c))) for c in candidates]
+    return str(max(range(len(candidates)), key=lambda i: (overlaps[i], -i)))
+
+
+def old_event_analysis(payload):
+    query = backends.content_words(old_header_value(payload, "question"))
+    events = []
+    for line in old_section_lines(payload, "events"):
+        s, e, summary = line.split("|", 2)
+        events.append((int(s), int(e), summary))
+    if not events:
+        return "0"
+    for s, _, summary in events:
+        if query and query <= set(backends.words(summary)):
+            return str(s)
+    return str(events[0][0])
+
+
+def old_event_select(payload):
+    question = backends.content_words(old_header_value(payload, "question"))
+    top = int(old_header_value(payload, "select"))
+    candidates = old_parse_indexed(old_section_lines(payload, "candidates"))
+    ranked = sorted(range(len(candidates)), key=lambda i: (-len(question & set(backends.words(candidates[i]))), i))
+    return ", ".join(str(i) for i in ranked[:top])
+
+
+def old_answer(payload, options):
+    haystack = set(backends.words(old_header_value(payload, "notes")))
+    overlaps = [len(backends.content_words(opt) & haystack) for opt in options]
+    return max(range(len(options)), key=lambda i: (overlaps[i], -i))
+
+
+NODE = st.tuples(
+    st.integers(0, 9),
+    st.dictionaries(st.one_of(st.sampled_from(["appearance", "action", "relations", "entity", "appearance:x"]), TEXT), TEXT),
+    st.lists(st.builds(RelationEdge, st.just(0), st.integers(0, 9), TEXT, st.integers(0, 9)), max_size=3),
+)
+NUMBERED = st.lists(TEXT, max_size=5)
+INDEX = st.integers(0, 99)
+
+# role: (argument strategy, the builder, the builder as it was, the mock rule as it was)
+OLD_RULES = {
+    "node_description": (
+        st.tuples(st.lists(NODE, max_size=3)),
+        lambda nodes: backends.node_description_payload([backends.node_block(*node) for node in nodes]),
+        None,
+        old_node_description,
+    ),
+    "event_segmentation": (
+        st.tuples(INDEX, st.lists(st.tuples(INDEX, TEXT, TEXT), max_size=8)),
+        backends.event_segmentation_payload,
+        None,
+        old_event_segmentation,
+    ),
+    "rerank": (
+        st.tuples(TEXT, NUMBERED),
+        backends.rerank_payload,
+        lambda grounding, candidates: "\n".join(
+            [f"grounding: {grounding}", "candidates:", *(f"{i}|{c}" for i, c in enumerate(candidates))]
+        ),
+        old_rerank,
+    ),
+    "event_analysis": (
+        st.tuples(TEXT, st.lists(st.builds(EntityEvent, st.just(0), INDEX, INDEX, TEXT), max_size=4)),
+        backends.event_analysis_payload,
+        lambda question, events: "\n".join(
+            [f"question: {question}", "events:", *(f"{ev.start_frame}|{ev.end_frame}|{ev.summary}" for ev in events)]
+        ),
+        old_event_analysis,
+    ),
+    "breakdown": (
+        st.tuples(TEXT, st.one_of(st.text(max_size=40), st.just("\n\n".join(load_example_library())))),
+        backends.breakdown_payload,
+        lambda question, examples_text: f"question: {question}\nexamples:\n{examples_text}",
+        lambda payload: mock_breakdown(old_header_value(payload, "question")),
+    ),
+    "event_select": (
+        st.tuples(TEXT, NUMBERED, st.integers(0, 6)),
+        backends.event_select_payload,
+        lambda question, candidates, top: "\n".join(
+            [f"question: {question}", f"select: {top}", "candidates:", *(f"{i}|{c}" for i, c in enumerate(candidates))]
+        ),
+        old_event_select,
+    ),
+    "frame_graph": (
+        st.tuples(st.lists(st.tuples(INDEX, st.lists(INDEX, max_size=3), TEXT), max_size=3)),
+        backends.frame_graph_payload,
+        lambda frames: "\n".join(
+            f"frame: {f}\nentities: {', '.join(map(str, ids))}\ndescription: {d}" for f, ids, d in frames
+        ),
+        None,
+    ),
+}
+
+
+def outcome(call):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("role", sorted(OLD_RULES))
+@given(data=st.data())
+def test_builders_and_mock_rules_agree_with_the_scanners_they_replaced(role, data):
+    arguments, build, old_build, old_rule = OLD_RULES[role]
+    args = data.draw(arguments)
+    payload = build(*args)
+    if old_build is not None:
+        assert payload == old_build(*args)
+    if old_rule is not None and BLOCK_TOKEN not in payload:
+        assert outcome(lambda: MockBackend().generate(make_bundle(role, payload))) == outcome(lambda: old_rule(payload))
+
+
+@given(TEXT, st.lists(TEXT, min_size=1, max_size=4), TEXT)
+def test_answer_rule_agrees_with_the_scanner_it_replaced(question, options, notes):
+    payload = backends.answer_payload(question, options, notes)
+    old_payload = "\n".join([f"question: {question}", "options:", *(f"{i}|{o}" for i, o in enumerate(options))])
+    assert payload == (f"{old_payload}\nnotes: {notes}" if notes else old_payload)
+    if BLOCK_TOKEN not in payload:
+        assert MockBackend().answer(make_bundle("answer", payload, []), question, options) == old_answer(payload, options)

@@ -61,6 +61,37 @@ def test_answer_question_is_retrieve_then_answer(world, assets, backend):
         assert (retrieval.plan is None) == (item.category == "global")
 
 
+class Unasked:
+    """A backend that fails the test if it is asked anything."""
+
+    def generate(self, bundle):
+        raise AssertionError(f"asked {bundle.role}")
+
+    def answer(self, bundle, question, options):
+        raise AssertionError("asked answer")
+
+    def embed(self, text):
+        raise AssertionError("asked embed")
+
+
+@pytest.mark.parametrize("category", ["temporal", "global"])
+def test_retrieve_and_answer_refuse_a_line_break_before_asking_the_backend(category):
+    world = synth_world(1, 24, 3)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    item = next(q for q in world.questions if q.category == category)
+    broken = item.question.replace(" ", "\n", 1)
+    with pytest.raises(ParseError, match="^line break in question$") as exc:
+        retrieve(assets, broken, category, Unasked())
+    assert exc.value.field == "question"
+    retrieval = retrieve(assets, item.question, category, MockBackend())
+    with pytest.raises(ParseError, match="^line break in question$"):
+        answer(assets, broken, item.options, retrieval, Unasked())
+    options = [*item.options[:-1], f"{item.options[-1]}\nnotes: {item.options[0]}"]
+    with pytest.raises(ParseError, match="^line break in options$") as exc:
+        answer(assets, item.question, options, retrieval, Unasked())
+    assert exc.value.field == "options"
+
+
 def test_retrieve_global_without_events_breaks_down(assets, backend):
     graph = copy.copy(assets.graph)
     graph.events = {}

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -289,6 +290,25 @@ def test_deserialize_bad_json_reports_line():
     with pytest.raises(ParseError) as exc:
         deserialize('{\n  "frames": [,]\n}')
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "start, end, field, message",
+    [
+        (0, 10**12, "end_frame", "0..1000000000000 is not a span of frames 0..23"),
+        (0, 24, "end_frame", "0..24 is not a span of frames 0..23"),
+        (-1, 3, "start_frame", "-1..3 is not a span of frames 0..23"),
+        (5, 3, "start_frame", "5..3 is not a span of frames 0..23"),
+    ],
+)
+def test_deserialize_rejects_an_event_span_outside_the_video(assets, start, end, field, message):
+    doc = json.loads(serialize(assets.graph))
+    events = doc["events"]["0"]
+    assert len(doc["frames"]) == 24 and deserialize(json.dumps(doc)).events == assets.graph.events
+    events[-1].update(start_frame=start, end_frame=end)
+    with pytest.raises(ParseError, match=f"^event {len(events) - 1} of entity 0: {message}$") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == field
 
 
 def test_deserialize_invalid_box():
