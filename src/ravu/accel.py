@@ -40,23 +40,6 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return iou_rows(a[:, None, :], b[None, :, :])
 
 
-# Rows per block of ``norms``: 512 rows of 256 float64s is a 1 MB temporary.
-NORM_BLOCK = 512
-
-
-def norms(matrix: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(matrix, axis=1)``, bit for bit: the same squares, row
-    sums and square roots, computed ``NORM_BLOCK`` rows at a time so that the
-    squares never take a second full-size matrix.
-    """
-    mat = np.ascontiguousarray(matrix, dtype=np.float64)
-    out = np.empty(len(mat), dtype=np.float64)
-    for start in range(0, len(mat), NORM_BLOCK):
-        block = mat[start:start + NORM_BLOCK]
-        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + NORM_BLOCK])
-    return out
-
-
 def cosine_scores(
     matrix: np.ndarray, query: np.ndarray, row_norms: np.ndarray | None = None
 ) -> np.ndarray:
@@ -69,9 +52,9 @@ def cosine_scores(
     each distinct vector once and gives every row that shares it the same
     score, so its duplicate rows are exact ties by construction; a matrix
     with repeated rows passed here directly still relies on the
-    quantization. ``row_norms``, when given, must equal ``norms(matrix)``;
-    an index passes the norms it computed once instead of recomputing
-    them per query.
+    quantization. ``row_norms``, when given, must equal
+    ``np.linalg.norm(matrix, axis=1)``; an index passes the norms it
+    computed once instead of recomputing them per query.
     """
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     q = np.ascontiguousarray(query, dtype=np.float64)
@@ -79,7 +62,7 @@ def cosine_scores(
     qn = float(np.linalg.norm(q))
     if qn == 0.0 or mat.shape[0] == 0:
         return out
-    rn = norms(mat) if row_norms is None else row_norms
+    rn = np.linalg.norm(mat, axis=1) if row_norms is None else row_norms
     dots = mat @ q
     np.divide(dots, rn * qn, out=out, where=rn > 0.0)
     return np.round(out, 9)

@@ -50,6 +50,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import BackendError, BlockedContent, MalformedResponse, Timeout
+from .graph_model import MENTION, SENTENCE_END
 
 ROLES = frozenset(
     {
@@ -79,8 +80,6 @@ STOPWORDS = frozenset(
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-_SENTENCE_END_RE = re.compile(r"[.!?]")
-_MENTION_RE = re.compile(r"\[E(\d+)\]")
 _APPEARANCE_RE = re.compile(r"entity \d+: ([^;]+);")
 _OPTION_INDEX_RE = re.compile(r"-?\d+")
 # A field or section line with the line break before it; ``_read`` puts one before the first line.
@@ -311,8 +310,8 @@ class MockBackend:
                 continue
             if not line.startswith("description:"):
                 continue
-            for sentence in _SENTENCE_END_RE.split(line[len("description:") :].strip()):
-                mentions = list(_MENTION_RE.finditer(sentence))
+            for sentence in SENTENCE_END.split(line[len("description:") :].strip()):
+                mentions = list(MENTION.finditer(sentence))
                 for left, right in zip(mentions, mentions[1:]):
                     between = sentence[left.end() : right.start()]
                     relation = " ".join(words(between))

@@ -44,15 +44,12 @@ def make_backend(cfg: RavuConfig):
 
 
 def _load_graph(path: str) -> SpatioTemporalGraph:
-    """The graph document at ``path``; a malformed one, or one listing a node twice, ends the command."""
+    """The graph document at ``path``; one that ``deserialize`` refuses ends the command."""
     text = read_document(path)
     try:
-        graph = graph_model.deserialize(text)
+        return graph_model.deserialize(text)
     except RavuError as exc:
         raise click.ClickException(f"{path}: {exc}")
-    for entity_id, frame_index in graph_model.repeated_nodes(graph.nodes):
-        raise click.ClickException(f"{path}: graph lists node entity {entity_id} frame {frame_index} twice")
-    return graph
 
 
 def _load_corpus(corpus_dir: str, cfg: RavuConfig, backend) -> dict[str, VideoAssets]:

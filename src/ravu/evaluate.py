@@ -18,7 +18,7 @@ from . import backends
 from .backends import make_bundle
 from .config import RavuConfig
 from .datasets import CATEGORIES, LocalizationAnnotation, McqItem, one_line
-from .errors import BackendError, BlockedContent
+from .errors import BackendError, BlockedContent, ParseError
 from .graph_builder import BuildReport, build_graph, embed_graph
 from .graph_model import SpatioTemporalGraph
 from .index import EmbeddingIndex
@@ -175,7 +175,9 @@ def answer_question(
     per_event: int = 3,
     max_retries: int = 2,
 ) -> AnswerAudit:
-    """``retrieve`` frames for the item's question, then ``answer`` it."""
+    """``retrieve`` frames for the item's question, then ``answer`` it; a question or
+    option holding a line break raises ParseError before any backend call."""
+    one_line(item.options, "options")  # ``retrieve`` checks the question before its first call
     retrieval = retrieve(
         assets, item.question, item.category, backend, budget=budget, top_k=top_k,
         per_event=per_event, max_retries=max_retries,
@@ -197,9 +199,10 @@ def eval_qa(
     """Accuracy by category and overall, in both blocked-content modes.
 
     ``non_blocked`` excludes blocked items; ``overall`` counts them as
-    incorrect. Items whose video has no graph, and items whose backend
-    call failed otherwise (timeout, malformed reply), are counted as
-    ``errored`` and excluded from both accuracies. ``mean_prompt_tokens``
+    incorrect. Items whose video has no graph, items whose question or
+    options hold a line break, and items whose backend call failed
+    otherwise (timeout, malformed reply), are counted as ``errored`` and
+    excluded from both accuracies. ``mean_prompt_tokens``
     averages the prompt tokens spent on every item whose video has a
     graph, up to the failing call for a blocked or errored one; items
     without a graph make no backend call and are left out of it.
@@ -220,7 +223,7 @@ def eval_qa(
                 assets, item, counting, budget=cfg.budget, top_k=cfg.top_k,
                 per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
             )
-        except BackendError as exc:
+        except (BackendError, ParseError) as exc:  # ParseError: refused before any backend call
             status = "blocked" if isinstance(exc, BlockedContent) else "errored"
             rows.append({"item": item, "status": status, "tokens": counting.tokens, "frames": []})
             continue

@@ -10,7 +10,6 @@ them, and ``read_embeddings`` loads them back against their graph.
 
 from __future__ import annotations
 
-import re
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -24,6 +23,8 @@ from . import backends
 from .backends import generate_items_with_retries, generate_with_retries, make_bundle
 from .errors import BackendError, MalformedResponse, ParseError, read_document
 from .graph_model import (
+    MENTION,
+    SENTENCE_END,
     EntityEvent,
     EntityNode,
     FrameRecord,
@@ -31,7 +32,6 @@ from .graph_model import (
     SpatioTemporalGraph,
     entity_timeline,
     node_edges,
-    repeated_nodes,
 )
 
 
@@ -107,13 +107,9 @@ def _triples(lines: list[list[str]]) -> list[tuple[int, str, int]]:
     return triples
 
 
-_SENTENCE_END = re.compile(r"[.!?]")
-_MENTION = re.compile(r"\[E\d+\]")
-
-
 def _has_comention(description: str) -> bool:
-    for sentence in _SENTENCE_END.split(description):
-        if len(_MENTION.findall(sentence)) >= 2:
+    for sentence in SENTENCE_END.split(description):
+        if len(MENTION.findall(sentence)) >= 2:
             return True
     return False
 
@@ -226,15 +222,13 @@ def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) ->
 
 
 def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray]:
-    """``(entities, frames, descriptions, firsts, vector_of)`` of the graph's nodes in (frame, entity) order.
+    """``(entities, frames, descriptions, firsts, vector_of)`` of the graph's nodes, in its (frame, entity) order.
 
     ``firsts`` holds the first node of each distinct description, in
     first-seen order, and ``vector_of`` each node's description number, so
     node ``firsts[vector_of[i]]`` is the first with node ``i``'s
-    description. This is the one node order of ``embed_graph``,
-    ``write_embeddings`` and ``read_embeddings``. A node listed twice, or an
-    entity ID or frame index outside int64, raises ParseError naming the
-    node.
+    description. An entity ID or frame index outside int64 raises
+    ParseError naming the node.
     """
     nodes = graph.nodes
     try:
@@ -243,11 +237,6 @@ def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, l
     except OverflowError:
         node = next(n for n in nodes if not all(-(2**63) <= v < 2**63 for v in (n.entity_id, n.frame_index)))
         raise ParseError(f"node entity {node.entity_id} frame {node.frame_index} has an ID outside int64") from None
-    order = np.lexsort((entities, frames))
-    if (order != np.arange(len(nodes))).any():
-        entities, frames, nodes = entities[order], frames[order], [nodes[i] for i in order.tolist()]
-    if ((entities[1:] == entities[:-1]) & (frames[1:] == frames[:-1])).any():
-        raise ParseError("graph lists node entity %s frame %s twice" % next(repeated_nodes(nodes)))
     descriptions = [n.description or "" for n in nodes]
     first: dict[str, int] = {}
     owner = np.fromiter((first.setdefault(d, i) for i, d in enumerate(descriptions)), dtype=np.intp, count=len(nodes))

@@ -11,8 +11,12 @@ The records ``BoundingBox``, ``RelationEdge``, ``FrameRecord`` and
 is a dataclass, since ``build_graph`` fills in each node's description.
 Graphs are immutable by convention after construction and safe for
 concurrent reads; no mutation API is provided beyond building the fields.
-The lookups (``nodes_in_frame``, ``entity_ids`` and ``entity_timeline``)
-read tables built from ``nodes`` on first use. ``node_edges`` reads a table
+A graph holds its nodes in (frame, entity) order, each key
+``(entity_id, frame_index)`` once: assigning ``nodes`` keeps a list already
+in that order as it is and sorts any other stably, and a key listed twice
+raises ValueError. Every reader relies on that order. The lookups
+(``nodes_in_frame``, ``entity_ids`` and ``entity_timeline``) read tables
+built from ``nodes`` on first use. ``node_edges`` reads a table
 of ``edges`` built at its own first use, and ``entity_descriptions`` a
 table of each entity's distinct node descriptions, built at its own first
 use (the first count question), so node descriptions must be final by
@@ -30,7 +34,7 @@ from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +45,9 @@ REQUIRED_ATTRIBUTES = ("appearance", "action", "body_pose")
 # What ``str.splitlines`` splits at: every backend payload is line-oriented.
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
+# An entity mention in description text, its ID the group, and what ends a sentence.
+MENTION = re.compile(r"\[E(\d+)\]")
+SENTENCE_END = re.compile(r"[.!?]")
 
 
 class BoundingBox(NamedTuple):
@@ -101,6 +108,7 @@ class SpatioTemporalGraph:
 
     def __setattr__(self, name, value):
         if name == "nodes":
+            value = _in_node_order(value)
             self.__dict__.pop("_lookup", None)
         if name in ("nodes", "edges"):
             self.__dict__.pop("_edges_at", None)
@@ -138,12 +146,31 @@ class SpatioTemporalGraph:
         return list(self._lookup.by_frame.get(frame_index, ()))
 
 
+_NODE_KEY = attrgetter("frame_index", "entity_id")
+
+
+def _in_node_order(nodes: list[EntityNode]) -> list[EntityNode]:
+    """``nodes`` itself if its keys ascend strictly in (frame, entity) order, else a stably sorted copy.
+
+    A key listed twice raises ValueError naming the first repeated key in that order.
+    """
+    keys = list(map(_NODE_KEY, nodes))
+    if all(map(lt, keys, keys[1:])):
+        return nodes
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            frame_index, entity_id = keys[i]
+            raise ValueError(f"graph lists node entity {entity_id} frame {frame_index} twice")
+    return [nodes[i] for i in order]
+
+
 class _Lookup:
     """Tables derived from a graph's nodes, built in one pass.
 
-    ``by_frame``: nodes per frame, sorted by entity. ``timeline``: nodes per
-    entity (keys in entity order), sorted by frame. Sorts are stable, so
-    ties keep node-list order.
+    ``by_frame``: nodes per frame, in entity order. ``timeline``: nodes per
+    entity (keys in entity order), in frame order. Both orders are the
+    graph's node order.
 
     ``descriptions`` is built at its first use, not here: ``build_graph``
     makes the lookup before it assigns node descriptions.
@@ -155,10 +182,6 @@ class _Lookup:
         for n in nodes:
             by_frame.setdefault(n.frame_index, []).append(n)
             timeline.setdefault(n.entity_id, []).append(n)
-        for out in by_frame.values():
-            out.sort(key=lambda n: n.entity_id)
-        for out in timeline.values():
-            out.sort(key=lambda n: n.frame_index)
         self.by_frame = by_frame
         self.timeline = dict(sorted(timeline.items()))
 
@@ -198,10 +221,9 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
 
     Violations are data, not errors: callers decide whether to raise.
     The ``line-break`` rule reports ``line_break_fields``, which ``deserialize``
-    raises from, and the ``duplicate-node`` rule ``repeated_nodes``.
+    raises from. No rule looks for a repeated node: a graph cannot hold one.
     """
     out = [Violation("line-break", f"{owner} {name}") for owner, name in line_break_fields(graph)]
-    out += [Violation("duplicate-node", f"entity {e} frame {f}") for e, f in repeated_nodes(graph.nodes)]
     # A NaN fails the comparison too, and JSON has no token for NaN or infinity.
     if not (0 < graph.fps < inf):
         out.append(Violation("fps-finite", f"fps {graph.fps}"))
@@ -221,6 +243,8 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     for node in graph.nodes:
         nodes_by_frame.setdefault(node.frame_index, set()).add(node.entity_id)
         appearance.setdefault(node.entity_id, set()).add(node.frame_index)
+        if not 0 <= node.frame_index < len(graph.frames):
+            out.append(Violation("node-frame-unknown", f"entity {node.entity_id} frame {node.frame_index}"))
         if not node.box.is_valid():
             out.append(Violation("box-invalid", f"entity {node.entity_id} frame {node.frame_index}"))
         for attr in REQUIRED_ATTRIBUTES:
@@ -270,16 +294,6 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
                 out.append(Violation("event-coverage", f"entity {entity_id} frames {sorted(missing)}"))
 
     return out
-
-
-def repeated_nodes(nodes: list[EntityNode]) -> Iterator[tuple[int, int]]:
-    """Each ``(entity_id, frame_index)`` key of ``nodes`` that an earlier node already holds, in list order."""
-    seen: set[tuple[int, int]] = set()
-    for n in nodes:
-        key = (n.entity_id, n.frame_index)
-        if key in seen:
-            yield key
-        seen.add(key)
 
 
 def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
@@ -420,17 +434,18 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     """Canonical JSON document: equal graphs serialize byte-identically.
 
     Keys are sorted and nested two spaces deep; frames are ordered by index,
-    nodes by (frame, entity), edges by (frame, subject, object, relation)
-    and each entity's events by start frame. Int and string fields must
-    hold ints and strings, as the fields declare, or TypeError is raised;
-    float fields take what ``float()`` takes.
+    nodes as the graph holds them, in (frame, entity) order, edges by
+    (frame, subject, object, relation) and each entity's events by start
+    frame. Int and string fields must hold ints and strings, as the fields
+    declare, or TypeError is raised; float fields take what ``float()``
+    takes.
     """
     frames = [
         _FRAME % (_str(f.description), _int(f.frame_index), _str(f.source_ref), _float(f.timestamp_s))
         for f in sorted(graph.frames, key=attrgetter("frame_index"))
     ]
     attribute_blocks: dict[tuple, str] = {}
-    nodes = [_node(n, attribute_blocks) for n in sorted(graph.nodes, key=attrgetter("frame_index", "entity_id"))]
+    nodes = [_node(n, attribute_blocks) for n in graph.nodes]
     edges = [
         _EDGE % (_int(e.frame_index), _int(e.object_id), _str(e.relation), _int(e.subject_id))
         for e in sorted(graph.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))
@@ -520,8 +535,9 @@ def _integer_owner(doc: dict) -> str:
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    """The graph a document holds; a malformed document, an event span outside the
-    video, or a line break in a text field raises ParseError."""
+    """The graph a document holds; a malformed document, a node listed twice or outside
+    the video's frames, an event span outside them, or a line break in a text field
+    raises ParseError."""
     doc = json_object(document, "graph document")
     for key in ("frames", "nodes", "edges", "events", "fps"):
         if key not in doc:
@@ -574,13 +590,21 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         raise ParseError(f"malformed graph document: {exc}") from exc
     except ParseError as exc:  # from ``integer``: a boolean or fractional ID
         raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
+    try:
+        graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
+    except ValueError as exc:  # a node listed twice
+        raise ParseError(str(exc), field="nodes") from None
     last = len(frames) - 1
+    # In the graph's node order the first node holds the lowest frame and the last the highest.
+    for n in graph.nodes[:1] + graph.nodes[-1:]:
+        if not 0 <= n.frame_index <= last:
+            raise ParseError(f"node entity {n.entity_id} frame {n.frame_index} is not in frames 0..{last}",
+                             field="frame_index")
     for entity_id, evs in events.items():
         for i, ev in enumerate(evs):
             if not 0 <= ev.start_frame <= ev.end_frame <= last:  # sampling or validating would expand it
                 raise ParseError(f"event {i} of entity {entity_id}: {ev.start_frame}..{ev.end_frame} is not a span "
                                  f"of frames 0..{last}", field="end_frame" if ev.end_frame > last else "start_frame")
-    graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
     if any(c in document for c in "\\\x85\u2028\u2029"):
         for owner, name in line_break_fields(graph):

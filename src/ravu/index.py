@@ -91,7 +91,7 @@ class EmbeddingIndex:
         self.vectors, self.vector_of = columns.vectors, columns.vector_of
         self.frames, self.entities, self.descriptions = columns.frames, columns.entities, columns.descriptions
         n = len(columns)
-        self._norms = accel.norms(self.vectors)
+        self._norms = np.linalg.norm(self.vectors, axis=1)
         # Rows by (entity, frame); lexsort is stable, so equal keys keep row order.
         self._by_entity = np.lexsort((self.frames, self.entities))
         # Frames in that order, as a list for ``bisect``, and each entity's slice of it.

@@ -20,7 +20,6 @@ association they reference the consistent ID.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -30,9 +29,7 @@ import numpy as np
 
 from . import accel
 from .errors import MALFORMED, ParseError, integer, json_object, json_objects
-from .graph_model import LINE_BREAK, BoundingBox, EntityNode, FrameRecord, parse_box, parse_boxes
-
-MENTION_RE = re.compile(r"\[E(\d+)\]")
+from .graph_model import LINE_BREAK, MENTION, BoundingBox, EntityNode, FrameRecord, parse_box, parse_boxes
 
 
 @dataclass(eq=False)
@@ -236,7 +233,7 @@ def parse_tracklets(document: str) -> Tracklets:
 
 def _rewrite_mentions(text: str, mapping: dict[int, int]) -> str:
     """``text`` with every ``[E<local>]`` mention of a mapped local ID rewritten to its entity ID."""
-    parts = MENTION_RE.split(text)  # text, digits, text, digits, ..., text
+    parts = MENTION.split(text)  # text, digits, text, digits, ..., text
     if len(parts) > 1:
         tokens = {str(local): f"[E{entity}]" for local, entity in mapping.items()}
         parts[1::2] = [tokens.get(digits) or _mention(digits, mapping) for digits in parts[1::2]]

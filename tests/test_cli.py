@@ -280,6 +280,38 @@ def test_embed_and_events_on_a_graph_that_lists_a_node_twice_are_clean(built, tm
     assert not out.exists()
 
 
+def test_a_graph_with_its_nodes_reversed_gives_the_same_events_and_embeddings(built, tmp_path):
+    graph, _ = built
+    doc = json.loads(graph.read_text())
+    doc["nodes"].reverse()
+    reversed_graph = tmp_path / "reversed.json"
+    reversed_graph.write_text(json.dumps(doc))
+    outputs = []
+    for path, out in ((graph, tmp_path / "a.bin"), (reversed_graph, tmp_path / "b.bin")):
+        events = CliRunner().invoke(main, ["events", "--graph", str(path)])
+        embed = CliRunner().invoke(main, ["embed", "--graph", str(path), "--out", str(out)])
+        assert events.exit_code == embed.exit_code == 0, events.output + embed.output
+        index = out.parent / f"{out.name}.index.jsonl"
+        outputs.append((events.output, out.read_bytes(), index.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["embed", "events"])
+def test_a_graph_with_a_node_past_the_last_frame_is_clean(built, tmp_path, command):
+    graph, _ = built
+    doc = json.loads(graph.read_text())
+    node = doc["nodes"][-1]
+    last = len(doc["frames"]) - 1
+    node["frame_index"] = last + 1
+    moved = tmp_path / "graph.json"
+    moved.write_text(json.dumps(doc))
+    out = tmp_path / "out.bin"
+    args = [command, "--graph", str(moved)] + (["--out", str(out)] if command == "embed" else [])
+    result = CliRunner().invoke(main, args)
+    assert_clean_error(result, f"node entity {node['entity_id']} frame {last + 1} is not in frames 0..{last}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("category", ["global", "temporal"])
 def test_ask_with_another_embedding_dimension_is_clean(built, category):
     graph, emb = built

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 
@@ -276,6 +277,26 @@ def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
     others_tokens = round(want["mean_prompt_tokens"] * len(others))
     mean = (others_tokens + counting.tokens) / len(world.questions)
     assert report["mean_prompt_tokens"] == mean
+    assert {**report, "errored": 0, "mean_prompt_tokens": 0} == {**want, "mean_prompt_tokens": 0}
+
+
+@pytest.mark.parametrize("field", ["question", "options"])
+def test_eval_qa_records_an_item_with_a_line_break_as_errored_before_asking(field):
+    world = synth_world(1, 24, 3)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    first, *others = world.questions
+    assert len(others) == 3
+    if field == "question":
+        broken = dataclasses.replace(first, question=first.question.replace(" ", "\n", 1))
+    else:
+        broken = dataclasses.replace(first, options=[*first.options[:-1], first.options[-1] + "\n"])
+    with pytest.raises(ParseError, match=f"^line break in {field}$"):
+        answer_question(assets, broken, Unasked())
+    report = eval_qa([broken, *others], {world.video_id: assets}, MockBackend())
+    want = eval_qa(others, {world.video_id: assets}, MockBackend())
+    assert report["errored"] == 1 and report["overall"]["items"] == 3
+    # The refused item spent no prompt tokens, and counts in the mean as 0.
+    assert report["mean_prompt_tokens"] == pytest.approx(want["mean_prompt_tokens"] * 3 / 4)
     assert {**report, "errored": 0, "mean_prompt_tokens": 0} == {**want, "mean_prompt_tokens": 0}
 
 

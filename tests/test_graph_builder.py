@@ -250,18 +250,37 @@ def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
     assert "entity 1: red fox; running" in index_error(bin_path, idx_path, graph, 2)
 
 
-def test_read_embeddings_rejects_a_graph_that_lists_a_node_twice(tmp_path, backend):
+def test_a_graph_that_lists_a_node_twice_is_neither_made_nor_loaded(backend):
     world = synth_world(1, 24, 3)
     assets = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig())
-    bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
-    write_embeddings(embed_graph(assets.graph, backend), bin_path, idx_path)
     graph = graph_model.deserialize(graph_model.serialize(assets.graph))
     first = graph.nodes[0]
     copy = EntityNode(first.entity_id, first.frame_index, dict(first.attributes), first.box,
                       "a purple elephant juggling")
-    graph.nodes = graph.nodes + [copy]
-    with pytest.raises(ParseError, match=f"lists node entity {first.entity_id} frame 0 twice"):
-        read_embeddings(bin_path, idx_path, graph)
+    message = f"^graph lists node entity {first.entity_id} frame 0 twice$"
+    with pytest.raises(ValueError, match=message):
+        graph.nodes = graph.nodes + [copy]
+    doc = json.loads(graph_model.serialize(graph))
+    doc["nodes"].append({**doc["nodes"][0], "description": copy.description})
+    with pytest.raises(ParseError, match=message):
+        graph_model.deserialize(json.dumps(doc))
+
+
+def test_embedding_a_shuffled_node_list_equals_embedding_the_sorted_one(tmp_path, backend):
+    world = synth_world(1, 24, 3)
+    graph = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig()).graph
+    shuffled = list(graph.nodes)
+    np.random.default_rng(3).shuffle(shuffled)
+    assert shuffled != graph.nodes
+    reloaded = SpatioTemporalGraph(frames=graph.frames, nodes=shuffled, edges=graph.edges, events=graph.events)
+    files = []
+    for name, g in (("sorted", graph), ("shuffled", reloaded)):
+        columns = embed_graph(g, backend)
+        bin_path, idx_path = tmp_path / f"{name}.bin", tmp_path / f"{name}.idx"
+        write_embeddings(columns, bin_path, idx_path)
+        read = read_embeddings(bin_path, idx_path, g)
+        files.append((record_rows(columns), bin_path.read_bytes(), idx_path.read_bytes(), record_rows(read)))
+    assert files[0] == files[1]
 
 
 def test_write_embeddings_is_byte_stable(tmp_path, backend):

@@ -45,6 +45,11 @@ def small_graph():
     return SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events)
 
 
+def node_at(g, entity_id, frame_index):
+    """The node of ``g`` with the key (entity_id, frame_index)."""
+    return next(n for n in g.nodes if (n.entity_id, n.frame_index) == (entity_id, frame_index))
+
+
 def test_bounding_box_validity():
     assert box().is_valid()
     assert not BoundingBox(5, 0, 5, 10).is_valid()  # zero width
@@ -87,8 +92,40 @@ def test_non_finite_or_non_positive_fps_checked(fps):
 
 def test_duplicate_node_detected():
     g = small_graph()
-    g.nodes.append(EntityNode(0, 0, dict(ATTRS), box()))
-    assert any(v.rule == "duplicate-node" for v in validate(g))
+    nodes = g.nodes
+    with pytest.raises(ValueError, match="^graph lists node entity 0 frame 0 twice$"):
+        g.nodes = nodes + [EntityNode(0, 0, dict(ATTRS), box())]
+    assert g.nodes is nodes
+    doc = json.loads(serialize(g))
+    doc["nodes"].append({**doc["nodes"][0], "description": "a purple elephant juggling"})
+    with pytest.raises(ParseError, match="^graph lists node entity 0 frame 0 twice$") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == "nodes"
+
+
+@pytest.mark.parametrize("frame", [-1, 2, 10**6])
+def test_a_node_outside_the_video_frames_is_refused(frame):
+    g = small_graph()
+    g.nodes = g.nodes + [EntityNode(2, frame, dict(ATTRS), box())]
+    assert validate(g) == [Violation("node-frame-unknown", f"entity 2 frame {frame}")]
+    with pytest.raises(ParseError, match=f"^node entity 2 frame {frame} is not in frames 0..1$") as exc:
+        deserialize(serialize(g))
+    assert exc.value.field == "frame_index"
+
+
+def test_a_built_graph_cut_short_is_refused(assets):
+    doc = json.loads(serialize(assets.graph))
+    doc["frames"] = doc["frames"][:20]
+    doc["events"] = {}
+    last = doc["nodes"][-1]
+    assert last["frame_index"] == 23
+    with pytest.raises(ParseError, match=f"^node entity {last['entity_id']} frame 23 is not in frames 0..19$"):
+        deserialize(json.dumps(doc))
+    cut = SpatioTemporalGraph(frames=assets.graph.frames[:20], nodes=assets.graph.nodes)
+    late = [n for n in assets.graph.nodes if n.frame_index >= 20]
+    assert late and validate(cut) == [
+        Violation("node-frame-unknown", f"entity {n.entity_id} frame {n.frame_index}") for n in late
+    ]
 
 
 def test_missing_attribute_detected():
@@ -149,7 +186,8 @@ def test_node_edges():
         node_edges(g, 1, 1)
 
 
-node_keys = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12)
+node_key = st.tuples(st.integers(0, 3), st.integers(0, 3))
+node_keys = st.lists(node_key, max_size=12, unique=True)
 edge_rows = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(["near", "holding"]), st.integers(0, 3)),
     max_size=12,
@@ -200,6 +238,31 @@ def test_lookups_match_list_scans_and_follow_reassignment(keys, rows, new_keys, 
     assert_lookups_match_scans(g)
     g.nodes = make_nodes(new_keys)
     assert_lookups_match_scans(g)
+
+
+@given(node_keys)
+def test_a_graph_holds_its_nodes_in_frame_entity_order(keys):
+    nodes = make_nodes(keys)
+    g = SpatioTemporalGraph(nodes=nodes)
+    assert ids(g.nodes) == ids(sorted(nodes, key=lambda n: (n.frame_index, n.entity_id)))
+    assert_lookups_match_scans(g)
+    in_order = list(g.nodes)
+    g.nodes = in_order
+    assert g.nodes is in_order
+
+
+@st.composite
+def keys_with_a_repeat(draw):
+    keys = draw(st.lists(node_key, min_size=1, max_size=11))
+    at = draw(st.integers(0, len(keys)))
+    return keys[:at] + [draw(st.sampled_from(keys))] + keys[at:]
+
+
+@given(keys_with_a_repeat())
+def test_a_node_list_with_a_repeated_key_raises_naming_the_first(keys):
+    entity_id, frame = min((k for k in keys if keys.count(k) > 1), key=lambda k: (k[1], k[0]))
+    with pytest.raises(ValueError, match=f"^graph lists node entity {entity_id} frame {frame} twice$"):
+        SpatioTemporalGraph(nodes=make_nodes(keys))
 
 
 class CountingList(list):
@@ -334,11 +397,11 @@ def set_frame_description(g, i, description):
 LINE_BREAK_FIELDS = [
     pytest.param(lambda g, m="MARK": set_frame_description(g, 1, f"another {m} frame"), "frame 1",
                  "description", id="frame description"),
-    pytest.param(lambda g, m="MARK": setattr(g.nodes[1], "description", f"red {m} ball"), "node entity 0 frame 1",
-                 "description", id="node description"),
-    pytest.param(lambda g, m="MARK": set_attribute(g.nodes[2], "action", f"rolling {m}"), "node entity 1 frame 0",
-                 "attributes", id="attribute value"),
-    pytest.param(lambda g, m="MARK": set_attribute(g.nodes[2], m, "x"), "node entity 1 frame 0", "attributes",
+    pytest.param(lambda g, m="MARK": setattr(node_at(g, 0, 1), "description", f"red {m} ball"),
+                 "node entity 0 frame 1", "description", id="node description"),
+    pytest.param(lambda g, m="MARK": set_attribute(node_at(g, 1, 0), "action", f"rolling {m}"),
+                 "node entity 1 frame 0", "attributes", id="attribute value"),
+    pytest.param(lambda g, m="MARK": set_attribute(node_at(g, 1, 0), m, "x"), "node entity 1 frame 0", "attributes",
                  id="attribute key"),
     pytest.param(lambda g, m="MARK": setattr(g, "edges", [RelationEdge(0, 0, f"next {m} to", 1)]),
                  "edge frame 0 0->1", "relation", id="edge relation"),

@@ -2,6 +2,7 @@
 and the embeddings, one float32 row per distinct node description, with their
 index of those descriptions, which the reader checks against the text its graph implies."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -149,7 +150,7 @@ events = st.dictionaries(
 graphs = st.builds(
     SpatioTemporalGraph,
     st.lists(frames, max_size=3),
-    st.lists(nodes, max_size=5),
+    st.lists(nodes, max_size=5, unique_by=lambda n: (n.entity_id, n.frame_index)),
     st.lists(edges, max_size=4),
     events,
     floats,
@@ -333,9 +334,15 @@ def test_a_loaded_graph_with_an_id_outside_int64_is_a_parse_error(saved, field, 
     graph, bin_path, idx_path, entries = saved
     doc = json.loads(serialize(graph))
     doc["nodes"][2][field] = value
-    loaded = deserialize(json.dumps(doc))
-    node = loaded.nodes[2]
-    message = f"^node entity {node.entity_id} frame {node.frame_index} has an ID outside int64$"
+    entity_id, frame_index = doc["nodes"][2]["entity_id"], doc["nodes"][2]["frame_index"]
+    if field == "frame_index":  # outside the video's frames too: refused at load, so the graph is built in code
+        with pytest.raises(ParseError, match=f"^node entity {entity_id} frame {frame_index} is not in frames 0..2$"):
+            deserialize(json.dumps(doc))
+        graph.nodes = [dataclasses.replace(n, frame_index=value) if i == 2 else n for i, n in enumerate(graph.nodes)]
+        loaded = graph
+    else:
+        loaded = deserialize(json.dumps(doc))
+    message = f"^node entity {entity_id} frame {frame_index} has an ID outside int64$"
     with pytest.raises(ParseError, match=message):
         embed_graph(loaded, MockBackend())
     with pytest.raises(ParseError, match=message):
