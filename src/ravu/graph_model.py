@@ -6,35 +6,33 @@ Temporal linkage is implicit: nodes sharing an ``entity_id`` across frames
 are the same entity. Per-entity events chunk an entity's frames into
 contiguous behavioral segments.
 
-The records ``BoundingBox``, ``RelationEdge``, ``FrameRecord`` and
-``EntityEvent`` are named tuples, updated with ``._replace``; ``EntityNode``
-is a dataclass, since ``build_graph`` fills in each node's description.
-Graphs are immutable by convention after construction and safe for
-concurrent reads; no mutation API is provided beyond building the fields.
-A graph holds its nodes in (frame, entity) order, each key
-``(entity_id, frame_index)`` once: assigning ``nodes`` keeps a list already
-in that order as it is and sorts any other stably, and a key listed twice
-raises ValueError. Every reader relies on that order. The lookups
-(``nodes_in_frame``, ``entity_ids`` and ``entity_timeline``) read tables
-built from ``nodes`` on first use. ``node_edges`` reads a table
-of ``edges`` built at its own first use, and ``entity_descriptions`` a
-table of each entity's distinct node descriptions, built at its own first
-use (the first count question), so node descriptions must be final by
-then. Assigning ``nodes`` drops every table; assigning ``edges`` drops only
-the edge table, so ``build_graph`` reads one node table per build.
-Mutating a list in place after the first lookup is not supported.
+A graph and every record in it are immutable, except a node's ``attributes``
+dict, which nothing changes once the node is made. The records ``BoundingBox``,
+``EntityNode``, ``RelationEdge``, ``FrameRecord`` and ``EntityEvent`` are
+named tuples, changed by making a new one with ``._replace``; a graph is a
+frozen dataclass, changed by making a new one with ``dataclasses.replace``.
+A graph holds ``frames``, ``nodes`` and ``edges`` as tuples and ``events`` as
+a read-only mapping of tuples, whatever sequences it was given. It holds its
+nodes in (frame, entity) order, each key ``(entity_id, frame_index)`` once: a
+node sequence already in that order is kept as it is, any other is sorted
+stably, and a key listed twice raises ValueError. Every reader relies on that
+order. The lookups (``nodes_in_frame``, ``entity_ids``, ``entity_timeline``,
+``node_edges`` and ``entity_descriptions``) read tables that the graph builds
+from its fields at their first use and keeps for its lifetime. A graph is
+safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import attrgetter, itemgetter, lt
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +60,7 @@ class BoundingBox(NamedTuple):
         return 0 <= self.x_min < self.x_max < inf and 0 <= self.y_min < self.y_max < inf
 
 
-@dataclass
-class EntityNode:
+class EntityNode(NamedTuple):
     """One entity observed in one frame, with a video-consistent ID."""
 
     entity_id: int
@@ -98,36 +95,43 @@ class EntityEvent(NamedTuple):
     summary: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatioTemporalGraph:
-    frames: list[FrameRecord] = field(default_factory=list)
-    nodes: list[EntityNode] = field(default_factory=list)
-    edges: list[RelationEdge] = field(default_factory=list)
-    events: dict[int, list[EntityEvent]] = field(default_factory=dict)
+    frames: tuple[FrameRecord, ...] = ()
+    nodes: tuple[EntityNode, ...] = ()
+    edges: tuple[RelationEdge, ...] = ()
+    events: Mapping[int, tuple[EntityEvent, ...]] = field(default_factory=dict)
     fps: float = 1.0
 
-    def __setattr__(self, name, value):
-        if name == "nodes":
-            value = _in_node_order(value)
-            self.__dict__.pop("_lookup", None)
-        if name in ("nodes", "edges"):
-            self.__dict__.pop("_edges_at", None)
-        super().__setattr__(name, value)
+    def __post_init__(self):
+        vars(self).update(
+            frames=tuple(self.frames),
+            nodes=_in_node_order(self.nodes),
+            edges=tuple(self.edges),
+            events=MappingProxyType({k: tuple(evs) for k, evs in self.events.items()}),
+        )
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so pickle and deepcopy make the graph again from its fields.
+        return SpatioTemporalGraph, (self.frames, self.nodes, self.edges, dict(self.events), self.fps)
 
     @cached_property
-    def _lookup(self) -> _Lookup:
-        return _Lookup(self.nodes)
+    def _by_frame(self) -> dict[int, list[EntityNode]]:
+        """Nodes per frame, in entity order."""
+        return {f: list(nodes) for f, nodes in groupby(self.nodes, attrgetter("frame_index"))}
+
+    @cached_property
+    def _timeline(self) -> dict[int, list[EntityNode]]:
+        """Nodes per entity, keys in entity order, each in frame order."""
+        timeline: dict[int, list[EntityNode]] = {}
+        for n in self.nodes:
+            timeline.setdefault(n.entity_id, []).append(n)
+        return dict(sorted(timeline.items()))
 
     @cached_property
     def _edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
-        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once.
-
-        Built at the first ``node_edges``, not with the node tables: no
-        question reads it.
-        """
-        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
-            (n.entity_id, n.frame_index): [] for nodes in self._lookup.by_frame.values() for n in nodes
-        }
+        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once."""
+        edges_at: dict[tuple[int, int], list[RelationEdge]] = {(n.entity_id, n.frame_index): [] for n in self.nodes}
         for e in self.edges:
             for entity_id in {e.subject_id, e.object_id}:
                 bucket = edges_at.get((entity_id, e.frame_index))
@@ -135,59 +139,38 @@ class SpatioTemporalGraph:
                     bucket.append(e)
         return edges_at
 
+    @cached_property
+    def _descriptions(self) -> DescriptionTable:
+        return DescriptionTable(self._timeline)
+
     @property
     def num_frames(self) -> int:
         return len(self.frames)
 
     def entity_ids(self) -> list[int]:
-        return list(self._lookup.timeline)
+        return list(self._timeline)
 
     def nodes_in_frame(self, frame_index: int) -> list[EntityNode]:
-        return list(self._lookup.by_frame.get(frame_index, ()))
+        return list(self._by_frame.get(frame_index, ()))
 
 
 _NODE_KEY = attrgetter("frame_index", "entity_id")
 
 
-def _in_node_order(nodes: list[EntityNode]) -> list[EntityNode]:
-    """``nodes`` itself if its keys ascend strictly in (frame, entity) order, else a stably sorted copy.
+def _in_node_order(nodes: Sequence[EntityNode]) -> tuple[EntityNode, ...]:
+    """``nodes`` as a tuple, stably sorted into (frame, entity) order unless its keys already ascend strictly.
 
     A key listed twice raises ValueError naming the first repeated key in that order.
     """
     keys = list(map(_NODE_KEY, nodes))
     if all(map(lt, keys, keys[1:])):
-        return nodes
+        return tuple(nodes)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for i, j in zip(order, order[1:]):
         if keys[i] == keys[j]:
             frame_index, entity_id = keys[i]
             raise ValueError(f"graph lists node entity {entity_id} frame {frame_index} twice")
-    return [nodes[i] for i in order]
-
-
-class _Lookup:
-    """Tables derived from a graph's nodes, built in one pass.
-
-    ``by_frame``: nodes per frame, in entity order. ``timeline``: nodes per
-    entity (keys in entity order), in frame order. Both orders are the
-    graph's node order.
-
-    ``descriptions`` is built at its first use, not here: ``build_graph``
-    makes the lookup before it assigns node descriptions.
-    """
-
-    def __init__(self, nodes: list[EntityNode]):
-        by_frame: dict[int, list[EntityNode]] = {}
-        timeline: dict[int, list[EntityNode]] = {}
-        for n in nodes:
-            by_frame.setdefault(n.frame_index, []).append(n)
-            timeline.setdefault(n.entity_id, []).append(n)
-        self.by_frame = by_frame
-        self.timeline = dict(sorted(timeline.items()))
-
-    @cached_property
-    def descriptions(self) -> DescriptionTable:
-        return DescriptionTable(self.timeline)
+    return tuple([nodes[i] for i in order])
 
 
 class DescriptionTable:
@@ -333,7 +316,7 @@ def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
 
 def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityNode]:
     """All nodes of one entity, ordered by frame index."""
-    nodes = graph._lookup.timeline.get(entity_id)
+    nodes = graph._timeline.get(entity_id)
     if not nodes:
         raise NotFound(f"entity {entity_id} not in graph")
     return list(nodes)
@@ -349,7 +332,7 @@ def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> 
 
 def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
     """The graph's description table, built at the first call; see ``DescriptionTable``."""
-    return graph._lookup.descriptions
+    return graph._descriptions
 
 
 # The graph document is what ``json.dumps(doc, sort_keys=True, indent=2)``
@@ -399,11 +382,11 @@ _int = int.__repr__
 
 
 def _float(value) -> str:
-    """``float(value)`` as json writes it, non-finite values included."""
+    """``float(value)`` as json writes it; a non-finite value raises ValueError, as JSON has no token for it."""
     value = float(value)
     if value - value == 0:
         return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise ValueError(f"the graph document cannot hold the non-finite float {value}")
 
 
 def _container(items: list[str], indent: str, brackets: str) -> str:
@@ -438,7 +421,7 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     (frame, subject, object, relation) and each entity's events by start
     frame. Int and string fields must hold ints and strings, as the fields
     declare, or TypeError is raised; float fields take what ``float()``
-    takes.
+    takes, and a non-finite float raises ValueError.
     """
     frames = [
         _FRAME % (_str(f.description), _int(f.frame_index), _str(f.source_ref), _float(f.timestamp_s))
@@ -535,9 +518,9 @@ def _integer_owner(doc: dict) -> str:
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    """The graph a document holds; a malformed document, a node listed twice or outside
-    the video's frames, an event span outside them, or a line break in a text field
-    raises ParseError."""
+    """The graph a document holds; a malformed document, an fps or a timestamp that is
+    not finite (or an fps not > 0), a node listed twice or outside the video's frames,
+    an event span outside them, or a line break in a text field raises ParseError."""
     doc = json_object(document, "graph document")
     for key in ("frames", "nodes", "edges", "events", "fps"):
         if key not in doc:
@@ -590,6 +573,12 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         raise ParseError(f"malformed graph document: {exc}") from exc
     except ParseError as exc:  # from ``integer``: a boolean or fractional ID
         raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
+    # ``validate``'s fps-finite and timestamp-finite rules: json reads NaN, Infinity and 1e400 as floats.
+    if not 0 < fps < inf:
+        raise ParseError(f"fps must be finite and > 0, found {fps}", field="fps")
+    for f in frames:
+        if not isfinite(f.timestamp_s):
+            raise ParseError(f"frame {f.frame_index}: timestamp_s {f.timestamp_s} is not finite", field="timestamp_s")
     try:
         graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     except ValueError as exc:  # a node listed twice

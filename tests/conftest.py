@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.graph_builder import EmbeddingColumns
+from ravu.graph_model import SpatioTemporalGraph
 from ravu.synth import synth_world
 
 
@@ -26,6 +29,22 @@ def record_rows(records) -> list[tuple]:
     """``(entity_id, frame_index, description, vector as a list)`` of each record, for comparing
     columns with columns or with a list of records."""
     return [(r.entity_id, r.frame_index, r.description, np.asarray(r.vector).tolist()) for r in records]
+
+
+def count_table_builds(monkeypatch) -> dict[str, list]:
+    """The graphs that each lookup table of ``SpatioTemporalGraph`` is built for from now on, by table name."""
+    built = {name: [] for name in ("_by_frame", "_timeline", "_edges_at", "_descriptions")}
+    for name in built:
+        make = SpatioTemporalGraph.__dict__[name].func
+
+        def counted(graph, name=name, make=make):
+            built[name].append(graph)
+            return make(graph)
+
+        table = cached_property(counted)
+        table.__set_name__(SpatioTemporalGraph, name)
+        monkeypatch.setattr(SpatioTemporalGraph, name, table)
+    return built
 
 
 @pytest.fixture

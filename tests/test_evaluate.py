@@ -1,4 +1,3 @@
-import copy
 import csv
 import dataclasses
 import io
@@ -94,8 +93,7 @@ def test_retrieve_and_answer_refuse_a_line_break_before_asking_the_backend(categ
 
 
 def test_retrieve_global_without_events_breaks_down(assets, backend):
-    graph = copy.copy(assets.graph)
-    graph.events = {}
+    graph = dataclasses.replace(assets.graph, events={})
     retrieval = retrieve(
         VideoAssets(graph, assets.index, None), "Which of these happens?", "global", backend
     )
@@ -112,8 +110,7 @@ def test_retrieve_flags_each_failed_plan_step(assets):
                 )
             return super().generate(bundle)
 
-    graph = copy.copy(assets.graph)
-    graph.events = {}
+    graph = dataclasses.replace(assets.graph, events={})
     retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", Planned())
     failed = [flag for flag in retrieval.flags if ": failed: " in flag]
     assert len(failed) == 2

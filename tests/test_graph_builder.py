@@ -2,6 +2,7 @@ import json
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from ravu.graph_model import (
 from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.synth import synth_world
 
-from conftest import record_rows
+from conftest import count_table_builds, record_rows
 
 
 def node(entity_id, frame, action="running", appearance="red fox", desc=None):
@@ -117,15 +118,10 @@ def test_describe_node(backend):
 def small_described_graph():
     frames = [FrameRecord(i, float(i), f"frame {i}") for i in range(4)]
     nodes = [
-        node(0, 0, action="running"),
-        node(0, 1, action="running"),
-        node(0, 2, action="digging"),
-        node(0, 3, action="digging"),
+        node(0, frame, action=action, desc=f"entity 0: red fox; {action}; relations: none")
+        for frame, action in enumerate(["running", "running", "digging", "digging"])
     ]
-    graph = SpatioTemporalGraph(frames=frames, nodes=nodes)
-    for n in graph.nodes:
-        n.description = f"entity 0: red fox; {n.attributes['action']}; relations: none"
-    return graph
+    return SpatioTemporalGraph(frames=frames, nodes=nodes)
 
 
 def test_segment_events_splits_on_action_change(backend):
@@ -140,7 +136,7 @@ def test_segment_events_splits_on_action_change(backend):
 
 def test_segment_events_absence_gap_forces_boundary(backend):
     graph = small_described_graph()
-    graph.nodes = [n for n in graph.nodes if n.frame_index != 1]
+    graph = replace(graph, nodes=[n for n in graph.nodes if n.frame_index != 1])
     seg = segment_events(graph, 0, backend)
     assert [(e.start_frame, e.end_frame) for e in seg.events] == [(0, 0), (2, 3)]
 
@@ -246,7 +242,7 @@ def test_read_embeddings_rejects_descriptions_not_in_graph(tmp_path, backend):
 
 def test_read_embeddings_rejects_graph_nodes_without_rows(tmp_path, backend):
     graph, bin_path, idx_path, _ = persisted(tmp_path, backend)
-    graph.nodes = graph.nodes + [node(1, 0, desc="entity 1: red fox; running")]
+    graph = replace(graph, nodes=[*graph.nodes, node(1, 0, desc="entity 1: red fox; running")])
     assert "entity 1: red fox; running" in index_error(bin_path, idx_path, graph, 2)
 
 
@@ -255,11 +251,10 @@ def test_a_graph_that_lists_a_node_twice_is_neither_made_nor_loaded(backend):
     assets = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig())
     graph = graph_model.deserialize(graph_model.serialize(assets.graph))
     first = graph.nodes[0]
-    copy = EntityNode(first.entity_id, first.frame_index, dict(first.attributes), first.box,
-                      "a purple elephant juggling")
+    copy = first._replace(description="a purple elephant juggling")
     message = f"^graph lists node entity {first.entity_id} frame 0 twice$"
     with pytest.raises(ValueError, match=message):
-        graph.nodes = graph.nodes + [copy]
+        replace(graph, nodes=[*graph.nodes, copy])
     doc = json.loads(graph_model.serialize(graph))
     doc["nodes"].append({**doc["nodes"][0], "description": copy.description})
     with pytest.raises(ParseError, match=message):
@@ -370,18 +365,14 @@ def test_build_asks_each_distinct_prompt_once():
     assert set(backend.texts) == texts and set(backend.texts.values()) == {1}
 
 
-def test_build_makes_one_node_lookup(monkeypatch):
-    made = []
-
-    class CountingLookup(graph_model._Lookup):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(graph_model, "_Lookup", CountingLookup)
-    world = synth_world(1, 24, 3)
-    graph = build(world, MockBackend())
-    assert len(made) == 1
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
+def test_build_makes_each_node_table_once(monkeypatch, shape):
+    """One node-by-frame table, one entity timeline and one edge table per build."""
+    built = count_table_builds(monkeypatch)
+    graph = build(synth_world(1, *shape), MockBackend())
+    assert {name: len(graphs) for name, graphs in built.items()} == {
+        "_by_frame": 1, "_timeline": 1, "_edges_at": 1, "_descriptions": 0
+    }
     assert graph.edges and graph.events
 
 
@@ -544,11 +535,14 @@ def reference_build(world, backend):
         in_frame = graph.nodes_in_frame(frame.frame_index)
         if in_frame:
             edges.extend(build_frame_graph([(frame, in_frame)], backend)[0])
-    graph.edges = sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
-    for n in graph.nodes:
-        n.description = describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend)
-    for entity_id in graph.entity_ids():
-        graph.events[entity_id] = segment_events(graph, entity_id, backend).events
+    graph = replace(graph, edges=sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation)))
+    graph = replace(graph, nodes=[
+        n._replace(description=describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend))
+        for n in graph.nodes
+    ])
+    graph = replace(graph, events={
+        entity_id: segment_events(graph, entity_id, backend).events for entity_id in graph.entity_ids()
+    })
     ordered = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
     return graph, np.stack([backend.embed(n.description) for n in ordered])
 
@@ -589,7 +583,7 @@ def test_state_table_segmentation_matches_the_per_frame_rule(shape):
         assoc = associated(synth_world(seed, *shape))
         graph, report = build_graph(assoc.frames, assoc.nodes, MockBackend())
         assert report.fallback_entities == []
-        assert graph.events == {e: per_frame_events(graph, e) for e in graph.entity_ids()}
+        assert graph.events == {e: tuple(per_frame_events(graph, e)) for e in graph.entity_ids()}
 
 
 class FirstReplyEmptyBackend(CountingBackend):

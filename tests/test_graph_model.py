@@ -1,11 +1,18 @@
+import copy
 import json
+import pickle
 import re
+from dataclasses import fields as dataclass_fields, replace
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ravu.backends import MockBackend
+from ravu.config import RavuConfig
 from ravu.errors import NotFound, ParseError
+from ravu.evaluate import build_video
 from ravu.graph_model import (
     LINE_BREAKS,
     BoundingBox,
@@ -16,12 +23,16 @@ from ravu.graph_model import (
     SpatioTemporalGraph,
     Violation,
     deserialize,
+    entity_descriptions,
     entity_timeline,
     node_edges,
     parse_box,
     serialize,
     validate,
 )
+from ravu.synth import synth_world
+
+from conftest import count_table_builds
 
 ATTRS = {"appearance": "red ball", "action": "rolling", "body_pose": "none"}
 
@@ -50,6 +61,17 @@ def node_at(g, entity_id, frame_index):
     return next(n for n in g.nodes if (n.entity_id, n.frame_index) == (entity_id, frame_index))
 
 
+def with_node(g, entity_id, frame_index, **changes):
+    """``g`` with the node of the key (entity_id, frame_index) changed by ``changes``."""
+    key = (entity_id, frame_index)
+    return replace(g, nodes=[n._replace(**changes) if (n.entity_id, n.frame_index) == key else n for n in g.nodes])
+
+
+def with_frame(g, i, **changes):
+    """``g`` with its frame at position ``i`` changed by ``changes``."""
+    return replace(g, frames=[f._replace(**changes) if j == i else f for j, f in enumerate(g.frames)])
+
+
 def test_bounding_box_validity():
     assert box().is_valid()
     assert not BoundingBox(5, 0, 5, 10).is_valid()  # zero width
@@ -64,21 +86,18 @@ def test_valid_graph_has_no_violations():
 
 
 def test_frame_index_density_checked():
-    g = small_graph()
-    g.frames[1] = FrameRecord(5, 1.0, "gap", "")
+    g = with_frame(small_graph(), 1, frame_index=5)
     assert any(v.rule == "frame-index-dense" for v in validate(g))
 
 
 def test_timestamp_order_checked():
-    g = small_graph()
-    g.frames[1] = FrameRecord(1, 0.0, "same time", "")
+    g = with_frame(small_graph(), 1, timestamp_s=0.0)
     assert any(v.rule == "timestamp-order" for v in validate(g))
 
 
 @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_timestamp_checked(timestamp):
-    g = small_graph()
-    g.frames[0] = FrameRecord(0, timestamp, "a frame", "")
+    g = with_frame(small_graph(), 0, timestamp_s=timestamp)
     assert [v for v in validate(g) if v.rule == "timestamp-finite"] == [Violation("timestamp-finite", "frame 0")]
 
 
@@ -86,16 +105,14 @@ def test_non_finite_timestamp_checked(timestamp):
 def test_non_finite_or_non_positive_fps_checked(fps):
     g = small_graph()
     assert not [v for v in validate(g) if v.rule == "fps-finite"]
-    g.fps = fps
+    g = replace(g, fps=fps)
     assert [v for v in validate(g) if v.rule == "fps-finite"] == [Violation("fps-finite", f"fps {fps}")]
 
 
 def test_duplicate_node_detected():
     g = small_graph()
-    nodes = g.nodes
     with pytest.raises(ValueError, match="^graph lists node entity 0 frame 0 twice$"):
-        g.nodes = nodes + [EntityNode(0, 0, dict(ATTRS), box())]
-    assert g.nodes is nodes
+        replace(g, nodes=[*g.nodes, EntityNode(0, 0, dict(ATTRS), box())])
     doc = json.loads(serialize(g))
     doc["nodes"].append({**doc["nodes"][0], "description": "a purple elephant juggling"})
     with pytest.raises(ParseError, match="^graph lists node entity 0 frame 0 twice$") as exc:
@@ -106,7 +123,7 @@ def test_duplicate_node_detected():
 @pytest.mark.parametrize("frame", [-1, 2, 10**6])
 def test_a_node_outside_the_video_frames_is_refused(frame):
     g = small_graph()
-    g.nodes = g.nodes + [EntityNode(2, frame, dict(ATTRS), box())]
+    g = replace(g, nodes=[*g.nodes, EntityNode(2, frame, dict(ATTRS), box())])
     assert validate(g) == [Violation("node-frame-unknown", f"entity 2 frame {frame}")]
     with pytest.raises(ParseError, match=f"^node entity 2 frame {frame} is not in frames 0..1$") as exc:
         deserialize(serialize(g))
@@ -130,43 +147,39 @@ def test_a_built_graph_cut_short_is_refused(assets):
 
 def test_missing_attribute_detected():
     g = small_graph()
-    g.nodes[0].attributes.pop("body_pose")
+    g = with_node(g, 0, 0, attributes={k: v for k, v in ATTRS.items() if k != "body_pose"})
     assert any(v.rule == "missing-attribute" for v in validate(g))
 
 
 def test_self_and_dangling_edges_detected():
     g = small_graph()
-    g.edges.append(RelationEdge(0, 1, "touching", 1))
-    g.edges.append(RelationEdge(1, 0, "near", 9))
+    g = replace(g, edges=[*g.edges, RelationEdge(0, 1, "touching", 1), RelationEdge(1, 0, "near", 9)])
     rules = {v.rule for v in validate(g)}
     assert "self-edge" in rules and "dangling-edge" in rules
 
 
 def test_event_invariants_detected():
     g = small_graph()
-    g.events[0] = [
+    g = replace(g, events={0: [
         EntityEvent(0, 0, 0, "first"),
         EntityEvent(0, 0, 1, "overlapping"),
-    ]
+    ]})
     rules = {v.rule for v in validate(g)}
     assert "event-overlap" in rules
 
-    g = small_graph()
-    g.events[0] = [EntityEvent(0, 0, 0, "partial")]
+    g = replace(small_graph(), events={0: [EntityEvent(0, 0, 0, "partial")]})
     assert any(v.rule == "event-coverage" for v in validate(g))
 
     g = small_graph()
-    g.events[7] = [EntityEvent(7, 0, 0, "ghost")]
+    g = replace(g, events={**g.events, 7: [EntityEvent(7, 0, 0, "ghost")]})
     assert any(v.rule == "event-entity-unknown" for v in validate(g))
 
-    g = small_graph()
-    g.events[0] = [EntityEvent(0, 0, 5, "out of range")]
+    g = replace(small_graph(), events={0: [EntityEvent(0, 0, 5, "out of range")]})
     assert any(v.rule == "event-absent-frame" for v in validate(g))
 
 
 def test_no_events_is_not_a_coverage_violation():
-    g = small_graph()
-    g.events = {}
+    g = replace(small_graph(), events={})
     assert validate(g) == []
 
 
@@ -231,13 +244,15 @@ def assert_lookups_match_scans(g):
 
 
 @given(node_keys, edge_rows, node_keys, edge_rows)
-def test_lookups_match_list_scans_and_follow_reassignment(keys, rows, new_keys, new_rows):
+def test_lookups_match_list_scans_before_and_after_replace(keys, rows, new_keys, new_rows):
     g = SpatioTemporalGraph(nodes=make_nodes(keys), edges=make_edges(rows))
     assert_lookups_match_scans(g)
-    g.edges = make_edges(new_rows)
-    assert_lookups_match_scans(g)
-    g.nodes = make_nodes(new_keys)
-    assert_lookups_match_scans(g)
+    with_edges = replace(g, edges=make_edges(new_rows))
+    assert_lookups_match_scans(with_edges)
+    with_nodes = replace(with_edges, nodes=make_nodes(new_keys))
+    assert_lookups_match_scans(with_nodes)
+    for graph in (g, with_edges):
+        assert_lookups_match_scans(graph)
 
 
 @given(node_keys)
@@ -246,9 +261,8 @@ def test_a_graph_holds_its_nodes_in_frame_entity_order(keys):
     g = SpatioTemporalGraph(nodes=nodes)
     assert ids(g.nodes) == ids(sorted(nodes, key=lambda n: (n.frame_index, n.entity_id)))
     assert_lookups_match_scans(g)
-    in_order = list(g.nodes)
-    g.nodes = in_order
-    assert g.nodes is in_order
+    assert SpatioTemporalGraph(nodes=g.nodes).nodes is g.nodes
+    assert replace(g, edges=make_edges([(0, 0, "near", 1)])).nodes is g.nodes
 
 
 @st.composite
@@ -276,49 +290,91 @@ class CountingList(list):
 
 
 def lookup_iterations(n_frames):
-    """(node-list, edge-list) iterations for one node_edges call per node and
-    one entity_timeline call per entity."""
+    """(node-list, edge-list) iterations, and the number of builds of each table, for one
+    node_edges call per node, one entity_timeline call per entity, one nodes_in_frame call
+    per frame and one entity_descriptions call per node."""
     nodes = make_nodes((entity_id, frame) for frame in range(n_frames) for entity_id in range(3))
     edges = make_edges((frame, 0, "near", 1) for frame in range(n_frames))
-    g = SpatioTemporalGraph(nodes=CountingList(nodes), edges=CountingList(edges))
-    for n in nodes:
-        node_edges(g, n.entity_id, n.frame_index)
-    for entity_id in range(3):
-        entity_timeline(g, entity_id)
-    return g.nodes.iterations, g.edges.iterations
+    given_nodes, given_edges = CountingList(nodes), CountingList(edges)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = count_table_builds(monkeypatch)
+        g = SpatioTemporalGraph(nodes=given_nodes, edges=given_edges)
+        for n in nodes:
+            node_edges(g, n.entity_id, n.frame_index)
+            entity_descriptions(g)
+        for entity_id in range(3):
+            entity_timeline(g, entity_id)
+        for frame in range(n_frames):
+            g.nodes_in_frame(frame)
+    assert all(graphs in ([], [g]) for graphs in built.values())
+    return given_nodes.iterations, given_edges.iterations, tuple(map(len, built.values()))
 
 
 def test_lookups_iterate_graph_lists_a_constant_number_of_times():
     small, large = lookup_iterations(4), lookup_iterations(64)
     assert small == large
-    assert max(large) <= 2
+    assert max(large[:2]) <= 2 and large[2] == (1, 1, 1, 1)
 
 
 def test_lookups_without_node_edges_build_no_edge_table():
     nodes = make_nodes((entity_id, frame) for frame in range(4) for entity_id in range(3))
-    g = SpatioTemporalGraph(nodes=nodes, edges=CountingList(make_edges((f, 0, "near", 1) for f in range(4))))
+    g = SpatioTemporalGraph(nodes=nodes, edges=make_edges((f, 0, "near", 1) for f in range(4)))
     g.nodes_in_frame(2)
     entity_timeline(g, 1)
     assert "_edges_at" not in vars(g)
-    assert g.edges.iterations == 0
+    assert {"_by_frame", "_timeline"} <= set(vars(g))
 
 
-def test_assigning_edges_keeps_the_node_tables():
+def test_a_graph_given_its_edges_builds_no_node_table():
     g = SpatioTemporalGraph(nodes=make_nodes([(0, 0), (1, 0)]), edges=make_edges([(0, 0, "near", 1)]))
-    lookup = g._lookup
-    node_edges(g, 0, 0)
-    g.edges = make_edges([(0, 1, "holding", 0)])
-    assert g._lookup is lookup and "_edges_at" not in vars(g)
-    g.nodes = list(g.nodes)
-    assert g._lookup is not lookup
+    by_frame = g._by_frame
+    with_edges = replace(g, edges=make_edges([(0, 1, "holding", 0)]))
+    assert [e.relation for e in node_edges(with_edges, 0, 0)] == ["holding"]
+    assert "_edges_at" in vars(with_edges) and "_by_frame" not in vars(with_edges)
+    assert "_timeline" not in vars(with_edges)
+    assert g._by_frame is by_frame and "_edges_at" not in vars(g)
 
 
-def test_node_edges_reads_the_reassigned_edge_list():
+def test_node_edges_reads_the_edges_of_its_own_graph():
     g = SpatioTemporalGraph(nodes=make_nodes([(0, 0), (1, 0)]), edges=make_edges([(0, 0, "near", 1)]))
     assert [e.relation for e in node_edges(g, 1, 0)] == ["near"]
-    g.edges = make_edges([(0, 1, "holding", 0), (0, 0, "near", 0)])
-    assert [e.relation for e in node_edges(g, 1, 0)] == ["holding"]
-    assert [e.relation for e in node_edges(g, 0, 0)] == ["holding", "near"]
+    with_edges = replace(g, edges=make_edges([(0, 1, "holding", 0), (0, 0, "near", 0)]))
+    assert [e.relation for e in node_edges(with_edges, 1, 0)] == ["holding"]
+    assert [e.relation for e in node_edges(with_edges, 0, 0)] == ["holding", "near"]
+    assert [e.relation for e in node_edges(g, 1, 0)] == ["near"]
+
+
+def test_a_built_graph_cannot_be_changed_in_place():
+    world = synth_world(1, 24, 3)
+    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    before = serialize(graph)
+    node, other = graph.nodes[0], graph.nodes[-1]
+    for name in EntityNode._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, getattr(other, name))
+    empty = SpatioTemporalGraph(fps=2.0)
+    for f in dataclass_fields(graph):
+        with pytest.raises(AttributeError):
+            setattr(graph, f.name, getattr(empty, f.name))
+    for name in ("nodes", "edges", "frames"):
+        with pytest.raises(AttributeError):
+            getattr(graph, name).append(getattr(graph, name)[0])
+    with pytest.raises(TypeError):
+        graph.nodes[0] = other
+    with pytest.raises(TypeError):
+        graph.events[0] = ()
+    assert serialize(graph) == before
+    repeated = node._replace(description="a purple elephant juggling")
+    with pytest.raises(ValueError, match=f"^graph lists node entity {node.entity_id} frame 0 twice$"):
+        replace(graph, nodes=[*graph.nodes, repeated])
+    assert serialize(graph) == before
+
+
+def test_a_graph_pickles_and_deep_copies(assets):
+    text = serialize(assets.graph)
+    for again in (pickle.loads(pickle.dumps(assets.graph)), copy.deepcopy(assets.graph)):
+        assert again == assets.graph and serialize(again) == text
+        assert type(again.events) is MappingProxyType
 
 
 def test_serialize_round_trip():
@@ -384,28 +440,26 @@ def test_deserialize_invalid_box():
         deserialize(doc)
 
 
-def set_attribute(node, key, value):
-    node.attributes[key] = value
+def with_attribute(g, entity_id, frame_index, key, value):
+    attributes = node_at(g, entity_id, frame_index).attributes
+    return with_node(g, entity_id, frame_index, attributes={**attributes, key: value})
 
 
-def set_frame_description(g, i, description):
-    g.frames[i] = g.frames[i]._replace(description=description)
-
-
-# Each text field of ``small_graph``, given a marker that the document's spelling of a line break replaces
-# (or, as a second argument, the text to hold in its place), and the owner and field the ParseError names.
+# Each text field of ``small_graph``, as a function of the graph that gives the graph with a marker in the field,
+# which the document's spelling of a line break replaces (or, as a second argument, the text to hold in its place),
+# and the owner and field the ParseError names.
 LINE_BREAK_FIELDS = [
-    pytest.param(lambda g, m="MARK": set_frame_description(g, 1, f"another {m} frame"), "frame 1",
+    pytest.param(lambda g, m="MARK": with_frame(g, 1, description=f"another {m} frame"), "frame 1",
                  "description", id="frame description"),
-    pytest.param(lambda g, m="MARK": setattr(node_at(g, 0, 1), "description", f"red {m} ball"),
+    pytest.param(lambda g, m="MARK": with_node(g, 0, 1, description=f"red {m} ball"),
                  "node entity 0 frame 1", "description", id="node description"),
-    pytest.param(lambda g, m="MARK": set_attribute(node_at(g, 1, 0), "action", f"rolling {m}"),
+    pytest.param(lambda g, m="MARK": with_attribute(g, 1, 0, "action", f"rolling {m}"),
                  "node entity 1 frame 0", "attributes", id="attribute value"),
-    pytest.param(lambda g, m="MARK": set_attribute(node_at(g, 1, 0), m, "x"), "node entity 1 frame 0", "attributes",
+    pytest.param(lambda g, m="MARK": with_attribute(g, 1, 0, m, "x"), "node entity 1 frame 0", "attributes",
                  id="attribute key"),
-    pytest.param(lambda g, m="MARK": setattr(g, "edges", [RelationEdge(0, 0, f"next {m} to", 1)]),
+    pytest.param(lambda g, m="MARK": replace(g, edges=[RelationEdge(0, 0, f"next {m} to", 1)]),
                  "edge frame 0 0->1", "relation", id="edge relation"),
-    pytest.param(lambda g, m="MARK": setattr(g, "events", {0: [EntityEvent(0, 0, 1, f"red {m} ball")]}),
+    pytest.param(lambda g, m="MARK": replace(g, events={0: [EntityEvent(0, 0, 1, f"red {m} ball")]}),
                  "event entity 0 [0..1]", "summary", id="event summary"),
 ]
 LINE_BREAK_SPELLINGS = {"escaped \\n": "\\n", "escaped \\u000b": "\\u000b", "raw U+2028": "\u2028",
@@ -415,8 +469,7 @@ LINE_BREAK_SPELLINGS = {"escaped \\n": "\\n", "escaped \\u000b": "\\u000b", "raw
 @pytest.mark.parametrize("spelling", LINE_BREAK_SPELLINGS.values(), ids=LINE_BREAK_SPELLINGS.keys())
 @pytest.mark.parametrize("mark, owner, field", LINE_BREAK_FIELDS)
 def test_deserialize_rejects_a_line_break_in_a_text_field(mark, owner, field, spelling):
-    g = small_graph()
-    mark(g)
+    g = mark(small_graph())
     document = serialize(g).replace("MARK", spelling)
     assert serialize(g).count("MARK") == 1
     with pytest.raises(ParseError, match=f"^{re.escape(owner)} has a line break in") as exc:
@@ -431,8 +484,7 @@ TEXT_CHARACTERS = [*LINE_BREAKS, "\t", "\x1f", "\x84", "\x86", "\u2027", "\u202a
 @pytest.mark.parametrize("char", TEXT_CHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
 @pytest.mark.parametrize("mark, owner, field", LINE_BREAK_FIELDS)
 def test_validate_reports_a_line_break_exactly_when_deserialize_rejects_it(mark, owner, field, char):
-    g = small_graph()
-    mark(g, char)
+    g = mark(small_graph(), char)
     try:
         deserialize(serialize(g))
         rejected = False
@@ -443,9 +495,8 @@ def test_validate_reports_a_line_break_exactly_when_deserialize_rejects_it(mark,
 
 
 def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():
-    g = small_graph()
-    set_frame_description(g, 0, "a backslash then n: \\n, a tab\t, a quote \" and caf\u00e9")
-    g.nodes[0].description = "\u2027 \u202a \x84 \x86"
+    g = with_frame(small_graph(), 0, description="a backslash then n: \\n, a tab\t, a quote \" and caf\u00e9")
+    g = with_node(g, 0, 0, description="\u2027 \u202a \x84 \x86")
     text = serialize(g)
     assert "\\\\n" in text and "\\u00e9" in text
     assert serialize(deserialize(text)) == text
@@ -457,6 +508,8 @@ RECORDS = [
     (RelationEdge, {"frame_index": 3, "subject_id": 1, "relation": "holds", "object_id": 2}),
     (FrameRecord, {"frame_index": 1, "timestamp_s": 0.5, "description": "a frame", "source_ref": "v/f1.jpg"}),
     (EntityEvent, {"entity_id": 2, "start_frame": 0, "end_frame": 4, "summary": "walks"}),
+    (EntityNode, {"entity_id": 2, "frame_index": 3, "attributes": {"action": "walks"},
+                  "box": BoundingBox(0.0, 0.0, 1.0, 1.0), "description": "a fox walks"}),
 ]
 
 
@@ -465,8 +518,13 @@ def test_graph_records_are_immutable_hashable_and_replaceable(cls, fields):
     by_name, by_place = cls(**fields), cls(*fields.values())
     assert cls._fields == tuple(fields)
     assert type(by_name) is type(by_place) is cls
-    assert by_name == by_place and hash(by_name) == hash(by_place) and repr(by_name) == repr(by_place)
-    assert {by_name, by_place} == {by_place}
+    assert by_name == by_place and repr(by_name) == repr(by_place)
+    if cls is EntityNode:
+        # A node holds its attributes as a dict, so it is not hashable.
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(by_name)
+    else:
+        assert hash(by_name) == hash(by_place) and {by_name, by_place} == {by_place}
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(by_name, name, value)
@@ -479,6 +537,7 @@ def test_graph_records_are_immutable_hashable_and_replaceable(cls, fields):
 
 def test_a_frame_record_has_no_source_by_default():
     assert FrameRecord(0, 0.0, "a frame") == FrameRecord(0, 0.0, "a frame", "")
+    assert EntityNode(0, 0, {}, box()) == EntityNode(0, 0, {}, box(), None)
 
 
 def test_a_reloaded_graph_holds_exactly_the_record_types():
@@ -489,6 +548,10 @@ def test_a_reloaded_graph_holds_exactly_the_record_types():
     assert {type(n) for n in again.nodes} == {EntityNode}
     assert {type(e) for e in again.edges} == {RelationEdge}
     assert {type(ev) for evs in again.events.values() for ev in evs} == {EntityEvent}
+    assert [type(getattr(again, name)) for name in ("frames", "nodes", "edges")] == [tuple] * 3
+    assert type(again.events) is MappingProxyType and {type(evs) for evs in again.events.values()} == {tuple}
+    with pytest.raises(TypeError):
+        again.events[0] = again.events[0]
     assert serialize(again) == serialize(g)
 
 

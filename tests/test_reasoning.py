@@ -17,6 +17,7 @@ from ravu.graph_model import (
     FrameRecord,
     SpatioTemporalGraph,
     entity_descriptions,
+    entity_timeline,
 )
 from ravu.index import EmbeddingIndex
 from ravu.plan import parse_plan
@@ -137,7 +138,7 @@ def oracle_matches(query, text):
 def oracle_count_nodes(graph, node_query, event_condition=None):
     count = 0
     for entity_id in graph.entity_ids():
-        descriptions = dict.fromkeys(n.description or "" for n in graph._lookup.timeline[entity_id])
+        descriptions = dict.fromkeys(n.description or "" for n in entity_timeline(graph, entity_id))
         if not any(oracle_matches(node_query, d) for d in descriptions):
             continue
         if event_condition:
@@ -217,17 +218,15 @@ def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
             assert fn_count_nodes(graph, q, condition) == per_node_count(graph, q, condition)
 
 
-def test_reassigning_nodes_drops_the_description_table_and_edges_keep_it():
+def test_replacing_nodes_makes_a_graph_with_its_own_description_table():
     graph, _ = make_graph(MockBackend())
     table = entity_descriptions(graph)
     assert entity_descriptions(graph) is table
     assert fn_count_nodes(graph, "yak") == 0
-    graph.nodes = [dataclasses.replace(n, description="a purple yak") for n in graph.nodes]
-    assert entity_descriptions(graph) is not table
-    assert fn_count_nodes(graph, "yak") == len(graph.entity_ids())
-    table = entity_descriptions(graph)
-    graph.edges = list(graph.edges)
-    assert entity_descriptions(graph) is table
+    renamed = dataclasses.replace(graph, nodes=[n._replace(description="a purple yak") for n in graph.nodes])
+    assert entity_descriptions(renamed) is not table
+    assert fn_count_nodes(renamed, "yak") == len(renamed.entity_ids())
+    assert entity_descriptions(graph) is table and fn_count_nodes(graph, "yak") == 0
 
 
 def test_identify_node_reranks_first_descriptions(backend):
@@ -251,7 +250,7 @@ def test_identify_node_single_entity_makes_no_backend_call(backend):
             raise AssertionError("generate must not be called")
 
     graph, _ = make_graph(backend)
-    graph.nodes = [n for n in graph.nodes if n.entity_id == 1]
+    graph = dataclasses.replace(graph, nodes=[n for n in graph.nodes if n.entity_id == 1])
     assert fn_identify_node(graph, "red fox", NoGenerate()) == (NodeRef(1, 0), False)
 
 
@@ -453,6 +452,6 @@ def test_hierarchical_retrieve(backend):
 
 def test_hierarchical_requires_events(backend):
     graph, index = make_graph(backend)
-    graph.events = {}
+    graph = dataclasses.replace(graph, events={})
     with pytest.raises(ValueError):
         hierarchical_retrieve("q", graph, index, backend)
