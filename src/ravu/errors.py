@@ -81,7 +81,8 @@ def json_object(text: str, what: str, line: int | None = None) -> dict:
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno if line is None else line) from exc
+        where = exc.lineno if line is None else line
+        raise ParseError(f"invalid JSON: {exc.msg} at column {exc.colno}", line=where) from exc
     if not isinstance(value, dict):
         raise ParseError(f"{what} must be a JSON object", line=line)
     return value

@@ -300,7 +300,7 @@ def segment_events(
     fallback = False
 
     for run in _appearance_runs(nodes):
-        run_frames = [n.frame_index for n in run]
+        first, last = run[0].frame_index, run[-1].frame_index
         rows = [
             (n.frame_index, n.attributes.get("action", ""), n.description or "")
             for n in run
@@ -308,7 +308,7 @@ def segment_events(
         payload = backends.event_segmentation_payload(entity_id, rows)
         bundle = make_bundle("event_segmentation", payload)
 
-        def parse(text: str, run_frames=run_frames) -> list[EntityEvent]:
+        def parse(text: str, first=first, last=last) -> list[EntityEvent]:
             spans = []
             for line in text.splitlines():
                 line = line.strip()
@@ -321,21 +321,20 @@ def segment_events(
                 if not summary:
                     raise ValueError("empty event summary")
                 spans.append(EntityEvent(entity_id, start, end, summary))
-            covered: list[int] = []
-            for ev in spans:
-                if ev.start_frame > ev.end_frame:
-                    raise ValueError("inverted event span")
-                covered.extend(range(ev.start_frame, ev.end_frame + 1))
-            if covered != run_frames:
+            if any(ev.start_frame > ev.end_frame for ev in spans):
+                raise ValueError("inverted event span")
+            # The run's frames are first..last, so the spans cover them exactly when each starts where the
+            # one before it ended: checked by arithmetic, as a reply's span may be of any length.
+            starts = [first] + [ev.end_frame + 1 for ev in spans]
+            if [ev.start_frame for ev in spans] != starts[:-1] or starts[-1] != last + 1:
                 raise ValueError("events do not exactly cover the appearance run")
             return spans
 
         try:
             events.extend(generate_with_retries(backend, bundle, parse, max_retries))
         except MalformedResponse:
-            first = run[0]
-            summary = first.description or first.attributes.get("action", "") or f"entity {entity_id}"
-            events.append(EntityEvent(entity_id, run_frames[0], run_frames[-1], summary))
+            summary = run[0].description or run[0].attributes.get("action", "") or f"entity {entity_id}"
+            events.append(EntityEvent(entity_id, first, last, summary))
             fallback = True
 
     return EventSegmentation(events=events, fallback=fallback)

@@ -24,14 +24,15 @@ safe for concurrent reads.
 
 from __future__ import annotations
 
+import json
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
-from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, index, lt
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -222,10 +223,10 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
             out.append(Violation("timestamp-order", f"frame {cur.frame_index}"))
 
     nodes_by_frame: dict[int, set[int]] = {}
-    appearance: dict[int, set[int]] = {}
+    appearance: dict[int, list[int]] = {}  # each entity's frames, ascending: the graph holds nodes in frame order
     for node in graph.nodes:
         nodes_by_frame.setdefault(node.frame_index, set()).add(node.entity_id)
-        appearance.setdefault(node.entity_id, set()).add(node.frame_index)
+        appearance.setdefault(node.entity_id, []).append(node.frame_index)
         if not 0 <= node.frame_index < len(graph.frames):
             out.append(Violation("node-frame-unknown", f"entity {node.entity_id} frame {node.frame_index}"))
         if not node.box.is_valid():
@@ -251,30 +252,35 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
             out.append(Violation("event-entity-unknown", f"entity {entity_id}"))
             continue
         frames_here = appearance[entity_id]
-        covered: set[int] = set()
+        # Spans are checked by arithmetic, never expanded: the frames covered so far are the disjoint spans
+        # starts[i]..ends[i], in order after a sentinel that covers nothing.
+        starts, ends = [-inf], [-inf]
         for ev in events:
             if ev.entity_id != entity_id:
                 out.append(Violation("event-entity-mismatch", f"entity {entity_id} holds event of {ev.entity_id}"))
-            if ev.start_frame > ev.end_frame:
-                out.append(Violation("event-span", f"entity {entity_id} [{ev.start_frame}..{ev.end_frame}]"))
+            start, end = ev.start_frame, ev.end_frame
+            if start > end:
+                out.append(Violation("event-span", f"entity {entity_id} [{start}..{end}]"))
                 continue
-            span = set(range(ev.start_frame, ev.end_frame + 1))
-            if covered & span:
-                out.append(Violation("event-overlap", f"entity {entity_id} [{ev.start_frame}..{ev.end_frame}]"))
-            covered |= span
-            if not span <= frames_here:
-                out.append(
-                    Violation("event-absent-frame", f"entity {entity_id} [{ev.start_frame}..{ev.end_frame}]")
-                )
+            lo, hi = bisect_left(ends, start), bisect_right(starts, end)  # the spans lo..hi-1 meet this one
+            if lo < hi:
+                out.append(Violation("event-overlap", f"entity {entity_id} [{start}..{end}]"))
+            # The entity's frames ascend, each once: they hold all of start..end when end is end - start after start.
+            i, n = bisect_left(frames_here, start), end - start
+            if not (i + n < len(frames_here) and frames_here[i] == start and frames_here[i + n] == end):
+                out.append(Violation("event-absent-frame", f"entity {entity_id} [{start}..{end}]"))
+            if lo < hi:
+                start, end = min(start, starts[lo]), max(end, ends[hi - 1])
+            starts[lo:hi], ends[lo:hi] = [start], [end]
         for prev, cur in zip(events, events[1:]):
             if cur.start_frame <= prev.end_frame:
                 out.append(Violation("event-order", f"entity {entity_id} at frame {cur.start_frame}"))
         # Coverage is only enforced once the entity has events at all, so
         # partially built graphs (pre-segmentation) still validate.
         if events:
-            missing = frames_here - covered
+            missing = [f for f in frames_here if ends[bisect_right(starts, f) - 1] < f]
             if missing:
-                out.append(Violation("event-coverage", f"entity {entity_id} frames {sorted(missing)}"))
+                out.append(Violation("event-coverage", f"entity {entity_id} frames {missing}"))
 
     return out
 
@@ -335,123 +341,57 @@ def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
     return graph._descriptions
 
 
-# The graph document is what ``json.dumps(doc, sort_keys=True, indent=2)``
-# writes for the graph's fields, rendered here from templates: with any
-# ``indent`` CPython's json falls back to its pure-Python encoder, which
-# costs several times more than these templates. Leaf values go through the
-# primitives json itself uses, so the bytes are the same.
-_FRAME = """    {
-      "description": %s,
-      "frame_index": %s,
-      "source_ref": %s,
-      "timestamp_s": %s
-    }"""
-_NODE = """    {
-      "attributes": %s,
-      "box": [
-        %s,
-        %s,
-        %s,
-        %s
-      ],
-      "description": %s,
-      "entity_id": %s,
-      "frame_index": %s
-    }"""
-_EDGE = """    {
-      "frame_index": %s,
-      "object_id": %s,
-      "relation": %s,
-      "subject_id": %s
-    }"""
-_EVENT = """      {
-        "end_frame": %s,
-        "start_frame": %s,
-        "summary": %s
-      }"""
-_DOCUMENT = """{
-  "edges": %s,
-  "events": %s,
-  "fps": %s,
-  "frames": %s,
-  "nodes": %s
-}
-"""
-_str = encode_basestring_ascii
-_int = int.__repr__
+# The graph document is ``json.dumps`` of the graph's fields with sorted keys
+# and compact separators, so CPython writes it with its C encoder.
+# ``operator.index`` and ``str.__str__`` hold the int and text fields to their
+# types, writing a boolean as 1 or 0, and ``_float`` keeps out the non-finite
+# floats JSON has no token for.
+_text = str.__str__
 
 
-def _float(value) -> str:
-    """``float(value)`` as json writes it; a non-finite value raises ValueError, as JSON has no token for it."""
+def _float(value) -> float:
+    """``float(value)``; a non-finite value raises ValueError, as JSON has no token for it."""
     value = float(value)
     if value - value == 0:
-        return float.__repr__(value)
+        return value
     raise ValueError(f"the graph document cannot hold the non-finite float {value}")
 
 
-def _container(items: list[str], indent: str, brackets: str) -> str:
-    """Rendered ``items`` between ``brackets``; the closing one sits at ``indent``."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
-
-
-def _node(n: EntityNode, attribute_blocks: dict[tuple, str]) -> str:
-    """One node's object; ``attribute_blocks`` caches rendered attributes by their items."""
-    items = tuple(n.attributes.items())
-    attributes = attribute_blocks.get(items)
-    if attributes is None:
-        attributes = attribute_blocks[items] = _container(
-            [f"        {_str(k)}: {_str(v)}" for k, v in sorted(items)], "      ", "{}"
-        )
-    return _NODE % (
-        attributes,
-        *map(_float, n.box),
-        "null" if n.description is None else _str(n.description),
-        _int(n.entity_id),
-        _int(n.frame_index),
-    )
-
-
 def serialize(graph: SpatioTemporalGraph) -> str:
-    """Canonical JSON document: equal graphs serialize byte-identically.
+    """Canonical JSON document, on one line: equal graphs serialize byte-identically.
 
-    Keys are sorted and nested two spaces deep; frames are ordered by index,
-    nodes as the graph holds them, in (frame, entity) order, edges by
-    (frame, subject, object, relation) and each entity's events by start
-    frame. Int and string fields must hold ints and strings, as the fields
-    declare, or TypeError is raised; float fields take what ``float()``
-    takes, and a non-finite float raises ValueError.
+    Keys are sorted; frames are ordered by index, nodes as the graph holds
+    them, in (frame, entity) order, edges by (frame, subject, object,
+    relation) and each entity's events by start frame. Int and string fields
+    must hold ints and strings, as the fields declare, or TypeError is
+    raised; float fields take what ``float()`` takes, and a non-finite float
+    raises ValueError.
     """
     frames = [
-        _FRAME % (_str(f.description), _int(f.frame_index), _str(f.source_ref), _float(f.timestamp_s))
+        {"description": _text(f.description), "frame_index": index(f.frame_index),
+         "source_ref": _text(f.source_ref), "timestamp_s": _float(f.timestamp_s)}
         for f in sorted(graph.frames, key=attrgetter("frame_index"))
     ]
-    attribute_blocks: dict[tuple, str] = {}
-    nodes = [_node(n, attribute_blocks) for n in graph.nodes]
+    nodes = [
+        {"attributes": {_text(k): _text(v) for k, v in n.attributes.items()}, "box": list(map(_float, n.box)),
+         "description": None if n.description is None else _text(n.description),
+         "entity_id": index(n.entity_id), "frame_index": index(n.frame_index)}
+        for n in graph.nodes
+    ]
     edges = [
-        _EDGE % (_int(e.frame_index), _int(e.object_id), _str(e.relation), _int(e.subject_id))
+        {"frame_index": index(e.frame_index), "object_id": index(e.object_id), "relation": _text(e.relation),
+         "subject_id": index(e.subject_id)}
         for e in sorted(graph.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))
     ]
-    events = [
-        f"    {_str(key)}: "
-        + _container(
-            [
-                _EVENT % (_int(ev.end_frame), _int(ev.start_frame), _str(ev.summary))
-                for ev in sorted(evs, key=attrgetter("start_frame"))
-            ],
-            "    ",
-            "[]",
-        )
-        for key, evs in sorted(((str(k), evs) for k, evs in graph.events.items()), key=itemgetter(0))
-    ]
-    return _DOCUMENT % (
-        _container(edges, "  ", "[]"),
-        _container(events, "  ", "{}"),
-        _float(graph.fps),
-        _container(frames, "  ", "[]"),
-        _container(nodes, "  ", "[]"),
-    )
+    events = {
+        str(key): [
+            {"end_frame": index(ev.end_frame), "start_frame": index(ev.start_frame), "summary": _text(ev.summary)}
+            for ev in sorted(evs, key=attrgetter("start_frame"))
+        ]
+        for key, evs in graph.events.items()
+    }
+    doc = {"edges": edges, "events": events, "fps": _float(graph.fps), "frames": frames, "nodes": nodes}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def parse_box(raw, where: str, *args) -> BoundingBox:

@@ -79,7 +79,7 @@ def test_build_embeds_nothing_and_writes_the_graph_it_wrote_before(corpus_dir, t
     assert written == graph_model.serialize(built.graph)
     # The sha256 of this video's graph as written by a build that embedded it as well.
     assert hashlib.sha256(written.encode()).hexdigest() == (
-        "454096a93495e4f438fb537e03e0f888ab71b7322cd8b5837f7eb0a32ea9aa59"
+        "6df76e9c2a7b137f2f777ceedd9fee0d00f6e50b2a2f90e808fc1006eb6c49d9"
     )
 
 

@@ -149,6 +149,33 @@ def test_segment_events_fallback_flagged():
     assert seg.events[0].summary  # non-empty summary even in fallback
 
 
+class HugeSpanBackend(MockBackend):
+    """Mock that answers every event segmentation with one span of 10**11 frames, and counts them."""
+
+    def __init__(self):
+        super().__init__()
+        self.segmentations = 0
+
+    def generate(self, bundle):
+        if bundle.role != "event_segmentation":
+            return super().generate(bundle)
+        self.segmentations += 1
+        return "0|100000000000|x"
+
+
+def test_a_reply_span_past_the_run_is_retried_then_flagged_without_expanding_it():
+    assoc = associated(synth_world(1, 24, 3))
+    huge = HugeSpanBackend()
+    graph, report = build_graph(assoc.frames, assoc.nodes, huge, max_retries=2)
+    assert report.fallback_entities == graph.entity_ids()
+    runs = {e: graph_builder._appearance_runs(entity_timeline(graph, e)) for e in graph.entity_ids()}
+    assert huge.segmentations == 2 * sum(map(len, runs.values()))
+    assert {e: [(ev.start_frame, ev.end_frame) for ev in evs] for e, evs in graph.events.items()} == {
+        e: [(run[0].frame_index, run[-1].frame_index) for run in entity_runs] for e, entity_runs in runs.items()
+    }
+    assert validate(graph) == []
+
+
 def test_build_graph_end_to_end(backend):
     frames = [FrameRecord(0, 0.0, "[E0] beside [E1]."), FrameRecord(1, 1.0, "calm scene.")]
     nodes = [node(0, 0), node(1, 0, appearance="blue jay"), node(0, 1)]

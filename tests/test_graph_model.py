@@ -183,6 +183,59 @@ def test_no_events_is_not_a_coverage_violation():
     assert validate(g) == []
 
 
+def test_a_span_far_past_the_entity_frames_is_reported_not_expanded():
+    g = replace(small_graph(), events={0: [EntityEvent(0, 0, 10**15, "forever")]})
+    assert validate(g) == [Violation("event-absent-frame", "entity 0 [0..1000000000000000]")]
+
+
+def expanded_event_violations(graph):
+    """The event rules of ``validate``, checked by expanding each span into a set of frames."""
+    out, appearance = [], {}
+    for n in graph.nodes:
+        appearance.setdefault(n.entity_id, set()).add(n.frame_index)
+    for entity_id, events in graph.events.items():
+        if entity_id not in appearance:
+            out.append(Violation("event-entity-unknown", f"entity {entity_id}"))
+            continue
+        covered = set()
+        for ev in events:
+            where = f"entity {entity_id} [{ev.start_frame}..{ev.end_frame}]"
+            if ev.entity_id != entity_id:
+                out.append(Violation("event-entity-mismatch", f"entity {entity_id} holds event of {ev.entity_id}"))
+            if ev.start_frame > ev.end_frame:
+                out.append(Violation("event-span", where))
+                continue
+            span = set(range(ev.start_frame, ev.end_frame + 1))
+            if covered & span:
+                out.append(Violation("event-overlap", where))
+            covered |= span
+            if not span <= appearance[entity_id]:
+                out.append(Violation("event-absent-frame", where))
+        for prev, cur in zip(events, events[1:]):
+            if cur.start_frame <= prev.end_frame:
+                out.append(Violation("event-order", f"entity {entity_id} at frame {cur.start_frame}"))
+        missing = appearance[entity_id] - covered
+        if events and missing:
+            out.append(Violation("event-coverage", f"entity {entity_id} frames {sorted(missing)}"))
+    return out
+
+
+@given(
+    st.lists(st.sets(st.integers(0, 9)), min_size=2, max_size=2),
+    st.dictionaries(
+        st.integers(0, 2),
+        st.lists(st.builds(EntityEvent, st.integers(0, 2), st.integers(-2, 11), st.integers(-2, 11), st.just("e")),
+                 max_size=5),
+        max_size=3,
+    ),
+)
+def test_event_rules_match_the_span_expanding_reference(frames_of, events):
+    # Entities 0 and 1 appear in the drawn frames; entity 2 never does.
+    nodes = [EntityNode(e, f, dict(ATTRS), box()) for e, frames in enumerate(frames_of) for f in frames]
+    g = SpatioTemporalGraph(frames=[FrameRecord(i, float(i), "") for i in range(10)], nodes=nodes, events=events)
+    assert [v for v in validate(g) if v.rule.startswith("event-")] == expanded_event_violations(g)
+
+
 def test_entity_timeline_sorted_and_missing():
     g = small_graph()
     timeline = entity_timeline(g, 0)
@@ -409,6 +462,13 @@ def test_deserialize_bad_json_reports_line():
     with pytest.raises(ParseError) as exc:
         deserialize('{\n  "frames": [,]\n}')
     assert exc.value.line == 2
+
+
+def test_deserialize_bad_json_in_a_one_line_document_reports_the_column():
+    with pytest.raises(ParseError) as exc:
+        deserialize('{"frames":[,]}')
+    assert exc.value.line == 1
+    assert str(exc.value) == "line 1: invalid JSON: Expecting value at column 12"
 
 
 @pytest.mark.parametrize(

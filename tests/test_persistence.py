@@ -1,6 +1,7 @@
 """Persisted artifacts: byte-level goldens, the graph writer against ``json.dumps``,
-and the embeddings, one float32 row per distinct node description, with their
-index of those descriptions, which the reader checks against the text its graph implies."""
+earlier versions' indented graph documents, and the embeddings, one float32 row per
+distinct node description, with their index of those descriptions, which the reader
+checks against the text its graph implies."""
 
 import dataclasses
 import hashlib
@@ -39,17 +40,17 @@ from conftest import make_columns, record_rows
 # built with the mock backend and the default config.
 GOLDEN_SHA256 = {
     (24, 3): (
-        "aaded7e26af0bafa11cc16095e644215ca84ba2e6315ab860cf962192a6b9b20",
+        "ca73feed1bf425030992299200f4eb451aed55174126d63e9db349971010ec75",
         "ac532806e15a68ee0024f0eed1e2b525b9a9d15c15b6a2ab5401ed7dee18e8d6",
         "6c50667994e74c7aade76f4573aea5c6526fc20e40fbd5ec1ce3b5f3ac1ac282",
     ),
     (200, 6): (
-        "c780d7c46fa314aff6a556b19b0e1360a01e6f3758f35cb07d20ad6d9363cadb",
+        "b53e9d974f9284c38ea80294a7ab382268ec84cfa97c22d01b499e2e710722ab",
         "5a4135e1ef878831d873560775e507759c37ad05f8987212c44efc8699ae14a4",
         "a7df30b33d655206c9d38248e5128c66dfb3019a3c5be9991fb69dda5f0705eb",
     ),
     (600, 8): (
-        "1360cb3ca4372006f904bb2c5c1f04b68cd6cd42f178c2d455f4724d36d55c70",
+        "51e8b83a44516cde7585a7b95b50153414d1ad9ce9dd7b69bafba24d732bfa1d",
         "5305bad169f4011b62c0a3c013b8b30937f62a0838bb569b310f7f26db9f2f05",
         "be698f451ff5633692ad6ff269d3b43f40f2477b7801946c440a66431a163207",
     ),
@@ -75,11 +76,11 @@ def test_artifacts_match_their_golden_bytes(tmp_path, shape):
 
 
 # ---------------------------------------------------------------------------
-# The graph writer against the json.dumps document it replaced.
+# The graph writer against the json.dumps document of the graph's fields.
 
 
 def oracle_serialize(graph):
-    """``serialize`` as it was: build the document as dicts and lists, then ``json.dumps`` it."""
+    """Build the document as dicts and lists, then ``json.dumps`` it with compact separators."""
     frames = sorted(graph.frames, key=lambda f: f.frame_index)
     nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
     edges = sorted(graph.edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
@@ -121,7 +122,7 @@ def oracle_serialize(graph):
             for entity_id, evs in sorted(graph.events.items())
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # Non-ASCII text, quotes, backslashes and control characters, besides any text.
@@ -172,6 +173,63 @@ def test_serialize_matches_the_json_dumps_document_on_built_graphs():
         assert serialize(graph) == oracle_serialize(graph)
 
 
+def loaded(document):
+    """The graph ``document`` holds, or the message of the ParseError it raises."""
+    try:
+        return deserialize(document)
+    except ParseError as exc:
+        return str(exc)
+
+
+def indented(document):
+    """``document`` as earlier versions wrote it: the same JSON value, nested two spaces deep."""
+    return json.dumps(json.loads(document), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300)
+@given(graphs)
+def test_an_indented_document_of_an_earlier_version_loads_as_the_compact_one(graph):
+    document = serialize(graph)
+    graph = loaded(indented(document))
+    assert graph == loaded(document)
+    if not isinstance(graph, str):
+        assert serialize(graph) == document
+
+
+def test_an_indented_built_graph_loads_and_writes_the_compact_document():
+    world = synth_world(2, 24, 3)
+    document = serialize(build_video(world.observations_text, world.tracklets_text, MockBackend()).graph)
+    assert "\n" not in document[:-1]
+    assert serialize(deserialize(indented(document))) == document
+
+
+def one_node_graph_with(**fields):
+    """``one_node_graph`` with its frame, node, edge or events replaced by ``fields``."""
+    return dataclasses.replace(one_node_graph(), **{name: [value] for name, value in fields.items()})
+
+
+# Each a graph with one int or text field that holds another type.
+MISTYPED = {
+    "float entity ID": lambda: one_node_graph_with(nodes=EntityNode(0.0, 0, {}, BoundingBox(0, 0, 4, 4))),
+    "str frame index": lambda: one_node_graph_with(frames=FrameRecord("0", 0.0, "a frame")),
+    "int relation": lambda: one_node_graph_with(edges=RelationEdge(0, 0, 5, 0)),
+    "bytes node description": lambda: one_node_graph_with(nodes=EntityNode(0, 0, {}, BoundingBox(0, 0, 4, 4), b"x")),
+    "int attribute": lambda: one_node_graph_with(nodes=EntityNode(0, 0, {"action": 3}, BoundingBox(0, 0, 4, 4))),
+    "None event summary": lambda: dataclasses.replace(one_node_graph(), events={0: [EntityEvent(0, 0, 0, None)]}),
+}
+
+
+@pytest.mark.parametrize("make", MISTYPED.values(), ids=MISTYPED)
+def test_serialize_refuses_a_field_holding_another_type(make):
+    with pytest.raises(TypeError):
+        serialize(make())
+
+
+def test_serialize_writes_a_boolean_id_as_an_int():
+    document = serialize(one_node_graph_with(nodes=EntityNode(True, False, {}, BoundingBox(0, 0, 4, 4))))
+    assert '"entity_id":1,"frame_index":0}' in document
+
+
 NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
@@ -209,7 +267,7 @@ def test_a_non_finite_float_is_neither_written_nor_read(graph_with, message, fie
 def test_serialize_of_an_empty_graph():
     text = serialize(SpatioTemporalGraph())
     assert text == oracle_serialize(SpatioTemporalGraph())
-    assert '"nodes": []' in text and '"events": {}' in text
+    assert '"nodes":[]' in text and '"events":{}' in text
 
 
 # ---------------------------------------------------------------------------
