@@ -149,7 +149,7 @@ def events(ctx, graph_path, entity):
     for entity_id in graph.entity_ids():
         if entity is not None and entity_id != entity:
             continue
-        for ev in sorted(graph.events.get(entity_id, []), key=lambda e: e.start_frame):
+        for ev in graph.events.get(entity_id, ()):
             click.echo(f"entity {entity_id}: [{ev.start_frame}, {ev.end_frame}] {ev.summary}")
 
 

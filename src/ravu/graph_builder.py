@@ -371,7 +371,6 @@ def build_graph(
         edges, dropped = build_frame_graph(batch[start : start + ITEMS_PER_CALL], backend, max_retries)
         all_edges.extend(edges)
         report.dropped_edge_lines += dropped
-    all_edges.sort(key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
     graph = replace(graph, edges=all_edges)
 
     # Each distinct block, with the first node that has it, and each node's block number.

@@ -12,14 +12,15 @@ dict, which nothing changes once the node is made. The records ``BoundingBox``,
 named tuples, changed by making a new one with ``._replace``; a graph is a
 frozen dataclass, changed by making a new one with ``dataclasses.replace``.
 A graph holds ``frames``, ``nodes`` and ``edges`` as tuples and ``events`` as
-a read-only mapping of tuples, whatever sequences it was given. It holds its
-nodes in (frame, entity) order, each key ``(entity_id, frame_index)`` once: a
-node sequence already in that order is kept as it is, any other is sorted
-stably, and a key listed twice raises ValueError. Every reader relies on that
-order. The lookups (``nodes_in_frame``, ``entity_ids``, ``entity_timeline``,
-``node_edges`` and ``entity_descriptions``) read tables that the graph builds
-from its fields at their first use and keeps for its lifetime. A graph is
-safe for concurrent reads.
+a read-only mapping of tuples, whatever sequences it was given, each in one
+order: frames by index, nodes by (frame, entity), edges by (frame, subject,
+object, relation), and events by entity, each entity's by start frame. A field
+already in its order is kept as it is and any other is sorted stably; a node
+key ``(entity_id, frame_index)`` listed twice raises ValueError. Every reader
+relies on these orders. The lookups (``nodes_in_frame``, ``entity_ids``,
+``entity_timeline``, ``node_edges`` and ``entity_descriptions``) read tables
+that the graph builds from its fields at their first use and keeps for its
+lifetime. A graph is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ class SpatioTemporalGraph:
 
     def __post_init__(self):
         vars(self).update(
-            frames=tuple(self.frames),
+            frames=tuple(sorted(self.frames, key=attrgetter("frame_index"))),
             nodes=_in_node_order(self.nodes),
-            edges=tuple(self.edges),
-            events=MappingProxyType({k: tuple(evs) for k, evs in self.events.items()}),
+            edges=tuple(sorted(self.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))),
+            events=MappingProxyType({k: tuple(sorted(self.events[k], key=attrgetter("start_frame")))
+                                     for k in sorted(self.events)}),
         )
 
     def __reduce__(self):
@@ -131,7 +133,7 @@ class SpatioTemporalGraph:
 
     @cached_property
     def _edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
-        """Edges per node key ``(entity_id, frame_index)``, in edge-list order; a self-edge is listed once."""
+        """Edges per node key ``(entity_id, frame_index)``, in the graph's edge order; a self-edge is listed once."""
         edges_at: dict[tuple[int, int], list[RelationEdge]] = {(n.entity_id, n.frame_index): [] for n in self.nodes}
         for e in self.edges:
             for entity_id in {e.subject_id, e.object_id}:
@@ -206,6 +208,7 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
     Violations are data, not errors: callers decide whether to raise.
     The ``line-break`` rule reports ``line_break_fields``, which ``deserialize``
     raises from. No rule looks for a repeated node: a graph cannot hold one.
+    Every rule reads the fields in the graph's orders: frames by index, events by start frame.
     """
     out = [Violation("line-break", f"{owner} {name}") for owner, name in line_break_fields(graph)]
     # A NaN fails the comparison too, and JSON has no token for NaN or infinity.
@@ -252,9 +255,9 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
             out.append(Violation("event-entity-unknown", f"entity {entity_id}"))
             continue
         frames_here = appearance[entity_id]
-        # Spans are checked by arithmetic, never expanded: the frames covered so far are the disjoint spans
-        # starts[i]..ends[i], in order after a sentinel that covers nothing.
-        starts, ends = [-inf], [-inf]
+        # Spans are checked by arithmetic, never expanded. Events come by start frame, so one meets an earlier one
+        # exactly when it starts by the furthest frame they reach, and the entity's frames in between are uncovered.
+        reached, missing = -inf, []
         for ev in events:
             if ev.entity_id != entity_id:
                 out.append(Violation("event-entity-mismatch", f"entity {entity_id} holds event of {ev.entity_id}"))
@@ -262,25 +265,22 @@ def validate(graph: SpatioTemporalGraph) -> list[Violation]:
             if start > end:
                 out.append(Violation("event-span", f"entity {entity_id} [{start}..{end}]"))
                 continue
-            lo, hi = bisect_left(ends, start), bisect_right(starts, end)  # the spans lo..hi-1 meet this one
-            if lo < hi:
+            if start <= reached:
                 out.append(Violation("event-overlap", f"entity {entity_id} [{start}..{end}]"))
             # The entity's frames ascend, each once: they hold all of start..end when end is end - start after start.
             i, n = bisect_left(frames_here, start), end - start
             if not (i + n < len(frames_here) and frames_here[i] == start and frames_here[i + n] == end):
                 out.append(Violation("event-absent-frame", f"entity {entity_id} [{start}..{end}]"))
-            if lo < hi:
-                start, end = min(start, starts[lo]), max(end, ends[hi - 1])
-            starts[lo:hi], ends[lo:hi] = [start], [end]
+            missing += frames_here[bisect_right(frames_here, reached):i]
+            reached = max(reached, end)
         for prev, cur in zip(events, events[1:]):
             if cur.start_frame <= prev.end_frame:
                 out.append(Violation("event-order", f"entity {entity_id} at frame {cur.start_frame}"))
         # Coverage is only enforced once the entity has events at all, so
         # partially built graphs (pre-segmentation) still validate.
-        if events:
-            missing = [f for f in frames_here if ends[bisect_right(starts, f) - 1] < f]
-            if missing:
-                out.append(Violation("event-coverage", f"entity {entity_id} frames {missing}"))
+        missing += frames_here[bisect_right(frames_here, reached):]
+        if events and missing:
+            out.append(Violation("event-coverage", f"entity {entity_id} frames {missing}"))
 
     return out
 
@@ -360,9 +360,8 @@ def _float(value) -> float:
 def serialize(graph: SpatioTemporalGraph) -> str:
     """Canonical JSON document, on one line: equal graphs serialize byte-identically.
 
-    Keys are sorted; frames are ordered by index, nodes as the graph holds
-    them, in (frame, entity) order, edges by (frame, subject, object,
-    relation) and each entity's events by start frame. Int and string fields
+    Keys are sorted, and frames, nodes, edges and each entity's events are
+    listed in the orders the graph holds them in. Int and string fields
     must hold ints and strings, as the fields declare, or TypeError is
     raised; float fields take what ``float()`` takes, and a non-finite float
     raises ValueError.
@@ -370,7 +369,7 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     frames = [
         {"description": _text(f.description), "frame_index": index(f.frame_index),
          "source_ref": _text(f.source_ref), "timestamp_s": _float(f.timestamp_s)}
-        for f in sorted(graph.frames, key=attrgetter("frame_index"))
+        for f in graph.frames
     ]
     nodes = [
         {"attributes": {_text(k): _text(v) for k, v in n.attributes.items()}, "box": list(map(_float, n.box)),
@@ -381,12 +380,12 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     edges = [
         {"frame_index": index(e.frame_index), "object_id": index(e.object_id), "relation": _text(e.relation),
          "subject_id": index(e.subject_id)}
-        for e in sorted(graph.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))
+        for e in graph.edges
     ]
     events = {
         str(key): [
             {"end_frame": index(ev.end_frame), "start_frame": index(ev.start_frame), "summary": _text(ev.summary)}
-            for ev in sorted(evs, key=attrgetter("start_frame"))
+            for ev in evs
         ]
         for key, evs in graph.events.items()
     }
@@ -459,8 +458,10 @@ def _integer_owner(doc: dict) -> str:
 
 def deserialize(document: str) -> SpatioTemporalGraph:
     """The graph a document holds; a malformed document, an fps or a timestamp that is
-    not finite (or an fps not > 0), a node listed twice or outside the video's frames,
-    an event span outside them, or a line break in a text field raises ParseError."""
+    not finite (or an fps not > 0), frame indices that are not 0..n-1 each once, a
+    timestamp not after the previous frame's, a node listed twice or outside the
+    video's frames, an event span outside them, or a line break in a text field
+    raises ParseError. The document may list each field in any order."""
     doc = json_object(document, "graph document")
     for key in ("frames", "nodes", "edges", "events", "fps"):
         if key not in doc:
@@ -513,17 +514,23 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         raise ParseError(f"malformed graph document: {exc}") from exc
     except ParseError as exc:  # from ``integer``: a boolean or fractional ID
         raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
-    # ``validate``'s fps-finite and timestamp-finite rules: json reads NaN, Infinity and 1e400 as floats.
+    # ``validate``'s fps-finite rule, and below its timestamp-finite rule: json reads NaN, Infinity and 1e400 as floats.
     if not 0 < fps < inf:
         raise ParseError(f"fps must be finite and > 0, found {fps}", field="fps")
-    for f in frames:
-        if not isfinite(f.timestamp_s):
-            raise ParseError(f"frame {f.frame_index}: timestamp_s {f.timestamp_s} is not finite", field="timestamp_s")
     try:
         graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     except ValueError as exc:  # a node listed twice
         raise ParseError(str(exc), field="nodes") from None
     last = len(frames) - 1
+    # ``validate``'s frame-index-dense, timestamp-finite and timestamp-order rules: a reader takes frame f as frames[f].
+    for i, f in enumerate(graph.frames):
+        if f.frame_index != i:
+            raise ParseError(f"frame {f.frame_index}: frame indices must be 0..{last}, each once", field="frame_index")
+        if not isfinite(f.timestamp_s):
+            raise ParseError(f"frame {i}: timestamp_s {f.timestamp_s} is not finite", field="timestamp_s")
+        if i and not f.timestamp_s > graph.frames[i - 1].timestamp_s:
+            raise ParseError(f"frame {i}: timestamp_s {f.timestamp_s} is not after frame {i - 1}'s "
+                             f"{graph.frames[i - 1].timestamp_s}", field="timestamp_s")
     # In the graph's node order the first node holds the lowest frame and the last the highest.
     for n in graph.nodes[:1] + graph.nodes[-1:]:
         if not 0 <= n.frame_index <= last:

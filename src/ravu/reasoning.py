@@ -61,14 +61,14 @@ def uniform_sample(frames: list[int], budget: int) -> list[int]:
     return [frames[p] for p in positions]
 
 
-def _entity_events(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityEvent]:
-    events = graph.events.get(entity_id, [])
+def _entity_events(graph: SpatioTemporalGraph, entity_id: int) -> tuple[EntityEvent, ...]:
+    events = graph.events.get(entity_id, ())
     if not events:
         raise NotFound(f"entity {entity_id} has no events")
-    return sorted(events, key=lambda ev: ev.start_frame)
+    return events
 
 
-def _anchor_event_index(events: list[EntityEvent], t: int) -> int:
+def _anchor_event_index(events: tuple[EntityEvent, ...], t: int) -> int:
     for i, ev in enumerate(events):
         if ev.start_frame <= t <= ev.end_frame:
             return i
@@ -443,10 +443,11 @@ def hierarchical_retrieve(
     qvec = backend.embed(question)
 
     scores = index.scores(qvec)
+    # One range per event, in the graph's order: by entity, each entity's by start frame.
     ranges = [
         (entity_id, ev.start_frame, ev.end_frame)
-        for entity_id, events in sorted(graph.events.items())
-        for ev in sorted(events, key=lambda ev: ev.start_frame)
+        for entity_id, events in graph.events.items()
+        for ev in events
     ]
     pool = index.rank_ranges(scores, ranges, per_event)
     if not pool:

@@ -10,6 +10,7 @@ from ravu.config import RavuConfig
 from ravu.datasets import McqItem
 from ravu.errors import ParseError, Timeout
 from ravu.evaluate import (
+    Retrieval,
     TokenCountingBackend,
     VideoAssets,
     answer,
@@ -21,7 +22,7 @@ from ravu.evaluate import (
     report_to_json,
     retrieve,
 )
-from ravu.graph_model import validate
+from ravu.graph_model import deserialize, serialize, validate
 from ravu.synth import synth_world
 
 
@@ -59,6 +60,27 @@ def test_answer_question_is_retrieve_then_answer(world, assets, backend):
         )
         assert answer(assets, item.question, item.options, retrieval, backend) == audit.choice
         assert (retrieval.plan is None) == (item.category == "global")
+
+
+class AnswerRecorder:
+    """A backend that answers 0 and keeps the bundle it was asked with."""
+
+    def answer(self, bundle, question, options):
+        self.bundle = bundle
+        return 0
+
+
+def test_a_document_listing_its_frames_in_reverse_answers_from_each_frames_own_record():
+    world = synth_world(1, 24, 3)
+    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    doc = json.loads(serialize(assets.graph))
+    own = {f["frame_index"]: (f["frame_index"], f["source_ref"], f["description"]) for f in doc["frames"]}
+    doc["frames"].reverse()
+    graph = deserialize(json.dumps(doc))
+    assert graph == assets.graph
+    recorder, frames = AnswerRecorder(), [0, 5, 23]
+    answer(dataclasses.replace(assets, graph=graph), "What happens?", ["a", "b"], Retrieval(frames, None), recorder)
+    assert recorder.bundle.frame_refs == [own[f] for f in frames]
 
 
 class Unasked:

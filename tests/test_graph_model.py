@@ -393,7 +393,7 @@ def test_node_edges_reads_the_edges_of_its_own_graph():
     assert [e.relation for e in node_edges(g, 1, 0)] == ["near"]
     with_edges = replace(g, edges=make_edges([(0, 1, "holding", 0), (0, 0, "near", 0)]))
     assert [e.relation for e in node_edges(with_edges, 1, 0)] == ["holding"]
-    assert [e.relation for e in node_edges(with_edges, 0, 0)] == ["holding", "near"]
+    assert [e.relation for e in node_edges(with_edges, 0, 0)] == ["near", "holding"]
     assert [e.relation for e in node_edges(g, 1, 0)] == ["near"]
 
 
@@ -438,6 +438,29 @@ def test_serialize_round_trip():
     assert serialize(again) == text
     assert again.entity_ids() == g.entity_ids()
     assert again.events[0] == g.events[0]
+
+
+@pytest.mark.parametrize(
+    "position, frame_index", [(-1, 500), (-1, -1), (1, 0)], ids=["past the end", "negative", "repeated"]
+)
+def test_a_document_whose_frame_indices_are_not_0_to_n_is_refused(assets, position, frame_index):
+    doc = json.loads(serialize(assets.graph))
+    last = len(doc["frames"]) - 1
+    doc["frames"][position]["frame_index"] = frame_index
+    with pytest.raises(ParseError, match=f"^frame {frame_index}: frame indices must be 0..{last}, each once$") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == "frame_index"
+
+
+@pytest.mark.parametrize("earlier_by", [0.0, 0.5], ids=["equal", "earlier"])
+def test_a_document_whose_timestamps_do_not_increase_is_refused(assets, earlier_by):
+    doc = json.loads(serialize(assets.graph))
+    before = doc["frames"][4]["timestamp_s"]
+    doc["frames"][5]["timestamp_s"] = before - earlier_by
+    message = f"frame 5: timestamp_s {before - earlier_by} is not after frame 4's {before}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == "timestamp_s"
 
 
 def test_serialize_canonical_under_reordering():

@@ -1,5 +1,6 @@
 """Persisted artifacts: byte-level goldens, the graph writer against ``json.dumps``,
-earlier versions' indented graph documents, and the embeddings, one float32 row per
+earlier versions' indented graph documents, loadable graphs round-tripped whatever
+order their document lists them in, and the embeddings, one float32 row per
 distinct node description, with their index of those descriptions, which the reader
 checks against the text its graph implies."""
 
@@ -22,6 +23,7 @@ from ravu.evaluate import build_video
 from ravu.errors import ParseError
 from ravu.graph_builder import EmbeddingRecord, embed_graph, read_embeddings, write_embeddings
 from ravu.graph_model import (
+    LINE_BREAK,
     BoundingBox,
     EntityEvent,
     EntityNode,
@@ -201,6 +203,64 @@ def test_an_indented_built_graph_loads_and_writes_the_compact_document():
     document = serialize(build_video(world.observations_text, world.tracklets_text, MockBackend()).graph)
     assert "\n" not in document[:-1]
     assert serialize(deserialize(indented(document))) == document
+
+
+# Text without a line break: loading refuses one in every text field but a frame's source_ref.
+one_line_texts = texts.filter(lambda text: not LINE_BREAK.search(text))
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+valid_boxes = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6),
+)
+
+
+@st.composite
+def loadable_graphs(draw):
+    """Graphs that ``deserialize`` loads: frames 0..n-1 with increasing timestamps, a finite fps > 0, valid
+    boxes, nodes in those frames and event spans inside them, each entity's events with distinct starts."""
+    timestamps = sorted(draw(st.lists(floats, max_size=4, unique=True)))
+    frames = [FrameRecord(i, t, draw(one_line_texts), draw(texts)) for i, t in enumerate(timestamps)]
+    # A node or an event needs a frame to be in.
+    frame = st.integers(0, max(len(frames) - 1, 0))
+    room = 1 if frames else 0
+    keys = draw(st.lists(st.tuples(st.integers(0, 5), frame), max_size=6 * room, unique=True))
+    nodes = [
+        EntityNode(entity_id, frame_index, draw(st.dictionaries(one_line_texts, one_line_texts, max_size=3)),
+                   draw(valid_boxes), draw(st.one_of(st.none(), one_line_texts)))
+        for entity_id, frame_index in keys
+    ]
+    edges = draw(st.lists(st.builds(RelationEdge, st.integers(0, 3), st.integers(0, 3), one_line_texts,
+                                    st.integers(0, 3)), max_size=4))
+    spans = st.lists(st.tuples(frame, frame).map(sorted), max_size=3 * room, unique_by=lambda span: span[0])
+    events = {
+        entity_id: [EntityEvent(entity_id, start, end, draw(one_line_texts)) for start, end in draw(spans)]
+        for entity_id in draw(st.lists(st.integers(0, 12), max_size=4, unique=True))
+    }
+    return SpatioTemporalGraph(frames, nodes, edges, events, draw(positive_floats))
+
+
+@settings(max_examples=200)
+@given(loadable_graphs())
+def test_a_loadable_graph_loads_to_an_equal_graph_and_the_same_bytes(graph):
+    document = serialize(graph)
+    again = deserialize(document)  # every draw loads: a ParseError fails the test
+    assert again == graph
+    assert serialize(again) == document
+
+
+@settings(max_examples=200)
+@given(loadable_graphs(), st.randoms(use_true_random=False))
+def test_a_document_listing_its_fields_in_any_order_loads_to_the_same_graph(graph, random):
+    document = serialize(graph)
+    doc = json.loads(document)
+    for records in (doc["frames"], doc["nodes"], doc["edges"], *doc["events"].values()):
+        random.shuffle(records)
+    keys = list(doc["events"])
+    random.shuffle(keys)
+    doc["events"] = {key: doc["events"][key] for key in keys}
+    again = deserialize(json.dumps(doc))  # unsorted keys: the events keep their shuffled order
+    assert again == graph
+    assert serialize(again) == document
 
 
 def one_node_graph_with(**fields):
