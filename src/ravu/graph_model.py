@@ -7,16 +7,18 @@ are the same entity. Per-entity events chunk an entity's frames into
 contiguous behavioral segments.
 
 A graph and every record in it are immutable, except a node's ``attributes``
-dict, which nothing changes once the node is made. The records ``BoundingBox``,
-``EntityNode``, ``RelationEdge``, ``FrameRecord`` and ``EntityEvent`` are
-named tuples, changed by making a new one with ``._replace``; a graph is a
-frozen dataclass, changed by making a new one with ``dataclasses.replace``.
-A graph holds ``frames``, ``nodes`` and ``edges`` as tuples and ``events`` as
-a read-only mapping of tuples, whatever sequences it was given, each in one
-order: frames by index, nodes by (frame, entity), edges by (frame, subject,
-object, relation), and events by entity, each entity's by start frame. A field
-already in its order is kept as it is and any other is sorted stably; a node
-key ``(entity_id, frame_index)`` listed twice raises ValueError. Every reader
+dict, which nothing changes once the node is made: in a loaded graph, the
+nodes of one state (one attributes dict and description) share one attributes
+dict. The records ``BoundingBox``, ``EntityNode``, ``RelationEdge``,
+``FrameRecord`` and ``EntityEvent`` are named tuples, changed by making a new
+one with ``._replace``; a graph is a frozen dataclass, changed by making a new
+one with ``dataclasses.replace``. A graph holds ``frames``, ``nodes`` and
+``edges`` as tuples and ``events`` as a read-only mapping of tuples, whatever
+sequences it was given, each in one order: frames by index, nodes by (frame,
+entity), edges by (frame, subject, object, relation), and events by entity,
+each entity's by (start frame, end frame, summary). A field already in its
+order is kept as it is and any other is sorted stably; a node key
+``(entity_id, frame_index)`` listed twice raises ValueError. Every reader
 relies on these orders. The lookups (``nodes_in_frame``, ``entity_ids``,
 ``entity_timeline``, ``node_edges`` and ``entity_descriptions``) read tables
 that the graph builds from its fields at their first use and keeps for its
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -110,7 +112,7 @@ class SpatioTemporalGraph:
             frames=tuple(sorted(self.frames, key=attrgetter("frame_index"))),
             nodes=_in_node_order(self.nodes),
             edges=tuple(sorted(self.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))),
-            events=MappingProxyType({k: tuple(sorted(self.events[k], key=attrgetter("start_frame")))
+            events=MappingProxyType({k: tuple(sorted(self.events[k], key=_EVENT_KEY))
                                      for k in sorted(self.events)}),
         )
 
@@ -158,6 +160,7 @@ class SpatioTemporalGraph:
 
 
 _NODE_KEY = attrgetter("frame_index", "entity_id")
+_EVENT_KEY = attrgetter("start_frame", "end_frame", "summary")
 
 
 def _in_node_order(nodes: Sequence[EntityNode]) -> tuple[EntityNode, ...]:
@@ -341,55 +344,75 @@ def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
     return graph._descriptions
 
 
-# The graph document is ``json.dumps`` of the graph's fields with sorted keys
-# and compact separators, so CPython writes it with its C encoder.
-# ``operator.index`` and ``str.__str__`` hold the int and text fields to their
-# types, writing a boolean as 1 or 0, and ``_float`` keeps out the non-finite
-# floats JSON has no token for.
+# The graph document, format 2, is ``json.dumps`` of the graph's fields as
+# columns, with sorted keys and compact separators, so CPython writes it with
+# its C encoder. A node's attributes and description are written once per
+# distinct pair, as a row of ``states``, and a relation once, as a row of
+# ``relations``; nodes and edges give the row's number. ``operator.index`` and
+# ``str.__str__`` hold the int and text fields to their types, writing a
+# boolean as 1 or 0, and ``_floats`` keeps out the non-finite floats JSON has
+# no token for.
+FORMAT = 2
 _text = str.__str__
 
 
-def _float(value) -> float:
-    """``float(value)``; a non-finite value raises ValueError, as JSON has no token for it."""
-    value = float(value)
-    if value - value == 0:
-        return value
-    raise ValueError(f"the graph document cannot hold the non-finite float {value}")
+def _floats(values) -> list[float]:
+    """``float()`` of each value; a non-finite one raises ValueError, as JSON has no token for it."""
+    floats = list(map(float, values))
+    if not all(map(isfinite, floats)):
+        value = next(v for v in floats if not isfinite(v))
+        raise ValueError(f"the graph document cannot hold the non-finite float {value}")
+    return floats
+
+
+def _columns(records: Sequence[tuple], width: int) -> list[tuple]:
+    """The columns of ``records``, named tuples of ``width`` fields."""
+    return list(zip(*records)) if records else [()] * width
+
+
+def _numbered(values: Iterable) -> tuple[dict, list[int]]:
+    """Each distinct value numbered in first-seen order, and the number of each value."""
+    numbers: dict = {}
+    return numbers, [numbers.setdefault(v, len(numbers)) for v in values]
 
 
 def serialize(graph: SpatioTemporalGraph) -> str:
     """Canonical JSON document, on one line: equal graphs serialize byte-identically.
 
-    Keys are sorted, and frames, nodes, edges and each entity's events are
-    listed in the orders the graph holds them in. Int and string fields
-    must hold ints and strings, as the fields declare, or TypeError is
+    Keys are sorted, frames, nodes, edges and each entity's events are listed
+    in the orders the graph holds them in, and ``states`` and ``relations``
+    are numbered in the order their first node or edge comes. Int and string
+    fields must hold ints and strings, as the fields declare, or TypeError is
     raised; float fields take what ``float()`` takes, and a non-finite float
     raises ValueError.
     """
-    frames = [
-        {"description": _text(f.description), "frame_index": index(f.frame_index),
-         "source_ref": _text(f.source_ref), "timestamp_s": _float(f.timestamp_s)}
-        for f in graph.frames
-    ]
-    nodes = [
-        {"attributes": {_text(k): _text(v) for k, v in n.attributes.items()}, "box": list(map(_float, n.box)),
-         "description": None if n.description is None else _text(n.description),
-         "entity_id": index(n.entity_id), "frame_index": index(n.frame_index)}
-        for n in graph.nodes
-    ]
-    edges = [
-        {"frame_index": index(e.frame_index), "object_id": index(e.object_id), "relation": _text(e.relation),
-         "subject_id": index(e.subject_id)}
-        for e in graph.edges
-    ]
-    events = {
-        str(key): [
-            {"end_frame": index(ev.end_frame), "start_frame": index(ev.start_frame), "summary": _text(ev.summary)}
-            for ev in evs
-        ]
-        for key, evs in graph.events.items()
+    frame_index, timestamp_s, description, source_ref = _columns(graph.frames, 4)
+    entity_id, node_frame, attributes, boxes, node_description = _columns(graph.nodes, 5)
+    # A dict does not hash, so a state is keyed by its attributes' items; ``json.dumps`` sorts them again.
+    states, state = _numbered(zip(map(frozenset, map(dict.items, attributes)), node_description))
+    edge_frame, subject_id, relation, object_id = _columns(graph.edges, 4)
+    relations, relation_number = _numbered(relation)
+    doc = {
+        "format": FORMAT,
+        "fps": _floats([graph.fps])[0],
+        "frames": {"frame_index": list(map(index, frame_index)), "timestamp_s": _floats(timestamp_s),
+                   "description": list(map(_text, description)), "source_ref": list(map(_text, source_ref))},
+        "states": {
+            "attributes": [{_text(k): _text(v) for k, v in items} for items, _ in states],
+            "description": [None if text is None else _text(text) for _, text in states],
+        },
+        "nodes": {"entity_id": list(map(index, entity_id)), "frame_index": list(map(index, node_frame)),
+                  "state": state, "box": _floats(chain.from_iterable(boxes))},
+        "relations": list(map(_text, relations)),
+        "edges": {"frame_index": list(map(index, edge_frame)), "subject_id": list(map(index, subject_id)),
+                  "object_id": list(map(index, object_id)), "relation": relation_number},
+        "events": {
+            str(key): {"start_frame": [index(ev.start_frame) for ev in evs],
+                       "end_frame": [index(ev.end_frame) for ev in evs],
+                       "summary": [_text(ev.summary) for ev in evs]}
+            for key, evs in graph.events.items()
+        },
     }
-    doc = {"edges": edges, "events": events, "fps": _float(graph.fps), "frames": frames, "nodes": nodes}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -398,7 +421,7 @@ def parse_box(raw, where: str, *args) -> BoundingBox:
 
     The error names the box's owner as ``where % args``, formatted only then.
     """
-    if isinstance(raw, list) and len(raw) == 4:
+    if isinstance(raw, (list, tuple)) and len(raw) == 4:
         x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
         # A NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
         if 0 <= x_min < x_max < inf and 0 <= y_min < y_max < inf:
@@ -439,81 +462,119 @@ def parse_boxes(raws: list) -> tuple[np.ndarray, int]:
     return boxes, len(ok) if ok.all() else int(ok.argmin())
 
 
-def _integer_owner(doc: dict) -> str:
-    """The record, such as ``node 3``, of the first ID that ``integer`` rejects, in ``deserialize``'s order."""
-    records = chain(
-        ((f"frame {i}", f, ("frame_index",)) for i, f in enumerate(doc["frames"])),
-        ((f"node {i}", n, ("entity_id", "frame_index")) for i, n in enumerate(doc["nodes"])),
-        ((f"edge {i}", e, ("frame_index", "subject_id", "object_id")) for i, e in enumerate(doc["edges"])),
-        ((f"event {i} of entity {k}", ev, ("start_frame", "end_frame"))
-         for k, evs in doc["events"].items() for i, ev in enumerate(evs)),
-    )
-    for owner, record, names in records:
+def _table(table: dict, columns: tuple[str, ...], name: str, field: str | None = None) -> list[list]:
+    """The ``columns`` of the table ``name``, each a list with one entry per row (``box`` four).
+
+    A missing or non-list column raises one of ``MALFORMED``; columns of
+    unequal length raise ParseError with ``field``, by default ``name``.
+    """
+    lists = [table[column] for column in columns]
+    for column, values in zip(columns, lists):
+        if type(values) is not list:
+            raise TypeError(f"{name} column {column!r} must be a list")
+    lengths = {len(values) / 4 if column == "box" else len(values) for column, values in zip(columns, lists)}
+    if len(lengths) > 1:
+        found = ", ".join(f"{column} {len(values)}" for column, values in zip(columns, lists))
+        each = " (box four)" if "box" in columns else ""
+        raise ParseError(f"{name} columns must hold one entry per row{each}, found {found}", field=field or name)
+    return lists
+
+
+def _integers(values: list, name: str, owner: str) -> list[int]:
+    """``integer`` of each value; the first it rejects raises ParseError naming its row as ``owner % i``."""
+    if set(map(type, values)) <= {int}:  # the common case, checked at C speed: documents hold thousands of IDs
+        return values
+    for i, value in enumerate(values):
         try:
-            for name in names:
-                integer(record[name], name)
-        except ParseError:
-            return owner
+            integer(value, name)
+        except ParseError as exc:
+            raise ParseError(f"{owner % i}: {exc}", field=name) from None
+    return [integer(value, name) for value in values]
+
+
+def _rows(values: list, name: str, owner: str, table: str, count: int) -> list[int]:
+    """``_integers`` of row numbers into a table of ``count`` rows; one outside it raises ParseError."""
+    values = _integers(values, name, owner)
+    if values and not 0 <= min(values) <= max(values) < count:
+        i = next(i for i, v in enumerate(values) if not 0 <= v < count)
+        raise ParseError(f"{owner % i}: {name} {values[i]} is not a row of {table} 0..{count - 1}", field=name)
+    return values
+
+
+def _entity_key(key: str) -> int:
+    """The entity ID an ``events`` key spells, as ``str(int)`` writes it; any other key raises ParseError."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ParseError(f"events key {key!r} is not an entity ID in plain decimal, such as '7' or '-1'", field="events")
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    """The graph a document holds; a malformed document, an fps or a timestamp that is
-    not finite (or an fps not > 0), frame indices that are not 0..n-1 each once, a
-    timestamp not after the previous frame's, a node listed twice or outside the
-    video's frames, an event span outside them, or a line break in a text field
-    raises ParseError. The document may list each field in any order."""
+    """The graph a format-2 document holds; nodes of one state share one attributes dict.
+
+    A malformed document, one of another format (format 1, which has no
+    ``format`` key, included), columns of one table of unequal length, a
+    state or relation number that is not a row of its table, an events key
+    that is not an entity ID in plain decimal, an fps or a timestamp that
+    is not finite (or an fps not > 0), frame indices that are not 0..n-1
+    each once, a timestamp not after the previous frame's, a node listed
+    twice or outside the video's frames, an event span outside them, or a
+    line break in a text field raises ParseError. The document may list the
+    rows of each table, and number its states and relations, in any order.
+    """
     doc = json_object(document, "graph document")
-    for key in ("frames", "nodes", "edges", "events", "fps"):
+    if "format" not in doc:
+        raise ParseError("the graph document has no 'format', so it is format 1, which this version does not read; "
+                         "re-run `ravu build` to rewrite it", field="format")
+    if type(doc["format"]) is not int or doc["format"] != FORMAT:
+        raise ParseError(f"the graph document is format {doc['format']!r}, and this version reads format {FORMAT} "
+                         "only; re-run `ravu build` to rewrite it", field="format")
+    for key in ("frames", "states", "nodes", "relations", "edges", "events", "fps"):
         if key not in doc:
             raise ParseError(f"missing key '{key}'", field=key)
 
     try:
-        frames = [
-            FrameRecord(
-                frame_index=integer(f["frame_index"], "frame_index"),
-                timestamp_s=float(f["timestamp_s"]),
-                description=str(f["description"]),
-                source_ref=str(f.get("source_ref", "")),
-            )
-            for f in doc["frames"]
-        ]
-        # Nodes and edges, the long lists, take positional arguments: keywords cost more per call.
-        nodes = [
-            EntityNode(
-                integer(n["entity_id"], "entity_id"),
-                integer(n["frame_index"], "frame_index"),
-                {str(k): str(v) for k, v in n["attributes"].items()},
-                parse_box(n["box"], "node %s frame %s", n["entity_id"], n["frame_index"]),
-                None if n.get("description") is None else str(n["description"]),
-            )
-            for n in doc["nodes"]
-        ]
-        edges = [
-            RelationEdge(
-                integer(e["frame_index"], "frame_index"),
-                integer(e["subject_id"], "subject_id"),
-                str(e["relation"]),
-                integer(e["object_id"], "object_id"),
-            )
-            for e in doc["edges"]
-        ]
-        events = {
-            int(entity_id): [
-                EntityEvent(
-                    entity_id=int(entity_id),
-                    start_frame=integer(ev["start_frame"], "start_frame"),
-                    end_frame=integer(ev["end_frame"], "end_frame"),
-                    summary=str(ev["summary"]),
-                )
-                for ev in evs
-            ]
-            for entity_id, evs in doc["events"].items()
-        }
+        frame_index, timestamp_s, description, source_ref = _table(
+            doc["frames"], ("frame_index", "timestamp_s", "description", "source_ref"), "frames")
+        frames = list(map(FrameRecord, _integers(frame_index, "frame_index", "frame %s"), map(float, timestamp_s),
+                          map(str, description), map(str, source_ref)))
+        attributes, texts = _table(doc["states"], ("attributes", "description"), "states")
+        attributes = [{str(k): str(v) for k, v in a.items()} for a in attributes]
+        texts = [None if text is None else str(text) for text in texts]
+        entity_id, node_frame, state, raw_boxes = _table(
+            doc["nodes"], ("entity_id", "frame_index", "state", "box"), "nodes")
+        entity_id = _integers(entity_id, "entity_id", "node %s")
+        node_frame = _integers(node_frame, "frame_index", "node %s")
+        state = _rows(state, "state", "node %s", "states", len(attributes))
+        raw_boxes = list(zip(*[iter(raw_boxes)] * 4))  # the box column in fours, one per node
+        boxes, n_ok = parse_boxes(raw_boxes)
+        if n_ok < len(raw_boxes):
+            parse_box(raw_boxes[n_ok], "node %s frame %s", entity_id[n_ok], node_frame[n_ok])
+        nodes = list(map(EntityNode, entity_id, node_frame, map(attributes.__getitem__, state),
+                         map(BoundingBox._make, boxes.tolist()), map(texts.__getitem__, state)))
+        relations = doc["relations"]
+        if type(relations) is not list:
+            raise TypeError("relations must be a list")
+        relations = list(map(str, relations))
+        edge_frame, subject_id, object_id, relation = _table(
+            doc["edges"], ("frame_index", "subject_id", "object_id", "relation"), "edges")
+        edges = list(map(RelationEdge, _integers(edge_frame, "frame_index", "edge %s"),
+                         _integers(subject_id, "subject_id", "edge %s"),
+                         map(relations.__getitem__, _rows(relation, "relation", "edge %s", "relations", len(relations))),
+                         _integers(object_id, "object_id", "edge %s")))
+        events = {}
+        for key, table in doc["events"].items():
+            entity = _entity_key(key)
+            owner = f"event %s of entity {key}"
+            start, end, summary = _table(table, ("start_frame", "end_frame", "summary"), f"events of entity {key}",
+                                         "events")
+            events[entity] = list(map(EntityEvent, [entity] * len(start), _integers(start, "start_frame", owner),
+                                      _integers(end, "end_frame", owner), map(str, summary)))
         fps = float(doc["fps"])
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
-    except ParseError as exc:  # from ``integer``: a boolean or fractional ID
-        raise ParseError(f"{_integer_owner(doc)}: {exc}", field=exc.field) from exc
     # ``validate``'s fps-finite rule, and below its timestamp-finite rule: json reads NaN, Infinity and 1e400 as floats.
     if not 0 < fps < inf:
         raise ParseError(f"fps must be finite and > 0, found {fps}", field="fps")

@@ -31,6 +31,32 @@ def record_rows(records) -> list[tuple]:
     return [(r.entity_id, r.frame_index, r.description, np.asarray(r.vector).tolist()) for r in records]
 
 
+def rows(table: dict) -> list[dict]:
+    """The rows of a table of a graph document, each a dict of its columns' entries; a node's ``box``
+    is its four numbers."""
+    columns = [name for name in table if name != "box"]
+    records = [dict(zip(columns, values)) for values in zip(*(table[name] for name in columns))]
+    if "box" in table:
+        for i, record in enumerate(records):
+            record["box"] = table["box"][4 * i:4 * i + 4]
+    return records
+
+
+def table(records: list[dict], like: dict) -> dict:
+    """The table of ``records``, the rows ``rows`` gives, with the columns of the table ``like``."""
+    return {name: [x for r in records for x in r[name]] if name == "box" else [r[name] for r in records]
+            for name in like}
+
+
+def new_state(doc: dict, node: dict, description) -> dict:
+    """``node``, a row of ``doc``'s nodes, with a state of its own: its attributes and ``description``,
+    appended to ``doc``'s states."""
+    states = doc["states"]
+    states["attributes"].append(states["attributes"][node["state"]])
+    states["description"].append(description)
+    return {**node, "state": len(states["description"]) - 1}
+
+
 def count_table_builds(monkeypatch) -> dict[str, list]:
     """The graphs that each lookup table of ``SpatioTemporalGraph`` is built for from now on, by table name."""
     built = {name: [] for name in ("_by_frame", "_timeline", "_edges_at", "_descriptions")}

@@ -10,6 +10,8 @@ from ravu.config import RavuConfig
 from ravu.errors import read_document
 from ravu.evaluate import build_video
 
+from conftest import new_state, rows, table
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -79,7 +81,7 @@ def test_build_embeds_nothing_and_writes_the_graph_it_wrote_before(corpus_dir, t
     assert written == graph_model.serialize(built.graph)
     # The sha256 of this video's graph as written by a build that embedded it as well.
     assert hashlib.sha256(written.encode()).hexdigest() == (
-        "6df76e9c2a7b137f2f777ceedd9fee0d00f6e50b2a2f90e808fc1006eb6c49d9"
+        "b83aee29d121a64f1588bfc87b93e3bd3fea8ef0970e0daa0e961871f666295e"
     )
 
 
@@ -94,7 +96,7 @@ def test_ingest_build_embed_events_ask(corpus_dir, built, tmp_path):
         main, ["ingest", "--observations", obs, "--tracklets", tracks, "--out", str(partial)]
     )
     assert result.exit_code == 0, result.output
-    assert json.loads(partial.read_text())["frames"]
+    assert json.loads(partial.read_text())["frames"]["frame_index"]
 
     result = runner.invoke(main, ["events", "--graph", str(graph)])
     assert result.exit_code == 0, result.output
@@ -249,8 +251,9 @@ def test_ask_on_bad_embeddings_is_clean(built, bad_inputs):
 def graph_listing_a_node_twice(graph, tmp_path):
     """A copy of ``graph`` with its first node listed again under another description, and that node."""
     doc = json.loads(graph.read_text())
-    first = doc["nodes"][0]
-    doc["nodes"].append({**first, "description": "a purple elephant juggling"})
+    nodes = rows(doc["nodes"])
+    first = nodes[0]
+    doc["nodes"] = table([*nodes, new_state(doc, first, "a purple elephant juggling")], doc["nodes"])
     doubled = tmp_path / "graph.json"
     doubled.write_text(json.dumps(doc))
     return doubled, first
@@ -283,7 +286,7 @@ def test_embed_and_events_on_a_graph_that_lists_a_node_twice_are_clean(built, tm
 def test_a_graph_with_its_nodes_reversed_gives_the_same_events_and_embeddings(built, tmp_path):
     graph, _ = built
     doc = json.loads(graph.read_text())
-    doc["nodes"].reverse()
+    doc["nodes"] = table(rows(doc["nodes"])[::-1], doc["nodes"])
     reversed_graph = tmp_path / "reversed.json"
     reversed_graph.write_text(json.dumps(doc))
     outputs = []
@@ -300,9 +303,9 @@ def test_a_graph_with_its_nodes_reversed_gives_the_same_events_and_embeddings(bu
 def test_a_graph_with_a_node_past_the_last_frame_is_clean(built, tmp_path, command):
     graph, _ = built
     doc = json.loads(graph.read_text())
-    node = doc["nodes"][-1]
-    last = len(doc["frames"]) - 1
-    node["frame_index"] = last + 1
+    node = rows(doc["nodes"])[-1]
+    last = len(doc["frames"]["frame_index"]) - 1
+    doc["nodes"]["frame_index"][-1] = last + 1
     moved = tmp_path / "graph.json"
     moved.write_text(json.dumps(doc))
     out = tmp_path / "out.bin"
@@ -361,7 +364,9 @@ def test_ask_with_a_reordered_embeddings_index_is_clean(built, tmp_path):
 def test_ask_with_a_stale_description_is_clean(built, tmp_path):
     graph, emb = built
     doc = json.loads(graph.read_text())
-    doc["nodes"][3]["description"] = "a purple elephant juggling"
+    nodes = rows(doc["nodes"])
+    nodes[3] = new_state(doc, nodes[3], "a purple elephant juggling")
+    doc["nodes"] = table(nodes, doc["nodes"])
     edited = tmp_path / "graph.json"
     edited.write_text(json.dumps(doc))
     result = CliRunner().invoke(
@@ -402,7 +407,7 @@ def test_embed_reports_vectors_and_nodes(built, tmp_path):
     out = tmp_path / "again.bin"
     result = CliRunner().invoke(main, ["embed", "--graph", str(graph), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    nodes = len(json.loads(graph.read_text())["nodes"])
+    nodes = len(json.loads(graph.read_text())["nodes"]["entity_id"])
     vectors = len((emb.parent / "embeddings.bin.index.jsonl").read_text().splitlines())
     assert vectors < nodes
     assert result.output == f"wrote {vectors} vectors for {nodes} nodes to {out} (+ {out}.index.jsonl)\n"
@@ -412,8 +417,9 @@ def test_embed_reports_vectors_and_nodes(built, tmp_path):
 def test_embed_on_a_node_without_description_is_clean(built, tmp_path):
     graph, _ = built
     doc = json.loads(graph.read_text())
-    node = doc["nodes"][3]
-    node["description"] = None
+    nodes = rows(doc["nodes"])
+    node = nodes[3] = new_state(doc, nodes[3], None)
+    doc["nodes"] = table(nodes, doc["nodes"])
     undescribed = tmp_path / "graph.json"
     undescribed.write_text(json.dumps(doc))
     out = tmp_path / "out.bin"

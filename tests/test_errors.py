@@ -65,8 +65,18 @@ def test_module_does_not_decode_json(path):
 
 
 FRAME = json.dumps({"frame_index": 0, "entities": [{"local_id": 0, "box": [0, 0, 1, 1]}]})
-GRAPH = {"fps": 1.0, "frames": [], "nodes": [], "edges": [], "events": {}}
-NODE = {"entity_id": 0, "frame_index": 0, "attributes": {}, "box": [0, 0, 1, 1]}
+# A graph document with no frames, nodes, edges or events, and one state.
+GRAPH = {
+    "format": 2,
+    "fps": 1.0,
+    "frames": {"frame_index": [], "timestamp_s": [], "description": [], "source_ref": []},
+    "states": {"attributes": [{}], "description": [None]},
+    "nodes": {"entity_id": [], "frame_index": [], "state": [], "box": []},
+    "relations": [],
+    "edges": {"frame_index": [], "subject_id": [], "object_id": [], "relation": []},
+    "events": {},
+}
+NODES = {"entity_id": [0], "frame_index": [0], "state": [0], "box": [0, 0, 1, 1]}
 MCQ = json.dumps(
     {"question": "q", "options": ["a", "b"], "answer_index": 0, "category": "temporal", "video_id": "v"}
 )
@@ -156,8 +166,8 @@ MALFORMED_DOCUMENTS = [
     ("graph", graph(fps="x"), None),
     ("graph", graph(frames=5), None),
     ("graph", graph(events=[]), None),
-    ("graph", graph(nodes=[{**NODE, "box": None}]), None),
-    ("graph", graph(nodes=[{**NODE, "attributes": []}]), None),
+    ("graph", graph(nodes={**NODES, "box": None}), None),
+    ("graph", graph(states={"attributes": [[]], "description": [None]}, nodes=NODES), None),
     ("graph", "[]", None),
     ("graph", '{\n  "frames": [,]\n}', 2),
     ("mcq", MCQ + '\n{"question": "q"}', 2),
@@ -175,13 +185,16 @@ MALFORMED_DOCUMENTS = [
     # json reads Infinity and 1e400 as float infinity, which int() cannot convert.
     ("observations", FRAME + "\n" + FRAME.replace('"frame_index": 0', '"frame_index": Infinity'), 2),
     ("tracklets", tracks({"track_id": float("inf"), "boxes": {"0": [0, 0, 1, 1]}}), None),
-    ("graph", graph(nodes=[{**NODE, "frame_index": 0.5}]).replace("0.5", "1e400"), None),
+    ("graph", graph(nodes={**NODES, "frame_index": [0.5]}).replace("0.5", "1e400"), None),
     ("mcq", MCQ.replace('"answer_index": 0', '"answer_index": -Infinity'), 1),
     ("loc", LOC.replace("[0]", "[Infinity]"), 1),
     # A box must be finite: 0 <= x0 < x1 alone holds for an infinite x1.
     ("observations", second_frame(entities=[entity(box=[0, 0, float("inf"), 1])]), 2),
     ("tracklets", tracks({"track_id": 0, "boxes": {"0": [0, 0, 1, float("inf")]}}), None),
-    ("graph", graph(nodes=[{**NODE, "box": [0, 0, 0.5, 1]}]).replace("0.5", "1e400"), None),
+    ("graph", graph(nodes={**NODES, "box": [0, 0, 0.5, 1]}).replace("0.5", "1e400"), None),
+    # Every column, and the relations, must be a list.
+    ("graph", graph(nodes={**NODES, "state": 0}), None),
+    ("graph", graph(relations={"0": "near"}), None),
 ]
 
 
@@ -238,13 +251,15 @@ def test_dataset_loaders_reject_a_line_break_in_a_question_or_option(loader, goo
     assert len(loader(path)) == 2
 
 
-# A graph document with one record of each kind, every integer field an int.
+# A graph document with one row in each table, every integer field an int.
 WHOLE_GRAPH = {
-    "fps": 1.0,
-    "frames": [{"frame_index": 0, "timestamp_s": 0.0, "description": "f"}],
-    "nodes": [{**NODE, "description": "a red fox"}],
-    "edges": [{"frame_index": 0, "subject_id": 0, "relation": "near", "object_id": 1}],
-    "events": {"0": [{"start_frame": 0, "end_frame": 0, "summary": "s"}]},
+    **GRAPH,
+    "frames": {"frame_index": [0], "timestamp_s": [0.0], "description": ["f"], "source_ref": [""]},
+    "states": {"attributes": [{}], "description": ["a red fox"]},
+    "nodes": NODES,
+    "relations": ["near"],
+    "edges": {"frame_index": [0], "subject_id": [0], "object_id": [1], "relation": [0]},
+    "events": {"0": {"start_frame": [0], "end_frame": [0], "summary": ["s"]}},
 }
 
 
@@ -253,9 +268,11 @@ WHOLE_GRAPH = {
     [
         ("nodes", "entity_id", "node 1"),
         ("nodes", "frame_index", "node 1"),
+        ("nodes", "state", "node 1"),
         ("edges", "frame_index", "edge 1"),
         ("edges", "subject_id", "edge 1"),
         ("edges", "object_id", "edge 1"),
+        ("edges", "relation", "edge 1"),
         ("frames", "frame_index", "frame 1"),
         ("events", "start_frame", "event 1 of entity 0"),
         ("events", "end_frame", "event 1 of entity 0"),
@@ -265,8 +282,10 @@ WHOLE_GRAPH = {
 def test_graph_document_rejects_a_boolean_or_fractional_integer(kind, field, owner, value):
     deserialize(json.dumps(WHOLE_GRAPH))
     doc = copy.deepcopy(WHOLE_GRAPH)
-    records = doc["events"]["0"] if kind == "events" else doc[kind]
-    records.append({**records[0], field: value})
+    # One more row, the first with ``field`` set to ``value``.
+    table = doc["events"]["0"] if kind == "events" else doc[kind]
+    for column, values in table.items():
+        values += values[:4] if column == "box" else [value if column == field else values[0]]
     with pytest.raises(ParseError, match=f"^{owner}: {field} must be an integer, got {value!r}$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == field

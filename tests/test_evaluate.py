@@ -25,6 +25,8 @@ from ravu.evaluate import (
 from ravu.graph_model import deserialize, serialize, validate
 from ravu.synth import synth_world
 
+from conftest import rows, table
+
 
 def test_build_video_produces_valid_assets(world, assets):
     assert validate(assets.graph) == []
@@ -74,8 +76,9 @@ def test_a_document_listing_its_frames_in_reverse_answers_from_each_frames_own_r
     world = synth_world(1, 24, 3)
     assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
     doc = json.loads(serialize(assets.graph))
-    own = {f["frame_index"]: (f["frame_index"], f["source_ref"], f["description"]) for f in doc["frames"]}
-    doc["frames"].reverse()
+    frames = rows(doc["frames"])
+    own = {f["frame_index"]: (f["frame_index"], f["source_ref"], f["description"]) for f in frames}
+    doc["frames"] = table(frames[::-1], doc["frames"])
     graph = deserialize(json.dumps(doc))
     assert graph == assets.graph
     recorder, frames = AnswerRecorder(), [0, 5, 23]

@@ -34,7 +34,7 @@ from ravu.graph_model import (
 from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.synth import synth_world
 
-from conftest import count_table_builds, record_rows
+from conftest import count_table_builds, new_state, record_rows, rows, table
 
 
 def node(entity_id, frame, action="running", appearance="red fox", desc=None):
@@ -283,7 +283,8 @@ def test_a_graph_that_lists_a_node_twice_is_neither_made_nor_loaded(backend):
     with pytest.raises(ValueError, match=message):
         replace(graph, nodes=[*graph.nodes, copy])
     doc = json.loads(graph_model.serialize(graph))
-    doc["nodes"].append({**doc["nodes"][0], "description": copy.description})
+    nodes = rows(doc["nodes"])
+    doc["nodes"] = table([*nodes, new_state(doc, nodes[0], copy.description)], doc["nodes"])
     with pytest.raises(ParseError, match=message):
         graph_model.deserialize(json.dumps(doc))
 

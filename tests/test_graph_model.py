@@ -32,7 +32,7 @@ from ravu.graph_model import (
 )
 from ravu.synth import synth_world
 
-from conftest import count_table_builds
+from conftest import count_table_builds, new_state, rows, table
 
 ATTRS = {"appearance": "red ball", "action": "rolling", "body_pose": "none"}
 
@@ -114,7 +114,8 @@ def test_duplicate_node_detected():
     with pytest.raises(ValueError, match="^graph lists node entity 0 frame 0 twice$"):
         replace(g, nodes=[*g.nodes, EntityNode(0, 0, dict(ATTRS), box())])
     doc = json.loads(serialize(g))
-    doc["nodes"].append({**doc["nodes"][0], "description": "a purple elephant juggling"})
+    nodes = rows(doc["nodes"])
+    doc["nodes"] = table([*nodes, new_state(doc, nodes[0], "a purple elephant juggling")], doc["nodes"])
     with pytest.raises(ParseError, match="^graph lists node entity 0 frame 0 twice$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == "nodes"
@@ -132,9 +133,9 @@ def test_a_node_outside_the_video_frames_is_refused(frame):
 
 def test_a_built_graph_cut_short_is_refused(assets):
     doc = json.loads(serialize(assets.graph))
-    doc["frames"] = doc["frames"][:20]
+    doc["frames"] = table(rows(doc["frames"])[:20], doc["frames"])
     doc["events"] = {}
-    last = doc["nodes"][-1]
+    last = rows(doc["nodes"])[-1]
     assert last["frame_index"] == 23
     with pytest.raises(ParseError, match=f"^node entity {last['entity_id']} frame 23 is not in frames 0..19$"):
         deserialize(json.dumps(doc))
@@ -445,8 +446,8 @@ def test_serialize_round_trip():
 )
 def test_a_document_whose_frame_indices_are_not_0_to_n_is_refused(assets, position, frame_index):
     doc = json.loads(serialize(assets.graph))
-    last = len(doc["frames"]) - 1
-    doc["frames"][position]["frame_index"] = frame_index
+    last = len(doc["frames"]["frame_index"]) - 1
+    doc["frames"]["frame_index"][position] = frame_index
     with pytest.raises(ParseError, match=f"^frame {frame_index}: frame indices must be 0..{last}, each once$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == "frame_index"
@@ -455,8 +456,8 @@ def test_a_document_whose_frame_indices_are_not_0_to_n_is_refused(assets, positi
 @pytest.mark.parametrize("earlier_by", [0.0, 0.5], ids=["equal", "earlier"])
 def test_a_document_whose_timestamps_do_not_increase_is_refused(assets, earlier_by):
     doc = json.loads(serialize(assets.graph))
-    before = doc["frames"][4]["timestamp_s"]
-    doc["frames"][5]["timestamp_s"] = before - earlier_by
+    before = doc["frames"]["timestamp_s"][4]
+    doc["frames"]["timestamp_s"][5] = before - earlier_by
     message = f"frame 5: timestamp_s {before - earlier_by} is not after frame 4's {before}"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
         deserialize(json.dumps(doc))
@@ -477,7 +478,7 @@ def test_serialize_canonical_under_reordering():
 
 def test_deserialize_missing_key():
     with pytest.raises(ParseError) as exc:
-        deserialize('{"nodes": [], "edges": [], "events": {}, "fps": 1.0}')
+        deserialize(json.dumps({k: v for k, v in json.loads(serialize(small_graph())).items() if k != "frames"}))
     assert exc.value.field == "frames"
 
 
@@ -506,21 +507,78 @@ def test_deserialize_bad_json_in_a_one_line_document_reports_the_column():
 def test_deserialize_rejects_an_event_span_outside_the_video(assets, start, end, field, message):
     doc = json.loads(serialize(assets.graph))
     events = doc["events"]["0"]
-    assert len(doc["frames"]) == 24 and deserialize(json.dumps(doc)).events == assets.graph.events
-    events[-1].update(start_frame=start, end_frame=end)
-    with pytest.raises(ParseError, match=f"^event {len(events) - 1} of entity 0: {message}$") as exc:
+    assert len(doc["frames"]["frame_index"]) == 24 and deserialize(json.dumps(doc)).events == assets.graph.events
+    events["start_frame"][-1], events["end_frame"][-1] = start, end
+    with pytest.raises(ParseError, match=f"^event {len(events['start_frame']) - 1} of entity 0: {message}$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == field
 
 
 def test_deserialize_invalid_box():
-    doc = (
-        '{"fps": 1.0, "frames": [], "edges": [], "events": {}, '
-        '"nodes": [{"entity_id": 0, "frame_index": 0, '
-        '"attributes": {}, "box": [5, 0, 1, 2]}]}'
-    )
-    with pytest.raises(ParseError, match=r"box of node 0 frame 0 must be \[x0, y0, x1, y1\]"):
-        deserialize(doc)
+    doc = json.loads(serialize(small_graph()))
+    doc["nodes"]["box"][4:8] = [5, 0, 1, 2]
+    with pytest.raises(ParseError, match=r"box of node 1 frame 0 must be \[x0, y0, x1, y1\]"):
+        deserialize(json.dumps(doc))
+
+
+# Each a column of ``small_graph``'s document, as (table, column) or (entity key, column) of its events, and the
+# name and field the ParseError gives when the column is one entry short.
+SHORT_COLUMNS = [
+    (("frames", "timestamp_s"), "frames", "frames"),
+    (("states", "description"), "states", "states"),
+    (("nodes", "state"), "nodes", "nodes"),
+    (("nodes", "box"), "nodes", "nodes"),
+    (("edges", "relation"), "edges", "edges"),
+    (("0", "summary"), "events of entity 0", "events"),
+]
+
+
+@pytest.mark.parametrize("where, name, field", SHORT_COLUMNS, ids=["/".join(w) for w, _, _ in SHORT_COLUMNS])
+def test_a_table_whose_columns_differ_in_length_is_refused(where, name, field):
+    doc = json.loads(serialize(small_graph()))
+    key, column = where
+    (doc["events"][key] if key == "0" else doc[key])[column].pop()
+    with pytest.raises(ParseError, match=f"^{name} columns must hold one entry per row") as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == field
+    if column == "box":
+        assert str(exc.value) == ("nodes columns must hold one entry per row (box four), "
+                                  "found entity_id 3, frame_index 3, state 3, box 11")
+
+
+@pytest.mark.parametrize(
+    "users, column, row, value, message",
+    [
+        ("nodes", "state", 1, 2, "node 1: state 2 is not a row of states 0..1"),
+        ("nodes", "state", 2, -1, "node 2: state -1 is not a row of states 0..1"),
+        ("edges", "relation", 0, 1, "edge 0: relation 1 is not a row of relations 0..0"),
+        ("edges", "relation", 0, -1, "edge 0: relation -1 is not a row of relations 0..0"),
+    ],
+)
+def test_a_state_or_relation_number_outside_its_table_is_refused(users, column, row, value, message):
+    doc = json.loads(serialize(small_graph()))
+    doc[users][column][row] = value
+    with pytest.raises(ParseError) as exc:
+        deserialize(json.dumps(doc))
+    assert (str(exc.value), exc.value.field) == (message, column)
+
+
+@pytest.mark.parametrize("key", ["01", "00", "1_0", "+1", " 1", "1 ", "-0", "1.0", "x", ""])
+def test_an_events_key_that_is_not_an_entity_id_in_plain_decimal_is_refused(key):
+    doc = json.loads(serialize(small_graph()))
+    doc["events"][key] = doc["events"]["0"]
+    with pytest.raises(ParseError) as exc:
+        deserialize(json.dumps(doc))
+    assert str(exc.value) == f"events key {key!r} is not an entity ID in plain decimal, such as '7' or '-1'"
+    assert exc.value.field == "events"
+
+
+def test_events_with_one_start_frame_are_held_by_end_frame_then_summary():
+    a, b, c = EntityEvent(0, 0, 0, "red ball"), EntityEvent(0, 0, 0, "red ball rolling"), EntityEvent(0, 0, 1, "a")
+    graphs = [replace(small_graph(), events={0: order}) for order in ([a, b, c], [c, b, a], [b, c, a])]
+    assert all(g.events[0] == (a, b, c) for g in graphs)
+    documents = {serialize(g) for g in graphs}
+    assert len(documents) == 1 and deserialize(documents.pop()) == graphs[0]
 
 
 def with_attribute(g, entity_id, frame_index, key, value):

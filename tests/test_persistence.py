@@ -1,6 +1,7 @@
-"""Persisted artifacts: byte-level goldens, the graph writer against ``json.dumps``,
-earlier versions' indented graph documents, loadable graphs round-tripped whatever
-order their document lists them in, and the embeddings, one float32 row per
+"""Persisted artifacts: byte-level goldens, the columnar graph writer against
+``json.dumps``, the refusal of format-1 and other-format graph documents, loadable
+graphs round-tripped whatever order their document lists its rows in and however
+it numbers its states and relations, and the embeddings, one float32 row per
 distinct node description, with their index of those descriptions, which the reader
 checks against the text its graph implies."""
 
@@ -36,23 +37,23 @@ from ravu.graph_model import (
 from ravu.index import EmbeddingIndex
 from ravu.synth import synth_world
 
-from conftest import make_columns, record_rows
+from conftest import make_columns, record_rows, rows, table
 
 # sha256 of (graph document, embeddings.bin, description index) for synth_world(1, frames, entities)
 # built with the mock backend and the default config.
 GOLDEN_SHA256 = {
     (24, 3): (
-        "ca73feed1bf425030992299200f4eb451aed55174126d63e9db349971010ec75",
+        "c2a23074cbece2bca7c16b8decce361a6be35cec1b04844116d269a76b5e6ce9",
         "ac532806e15a68ee0024f0eed1e2b525b9a9d15c15b6a2ab5401ed7dee18e8d6",
         "6c50667994e74c7aade76f4573aea5c6526fc20e40fbd5ec1ce3b5f3ac1ac282",
     ),
     (200, 6): (
-        "b53e9d974f9284c38ea80294a7ab382268ec84cfa97c22d01b499e2e710722ab",
+        "d841c47d102ac2350d7e52866270bc0151d585ab59064357eda178f34cf617ee",
         "5a4135e1ef878831d873560775e507759c37ad05f8987212c44efc8699ae14a4",
         "a7df30b33d655206c9d38248e5128c66dfb3019a3c5be9991fb69dda5f0705eb",
     ),
     (600, 8): (
-        "51e8b83a44516cde7585a7b95b50153414d1ad9ce9dd7b69bafba24d732bfa1d",
+        "b4547dee20f40bca37043a6951b164da9bc23db272ef418477dbb7342608fb56",
         "5305bad169f4011b62c0a3c013b8b30937f62a0838bb569b310f7f26db9f2f05",
         "be698f451ff5633692ad6ff269d3b43f40f2477b7801946c440a66431a163207",
     ),
@@ -81,48 +82,80 @@ def test_artifacts_match_their_golden_bytes(tmp_path, shape):
 # The graph writer against the json.dumps document of the graph's fields.
 
 
+def in_graph_order(graph):
+    """The graph's frames, nodes, edges and events, each sorted into the graph's order here."""
+    return (
+        sorted(graph.frames, key=lambda f: f.frame_index),
+        sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id)),
+        sorted(graph.edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation)),
+        {entity_id: sorted(evs, key=lambda ev: (ev.start_frame, ev.end_frame, ev.summary))
+         for entity_id, evs in sorted(graph.events.items())},
+    )
+
+
+def first_seen(values):
+    """The distinct ``values``, compared with ``==``, in first-seen order."""
+    distinct = []
+    for value in values:
+        if value not in distinct:
+            distinct.append(value)
+    return distinct
+
+
 def oracle_serialize(graph):
-    """Build the document as dicts and lists, then ``json.dumps`` it with compact separators."""
-    frames = sorted(graph.frames, key=lambda f: f.frame_index)
-    nodes = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
-    edges = sorted(graph.edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation))
+    """Build the format-2 document as dicts and lists, then ``json.dumps`` it with compact separators."""
+    frames, nodes, edges, events = in_graph_order(graph)
+    states = first_seen((n.attributes, n.description) for n in nodes)
+    relations = first_seen(e.relation for e in edges)
+    doc = {
+        "format": 2,
+        "fps": float(graph.fps),
+        "frames": {
+            "frame_index": [f.frame_index for f in frames],
+            "timestamp_s": [float(f.timestamp_s) for f in frames],
+            "description": [f.description for f in frames],
+            "source_ref": [f.source_ref for f in frames],
+        },
+        "states": {"attributes": [a for a, _ in states], "description": [d for _, d in states]},
+        "nodes": {
+            "entity_id": [n.entity_id for n in nodes],
+            "frame_index": [n.frame_index for n in nodes],
+            "state": [states.index((n.attributes, n.description)) for n in nodes],
+            "box": [float(v) for n in nodes for v in (n.box.x_min, n.box.y_min, n.box.x_max, n.box.y_max)],
+        },
+        "relations": relations,
+        "edges": {
+            "frame_index": [e.frame_index for e in edges],
+            "subject_id": [e.subject_id for e in edges],
+            "object_id": [e.object_id for e in edges],
+            "relation": [relations.index(e.relation) for e in edges],
+        },
+        "events": {
+            str(entity_id): {
+                "start_frame": [ev.start_frame for ev in evs],
+                "end_frame": [ev.end_frame for ev in evs],
+                "summary": [ev.summary for ev in evs],
+            }
+            for entity_id, evs in events.items()
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def format1_document(graph):
+    """The document of format 1, which earlier versions wrote: one JSON object per frame, node, edge and
+    event, each node with its own attributes and description, and no ``format`` key."""
+    frames, nodes, edges, events = in_graph_order(graph)
     doc = {
         "fps": float(graph.fps),
-        "frames": [
-            {
-                "frame_index": f.frame_index,
-                "timestamp_s": float(f.timestamp_s),
-                "description": f.description,
-                "source_ref": f.source_ref,
-            }
-            for f in frames
-        ],
-        "nodes": [
-            {
-                "entity_id": n.entity_id,
-                "frame_index": n.frame_index,
-                "attributes": n.attributes,
-                "box": [float(n.box.x_min), float(n.box.y_min), float(n.box.x_max), float(n.box.y_max)],
-                "description": n.description,
-            }
-            for n in nodes
-        ],
-        "edges": [
-            {
-                "frame_index": e.frame_index,
-                "subject_id": e.subject_id,
-                "relation": e.relation,
-                "object_id": e.object_id,
-            }
-            for e in edges
-        ],
-        "events": {
-            str(entity_id): [
-                {"start_frame": ev.start_frame, "end_frame": ev.end_frame, "summary": ev.summary}
-                for ev in sorted(evs, key=lambda ev: ev.start_frame)
-            ]
-            for entity_id, evs in sorted(graph.events.items())
-        },
+        "frames": [{"frame_index": f.frame_index, "timestamp_s": float(f.timestamp_s), "description": f.description,
+                    "source_ref": f.source_ref} for f in frames],
+        "nodes": [{"entity_id": n.entity_id, "frame_index": n.frame_index, "attributes": n.attributes,
+                   "box": [float(v) for v in n.box], "description": n.description} for n in nodes],
+        "edges": [{"frame_index": e.frame_index, "subject_id": e.subject_id, "relation": e.relation,
+                   "object_id": e.object_id} for e in edges],
+        "events": {str(entity_id): [{"start_frame": ev.start_frame, "end_frame": ev.end_frame, "summary": ev.summary}
+                                    for ev in evs] for entity_id, evs in events.items()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -184,13 +217,13 @@ def loaded(document):
 
 
 def indented(document):
-    """``document`` as earlier versions wrote it: the same JSON value, nested two spaces deep."""
+    """``document`` as the same JSON value, nested two spaces deep."""
     return json.dumps(json.loads(document), sort_keys=True, indent=2) + "\n"
 
 
 @settings(max_examples=300)
 @given(graphs)
-def test_an_indented_document_of_an_earlier_version_loads_as_the_compact_one(graph):
+def test_an_indented_document_loads_as_the_compact_one(graph):
     document = serialize(graph)
     graph = loaded(indented(document))
     assert graph == loaded(document)
@@ -198,11 +231,33 @@ def test_an_indented_document_of_an_earlier_version_loads_as_the_compact_one(gra
         assert serialize(graph) == document
 
 
-def test_an_indented_built_graph_loads_and_writes_the_compact_document():
+FORMAT_1 = ("the graph document has no 'format', so it is format 1, which this version does not read; "
+            "re-run `ravu build` to rewrite it")
+
+
+@pytest.mark.parametrize("spelling", [lambda text: text, indented], ids=["compact", "indented"])
+def test_a_format_1_document_is_refused_naming_its_format(spelling):
     world = synth_world(2, 24, 3)
-    document = serialize(build_video(world.observations_text, world.tracklets_text, MockBackend()).graph)
-    assert "\n" not in document[:-1]
-    assert serialize(deserialize(indented(document))) == document
+    graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+    document = serialize(graph)
+    assert "\n" not in document[:-1] and deserialize(document) == graph
+    doc = json.loads(document)
+    del doc["format"]
+    for text in (format1_document(graph), json.dumps(doc)):
+        with pytest.raises(ParseError) as exc:
+            deserialize(spelling(text))
+        assert (str(exc.value), exc.value.field) == (FORMAT_1, "format")
+
+
+@pytest.mark.parametrize("value", [1, 3, "2", 2.0, True, None, [2]], ids=repr)
+def test_a_document_of_another_format_is_refused(value):
+    doc = json.loads(serialize(one_node_graph()))
+    doc["format"] = value
+    with pytest.raises(ParseError) as exc:
+        deserialize(json.dumps(doc))
+    assert str(exc.value) == (f"the graph document is format {value!r}, and this version reads format 2 only; "
+                              "re-run `ravu build` to rewrite it")
+    assert exc.value.field == "format"
 
 
 # Text without a line break: loading refuses one in every text field but a frame's source_ref.
@@ -217,7 +272,7 @@ valid_boxes = st.builds(
 @st.composite
 def loadable_graphs(draw):
     """Graphs that ``deserialize`` loads: frames 0..n-1 with increasing timestamps, a finite fps > 0, valid
-    boxes, nodes in those frames and event spans inside them, each entity's events with distinct starts."""
+    boxes, nodes in those frames and event spans inside them."""
     timestamps = sorted(draw(st.lists(floats, max_size=4, unique=True)))
     frames = [FrameRecord(i, t, draw(one_line_texts), draw(texts)) for i, t in enumerate(timestamps)]
     # A node or an event needs a frame to be in.
@@ -231,7 +286,7 @@ def loadable_graphs(draw):
     ]
     edges = draw(st.lists(st.builds(RelationEdge, st.integers(0, 3), st.integers(0, 3), one_line_texts,
                                     st.integers(0, 3)), max_size=4))
-    spans = st.lists(st.tuples(frame, frame).map(sorted), max_size=3 * room, unique_by=lambda span: span[0])
+    spans = st.lists(st.tuples(frame, frame).map(sorted), max_size=3 * room)
     events = {
         entity_id: [EntityEvent(entity_id, start, end, draw(one_line_texts)) for start, end in draw(spans)]
         for entity_id in draw(st.lists(st.integers(0, 12), max_size=4, unique=True))
@@ -248,17 +303,37 @@ def test_a_loadable_graph_loads_to_an_equal_graph_and_the_same_bytes(graph):
     assert serialize(again) == document
 
 
+def shuffled(records, random):
+    """The table ``records`` with its rows in a random order."""
+    rows_of = rows(records)
+    random.shuffle(rows_of)
+    return table(rows_of, records)
+
+
+def renumbered(doc, random):
+    """``doc`` with its states and relations numbered in a random order, its nodes and edges following."""
+    for name, users, column in (("states", "nodes", "state"), ("relations", "edges", "relation")):
+        old = doc[name] if name == "relations" else rows(doc[name])
+        order = list(range(len(old)))
+        random.shuffle(order)
+        new = [old[i] for i in order]
+        doc[name] = new if name == "relations" else table(new, doc[name])
+        number = {i: k for k, i in enumerate(order)}
+        doc[users][column] = [number[i] for i in doc[users][column]]
+    return doc
+
+
 @settings(max_examples=200)
 @given(loadable_graphs(), st.randoms(use_true_random=False))
 def test_a_document_listing_its_fields_in_any_order_loads_to_the_same_graph(graph, random):
     document = serialize(graph)
     doc = json.loads(document)
-    for records in (doc["frames"], doc["nodes"], doc["edges"], *doc["events"].values()):
-        random.shuffle(records)
+    for name in ("frames", "nodes", "edges"):
+        doc[name] = shuffled(doc[name], random)
     keys = list(doc["events"])
     random.shuffle(keys)
-    doc["events"] = {key: doc["events"][key] for key in keys}
-    again = deserialize(json.dumps(doc))  # unsorted keys: the events keep their shuffled order
+    doc["events"] = {key: shuffled(doc["events"][key], random) for key in keys}
+    again = deserialize(json.dumps(renumbered(doc, random)))  # unsorted keys: the events keep their shuffled order
     assert again == graph
     assert serialize(again) == document
 
@@ -287,7 +362,7 @@ def test_serialize_refuses_a_field_holding_another_type(make):
 
 def test_serialize_writes_a_boolean_id_as_an_int():
     document = serialize(one_node_graph_with(nodes=EntityNode(True, False, {}, BoundingBox(0, 0, 4, 4))))
-    assert '"entity_id":1,"frame_index":0}' in document
+    assert '"entity_id":[1],"frame_index":[0],' in document
 
 
 NON_FINITE = [math.inf, -math.inf, math.nan]
@@ -327,7 +402,7 @@ def test_a_non_finite_float_is_neither_written_nor_read(graph_with, message, fie
 def test_serialize_of_an_empty_graph():
     text = serialize(SpatioTemporalGraph())
     assert text == oracle_serialize(SpatioTemporalGraph())
-    assert '"nodes":[]' in text and '"events":{}' in text
+    assert '"nodes":{"box":[],"entity_id":[],"frame_index":[],"state":[]}' in text and '"events":{}' in text
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +567,8 @@ def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
 def test_a_loaded_graph_with_an_id_outside_int64_is_a_parse_error(saved, field, value):
     graph, bin_path, idx_path, entries = saved
     doc = json.loads(serialize(graph))
-    doc["nodes"][2][field] = value
-    entity_id, frame_index = doc["nodes"][2]["entity_id"], doc["nodes"][2]["frame_index"]
+    doc["nodes"][field][2] = value
+    entity_id, frame_index = doc["nodes"]["entity_id"][2], doc["nodes"]["frame_index"][2]
     if field == "frame_index":  # outside the video's frames too: refused at load, so the graph is built in code
         with pytest.raises(ParseError, match=f"^node entity {entity_id} frame {frame_index} is not in frames 0..2$"):
             deserialize(json.dumps(doc))
