@@ -49,8 +49,8 @@ def cosine_scores(
     quantized to 1e-9 so that near-equal scores compare the same whatever
     summation order BLAS picks for each row, which keeps the (frame,
     entity) tie order of rankings deterministic. ``EmbeddingIndex`` scores
-    each distinct vector once and gives every row that shares it the same
-    score, so its duplicate rows are exact ties by construction; a matrix
+    each distinct vector once and its rows read that one score, so rows
+    that share a vector are exact ties by construction; a matrix
     with repeated rows passed here directly still relies on the
     quantization. ``row_norms``, when given, must equal
     ``np.linalg.norm(matrix, axis=1)``; an index passes the norms it

@@ -46,13 +46,20 @@ def one_line(texts: list[str], name: str, lineno: int | None = None) -> None:
         raise ParseError(f"line break in {name}", line=lineno, field=name)
 
 
+def json_list(value, name: str, lineno: int) -> list:
+    """``value`` if it is a JSON array, else ParseError: a loop would read a string item by item."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list, got {value!r}", line=lineno, field=name)
+    return value
+
+
 def load_mcq(path: str | Path) -> list[McqItem]:
     items = []
     for lineno, raw in json_objects(read_document(path), "mcq item"):
         try:
             item = McqItem(
                 question=str(raw["question"]),
-                options=[str(o) for o in raw["options"]],
+                options=[str(o) for o in json_list(raw["options"], "options", lineno)],
                 answer_index=integer(raw["answer_index"], "answer_index", lineno),
                 category=str(raw["category"]),
                 video_id=str(raw["video_id"]),
@@ -77,7 +84,7 @@ def load_loc(path: str | Path) -> list[LocalizationAnnotation]:
             item = LocalizationAnnotation(
                 video_id=str(raw["video_id"]),
                 question=str(raw["question"]),
-                gt_frames={integer(f, "gt_frames", lineno) for f in raw["gt_frames"]},
+                gt_frames={integer(f, "gt_frames", lineno) for f in json_list(raw["gt_frames"], "gt_frames", lineno)},
                 category=str(raw.get("category", "temporal")),
             )
         except MALFORMED as exc:

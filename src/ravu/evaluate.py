@@ -274,25 +274,31 @@ def eval_localization(
     """Frame-localization accuracy: correct iff the predicted frame is in gt.
 
     Methods: ``rerank`` (two-stage localize) and ``text_embedding`` (rank-1
-    of the cosine top-k). Items whose video has no assets are skipped.
+    of the cosine top-k). Items whose video has no assets are skipped, and
+    items whose backend call failed (timeout, refusal, malformed reply) are
+    counted as ``errored``; neither counts toward the accuracies.
     """
     if method not in ("rerank", "text_embedding"):
         raise ValueError(f"unknown localization method {method!r}")
 
     per_category: dict[str, list[bool]] = {}
-    skipped = 0
+    skipped = errored = 0
     for ann in annotations:
         assets = assets_by_video.get(ann.video_id)
         if assets is None:
             skipped += 1
             continue
-        if method == "rerank":
-            predicted = assets.index.localize(ann.question, top_k, backend).candidate.frame_index
-        else:
-            predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
+        try:
+            if method == "rerank":
+                predicted = assets.index.localize(ann.question, top_k, backend).candidate.frame_index
+            else:
+                predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
+        except BackendError:
+            errored += 1
+            continue
         per_category.setdefault(ann.category, []).append(predicted in ann.gt_frames)
 
-    report: dict = {"method": method, "categories": {}, "skipped": skipped}
+    report: dict = {"method": method, "categories": {}, "skipped": skipped, "errored": errored}
     all_hits: list[bool] = []
     for category in sorted(per_category):
         hits = per_category[category]

@@ -46,13 +46,14 @@ class EmbeddingRecord:
 
 
 class EmbeddingColumns:
-    """Node embeddings held as read-only columns, each distinct vector once.
+    """Node embeddings held as read-only columns, each distinct vector and its text once.
 
-    ``vectors`` is a float64 array with one row per distinct vector and
-    ``vector_of`` an intp array giving each row's vector, so row ``i``'s
-    vector is ``vectors[vector_of[i]]``. ``entities`` and ``frames`` are
-    int64 arrays and ``descriptions`` is a list. Iterating yields each row
-    as an ``EmbeddingRecord`` made on access.
+    ``vectors`` is a float64 array with one row per distinct vector, and
+    ``descriptions`` the list of their texts, in the same order. Each of
+    the other columns has an entry per row (node): ``vector_of`` (intp) its
+    vector, so row ``i``'s vector is ``vectors[vector_of[i]]`` and its text
+    ``descriptions[vector_of[i]]``, and ``entities`` and ``frames`` (int64).
+    Iterating yields each row as an ``EmbeddingRecord`` made on access.
     """
 
     def __init__(
@@ -67,16 +68,16 @@ class EmbeddingColumns:
             column.flags.writeable = False
         self.vectors, self.vector_of = vectors, vector_of
         self.entities, self.frames, self.descriptions = entities, frames, descriptions
+        if len(descriptions) != len(vectors):
+            raise ValueError(f"{len(descriptions)} descriptions for {len(vectors)} vectors")
 
     def __len__(self) -> int:
-        return len(self.descriptions)
+        return len(self.vector_of)
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
-        vectors = self.vectors
-        for entity_id, frame_index, description, j in zip(
-            self.entities.tolist(), self.frames.tolist(), self.descriptions, self.vector_of.tolist()
-        ):
-            yield EmbeddingRecord(entity_id, frame_index, description, vectors[j])
+        vectors, descriptions = self.vectors, self.descriptions
+        for entity_id, frame_index, j in zip(self.entities.tolist(), self.frames.tolist(), self.vector_of.tolist()):
+            yield EmbeddingRecord(entity_id, frame_index, descriptions[j], vectors[j])
 
 
 @dataclass
@@ -224,11 +225,11 @@ def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) ->
 def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray]:
     """``(entities, frames, descriptions, firsts, vector_of)`` of the graph's nodes, in its (frame, entity) order.
 
-    ``firsts`` holds the first node of each distinct description, in
-    first-seen order, and ``vector_of`` each node's description number, so
-    node ``firsts[vector_of[i]]`` is the first with node ``i``'s
-    description. An entity ID or frame index outside int64 raises
-    ParseError naming the node.
+    ``descriptions`` holds each distinct description once, in first-seen
+    order, ``firsts`` the first node with each, and ``vector_of`` each
+    node's description number, so node ``i``'s description is
+    ``descriptions[vector_of[i]]``. An entity ID or frame index outside
+    int64 raises ParseError naming the node.
     """
     nodes = graph.nodes
     try:
@@ -237,31 +238,30 @@ def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, l
     except OverflowError:
         node = next(n for n in nodes if not all(-(2**63) <= v < 2**63 for v in (n.entity_id, n.frame_index)))
         raise ParseError(f"node entity {node.entity_id} frame {node.frame_index} has an ID outside int64") from None
-    descriptions = [n.description or "" for n in nodes]
     first: dict[str, int] = {}
-    owner = np.fromiter((first.setdefault(d, i) for i, d in enumerate(descriptions)), dtype=np.intp, count=len(nodes))
+    owner = np.array([first.setdefault(n.description or "", i) for i, n in enumerate(nodes)], dtype=np.intp)
     firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     # ``firsts`` ascends, so each node's place in it is its description number.
-    return entities, frames, descriptions, firsts, np.searchsorted(firsts, owner)
+    return entities, frames, list(first), firsts, np.searchsorted(firsts, owner)
 
 
 def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
     """One embedding row per node, in (frame, entity) order; all nodes must be described first.
 
     Each distinct description is embedded once per call, in first-seen
-    order, and held once in the columns' ``vectors``; nodes that share a
+    order, and held once, with its text, in the columns; nodes that share a
     description share its vector: within one build, identical texts get
     identical vectors. A backend error is raised, naming the node, and
     never remembered.
     """
     entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
-    if not all(descriptions):
-        i = descriptions.index("")
+    if "" in descriptions:
+        i = firsts[descriptions.index("")]
         raise ParseError(f"node entity {entities[i]} frame {frames[i]} has no description", field="description")
     vectors: list[np.ndarray] = []
-    for i in firsts.tolist():
+    for i, description in zip(firsts.tolist(), descriptions):
         try:
-            vectors.append(np.asarray(backend.embed(descriptions[i]), dtype=np.float64))
+            vectors.append(np.asarray(backend.embed(description), dtype=np.float64))
         except BackendError as exc:
             raise type(exc)(f"embedding entity {entities[i]} frame {frames[i]}: {exc}") from exc
     return EmbeddingColumns(
@@ -421,16 +421,13 @@ def _index_text(descriptions: Iterable[str]) -> str:
 
 
 def write_embeddings(columns: EmbeddingColumns, bin_path: str | Path, index_path: str | Path) -> None:
-    """Write each distinct description, in first-seen order, and the vector of its first row as a float32 row."""
-    first: dict[str, int] = {}
-    for description, j in zip(columns.descriptions, columns.vector_of.tolist()):
-        first.setdefault(description, j)
-    rows = columns.vectors[list(first.values())].astype("<f4")
+    """Write each vector of ``columns`` as a float32 row, and its description as an index line."""
+    rows = columns.vectors.astype("<f4")
     count, dim = rows.shape
     with open(bin_path, "wb") as fh:
         fh.write(_MAGIC.pack(dim, count))
         fh.write(rows.tobytes())
-    Path(index_path).write_bytes(_index_text(first).encode("ascii"))
+    Path(index_path).write_bytes(_index_text(columns.descriptions).encode("ascii"))
 
 
 def read_embeddings(
@@ -460,7 +457,7 @@ def read_embeddings(
 
     entities, frames, descriptions, firsts, vector_of = _node_columns(graph)
     text = read_document(index_path)
-    want = _index_text(descriptions[i] for i in firsts.tolist())
+    want = _index_text(descriptions)
     if text != want:
         pairs = zip_longest(want.splitlines(keepends=True), text.splitlines(keepends=True))
         line, (should, found) = next((k, pair) for k, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
@@ -468,9 +465,9 @@ def read_embeddings(
         raise ParseError(
             f"should be {should}, found {found}; {_RE_EMBED}", line=line, field="description", path=index_path
         )
-    if count != len(firsts):
+    if count != len(descriptions):
         raise ParseError(
-            f"header counts {count} rows, the index lists {len(firsts)} descriptions; {_RE_EMBED}",
+            f"header counts {count} rows, the index lists {len(descriptions)} descriptions; {_RE_EMBED}",
             field="header", path=bin_path,
         )
 

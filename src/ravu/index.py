@@ -4,28 +4,28 @@ The index is a linear scan: at 1 fps a video yields at most a few thousand
 nodes, so exact search is cheap and keeps retrieval deterministic. It is
 columnar: it keeps the ``EmbeddingColumns`` it is given, such as those
 ``embed_graph`` and ``read_embeddings`` return, without a copy. The
-columns hold each distinct vector once, as a float64 ``vectors`` array,
-and map each row to its vector with ``vector_of``; nodes that share a
-description share a vector, so a 600-frame video's ~4,800 rows have ~650
-vectors. Beside them sit int arrays of frames and entities and a list of
-descriptions. The index also computes, once, the norm of every distinct
-vector and the rows sorted by (entity, frame) with each entity's slice of
-that order.
+columns hold each distinct vector and its description once, as a float64
+``vectors`` array and a ``descriptions`` list, and map each row to its
+vector with ``vector_of``; nodes that share a description share a vector,
+so a 600-frame video's ~4,800 rows have ~650 vectors. Beside them sit int
+arrays of each row's frame and entity. The index also computes, once, the
+norm of every distinct vector and the rows sorted by (entity, frame) with
+each entity's slice of that order.
 
-A query is then one matrix-vector product over the distinct vectors
-(``accel.cosine_scores`` with the cached norms), a gather of those scores
-to the rows, a partial selection of the rows scoring at least the k-th
-best score, and a sort of that short list. Rows that share a vector get
-the very same score, so they are exact ties. An entity's frame range is
-two binary searches in the entity's slice.
+A query's ``scores`` are one matrix-vector product over the distinct
+vectors (``accel.cosine_scores`` with the cached norms): one score per
+vector, which every row of that vector reads through ``vector_of``, so
+rows that share a vector are exact ties. Ranking rows is a partial
+selection of those scoring at least the k-th best score and a sort of
+that short list. An entity's frame range is two binary searches in the
+entity's slice.
 
 A whole-video question ranks the rows of every entity event at once
-(``rank_ranges``): it gathers each event's rows, ranks the distinct
-vectors' scores (equal scores sharing a rank), and sorts the rows once,
-stably, by one small integer key, range position times the number of
-vectors plus the row's rank. On a 600-frame video that sorts ~650 vector
-scores and then ~4,800 small integers instead of ~4,800 row scores. This
-needs one score per distinct vector, as ``scores`` gives, and is checked.
+(``rank_ranges``): it gathers each event's rows, ranks the vectors'
+scores (equal scores sharing a rank), and sorts the rows once, stably, by
+one small integer key, range position times the number of vectors plus
+the rank of the row's vector. On a 600-frame video that sorts ~650 vector
+scores and then ~4,800 small integers instead of ~4,800 row scores.
 
 The vectors are not stored unit-normalised: dividing each vector by its
 norm before the dot product rounds differently from dividing the dot
@@ -35,6 +35,7 @@ edge. Nothing keeps or builds a full (rows, dim) matrix.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -82,8 +83,9 @@ class EmbeddingIndex:
     """Immutable node-embedding index; safe for concurrent queries.
 
     It keeps the columns it is given, without a copy: ``vectors`` (each
-    distinct read-only float64 vector once), ``vector_of`` (each row's
-    vector), ``frames``, ``entities`` and ``descriptions``.
+    distinct read-only float64 vector once), ``descriptions`` (their
+    texts), and per row ``vector_of`` (its vector), ``frames`` and
+    ``entities``.
     """
 
     def __init__(self, columns: EmbeddingColumns):
@@ -102,7 +104,7 @@ class EmbeddingIndex:
         self._entity_slice = dict(zip(entities[starts].tolist(), zip(starts, stops))) if n else {}
 
     def __len__(self) -> int:
-        return len(self.descriptions)
+        return len(self.vector_of)
 
     @property
     def records(self) -> EmbeddingColumns:
@@ -110,32 +112,32 @@ class EmbeddingIndex:
         return self._columns
 
     def scores(self, query_vector: np.ndarray) -> np.ndarray:
-        """Cosine score of every row against ``query_vector`` (see ``accel.cosine_scores``).
+        """Cosine score of every vector against ``query_vector`` (see ``accel.cosine_scores``).
 
-        Each distinct vector is scored once and its score given to every row
-        that shares it.
+        Row ``i``'s score is ``scores[vector_of[i]]``.
         """
-        return accel.cosine_scores(
-            self.vectors, np.asarray(query_vector, dtype=np.float64), row_norms=self._norms
-        )[self.vector_of]
+        return accel.cosine_scores(self.vectors, np.asarray(query_vector, dtype=np.float64), row_norms=self._norms)
 
     def rank(self, scores: np.ndarray, rows: Sequence[int], k: int) -> list[int]:
-        """The ``k`` best of ``rows`` by descending score.
+        """The ``k`` best of ``rows`` by descending score; ``scores`` has one per vector.
 
-        Ties break by (frame_index, entity_id) ascending, then by position in
-        ``rows``; this is the one tie order of every ranking over node
-        embeddings. Only the rows scoring at least the k-th best score are
-        sorted, so rows tied at the cut are ordered like the rest.
+        NaN ranks after every number. Ties break by (frame_index,
+        entity_id) ascending, then by position in ``rows``; this is the one
+        tie order of every ranking over node embeddings. Only the rows
+        scoring at least the k-th best score are sorted, so rows tied at the
+        cut are ordered like the rest.
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         rows = np.asarray(rows, dtype=np.intp)
-        picked = np.asarray(scores, dtype=np.float64)[rows]
+        descending = (-np.asarray(scores, dtype=np.float64))[self.vector_of[rows]]
         if 0 < k < len(rows):
-            cut = np.partition(picked, len(rows) - k)[len(rows) - k]
-            keep = picked >= cut
-            rows, picked = rows[keep], picked[keep]
-        order = np.lexsort((self.entities[rows], self.frames[rows], -picked))
+            # A sort puts NaN last, so a NaN cut means fewer than k rows score a number: all stay.
+            cut = np.partition(descending, k - 1)[k - 1]
+            if not math.isnan(cut):
+                keep = descending <= cut
+                rows, descending = rows[keep], descending[keep]
+        order = np.lexsort((self.entities[rows], self.frames[rows], descending))
         return rows[order[:k]].tolist()
 
     def rank_ranges(
@@ -147,18 +149,19 @@ class EmbeddingIndex:
         with ``start_frame <= frame_index <= end_frame``; a row in two ranges
         is listed for each. Ties on all of ``rank``'s keys keep row order.
 
-        ``scores`` must give rows that share a vector the same score, as
-        ``scores()`` does (NaN equals NaN); otherwise this raises
-        ``ValueError``. The rows are sorted once, stably, by one integer key:
-        the range's position times the number of distinct vectors, plus the
-        rank of the row's score among the distinct vectors' scores (16-bit
-        when that product fits, else ``intp``).
+        ``scores`` has one per vector, as ``scores()`` gives. The rows are
+        sorted once, stably, by one integer key: the range's position times
+        the number of vectors, plus the rank of the row's vector, the number
+        of vectors scoring above it, so equal scores share a rank and NaN
+        ranks last, as a float sort orders them (16-bit when that product
+        fits, else ``intp``).
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if not len(self):
             return []
-        rank_of, width = self._score_ranks(scores)
+        descending = -np.asarray(scores, dtype=np.float64)
+        rank_of, width = np.sort(descending).searchsorted(descending), len(descending)
         frames, entity_slice = self._entity_frames, self._entity_slice.get
         firsts, lasts = [], []
         for entity_id, start_frame, end_frame in ranges:
@@ -180,38 +183,23 @@ class EmbeddingIndex:
         order = key.argsort(kind="stable")
         return rows[order[place < k]].tolist()
 
-    def _score_ranks(self, scores: np.ndarray) -> tuple[np.ndarray, int]:
-        """A rank per distinct vector by descending score, and the number of vectors.
-
-        A vector's rank is the number of vectors scoring above it, so equal
-        scores share a rank and NaN ranks last, as a float sort orders them.
-        Raises ``ValueError`` if two rows that share a vector have different
-        scores (NaN equals NaN).
-        """
-        scores = np.asarray(scores, dtype=np.float64)
-        by_vector = np.zeros(len(self.vectors))
-        by_vector[self.vector_of] = scores
-        given = by_vector[self.vector_of]
-        differ = given != scores
-        if np.count_nonzero(differ) and not (np.isnan(given[differ]) & np.isnan(scores[differ])).all():
-            raise ValueError("rows that share a vector must have equal scores")
-        descending = -by_vector
-        return np.sort(descending).searchsorted(descending), len(by_vector)
-
     def top_k(self, query_vector: np.ndarray, k: int) -> list[Candidate]:
-        """Exactly min(k, n) candidates by descending cosine similarity.
+        """Exactly min(k, n) candidates by descending cosine similarity, NaN last.
 
         Ties break by (frame_index, entity_id) ascending.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not self.descriptions:
+        if not len(self):
             raise EmptyIndex("no embeddings in index")
         scores = self.scores(query_vector)
-        return [
-            Candidate(int(self.entities[i]), int(self.frames[i]), float(scores[i]), self.descriptions[i])
-            for i in self.rank(scores, np.arange(len(self)), k)
-        ]
+        candidates = []
+        for i in self.rank(scores, np.arange(len(self)), k):
+            j = self.vector_of[i]
+            candidates.append(
+                Candidate(int(self.entities[i]), int(self.frames[i]), float(scores[j]), self.descriptions[j])
+            )
+        return candidates
 
     def localize(self, grounding_phrase: str, k: int, backend) -> LocalizeResult:
         """Two-stage retrieval: cosine top-k filter, then backend rerank.

@@ -454,7 +454,7 @@ def hierarchical_retrieve(
         return [], False
     pool = index.rank(scores, pool, CANDIDATES_PER_PICK * top)
 
-    descriptions = [index.descriptions[r] for r in pool]
+    descriptions = [index.descriptions[j] for j in index.vector_of[pool].tolist()]
     bundle = make_bundle("event_select", backends.event_select_payload(question, descriptions, top))
     fallback = False
     try:

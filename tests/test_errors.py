@@ -3,6 +3,7 @@
 import ast
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,22 @@ def test_dataset_loaders_reject_a_boolean_or_fractional_integer(loader, good, ba
     path = tmp_path / "items.jsonl"
     path.write_text(good + "\n" + bad)
     with pytest.raises(ParseError, match=f"^line 2: {field} must be an integer, got ") as exc:
+        loader(path)
+    assert (exc.value.line, exc.value.field) == (2, field)
+
+
+@pytest.mark.parametrize("value", ['"ab"', '"12"', '{"1": 2}', "null", "7"])
+@pytest.mark.parametrize(
+    "loader, good, field, old",
+    [(load_mcq, MCQ, "options", '["a", "b"]'), (load_loc, LOC, "gt_frames", "[0]")],
+    ids=["mcq options", "localization gt_frames"],
+)
+def test_dataset_loaders_reject_a_list_field_that_is_not_a_list(loader, good, field, old, value, tmp_path):
+    # A string read item by item would load "ab" as the options a and b, and "12" as the frames 1 and 2.
+    path = tmp_path / "items.jsonl"
+    path.write_text(good + "\n" + good.replace(old, value))
+    message = f"^line 2: {field} must be a list, got {re.escape(repr(json.loads(value)))}$"
+    with pytest.raises(ParseError, match=message) as exc:
         loader(path)
     assert (exc.value.line, exc.value.field) == (2, field)
 

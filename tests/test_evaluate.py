@@ -8,7 +8,7 @@ import pytest
 from ravu.backends import MockBackend, RemoteBackend
 from ravu.config import RavuConfig
 from ravu.datasets import McqItem
-from ravu.errors import ParseError, Timeout
+from ravu.errors import BlockedContent, MalformedResponse, ParseError, Timeout
 from ravu.evaluate import (
     Retrieval,
     TokenCountingBackend,
@@ -188,9 +188,56 @@ def test_eval_localization_methods(world, assets, backend):
     rerank = eval_localization(world.loc_annotations, lookup, backend, method="rerank")
     text = eval_localization(world.loc_annotations, lookup, backend, method="text_embedding")
     assert rerank["overall"]["accuracy"] >= text["overall"]["accuracy"]
-    assert rerank["skipped"] == 0
+    assert rerank["skipped"] == rerank["errored"] == text["skipped"] == text["errored"] == 0
     with pytest.raises(ValueError):
         eval_localization([], lookup, backend, method="psychic")
+
+
+class LocFailingBackend(MockBackend):
+    """Raises ``error`` from the embedding of ``question``, or from the rerank that grounds it."""
+
+    def __init__(self, question, stage, error):
+        super().__init__()
+        self.question, self.stage, self.error, self.raised = question, stage, error, 0
+
+    def fail(self):
+        self.raised += 1
+        raise self.error("failed")
+
+    def embed(self, text):
+        if self.stage == "embed" and text == self.question:
+            self.fail()
+        return super().embed(text)
+
+    def generate(self, bundle):
+        grounds = bundle.role == "rerank" and f"grounding: {self.question}\n" in bundle.user_payload
+        if self.stage == "rerank" and grounds:
+            self.fail()
+        return super().generate(bundle)
+
+
+# A malformed rerank reply is no failure: ``localize`` falls back to the rank-1 candidate.
+LOC_FAILURES = [
+    (method, stage, error)
+    for method, stage in [("rerank", "embed"), ("rerank", "rerank"), ("text_embedding", "embed")]
+    for error in (Timeout, BlockedContent, MalformedResponse)
+    if not (stage == "rerank" and error is MalformedResponse)
+]
+
+
+@pytest.mark.parametrize(
+    "method, stage, error", LOC_FAILURES, ids=[f"{m}-{s}-{e.__name__}" for m, s, e in LOC_FAILURES]
+)
+def test_eval_localization_records_a_backend_failure_as_errored(world, assets, method, stage, error):
+    lookup = {world.video_id: assets}
+    victim = world.loc_annotations[1]
+    others = [a for a in world.loc_annotations if a is not victim]
+    failing = LocFailingBackend(victim.question, stage, error)
+    report = eval_localization(world.loc_annotations, lookup, failing, method=method)
+    want = eval_localization(others, lookup, MockBackend(), method=method)
+    assert failing.raised == 1
+    assert report["errored"] == 1 and want["errored"] == 0
+    assert {**report, "errored": 0} == want
 
 
 def test_token_counting_backend(backend):

@@ -151,7 +151,8 @@ def test_top_k_matches_the_sorted_reference(drawn, q, k):
     records, index = index_of(drawn)
     q = np.asarray(q, dtype=np.float64)
     scores = index.scores(q)
-    assert np.array_equal(scores, accel.cosine_scores(np.stack([r.vector for r in records]), q))
+    assert len(scores) == len(index.vectors)
+    assert np.array_equal(scores[index.vector_of], accel.cosine_scores(np.stack([r.vector for r in records]), q))
     got = [(c.frame_index, c.entity_id, c.score, c.description) for c in index.top_k(q, k)]
     assert got == sorted_top_k(records, q, k)
 
@@ -258,62 +259,57 @@ def tied_columns(vectors):
     n = len(TIED_FRAMES)
     return EmbeddingColumns(
         vectors, np.array([(r * 7) % len(vectors) for r in range(n)], dtype=np.intp),
-        np.array(TIED_ENTITIES), np.array(TIED_FRAMES), [""] * n,
+        np.array(TIED_ENTITIES), np.array(TIED_FRAMES), [""] * len(vectors),
     )
 
 
-def sorted_ranges(columns, scores, ranges, k):
-    """Each range's ``k`` best rows by descending score, NaN after every number, then frame, then row."""
+def nan_last_rank(scores, rows, frames, k):
+    """The ``k`` best of ``rows`` by descending score, NaN after every number, then by frame, then by position."""
     def key(r):
         nan = math.isnan(scores[r])
-        return nan, 0.0 if nan else -scores[r], columns.frames[r]
+        return nan, 0.0 if nan else -scores[r], frames[r]
 
+    return sorted(rows, key=key)[:k]
+
+
+def sorted_ranges(columns, vector_scores, ranges, k):
+    """Each range's ``k`` best rows in ``nan_last_rank`` order."""
+    scores = vector_scores[columns.vector_of]
     return [
         row
         for entity_id, start, end in ranges
-        for row in sorted(
-            (r for r in range(len(columns)) if columns.entities[r] == entity_id and start <= columns.frames[r] <= end),
-            key=key,
-        )[:k]
+        for row in nan_last_rank(
+            scores,
+            [r for r in range(len(columns)) if columns.entities[r] == entity_id and start <= columns.frames[r] <= end],
+            columns.frames, k,
+        )
     ]
 
 
-@pytest.mark.parametrize("vectors, query, copies", [
+@pytest.mark.parametrize("vectors, query, copies, nan_vectors", [
     # Three vectors give every range long runs of exact ties.
-    pytest.param(3, [1.0, 0.5, 0.0], 1, id="3"),
-    pytest.param(130, [1.0, 0.5, 0.0], 1, id="130"),
+    pytest.param(3, [1.0, 0.5, 0.0], 1, [], id="3"),
+    pytest.param(130, [1.0, 0.5, 0.0], 1, [], id="130"),
     # Two distinct vectors with bitwise-equal scores, interleaved over frames.
-    pytest.param([[1, 0, 0], [0, 1, 0]], [1.0, 1.0, 0.0], 1, id="equal-scores"),
+    pytest.param([[1, 0, 0], [0, 1, 0]], [1.0, 1.0, 0.0], 1, [], id="equal-scores"),
     # 560 ranges times 130 vectors is past 16 bits.
-    pytest.param(130, [1.0, 0.5, 0.0], 80, id="wide-key"),
+    pytest.param(130, [1.0, 0.5, 0.0], 80, [], id="wide-key"),
     # Scores of -0.0 and 0.0, equal to a float sort, interleaved over frames.
-    pytest.param([[1, 0, 0], [0, 0, 1]], [-1e-12, 1.0, 0.0], 1, id="signed-zeros"),
+    pytest.param([[1, 0, 0], [0, 0, 1]], [-1e-12, 1.0, 0.0], 1, [], id="signed-zeros"),
     # A NaN query scores the zero vector 0 and the others NaN, which ranks last.
-    pytest.param([[1, 0, 0], [0, 0, 0], [0, 1, 0]], [math.nan, 1.0, 0.0], 1, id="nan-query"),
+    pytest.param([[1, 0, 0], [0, 0, 0], [0, 1, 0]], [math.nan, 1.0, 0.0], 1, [], id="nan-query"),
+    # One vector's rows all scored NaN, the others' numbers.
+    pytest.param(3, [1.0, 0.5, 0.0], 1, [1], id="nan-vector"),
 ])
-def test_rank_ranges_matches_the_sorted_reference_over_long_tied_runs(vectors, query, copies):
+def test_rank_ranges_matches_the_sorted_reference_over_long_tied_runs(vectors, query, copies, nan_vectors):
     columns = tied_columns(vectors)
     index = EmbeddingIndex(columns)
     scores = index.scores(np.array(query))
+    scores[nan_vectors] = math.nan
     ranges = TIED_RANGES * copies
     assert (len(ranges) * len(columns.vectors) >= 1 << 16) == (copies > 1)
     for k in (0, 1, 3, 20, 200):
         assert index.rank_ranges(scores, ranges, k) == sorted_ranges(columns, scores, ranges, k)
-
-
-def test_rank_ranges_rejects_scores_that_differ_within_a_shared_vector():
-    columns = tied_columns(3)
-    index = EmbeddingIndex(columns)
-    scores = index.scores(np.array([1.0, 0.5, 0.0]))
-    shared = columns.vector_of == columns.vector_of[0]
-    nan_shared = scores.copy()
-    nan_shared[shared] = math.nan
-    assert index.rank_ranges(nan_shared, TIED_RANGES, 3) == sorted_ranges(columns, nan_shared, TIED_RANGES, 3)
-    for row, score in [(0, scores[0] + 1e-9), (0, math.nan), (7, -0.5)]:
-        bad = scores.copy()
-        bad[row] = score
-        with pytest.raises(ValueError, match="share a vector"):
-            index.rank_ranges(bad, TIED_RANGES, 3)
 
 
 @pytest.mark.parametrize("k", [-1, -3])
@@ -349,8 +345,7 @@ def test_index_keeps_columns_and_gives_back_equal_records():
 def test_index_gives_rows_that_share_a_vector_equal_records():
     vectors = np.array([[1.0, 2.0], [0.0, 0.0]])
     columns = EmbeddingColumns(
-        vectors, np.array([1, 0, 1, 0], dtype=np.intp), np.array([0, 1, 2, 3]), np.array([5, 5, 6, 6]),
-        ["a", "b", "a", "b"],
+        vectors, np.array([1, 0, 1, 0], dtype=np.intp), np.array([0, 1, 2, 3]), np.array([5, 5, 6, 6]), ["b", "a"]
     )
     index = EmbeddingIndex(columns)
     assert index.vectors is vectors and index.records is columns
@@ -358,6 +353,14 @@ def test_index_gives_rows_that_share_a_vector_equal_records():
         rec(0, 5, [0, 0], "a"), rec(1, 5, [1, 2], "b"), rec(2, 6, [0, 0], "a"), rec(3, 6, [1, 2], "b")
     ])
     assert all(r.vector.base is vectors for r in columns)
+    assert len(columns) == len(index) == 4
+
+
+def test_columns_hold_one_description_per_vector():
+    with pytest.raises(ValueError, match="^4 descriptions for 2 vectors$"):
+        EmbeddingColumns(
+            np.zeros((2, 2)), np.array([1, 0, 1, 0], dtype=np.intp), np.arange(4), np.arange(4), ["a", "b", "a", "b"]
+        )
 
 
 def columns_of(drawn_vectors, vector_of, dim):
@@ -368,7 +371,7 @@ def columns_of(drawn_vectors, vector_of, dim):
         np.array(vector_of, dtype=np.intp),
         np.arange(n, dtype=np.int64) % 3,
         np.arange(n, dtype=np.int64) // 3,
-        [f"row{i}" for i in range(n)],
+        [f"vector{j}" for j in range(len(drawn_vectors))],
     )
 
 
@@ -400,10 +403,12 @@ def test_scores_equal_the_full_matrix_scores_bit_for_bit(drawn):
     index = EmbeddingIndex(columns)
     full = columns.vectors[columns.vector_of]
     assert full.shape == (len(columns), len(q))
-    assert index.scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
+    scores = index.scores(q)
+    assert len(scores) == len(columns.vectors)
+    assert scores[columns.vector_of].tobytes() == accel.cosine_scores(full, q).tobytes()
     if len(columns):
-        got = [(c.frame_index, c.entity_id, c.score) for c in index.top_k(q, len(columns))]
-        assert got == [t[:3] for t in sorted_top_k(list(columns), q, len(columns))]
+        got = [(c.frame_index, c.entity_id, c.score, c.description) for c in index.top_k(q, len(columns))]
+        assert got == sorted_top_k(list(columns), q, len(columns))
 
 
 def test_rank_orders_a_subset_of_rows():
@@ -413,6 +418,39 @@ def test_rank_orders_a_subset_of_rows():
     assert index.rank(scores, [0, 1, 2, 3], 4) == [3, 2, 1, 0]
     assert index.rank(scores, [0, 1], 1) == [1]
     assert index.rank(scores, [], 3) == []
+
+
+# (score, frame) per row: NaN, signed zeros and exact ties included.
+scored_frames = st.lists(
+    st.tuples(st.just(math.nan) | st.sampled_from([0.5, -0.0, 0.0, 1.0]) | st.floats(-1, 1), st.integers(0, 4)),
+    min_size=1, max_size=20,
+)
+
+
+@given(scored_frames, st.lists(st.integers(0, 19), max_size=30), st.integers(0, 25))
+# Fewer rows score a number than ``k``, so the cut is NaN.
+@example([(0.5, 4), (math.nan, 3), (0.9, 2), (math.nan, 1), (math.nan, 0)], [0, 1, 2, 3, 4], 4)
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_the_nan_last_reference(drawn, picks, k):
+    scores, frames = [s for s, _ in drawn], [f for _, f in drawn]
+    rows = [p % len(drawn) for p in picks]
+    index = EmbeddingIndex(make_columns([rec(0, f, [1.0]) for f in frames]))
+    assert index.rank(scores, rows, k) == nan_last_rank(scores, rows, frames, k)
+
+
+def test_a_nan_query_still_gives_k_candidates():
+    index = EmbeddingIndex(make_columns([rec(e, 4 - e, [1, e, 2]) for e in range(5)]))
+    # A NaN query scores every one of these vectors NaN.
+    q = np.array([math.nan, 1.0, 0.0])
+    out = index.top_k(q, 4)
+    assert [(c.frame_index, c.entity_id) for c in out] == [(0, 4), (1, 3), (2, 2), (3, 1)]
+    assert all(math.isnan(c.score) for c in out)
+
+    class NanQuery(MockBackend):
+        def embed(self, text):
+            return q
+
+    assert index.localize("anything", 4, NanQuery()).candidate.entity_id == 4
 
 
 def test_rerank_protocol():

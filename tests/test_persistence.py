@@ -22,7 +22,7 @@ from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.errors import ParseError
-from ravu.graph_builder import EmbeddingRecord, embed_graph, read_embeddings, write_embeddings
+from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord, embed_graph, read_embeddings, write_embeddings
 from ravu.graph_model import (
     LINE_BREAK,
     BoundingBox,
@@ -616,15 +616,16 @@ def shared_graph():
 def shared(tmp_path):
     """(graph, bin path, index path, written records) of ``shared_graph``, one vector per description."""
     graph = shared_graph()
-    rng = np.random.default_rng(7)
-    left, right = rng.standard_normal(4), rng.standard_normal(4)
-    records = [
-        EmbeddingRecord(n.entity_id, n.frame_index, n.description, vector)
-        for n, vector in zip(graph.nodes, [left] * 3 + [right] * 3)
-    ]
+    columns = EmbeddingColumns(
+        np.random.default_rng(7).standard_normal((2, 4)),
+        np.array([0, 0, 0, 1, 1, 1], dtype=np.intp),
+        np.array([n.entity_id for n in graph.nodes]),
+        np.array([n.frame_index for n in graph.nodes]),
+        ["left", "right"],
+    )
     bin_path, idx_path = tmp_path / "e.bin", tmp_path / "e.idx"
-    write_embeddings(make_columns(records), bin_path, idx_path)
-    return graph, bin_path, idx_path, records
+    write_embeddings(columns, bin_path, idx_path)
+    return graph, bin_path, idx_path, list(columns)
 
 
 def stored(records):
@@ -653,15 +654,8 @@ def test_read_embeddings_shares_one_vector_per_description(shared):
     assert record_rows(columns) == record_rows(stored(records))
     q = np.random.default_rng(8).standard_normal(4)
     full = np.stack([r.vector for r in stored(records)])
-    assert EmbeddingIndex(columns).scores(q).tobytes() == accel.cosine_scores(full, q).tobytes()
-
-
-def test_write_embeddings_stores_the_vector_of_each_descriptions_first_row(shared, tmp_path):
-    graph, bin_path, idx_path, records = shared
-    records[4].vector = records[4].vector + 1
-    again_bin, again_idx = tmp_path / "again.bin", tmp_path / "again.idx"
-    write_embeddings(make_columns(records), again_bin, again_idx)
-    assert (again_bin.read_bytes(), again_idx.read_bytes()) == (bin_path.read_bytes(), idx_path.read_bytes())
+    scores = EmbeddingIndex(columns).scores(q)
+    assert scores[columns.vector_of].tobytes() == accel.cosine_scores(full, q).tobytes()
 
 
 # A node of a shared description gets a description of its own: the index
@@ -736,15 +730,12 @@ def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp
     bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
     write_embeddings(assets.index.records, bin_path, idx_path)
     reloaded = EmbeddingIndex(read_embeddings(bin_path, idx_path, assets.graph))
-    distinct = sorted(set(assets.index.descriptions))
+    distinct = list(dict.fromkeys(n.description for n in assets.graph.nodes))
     assert len(assets.index) == len(assets.graph.nodes) > 4 * len(distinct)
     for index in (assets.index, reloaded):
-        assert len(index.vectors) == len(distinct)
-        # Every row's vector is the first vector of its description.
-        first = {}
-        for description, vector in zip(index.descriptions, index.vector_of.tolist()):
-            assert first.setdefault(description, vector) == vector
-        assert len(set(first.values())) == len(distinct)
+        # One vector and one text per distinct description, and each row reads its node's.
+        assert index.descriptions == distinct and len(index.vectors) == len(distinct)
+        assert [index.descriptions[j] for j in index.vector_of.tolist()] == [n.description for n in assets.graph.nodes]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
