@@ -29,7 +29,9 @@ from .graph_model import (
     EntityNode,
     FrameRecord,
     RelationEdge,
+    NodeTable,
     SpatioTemporalGraph,
+    first_seen,
     entity_timeline,
     node_edges,
 )
@@ -228,21 +230,16 @@ def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, l
     ``descriptions`` holds each distinct description once, in first-seen
     order, ``firsts`` the first node with each, and ``vector_of`` each
     node's description number, so node ``i``'s description is
-    ``descriptions[vector_of[i]]``. An entity ID or frame index outside
-    int64 raises ParseError naming the node.
+    ``descriptions[vector_of[i]]``. Read from the graph's state column: a
+    description is numbered once per state, not once per node.
     """
     nodes = graph.nodes
-    try:
-        entities = np.fromiter((n.entity_id for n in nodes), dtype=np.int64, count=len(nodes))
-        frames = np.fromiter((n.frame_index for n in nodes), dtype=np.int64, count=len(nodes))
-    except OverflowError:
-        node = next(n for n in nodes if not all(-(2**63) <= v < 2**63 for v in (n.entity_id, n.frame_index)))
-        raise ParseError(f"node entity {node.entity_id} frame {node.frame_index} has an ID outside int64") from None
-    first: dict[str, int] = {}
-    owner = np.array([first.setdefault(n.description or "", i) for i, n in enumerate(nodes)], dtype=np.intp)
-    firsts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    # ``firsts`` ascends, so each node's place in it is its description number.
-    return entities, frames, list(first), firsts, np.searchsorted(firsts, owner)
+    texts: dict[str, int] = {}
+    of_state = np.array([texts.setdefault(d or "", len(texts)) for d in nodes.descriptions], dtype=np.intp)
+    numbers = of_state[nodes.state]
+    firsts, vector_of = first_seen(numbers)
+    texts_list = list(texts)
+    return nodes.entity, nodes.frame, [texts_list[k] for k in numbers[firsts].tolist()], firsts, vector_of
 
 
 def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
@@ -269,13 +266,14 @@ def embed_graph(graph: SpatioTemporalGraph, backend) -> EmbeddingColumns:
     )
 
 
-def _appearance_runs(nodes: list[EntityNode]) -> list[list[EntityNode]]:
-    runs: list[list[EntityNode]] = []
-    for node in nodes:
-        if runs and node.frame_index == runs[-1][-1].frame_index + 1:
-            runs[-1].append(node)
+def _appearance_runs(frames: list[int]) -> list[list[int]]:
+    """``frames``, ascending, cut into runs of consecutive frames."""
+    runs: list[list[int]] = []
+    for frame in frames:
+        if runs and frame == runs[-1][-1] + 1:
+            runs[-1].append(frame)
         else:
-            runs.append([node])
+            runs.append([frame])
     return runs
 
 
@@ -293,18 +291,21 @@ def segment_events(
     reply names frames, not states. If a run's response fails
     the event invariants after retries, that run falls back to a single
     event summarized by its first frame's description, and the result is
-    flagged.
+    flagged. The entity's rows are read from the graph's columns.
     """
-    nodes = entity_timeline(graph, entity_id)
+    nodes = graph.nodes
+    timeline = entity_timeline(graph, entity_id).rows
+    states = nodes.state[timeline].tolist()
+    attributes, descriptions = nodes.attributes, nodes.descriptions
     events: list[EntityEvent] = []
     fallback = False
 
-    for run in _appearance_runs(nodes):
-        first, last = run[0].frame_index, run[-1].frame_index
-        rows = [
-            (n.frame_index, n.attributes.get("action", ""), n.description or "")
-            for n in run
-        ]
+    done = 0
+    for run in _appearance_runs(nodes.frame[timeline].tolist()):
+        first, last = run[0], run[-1]
+        run_states = states[done:done + len(run)]
+        done += len(run)
+        rows = [(frame, attributes[s].get("action", ""), descriptions[s] or "") for frame, s in zip(run, run_states)]
         payload = backends.event_segmentation_payload(entity_id, rows)
         bundle = make_bundle("event_segmentation", payload)
 
@@ -333,7 +334,8 @@ def segment_events(
         try:
             events.extend(generate_with_retries(backend, bundle, parse, max_retries))
         except MalformedResponse:
-            summary = run[0].description or run[0].attributes.get("action", "") or f"entity {entity_id}"
+            s = run_states[0]
+            summary = descriptions[s] or attributes[s].get("action", "") or f"entity {entity_id}"
             events.append(EntityEvent(entity_id, first, last, summary))
             fallback = True
 
@@ -342,7 +344,7 @@ def segment_events(
 
 def build_graph(
     frames: list[FrameRecord],
-    nodes: list[EntityNode],
+    nodes: NodeTable | list[EntityNode],
     backend,
     fps: float = 1.0,
     max_retries: int = 2,
@@ -359,7 +361,8 @@ def build_graph(
     :func:`generate_items_with_retries`; a backend error is raised and
     never remembered. Each stage makes a new graph with
     ``dataclasses.replace``: with the edges, then with the described nodes,
-    then with the events.
+    then with the events. The described nodes share the node columns and
+    number their states again, one per distinct (state, sentence) pair.
     """
     graph = SpatioTemporalGraph(frames, nodes, fps=fps)
     report = BuildReport()
@@ -374,23 +377,29 @@ def build_graph(
     graph = replace(graph, edges=all_edges)
 
     # Each distinct block, with the first node that has it, and each node's block number.
+    nodes = graph.nodes
     slot: dict[str, int] = {}
     distinct: list[tuple[EntityNode, str]] = []
     slot_of: list[int] = []
-    for node in graph.nodes:
-        edges = node_edges(graph, node.entity_id, node.frame_index)
-        block = backends.node_block(node.entity_id, node.attributes, edges)
+    for i, (entity_id, frame_index, state) in enumerate(
+        zip(nodes.entity.tolist(), nodes.frame.tolist(), nodes.state.tolist())
+    ):
+        edges = node_edges(graph, entity_id, frame_index)
+        block = backends.node_block(entity_id, nodes.attributes[state], edges)
         j = slot.setdefault(block, len(distinct))
         if j == len(distinct):
-            distinct.append((node, block))
+            distinct.append((nodes[i], block))
         slot_of.append(j)
     sentences: list[str] = []
     for start in range(0, len(distinct), ITEMS_PER_CALL):
         sentences.extend(_describe(distinct[start : start + ITEMS_PER_CALL], backend, max_retries))
-    # The constructor costs a third of what ``_replace`` does per node.
-    graph = replace(graph, nodes=[
-        EntityNode(n.entity_id, n.frame_index, n.attributes, n.box, sentences[j]) for n, j in zip(graph.nodes, slot_of)
-    ])
+    # A described node's state is its (state, block) pair: the same attributes with the block's sentence.
+    pairs, state = np.unique(nodes.state * len(distinct) + np.array(slot_of, dtype=np.intp), return_inverse=True)
+    old, block_of = np.divmod(pairs, max(len(distinct), 1))
+    graph = replace(graph, nodes=NodeTable(
+        nodes.entity, nodes.frame, nodes.box, state.reshape(-1),
+        [nodes.attributes[s] for s in old.tolist()], [sentences[j] for j in block_of.tolist()],
+    ))
 
     events: dict[int, list[EntityEvent]] = {}
     for entity_id in graph.entity_ids():

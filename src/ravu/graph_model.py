@@ -33,9 +33,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from math import inf, isfinite
-from operator import attrgetter, index, lt
+from operator import attrgetter, index
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -99,19 +99,242 @@ class EntityEvent(NamedTuple):
     summary: str
 
 
+def _ascending(keys: Sequence[np.ndarray], strict: bool) -> bool:
+    """Whether the rows ascend by ``keys``, the first key major; ``strict`` refuses two rows of equal keys."""
+    ok = np.full(max(len(keys[0]) - 1, 0), not strict)
+    for key in reversed(keys):
+        ok = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & ok)
+    return bool(ok.all())
+
+
+def first_seen(numbers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct number, ascending, and each row's place among them, counting from 0."""
+    _, firsts, inverse = np.unique(numbers, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return firsts[order], place[inverse.reshape(-1)]
+
+
+def _int64(values: Sequence[int], owner) -> np.ndarray:
+    """``values`` as an int64 column; one outside int64 raises ValueError naming its row as ``owner(i)``."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{owner(i)} has an ID outside int64") from None
+
+
+def _read_only(*columns: np.ndarray) -> None:
+    for column in columns:
+        column.flags.writeable = False
+
+
+class NodeTable(Sequence[EntityNode]):
+    """A graph's nodes as columns, in (frame, entity) order, each ``(entity_id, frame_index)`` key once.
+
+    ``entity`` and ``frame`` are int64, ``box`` is an (n, 4) float64 array
+    in xyxy layout, and ``state`` (intp) numbers each row's state: its
+    attributes, ``attributes[state[i]]``, a read-only mapping, and its
+    description, ``descriptions[state[i]]``, a text or None. Every column
+    is read-only, and the nodes of one state share its mapping. A loaded
+    graph lists each distinct state once; a built one may list one twice.
+    Row ``i`` reads as an ``EntityNode`` made at its first access and kept,
+    so every reader of the row gets the same record.
+
+    The constructor adopts the columns, in any row order, and sorts them
+    stably; a key listed twice raises ValueError naming the first repeated
+    key in that order. ``NodeTable.of`` makes the table of ``EntityNode``
+    records, one state per node.
+    """
+
+    def __init__(self, entity, frame, box, state, attributes: Sequence[Mapping], descriptions: Sequence):
+        entity, frame = np.asarray(entity, dtype=np.int64), np.asarray(frame, dtype=np.int64)
+        box, state = np.asarray(box, dtype=np.float64).reshape(-1, 4), np.asarray(state, dtype=np.intp)
+        if not _ascending((frame, entity), strict=True):
+            order = np.lexsort((entity, frame))
+            entity, frame, box, state = entity[order], frame[order], box[order], state[order]
+            repeats = np.flatnonzero((frame[1:] == frame[:-1]) & (entity[1:] == entity[:-1]))
+            if len(repeats):
+                i = repeats[0]
+                raise ValueError(f"graph lists node entity {entity[i]} frame {frame[i]} twice")
+        _read_only(entity, frame, box, state)
+        self.entity, self.frame, self.box, self.state = entity, frame, box, state
+        self.attributes = tuple(a if type(a) is MappingProxyType else MappingProxyType(a) for a in attributes)
+        self.descriptions = tuple(descriptions)
+        self._views: list[EntityNode | None] | None = None
+
+    @classmethod
+    def of(cls, nodes: Iterable[EntityNode]) -> NodeTable:
+        """The table of ``nodes``, each its own state with a copy of its attributes.
+
+        An ID that is not an int (a bool reads as one) raises TypeError, and
+        one outside int64 ValueError.
+        """
+        nodes = list(nodes)
+        entity, frame, attributes, boxes, descriptions = _columns(nodes, 5)
+        ids = list(map(index, entity)), list(map(index, frame))
+        entity, frame = (_int64(column, lambda i: f"node entity {ids[0][i]} frame {ids[1][i]}") for column in ids)
+        return cls(entity, frame, np.array(boxes, dtype=np.float64).reshape(-1, 4), np.arange(len(nodes)),
+                   [MappingProxyType(dict(a)) for a in attributes], descriptions)
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._all()[i])
+        views = self._views
+        if views is None:
+            views = self._views = [None] * len(self)
+        view = views[i]
+        if view is None:
+            s = self.state[i]
+            view = views[i] = EntityNode(int(self.entity[i]), int(self.frame[i]), self.attributes[s],
+                                         BoundingBox._make(self.box[i].tolist()), self.descriptions[s])
+        return view
+
+    def __iter__(self) -> Iterator[EntityNode]:
+        return iter(self._all())
+
+    def _all(self) -> list[EntityNode]:
+        """Every row's record, made at once for the rows no reader has read yet."""
+        views = self._views
+        if views is None or None in views:
+            state = self.state.tolist()
+            made = map(EntityNode, self.entity.tolist(), self.frame.tolist(), map(self.attributes.__getitem__, state),
+                       map(BoundingBox._make, self.box.tolist()), map(self.descriptions.__getitem__, state))
+            views = self._views = list(made) if views is None else [v or m for v, m in zip(views, made)]
+        return views
+
+    def canonical(self) -> tuple[list[tuple[frozenset, str | None]], np.ndarray]:
+        """The distinct states as ``(attribute items, description)``, in the order of their first row,
+        and each row's number among them: what the graph document writes."""
+        keys, number = _numbered(zip(map(frozenset, (a.items() for a in self.attributes)), self.descriptions))
+        firsts, state = first_seen(np.array(number, dtype=np.intp)[self.state])
+        keys = list(keys)
+        return [keys[number[s]] for s in self.state[firsts].tolist()], state
+
+    def __eq__(self, other):
+        if not isinstance(other, NodeTable):
+            return NotImplemented
+        mine, theirs = self.canonical(), other.canonical()
+        return (np.array_equal(self.entity, other.entity) and np.array_equal(self.frame, other.frame)
+                and np.array_equal(self.box, other.box) and mine[0] == theirs[0] and np.array_equal(mine[1], theirs[1]))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so pickle and deepcopy hand each state's attributes over as a dict.
+        return NodeTable, (self.entity, self.frame, self.box, self.state, list(map(dict, self.attributes)),
+                           self.descriptions)
+
+    def __repr__(self) -> str:
+        return f"NodeTable({len(self)} nodes, {len(self.descriptions)} states)"
+
+
+class NodeRows(Sequence[EntityNode]):
+    """Some rows of a ``NodeTable``, in the order of ``rows`` (intp), read as the table's records."""
+
+    def __init__(self, table: NodeTable, rows: np.ndarray):
+        _read_only(rows)
+        self.table, self.rows = table, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.table[i] for i in self.rows[k].tolist()]
+        return self.table[self.rows[k]]
+
+    def __iter__(self) -> Iterator[EntityNode]:
+        return map(self.table.__getitem__, self.rows.tolist())
+
+
+class EdgeTable(Sequence[RelationEdge]):
+    """A graph's edges as columns, in (frame, subject, object, relation) order.
+
+    ``frame``, ``subject`` and ``object`` are int64, and ``relation`` (intp)
+    numbers each row's relation text in ``relations``. Every column is
+    read-only. Row ``i`` reads as a ``RelationEdge`` made at its first
+    access and kept; ``EdgeTable.of`` keeps the records it is given.
+    The constructor adopts the columns, in any row order, and sorts them
+    stably; one edge may be listed more than once.
+    """
+
+    def __init__(self, frame, subject, object_, relation, relations: Sequence,
+                 views: list[RelationEdge] | None = None):
+        frame, subject, object_ = (np.asarray(c, dtype=np.int64) for c in (frame, subject, object_))
+        relation = np.asarray(relation, dtype=np.intp)
+        place = {text: k for k, text in enumerate(sorted(set(relations)))}
+        keys = (frame, subject, object_, np.array([place[text] for text in relations], dtype=np.intp)[relation])
+        if not _ascending(keys, strict=False):
+            order = np.lexsort(keys[::-1])
+            frame, subject, object_, relation = frame[order], subject[order], object_[order], relation[order]
+            views = None if views is None else [views[i] for i in order.tolist()]
+        _read_only(frame, subject, object_, relation)
+        self.frame, self.subject, self.object, self.relation = frame, subject, object_, relation
+        self.relations = tuple(relations)
+        self._views = views
+
+    @classmethod
+    def of(cls, edges: Iterable[RelationEdge]) -> EdgeTable:
+        """The table of ``edges``, keeping them as its records. An ID that is not an int raises TypeError."""
+        edges = list(edges)
+        frame, subject, relation, object_ = _columns(edges, 4)
+        relations, number = _numbered(relation)
+        owner = lambda i: f"edge frame {edges[i].frame_index} {edges[i].subject_id}->{edges[i].object_id}"  # noqa: E731
+        return cls(*(_int64(list(map(index, c)), owner) for c in (frame, subject, object_)), number, list(relations),
+                   edges)
+
+    def __len__(self) -> int:
+        return len(self.relation)
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self) -> Iterator[RelationEdge]:
+        return iter(self._all())
+
+    def _all(self) -> list[RelationEdge]:
+        if self._views is None:
+            self._views = list(map(RelationEdge, self.frame.tolist(), self.subject.tolist(),
+                                   map(self.relations.__getitem__, self.relation.tolist()), self.object.tolist()))
+        return self._views
+
+    def canonical(self) -> tuple[list, np.ndarray]:
+        """The distinct relations in the order of their first row, and each row's number among them."""
+        texts, number = _numbered(self.relations)
+        firsts, relation = first_seen(np.array(number, dtype=np.intp)[self.relation])
+        return [self.relations[r] for r in self.relation[firsts].tolist()], relation
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeTable):
+            return NotImplemented
+        mine, theirs = self.canonical(), other.canonical()
+        return (np.array_equal(self.frame, other.frame) and np.array_equal(self.subject, other.subject)
+                and np.array_equal(self.object, other.object) and mine[0] == theirs[0]
+                and np.array_equal(mine[1], theirs[1]))
+
+    def __reduce__(self):
+        return EdgeTable, (self.frame, self.subject, self.object, self.relation, self.relations)
+
+    def __repr__(self) -> str:
+        return f"EdgeTable({len(self)} edges, {len(self.relations)} relations)"
+
+
 @dataclass(frozen=True)
 class SpatioTemporalGraph:
     frames: tuple[FrameRecord, ...] = ()
-    nodes: tuple[EntityNode, ...] = ()
-    edges: tuple[RelationEdge, ...] = ()
+    nodes: NodeTable = ()
+    edges: EdgeTable = ()
     events: Mapping[int, tuple[EntityEvent, ...]] = field(default_factory=dict)
     fps: float = 1.0
 
     def __post_init__(self):
         vars(self).update(
             frames=tuple(sorted(self.frames, key=attrgetter("frame_index"))),
-            nodes=_in_node_order(self.nodes),
-            edges=tuple(sorted(self.edges, key=attrgetter("frame_index", "subject_id", "object_id", "relation"))),
+            nodes=self.nodes if isinstance(self.nodes, NodeTable) else NodeTable.of(self.nodes),
+            edges=self.edges if isinstance(self.edges, EdgeTable) else EdgeTable.of(self.edges),
             events=MappingProxyType({k: tuple(sorted(self.events[k], key=_EVENT_KEY))
                                      for k in sorted(self.events)}),
         )
@@ -123,20 +346,24 @@ class SpatioTemporalGraph:
     @cached_property
     def _by_frame(self) -> dict[int, list[EntityNode]]:
         """Nodes per frame, in entity order."""
-        return {f: list(nodes) for f, nodes in groupby(self.nodes, attrgetter("frame_index"))}
+        nodes = self.nodes._all()
+        frames, firsts = np.unique(self.nodes.frame, return_index=True)
+        bounds = [*firsts.tolist(), len(nodes)]
+        return {f: nodes[a:b] for f, a, b in zip(frames.tolist(), bounds, bounds[1:])}
 
     @cached_property
-    def _timeline(self) -> dict[int, list[EntityNode]]:
-        """Nodes per entity, keys in entity order, each in frame order."""
-        timeline: dict[int, list[EntityNode]] = {}
-        for n in self.nodes:
-            timeline.setdefault(n.entity_id, []).append(n)
-        return dict(sorted(timeline.items()))
+    def _timeline(self) -> dict[int, NodeRows]:
+        """Rows per entity, keys in entity order, each in frame order."""
+        order = np.argsort(self.nodes.entity, kind="stable")
+        entities, firsts = np.unique(self.nodes.entity[order], return_index=True)
+        return {e: NodeRows(self.nodes, rows) for e, rows in zip(entities.tolist(), np.split(order, firsts[1:]))}
 
     @cached_property
     def _edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
         """Edges per node key ``(entity_id, frame_index)``, in the graph's edge order; a self-edge is listed once."""
-        edges_at: dict[tuple[int, int], list[RelationEdge]] = {(n.entity_id, n.frame_index): [] for n in self.nodes}
+        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
+            key: [] for key in zip(self.nodes.entity.tolist(), self.nodes.frame.tolist())
+        }
         for e in self.edges:
             for entity_id in {e.subject_id, e.object_id}:
                 bucket = edges_at.get((entity_id, e.frame_index))
@@ -146,7 +373,7 @@ class SpatioTemporalGraph:
 
     @cached_property
     def _descriptions(self) -> DescriptionTable:
-        return DescriptionTable(self._timeline)
+        return DescriptionTable(self.nodes, self._timeline)
 
     @property
     def num_frames(self) -> int:
@@ -159,24 +386,7 @@ class SpatioTemporalGraph:
         return list(self._by_frame.get(frame_index, ()))
 
 
-_NODE_KEY = attrgetter("frame_index", "entity_id")
 _EVENT_KEY = attrgetter("start_frame", "end_frame", "summary")
-
-
-def _in_node_order(nodes: Sequence[EntityNode]) -> tuple[EntityNode, ...]:
-    """``nodes`` as a tuple, stably sorted into (frame, entity) order unless its keys already ascend strictly.
-
-    A key listed twice raises ValueError naming the first repeated key in that order.
-    """
-    keys = list(map(_NODE_KEY, nodes))
-    if all(map(lt, keys, keys[1:])):
-        return tuple(nodes)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if keys[i] == keys[j]:
-            frame_index, entity_id = keys[i]
-            raise ValueError(f"graph lists node entity {entity_id} frame {frame_index} twice")
-    return tuple([nodes[i] for i in order])
 
 
 class DescriptionTable:
@@ -191,10 +401,13 @@ class DescriptionTable:
     needs no lock.
     """
 
-    def __init__(self, timeline: dict[int, list[EntityNode]]):
+    def __init__(self, nodes: NodeTable, timeline: dict[int, NodeRows]):
         self.entities: dict[int, tuple[list[str], str]] = {}
-        for entity_id, nodes in timeline.items():
-            texts = list(dict.fromkeys([n.description or "" for n in nodes]))
+        state, descriptions = nodes.state, nodes.descriptions
+        for entity_id, rows in timeline.items():
+            # The entity's states in timeline order, each once, then their descriptions, each once.
+            states = dict.fromkeys(state[rows.rows].tolist())
+            texts = list(dict.fromkeys([descriptions[s] or "" for s in states]))
             self.entities[entity_id] = (texts, "\n".join(texts).lower())
         self.word_sets: dict[str, set[str]] = {}
 
@@ -292,15 +505,18 @@ def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
     """Each text field that holds a line break, as ``(owner, field)``.
 
     The fields are frame and node descriptions, node attributes (keys and
-    values), edge relations and event summaries, walked in that order.
+    values), edge relations and event summaries, walked in that order. A
+    node's texts are its state's, so the states and relations tables are
+    searched once each, and only the rows of a state or relation found
+    there are walked.
     """
     frames, nodes, edges = graph.frames, graph.nodes, graph.edges
     events = list(chain.from_iterable(graph.events.values()))
     texts = "\0".join(chain(
         (f.description for f in frames),
-        (n.description or "" for n in nodes),
-        chain.from_iterable(chain(n.attributes, n.attributes.values()) for n in nodes),
-        (e.relation for e in edges),
+        (d or "" for d in nodes.descriptions),
+        chain.from_iterable(chain(a, a.values()) for a in nodes.attributes),
+        edges.relations,
         (ev.summary for ev in events),
     ))
     # One substring scan per break of all the text is a fifth of a regex search per field.
@@ -309,26 +525,30 @@ def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
     for f in frames:
         if LINE_BREAK.search(f.description):
             yield f"frame {f.frame_index}", "description"
-    for n in nodes:
-        owner = f"node entity {n.entity_id} frame {n.frame_index}"
-        if n.description is not None and LINE_BREAK.search(n.description):
+    broken = [(d is not None and bool(LINE_BREAK.search(d)), any(map(LINE_BREAK.search, chain(a, a.values()))))
+              for a, d in zip(nodes.attributes, nodes.descriptions)]
+    bad = [s for s, fields in enumerate(broken) if any(fields)]
+    for i in np.flatnonzero(np.isin(nodes.state, bad)).tolist():
+        owner = f"node entity {nodes.entity[i]} frame {nodes.frame[i]}"
+        description, attributes = broken[nodes.state[i]]
+        if description:
             yield owner, "description"
-        if any(map(LINE_BREAK.search, chain(n.attributes, n.attributes.values()))):
+        if attributes:
             yield owner, "attributes"
-    for e in edges:
-        if LINE_BREAK.search(e.relation):
-            yield f"edge frame {e.frame_index} {e.subject_id}->{e.object_id}", "relation"
+    bad = [r for r, text in enumerate(edges.relations) if LINE_BREAK.search(text)]
+    for i in np.flatnonzero(np.isin(edges.relation, bad)).tolist():
+        yield f"edge frame {edges.frame[i]} {edges.subject[i]}->{edges.object[i]}", "relation"
     for ev in events:
         if LINE_BREAK.search(ev.summary):
             yield f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}]", "summary"
 
 
-def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> list[EntityNode]:
-    """All nodes of one entity, ordered by frame index."""
+def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> NodeRows:
+    """All nodes of one entity, ordered by frame index: a read-only sequence kept by the graph."""
     nodes = graph._timeline.get(entity_id)
-    if not nodes:
+    if nodes is None:
         raise NotFound(f"entity {entity_id} not in graph")
-    return list(nodes)
+    return nodes
 
 
 def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> list[RelationEdge]:
@@ -357,9 +577,13 @@ _text = str.__str__
 
 
 def _floats(values) -> list[float]:
-    """``float()`` of each value; a non-finite one raises ValueError, as JSON has no token for it."""
-    floats = list(map(float, values))
-    if not all(map(isfinite, floats)):
+    """``float()`` of each value, or an array's values; a non-finite one raises ValueError, as JSON has no token for it."""
+    if isinstance(values, np.ndarray):
+        floats, finite = values.tolist(), bool(np.isfinite(values).all())
+    else:
+        floats = list(map(float, values))
+        finite = all(map(isfinite, floats))
+    if not finite:
         value = next(v for v in floats if not isfinite(v))
         raise ValueError(f"the graph document cannot hold the non-finite float {value}")
     return floats
@@ -387,11 +611,9 @@ def serialize(graph: SpatioTemporalGraph) -> str:
     raises ValueError.
     """
     frame_index, timestamp_s, description, source_ref = _columns(graph.frames, 4)
-    entity_id, node_frame, attributes, boxes, node_description = _columns(graph.nodes, 5)
-    # A dict does not hash, so a state is keyed by its attributes' items; ``json.dumps`` sorts them again.
-    states, state = _numbered(zip(map(frozenset, map(dict.items, attributes)), node_description))
-    edge_frame, subject_id, relation, object_id = _columns(graph.edges, 4)
-    relations, relation_number = _numbered(relation)
+    nodes, edges = graph.nodes, graph.edges
+    states, state = nodes.canonical()
+    relations, relation = edges.canonical()
     doc = {
         "format": FORMAT,
         "fps": _floats([graph.fps])[0],
@@ -401,11 +623,11 @@ def serialize(graph: SpatioTemporalGraph) -> str:
             "attributes": [{_text(k): _text(v) for k, v in items} for items, _ in states],
             "description": [None if text is None else _text(text) for _, text in states],
         },
-        "nodes": {"entity_id": list(map(index, entity_id)), "frame_index": list(map(index, node_frame)),
-                  "state": state, "box": _floats(chain.from_iterable(boxes))},
+        "nodes": {"entity_id": nodes.entity.tolist(), "frame_index": nodes.frame.tolist(), "state": state.tolist(),
+                  "box": _floats(nodes.box.ravel())},
         "relations": list(map(_text, relations)),
-        "edges": {"frame_index": list(map(index, edge_frame)), "subject_id": list(map(index, subject_id)),
-                  "object_id": list(map(index, object_id)), "relation": relation_number},
+        "edges": {"frame_index": edges.frame.tolist(), "subject_id": edges.subject.tolist(),
+                  "object_id": edges.object.tolist(), "relation": relation.tolist()},
         "events": {
             str(key): {"start_frame": [index(ev.start_frame) for ev in evs],
                        "end_frame": [index(ev.end_frame) for ev in evs],
@@ -480,6 +702,18 @@ def _table(table: dict, columns: tuple[str, ...], name: str, field: str | None =
     return lists
 
 
+def _box_rows(column: list):
+    """The box column in fours, one per node: an (n, 4) array when every entry is a number, else a list of
+    tuples, for ``parse_boxes``."""
+    try:
+        values = np.array(column)
+    except MALFORMED:  # a nested list of another shape
+        values = np.empty((0, 0))
+    if values.ndim == 1 and values.dtype.kind in "biuf":
+        return values.reshape(-1, 4)
+    return list(zip(*[iter(column)] * 4))
+
+
 def _integers(values: list, name: str, owner: str) -> list[int]:
     """``integer`` of each value; the first it rejects raises ParseError naming its row as ``owner % i``."""
     if set(map(type, values)) <= {int}:  # the common case, checked at C speed: documents hold thousands of IDs
@@ -492,13 +726,37 @@ def _integers(values: list, name: str, owner: str) -> list[int]:
     return [integer(value, name) for value in values]
 
 
-def _rows(values: list, name: str, owner: str, table: str, count: int) -> list[int]:
-    """``_integers`` of row numbers into a table of ``count`` rows; one outside it raises ParseError."""
+def _rows(values: list, name: str, owner: str, table: str, count: int) -> np.ndarray:
+    """``_integers`` of row numbers into a table of ``count`` rows, as an intp column; one outside it raises
+    ParseError."""
     values = _integers(values, name, owner)
-    if values and not 0 <= min(values) <= max(values) < count:
+    try:
+        rows = np.fromiter(values, dtype=np.intp, count=len(values))
+        inside = not len(rows) or 0 <= rows.min() and rows.max() < count
+    except OverflowError:
+        inside = False
+    if not inside:
         i = next(i for i, v in enumerate(values) if not 0 <= v < count)
         raise ParseError(f"{owner % i}: {name} {values[i]} is not a row of {table} 0..{count - 1}", field=name)
-    return values
+    return rows
+
+
+def _id_column(values: list[int], name: str, owner) -> np.ndarray:
+    """``_int64`` of a document's ID column; an ID outside int64 raises ParseError naming its row and ``name``."""
+    try:
+        return _int64(values, owner)
+    except ValueError as exc:
+        raise ParseError(str(exc), field=name) from None
+
+
+def _attributes(states: list) -> list[MappingProxyType]:
+    """Each state's attributes as a read-only mapping of texts, a value of another type read as its ``str()``.
+
+    JSON keys are texts, so attributes whose values all are texts are wrapped as they are.
+    """
+    if all(type(a) is dict for a in states) and set(map(type, chain.from_iterable(map(dict.values, states)))) <= {str}:
+        return list(map(MappingProxyType, states))
+    return [MappingProxyType({str(k): str(v) for k, v in a.items()}) for a in states]
 
 
 def _entity_key(key: str) -> int:
@@ -541,29 +799,27 @@ def deserialize(document: str) -> SpatioTemporalGraph:
         frames = list(map(FrameRecord, _integers(frame_index, "frame_index", "frame %s"), map(float, timestamp_s),
                           map(str, description), map(str, source_ref)))
         attributes, texts = _table(doc["states"], ("attributes", "description"), "states")
-        attributes = [{str(k): str(v) for k, v in a.items()} for a in attributes]
+        attributes = _attributes(attributes)
         texts = [None if text is None else str(text) for text in texts]
         entity_id, node_frame, state, raw_boxes = _table(
             doc["nodes"], ("entity_id", "frame_index", "state", "box"), "nodes")
         entity_id = _integers(entity_id, "entity_id", "node %s")
         node_frame = _integers(node_frame, "frame_index", "node %s")
+        node = lambda i: f"node entity {entity_id[i]} frame {node_frame[i]}"  # noqa: E731
+        entities, frame_column = _id_column(entity_id, "entity_id", node), _id_column(node_frame, "frame_index", node)
         state = _rows(state, "state", "node %s", "states", len(attributes))
-        raw_boxes = list(zip(*[iter(raw_boxes)] * 4))  # the box column in fours, one per node
-        boxes, n_ok = parse_boxes(raw_boxes)
-        if n_ok < len(raw_boxes):
-            parse_box(raw_boxes[n_ok], "node %s frame %s", entity_id[n_ok], node_frame[n_ok])
-        nodes = list(map(EntityNode, entity_id, node_frame, map(attributes.__getitem__, state),
-                         map(BoundingBox._make, boxes.tolist()), map(texts.__getitem__, state)))
+        boxes, n_ok = parse_boxes(_box_rows(raw_boxes))
+        if n_ok < len(raw_boxes) // 4:
+            parse_box(raw_boxes[4 * n_ok:4 * n_ok + 4], "node %s frame %s", entity_id[n_ok], node_frame[n_ok])
         relations = doc["relations"]
         if type(relations) is not list:
             raise TypeError("relations must be a list")
         relations = list(map(str, relations))
         edge_frame, subject_id, object_id, relation = _table(
             doc["edges"], ("frame_index", "subject_id", "object_id", "relation"), "edges")
-        edges = list(map(RelationEdge, _integers(edge_frame, "frame_index", "edge %s"),
-                         _integers(subject_id, "subject_id", "edge %s"),
-                         map(relations.__getitem__, _rows(relation, "relation", "edge %s", "relations", len(relations))),
-                         _integers(object_id, "object_id", "edge %s")))
+        edge_columns = [_id_column(_integers(values, name, "edge %s"), name, "edge {}".format) for values, name in
+                        ((edge_frame, "frame_index"), (subject_id, "subject_id"), (object_id, "object_id"))]
+        relation = _rows(relation, "relation", "edge %s", "relations", len(relations))
         events = {}
         for key, table in doc["events"].items():
             entity = _entity_key(key)
@@ -573,15 +829,17 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             events[entity] = list(map(EntityEvent, [entity] * len(start), _integers(start, "start_frame", owner),
                                       _integers(end, "end_frame", owner), map(str, summary)))
         fps = float(doc["fps"])
+        edges = EdgeTable(*edge_columns, relation, relations)
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     # ``validate``'s fps-finite rule, and below its timestamp-finite rule: json reads NaN, Infinity and 1e400 as floats.
     if not 0 < fps < inf:
         raise ParseError(f"fps must be finite and > 0, found {fps}", field="fps")
     try:
-        graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
+        nodes = NodeTable(entities, frame_column, boxes, state, attributes, texts)
     except ValueError as exc:  # a node listed twice
         raise ParseError(str(exc), field="nodes") from None
+    graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
     last = len(frames) - 1
     # ``validate``'s frame-index-dense, timestamp-finite and timestamp-order rules: a reader takes frame f as frames[f].
     for i, f in enumerate(graph.frames):
@@ -593,9 +851,9 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             raise ParseError(f"frame {i}: timestamp_s {f.timestamp_s} is not after frame {i - 1}'s "
                              f"{graph.frames[i - 1].timestamp_s}", field="timestamp_s")
     # In the graph's node order the first node holds the lowest frame and the last the highest.
-    for n in graph.nodes[:1] + graph.nodes[-1:]:
-        if not 0 <= n.frame_index <= last:
-            raise ParseError(f"node entity {n.entity_id} frame {n.frame_index} is not in frames 0..{last}",
+    for i in {0, len(nodes) - 1} if len(nodes) else ():
+        if not 0 <= nodes.frame[i] <= last:
+            raise ParseError(f"node entity {nodes.entity[i]} frame {nodes.frame[i]} is not in frames 0..{last}",
                              field="frame_index")
     for entity_id, evs in events.items():
         for i, ev in enumerate(evs):

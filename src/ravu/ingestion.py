@@ -29,7 +29,7 @@ import numpy as np
 
 from . import accel
 from .errors import MALFORMED, ParseError, integer, json_object, json_objects
-from .graph_model import LINE_BREAK, MENTION, BoundingBox, EntityNode, FrameRecord, parse_box, parse_boxes
+from .graph_model import LINE_BREAK, MENTION, FrameRecord, NodeTable, parse_box, parse_boxes
 
 
 @dataclass(eq=False)
@@ -65,7 +65,7 @@ class Tracklets:
 
 @dataclass
 class AssociationResult:
-    nodes: list[EntityNode]
+    nodes: NodeTable
     frames: list[FrameRecord]
     id_map: dict[int, dict[int, int]]  # frame_index -> local_id -> entity_id
 
@@ -336,11 +336,10 @@ def associate(
     id_of_key = sorted(tracklets.ids) + list(range(next_fresh, next_fresh + len(fresh)))
     entity_ids = list(map(id_of_key.__getitem__, key.tolist()))
 
-    boxes, attributes, frame_of = observations.boxes.tolist(), observations.attributes, ent_frame.tolist()
-    nodes = [
-        EntityNode(entity_ids[e], frame_of[e], attributes[e], BoundingBox(*boxes[e]))
-        for e in np.lexsort((key, ent_frame)).tolist()
-    ]
+    # One state per observed entity: its attributes, and no description yet.
+    order = np.lexsort((key, ent_frame))
+    nodes = NodeTable(np.array(entity_ids, dtype=np.int64)[order], ent_frame[order], observations.boxes[order], order,
+                      observations.attributes, [None] * len(order))
     frames: list[FrameRecord] = []
     id_map: dict[int, dict[int, int]] = {}
     starts = list(accumulate(counts, initial=0))

@@ -168,10 +168,13 @@ def test_a_reply_span_past_the_run_is_retried_then_flagged_without_expanding_it(
     huge = HugeSpanBackend()
     graph, report = build_graph(assoc.frames, assoc.nodes, huge, max_retries=2)
     assert report.fallback_entities == graph.entity_ids()
-    runs = {e: graph_builder._appearance_runs(entity_timeline(graph, e)) for e in graph.entity_ids()}
+    runs = {
+        e: graph_builder._appearance_runs([n.frame_index for n in entity_timeline(graph, e)])
+        for e in graph.entity_ids()
+    }
     assert huge.segmentations == 2 * sum(map(len, runs.values()))
     assert {e: [(ev.start_frame, ev.end_frame) for ev in evs] for e, evs in graph.events.items()} == {
-        e: [(run[0].frame_index, run[-1].frame_index) for run in entity_runs] for e, entity_runs in runs.items()
+        e: [(run[0], run[-1]) for run in entity_runs] for e, entity_runs in runs.items()
     }
     assert validate(graph) == []
 

@@ -16,9 +16,11 @@ from ravu.evaluate import build_video
 from ravu.graph_model import (
     LINE_BREAKS,
     BoundingBox,
+    EdgeTable,
     EntityEvent,
     EntityNode,
     FrameRecord,
+    NodeTable,
     RelationEdge,
     SpatioTemporalGraph,
     Violation,
@@ -313,7 +315,7 @@ def test_lookups_match_list_scans_before_and_after_replace(keys, rows, new_keys,
 def test_a_graph_holds_its_nodes_in_frame_entity_order(keys):
     nodes = make_nodes(keys)
     g = SpatioTemporalGraph(nodes=nodes)
-    assert ids(g.nodes) == ids(sorted(nodes, key=lambda n: (n.frame_index, n.entity_id)))
+    assert list(g.nodes) == sorted(nodes, key=lambda n: (n.frame_index, n.entity_id))
     assert_lookups_match_scans(g)
     assert SpatioTemporalGraph(nodes=g.nodes).nodes is g.nodes
     assert replace(g, edges=make_edges([(0, 0, "near", 1)])).nodes is g.nodes
@@ -689,7 +691,7 @@ def test_a_reloaded_graph_holds_exactly_the_record_types():
     assert {type(n) for n in again.nodes} == {EntityNode}
     assert {type(e) for e in again.edges} == {RelationEdge}
     assert {type(ev) for evs in again.events.values() for ev in evs} == {EntityEvent}
-    assert [type(getattr(again, name)) for name in ("frames", "nodes", "edges")] == [tuple] * 3
+    assert [type(getattr(again, name)) for name in ("frames", "nodes", "edges")] == [tuple, NodeTable, EdgeTable]
     assert type(again.events) is MappingProxyType and {type(evs) for evs in again.events.values()} == {tuple}
     with pytest.raises(TypeError):
         again.events[0] = again.events[0]

@@ -116,7 +116,8 @@ def oracle_serialize(graph):
             "description": [f.description for f in frames],
             "source_ref": [f.source_ref for f in frames],
         },
-        "states": {"attributes": [a for a, _ in states], "description": [d for _, d in states]},
+        # A node's attributes are a read-only mapping, which json does not write: its dict is.
+        "states": {"attributes": [dict(a) for a, _ in states], "description": [d for _, d in states]},
         "nodes": {
             "entity_id": [n.entity_id for n in nodes],
             "frame_index": [n.frame_index for n in nodes],
@@ -150,7 +151,7 @@ def format1_document(graph):
         "fps": float(graph.fps),
         "frames": [{"frame_index": f.frame_index, "timestamp_s": float(f.timestamp_s), "description": f.description,
                     "source_ref": f.source_ref} for f in frames],
-        "nodes": [{"entity_id": n.entity_id, "frame_index": n.frame_index, "attributes": n.attributes,
+        "nodes": [{"entity_id": n.entity_id, "frame_index": n.frame_index, "attributes": dict(n.attributes),
                    "box": [float(v) for v in n.box], "description": n.description} for n in nodes],
         "edges": [{"frame_index": e.frame_index, "subject_id": e.subject_id, "relation": e.relation,
                    "object_id": e.object_id} for e in edges],
@@ -565,21 +566,17 @@ def test_read_embeddings_reads_ids_at_the_int64_bounds(saved):
 
 @pytest.mark.parametrize("field, value", [("entity_id", 2**63), ("frame_index", -(2**63) - 1)])
 def test_a_loaded_graph_with_an_id_outside_int64_is_a_parse_error(saved, field, value):
-    graph, bin_path, idx_path, entries = saved
+    graph = saved[0]
     doc = json.loads(serialize(graph))
     doc["nodes"][field][2] = value
     entity_id, frame_index = doc["nodes"]["entity_id"][2], doc["nodes"]["frame_index"][2]
-    if field == "frame_index":  # outside the video's frames too: refused at load, so the graph is built in code
-        with pytest.raises(ParseError, match=f"^node entity {entity_id} frame {frame_index} is not in frames 0..2$"):
-            deserialize(json.dumps(doc))
-        loaded = with_node(graph, 2, frame_index=value)
-    else:
-        loaded = deserialize(json.dumps(doc))
     message = f"^node entity {entity_id} frame {frame_index} has an ID outside int64$"
-    with pytest.raises(ParseError, match=message):
-        embed_graph(loaded, MockBackend())
-    with pytest.raises(ParseError, match=message):
-        read_embeddings(bin_path, idx_path, loaded)
+    with pytest.raises(ParseError, match=message) as exc:
+        deserialize(json.dumps(doc))
+    assert exc.value.field == field
+    # A graph made in code cannot hold the node either: its columns are int64.
+    with pytest.raises(ValueError, match=message):
+        with_node(graph, 2, **{field: value})
 
 
 # ---------------------------------------------------------------------------
