@@ -275,8 +275,10 @@ def eval_localization(
 
     Methods: ``rerank`` (two-stage localize) and ``text_embedding`` (rank-1
     of the cosine top-k). Items whose video has no assets are skipped, and
-    items whose backend call failed (timeout, refusal, malformed reply) are
-    counted as ``errored``; neither counts toward the accuracies.
+    items whose question holds a line break (refused before any backend
+    call, as in ``eval_qa``) or whose backend call failed (timeout, refusal,
+    malformed reply) are counted as ``errored``; neither counts toward the
+    accuracies.
     """
     if method not in ("rerank", "text_embedding"):
         raise ValueError(f"unknown localization method {method!r}")
@@ -289,11 +291,12 @@ def eval_localization(
             skipped += 1
             continue
         try:
+            one_line([ann.question], "question")
             if method == "rerank":
                 predicted = assets.index.localize(ann.question, top_k, backend).candidate.frame_index
             else:
                 predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
-        except BackendError:
+        except (BackendError, ParseError):
             errored += 1
             continue
         per_category.setdefault(ann.category, []).append(predicted in ann.gt_frames)

@@ -6,22 +6,29 @@ Temporal linkage is implicit: nodes sharing an ``entity_id`` across frames
 are the same entity. Per-entity events chunk an entity's frames into
 contiguous behavioral segments.
 
-A graph and every record in it are immutable, except a node's ``attributes``
-dict, which nothing changes once the node is made: in a loaded graph, the
-nodes of one state (one attributes dict and description) share one attributes
-dict. The records ``BoundingBox``, ``EntityNode``, ``RelationEdge``,
-``FrameRecord`` and ``EntityEvent`` are named tuples, changed by making a new
-one with ``._replace``; a graph is a frozen dataclass, changed by making a new
-one with ``dataclasses.replace``. A graph holds ``frames``, ``nodes`` and
-``edges`` as tuples and ``events`` as a read-only mapping of tuples, whatever
-sequences it was given, each in one order: frames by index, nodes by (frame,
+A graph holds its nodes as columns (``NodeTable``): int64 entity and frame
+columns, an (n, 4) float64 box array and a state column numbering each
+node's row of a table of states, each an (attributes, description) pair,
+the attributes a read-only mapping shared by the nodes of the state. Its
+edges are columns too (``EdgeTable``): int64 frame, subject and object
+columns and a relation column numbering a table of relation texts. Every
+column is read-only. The records ``BoundingBox``, ``EntityNode``,
+``RelationEdge``, ``FrameRecord`` and ``EntityEvent`` are named tuples; a
+graph hands out an ``EntityNode`` or ``RelationEdge`` for a row at its
+first access and keeps it, for the callers that walk one node or edge at a
+time. A graph is a frozen dataclass, changed by making a new one with
+``dataclasses.replace``; its constructor takes the tables or any sequences
+of records, and holds ``frames`` as a tuple and ``events`` as a read-only
+mapping of tuples. Nothing in a graph can be changed in place.
+
+A graph holds each field in one order: frames by index, nodes by (frame,
 entity), edges by (frame, subject, object, relation), and events by entity,
 each entity's by (start frame, end frame, summary). A field already in its
 order is kept as it is and any other is sorted stably; a node key
 ``(entity_id, frame_index)`` listed twice raises ValueError. Every reader
 relies on these orders. The lookups (``nodes_in_frame``, ``entity_ids``,
 ``entity_timeline``, ``node_edges`` and ``entity_descriptions``) read tables
-that the graph builds from its fields at their first use and keeps for its
+that the graph builds from its columns at their first use and keeps for its
 lifetime. A graph is safe for concurrent reads.
 """
 
@@ -130,6 +137,16 @@ def _read_only(*columns: np.ndarray) -> None:
         column.flags.writeable = False
 
 
+def _canonical(keys: Iterable, column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct ``keys`` that the rows of ``column`` number, in the order of their first row, and each
+    row's number among them: a table as the graph document writes it."""
+    distinct, number = _numbered(keys)
+    numbers = np.array(number, dtype=np.intp)[column]
+    firsts, place = first_seen(numbers)
+    distinct = list(distinct)
+    return [distinct[k] for k in numbers[firsts].tolist()], place
+
+
 class NodeTable(Sequence[EntityNode]):
     """A graph's nodes as columns, in (frame, entity) order, each ``(entity_id, frame_index)`` key once.
 
@@ -210,10 +227,7 @@ class NodeTable(Sequence[EntityNode]):
     def canonical(self) -> tuple[list[tuple[frozenset, str | None]], np.ndarray]:
         """The distinct states as ``(attribute items, description)``, in the order of their first row,
         and each row's number among them: what the graph document writes."""
-        keys, number = _numbered(zip(map(frozenset, (a.items() for a in self.attributes)), self.descriptions))
-        firsts, state = first_seen(np.array(number, dtype=np.intp)[self.state])
-        keys = list(keys)
-        return [keys[number[s]] for s in self.state[firsts].tolist()], state
+        return _canonical(zip(map(frozenset, (a.items() for a in self.attributes)), self.descriptions), self.state)
 
     def __eq__(self, other):
         if not isinstance(other, NodeTable):
@@ -303,9 +317,7 @@ class EdgeTable(Sequence[RelationEdge]):
 
     def canonical(self) -> tuple[list, np.ndarray]:
         """The distinct relations in the order of their first row, and each row's number among them."""
-        texts, number = _numbered(self.relations)
-        firsts, relation = first_seen(np.array(number, dtype=np.intp)[self.relation])
-        return [self.relations[r] for r in self.relation[firsts].tolist()], relation
+        return _canonical(self.relations, self.relation)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeTable):
@@ -568,10 +580,10 @@ def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
 # columns, with sorted keys and compact separators, so CPython writes it with
 # its C encoder. A node's attributes and description are written once per
 # distinct pair, as a row of ``states``, and a relation once, as a row of
-# ``relations``; nodes and edges give the row's number. ``operator.index`` and
-# ``str.__str__`` hold the int and text fields to their types, writing a
-# boolean as 1 or 0, and ``_floats`` keeps out the non-finite floats JSON has
-# no token for.
+# ``relations``; nodes and edges give the row's number. Node and edge IDs are
+# int64 columns already; ``operator.index`` and ``str.__str__`` hold the other
+# int and text fields to their types, writing a boolean as 1 or 0, and
+# ``_floats`` keeps out the non-finite floats JSON has no token for.
 FORMAT = 2
 _text = str.__str__
 
@@ -605,7 +617,8 @@ def serialize(graph: SpatioTemporalGraph) -> str:
 
     Keys are sorted, frames, nodes, edges and each entity's events are listed
     in the orders the graph holds them in, and ``states`` and ``relations``
-    are numbered in the order their first node or edge comes. Int and string
+    list each distinct pair or text once, numbered in the order their first
+    node or edge comes (``NodeTable.canonical``, ``EdgeTable.canonical``). Int and string
     fields must hold ints and strings, as the fields declare, or TypeError is
     raised; float fields take what ``float()`` takes, and a non-finite float
     raises ValueError.
@@ -770,11 +783,12 @@ def _entity_key(key: str) -> int:
 
 
 def deserialize(document: str) -> SpatioTemporalGraph:
-    """The graph a format-2 document holds; nodes of one state share one attributes dict.
+    """The graph a format-2 document holds, its node and edge tables filled straight from the columns.
 
     A malformed document, one of another format (format 1, which has no
     ``format`` key, included), columns of one table of unequal length, a
-    state or relation number that is not a row of its table, an events key
+    state or relation number that is not a row of its table, an entity ID or
+    frame index outside int64, an events key
     that is not an entity ID in plain decimal, an fps or a timestamp that
     is not finite (or an fps not > 0), frame indices that are not 0..n-1
     each once, a timestamp not after the previous frame's, a node listed

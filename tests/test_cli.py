@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -539,3 +540,143 @@ def test_config_directory_is_clean(tmp_path):
                "--out", str(tmp_path / "c")]
     )
     assert_clean_error(result, f"{tmp_path}: cannot read")
+
+
+# ---------------------------------------------------------------------------
+# Copies of a built graph document, each edited one way, run through the CLI
+# in the directory that holds them: a copy that only reorders the document
+# prints, embeds and answers as the original does (one with its node rows
+# reversed is above), and broken ones are refused.
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A directory holding one video's ``graph.json``, its ``ravu events`` output as ``events.out`` and its
+    embeddings as ``ordered.bin``, made by the CLI from a one-video corpus."""
+    runner = CliRunner()
+    root = tmp_path_factory.mktemp("documents")
+    result = runner.invoke(main, ["synth", "--seed", "1", "--videos", "1", "--out", str(root / "corpus")])
+    assert result.exit_code == 0, result.output
+    video = video_dir(root / "corpus")
+    result = runner.invoke(main, ["build", "--observations", str(video / "observations.jsonl"),
+                                  "--tracklets", str(video / "tracklets.json"), "--out", str(root / "graph.json")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["events", "--graph", str(root / "graph.json")])
+    assert result.exit_code == 0, result.output
+    (root / "events.out").write_text(result.output)
+    result = runner.invoke(main, ["embed", "--graph", str(root / "graph.json"), "--out", str(root / "ordered.bin")])
+    assert result.exit_code == 0, result.output
+    return root
+
+
+def run_in(directory, monkeypatch, args):
+    """``ravu args`` run by CliRunner in ``directory``, so that paths read as the arguments spell them."""
+    monkeypatch.chdir(directory)
+    return CliRunner().invoke(main, args)
+
+
+def embeds_and_prints_as_the_original(documents, monkeypatch, name):
+    """``name``.json prints the same events as graph.json and embeds to byte-identical files."""
+    result = run_in(documents, monkeypatch, ["events", "--graph", f"{name}.json"])
+    assert result.exit_code == 0 and result.output == (documents / "events.out").read_text()
+    result = run_in(documents, monkeypatch, ["embed", "--graph", f"{name}.json", "--out", f"{name}.bin"])
+    assert result.exit_code == 0, result.output
+    for suffix in (".bin", ".bin.index.jsonl"):
+        assert (documents / f"{name}{suffix}").read_bytes() == (documents / f"ordered{suffix}").read_bytes()
+
+
+def test_a_document_with_its_tables_backwards_prints_embeds_and_answers_as_the_original(documents, monkeypatch):
+    # The graph keeps every field in one order: a copy with its frame and edge rows, every entity's events, the
+    # events keys and the numbering of its states and relations reversed prints the same events, embeds to
+    # byte-identical files and answers the same.
+    doc = json.loads((documents / "graph.json").read_text())
+    doc["frames"] = {k: v[::-1] for k, v in doc["frames"].items()}
+    doc["edges"] = {k: v[::-1] for k, v in doc["edges"].items()}
+    doc["events"] = {key: {k: v[::-1] for k, v in evs.items()} for key, evs in reversed(doc["events"].items())}
+    doc["states"] = {k: v[::-1] for k, v in doc["states"].items()}
+    doc["relations"].reverse()
+    for name, column, count in (("nodes", "state", len(doc["states"]["attributes"])),
+                                ("edges", "relation", len(doc["relations"]))):
+        doc[name][column] = [count - 1 - i for i in doc[name][column]]
+    (documents / "backwards.json").write_text(json.dumps(doc))
+    embeds_and_prints_as_the_original(documents, monkeypatch, "backwards")
+    for category in ("causal", "temporal", "descriptive", "global"):
+        outputs = set()
+        for graph in ("graph", "backwards"):
+            result = run_in(documents, monkeypatch, [
+                "ask", "--graph", f"{graph}.json", "--embeddings", "ordered.bin", "--category", category,
+                "--question", "What did the gray man do after climbing a tree?",
+                "--option", "carrying a stick", "--option", "pawing at a box",
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.add(result.output)
+        assert len(outputs) == 1
+
+
+def doubled(doc):
+    nodes = doc["nodes"]
+    for k in ("entity_id", "frame_index", "state"):
+        nodes[k].append(nodes[k][0])
+    nodes["box"] += nodes["box"][:4]
+    return json.dumps(doc)
+
+
+def past(doc):
+    doc["nodes"]["frame_index"][-1] = len(doc["frames"]["frame_index"])
+    return json.dumps(doc)
+
+
+def renumbered(doc):
+    doc["frames"]["frame_index"][-1] = len(doc["frames"]["frame_index"])
+    return json.dumps(doc)
+
+
+def nan_fps(doc):
+    doc["fps"] = float("nan")
+    return json.dumps(doc)
+
+
+def huge_timestamp(doc):
+    doc["frames"]["timestamp_s"][1] = "HUGE"
+    return json.dumps(doc).replace('"HUGE"', "1e400")
+
+
+def format_1(doc):
+    """The document in format 1, as earlier versions wrote it: one object per frame, node, edge and event."""
+    frames, states, nodes, edges, relations = doc["frames"], doc["states"], doc["nodes"], doc["edges"], doc["relations"]
+    old = {
+        "fps": doc["fps"],
+        "frames": [dict(zip(frames, row)) for row in zip(*frames.values())],
+        "nodes": [
+            {"entity_id": e, "frame_index": f, "attributes": states["attributes"][s],
+             "description": states["description"][s], "box": nodes["box"][4 * i:4 * i + 4]}
+            for i, (e, f, s) in enumerate(zip(nodes["entity_id"], nodes["frame_index"], nodes["state"]))
+        ],
+        "edges": [
+            {"frame_index": f, "subject_id": a, "object_id": b, "relation": relations[r]}
+            for f, a, b, r in zip(edges["frame_index"], edges["subject_id"], edges["object_id"], edges["relation"])
+        ],
+        "events": {key: [dict(zip(evs, row)) for row in zip(*evs.values())] for key, evs in doc["events"].items()},
+    }
+    assert len(old["nodes"]) == len(nodes["entity_id"]) and old["events"] and "format" not in old
+    return json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# A copy that lists one node twice, holds a node past the last frame, numbers a frame past the end, has a NaN fps
+# or a frame timestamp that overflows to infinity is refused, and so is a copy in format 1.
+BROKEN_DOCUMENTS = {"doubled": doubled, "past": past, "renumbered": renumbered, "nan-fps": nan_fps,
+                    "huge-timestamp": huge_timestamp, "format-1": format_1}
+
+
+@pytest.mark.parametrize("bad, edit", BROKEN_DOCUMENTS.items(), ids=BROKEN_DOCUMENTS)
+def test_a_broken_document_is_refused_with_one_error_line(documents, monkeypatch, bad, edit):
+    (documents / f"{bad}.json").write_text(edit(json.loads((documents / "graph.json").read_text())))
+    result = run_in(documents, monkeypatch, ["events", "--graph", f"{bad}.json"])
+    # Exit code 1, an Error line, no traceback: the command ended by exiting, not by an exception.
+    assert result.exit_code == 1
+    assert re.search(f"^Error: {bad}.json: ", result.output, re.M)
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+    if bad == "doubled":
+        assert re.search("^Error: doubled.json: graph lists node entity", result.output, re.M)
+    if bad == "format-1":
+        assert re.search("^Error: format-1.json: .* it is format 1, .*re-run `ravu build`", result.output, re.M)

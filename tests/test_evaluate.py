@@ -193,6 +193,19 @@ def test_eval_localization_methods(world, assets, backend):
         eval_localization([], lookup, backend, method="psychic")
 
 
+@pytest.mark.parametrize("method", ["rerank", "text_embedding"])
+def test_eval_localization_records_a_question_with_a_line_break_as_errored_before_asking(world, assets, method):
+    first, *others = world.loc_annotations
+    broken = dataclasses.replace(first, question=first.question.replace(" ", "\n", 1))
+    lookup = {world.video_id: assets}
+    report = eval_localization([broken, *others], lookup, MockBackend(), method=method)
+    want = eval_localization(others, lookup, MockBackend(), method=method)
+    assert report["errored"] == 1 and report["skipped"] == 0
+    assert {**report, "errored": 0} == want
+    # Nothing is asked for the refused item.
+    assert eval_localization([broken], lookup, Unasked(), method=method)["errored"] == 1
+
+
 class LocFailingBackend(MockBackend):
     """Raises ``error`` from the embedding of ``question``, or from the rerank that grounds it."""
 

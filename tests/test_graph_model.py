@@ -426,6 +426,32 @@ def test_a_built_graph_cannot_be_changed_in_place():
     assert serialize(graph) == before
 
 
+def test_node_attributes_cannot_be_written_in_a_built_or_a_loaded_graph():
+    world = synth_world(1, 24, 3)
+    built = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    document = serialize(built)
+    loaded = deserialize(document)
+    # The loaded nodes of one state share its one mapping, so a write to one node's would change them all.
+    assert sum(n.attributes is loaded.nodes[0].attributes for n in loaded.nodes) > 1
+    for graph in (built, loaded):
+        node = graph.nodes[0]
+        with pytest.raises(TypeError):
+            graph.nodes[0].attributes["action"] = "x"
+        with pytest.raises(TypeError):
+            del node.attributes["action"]
+        for name in ("clear", "update", "pop", "setdefault"):
+            assert not hasattr(node.attributes, name)
+        assert graph.nodes[0].attributes["action"] != "x" and serialize(graph) == document
+
+
+def test_a_graph_made_from_records_holds_copies_of_their_attributes():
+    attributes = dict(ATTRS)
+    g = SpatioTemporalGraph(nodes=[EntityNode(0, 0, attributes, box()), EntityNode(1, 0, attributes, box())])
+    attributes["action"] = "x"
+    assert [n.attributes["action"] for n in g.nodes] == ["rolling", "rolling"]
+    assert all(type(n.attributes) is MappingProxyType for n in g.nodes)
+
+
 def test_a_graph_pickles_and_deep_copies(assets):
     text = serialize(assets.graph)
     for again in (pickle.loads(pickle.dumps(assets.graph)), copy.deepcopy(assets.graph)):

@@ -22,7 +22,7 @@ from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.errors import ParseError
-from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord, embed_graph, read_embeddings, write_embeddings
+from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord, _node_columns, read_embeddings, write_embeddings
 from ravu.graph_model import (
     LINE_BREAK,
     BoundingBox,
@@ -32,6 +32,9 @@ from ravu.graph_model import (
     RelationEdge,
     SpatioTemporalGraph,
     deserialize,
+    entity_descriptions,
+    entity_timeline,
+    node_edges,
     serialize,
 )
 from ravu.index import EmbeddingIndex
@@ -302,6 +305,36 @@ def test_a_loadable_graph_loads_to_an_equal_graph_and_the_same_bytes(graph):
     again = deserialize(document)  # every draw loads: a ParseError fails the test
     assert again == graph
     assert serialize(again) == document
+
+
+def reference_vector_of(graph):
+    """Each node's description number and the distinct descriptions, a missing one read as "", numbered in
+    first-seen node order: ``_node_columns``' ``vector_of`` and ``descriptions``, written one node at a time."""
+    numbers: dict[str, int] = {}
+    return [numbers.setdefault(n.description or "", len(numbers)) for n in graph.nodes], list(numbers)
+
+
+@settings(max_examples=200)
+@given(loadable_graphs())
+def test_a_graph_made_from_records_and_its_loaded_document_read_alike(graph):
+    """Columns filled from ``EntityNode`` records and columns filled from the document give the same lookups."""
+    loaded = deserialize(serialize(graph))
+    assert list(loaded.nodes) == list(graph.nodes)
+    assert loaded.entity_ids() == graph.entity_ids()
+    for frame in range(-1, len(graph.frames) + 1):
+        assert loaded.nodes_in_frame(frame) == graph.nodes_in_frame(frame)
+    for entity_id in graph.entity_ids():
+        assert list(entity_timeline(loaded, entity_id)) == list(entity_timeline(graph, entity_id))
+    for n in graph.nodes:
+        assert node_edges(loaded, n.entity_id, n.frame_index) == node_edges(graph, n.entity_id, n.frame_index)
+    assert entity_descriptions(loaded).entities == entity_descriptions(graph).entities
+    assert serialize(loaded) == serialize(graph)
+    for g in (graph, loaded):
+        entities, frames, descriptions, firsts, vector_of = _node_columns(g)
+        numbers, texts = reference_vector_of(g)
+        assert (vector_of.tolist(), descriptions) == (numbers, texts)
+        assert firsts.tolist() == [numbers.index(k) for k in range(len(texts))]
+        assert (entities.tolist(), frames.tolist()) == ([n.entity_id for n in g.nodes], [n.frame_index for n in g.nodes])
 
 
 def shuffled(records, random):
