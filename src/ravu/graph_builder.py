@@ -28,11 +28,11 @@ from .graph_model import (
     EntityEvent,
     EntityNode,
     FrameRecord,
-    RelationEdge,
     NodeTable,
+    RelationEdge,
     SpatioTemporalGraph,
-    first_seen,
     entity_timeline,
+    first_seen,
     node_edges,
 )
 
@@ -377,23 +377,21 @@ def build_graph(
     graph = replace(graph, edges=all_edges)
 
     # Each distinct block, with the first node that has it, and each node's block number.
-    nodes = graph.nodes
     slot: dict[str, int] = {}
     distinct: list[tuple[EntityNode, str]] = []
     slot_of: list[int] = []
-    for i, (entity_id, frame_index, state) in enumerate(
-        zip(nodes.entity.tolist(), nodes.frame.tolist(), nodes.state.tolist())
-    ):
-        edges = node_edges(graph, entity_id, frame_index)
-        block = backends.node_block(entity_id, nodes.attributes[state], edges)
+    for node in graph.nodes:  # the records ``nodes_in_frame`` made above
+        edges = node_edges(graph, node.entity_id, node.frame_index)
+        block = backends.node_block(node.entity_id, node.attributes, edges)
         j = slot.setdefault(block, len(distinct))
         if j == len(distinct):
-            distinct.append((nodes[i], block))
+            distinct.append((node, block))
         slot_of.append(j)
     sentences: list[str] = []
     for start in range(0, len(distinct), ITEMS_PER_CALL):
         sentences.extend(_describe(distinct[start : start + ITEMS_PER_CALL], backend, max_retries))
     # A described node's state is its (state, block) pair: the same attributes with the block's sentence.
+    nodes = graph.nodes
     pairs, state = np.unique(nodes.state * len(distinct) + np.array(slot_of, dtype=np.intp), return_inverse=True)
     old, block_of = np.divmod(pairs, max(len(distinct), 1))
     graph = replace(graph, nodes=NodeTable(

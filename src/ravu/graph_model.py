@@ -157,7 +157,8 @@ class NodeTable(Sequence[EntityNode]):
     is read-only, and the nodes of one state share its mapping. A loaded
     graph lists each distinct state once; a built one may list one twice.
     Row ``i`` reads as an ``EntityNode`` made at its first access and kept,
-    so every reader of the row gets the same record.
+    so every reader of the row gets the same record (two threads that read a
+    fresh row at once may each make one; the two are equal).
 
     The constructor adopts the columns, in any row order, and sorts them
     stably; a key listed twice raises ValueError naming the first repeated
@@ -296,7 +297,7 @@ class EdgeTable(Sequence[RelationEdge]):
         edges = list(edges)
         frame, subject, relation, object_ = _columns(edges, 4)
         relations, number = _numbered(relation)
-        owner = lambda i: f"edge frame {edges[i].frame_index} {edges[i].subject_id}->{edges[i].object_id}"  # noqa: E731
+        owner = lambda i: f"edge frame {edges[i].frame_index} {edges[i].subject_id}->{edges[i].object_id}"
         return cls(*(_int64(list(map(index, c)), owner) for c in (frame, subject, object_)), number, list(relations),
                    edges)
 
@@ -819,7 +820,7 @@ def deserialize(document: str) -> SpatioTemporalGraph:
             doc["nodes"], ("entity_id", "frame_index", "state", "box"), "nodes")
         entity_id = _integers(entity_id, "entity_id", "node %s")
         node_frame = _integers(node_frame, "frame_index", "node %s")
-        node = lambda i: f"node entity {entity_id[i]} frame {node_frame[i]}"  # noqa: E731
+        node = lambda i: f"node entity {entity_id[i]} frame {node_frame[i]}"
         entities, frame_column = _id_column(entity_id, "entity_id", node), _id_column(node_frame, "frame_index", node)
         state = _rows(state, "state", "node %s", "states", len(attributes))
         boxes, n_ok = parse_boxes(_box_rows(raw_boxes))
