@@ -10,9 +10,9 @@ Each reader checks all of a document's boxes as one array
 (``graph_model.parse_boxes``). ``associate`` groups the track rows by
 frame with one stable sort, scores every (entity, track) pair that shares
 a frame in one ``accel.iou_rows`` call and sorts the pairs passing the
-threshold once; only the greedy itself runs per pair in Python. It makes
-each node's ``BoundingBox`` once, from the checked array, and emits the
-nodes frame by frame in entity order.
+threshold once; only the greedy itself runs per pair in Python. It hands
+its arrays to a ``NodeTable``, nodes frame by frame in entity order, and
+makes no record per node.
 
 Entity mentions inside description text use ``[E<int>]`` tokens; after
 association they reference the consistent ID.
@@ -263,8 +263,8 @@ def associate(
     allocated above all track IDs, frame by frame in local_id order; a
     video whose fresh IDs would pass int64 raises ParseError.
     Description mention tokens are rewritten to the consistent IDs. Nodes
-    come in (frame_index, entity_id) order and take their attribute dicts
-    from ``observations``.
+    come as a ``NodeTable`` in (frame_index, entity_id) order, each its own
+    state, whose read-only attributes wrap the dict from ``observations``.
 
     The whole video is scored in one batched pass: every (entity, track)
     pair that shares a frame is scored by one ``accel.iou_rows`` call, and
