@@ -471,6 +471,7 @@ def oracle_associate(observations, tracklets, min_iou=0.1, fps=1.0):
             nodes.append(EntityNode(mapping[local_id], obs.frame_index, dict(attributes), box))
         description = _oracle_rewrite(obs.description, mapping)
         frames.append(FrameRecord(obs.frame_index, obs.frame_index / fps, description, obs.source_ref))
+    nodes.sort(key=lambda n: (n.frame_index, n.entity_id))
     return AssociationResult(nodes=NodeTable.of(nodes), frames=frames, id_map=id_map)
 
 
