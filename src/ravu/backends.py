@@ -454,10 +454,10 @@ def mock_breakdown(question: str) -> str:
 
 
 class RemoteBackend:
-    """HTTP provider speaking the minimal {role, system, user, frames?} schema."""
+    """HTTP provider of the minimal {role, system, user, frames?} schema, with the config's token, model and deadline."""
 
-    def __init__(self, endpoint: str, token: str = "", model: str = "",
-                 deadline_s: float = 60.0, dim: int = 256):
+    def __init__(self, endpoint: str, token: str, model: str,
+                 deadline_s: float, dim: int = 256):
         if not endpoint:
             raise ValueError("remote backend requires an endpoint")
         self.endpoint = endpoint.rstrip("/")
@@ -543,7 +543,7 @@ class RemoteBackend:
         return idx
 
 
-def generate_items_with_retries(backend, items: list, bundle, parse, name, max_retries: int = 2) -> list:
+def generate_items_with_retries(backend, items: list, bundle, parse, name, max_retries: int) -> list:
     """One value per item, asking for the items together in one prompt.
 
     ``bundle(asked)`` builds the prompt for a sublist of ``items``, and
@@ -576,7 +576,7 @@ def generate_items_with_retries(backend, items: list, bundle, parse, name, max_r
     return values
 
 
-def generate_with_retries(backend, bundle: PromptBundle, parse, max_retries: int = 2):
+def generate_with_retries(backend, bundle: PromptBundle, parse, max_retries: int):
     """Call generate up to ``max_retries`` times, validating with ``parse``.
 
     ``parse`` receives the raw text and either returns the final value or

@@ -95,7 +95,7 @@ def ingest(ctx, observations, tracklets, out):
     cfg = ctx.obj["config"]
     obs = parse_observations(read_document(observations))
     tracks = parse_tracklets(read_document(tracklets))
-    assoc = associate(obs, tracks, min_iou=cfg.min_iou, fps=cfg.fps)
+    assoc = associate(obs, tracks, cfg.min_iou, cfg.fps)
     graph = SpatioTemporalGraph(
         frames=assoc.frames, nodes=assoc.nodes, edges=[], events={}, fps=cfg.fps
     )
@@ -239,7 +239,7 @@ def eval_loc_cmd(ctx, corpus, dataset, method, out, fmt):
     backend = make_backend(cfg)
     annotations = load_loc(dataset)
     assets = _load_corpus(corpus, cfg, backend)
-    report = eval_localization(annotations, assets, backend, method=method, top_k=cfg.top_k)
+    report = eval_localization(annotations, assets, backend, cfg, method)
     _emit_report(report, out, fmt)
 
 

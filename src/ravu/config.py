@@ -1,10 +1,10 @@
-"""Runtime configuration with file loading and env-var overrides."""
+"""Runtime configuration: a frozen ``RavuConfig``, type- and range-checked however it is made, and env-var overrides."""
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParseError, json_object, read_document
@@ -32,13 +32,7 @@ _RANGES = {
 }
 
 
-def _check_range(name: str, value, what: str, field: str) -> None:
-    """ParseError naming ``what`` unless ``value`` is in field ``name``'s range."""
-    if name in _RANGES and not _RANGES[name][0](value):
-        raise ParseError(f"{what} must be {_RANGES[name][1]}, got {value!r}", field=field)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RavuConfig:
     backend: str = "mock"  # "mock" or "remote"
     endpoint: str = ""
@@ -54,34 +48,39 @@ class RavuConfig:
     fps: float = 1.0
     hier_per_event: int = 3
 
+    def __post_init__(self):
+        for field in fields(self):
+            value, what = getattr(self, field.name), f"config field '{field.name}' must be"
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[field.type]):
+                raise ParseError(f"{what} {field.type}, got {value!r}", field=field.name)
+            if field.name in _RANGES and not _RANGES[field.name][0](value):
+                raise ParseError(f"{what} {_RANGES[field.name][1]}, got {value!r}", field=field.name)
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RavuConfig":
-        types = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         # Unknown keys are ignored so files written for other versions still load.
-        values = {k: v for k, v in json_object(read_document(path), "config").items() if k in types}
-        for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[types[name]]):
-                raise ParseError(f"config field '{name}' must be {types[name]}, got {value!r}", field=name)
-            _check_range(name, value, f"config field '{name}'", name)
-        return cls(**values)
+        return cls(**{k: v for k, v in json_object(read_document(path), "config").items() if k in names})
 
 
 def load_config(path: str | Path | None = None) -> RavuConfig:
     """Load config from an explicit path, $RAVU_CONFIG, or defaults.
 
-    RAVU_ENDPOINT / RAVU_TOKEN / RAVU_EMBED_DIM override file values.
+    RAVU_ENDPOINT / RAVU_TOKEN / RAVU_EMBED_DIM override file values; an
+    override out of range raises ParseError naming its variable.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     cfg = RavuConfig.from_file(path) if path else RavuConfig()
-    if os.environ.get(ENV_ENDPOINT):
-        cfg.endpoint = os.environ[ENV_ENDPOINT]
-    if os.environ.get(ENV_TOKEN):
-        cfg.token = os.environ[ENV_TOKEN]
+    overrides = {name: os.environ[var] for name, var in (("endpoint", ENV_ENDPOINT), ("token", ENV_TOKEN))
+                 if os.environ.get(var)}
     if embed_dim := os.environ.get(ENV_EMBED_DIM):
         try:
-            cfg.embed_dim = int(embed_dim)
+            overrides["embed_dim"] = int(embed_dim)
         except ValueError as exc:
             raise ParseError(f"{ENV_EMBED_DIM} must be an integer, got {embed_dim!r}", field=ENV_EMBED_DIM) from exc
-        _check_range("embed_dim", cfg.embed_dim, ENV_EMBED_DIM, ENV_EMBED_DIM)
-    return cfg
+    try:
+        return replace(cfg, **overrides)
+    except ParseError:  # embed_dim is the one override with a range: name its variable
+        raise ParseError(f"{ENV_EMBED_DIM} must be {_RANGES['embed_dim'][1]}, got {overrides['embed_dim']!r}",
+                         field=ENV_EMBED_DIM) from None

@@ -40,23 +40,22 @@ def build_video_graph(
     observations_text: str,
     tracklets_text: str,
     backend,
-    config: RavuConfig | None = None,
+    config: RavuConfig,
 ) -> tuple[SpatioTemporalGraph, BuildReport]:
-    """One video's graph and build report: ingest, build, segment; nothing is embedded."""
-    cfg = config or RavuConfig()
+    """One video's graph and build report under ``config``: ingest, build, segment; nothing is embedded."""
     observations = parse_observations(observations_text)
     tracklets = parse_tracklets(tracklets_text)
-    assoc = associate(observations, tracklets, min_iou=cfg.min_iou, fps=cfg.fps)
-    return build_graph(assoc.frames, assoc.nodes, backend, fps=cfg.fps, max_retries=cfg.max_retries)
+    assoc = associate(observations, tracklets, config.min_iou, config.fps)
+    return build_graph(assoc.frames, assoc.nodes, backend, config.fps, config.max_retries)
 
 
 def build_video(
     observations_text: str,
     tracklets_text: str,
     backend,
-    config: RavuConfig | None = None,
+    config: RavuConfig,
 ) -> VideoAssets:
-    """Full pipeline for one video: ``build_video_graph``, then embed."""
+    """Full pipeline for one video: ``build_video_graph`` with ``config``, then embed."""
     graph, report = build_video_graph(observations_text, tracklets_text, backend, config)
     return VideoAssets(graph=graph, index=EmbeddingIndex(embed_graph(graph, backend)), build_report=report)
 
@@ -115,12 +114,12 @@ def retrieve(
     question: str,
     category: str,
     backend,
-    budget: int = 5,
-    top_k: int = 10,
-    per_event: int = 3,
-    max_retries: int = 2,
+    budget: int,
+    top_k: int,
+    per_event: int,
+    max_retries: int,
 ) -> Retrieval:
-    """Frames, and the plan that found them, for one question.
+    """Frames, and the plan that found them, for one question, under the config's values.
 
     Global questions take the hierarchical-retrieval route; everything else,
     and a global question over a graph without events, is broken down into
@@ -194,7 +193,7 @@ def eval_qa(
     items: list[McqItem],
     assets_by_video: dict[str, VideoAssets],
     backend,
-    config: RavuConfig | None = None,
+    config: RavuConfig = RavuConfig(),
 ) -> dict:
     """Accuracy by category and overall, in both blocked-content modes.
 
@@ -206,9 +205,8 @@ def eval_qa(
     averages the prompt tokens spent on every item whose video has a
     graph, up to the failing call for a blocked or errored one; items
     without a graph make no backend call and are left out of it.
-    Retrieval follows ``config`` exactly as ``ravu ask`` does.
+    Retrieval follows ``config``, or ``RavuConfig()`` when none is given, exactly as ``ravu ask`` does.
     """
-    cfg = config or RavuConfig()
     counting = TokenCountingBackend(backend)
 
     rows = []
@@ -220,8 +218,8 @@ def eval_qa(
             continue
         try:
             audit = answer_question(
-                assets, item, counting, budget=cfg.budget, top_k=cfg.top_k,
-                per_event=cfg.hier_per_event, max_retries=cfg.max_retries,
+                assets, item, counting, budget=config.budget, top_k=config.top_k,
+                per_event=config.hier_per_event, max_retries=config.max_retries,
             )
         except (BackendError, ParseError) as exc:  # ParseError: refused before any backend call
             status = "blocked" if isinstance(exc, BlockedContent) else "errored"
@@ -268,14 +266,14 @@ def eval_localization(
     annotations: list[LocalizationAnnotation],
     assets_by_video: dict[str, VideoAssets],
     backend,
+    config: RavuConfig,
     method: str = "rerank",
-    top_k: int = 10,
 ) -> dict:
     """Frame-localization accuracy: correct iff the predicted frame is in gt.
 
-    Methods: ``rerank`` (two-stage localize) and ``text_embedding`` (rank-1
-    of the cosine top-k). Items whose video has no assets are skipped, and
-    items whose question holds a line break (refused before any backend
+    Methods: ``rerank`` (two-stage localize of ``config.top_k`` candidates)
+    and ``text_embedding`` (rank-1 of the cosine top-k). Items whose video
+    has no assets are skipped, and items whose question holds a line break (refused before any backend
     call, as in ``eval_qa``) or whose backend call failed (timeout, refusal,
     malformed reply) are counted as ``errored``; neither counts toward the
     accuracies.
@@ -293,7 +291,7 @@ def eval_localization(
         try:
             one_line([ann.question], "question")
             if method == "rerank":
-                predicted = assets.index.localize(ann.question, top_k, backend).candidate.frame_index
+                predicted = assets.index.localize(ann.question, config.top_k, backend).candidate.frame_index
             else:
                 predicted = assets.index.top_k(backend.embed(ann.question), 1)[0].frame_index
         except (BackendError, ParseError):

@@ -120,7 +120,7 @@ def _has_comention(description: str) -> bool:
 def build_frame_graph(
     batch: list[tuple[FrameRecord, list[EntityNode]]],
     backend,
-    max_retries: int = 2,
+    max_retries: int,
 ) -> tuple[list[RelationEdge], int]:
     """Relation edges for distinct frames asked in one prompt, plus the count of dropped lines.
 
@@ -132,10 +132,10 @@ def build_frame_graph(
     field is not the index of one) is dropped too, and charged to the
     reply's first kept frame. A frame whose description co-mentions two
     entities in a sentence but which gets no parseable triple is
-    rejected; only rejected frames are asked again, as in
-    :func:`generate_items_with_retries`. Edges come in batch order; the
-    count covers the lines of kept frames only. Node attributes are never
-    touched here.
+    rejected; only rejected frames are asked again, up to ``max_retries``
+    asks in all, as in :func:`generate_items_with_retries`. Edges come in
+    batch order; the count covers the lines of kept frames only. Node
+    attributes are never touched here.
     """
     present = {frame.frame_index: {n.entity_id for n in nodes} for frame, nodes in batch}
 
@@ -182,8 +182,8 @@ def build_frame_graph(
     return edges, sum(dropped for _, dropped in replies)
 
 
-def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retries: int = 2) -> str:
-    """One-sentence node description covering attributes and relations: a one-node :func:`_describe`."""
+def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retries: int) -> str:
+    """One-sentence node description covering attributes and relations, asked at most ``max_retries`` times."""
     block = backends.node_block(node.entity_id, node.attributes, edges)
     return _describe([(node, block)], backend, max_retries)[0]
 
@@ -278,7 +278,7 @@ def _appearance_runs(frames: list[int]) -> list[list[int]]:
 
 
 def segment_events(
-    graph: SpatioTemporalGraph, entity_id: int, backend, max_retries: int = 2
+    graph: SpatioTemporalGraph, entity_id: int, backend, max_retries: int
 ) -> EventSegmentation:
     """Chunk one entity's frames into events via the backend.
 
@@ -288,8 +288,8 @@ def segment_events(
     and then each frame with its state number
     (:func:`backends.event_segmentation_payload`): at 1 fps a state lasts
     many frames, so the prompt grows by one short line per frame. The
-    reply names frames, not states. If a run's response fails
-    the event invariants after retries, that run falls back to a single
+    reply names frames, not states. If a run's response fails the event
+    invariants after ``max_retries`` asks, that run falls back to a single
     event summarized by its first frame's description, and the result is
     flagged. The entity's rows are read from the graph's columns.
     """
@@ -346,10 +346,10 @@ def build_graph(
     frames: list[FrameRecord],
     nodes: NodeTable | list[EntityNode],
     backend,
-    fps: float = 1.0,
-    max_retries: int = 2,
+    fps: float,
+    max_retries: int,
 ) -> tuple[SpatioTemporalGraph, BuildReport]:
-    """Full build: edges, descriptions, and events.
+    """Full build: edges, descriptions, and events, each prompt asked at most ``max_retries`` times, at ``fps``.
 
     The frames that hold nodes are asked for their edges
     ``ITEMS_PER_CALL`` at a time, in frame order (:func:`build_frame_graph`).

@@ -251,8 +251,8 @@ def _mention(digits: str, mapping: dict[int, int]) -> str:
 def associate(
     observations: Observations,
     tracklets: Tracklets,
-    min_iou: float = 0.1,
-    fps: float = 1.0,
+    min_iou: float,
+    fps: float,
 ) -> AssociationResult:
     """Assign video-consistent entity IDs by per-frame greedy IoU matching.
 
@@ -261,10 +261,11 @@ def associate(
     frame. Ties break to the lowest track_id. Losers fall through to their
     next-best track; entities matching nothing get a fresh singleton ID
     allocated above all track IDs, frame by frame in local_id order; a
-    video whose fresh IDs would pass int64 raises ParseError.
-    Description mention tokens are rewritten to the consistent IDs. Nodes
-    come as a ``NodeTable`` in (frame_index, entity_id) order, each its own
-    state, whose read-only attributes wrap the dict from ``observations``.
+    video whose fresh IDs would pass int64 raises ParseError. Description
+    mention tokens are rewritten to the consistent IDs, and frame ``f`` is
+    stamped ``f / fps`` seconds. Nodes come as a ``NodeTable`` in
+    (frame_index, entity_id) order, each its own state, whose read-only
+    attributes wrap the dict from ``observations``.
 
     The whole video is scored in one batched pass: every (entity, track)
     pair that shares a frame is scored by one ``accel.iou_rows`` call, and

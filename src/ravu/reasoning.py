@@ -77,13 +77,13 @@ def _anchor_event_index(events: tuple[EntityEvent, ...], t: int) -> int:
 
 
 def fn_analyze_events(
-    graph: SpatioTemporalGraph, query: str, node: NodeRef, backend, max_retries: int = 2
+    graph: SpatioTemporalGraph, query: str, node: NodeRef, backend, max_retries: int
 ) -> tuple[int, bool]:
     """Frame index answering a temporal sub-question about one entity.
 
     Returns (time_index, fallback). The backend reply is clamped to the
-    entity's appearance span; a malformed reply falls back to the start of
-    the event containing the node's frame.
+    entity's appearance span; a reply still malformed after ``max_retries``
+    asks falls back to the start of the event containing the node's frame.
     """
     events = _entity_events(graph, node.entity_id)
     timeline = entity_timeline(graph, node.entity_id)
@@ -228,21 +228,22 @@ def execute(
     graph: SpatioTemporalGraph,
     index: EmbeddingIndex,
     backend,
-    budget: int = 5,
-    top_k: int = 10,
-    max_retries: int = 2,
+    budget: int,
+    top_k: int,
+    max_retries: int,
 ) -> ExecutionResult:
     """Run the plan's steps in sequence and collect the retrieved frames.
 
-    Frame-producing steps share the budget: each gets a quota of
-    ceil(remaining / remaining frame-producing steps). A step that fails
-    with ``ValueError``, ``NotFound``, ``EmptyIndex`` or
-    ``MalformedResponse`` is recorded and execution continues; any other
-    exception propagates. If nothing produced frames, a
-    uniform-sampling fallback is appended; it is flagged only when the plan
-    has a frame-producing step, since a count plan answers from its notes.
-    The final set is sorted, de-duplicated, and truncated uniformly to the
-    budget.
+    ``localize_node`` reranks ``top_k`` candidates, and ``analyze_events``
+    asks at most ``max_retries`` times. Frame-producing steps share the
+    budget: each gets a quota of ceil(remaining / remaining frame-producing
+    steps). A step that fails with ``ValueError``, ``NotFound``,
+    ``EmptyIndex`` or ``MalformedResponse`` is recorded and execution
+    continues; any other exception propagates. If nothing produced frames,
+    a uniform-sampling fallback is appended; it is flagged only when the
+    plan has a frame-producing step, since a count plan answers from its
+    notes. The final set is sorted, de-duplicated, and truncated uniformly
+    to the budget.
     """
     n_frames = graph.num_frames
     values: list[object] = []
@@ -378,12 +379,12 @@ def breakdown(
     question: str,
     example_library: Sequence[str],
     backend,
-    max_retries: int = 2,
+    max_retries: int,
 ) -> BreakdownResult:
     """Decompose a question into a plan using in-context examples.
 
-    Unparseable backend output falls back to a single uniform-sampling
-    step; blocked content propagates to the caller.
+    Backend output still unparseable after ``max_retries`` asks falls back
+    to a single uniform-sampling step; blocked content propagates to the caller.
     """
     if not example_library:
         raise ValueError("example library must be non-empty")
@@ -422,8 +423,8 @@ def hierarchical_retrieve(
     graph: SpatioTemporalGraph,
     index: EmbeddingIndex,
     backend,
-    per_event: int = 3,
-    top: int = 10,
+    per_event: int,
+    top: int,
 ) -> tuple[list[int], bool]:
     """Two-stage retrieval for whole-video questions.
 

@@ -180,7 +180,7 @@ def test_criterion_2_association_oracle():
     for frame in range(200):
         ent_boxes, tracks = _random_frame(rng)
         tracklets = _tracklets((tid, {0: box}) for tid, box in tracks.items())
-        got = associate(parse_observations(_observation_line(0, ent_boxes)), tracklets, min_iou=0.1).id_map[0]
+        got = associate(parse_observations(_observation_line(0, ent_boxes)), tracklets, min_iou=0.1, fps=1.0).id_map[0]
 
         expected, _ = _oracle_ids(ent_boxes, tracks, max(tracks, default=-1) + 1)
         assert got == expected, f"frame {frame}: {got} != {expected}"
@@ -206,7 +206,7 @@ def test_criterion_2_association_oracle_across_frames():
     tracklets = _tracklets(shuffled)
 
     start = time.perf_counter()
-    got = associate(observations, tracklets, min_iou=0.1)
+    got = associate(observations, tracklets, min_iou=0.1, fps=1.0)
     elapsed = time.perf_counter() - start
 
     fresh = max(boxes_by_track, default=-1) + 1
@@ -326,8 +326,8 @@ def test_criterion_5_end_to_end_qa(corpus):
 def test_criterion_6_rerank_beats_text_embedding(corpus):
     annotations = [a for w in corpus["worlds"] for a in w.loc_annotations]
     backend = corpus["backend"]
-    rerank = eval_localization(annotations, corpus["assets"], backend, method="rerank")
-    text = eval_localization(annotations, corpus["assets"], backend, method="text_embedding")
+    rerank = eval_localization(annotations, corpus["assets"], backend, RavuConfig(), method="rerank")
+    text = eval_localization(annotations, corpus["assets"], backend, RavuConfig(), method="text_embedding")
     r, t = rerank["overall"]["accuracy"], text["overall"]["accuracy"]
     assert r > t, f"rerank {r:.3f} not above text_embedding {t:.3f}"
     golden = (GOLDEN_DIR / "loc_report_seed42.json").read_text()

@@ -251,7 +251,7 @@ def test_generate_with_retries_retries_then_fails(backend):
 def test_generate_with_retries_propagates_blocked(backend):
     bundle = make_bundle("rerank", backends.rerank_payload("[BLOCK]", ["x"]))
     with pytest.raises(BlockedContent):
-        generate_with_retries(backend, bundle, lambda t: t)
+        generate_with_retries(backend, bundle, lambda t: t, max_retries=2)
 
 
 class _FakeResponse:
@@ -283,7 +283,7 @@ def _patch_post(monkeypatch, response=None, exc=None, record=None):
 def test_remote_backend_generate(monkeypatch):
     record = []
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "hello"}), record=record)
-    remote = RemoteBackend("http://example.test/api/", token="tok", model="m1")
+    remote = RemoteBackend("http://example.test/api/", token="tok", model="m1", deadline_s=60.0)
     bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
     assert remote.generate(bundle) == "hello"
     sent = record[0]
@@ -298,16 +298,16 @@ def test_remote_backend_reuses_one_session(monkeypatch):
 
     record = []
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "[3.0, 4.0]"}), record=record)
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     remote.embed("a")
     remote.embed("b")
     first, second = (sent["session"] for sent in record)
     assert isinstance(first, requests.Session) and first is second
-    assert RemoteBackend("http://example.test", dim=2)._session is None
+    assert RemoteBackend("http://example.test", "", "", 60.0, dim=2)._session is None
 
 
 def test_remote_backend_error_mapping(monkeypatch):
-    remote = RemoteBackend("http://example.test")
+    remote = RemoteBackend("http://example.test", "", "", 60.0)
     bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
 
     _patch_post(monkeypatch, _FakeResponse(status_code=451))
@@ -340,9 +340,9 @@ def remote_generate(remote):
 REMOTE_REPLIES = [
     # An empty text is a reply like any other: the caller's parser accepts it or not.
     pytest.param({"text": ""}, remote_generate, "", id="empty text"),
-    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] waits. [E1] sits.")], r),
+    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] waits. [E1] sits.")], r, 2),
                  ([], 0), id="frame graph, no relation stated"),
-    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] greets [E1].")], r),
+    pytest.param({"text": ""}, lambda r: build_frame_graph([two_entity_frame("[E0] greets [E1].")], r, 2),
                  MalformedResponse, id="frame graph, co-mention"),
     pytest.param({"text": ""}, lambda r: rerank("x", ["a", "b"], r), (0, True), id="rerank"),
     pytest.param({"text": 5}, remote_generate, MalformedResponse, id="int text"),
@@ -355,7 +355,7 @@ REMOTE_REPLIES = [
 @pytest.mark.parametrize("payload, call, expected", REMOTE_REPLIES)
 def test_remote_backend_reply_shapes(monkeypatch, payload, call, expected):
     _patch_post(monkeypatch, _FakeResponse(payload=payload))
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     if expected is MalformedResponse:
         with pytest.raises(MalformedResponse):
             call(remote)
@@ -371,7 +371,7 @@ def test_remote_backend_maps_any_request_failure_to_a_backend_error(monkeypatch,
     import requests
 
     _patch_post(monkeypatch, exc=getattr(requests.exceptions, name)("broken"))
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
     for call in (lambda: remote.generate(bundle), lambda: remote.embed("a")):
         with pytest.raises(BackendError, match="remote backend request failed: broken") as exc:
@@ -386,11 +386,11 @@ def test_remote_backend_maps_timeouts_and_refused_connections_to_timeout(monkeyp
 
     _patch_post(monkeypatch, exc=getattr(requests.exceptions, name)("slow"))
     with pytest.raises(Timeout, match="remote backend unreachable: slow"):
-        RemoteBackend("http://example.test", dim=2).embed("a")
+        RemoteBackend("http://example.test", "", "", 60.0, dim=2).embed("a")
 
 
 def test_remote_backend_embed_and_answer(monkeypatch):
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "[3.0, 4.0]"}))
     vec = remote.embed("hi")
     np.testing.assert_allclose(vec, [0.6, 0.8])
@@ -406,7 +406,7 @@ def test_remote_backend_embed_and_answer(monkeypatch):
 
 @pytest.mark.parametrize("text", ["[3.0, 4.0, 0.0]", "[3.0]", "[[3.0, 4.0]]", "5.0"])
 def test_remote_backend_rejects_embeddings_of_the_wrong_dimension(monkeypatch, text):
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     _patch_post(monkeypatch, _FakeResponse(payload={"text": text}))
     with pytest.raises(MalformedResponse, match=r"expected \(2,\)"):
         remote.embed("hi")
@@ -414,7 +414,7 @@ def test_remote_backend_rejects_embeddings_of_the_wrong_dimension(monkeypatch, t
 
 @pytest.mark.parametrize("text", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, 0.0]", "[1e400, 1.0]", '["nan", 1.0]'])
 def test_remote_backend_rejects_non_finite_embeddings(monkeypatch, text):
-    remote = RemoteBackend("http://example.test", dim=2)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=2)
     _patch_post(monkeypatch, _FakeResponse(payload={"text": text}))
     with pytest.raises(MalformedResponse, match="non-finite"):
         remote.embed("hi")
@@ -426,13 +426,13 @@ def test_localize_with_a_non_finite_embedding_ends_as_a_typed_error(monkeypatch)
     ))
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "[NaN, 1.0]"}))
     with pytest.raises(RavuError, match="non-finite") as exc:
-        index.localize("alpha", 2, RemoteBackend("http://example.test", dim=2))
+        index.localize("alpha", 2, RemoteBackend("http://example.test", "", "", 60.0, dim=2))
     assert type(exc.value) is MalformedResponse
 
 
 def test_remote_backend_requires_endpoint():
     with pytest.raises(ValueError):
-        RemoteBackend("")
+        RemoteBackend("", "", "", 60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ def test_prompts_and_mock_replies_match_their_golden_bytes():
     for world in [*make_corpus(42, 6, 24, 3, 4), synth_world(1, 200, 6)]:
         assets = {world.video_id: build_video(world.observations_text, world.tracklets_text, recording, RavuConfig())}
         assert eval_qa(world.questions, assets, recording)["errored"] == 0
-        eval_localization(world.loc_annotations, assets, recording)
+        eval_localization(world.loc_annotations, assets, recording, RavuConfig())
     assert recording.digest.hexdigest() == PROMPT_GOLDEN_SHA256
 
 

@@ -680,3 +680,114 @@ def test_a_broken_document_is_refused_with_one_error_line(documents, monkeypatch
         assert re.search("^Error: doubled.json: graph lists node entity", result.output, re.M)
     if bad == "format-1":
         assert re.search("^Error: format-1.json: .* it is format 1, .*re-run `ravu build`", result.output, re.M)
+
+
+# ---------------------------------------------------------------------------
+# Each setting of a ``--config`` file reaches the command that reads it.
+
+
+def config_args(tmp_path, **values):
+    """``--config`` and a file holding ``values``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return ["--config", str(path)]
+
+
+class Recording:
+    """The default config's backend, keeping every bundle it generates for; a role in ``garbage`` gets
+    a malformed reply."""
+
+    def __init__(self, garbage=()):
+        self.inner, self.garbage, self.bundles = cli.make_backend(RavuConfig()), garbage, []
+
+    def generate(self, bundle):
+        self.bundles.append(bundle)
+        return "@@@ not parseable @@@" if bundle.role in self.garbage else self.inner.generate(bundle)
+
+    def answer(self, bundle, question, options):
+        return self.inner.answer(bundle, question, options)
+
+    def embed(self, text):
+        return self.inner.embed(text)
+
+    def candidates(self, role):
+        """The number of candidates in each prompt of ``role``."""
+        return [len(b.user_payload.partition("candidates:\n")[2].splitlines()) for b in self.bundles if b.role == role]
+
+
+def recorded(monkeypatch, args, garbage=()):
+    """The ``Recording`` that ``make_backend`` gave the command ``args``, and the command's output."""
+    recording = Recording(garbage)
+    monkeypatch.setattr(cli, "make_backend", lambda cfg: recording)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return recording, result.output
+
+
+def ingested(tmp_path, observations, tracklets, **values):
+    """The graph document that ``ravu ingest`` writes under a config of ``values``."""
+    out = tmp_path / "partial.json"
+    result = CliRunner().invoke(main, [*config_args(tmp_path, **values), "ingest", "--observations",
+                                       str(observations), "--tracklets", str(tracklets), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return json.loads(out.read_text())
+
+
+def test_ingest_stamps_frames_at_the_configured_fps(corpus_dir, tmp_path):
+    vd = video_dir(corpus_dir)
+    default, configured = (ingested(tmp_path, vd / "observations.jsonl", vd / "tracklets.json", **values)
+                           for values in ({}, {"fps": 2}))
+    frames = default["frames"]["frame_index"]
+    assert default["fps"] == 1 and default["frames"]["timestamp_s"] == frames
+    assert configured["fps"] == 2 and configured["frames"]["timestamp_s"] == [f / 2 for f in frames]
+
+
+def test_ingest_matches_tracks_at_the_configured_min_iou(tmp_path):
+    observations, tracklets = tmp_path / "observations.jsonl", tmp_path / "tracklets.json"
+    attributes = {"appearance": "red fox", "action": "waiting", "body_pose": "standing"}
+    observations.write_text(json.dumps({"frame_index": 0, "description": "[E0] waits.", "source_ref": "",
+                                        "entities": [{"local_id": 0, "attributes": attributes, "box": [0, 0, 2, 2]}]}))
+    # The entity's box and the track's overlap at IoU 0.5.
+    tracklets.write_text(json.dumps({"tracks": [{"track_id": 3, "boxes": {"0": [0, 0, 2, 1]}}]}))
+    ids = [ingested(tmp_path, observations, tracklets, **values)["nodes"]["entity_id"]
+           for values in ({}, {"min_iou": 0.6})]
+    assert ids == [[3], [4]]
+
+
+def global_ask(built):
+    graph, emb = built
+    return ["ask", "--graph", str(graph), "--embeddings", str(emb), "--question", "What happens over the whole video?",
+            "--category", "global"]
+
+
+def test_ask_retrieves_at_most_the_configured_budget(built, tmp_path):
+    frames = []
+    for values in ({}, {"budget": 2}):
+        result = CliRunner().invoke(main, [*config_args(tmp_path, **values), *global_ask(built)])
+        assert result.exit_code == 0, result.output
+        frames.append(json.loads(result.output)["frames"])
+    assert len(frames[0]) > 2 and 0 < len(frames[1]) <= 2
+
+
+def test_ask_pools_the_configured_candidates_per_event(built, tmp_path, monkeypatch):
+    pools = [recorded(monkeypatch, [*config_args(tmp_path, **values), *global_ask(built)])[0].candidates("event_select")
+             for values in ({}, {"hier_per_event": 1})]
+    assert pools[0][0] > pools[1][0] > 0
+
+
+def test_eval_loc_reranks_the_configured_top_k(corpus_dir, tmp_path, monkeypatch):
+    args = ["eval", "loc", "--corpus", str(corpus_dir), "--dataset", str(corpus_dir / "localization.jsonl")]
+    counts = [set(recorded(monkeypatch, [*config_args(tmp_path, **values), *args])[0].candidates("rerank"))
+              for values in ({}, {"top_k": 3})]
+    assert counts == [{RavuConfig().top_k}, {3}]
+
+
+def test_ask_asks_a_malformed_breakdown_the_configured_max_retries(built, tmp_path, monkeypatch):
+    graph, emb = built
+    args = ["ask", "--graph", str(graph), "--embeddings", str(emb), "--question", "What did the fox do?"]
+    calls = []
+    for values in ({}, {"max_retries": 3}):
+        recording, output = recorded(monkeypatch, [*config_args(tmp_path, **values), *args], garbage={"breakdown"})
+        assert json.loads(output)["flags"] == ["breakdown fallback"]
+        calls.append(sum(b.role == "breakdown" for b in recording.bundles))
+    assert calls == [2, 3]

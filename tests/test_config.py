@@ -1,9 +1,16 @@
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from ravu.config import RavuConfig, load_config
+import ravu
+from ravu.config import _RANGES, RavuConfig, load_config
 from ravu.errors import ParseError
 
 
@@ -116,3 +123,96 @@ def test_out_of_range_env_value_names_the_variable(monkeypatch):
         load_config()
     assert info.value.field == "RAVU_EMBED_DIM"
     assert "RAVU_EMBED_DIM must be >= 1" in str(info.value)
+
+
+# A value outside each ranged field's range.
+OUT_OF_RANGE = {"embed_dim": 0, "top_k": 0, "budget": 0, "hier_per_event": 0, "max_retries": 0,
+                "deadline_s": float("inf"), "fps": 0.0, "min_iou": 1.5}
+
+
+@pytest.mark.parametrize("field", sorted(_RANGES))
+@pytest.mark.parametrize("make", [
+    lambda values: RavuConfig(**values),
+    lambda values: dataclasses.replace(RavuConfig(), **values),
+], ids=["made", "replaced"])
+def test_a_config_made_in_code_is_range_checked(make, field):
+    with pytest.raises(ParseError) as info:
+        make({field: OUT_OF_RANGE[field]})
+    assert info.value.field == field
+    assert str(info.value).startswith(f"config field '{field}' must be ")
+
+
+@pytest.mark.parametrize("values, field", [
+    ({"top_k": 2.5}, "top_k"),
+    ({"budget": True}, "budget"),
+    ({"max_retries": "3"}, "max_retries"),
+    ({"fps": None}, "fps"),
+    ({"endpoint": 5}, "endpoint"),
+])
+def test_a_config_made_in_code_is_type_checked(values, field):
+    with pytest.raises(ParseError) as info:
+        RavuConfig(**values)
+    assert info.value.field == field
+    assert str(info.value).startswith(f"config field '{field}' must be ")
+
+
+def test_a_config_cannot_be_changed_in_place():
+    cfg = RavuConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.budget = 3
+    assert cfg.budget == 5
+
+
+# ---------------------------------------------------------------------------
+# One way to thread configuration: the config is taken whole or its values are passed.
+
+SRC = Path(ravu.__file__).parent
+# The names a config value goes by as a parameter: each field's, and the question path's aliases.
+CONFIG_NAMES = {f.name for f in dataclasses.fields(RavuConfig)} | {"per_event", "top"}
+# ``pipebench/workloads.py`` calls ``answer_question`` with ``budget=``, ``top_k=`` and ``per_event=`` and
+# relies on the default ``max_retries``: its signature changes with the benchmark.
+EXEMPT = {"ravu.evaluate.answer_question"}
+
+
+def package_functions():
+    """``(qualified name, function)`` of every function and method defined in a ``ravu`` module."""
+    for info in pkgutil.iter_modules(ravu.__path__):
+        module = importlib.import_module(f"ravu.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__ and obj is not RavuConfig:
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # a classmethod's or staticmethod's function
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_signature_restates_a_config_default():
+    """No parameter named after a config value has a default, outside ``EXEMPT``.
+
+    The graph's own ``fps`` field (``SpatioTemporalGraph.__init__``) is a
+    record of the graph, not a setting: ``deserialize`` and ``build_graph``
+    always fill it.
+    """
+    found = [
+        f"{qualname}({parameter.name}={parameter.default!r})"
+        for qualname, function in package_functions()
+        if qualname not in EXEMPT
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.name in CONFIG_NAMES and parameter.default is not parameter.empty
+        and (qualname, parameter.name) != ("ravu.graph_model.SpatioTemporalGraph.__init__", "fps")
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_the_functions_it_guards():
+    names = dict(package_functions())
+    assert {"ravu.ingestion.associate", "ravu.reasoning.hierarchical_retrieve",
+            "ravu.backends.RemoteBackend.__init__", *EXEMPT} <= set(names)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RavuConfig)])
+def test_every_config_field_is_read_outside_config(field):
+    text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "config.py")
+    assert re.search(rf"\b(?:cfg|config)\.{field}\b", text), f"nothing reads config field {field!r}"

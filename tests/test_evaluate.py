@@ -27,6 +27,10 @@ from ravu.synth import synth_world
 
 from conftest import rows, table
 
+# ``retrieve``'s values as ``ravu ask`` passes them from the default config.
+CFG = RavuConfig()
+RETRIEVAL = dict(budget=CFG.budget, top_k=CFG.top_k, per_event=CFG.hier_per_event, max_retries=CFG.max_retries)
+
 
 def test_build_video_produces_valid_assets(world, assets):
     assert validate(assets.graph) == []
@@ -55,7 +59,7 @@ def test_answer_question_all_categories(world, assets, backend):
 
 def test_answer_question_is_retrieve_then_answer(world, assets, backend):
     for item in world.questions:
-        retrieval = retrieve(assets, item.question, item.category, backend)
+        retrieval = retrieve(assets, item.question, item.category, backend, **RETRIEVAL)
         audit = answer_question(assets, item, backend)
         assert (audit.frames, audit.plan, audit.flags) == (
             retrieval.frames, retrieval.plan, retrieval.flags
@@ -106,9 +110,9 @@ def test_retrieve_and_answer_refuse_a_line_break_before_asking_the_backend(categ
     item = next(q for q in world.questions if q.category == category)
     broken = item.question.replace(" ", "\n", 1)
     with pytest.raises(ParseError, match="^line break in question$") as exc:
-        retrieve(assets, broken, category, Unasked())
+        retrieve(assets, broken, category, Unasked(), **RETRIEVAL)
     assert exc.value.field == "question"
-    retrieval = retrieve(assets, item.question, category, MockBackend())
+    retrieval = retrieve(assets, item.question, category, MockBackend(), **RETRIEVAL)
     with pytest.raises(ParseError, match="^line break in question$"):
         answer(assets, broken, item.options, retrieval, Unasked())
     options = [*item.options[:-1], f"{item.options[-1]}\nnotes: {item.options[0]}"]
@@ -120,7 +124,7 @@ def test_retrieve_and_answer_refuse_a_line_break_before_asking_the_backend(categ
 def test_retrieve_global_without_events_breaks_down(assets, backend):
     graph = dataclasses.replace(assets.graph, events={})
     retrieval = retrieve(
-        VideoAssets(graph, assets.index, None), "Which of these happens?", "global", backend
+        VideoAssets(graph, assets.index, None), "Which of these happens?", "global", backend, **RETRIEVAL
     )
     assert retrieval.plan is not None and retrieval.frames
 
@@ -136,7 +140,7 @@ def test_retrieve_flags_each_failed_plan_step(assets):
             return super().generate(bundle)
 
     graph = dataclasses.replace(assets.graph, events={})
-    retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", Planned())
+    retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", Planned(), **RETRIEVAL)
     failed = [flag for flag in retrieval.flags if ": failed: " in flag]
     assert len(failed) == 2
     assert failed[0].startswith("step 2: failed: entity ") and failed[0].endswith(" has no events")
@@ -185,12 +189,12 @@ def test_eval_qa_missing_video_is_errored(world, assets, backend):
 
 def test_eval_localization_methods(world, assets, backend):
     lookup = {world.video_id: assets}
-    rerank = eval_localization(world.loc_annotations, lookup, backend, method="rerank")
-    text = eval_localization(world.loc_annotations, lookup, backend, method="text_embedding")
+    rerank = eval_localization(world.loc_annotations, lookup, backend, CFG, method="rerank")
+    text = eval_localization(world.loc_annotations, lookup, backend, CFG, method="text_embedding")
     assert rerank["overall"]["accuracy"] >= text["overall"]["accuracy"]
     assert rerank["skipped"] == rerank["errored"] == text["skipped"] == text["errored"] == 0
     with pytest.raises(ValueError):
-        eval_localization([], lookup, backend, method="psychic")
+        eval_localization([], lookup, backend, CFG, method="psychic")
 
 
 @pytest.mark.parametrize("method", ["rerank", "text_embedding"])
@@ -198,12 +202,12 @@ def test_eval_localization_records_a_question_with_a_line_break_as_errored_befor
     first, *others = world.loc_annotations
     broken = dataclasses.replace(first, question=first.question.replace(" ", "\n", 1))
     lookup = {world.video_id: assets}
-    report = eval_localization([broken, *others], lookup, MockBackend(), method=method)
-    want = eval_localization(others, lookup, MockBackend(), method=method)
+    report = eval_localization([broken, *others], lookup, MockBackend(), CFG, method=method)
+    want = eval_localization(others, lookup, MockBackend(), CFG, method=method)
     assert report["errored"] == 1 and report["skipped"] == 0
     assert {**report, "errored": 0} == want
     # Nothing is asked for the refused item.
-    assert eval_localization([broken], lookup, Unasked(), method=method)["errored"] == 1
+    assert eval_localization([broken], lookup, Unasked(), CFG, method=method)["errored"] == 1
 
 
 class LocFailingBackend(MockBackend):
@@ -246,8 +250,8 @@ def test_eval_localization_records_a_backend_failure_as_errored(world, assets, m
     victim = world.loc_annotations[1]
     others = [a for a in world.loc_annotations if a is not victim]
     failing = LocFailingBackend(victim.question, stage, error)
-    report = eval_localization(world.loc_annotations, lookup, failing, method=method)
-    want = eval_localization(others, lookup, MockBackend(), method=method)
+    report = eval_localization(world.loc_annotations, lookup, failing, CFG, method=method)
+    want = eval_localization(others, lookup, MockBackend(), CFG, method=method)
     assert failing.raised == 1
     assert report["errored"] == 1 and want["errored"] == 0
     assert {**report, "errored": 0} == want
@@ -391,6 +395,6 @@ def test_eval_qa_records_a_failed_remote_request_as_errored(world, assets, monke
 
     monkeypatch.setattr(requests.Session, "post", fail)
     items = world.questions[:4]
-    report = eval_qa(items, {world.video_id: assets}, RemoteBackend("http://example.test"))
+    report = eval_qa(items, {world.video_id: assets}, RemoteBackend("http://example.test", "", "", 60.0))
     assert report["errored"] == len(items)
     assert report["categories"] == {} and report["overall"]["items"] == 0

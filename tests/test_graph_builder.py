@@ -56,7 +56,7 @@ class FailingGenBackend(MockBackend):
 
 def test_build_frame_graph_parses_triples(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2]. [E2] rests.")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], backend, max_retries=2)
     assert dropped == 0
     assert len(edges) == 1
     assert (edges[0].subject_id, edges[0].relation, edges[0].object_id) == (1, "chases", 2)
@@ -64,20 +64,20 @@ def test_build_frame_graph_parses_triples(backend):
 
 def test_build_frame_graph_drops_unknown_entities(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E9].")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend, max_retries=2)
     assert edges == [] and dropped == 1
 
 
 def test_build_frame_graph_no_comention_tolerates_empty(backend):
     frame = FrameRecord(0, 0.0, "[E1] sits alone.")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend)
+    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend, max_retries=2)
     assert edges == [] and dropped == 0
 
 
 def test_build_frame_graph_raises_when_comention_unparseable():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     with pytest.raises(MalformedResponse):
-        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], FailingGenBackend())
+        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], FailingGenBackend(), max_retries=2)
 
 
 class FlakyGenBackend(MockBackend):
@@ -111,7 +111,7 @@ def test_build_frame_graph_counts_drops_of_the_accepted_reply():
 
 
 def test_describe_node(backend):
-    text = describe_node(node(3, 0), [], backend)
+    text = describe_node(node(3, 0), [], backend, max_retries=2)
     assert text == "entity 3: red fox; running; relations: none"
 
 
@@ -126,7 +126,7 @@ def small_described_graph():
 
 def test_segment_events_splits_on_action_change(backend):
     graph = small_described_graph()
-    seg = segment_events(graph, 0, backend)
+    seg = segment_events(graph, 0, backend, max_retries=2)
     assert not seg.fallback
     assert [(e.start_frame, e.end_frame, e.summary) for e in seg.events] == [
         (0, 1, "red fox running"),
@@ -137,13 +137,13 @@ def test_segment_events_splits_on_action_change(backend):
 def test_segment_events_absence_gap_forces_boundary(backend):
     graph = small_described_graph()
     graph = replace(graph, nodes=[n for n in graph.nodes if n.frame_index != 1])
-    seg = segment_events(graph, 0, backend)
+    seg = segment_events(graph, 0, backend, max_retries=2)
     assert [(e.start_frame, e.end_frame) for e in seg.events] == [(0, 0), (2, 3)]
 
 
 def test_segment_events_fallback_flagged():
     graph = small_described_graph()
-    seg = segment_events(graph, 0, FailingGenBackend())
+    seg = segment_events(graph, 0, FailingGenBackend(), max_retries=2)
     assert seg.fallback
     assert [(e.start_frame, e.end_frame) for e in seg.events] == [(0, 3)]
     assert seg.events[0].summary  # non-empty summary even in fallback
@@ -166,7 +166,7 @@ class HugeSpanBackend(MockBackend):
 def test_a_reply_span_past_the_run_is_retried_then_flagged_without_expanding_it():
     assoc = associated(synth_world(1, 24, 3))
     huge = HugeSpanBackend()
-    graph, report = build_graph(assoc.frames, assoc.nodes, huge, max_retries=2)
+    graph, report = build_graph(assoc.frames, assoc.nodes, huge, fps=1.0, max_retries=2)
     assert report.fallback_entities == graph.entity_ids()
     runs = {
         e: graph_builder._appearance_runs([n.frame_index for n in entity_timeline(graph, e)])
@@ -182,7 +182,7 @@ def test_a_reply_span_past_the_run_is_retried_then_flagged_without_expanding_it(
 def test_build_graph_end_to_end(backend):
     frames = [FrameRecord(0, 0.0, "[E0] beside [E1]."), FrameRecord(1, 1.0, "calm scene.")]
     nodes = [node(0, 0), node(1, 0, appearance="blue jay"), node(0, 1)]
-    graph, report = build_graph(frames, nodes, backend)
+    graph, report = build_graph(frames, nodes, backend, fps=1.0, max_retries=2)
     assert report.dropped_edge_lines == 0
     assert report.fallback_entities == []
     assert len(graph.edges) == 1
@@ -370,9 +370,9 @@ def associated(world):
     )
 
 
-def build(world, backend, **kwargs):
+def build(world, backend, max_retries=2):
     assoc = associated(world)
-    return build_graph(assoc.frames, assoc.nodes, backend, **kwargs)[0]
+    return build_graph(assoc.frames, assoc.nodes, backend, fps=1.0, max_retries=max_retries)[0]
 
 
 def node_payloads(graph):
@@ -460,7 +460,7 @@ def triples(edges):
 def test_frame_graph_reply_missing_a_frame_reasks_only_that_frame():
     batch = chase_frames()
     scripted = ScriptedBackend("frame_graph", ["0|1|chases|2\n2|1|chases|2", "1|2|flees|1"])
-    edges, dropped = build_frame_graph(batch, scripted)
+    edges, dropped = build_frame_graph(batch, scripted, max_retries=2)
     assert scripted.asked[1] == frame_graph_payload([(1, [1, 2], batch[1][0].description)])
     assert triples(edges) == [(0, 1, "chases", 2), (1, 2, "flees", 1), (2, 1, "chases", 2)]
     assert dropped == 0
@@ -470,7 +470,7 @@ def test_frame_graph_line_naming_no_requested_frame_is_dropped_with_the_first_ke
     batch = chase_frames()
     reply = "7|1|chases|2\n1|1|chases|2\n2|1|chases|2\nchases\nx|1|chases|2"
     scripted = ScriptedBackend("frame_graph", [reply, "0|1|chases|2"])
-    edges, dropped = build_frame_graph(batch, scripted)
+    edges, dropped = build_frame_graph(batch, scripted, max_retries=2)
     # Frame 0 got no line and is asked again; the three stray lines count once, with frame 1.
     assert len(scripted.asked) == 2
     assert triples(edges) == [(0, 1, "chases", 2), (1, 1, "chases", 2), (2, 1, "chases", 2)]
@@ -489,7 +489,7 @@ def test_dropped_edge_lines_counts_only_the_lines_of_kept_replies():
     ])
     rejected = "@@@\n1|2|2|x"  # frame 1 rejected again: nothing counted
     scripted = ScriptedBackend("frame_graph", [first, rejected, "1|1|chases|2\n1|1|chases|1"])
-    graph, report = build_graph(frames, nodes, scripted, max_retries=3)
+    graph, report = build_graph(frames, nodes, scripted, fps=1.0, max_retries=3)
     assert len(scripted.asked) == 3
     assert triples(graph.edges) == [(0, 1, "chases", 2), (1, 1, "chases", 2)]
     assert report.dropped_edge_lines == 3  # two of frame 0's reply, one (self-relation) of frame 1's
@@ -506,7 +506,7 @@ def described_build(replies, max_retries=2):
     """(node descriptions, scripted backend) of a build of three nodes in one calm frame."""
     nodes = [node(i, 0, appearance=f"animal {i}") for i in range(3)]
     scripted = ScriptedBackend("node_description", replies)
-    graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, max_retries=max_retries)
+    graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, fps=1.0, max_retries=max_retries)
     return [n.description for n in graph.nodes], scripted
 
 
@@ -565,14 +565,14 @@ def reference_build(world, backend):
     for frame in graph.frames:
         in_frame = graph.nodes_in_frame(frame.frame_index)
         if in_frame:
-            edges.extend(build_frame_graph([(frame, in_frame)], backend)[0])
+            edges.extend(build_frame_graph([(frame, in_frame)], backend, max_retries=2)[0])
     graph = replace(graph, edges=sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation)))
     graph = replace(graph, nodes=[
-        n._replace(description=describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend))
+        n._replace(description=describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend, max_retries=2))
         for n in graph.nodes
     ])
     graph = replace(graph, events={
-        entity_id: segment_events(graph, entity_id, backend).events for entity_id in graph.entity_ids()
+        entity_id: segment_events(graph, entity_id, backend, max_retries=2).events for entity_id in graph.entity_ids()
     })
     ordered = sorted(graph.nodes, key=lambda n: (n.frame_index, n.entity_id))
     return graph, np.stack([backend.embed(n.description) for n in ordered])
@@ -612,7 +612,7 @@ def per_frame_events(graph, entity_id):
 def test_state_table_segmentation_matches_the_per_frame_rule(shape):
     for seed in range(10):
         assoc = associated(synth_world(seed, *shape))
-        graph, report = build_graph(assoc.frames, assoc.nodes, MockBackend())
+        graph, report = build_graph(assoc.frames, assoc.nodes, MockBackend(), fps=1.0, max_retries=2)
         assert report.fallback_entities == []
         assert graph.events == {e: tuple(per_frame_events(graph, e)) for e in graph.entity_ids()}
 

@@ -59,10 +59,10 @@ def documents(observations, tracklets):
     return "\n".join(lines), tracks_doc(tracks)
 
 
-def associate_video(observations, tracklets, **kwargs):
+def associate_video(observations, tracklets, min_iou=0.1, fps=1.0):
     """``associate`` on a video's records, written out as its two documents and parsed back."""
     observations_text, tracklets_text = documents(observations, tracklets)
-    return associate(parse_observations(observations_text), parse_tracklets(tracklets_text), **kwargs)
+    return associate(parse_observations(observations_text), parse_tracklets(tracklets_text), min_iou, fps)
 
 
 def test_parse_observations_round_trip():

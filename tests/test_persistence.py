@@ -208,7 +208,7 @@ def test_serialize_matches_the_json_dumps_document(graph):
 def test_serialize_matches_the_json_dumps_document_on_built_graphs():
     for shape in [(24, 3), (200, 6)]:
         world = synth_world(2, *shape)
-        graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+        graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
         assert serialize(graph) == oracle_serialize(graph)
 
 
@@ -242,7 +242,7 @@ FORMAT_1 = ("the graph document has no 'format', so it is format 1, which this v
 @pytest.mark.parametrize("spelling", [lambda text: text, indented], ids=["compact", "indented"])
 def test_a_format_1_document_is_refused_naming_its_format(spelling):
     world = synth_world(2, 24, 3)
-    graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
     document = serialize(graph)
     assert "\n" not in document[:-1] and deserialize(document) == graph
     doc = json.loads(document)

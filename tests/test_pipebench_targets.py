@@ -9,7 +9,7 @@ would otherwise only show when the benchmark runs.
 import importlib.util
 from pathlib import Path
 
-from ravu import accel
+from ravu import accel, evaluate
 from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
@@ -54,3 +54,22 @@ def test_the_untraced_persist_reload_and_checks_run(tmp_path):
     query = MockBackend().embed(built.index.descriptions[0])
     assert checks.top_k_problems(reloaded, query, 5) == []
     assert accel.USE_NUMBA is False
+
+
+def test_the_program_takes_the_calls_the_workloads_make():
+    """Each call into the program as ``pipebench/workloads.py`` spells it: the config positional to
+    ``build_video``, the retrieval values as keywords to ``answer_question``, and no config to ``eval_qa``."""
+    cfg = RavuConfig()
+    backend = MockBackend(cfg.mock_seed, cfg.embed_dim)
+    world = synth_world(1, 24, 3)
+    assets = {world.video_id: evaluate.build_video(world.observations_text, world.tracklets_text, backend, cfg)}
+    item = world.questions[0]
+    audit = evaluate.answer_question(
+        assets[item.video_id], item, backend, budget=cfg.budget, top_k=cfg.top_k, per_event=cfg.hier_per_event,
+    )
+    assert 0 < len(audit.frames) <= cfg.budget
+    ann = world.loc_annotations[0]
+    loc = assets[ann.video_id].index.localize(ann.question, cfg.top_k, backend)
+    assert loc.candidate.frame_index in ann.gt_frames
+    report = evaluate.eval_qa(world.questions, assets, MockBackend(cfg.mock_seed, cfg.embed_dim))
+    assert report["errored"] == 0 and report["overall"]["items"] == len(world.questions)

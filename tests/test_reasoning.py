@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ravu.backends import MockBackend, content_words, words
+from ravu.config import RavuConfig
 from ravu.errors import BlockedContent, NotFound
 from ravu.evaluate import build_video
 from ravu.graph_builder import embed_graph
@@ -207,7 +208,7 @@ def per_node_count(graph, node_query, event_condition=None):
 def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
     world = synth_world(3, 60, 4)
     # build_video makes the graph's lookup before build_graph assigns the descriptions.
-    graph = build_video(world.observations_text, world.tracklets_text, MockBackend()).graph
+    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
     vocabulary = sorted({w for n in graph.nodes for w in content_words(n.description or "")})
     queries = [*vocabulary, *(w + "s" for w in vocabulary), "man", "golden girls", "entity"]
     counts = [fn_count_nodes(graph, q) for q in queries]
@@ -262,7 +263,7 @@ def test_execute_canonical_before_plan(backend):
         'sample_entity_events(node=$1, sample_start_time=$2, events_to_sample="previous:1")',
         question="What did the fox do before digging?",
     )
-    result = execute(plan, graph, index, backend, budget=5)
+    result = execute(plan, graph, index, backend, budget=5, top_k=10, max_retries=2)
     assert result.errors == []
     # Frames come from the localized frame plus the event before digging.
     assert set(result.frames) <= {0, 1, 2, 3, 4, 5, 6, 7}
@@ -273,7 +274,7 @@ def test_execute_canonical_before_plan(backend):
 def test_execute_respects_budget(backend):
     graph, index = make_graph(backend)
     plan = parse_plan("get_global_context()")
-    result = execute(plan, graph, index, backend, budget=5)
+    result = execute(plan, graph, index, backend, budget=5, top_k=10, max_retries=2)
     assert result.frames == [0, 3, 6, 9, 11]
 
 
@@ -288,7 +289,7 @@ def test_execute_respects_budget(backend):
 ], ids=["localize", "sample", "temporal-part", "global", "identify", "analyze", "count"])
 def test_only_steps_that_produce_frames_share_the_budget(backend, steps, share):
     graph, index = make_graph(backend)
-    result = execute(parse_plan(f"get_global_context()\n{steps}"), graph, index, backend, budget=4)
+    result = execute(parse_plan(f"get_global_context()\n{steps}"), graph, index, backend, budget=4, top_k=10, max_retries=2)
     assert result.errors == []
     assert len(result.values[0]) == share
 
@@ -296,7 +297,7 @@ def test_only_steps_that_produce_frames_share_the_budget(backend, steps, share):
 def test_execute_count_plan_emits_notes_and_unflagged_fallback_frames(backend):
     graph, index = make_graph(backend)
     plan = parse_plan('count_nodes(node_query="fox")')
-    result = execute(plan, graph, index, backend, budget=5)
+    result = execute(plan, graph, index, backend, budget=5, top_k=10, max_retries=2)
     assert "count of 'fox': 1" in result.notes
     assert result.frames  # global-context fallback supplies context frames
     # A count plan has no frame-producing step, so the fallback is expected, not flagged.
@@ -310,7 +311,7 @@ def test_execute_flags_the_fallback_when_a_frame_producing_step_produced_none(ba
         'sample_entity_events(node=$1, sample_start_time=99, events_to_sample="current")'
     )
     bad_graph = SpatioTemporalGraph(frames=graph.frames, nodes=[], edges=[], events={})
-    result = execute(plan, bad_graph, index, backend, budget=5)
+    result = execute(plan, bad_graph, index, backend, budget=5, top_k=10, max_retries=2)
     assert len(result.errors) == 2 and result.frames
     assert result.flags == ["no frames produced; global-context fallback"]
 
@@ -324,7 +325,7 @@ def test_execute_records_step_error_and_continues(backend):
     )
     # Make identify fail by emptying the graph nodes it needs.
     bad_graph = SpatioTemporalGraph(frames=graph.frames, nodes=[], edges=[], events={})
-    result = execute(plan, bad_graph, index, backend, budget=5)
+    result = execute(plan, bad_graph, index, backend, budget=5, top_k=10, max_retries=2)
     assert len(result.errors) == 2  # identify fails; ref resolution fails
     assert result.frames  # global context still produced frames
 
@@ -333,7 +334,7 @@ def test_execute_propagates_blocked(backend):
     graph, index = make_graph(backend)
     plan = parse_plan('localize_node(query="[BLOCK] fox")')
     with pytest.raises(BlockedContent):
-        execute(plan, graph, index, backend)
+        execute(plan, graph, index, backend, budget=5, top_k=10, max_retries=2)
 
 
 def test_execute_propagates_programming_errors(backend, monkeypatch):
@@ -343,7 +344,7 @@ def test_execute_propagates_programming_errors(backend, monkeypatch):
     graph, index = make_graph(backend)
     monkeypatch.setattr(reasoning, "fn_count_nodes", broken)
     with pytest.raises(TypeError, match="bug in a step"):
-        execute(parse_plan('count_nodes(node_query="fox")'), graph, index, backend)
+        execute(parse_plan('count_nodes(node_query="fox")'), graph, index, backend, budget=5, top_k=10, max_retries=2)
 
 
 def shipped_examples():
@@ -389,7 +390,7 @@ def test_split_plan_keeps_the_last_repeated_key_and_reads_a_reply_without_plan()
         def generate(self, bundle):
             return reply
 
-    out = breakdown("Where is the fox?", load_example_library(), BarePlan())
+    out = breakdown("Where is the fox?", load_example_library(), BarePlan(), max_retries=2)
     assert not out.fallback
     assert [s.function for s in out.plan.steps] == ["localize_node"]
 
@@ -413,7 +414,7 @@ def test_breakdown_bundle_is_pinned():
             sent.append(bundle)
             return super().generate(bundle)
 
-    breakdown("What did the red fox do after digging?", load_example_library(), Capture())
+    breakdown("What did the red fox do after digging?", load_example_library(), Capture(), max_retries=2)
     (bundle,) = sent
     digest = hashlib.sha256(f"{bundle.system_prompt}\0{bundle.user_payload}".encode()).hexdigest()
     assert digest == "b68b3bd5932b3e6e500911eadec92e981e3be6f8ad37f180634c840260ded0f7"
@@ -421,7 +422,7 @@ def test_breakdown_bundle_is_pinned():
 
 def test_breakdown_uses_mock_templates(backend):
     library = load_example_library()
-    out = breakdown("What did the red fox do before digging?", library, backend)
+    out = breakdown("What did the red fox do before digging?", library, backend, max_retries=2)
     assert not out.fallback
     assert [s.function for s in out.plan.steps] == [
         "localize_node",
@@ -435,7 +436,7 @@ def test_breakdown_fallback_on_garbage():
         def generate(self, bundle):
             return "no plan here"
 
-    out = breakdown("anything?", load_example_library(), Garbage())
+    out = breakdown("anything?", load_example_library(), Garbage(), max_retries=2)
     assert out.fallback
     assert [s.function for s in out.plan.steps] == ["get_global_context"]
 
@@ -454,4 +455,4 @@ def test_hierarchical_requires_events(backend):
     graph, index = make_graph(backend)
     graph = dataclasses.replace(graph, events={})
     with pytest.raises(ValueError):
-        hierarchical_retrieve("q", graph, index, backend)
+        hierarchical_retrieve("q", graph, index, backend, per_event=3, top=10)

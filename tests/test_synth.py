@@ -21,7 +21,7 @@ def test_artifacts_parse_and_associate_to_scripted_ids(world):
     observations = parse_observations(world.observations_text)
     tracklets = parse_tracklets(world.tracklets_text)
     assert len(observations.counts) == world.n_frames
-    result = associate(observations, tracklets)
+    result = associate(observations, tracklets, min_iou=0.1, fps=1.0)
     # Every node's entity id is a scripted slot with matching presence.
     by_slot = {e.slot: e for e in world.entities}
     for node in result.nodes:
