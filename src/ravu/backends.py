@@ -189,15 +189,23 @@ def node_block(entity_id: int, attributes: dict[str, str], edges) -> str:
 
     Written directly, not through :func:`_payload`: attribute keys come from
     the observations, so one may repeat ``entity`` or ``relations``, which
-    keyword arguments cannot; and a build calls this once per node.
+    keyword arguments cannot. The block is ``entity: <id>``, a line break,
+    :func:`node_head` and then a line break and :func:`relation_line` per
+    edge; a build puts its blocks together from these parts, rendering each
+    state's head and each edge's line once.
     """
-    lines = [f"entity: {entity_id}"]
-    for key in sorted(attributes):
-        lines.append(f"{key}: {attributes[key]}")
-    lines.append("relations:")
-    for e in edges:
-        lines.append(f"{e.subject_id}|{e.relation}|{e.object_id}")
-    return "\n".join(lines)
+    relations = "".join(["\n" + relation_line(e.subject_id, e.relation, e.object_id) for e in edges])
+    return f"entity: {entity_id}\n{node_head(attributes)}{relations}"
+
+
+def node_head(attributes: dict[str, str]) -> str:
+    """A node block's ``key: value`` line per attribute, keys sorted, each with its line break, then ``relations:``."""
+    return "".join([f"{key}: {attributes[key]}\n" for key in sorted(attributes)]) + "relations:"
+
+
+def relation_line(subject_id: int, relation: str, object_id: int) -> str:
+    """One edge's line of a node block's ``relations`` section."""
+    return f"{subject_id}|{relation}|{object_id}"
 
 
 def event_segmentation_payload(entity_id: int, rows: list[tuple[int, str, str]]) -> str:

@@ -32,6 +32,14 @@ _RANGES = {
 }
 
 
+def check_range(field: str, value, name: str | None = None) -> None:
+    """Raise ValueError unless ``value`` is in the range of the config field ``field``; the message calls the value
+    ``name``, by default ``field``. For functions that take a field's value as an argument."""
+    test, wording = _RANGES[field]
+    if not test(value):
+        raise ValueError(f"{name or field} must be {wording}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RavuConfig:
     backend: str = "mock"  # "mock" or "remote"

@@ -118,13 +118,14 @@ def _has_comention(description: str) -> bool:
 
 
 def build_frame_graph(
-    batch: list[tuple[FrameRecord, list[EntityNode]]],
+    batch: list[tuple[FrameRecord, list[int]]],
     backend,
     max_retries: int,
 ) -> tuple[list[RelationEdge], int]:
     """Relation edges for distinct frames asked in one prompt, plus the count of dropped lines.
 
-    ``batch`` pairs each frame with the nodes in it. The reply is parsed as
+    ``batch`` pairs each frame with the IDs of the entities in it, which
+    the prompt lists in ascending order, each once. The reply is parsed as
     ``frame|subject|relation|object`` lines, each charged to the frame it
     names. A line of a requested frame is dropped if its triple does not
     parse, references an entity absent from that frame, or relates an
@@ -134,17 +135,16 @@ def build_frame_graph(
     entities in a sentence but which gets no parseable triple is
     rejected; only rejected frames are asked again, up to ``max_retries``
     asks in all, as in :func:`generate_items_with_retries`. Edges come in
-    batch order; the count covers the lines of kept frames only. Node
-    attributes are never touched here.
+    batch order; the count covers the lines of kept frames only.
     """
-    present = {frame.frame_index: {n.entity_id for n in nodes} for frame, nodes in batch}
+    present = {frame.frame_index: set(ids) for frame, ids in batch}
 
-    def bundle(asked: list[tuple[FrameRecord, list[EntityNode]]]) -> backends.PromptBundle:
+    def bundle(asked: list[tuple[FrameRecord, list[int]]]) -> backends.PromptBundle:
         return make_bundle("frame_graph", backends.frame_graph_payload(
             [(frame.frame_index, sorted(present[frame.frame_index]), frame.description) for frame, _ in asked]
         ))
 
-    def parse(text: str, asked: list[tuple[FrameRecord, list[EntityNode]]]) -> list:
+    def parse(text: str, asked: list[tuple[FrameRecord, list[int]]]) -> list:
         charged: dict[int, list[list[str]]] = {frame.frame_index: [] for frame, _ in asked}
         stray = 0
         for line in text.splitlines():
@@ -182,24 +182,25 @@ def build_frame_graph(
     return edges, sum(dropped for _, dropped in replies)
 
 
-def describe_node(node: EntityNode, edges: list[RelationEdge], backend, max_retries: int) -> str:
-    """One-sentence node description covering attributes and relations, asked at most ``max_retries`` times."""
-    block = backends.node_block(node.entity_id, node.attributes, edges)
-    return _describe([(node, block)], backend, max_retries)[0]
+def describe_node(graph: SpatioTemporalGraph, node: EntityNode, backend, max_retries: int) -> str:
+    """One-sentence description of ``node``, a node of ``graph``, covering its attributes and its edges in ``graph``
+    (:func:`node_edges`), asked at most ``max_retries`` times: one node's part of a build."""
+    block = backends.node_block(node.entity_id, node.attributes, node_edges(graph, node.entity_id, node.frame_index))
+    return _describe([((node.entity_id, node.frame_index), block)], backend, max_retries)[0]
 
 
-def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) -> list[str]:
-    """The accepted sentence for each ``(node, node block)``, the blocks asked in one prompt.
+def _describe(items: list[tuple[tuple[int, int], str]], backend, max_retries: int) -> list[str]:
+    """The accepted sentence for each ``((entity, frame), node block)``, the blocks asked in one prompt.
 
     The reply is parsed as ``k|sentence`` lines, where ``k`` is a block's
     position in the prompt, from 0. A line whose ``k`` is not an integer
     in range is ignored. A block with no line, with more than one line or
     with an empty sentence is rejected; only rejected blocks are asked
     again, as in :func:`generate_items_with_retries`, and an error names
-    the block's node.
+    the block's node key.
     """
 
-    def parse(text: str, asked: list[tuple[EntityNode, str]]) -> list:
+    def parse(text: str, asked: list[tuple[tuple[int, int], str]]) -> list:
         sentences: list[list[str]] = [[] for _ in asked]
         for line in text.splitlines():
             head, _, sentence = line.partition("|")
@@ -215,13 +216,58 @@ def _describe(items: list[tuple[EntityNode, str]], backend, max_retries: int) ->
             for k, found in enumerate(sentences)
         ]
 
-    def bundle(asked: list[tuple[EntityNode, str]]) -> backends.PromptBundle:
+    def bundle(asked: list[tuple[tuple[int, int], str]]) -> backends.PromptBundle:
         return make_bundle("node_description", backends.node_description_payload([block for _, block in asked]))
 
     return generate_items_with_retries(
-        backend, items, bundle, parse,
-        lambda item: f"entity {item[0].entity_id} frame {item[0].frame_index}", max_retries,
+        backend, items, bundle, parse, lambda item: "entity {} frame {}".format(*item[0]), max_retries,
     )
+
+
+def _node_rows(nodes: NodeTable, entity: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The row of the node ``(entity[k], frame[k])`` for each ``k``, or -1 where ``nodes`` has none."""
+    if not len(nodes):
+        return np.full(len(entity), -1, dtype=np.intp)
+    # The rows ascend by (frame, entity), so by frame rank and entity rank folded into one number; a pair that
+    # is no node's folds to a number that finds another node's row, which the check below refuses. (A plain
+    # ``np.unique``, with no inverse, imports ``numpy.ma``, about 1 MB, on its first call.)
+    frames, frame_rank = np.unique(nodes.frame, return_inverse=True)
+    entities, entity_rank = np.unique(nodes.entity, return_inverse=True)
+    folded = np.searchsorted(frames, frame) * len(entities) + np.searchsorted(entities, entity)
+    row = np.minimum(np.searchsorted(frame_rank * len(entities) + entity_rank, folded), len(nodes) - 1)
+    return np.where((nodes.entity[row] == entity) & (nodes.frame[row] == frame), row, -1)
+
+
+def _node_blocks(graph: SpatioTemporalGraph) -> tuple[list[tuple[tuple[int, int], str]], np.ndarray]:
+    """Each distinct ``node_description`` block of the graph's nodes, in first-seen (frame, entity) order and
+    labelled by its first node's key ``(entity, frame)``, and each node's block number.
+
+    Read from the columns, with no record per node: each state's head (:func:`backends.node_head`) and each
+    edge's line (:func:`backends.relation_line`) is rendered once, and a node's lines follow in the graph's
+    edge order, a self-edge's once, as :func:`node_edges` lists its edges. A node's block is
+    ``backends.node_block(entity, attributes, node_edges(graph, entity, frame))``.
+    """
+    nodes, edges = graph.nodes, graph.edges
+    heads = list(map(backends.node_head, nodes.attributes))
+    lines = ["\n" + backends.relation_line(s, edges.relations[r], o)
+             for s, r, o in zip(edges.subject.tolist(), edges.relation.tolist(), edges.object.tolist())]
+    # Each edge's ends: its subject, and its object unless that is the subject. Each end that is a node
+    # gives that node the edge's line, the node's lines in edge order.
+    other = np.flatnonzero(edges.subject != edges.object)
+    end_edge = np.concatenate([np.arange(len(edges)), other])
+    end_row = _node_rows(nodes, np.concatenate([edges.subject, edges.object[other]]), edges.frame[end_edge])
+    order = np.lexsort((end_edge, end_row))
+    order = order[end_row[order] >= 0]
+    end_lines = [lines[e] for e in end_edge[order].tolist()]
+    stops = np.cumsum(np.bincount(end_row[order], minlength=len(nodes))).tolist()
+    texts: dict[str, int] = {}
+    block_of = np.array([
+        texts.setdefault(f"entity: {entity}\n{heads[state]}{''.join(end_lines[start:stop])}", len(texts))
+        for entity, state, start, stop in zip(nodes.entity.tolist(), nodes.state.tolist(), [0, *stops], stops)
+    ], dtype=np.intp)
+    firsts, _ = first_seen(block_of)
+    keys = zip(nodes.entity[firsts].tolist(), nodes.frame[firsts].tolist())
+    return list(zip(keys, texts)), block_of
 
 
 def _node_columns(graph: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray, np.ndarray]:
@@ -352,12 +398,15 @@ def build_graph(
     """Full build: edges, descriptions, and events, each prompt asked at most ``max_retries`` times, at ``fps``.
 
     The frames that hold nodes are asked for their edges
-    ``ITEMS_PER_CALL`` at a time, in frame order (:func:`build_frame_graph`).
-    Each node's ``node_description`` block is built once; each distinct
-    block is asked once per call, ``ITEMS_PER_CALL`` blocks to a prompt in
-    first-seen order, and nodes whose blocks are identical share its
-    accepted sentence: within one build, identical blocks get identical
-    replies. Replies that fail parsing are retried item by item as in
+    ``ITEMS_PER_CALL`` at a time, in frame order (:func:`build_frame_graph`),
+    each with its entity IDs cut from the entity column. Each node's
+    ``node_description`` block is put together from the columns, its
+    state's head and its edges' lines each rendered once (:func:`_node_blocks`),
+    with no record made per node; each distinct block is asked once per call,
+    ``ITEMS_PER_CALL`` blocks to a prompt in first-seen order, and nodes
+    whose blocks are identical share its accepted sentence: within one
+    build, identical blocks get identical replies. Replies that fail
+    parsing are retried item by item as in
     :func:`generate_items_with_retries`; a backend error is raised and
     never remembered. Each stage makes a new graph with
     ``dataclasses.replace``: with the edges, then with the described nodes,
@@ -367,8 +416,12 @@ def build_graph(
     graph = SpatioTemporalGraph(frames, nodes, fps=fps)
     report = BuildReport()
 
-    batch = [(frame, graph.nodes_in_frame(frame.frame_index)) for frame in graph.frames]
-    batch = [(frame, in_frame) for frame, in_frame in batch if in_frame]
+    # Each frame's entity IDs, cut from the entity column: the nodes come in (frame, entity) order.
+    nodes = graph.nodes
+    frame_ids, firsts = np.unique(nodes.frame, return_index=True)
+    entities, stops = nodes.entity.tolist(), [*firsts[1:].tolist(), len(nodes)]
+    present = {f: entities[a:b] for f, a, b in zip(frame_ids.tolist(), firsts.tolist(), stops)}
+    batch = [(frame, present[frame.frame_index]) for frame in graph.frames if frame.frame_index in present]
     all_edges: list[RelationEdge] = []
     for start in range(0, len(batch), ITEMS_PER_CALL):
         edges, dropped = build_frame_graph(batch[start : start + ITEMS_PER_CALL], backend, max_retries)
@@ -376,27 +429,19 @@ def build_graph(
         report.dropped_edge_lines += dropped
     graph = replace(graph, edges=all_edges)
 
-    # Each distinct block, with the first node that has it, and each node's block number.
-    slot: dict[str, int] = {}
-    distinct: list[tuple[EntityNode, str]] = []
-    slot_of: list[int] = []
-    for node in graph.nodes:  # the records ``nodes_in_frame`` made above
-        edges = node_edges(graph, node.entity_id, node.frame_index)
-        block = backends.node_block(node.entity_id, node.attributes, edges)
-        j = slot.setdefault(block, len(distinct))
-        if j == len(distinct):
-            distinct.append((node, block))
-        slot_of.append(j)
+    distinct, block_of = _node_blocks(graph)
     sentences: list[str] = []
     for start in range(0, len(distinct), ITEMS_PER_CALL):
         sentences.extend(_describe(distinct[start : start + ITEMS_PER_CALL], backend, max_retries))
-    # A described node's state is its (state, block) pair: the same attributes with the block's sentence.
-    nodes = graph.nodes
-    pairs, state = np.unique(nodes.state * len(distinct) + np.array(slot_of, dtype=np.intp), return_inverse=True)
-    old, block_of = np.divmod(pairs, max(len(distinct), 1))
+    # A described node's state is its (state, sentence) pair: the same attributes with its block's sentence.
+    said: dict[str, int] = {}
+    sentence_of = np.array([said.setdefault(text, len(said)) for text in sentences], dtype=np.intp)[block_of]
+    pairs, state = np.unique(nodes.state * len(said) + sentence_of, return_inverse=True)
+    old, sentence = np.divmod(pairs, max(len(said), 1))
+    texts = list(said)
     graph = replace(graph, nodes=NodeTable(
         nodes.entity, nodes.frame, nodes.box, state.reshape(-1),
-        [nodes.attributes[s] for s in old.tolist()], [sentences[j] for j in block_of.tolist()],
+        [nodes.attributes[s] for s in old.tolist()], [texts[j] for j in sentence.tolist()],
     ))
 
     events: dict[int, list[EntityEvent]] = {}

@@ -155,7 +155,9 @@ class NodeTable(Sequence[EntityNode]):
     attributes, ``attributes[state[i]]``, a read-only mapping, and its
     description, ``descriptions[state[i]]``, a text or None. Every column
     is read-only, and the nodes of one state share its mapping. A loaded
-    graph lists each distinct state once; a built one may list one twice.
+    graph lists each distinct state once, and so do an ingested and a built
+    one, but for attribute sets that differ in key order alone; ``of``
+    gives each node a state of its own.
     Row ``i`` reads as an ``EntityNode`` made at its first access and kept,
     so every reader of the row gets the same record (two threads that read a
     fresh row at once may each make one; the two are equal).

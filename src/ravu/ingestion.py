@@ -12,7 +12,8 @@ frame with one stable sort, scores every (entity, track) pair that shares
 a frame in one ``accel.iou_rows`` call and sorts the pairs passing the
 threshold once; only the greedy itself runs per pair in Python. It hands
 its arrays to a ``NodeTable``, nodes frame by frame in entity order, and
-makes no record per node.
+makes no record per node. Parsing keeps each distinct attribute set once,
+and the table numbers those sets as its states.
 
 Entity mentions inside description text use ``[E<int>]`` tokens; after
 association they reference the consistent ID.
@@ -23,11 +24,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import inf
 
 import numpy as np
 
 from . import accel
+from .config import check_range
 from .errors import MALFORMED, ParseError, integer, json_object, json_objects
 from .graph_model import LINE_BREAK, MENTION, FrameRecord, NodeTable, parse_box, parse_boxes
 
@@ -38,7 +39,8 @@ class Observations:
 
     Frame ``f``'s entities are the ``counts[f]`` rows after the
     ``sum(counts[:f])`` rows of the frames before it, in the order its line
-    lists them.
+    lists them. ``attributes`` holds each distinct attribute set once, and
+    row ``i``'s is ``attributes[state[i]]``.
     """
 
     descriptions: list[str]
@@ -46,6 +48,7 @@ class Observations:
     counts: list[int]
     local_ids: list[int]
     attributes: list[dict[str, str]]
+    state: np.ndarray  # (n,) intp
     boxes: np.ndarray  # (n, 4) float64, xyxy, as ``parse_box`` reads them
 
 
@@ -78,6 +81,12 @@ def parse_observations(document: str) -> Observations:
     rejected, and so is a line break in a description or an attribute key
     or value, since backend payloads are line-oriented. The first error in
     document order is the one raised.
+
+    Attribute keys and values are read as their ``str()`` texts, and each
+    distinct set of texts, in key order, is kept as one dict that every
+    entity with it shares: ``1`` and ``"1"`` give one set, ``true`` (read
+    as ``"True"``) and ``"true"`` two. Only a new set is searched for line
+    breaks.
     """
     # A document line is split at every line break, so a decoded string
     # holds one only where the document escapes it.
@@ -88,7 +97,10 @@ def parse_observations(document: str) -> Observations:
     source_refs: list[str] = []
     counts: list[int] = []
     local_ids: list[int] = []
+    # Each distinct attribute set, keyed by its items, and each entity's number among them.
+    numbered: dict[tuple, int] = {}
     attributes: list[dict[str, str]] = []
+    state: list[int] = []
     raw_boxes: list = []
 
     def checked_boxes() -> np.ndarray:
@@ -118,14 +130,23 @@ def parse_observations(document: str) -> Observations:
                     if local_id in local_seen:
                         raise ParseError(f"duplicate local_id {local_id}", line=lineno, field="local_id")
                     local_seen.add(local_id)
-                    attrs = {str(k): str(v) for k, v in ent.get("attributes", {}).items()}
-                    if escapes and any(map(LINE_BREAK.search, chain(attrs, attrs.values()))):
-                        raise ParseError(
-                            f"entity {local_id} has a line break in an attribute key or value",
-                            line=lineno, field="attributes",
-                        )
+                    raw_attrs = ent.get("attributes", {})
+                    try:
+                        # Keys are kept only for sets of texts, which a value of any other type never equals.
+                        number = numbered[tuple(raw_attrs.items())]
+                    except (KeyError, TypeError):  # a new set, or one holding an unhashable value
+                        attrs = {str(k): str(v) for k, v in raw_attrs.items()}
+                        number = numbered.get(key := tuple(attrs.items()))
+                        if number is None:
+                            if escapes and any(map(LINE_BREAK.search, chain(attrs, attrs.values()))):
+                                raise ParseError(
+                                    f"entity {local_id} has a line break in an attribute key or value",
+                                    line=lineno, field="attributes",
+                                ) from None
+                            number = numbered[key] = len(attributes)
+                            attributes.append(attrs)
                     local_ids.append(local_id)
-                    attributes.append(attrs)
+                    state.append(number)
                     raw_boxes.append(ent["box"])
                 description = str(raw.get("description", ""))
                 if escapes and LINE_BREAK.search(description):
@@ -139,6 +160,7 @@ def parse_observations(document: str) -> Observations:
         checked_boxes()  # a bad box on an earlier line comes first
         raise
     boxes = checked_boxes()
+    state = np.array(state, dtype=np.intp)
 
     n_frames = len(counts)
     missing = set(range(n_frames)).difference(place)
@@ -152,9 +174,8 @@ def parse_observations(document: str) -> Observations:
         source_refs = [source_refs[p] for p in order]
         counts = [counts[p] for p in order]
         local_ids = [local_ids[r] for r in rows]
-        attributes = [attributes[r] for r in rows]
-        boxes = boxes[rows]
-    return Observations(descriptions, source_refs, counts, local_ids, attributes, boxes)
+        state, boxes = state[rows], boxes[rows]
+    return Observations(descriptions, source_refs, counts, local_ids, attributes, state, boxes)
 
 
 def parse_tracklets(document: str) -> Tracklets:
@@ -264,17 +285,18 @@ def associate(
     video whose fresh IDs would pass int64 raises ParseError. Description
     mention tokens are rewritten to the consistent IDs, and frame ``f`` is
     stamped ``f / fps`` seconds. Nodes come as a ``NodeTable`` in
-    (frame_index, entity_id) order, each its own state, whose read-only
-    attributes wrap the dict from ``observations``.
+    (frame_index, entity_id) order with a state per distinct attribute set
+    of ``observations``, whose read-only attributes wrap that set's dict:
+    the nodes that share a set share its state. A ``min_iou`` or ``fps``
+    outside its ``RavuConfig`` range raises ValueError, worded as
+    ``config.check_range`` words it, before any work.
 
     The whole video is scored in one batched pass: every (entity, track)
     pair that shares a frame is scored by one ``accel.iou_rows`` call, and
     only the pairs that pass ``min_iou`` are sorted, once, for the greedy.
     """
-    if not 0.0 <= min_iou <= 1.0:
-        raise ValueError(f"min_iou must be in [0, 1], got {min_iou}")
-    if not 0.0 < fps < inf:
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
+    check_range("min_iou", min_iou)
+    check_range("fps", fps)
     counts, local_ids = observations.counts, observations.local_ids
     n_frames = len(counts)
     outside = np.flatnonzero((tracklets.frames < 0) | (tracklets.frames >= n_frames))
@@ -337,10 +359,11 @@ def associate(
     id_of_key = sorted(tracklets.ids) + list(range(next_fresh, next_fresh + len(fresh)))
     entity_ids = list(map(id_of_key.__getitem__, key.tolist()))
 
-    # One state per observed entity: its attributes, and no description yet.
+    # A state per distinct attribute set: its attributes, and no description yet.
     order = np.lexsort((key, ent_frame))
-    nodes = NodeTable(np.array(entity_ids, dtype=np.int64)[order], ent_frame[order], observations.boxes[order], order,
-                      observations.attributes, [None] * len(order))
+    attributes = observations.attributes
+    nodes = NodeTable(np.array(entity_ids, dtype=np.int64)[order], ent_frame[order], observations.boxes[order],
+                      observations.state[order], attributes, [None] * len(attributes))
     frames: list[FrameRecord] = []
     id_map: dict[int, dict[int, int]] = {}
     starts = list(accumulate(counts, initial=0))

@@ -17,6 +17,7 @@ from importlib import resources
 
 from . import backends
 from .backends import generate_with_retries, make_bundle
+from .config import check_range
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_descriptions, entity_timeline
 from .index import EmbeddingIndex, rerank
@@ -434,11 +435,12 @@ def hierarchical_retrieve(
     backend to pick the ``top`` most relevant of them; on failure the pool
     is truncated by score instead (flagged).
 
-    Returns (frames, fallback). Raises ``ValueError`` if ``per_event`` or
-    ``top`` is below 1.
+    Returns (frames, fallback). Raises ``ValueError``, worded as for
+    ``hier_per_event`` and ``budget``, whose values they take, if ``per_event``
+    or ``top`` is out of their range (below 1).
     """
-    if per_event < 1 or top < 1:
-        raise ValueError(f"per_event and top must be >= 1, got {per_event} and {top}")
+    check_range("hier_per_event", per_event, "per_event")
+    check_range("budget", top, "top")
     if not graph.events:
         raise ValueError("hierarchical retrieval requires entity events")
     qvec = backend.embed(question)

@@ -20,7 +20,7 @@ from ravu.config import RavuConfig
 from ravu.errors import BackendError, BlockedContent, MalformedResponse, RavuError, Timeout
 from ravu.evaluate import build_video, eval_localization, eval_qa
 from ravu.graph_builder import EmbeddingRecord, build_frame_graph
-from ravu.graph_model import LINE_BREAKS, BoundingBox, EntityEvent, EntityNode, FrameRecord, RelationEdge
+from ravu.graph_model import LINE_BREAKS, EntityEvent, FrameRecord, RelationEdge
 from ravu.index import EmbeddingIndex, rerank
 from ravu.reasoning import load_example_library
 from ravu.synth import make_corpus, synth_world
@@ -330,7 +330,7 @@ def test_remote_backend_error_mapping(monkeypatch):
 
 
 def two_entity_frame(description):
-    return FrameRecord(0, 0.0, description), [EntityNode(e, 0, {}, BoundingBox(0, 0, 1, 1)) for e in (0, 1)]
+    return FrameRecord(0, 0.0, description), [0, 1]
 
 
 def remote_generate(remote):

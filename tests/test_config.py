@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ravu
-from ravu.config import _RANGES, RavuConfig, load_config
+from ravu.config import _RANGES, RavuConfig, check_range, load_config
 from ravu.errors import ParseError
 
 
@@ -140,6 +140,19 @@ def test_a_config_made_in_code_is_range_checked(make, field):
         make({field: OUT_OF_RANGE[field]})
     assert info.value.field == field
     assert str(info.value).startswith(f"config field '{field}' must be ")
+
+
+@pytest.mark.parametrize("field", sorted(_RANGES))
+def test_check_range_words_a_value_as_a_config_does(field):
+    """Functions that take a field's value as an argument refuse what the config refuses, in its words."""
+    with pytest.raises(ParseError) as made:
+        RavuConfig(**{field: OUT_OF_RANGE[field]})
+    with pytest.raises(ValueError) as checked:
+        check_range(field, OUT_OF_RANGE[field])
+    assert str(checked.value) == str(made.value).replace(f"config field '{field}'", field)
+    with pytest.raises(ValueError, match="^the value must be "):
+        check_range(field, OUT_OF_RANGE[field], "the value")
+    check_range(field, getattr(RavuConfig(), field))
 
 
 @pytest.mark.parametrize("values, field", [

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ravu import graph_builder, graph_model
 from ravu.backends import MockBackend, frame_graph_payload, node_block
@@ -26,9 +28,13 @@ from ravu.graph_model import (
     EntityEvent,
     EntityNode,
     FrameRecord,
+    NodeTable,
+    RelationEdge,
     SpatioTemporalGraph,
+    deserialize,
     entity_timeline,
     node_edges,
+    serialize,
     validate,
 )
 from ravu.ingestion import associate, parse_observations, parse_tracklets
@@ -56,7 +62,7 @@ class FailingGenBackend(MockBackend):
 
 def test_build_frame_graph_parses_triples(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2]. [E2] rests.")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], backend, max_retries=2)
+    edges, dropped = build_frame_graph([(frame, [1, 2])], backend, max_retries=2)
     assert dropped == 0
     assert len(edges) == 1
     assert (edges[0].subject_id, edges[0].relation, edges[0].object_id) == (1, "chases", 2)
@@ -64,20 +70,20 @@ def test_build_frame_graph_parses_triples(backend):
 
 def test_build_frame_graph_drops_unknown_entities(backend):
     frame = FrameRecord(0, 0.0, "[E1] chases [E9].")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend, max_retries=2)
+    edges, dropped = build_frame_graph([(frame, [1])], backend, max_retries=2)
     assert edges == [] and dropped == 1
 
 
 def test_build_frame_graph_no_comention_tolerates_empty(backend):
     frame = FrameRecord(0, 0.0, "[E1] sits alone.")
-    edges, dropped = build_frame_graph([(frame, [node(1, 0)])], backend, max_retries=2)
+    edges, dropped = build_frame_graph([(frame, [1])], backend, max_retries=2)
     assert edges == [] and dropped == 0
 
 
 def test_build_frame_graph_raises_when_comention_unparseable():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     with pytest.raises(MalformedResponse):
-        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], FailingGenBackend(), max_retries=2)
+        build_frame_graph([(frame, [1, 2])], FailingGenBackend(), max_retries=2)
 
 
 class FlakyGenBackend(MockBackend):
@@ -98,20 +104,20 @@ def test_build_frame_graph_calls_at_most_max_retries(max_retries, calls):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     flaky = FlakyGenBackend(bad=99)
     with pytest.raises(MalformedResponse):
-        build_frame_graph([(frame, [node(1, 0), node(2, 0)])], flaky, max_retries)
+        build_frame_graph([(frame, [1, 2])], flaky, max_retries)
     assert flaky.calls == calls
 
 
 def test_build_frame_graph_counts_drops_of_the_accepted_reply():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     flaky = FlakyGenBackend(bad=1)
-    edges, dropped = build_frame_graph([(frame, [node(1, 0), node(2, 0)])], flaky, max_retries=2)
+    edges, dropped = build_frame_graph([(frame, [1, 2])], flaky, max_retries=2)
     assert flaky.calls == 2
     assert len(edges) == 1 and dropped == 0
 
 
 def test_describe_node(backend):
-    text = describe_node(node(3, 0), [], backend, max_retries=2)
+    text = describe_node(SpatioTemporalGraph(nodes=[node(3, 0)]), node(3, 0), backend, max_retries=2)
     assert text == "entity 3: red fox; running; relations: none"
 
 
@@ -383,6 +389,91 @@ def node_payloads(graph):
     ]
 
 
+def assert_column_blocks_are_the_record_blocks(graph):
+    """``_node_blocks`` gives every node the block ``node_block`` writes from its record and ``node_edges``,
+    and lists each distinct block once, in first-seen node order, labelled by its first node's key."""
+    distinct, block_of = graph_builder._node_blocks(graph)
+    blocks = node_payloads(graph)
+    assert [distinct[j][1] for j in block_of.tolist()] == blocks
+    firsts = {}
+    for n, block in zip(graph.nodes, blocks):
+        firsts.setdefault(block, (n.entity_id, n.frame_index))
+    assert distinct == [(key, block) for block, key in firsts.items()]
+
+
+def hand_built(keys, edges, attributes=lambda e, f: {"action": "run"}):
+    return SpatioTemporalGraph(
+        nodes=[EntityNode(e, f, attributes(e, f), BoundingBox(0, 0, 1, 1)) for e, f in keys],
+        edges=[RelationEdge(*edge) for edge in edges],
+    )
+
+
+HAND_BUILT = {
+    "self-edges": hand_built([(1, 0), (2, 0)], [(0, 1, "grooms", 1), (0, 1, "near", 2), (0, 2, "eyes", 2)]),
+    "repeated edges": hand_built([(1, 0), (2, 0)], [(0, 1, "near", 2)] * 3 + [(0, 2, "near", 1)]),
+    "edge-less nodes": hand_built([(1, 0), (2, 0), (3, 1)], []),
+    "edges in some frames": hand_built(
+        [(1, f) for f in range(4)] + [(2, f) for f in range(4)], [(1, 1, "chases", 2), (3, 2, "flees", 1)],
+    ),
+    "dangling ends": hand_built([(1, 0), (2, 1)], [(0, 1, "sees", 9), (1, 7, "sees", 2), (5, 1, "sees", 2)]),
+    "equal attributes in two orders": hand_built(
+        [(1, 0), (1, 1), (2, 0)], [(0, 1, "near", 2)],
+        lambda e, f: {"a": "1", "b": "2"} if f else {"b": "2", "a": "1"},
+    ),
+    "no attributes, extreme IDs": hand_built(
+        [(-2**63, 0), (2**63 - 1, 0)], [(0, -2**63, "near", 2**63 - 1)], lambda e, f: {},
+    ),
+    "no nodes": hand_built([], [(0, 1, "near", 2)]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_column_node_blocks_equal_the_record_blocks_of_hand_built_graphs(name):
+    assert_column_blocks_are_the_record_blocks(HAND_BUILT[name])
+
+
+IDS = st.sampled_from([-2**63, -1, 0, 1, 2, 3, 2**63 - 1])
+
+
+@st.composite
+def edged_graphs(draw):
+    """Graphs whose edges may loop, repeat, or name an entity or frame that holds no node."""
+    attributes = st.sampled_from([{}, {"action": "run"}, {"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"x": "a|b"}])
+    keys = draw(st.lists(st.tuples(IDS, st.integers(0, 3)), unique=True, max_size=10))
+    edges = st.tuples(st.integers(0, 4), IDS, st.sampled_from(["near", "holds", "a|b", ""]), IDS)
+    return hand_built(keys, draw(st.lists(edges, max_size=12)), lambda e, f: draw(attributes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edged_graphs())
+def test_column_node_blocks_equal_the_record_blocks(graph):
+    assert_column_blocks_are_the_record_blocks(graph)
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
+def test_column_node_blocks_equal_the_record_blocks_of_built_graphs(shape):
+    for seed in (1, 11) if shape[0] == 600 else range(5):
+        assert_column_blocks_are_the_record_blocks(build(synth_world(seed, *shape), MockBackend()))
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
+def test_a_built_graph_lists_each_state_once(shape):
+    """A build numbers its states as a load does: one per distinct (attributes, description) pair."""
+    graph = build(synth_world(11, *shape), MockBackend())
+    assert len(graph.nodes.descriptions) == len(deserialize(serialize(graph)).nodes.descriptions)
+    assert len(graph.nodes.descriptions) < len(graph.nodes)
+
+
+def test_nodes_of_one_state_given_one_sentence_share_a_described_state():
+    """Three nodes of one state have three blocks; a reply of one sentence for all three gives them one state."""
+    nodes = NodeTable([1, 2, 3], [0, 0, 0], [[0, 0, 1, 1]] * 3, [0, 0, 0], [node(1, 0).attributes], [None])
+    scripted = ScriptedBackend("node_description", ["0|a fox\n1|a fox\n2|a fox"])
+    graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, fps=1.0, max_retries=2)
+    assert len(scripted.asked) == 1 and scripted.asked[0].count("item ") == 3
+    assert [n.description for n in graph.nodes] == ["a fox"] * 3
+    assert graph.nodes.state.tolist() == [0, 0, 0] and graph.nodes.descriptions == ("a fox",)
+
+
 def test_build_asks_each_distinct_prompt_once():
     world = synth_world(1, 200, 6)
     backend = CountingBackend()
@@ -398,13 +489,31 @@ def test_build_asks_each_distinct_prompt_once():
 
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
 def test_build_makes_each_node_table_once(monkeypatch, shape):
-    """One node-by-frame table, one entity timeline and one edge table per build."""
+    """One entity timeline per build, for the events; the frames' entity IDs and the nodes' edges are read
+    from the columns, so a build makes no node-by-frame table and no edge table."""
     built = count_table_builds(monkeypatch)
     graph = build(synth_world(1, *shape), MockBackend())
     assert {name: len(graphs) for name, graphs in built.items()} == {
-        "_by_frame": 1, "_timeline": 1, "_edges_at": 1, "_descriptions": 0
+        "_by_frame": 0, "_timeline": 1, "_edges_at": 0, "_descriptions": 0
     }
     assert graph.edges and graph.events
+
+
+@pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
+def test_build_makes_no_node_record(monkeypatch, shape):
+    """Ingestion and build read and write the node columns only: no ``EntityNode`` is made, for any node."""
+    made = []
+
+    class Counted(EntityNode):
+        def __new__(cls, *fields):
+            made.append(fields[:2])
+            return EntityNode.__new__(EntityNode, *fields)
+
+    monkeypatch.setattr(graph_model, "EntityNode", Counted)
+    graph = build(synth_world(1, *shape), MockBackend())
+    assert made == [] and graph.nodes._views is None
+    first = graph.nodes[0]  # a reader's access makes the row's record, as counted here
+    assert made == [(first.entity_id, first.frame_index)]
 
 
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
@@ -448,9 +557,9 @@ class ScriptedBackend(MockBackend):
 
 
 def chase_frames(n=3):
-    """``n`` frames in each of which entity 1 chases entity 2, with their nodes."""
+    """``n`` frames in each of which entity 1 chases entity 2, with their entity IDs."""
     frames = [FrameRecord(i, float(i), f"[E1] chases [E2] in field {i}.") for i in range(n)]
-    return [(f, [node(1, f.frame_index), node(2, f.frame_index)]) for f in frames]
+    return [(f, [1, 2]) for f in frames]
 
 
 def triples(edges):
@@ -480,7 +589,7 @@ def test_frame_graph_line_naming_no_requested_frame_is_dropped_with_the_first_ke
 def test_dropped_edge_lines_counts_only_the_lines_of_kept_replies():
     batch = chase_frames(2)
     frames = [frame for frame, _ in batch]
-    nodes = [n for _, in_frame in batch for n in in_frame]
+    nodes = [node(entity_id, frame.frame_index) for frame, ids in batch for entity_id in ids]
     first = "\n".join([
         "0|1|chases|2",
         "0|1|chases|9",  # kept frame, absent entity: counted
@@ -534,7 +643,7 @@ def test_description_error_names_the_first_rejected_node():
 def test_describe_node_calls_at_most_max_retries(max_retries, calls):
     flaky = FlakyGenBackend(bad=99)
     with pytest.raises(MalformedResponse):
-        describe_node(node(3, 0), [], flaky, max_retries)
+        describe_node(SpatioTemporalGraph(nodes=[node(3, 0)]), node(3, 0), flaky, max_retries)
     assert flaky.calls == calls
 
 
@@ -563,13 +672,13 @@ def reference_build(world, backend):
     graph = SpatioTemporalGraph(frames=list(assoc.frames), nodes=list(assoc.nodes), fps=1.0)
     edges = []
     for frame in graph.frames:
-        in_frame = graph.nodes_in_frame(frame.frame_index)
+        in_frame = [n.entity_id for n in graph.nodes_in_frame(frame.frame_index)]
         if in_frame:
             edges.extend(build_frame_graph([(frame, in_frame)], backend, max_retries=2)[0])
     graph = replace(graph, edges=sorted(edges, key=lambda e: (e.frame_index, e.subject_id, e.object_id, e.relation)))
+    # ``describe_node`` asks for the block of the node's own edges, ``node_edges(graph, ...)``.
     graph = replace(graph, nodes=[
-        n._replace(description=describe_node(n, node_edges(graph, n.entity_id, n.frame_index), backend, max_retries=2))
-        for n in graph.nodes
+        n._replace(description=describe_node(graph, n, backend, max_retries=2)) for n in graph.nodes
     ])
     graph = replace(graph, events={
         entity_id: segment_events(graph, entity_id, backend, max_retries=2).events for entity_id in graph.entity_ids()

@@ -324,7 +324,9 @@ def test_hierarchical_retrieve_rejects_an_empty_pick(per_event, top):
     records = [rec(0, f, [1, f]) for f in range(5)]
     graph = SpatioTemporalGraph(events={0: [EntityEvent(0, 0, 4, "")]})
     backend = Selecting(np.array([1.0, 0.0]), "0")
-    with pytest.raises(ValueError, match="must be >= 1"):
+    # Worded as the config words ``hier_per_event`` and ``budget``, whose values they take.
+    name, value = ("per_event", per_event) if per_event < 1 else ("top", top)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
         hierarchical_retrieve("q", graph, EmbeddingIndex(make_columns(records)), backend, per_event=per_event, top=top)
     assert backend.payloads == []
 

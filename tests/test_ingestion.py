@@ -17,6 +17,7 @@ from ravu.ingestion import (
     parse_observations,
     parse_tracklets,
 )
+from ravu.synth import synth_world
 
 # A drawn video's records, as the oracle reads them and as ``documents`` writes them out.
 FrameObservation = namedtuple("FrameObservation", "frame_index description entities source_ref", defaults=[""])
@@ -70,9 +71,57 @@ def test_parse_observations_round_trip():
     parsed = parse_observations(doc)
     assert (parsed.descriptions, parsed.source_refs, parsed.counts) == (["zero", "one"], ["a", "b"], [0, 2])
     assert parsed.local_ids == [4, 2]
-    assert parsed.attributes == [ATTRS, ATTRS]
+    assert [parsed.attributes[s] for s in parsed.state] == [ATTRS, ATTRS]
     assert parsed.boxes.dtype == np.float64
     assert parsed.boxes.tolist() == [[0.0, 0.0, 5.0, 5.5], [1.0, 1.0, 2.0, 2.0]]
+
+
+def attributes_line(frame, attribute_sets):
+    """An observations line of a frame whose entities carry ``attribute_sets``, one each, in order."""
+    entities = [{"local_id": i, "attributes": a, "box": [0, 0, 1, 1]} for i, a in enumerate(attribute_sets)]
+    return json.dumps({"frame_index": frame, "entities": entities})
+
+
+def test_parse_observations_keeps_each_attribute_set_once_by_its_texts():
+    # A JSON true reads as "True", so it and "true" are two sets; 1 and "1" read alike, and so are one.
+    sets = [{"n": True}, {"n": "true"}, {"n": 1}, {"n": "1"}, {"n": 1.0}, {"n": [1]}, {"n": "[1]"}, {"n": True},
+            {"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {}]
+    parsed = parse_observations("\n".join([attributes_line(0, sets[:6]), attributes_line(1, sets[6:])]))
+    assert [parsed.attributes[s] for s in parsed.state] == [
+        {"n": "True"}, {"n": "true"}, {"n": "1"}, {"n": "1"}, {"n": "1.0"}, {"n": "[1]"}, {"n": "[1]"},
+        {"n": "True"}, {"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {},
+    ]
+    # Entities of one set share its dict; sets are told apart in key order.
+    assert parsed.state.tolist() == [0, 1, 2, 2, 3, 4, 4, 0, 5, 6, 7]
+    assert len(parsed.attributes) == 8 and [list(a) for a in parsed.attributes[5:7]] == [["a", "b"], ["b", "a"]]
+
+
+@pytest.mark.parametrize("lines, line", [
+    # A set seen clean on line 1 comes again on line 3, after line 2's broken set: line 2 is named.
+    ([[ATTRS], [ATTRS, {**ATTRS, "action": "a\nb"}], [ATTRS, {**ATTRS, "action": "a\nb"}]], 2),
+    # Lines 1 and 2 share a clean set; line 3's broken set is named.
+    ([[ATTRS], [ATTRS], [{**ATTRS, "action": "a\u2028b"}, ATTRS]], 3),
+])
+def test_parse_observations_names_the_first_line_with_a_broken_attribute_set(lines, line):
+    # Lines in document order hold frames 1, 0 and 2: the error names a line, whatever its frame.
+    document = "\n".join(attributes_line(f, sets) for f, sets in zip([1, 0, 2], lines))
+    with pytest.raises(ParseError, match="line break in an attribute") as exc:
+        parse_observations(document)
+    assert (exc.value.line, exc.value.field) == (line, "attributes")
+
+
+def test_an_ingested_video_has_a_state_per_distinct_attribute_set():
+    world = synth_world(11, 600, 8)
+    assoc = associate(parse_observations(world.observations_text), parse_tracklets(world.tracklets_text), 0.1, 1.0)
+    nodes = assoc.nodes
+    assert (len(nodes), len(nodes.attributes), len(nodes.descriptions)) == (4804, 34, 34)
+    assert len({frozenset(a.items()) for a in nodes.attributes}) == 34
+    # Each node's state holds the attributes its observation lists.
+    listed = {(f["frame_index"], e["local_id"]): e["attributes"]
+              for f in map(json.loads, world.observations_text.splitlines()) for e in f["entities"]}
+    local_of = {(f, entity_id): local for f, mapping in assoc.id_map.items() for local, entity_id in mapping.items()}
+    assert all(dict(nodes.attributes[s]) == listed[f, local_of[f, e]]
+               for e, f, s in zip(nodes.entity.tolist(), nodes.frame.tolist(), nodes.state.tolist()))
 
 
 def test_parse_observations_rejects_gaps_and_duplicates():
@@ -384,8 +433,14 @@ def test_associate_timestamps_follow_fps():
 @pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
 def test_associate_rejects_an_fps_that_is_not_finite_and_positive(fps):
     # The tracklet names an unknown frame: the fps is checked before that, before any work.
-    with pytest.raises(ValueError, match="fps must be finite and > 0"):
+    with pytest.raises(ValueError, match="^fps must be a finite number > 0, got "):
         associate_video([frame_obs(0, [])], [Tracklet(0, {3: bb(0, 0, 1, 1)})], fps=fps)
+
+
+@pytest.mark.parametrize("min_iou", [-0.1, 1.5, float("nan")])
+def test_associate_rejects_a_min_iou_outside_0_to_1(min_iou):
+    with pytest.raises(ValueError, match=f"^min_iou must be between 0 and 1, got {min_iou}$"):
+        associate_video([frame_obs(0, [])], [Tracklet(0, {3: bb(0, 0, 1, 1)})], min_iou=min_iou)
 
 
 def test_associate_matches_at_exactly_min_iou():
