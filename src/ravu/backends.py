@@ -250,7 +250,7 @@ def event_select_payload(question: str, candidates: list[str], top: int) -> str:
 class MockBackend:
     """Deterministic offline provider; a pure function of (bundle, seed)."""
 
-    def __init__(self, seed: int = 0, dim: int = 256):
+    def __init__(self, seed: int, dim: int):
         self.seed = seed
         self.dim = dim
         self._word_cache: dict[str, np.ndarray] = {}
@@ -465,7 +465,7 @@ class RemoteBackend:
     """HTTP provider of the minimal {role, system, user, frames?} schema, with the config's token, model and deadline."""
 
     def __init__(self, endpoint: str, token: str, model: str,
-                 deadline_s: float, dim: int = 256):
+                 deadline_s: float, dim: int):
         if not endpoint:
             raise ValueError("remote backend requires an endpoint")
         self.endpoint = endpoint.rstrip("/")

@@ -27,7 +27,8 @@ SEGMENT = "segment"
 # The written-out name is accepted and canonicalized to the short one.
 ALIASES = {"analyze_entity_events": "analyze_events"}
 
-_EVENTS_TO_SAMPLE_RE = re.compile(r"^(previous:[1-9]\d*|next:[1-9]\d*|current|all)$")
+# An ``events_to_sample`` value; its groups are the direction and count of ``previous:N`` or ``next:N``.
+EVENTS_TO_SAMPLE_RE = re.compile(r"^(?:(previous|next):([1-9]\d*)|current|all)$")
 _TARGET_PARTS = {"beginning", "middle", "end"}
 
 
@@ -49,25 +50,27 @@ class ArgSpec:
 
 @dataclass(frozen=True)
 class Function:
-    """One plan function: its result type, whether it produces frames (and so
-    takes a share of the frame budget), and its arguments in rendering order."""
+    """One plan function: its result type, whether it produces frames (and so takes a share of
+    the frame budget), its arguments in rendering order, and the label of the fallback its
+    runner, the ``ravu.reasoning.StepRunner`` method of its name, may flag (``None``: none)."""
 
     result: str
     produces_frames: bool
     args: dict[str, ArgSpec]
+    fallback: str | None = None
 
 
 FUNCTIONS: dict[str, Function] = {
-    "localize_node": Function(NODE, True, {"query": ArgSpec(literal="str")}),
-    "identify_node": Function(NODE, False, {"query": ArgSpec(literal="str")}),
+    "localize_node": Function(NODE, True, {"query": ArgSpec(literal="str")}, "rerank"),
+    "identify_node": Function(NODE, False, {"query": ArgSpec(literal="str")}, "identify"),
     "analyze_events": Function(TIME, False, {
         "query": ArgSpec(literal="str"),
         "node": ArgSpec(ref_types=frozenset({NODE})),
-    }),
+    }, "event-analysis"),
     "sample_entity_events": Function(FRAMES, True, {
         "node": ArgSpec(ref_types=frozenset({NODE})),
         "sample_start_time": ArgSpec(literal="int", ref_types=frozenset({TIME})),
-        "events_to_sample": ArgSpec(literal="str", pattern=_EVENTS_TO_SAMPLE_RE),
+        "events_to_sample": ArgSpec(literal="str", pattern=EVENTS_TO_SAMPLE_RE),
     }),
     "extract_temporal_part": Function(SEGMENT, True, {
         "target_part": ArgSpec(literal="str", choices=frozenset(_TARGET_PARTS)),

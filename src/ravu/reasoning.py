@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import backends
 from .backends import generate_with_retries, make_bundle
@@ -21,7 +22,7 @@ from .config import check_range
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_descriptions, entity_timeline
 from .index import EmbeddingIndex, rerank
-from .plan import FUNCTIONS, ReasoningPlan, Ref, parse_plan
+from .plan import EVENTS_TO_SAMPLE_RE, FUNCTIONS, ReasoningPlan, Ref, parse_plan
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,9 @@ class Segment:
 class ExecutionResult:
     frames: list[int]
     values: list[object]
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
-    notes: str = ""
+    errors: list[tuple[int, str]]
+    flags: list[str]
+    notes: str
 
 
 def uniform_sample(frames: list[int], budget: int) -> list[int]:
@@ -98,9 +99,6 @@ def fn_analyze_events(
     return min(max(t, first), last), False
 
 
-_EVENTS_SPEC_RE = re.compile(r"^(previous|next):(\d+)$")
-
-
 def fn_sample_entity_events(
     graph: SpatioTemporalGraph,
     node: NodeRef,
@@ -108,23 +106,22 @@ def fn_sample_entity_events(
     events_to_sample: str,
     quota: int,
 ) -> list[int]:
-    """Frames sampled uniformly from the selected events of one entity."""
+    """Frames sampled uniformly from the selected events of one entity.
+
+    ``events_to_sample`` is read as a plan reads it (``plan.EVENTS_TO_SAMPLE_RE``); any other value,
+    such as ``previous:0``, raises ``ValueError``."""
     events = _entity_events(graph, node.entity_id)
     anchor = _anchor_event_index(events, sample_start_time)
-
-    if events_to_sample == "current":
-        selected = [events[anchor]]
-    elif events_to_sample == "all":
-        selected = events
+    match = EVENTS_TO_SAMPLE_RE.match(events_to_sample)
+    if not match:
+        raise ValueError(f"bad events_to_sample {events_to_sample!r}")
+    direction, count = match.groups()
+    if direction == "previous":
+        selected = events[max(0, anchor - int(count)) : anchor]
+    elif direction == "next":
+        selected = events[anchor + 1 : anchor + 1 + int(count)]
     else:
-        match = _EVENTS_SPEC_RE.match(events_to_sample)
-        if not match:
-            raise ValueError(f"bad events_to_sample {events_to_sample!r}")
-        count = int(match.group(2))
-        if match.group(1) == "previous":
-            selected = events[max(0, anchor - count) : anchor]
-        else:
-            selected = events[anchor + 1 : anchor + 1 + count]
+        selected = [events[anchor]] if events_to_sample == "current" else events
 
     frames: list[int] = []
     for ev in selected:
@@ -143,12 +140,6 @@ def temporal_thirds(n_frames: int) -> dict[str, Segment]:
         "middle": Segment(third, 2 * third - 1),
         "end": Segment(2 * third, n_frames - 1),
     }
-
-
-def fn_extract_temporal_part(n_frames: int, target_part: str, quota: int) -> tuple[Segment, list[int]]:
-    seg = temporal_thirds(n_frames)[target_part]
-    frames = uniform_sample(list(range(seg.start, seg.end + 1)), quota)
-    return seg, frames
 
 
 def _norm_word(word: str) -> str:
@@ -208,10 +199,6 @@ def fn_count_nodes(
     return count
 
 
-def fn_get_global_context(n_frames: int, quota: int) -> list[int]:
-    return uniform_sample(list(range(n_frames)), quota)
-
-
 def fn_identify_node(
     graph: SpatioTemporalGraph, query: str, backend
 ) -> tuple[NodeRef, bool]:
@@ -222,6 +209,52 @@ def fn_identify_node(
     reps = [entity_timeline(graph, entity_id)[0] for entity_id in entity_ids]
     chosen, fallback = rerank(query, [n.description or "" for n in reps], backend)
     return NodeRef(reps[chosen].entity_id, reps[chosen].frame_index), fallback
+
+
+class StepOutput(NamedTuple):
+    """A step's value, whether it fell back, the frames it retrieved and its note for the answerer."""
+
+    value: object
+    fallback: bool = False
+    frames: Sequence[int] = ()
+    note: str = ""
+
+
+class StepRunner:
+    """Runs plan steps over one graph, index and backend: each plan function's runner is the method
+    named after it, which takes the step's frame quota and resolved arguments and returns a ``StepOutput``."""
+
+    def __init__(self, graph: SpatioTemporalGraph, index: EmbeddingIndex, backend, top_k: int, max_retries: int):
+        self.graph, self.index, self.backend, self.top_k, self.max_retries = graph, index, backend, top_k, max_retries
+
+    def localize_node(self, quota: int, query: str) -> StepOutput:
+        loc = self.index.localize(query, self.top_k, self.backend)
+        ref = NodeRef(loc.candidate.entity_id, loc.candidate.frame_index)
+        return StepOutput(ref, loc.fallback, [ref.frame_index])
+
+    def identify_node(self, quota: int, query: str) -> StepOutput:
+        return StepOutput(*fn_identify_node(self.graph, query, self.backend))
+
+    def analyze_events(self, quota: int, query: str, node: NodeRef) -> StepOutput:
+        return StepOutput(*fn_analyze_events(self.graph, query, node, self.backend, self.max_retries))
+
+    def sample_entity_events(
+        self, quota: int, node: NodeRef, sample_start_time: int, events_to_sample: str
+    ) -> StepOutput:
+        frames = fn_sample_entity_events(self.graph, node, sample_start_time, events_to_sample, quota)
+        return StepOutput(frames, frames=frames)
+
+    def extract_temporal_part(self, quota: int, target_part: str) -> StepOutput:
+        seg = temporal_thirds(self.graph.num_frames)[target_part]
+        return StepOutput(seg, frames=uniform_sample(list(range(seg.start, seg.end + 1)), quota))
+
+    def count_nodes(self, quota: int, node_query: str, event_condition: str | None = None) -> StepOutput:
+        count = fn_count_nodes(self.graph, node_query, event_condition)
+        return StepOutput(count, note=f"count of '{node_query}': {count}")
+
+    def get_global_context(self, quota: int) -> StepOutput:
+        frames = uniform_sample(list(range(self.graph.num_frames)), quota)
+        return StepOutput(frames, frames=frames)
 
 
 def execute(
@@ -235,102 +268,63 @@ def execute(
 ) -> ExecutionResult:
     """Run the plan's steps in sequence and collect the retrieved frames.
 
-    ``localize_node`` reranks ``top_k`` candidates, and ``analyze_events``
-    asks at most ``max_retries`` times. Frame-producing steps share the
-    budget: each gets a quota of ceil(remaining / remaining frame-producing
-    steps). A step that fails with ``ValueError``, ``NotFound``,
-    ``EmptyIndex`` or ``MalformedResponse`` is recorded and execution
-    continues; any other exception propagates. If nothing produced frames,
-    a uniform-sampling fallback is appended; it is flagged only when the
-    plan has a frame-producing step, since a count plan answers from its
-    notes. The final set is sorted, de-duplicated, and truncated uniformly
-    to the budget.
+    Each step resolves its ``$n`` references and runs the ``StepRunner``
+    method named after its function, looked up when the step runs.
+    Frame-producing steps share the budget: each gets a quota of
+    ceil(remaining / remaining frame-producing steps). A step that falls back
+    is flagged ``step N: <label> fallback``, with its function's label. A step
+    that fails with ``ValueError``, ``NotFound``, ``EmptyIndex`` or
+    ``MalformedResponse`` is recorded and execution continues; any other
+    exception propagates. If nothing produced frames, a uniform-sampling
+    fallback is appended; it is flagged only when the plan has a
+    frame-producing step, since a count plan answers from its notes. The
+    final set is sorted, de-duplicated, and truncated uniformly to the budget.
     """
-    n_frames = graph.num_frames
+    runner = StepRunner(graph, index, backend, top_k, max_retries)
     values: list[object] = []
-    pool: list[int] = []
-    result = ExecutionResult(frames=[], values=values)
+    errors: list[tuple[int, str]] = []
+    flags: list[str] = []
     notes: list[str] = []
+    pool: list[int] = []
 
     frame_steps_left = sum(1 for s in plan.steps if FUNCTIONS[s.function].produces_frames)
     produces_frames = frame_steps_left > 0
 
-    for step_index, step in enumerate(plan.steps):
+    for number, step in enumerate(plan.steps, start=1):
+        function = FUNCTIONS[step.function]
         quota = 0
-        if FUNCTIONS[step.function].produces_frames:
-            remaining = max(0, budget - len(set(pool)))
-            quota = math.ceil(remaining / frame_steps_left) if frame_steps_left else 0
+        if function.produces_frames:
+            quota = math.ceil(max(0, budget - len(set(pool))) / frame_steps_left)
             frame_steps_left -= 1
 
         try:
-            args = {}
+            args = dict(step.args)
             for name, value in step.args.items():
                 if isinstance(value, Ref):
-                    resolved = values[value.step - 1]
-                    if resolved is None:
+                    args[name] = values[value.step - 1]
+                    if args[name] is None:
                         raise ValueError(f"step {value.step} failed; cannot resolve ${value.step}")
-                    args[name] = resolved
-                else:
-                    args[name] = value
-
-            if step.function == "localize_node":
-                loc = index.localize(args["query"], top_k, backend)
-                if loc.fallback:
-                    result.flags.append(f"step {step_index + 1}: rerank fallback")
-                ref = NodeRef(loc.candidate.entity_id, loc.candidate.frame_index)
-                values.append(ref)
-                pool.append(ref.frame_index)
-            elif step.function == "identify_node":
-                ref, fell_back = fn_identify_node(graph, args["query"], backend)
-                if fell_back:
-                    result.flags.append(f"step {step_index + 1}: identify fallback")
-                values.append(ref)
-            elif step.function == "analyze_events":
-                t, fell_back = fn_analyze_events(
-                    graph, args["query"], args["node"], backend, max_retries
-                )
-                if fell_back:
-                    result.flags.append(f"step {step_index + 1}: event-analysis fallback")
-                values.append(t)
-            elif step.function == "sample_entity_events":
-                frames = fn_sample_entity_events(
-                    graph,
-                    args["node"],
-                    args["sample_start_time"],
-                    args["events_to_sample"],
-                    quota,
-                )
-                values.append(frames)
-                pool.extend(frames)
-            elif step.function == "extract_temporal_part":
-                seg, frames = fn_extract_temporal_part(n_frames, args["target_part"], quota)
-                values.append(seg)
-                pool.extend(frames)
-            elif step.function == "count_nodes":
-                count = fn_count_nodes(graph, args["node_query"], args.get("event_condition"))
-                values.append(count)
-                notes.append(f"count of '{args['node_query']}': {count}")
-            elif step.function == "get_global_context":
-                frames = fn_get_global_context(n_frames, quota)
-                values.append(frames)
-                pool.extend(frames)
-            else:  # pragma: no cover - parser rejects unknown functions
-                raise ValueError(f"unknown function {step.function}")
+            out = getattr(runner, step.function)(quota, **args)
         except (ValueError, NotFound, EmptyIndex, MalformedResponse) as exc:
             values.append(None)
-            result.errors.append((step_index + 1, str(exc)))
+            errors.append((number, str(exc)))
+            continue
+        values.append(out.value)
+        pool.extend(out.frames)
+        if out.note:
+            notes.append(out.note)
+        if out.fallback:
+            flags.append(f"step {number}: {function.fallback} fallback")
 
-    if not pool and n_frames:
-        pool = fn_get_global_context(n_frames, budget)
+    if not pool and graph.num_frames:
+        pool = runner.get_global_context(budget).value
         if produces_frames:
-            result.flags.append("no frames produced; global-context fallback")
+            flags.append("no frames produced; global-context fallback")
 
-    final = sorted({f for f in pool if 0 <= f < n_frames})
+    final = sorted({f for f in pool if 0 <= f < graph.num_frames})
     if len(final) > budget:
         final = uniform_sample(final, budget)
-    result.frames = final
-    result.notes = "; ".join(notes)
-    return result
+    return ExecutionResult(final, values, errors, flags, "; ".join(notes))
 
 
 # ---------------------------------------------------------------------------

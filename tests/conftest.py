@@ -11,6 +11,13 @@ from ravu.graph_model import SpatioTemporalGraph
 from ravu.synth import synth_world
 
 
+def mock_backend(cls=MockBackend, *args, **kwargs) -> MockBackend:
+    """A ``cls``, ``MockBackend`` or a subclass, made with ``args`` and ``kwargs`` and the default config's
+    ``mock_seed`` and ``embed_dim`` as ``seed`` and ``dim``; a subclass's ``__init__`` hands those two on."""
+    cfg = RavuConfig()
+    return cls(*args, **kwargs, seed=cfg.mock_seed, dim=cfg.embed_dim)
+
+
 def make_columns(records) -> EmbeddingColumns:
     """Columns of ``records`` (``EmbeddingRecord``s, or anything with their four
     attributes), in order, each row with a vector of its own."""
@@ -75,7 +82,7 @@ def count_table_builds(monkeypatch) -> dict[str, list]:
 
 @pytest.fixture
 def backend():
-    return MockBackend()
+    return mock_backend()
 
 
 @pytest.fixture(scope="session")
@@ -86,5 +93,5 @@ def world():
 @pytest.fixture(scope="session")
 def assets(world):
     return build_video(
-        world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()
+        world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()
     )

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ravu import accel
-from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.datasets import McqItem
 from ravu.errors import ParseError
@@ -32,7 +31,7 @@ from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.plan import parse_plan
 from ravu.synth import make_corpus, synth_world
 
-from conftest import make_columns
+from conftest import make_columns, mock_backend
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -263,7 +262,7 @@ def test_criterion_3_index_exactness():
 def corpus():
     start = time.perf_counter()
     worlds = make_corpus(42, n_videos=50)
-    backend = MockBackend()
+    backend = mock_backend()
     cfg = RavuConfig()
     assets = {
         w.video_id: build_video(w.observations_text, w.tracklets_text, backend, cfg)
@@ -284,7 +283,7 @@ def corpus():
 
 
 def test_criterion_4_event_invariants():
-    backend = MockBackend()
+    backend = mock_backend()
     cfg = RavuConfig()
     for seed in range(20):
         w = synth_world(seed)
@@ -358,7 +357,7 @@ def test_criterion_8_determinism(corpus):
     worlds = corpus["worlds"]
     runs = []
     for _ in range(2):
-        backend = MockBackend()
+        backend = mock_backend()
         cfg = RavuConfig()
         rebuilt_worlds = make_corpus(42, n_videos=50)
         graphs = []

@@ -25,7 +25,7 @@ from ravu.index import EmbeddingIndex, rerank
 from ravu.reasoning import load_example_library
 from ravu.synth import make_corpus, synth_world
 
-from conftest import make_columns
+from conftest import make_columns, mock_backend
 
 
 def test_bundle_role_validation():
@@ -56,8 +56,8 @@ def test_embed_deterministic_unit_norm(backend):
 
 
 def test_embed_seed_changes_vectors():
-    a = MockBackend(seed=0).embed("hello world")
-    b = MockBackend(seed=1).embed("hello world")
+    a = MockBackend(seed=0, dim=RavuConfig().embed_dim).embed("hello world")
+    b = MockBackend(seed=1, dim=RavuConfig().embed_dim).embed("hello world")
     assert not np.allclose(a, b)
 
 
@@ -283,7 +283,7 @@ def _patch_post(monkeypatch, response=None, exc=None, record=None):
 def test_remote_backend_generate(monkeypatch):
     record = []
     _patch_post(monkeypatch, _FakeResponse(payload={"text": "hello"}), record=record)
-    remote = RemoteBackend("http://example.test/api/", token="tok", model="m1", deadline_s=60.0)
+    remote = RemoteBackend("http://example.test/api/", token="tok", model="m1", deadline_s=60.0, dim=RavuConfig().embed_dim)
     bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
     assert remote.generate(bundle) == "hello"
     sent = record[0]
@@ -307,7 +307,7 @@ def test_remote_backend_reuses_one_session(monkeypatch):
 
 
 def test_remote_backend_error_mapping(monkeypatch):
-    remote = RemoteBackend("http://example.test", "", "", 60.0)
+    remote = RemoteBackend("http://example.test", "", "", 60.0, dim=RavuConfig().embed_dim)
     bundle = make_bundle("rerank", backends.rerank_payload("x", ["x"]))
 
     _patch_post(monkeypatch, _FakeResponse(status_code=451))
@@ -432,7 +432,7 @@ def test_localize_with_a_non_finite_embedding_ends_as_a_typed_error(monkeypatch)
 
 def test_remote_backend_requires_endpoint():
     with pytest.raises(ValueError):
-        RemoteBackend("", "", "", 60.0)
+        RemoteBackend("", "", "", 60.0, dim=RavuConfig().embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ class RecordingBackend:
     """A MockBackend that hashes every bundle it is sent with its reply."""
 
     def __init__(self):
-        self.inner = MockBackend()
+        self.inner = mock_backend()
         self.digest = hashlib.sha256()
 
     def _record(self, bundle, reply):
@@ -681,7 +681,7 @@ def test_builders_and_mock_rules_agree_with_the_scanners_they_replaced(role, dat
     if old_build is not None:
         assert payload == old_build(*args)
     if old_rule is not None and BLOCK_TOKEN not in payload:
-        assert outcome(lambda: MockBackend().generate(make_bundle(role, payload))) == outcome(lambda: old_rule(payload))
+        assert outcome(lambda: mock_backend().generate(make_bundle(role, payload))) == outcome(lambda: old_rule(payload))
 
 
 @given(TEXT, st.lists(TEXT, min_size=1, max_size=4), TEXT)
@@ -690,4 +690,4 @@ def test_answer_rule_agrees_with_the_scanner_it_replaced(question, options, note
     old_payload = "\n".join([f"question: {question}", "options:", *(f"{i}|{o}" for i, o in enumerate(options))])
     assert payload == (f"{old_payload}\nnotes: {notes}" if notes else old_payload)
     if BLOCK_TOKEN not in payload:
-        assert MockBackend().answer(make_bundle("answer", payload, []), question, options) == old_answer(payload, options)
+        assert mock_backend().answer(make_bundle("answer", payload, []), question, options) == old_answer(payload, options)

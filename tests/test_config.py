@@ -182,6 +182,9 @@ def test_a_config_cannot_be_changed_in_place():
 SRC = Path(ravu.__file__).parent
 # The names a config value goes by as a parameter: each field's, and the question path's aliases.
 CONFIG_NAMES = {f.name for f in dataclasses.fields(RavuConfig)} | {"per_event", "top"}
+# A backend's constructor takes ``embed_dim`` as ``dim`` and ``mock_seed`` as ``seed``. Elsewhere these
+# names are no config value: ``synth_world``'s ``seed`` picks a world.
+BACKEND_ALIASES = {"dim", "seed"}
 # ``pipebench/workloads.py`` calls ``answer_question`` with ``budget=``, ``top_k=`` and ``per_event=`` and
 # relies on the default ``max_retries``: its signature changes with the benchmark.
 EXEMPT = {"ravu.evaluate.answer_question"}
@@ -201,8 +204,13 @@ def package_functions():
                         yield f"{module.__name__}.{name}.{attr}", member
 
 
+def is_backend_constructor(qualname: str) -> bool:
+    return qualname.startswith("ravu.backends.") and qualname.endswith("Backend.__init__")
+
+
 def test_no_signature_restates_a_config_default():
-    """No parameter named after a config value has a default, outside ``EXEMPT``.
+    """No parameter named after a config value, or on a backend's constructor after its alias, has a
+    default, outside ``EXEMPT``.
 
     The graph's own ``fps`` field (``SpatioTemporalGraph.__init__``) is a
     record of the graph, not a setting: ``deserialize`` and ``build_graph``
@@ -213,7 +221,9 @@ def test_no_signature_restates_a_config_default():
         for qualname, function in package_functions()
         if qualname not in EXEMPT
         for parameter in inspect.signature(function).parameters.values()
-        if parameter.name in CONFIG_NAMES and parameter.default is not parameter.empty
+        if (parameter.name in CONFIG_NAMES
+            or (is_backend_constructor(qualname) and parameter.name in BACKEND_ALIASES))
+        and parameter.default is not parameter.empty
         and (qualname, parameter.name) != ("ravu.graph_model.SpatioTemporalGraph.__init__", "fps")
     ]
     assert found == []
@@ -223,6 +233,8 @@ def test_the_scan_sees_the_functions_it_guards():
     names = dict(package_functions())
     assert {"ravu.ingestion.associate", "ravu.reasoning.hierarchical_retrieve",
             "ravu.backends.RemoteBackend.__init__", *EXEMPT} <= set(names)
+    assert {name for name in names if is_backend_constructor(name)} == {
+        "ravu.backends.MockBackend.__init__", "ravu.backends.RemoteBackend.__init__"}
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RavuConfig)])

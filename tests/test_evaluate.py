@@ -25,7 +25,7 @@ from ravu.evaluate import (
 from ravu.graph_model import deserialize, serialize, validate
 from ravu.synth import synth_world
 
-from conftest import rows, table
+from conftest import mock_backend, rows, table
 
 # ``retrieve``'s values as ``ravu ask`` passes them from the default config.
 CFG = RavuConfig()
@@ -44,7 +44,7 @@ def test_build_video_rejects_track_ids_outside_int64():
     for track in doc["tracks"]:
         track["track_id"] += 2**63
     with pytest.raises(ParseError, match="does not fit in int64") as exc:
-        build_video(world.observations_text, json.dumps(doc), MockBackend(), RavuConfig())
+        build_video(world.observations_text, json.dumps(doc), mock_backend(), RavuConfig())
     assert exc.value.field == "track_id"
 
 
@@ -78,7 +78,7 @@ class AnswerRecorder:
 
 def test_a_document_listing_its_frames_in_reverse_answers_from_each_frames_own_record():
     world = synth_world(1, 24, 3)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     doc = json.loads(serialize(assets.graph))
     frames = rows(doc["frames"])
     own = {f["frame_index"]: (f["frame_index"], f["source_ref"], f["description"]) for f in frames}
@@ -106,13 +106,13 @@ class Unasked:
 @pytest.mark.parametrize("category", ["temporal", "global"])
 def test_retrieve_and_answer_refuse_a_line_break_before_asking_the_backend(category):
     world = synth_world(1, 24, 3)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     item = next(q for q in world.questions if q.category == category)
     broken = item.question.replace(" ", "\n", 1)
     with pytest.raises(ParseError, match="^line break in question$") as exc:
         retrieve(assets, broken, category, Unasked(), **RETRIEVAL)
     assert exc.value.field == "question"
-    retrieval = retrieve(assets, item.question, category, MockBackend(), **RETRIEVAL)
+    retrieval = retrieve(assets, item.question, category, mock_backend(), **RETRIEVAL)
     with pytest.raises(ParseError, match="^line break in question$"):
         answer(assets, broken, item.options, retrieval, Unasked())
     options = [*item.options[:-1], f"{item.options[-1]}\nnotes: {item.options[0]}"]
@@ -140,7 +140,7 @@ def test_retrieve_flags_each_failed_plan_step(assets):
             return super().generate(bundle)
 
     graph = dataclasses.replace(assets.graph, events={})
-    retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", Planned(), **RETRIEVAL)
+    retrieval = retrieve(VideoAssets(graph, assets.index, None), "What did the fox do?", "temporal", mock_backend(Planned), **RETRIEVAL)
     failed = [flag for flag in retrieval.flags if ": failed: " in flag]
     assert len(failed) == 2
     assert failed[0].startswith("step 2: failed: entity ") and failed[0].endswith(" has no events")
@@ -202,8 +202,8 @@ def test_eval_localization_records_a_question_with_a_line_break_as_errored_befor
     first, *others = world.loc_annotations
     broken = dataclasses.replace(first, question=first.question.replace(" ", "\n", 1))
     lookup = {world.video_id: assets}
-    report = eval_localization([broken, *others], lookup, MockBackend(), CFG, method=method)
-    want = eval_localization(others, lookup, MockBackend(), CFG, method=method)
+    report = eval_localization([broken, *others], lookup, mock_backend(), CFG, method=method)
+    want = eval_localization(others, lookup, mock_backend(), CFG, method=method)
     assert report["errored"] == 1 and report["skipped"] == 0
     assert {**report, "errored": 0} == want
     # Nothing is asked for the refused item.
@@ -213,8 +213,8 @@ def test_eval_localization_records_a_question_with_a_line_break_as_errored_befor
 class LocFailingBackend(MockBackend):
     """Raises ``error`` from the embedding of ``question``, or from the rerank that grounds it."""
 
-    def __init__(self, question, stage, error):
-        super().__init__()
+    def __init__(self, question, stage, error, **backend_args):
+        super().__init__(**backend_args)
         self.question, self.stage, self.error, self.raised = question, stage, error, 0
 
     def fail(self):
@@ -249,9 +249,9 @@ def test_eval_localization_records_a_backend_failure_as_errored(world, assets, m
     lookup = {world.video_id: assets}
     victim = world.loc_annotations[1]
     others = [a for a in world.loc_annotations if a is not victim]
-    failing = LocFailingBackend(victim.question, stage, error)
+    failing = mock_backend(LocFailingBackend, victim.question, stage, error)
     report = eval_localization(world.loc_annotations, lookup, failing, CFG, method=method)
-    want = eval_localization(others, lookup, MockBackend(), CFG, method=method)
+    want = eval_localization(others, lookup, mock_backend(), CFG, method=method)
     assert failing.raised == 1
     assert report["errored"] == 1 and want["errored"] == 0
     assert {**report, "errored": 0} == want
@@ -287,7 +287,7 @@ def test_determinism_two_runs():
     results = []
     for _ in range(2):
         w = synth_world(13)
-        backend = MockBackend()
+        backend = mock_backend()
         assets = build_video(w.observations_text, w.tracklets_text, backend, RavuConfig())
         report = eval_qa(w.questions, {w.video_id: assets}, backend)
         results.append(report_to_json(report))
@@ -298,8 +298,8 @@ class RecordingBackend(MockBackend):
     """Mock that records the frames of every answer call and counts
     breakdown calls, optionally replying garbage to breakdown."""
 
-    def __init__(self, garbage_breakdown=False):
-        super().__init__()
+    def __init__(self, garbage_breakdown=False, **backend_args):
+        super().__init__(**backend_args)
         self.garbage_breakdown = garbage_breakdown
         self.answered_frames = []
         self.breakdown_calls = 0
@@ -319,17 +319,17 @@ class RecordingBackend(MockBackend):
 def test_eval_qa_follows_config_like_ask(world, assets):
     cfg = RavuConfig(hier_per_event=1, max_retries=3)
     item = next(q for q in world.questions if q.category == "global")
-    want = answer_question(assets, item, MockBackend(), per_event=1).frames
-    assert want != answer_question(assets, item, MockBackend(), per_event=3).frames
+    want = answer_question(assets, item, mock_backend(), per_event=1).frames
+    assert want != answer_question(assets, item, mock_backend(), per_event=3).frames
 
-    recording = RecordingBackend()
+    recording = mock_backend(RecordingBackend)
     eval_qa([item], {world.video_id: assets}, recording, cfg)
     assert recording.answered_frames == [want]
 
 
 def test_eval_qa_threads_max_retries_to_breakdown(world, assets):
     items = [q for q in world.questions if q.category != "global"]
-    recording = RecordingBackend(garbage_breakdown=True)
+    recording = mock_backend(RecordingBackend, garbage_breakdown=True)
     eval_qa(items, {world.video_id: assets}, recording, RavuConfig(max_retries=3))
     assert items and recording.breakdown_calls == 3 * len(items)
 
@@ -337,8 +337,8 @@ def test_eval_qa_threads_max_retries_to_breakdown(world, assets):
 class BreakdownTimeoutBackend(MockBackend):
     """Mock that times out on the breakdown of one question."""
 
-    def __init__(self, question):
-        super().__init__()
+    def __init__(self, question, **backend_args):
+        super().__init__(**backend_args)
         self.question = question
 
     def generate(self, bundle):
@@ -350,9 +350,9 @@ class BreakdownTimeoutBackend(MockBackend):
 def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
     victim = next(q for q in world.questions if q.category != "global")
     others = [q for q in world.questions if q is not victim]
-    failing = BreakdownTimeoutBackend(victim.question)
+    failing = mock_backend(BreakdownTimeoutBackend, victim.question)
     report = eval_qa(world.questions, {world.video_id: assets}, failing)
-    want = eval_qa(others, {world.video_id: assets}, MockBackend())
+    want = eval_qa(others, {world.video_id: assets}, mock_backend())
     assert report["errored"] == 1 and want["errored"] == 0
 
     # The failed breakdown prompt still counts towards the mean.
@@ -369,7 +369,7 @@ def test_eval_qa_records_a_backend_failure_as_errored(world, assets):
 @pytest.mark.parametrize("field", ["question", "options"])
 def test_eval_qa_records_an_item_with_a_line_break_as_errored_before_asking(field):
     world = synth_world(1, 24, 3)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     first, *others = world.questions
     assert len(others) == 3
     if field == "question":
@@ -378,8 +378,8 @@ def test_eval_qa_records_an_item_with_a_line_break_as_errored_before_asking(fiel
         broken = dataclasses.replace(first, options=[*first.options[:-1], first.options[-1] + "\n"])
     with pytest.raises(ParseError, match=f"^line break in {field}$"):
         answer_question(assets, broken, Unasked())
-    report = eval_qa([broken, *others], {world.video_id: assets}, MockBackend())
-    want = eval_qa(others, {world.video_id: assets}, MockBackend())
+    report = eval_qa([broken, *others], {world.video_id: assets}, mock_backend())
+    want = eval_qa(others, {world.video_id: assets}, mock_backend())
     assert report["errored"] == 1 and report["overall"]["items"] == 3
     # The refused item spent no prompt tokens, and counts in the mean as 0.
     assert report["mean_prompt_tokens"] == pytest.approx(want["mean_prompt_tokens"] * 3 / 4)
@@ -395,6 +395,6 @@ def test_eval_qa_records_a_failed_remote_request_as_errored(world, assets, monke
 
     monkeypatch.setattr(requests.Session, "post", fail)
     items = world.questions[:4]
-    report = eval_qa(items, {world.video_id: assets}, RemoteBackend("http://example.test", "", "", 60.0))
+    report = eval_qa(items, {world.video_id: assets}, RemoteBackend("http://example.test", "", "", 60.0, dim=RavuConfig().embed_dim))
     assert report["errored"] == len(items)
     assert report["categories"] == {} and report["overall"]["items"] == 0

@@ -40,7 +40,7 @@ from ravu.graph_model import (
 from ravu.ingestion import associate, parse_observations, parse_tracklets
 from ravu.synth import synth_world
 
-from conftest import count_table_builds, new_state, record_rows, rows, table
+from conftest import count_table_builds, mock_backend, new_state, record_rows, rows, table
 
 
 def node(entity_id, frame, action="running", appearance="red fox", desc=None):
@@ -83,14 +83,14 @@ def test_build_frame_graph_no_comention_tolerates_empty(backend):
 def test_build_frame_graph_raises_when_comention_unparseable():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
     with pytest.raises(MalformedResponse):
-        build_frame_graph([(frame, [1, 2])], FailingGenBackend(), max_retries=2)
+        build_frame_graph([(frame, [1, 2])], mock_backend(FailingGenBackend), max_retries=2)
 
 
 class FlakyGenBackend(MockBackend):
     """Mock whose first ``bad`` generate() calls return garbage."""
 
-    def __init__(self, bad):
-        super().__init__()
+    def __init__(self, bad, **backend_args):
+        super().__init__(**backend_args)
         self.bad = bad
         self.calls = 0
 
@@ -102,7 +102,7 @@ class FlakyGenBackend(MockBackend):
 @pytest.mark.parametrize("max_retries, calls", [(0, 1), (1, 1), (3, 3)])
 def test_build_frame_graph_calls_at_most_max_retries(max_retries, calls):
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
-    flaky = FlakyGenBackend(bad=99)
+    flaky = mock_backend(FlakyGenBackend, bad=99)
     with pytest.raises(MalformedResponse):
         build_frame_graph([(frame, [1, 2])], flaky, max_retries)
     assert flaky.calls == calls
@@ -110,7 +110,7 @@ def test_build_frame_graph_calls_at_most_max_retries(max_retries, calls):
 
 def test_build_frame_graph_counts_drops_of_the_accepted_reply():
     frame = FrameRecord(0, 0.0, "[E1] chases [E2].")
-    flaky = FlakyGenBackend(bad=1)
+    flaky = mock_backend(FlakyGenBackend, bad=1)
     edges, dropped = build_frame_graph([(frame, [1, 2])], flaky, max_retries=2)
     assert flaky.calls == 2
     assert len(edges) == 1 and dropped == 0
@@ -149,7 +149,7 @@ def test_segment_events_absence_gap_forces_boundary(backend):
 
 def test_segment_events_fallback_flagged():
     graph = small_described_graph()
-    seg = segment_events(graph, 0, FailingGenBackend(), max_retries=2)
+    seg = segment_events(graph, 0, mock_backend(FailingGenBackend), max_retries=2)
     assert seg.fallback
     assert [(e.start_frame, e.end_frame) for e in seg.events] == [(0, 3)]
     assert seg.events[0].summary  # non-empty summary even in fallback
@@ -158,8 +158,8 @@ def test_segment_events_fallback_flagged():
 class HugeSpanBackend(MockBackend):
     """Mock that answers every event segmentation with one span of 10**11 frames, and counts them."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **backend_args):
+        super().__init__(**backend_args)
         self.segmentations = 0
 
     def generate(self, bundle):
@@ -171,7 +171,7 @@ class HugeSpanBackend(MockBackend):
 
 def test_a_reply_span_past_the_run_is_retried_then_flagged_without_expanding_it():
     assoc = associated(synth_world(1, 24, 3))
-    huge = HugeSpanBackend()
+    huge = mock_backend(HugeSpanBackend)
     graph, report = build_graph(assoc.frames, assoc.nodes, huge, fps=1.0, max_retries=2)
     assert report.fallback_entities == graph.entity_ids()
     runs = {
@@ -342,8 +342,8 @@ def node_blocks(payload):
 class CountingBackend(MockBackend):
     """Mock that records every node block it is asked, each embed text and the calls per role."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **backend_args):
+        super().__init__(**backend_args)
         self.payloads = Counter()
         self.texts = Counter()
         self.calls = Counter()
@@ -453,13 +453,13 @@ def test_column_node_blocks_equal_the_record_blocks(graph):
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
 def test_column_node_blocks_equal_the_record_blocks_of_built_graphs(shape):
     for seed in (1, 11) if shape[0] == 600 else range(5):
-        assert_column_blocks_are_the_record_blocks(build(synth_world(seed, *shape), MockBackend()))
+        assert_column_blocks_are_the_record_blocks(build(synth_world(seed, *shape), mock_backend()))
 
 
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
 def test_a_built_graph_lists_each_state_once(shape):
     """A build numbers its states as a load does: one per distinct (attributes, description) pair."""
-    graph = build(synth_world(11, *shape), MockBackend())
+    graph = build(synth_world(11, *shape), mock_backend())
     assert len(graph.nodes.descriptions) == len(deserialize(serialize(graph)).nodes.descriptions)
     assert len(graph.nodes.descriptions) < len(graph.nodes)
 
@@ -467,7 +467,7 @@ def test_a_built_graph_lists_each_state_once(shape):
 def test_nodes_of_one_state_given_one_sentence_share_a_described_state():
     """Three nodes of one state have three blocks; a reply of one sentence for all three gives them one state."""
     nodes = NodeTable([1, 2, 3], [0, 0, 0], [[0, 0, 1, 1]] * 3, [0, 0, 0], [node(1, 0).attributes], [None])
-    scripted = ScriptedBackend("node_description", ["0|a fox\n1|a fox\n2|a fox"])
+    scripted = mock_backend(ScriptedBackend, "node_description", ["0|a fox\n1|a fox\n2|a fox"])
     graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, fps=1.0, max_retries=2)
     assert len(scripted.asked) == 1 and scripted.asked[0].count("item ") == 3
     assert [n.description for n in graph.nodes] == ["a fox"] * 3
@@ -476,7 +476,7 @@ def test_nodes_of_one_state_given_one_sentence_share_a_described_state():
 
 def test_build_asks_each_distinct_prompt_once():
     world = synth_world(1, 200, 6)
-    backend = CountingBackend()
+    backend = mock_backend(CountingBackend)
     assets = build_video(world.observations_text, world.tracklets_text, backend, RavuConfig())
     graph = assets.graph
     payloads = set(node_payloads(graph))
@@ -492,7 +492,7 @@ def test_build_makes_each_node_table_once(monkeypatch, shape):
     """One entity timeline per build, for the events; the frames' entity IDs and the nodes' edges are read
     from the columns, so a build makes no node-by-frame table and no edge table."""
     built = count_table_builds(monkeypatch)
-    graph = build(synth_world(1, *shape), MockBackend())
+    graph = build(synth_world(1, *shape), mock_backend())
     assert {name: len(graphs) for name, graphs in built.items()} == {
         "_by_frame": 0, "_timeline": 1, "_edges_at": 0, "_descriptions": 0
     }
@@ -510,7 +510,7 @@ def test_build_makes_no_node_record(monkeypatch, shape):
             return EntityNode.__new__(EntityNode, *fields)
 
     monkeypatch.setattr(graph_model, "EntityNode", Counted)
-    graph = build(synth_world(1, *shape), MockBackend())
+    graph = build(synth_world(1, *shape), mock_backend())
     assert made == [] and graph.nodes._views is None
     first = graph.nodes[0]  # a reader's access makes the row's record, as counted here
     assert made == [(first.entity_id, first.frame_index)]
@@ -524,7 +524,7 @@ def test_batched_build_equals_one_item_per_call(monkeypatch, shape):
         built = {}
         for per_call in (1, 8):
             monkeypatch.setattr(graph_builder, "ITEMS_PER_CALL", per_call)
-            counting = CountingBackend()
+            counting = mock_backend(CountingBackend)
             built[per_call] = counting, build_video(
                 world.observations_text, world.tracklets_text, counting, RavuConfig()
             )
@@ -545,8 +545,8 @@ def test_batched_build_equals_one_item_per_call(monkeypatch, shape):
 class ScriptedBackend(MockBackend):
     """Answers ``role`` from scripted replies, in turn, and records its payloads; the mock answers the rest."""
 
-    def __init__(self, role, replies):
-        super().__init__()
+    def __init__(self, role, replies, **backend_args):
+        super().__init__(**backend_args)
         self.role, self.replies, self.asked = role, list(replies), []
 
     def generate(self, bundle):
@@ -568,7 +568,7 @@ def triples(edges):
 
 def test_frame_graph_reply_missing_a_frame_reasks_only_that_frame():
     batch = chase_frames()
-    scripted = ScriptedBackend("frame_graph", ["0|1|chases|2\n2|1|chases|2", "1|2|flees|1"])
+    scripted = mock_backend(ScriptedBackend, "frame_graph", ["0|1|chases|2\n2|1|chases|2", "1|2|flees|1"])
     edges, dropped = build_frame_graph(batch, scripted, max_retries=2)
     assert scripted.asked[1] == frame_graph_payload([(1, [1, 2], batch[1][0].description)])
     assert triples(edges) == [(0, 1, "chases", 2), (1, 2, "flees", 1), (2, 1, "chases", 2)]
@@ -578,7 +578,7 @@ def test_frame_graph_reply_missing_a_frame_reasks_only_that_frame():
 def test_frame_graph_line_naming_no_requested_frame_is_dropped_with_the_first_kept_frame():
     batch = chase_frames()
     reply = "7|1|chases|2\n1|1|chases|2\n2|1|chases|2\nchases\nx|1|chases|2"
-    scripted = ScriptedBackend("frame_graph", [reply, "0|1|chases|2"])
+    scripted = mock_backend(ScriptedBackend, "frame_graph", [reply, "0|1|chases|2"])
     edges, dropped = build_frame_graph(batch, scripted, max_retries=2)
     # Frame 0 got no line and is asked again; the three stray lines count once, with frame 1.
     assert len(scripted.asked) == 2
@@ -597,7 +597,7 @@ def test_dropped_edge_lines_counts_only_the_lines_of_kept_replies():
         "5|1|chases|2",  # no requested frame: counted with frame 0
     ])
     rejected = "@@@\n1|2|2|x"  # frame 1 rejected again: nothing counted
-    scripted = ScriptedBackend("frame_graph", [first, rejected, "1|1|chases|2\n1|1|chases|1"])
+    scripted = mock_backend(ScriptedBackend, "frame_graph", [first, rejected, "1|1|chases|2\n1|1|chases|1"])
     graph, report = build_graph(frames, nodes, scripted, fps=1.0, max_retries=3)
     assert len(scripted.asked) == 3
     assert triples(graph.edges) == [(0, 1, "chases", 2), (1, 1, "chases", 2)]
@@ -605,7 +605,7 @@ def test_dropped_edge_lines_counts_only_the_lines_of_kept_replies():
 
 
 def test_frame_graph_error_names_the_first_rejected_frame():
-    scripted = ScriptedBackend("frame_graph", ["0|1|chases|2"] * 2)
+    scripted = mock_backend(ScriptedBackend, "frame_graph", ["0|1|chases|2"] * 2)
     with pytest.raises(MalformedResponse, match="^frame 1: "):
         build_frame_graph(chase_frames(), scripted, max_retries=2)
     assert len(scripted.asked) == 2
@@ -614,7 +614,7 @@ def test_frame_graph_error_names_the_first_rejected_frame():
 def described_build(replies, max_retries=2):
     """(node descriptions, scripted backend) of a build of three nodes in one calm frame."""
     nodes = [node(i, 0, appearance=f"animal {i}") for i in range(3)]
-    scripted = ScriptedBackend("node_description", replies)
+    scripted = mock_backend(ScriptedBackend, "node_description", replies)
     graph, _ = build_graph([FrameRecord(0, 0.0, "calm scene.")], nodes, scripted, fps=1.0, max_retries=max_retries)
     return [n.description for n in graph.nodes], scripted
 
@@ -641,7 +641,7 @@ def test_description_error_names_the_first_rejected_node():
 
 @pytest.mark.parametrize("max_retries, calls", [(0, 1), (1, 1), (3, 3)])
 def test_describe_node_calls_at_most_max_retries(max_retries, calls):
-    flaky = FlakyGenBackend(bad=99)
+    flaky = mock_backend(FlakyGenBackend, bad=99)
     with pytest.raises(MalformedResponse):
         describe_node(SpatioTemporalGraph(nodes=[node(3, 0)]), node(3, 0), flaky, max_retries)
     assert flaky.calls == calls
@@ -660,7 +660,7 @@ def test_build_rejects_a_line_break_before_any_backend_call(field, value):
     else:
         frame["entities"][0]["attributes"]["action"] = value
     lines[3] = json.dumps(frame)
-    counting = CountingBackend()
+    counting = mock_backend(CountingBackend)
     with pytest.raises(ParseError, match="line break") as exc:
         build_video("\n".join(lines), world.tracklets_text, counting, RavuConfig())
     assert exc.value.line == 4 and not counting.calls
@@ -690,8 +690,8 @@ def reference_build(world, backend):
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6), (600, 8)])
 def test_memoised_build_matches_one_call_per_node(shape):
     world = synth_world(1, *shape)
-    graph, matrix = reference_build(world, MockBackend())
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    graph, matrix = reference_build(world, mock_backend())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     assert graph_model.serialize(assets.graph) == graph_model.serialize(graph)
     assert assets.index.vectors[assets.index.vector_of].tobytes() == matrix.tobytes()
 
@@ -721,7 +721,7 @@ def per_frame_events(graph, entity_id):
 def test_state_table_segmentation_matches_the_per_frame_rule(shape):
     for seed in range(10):
         assoc = associated(synth_world(seed, *shape))
-        graph, report = build_graph(assoc.frames, assoc.nodes, MockBackend(), fps=1.0, max_retries=2)
+        graph, report = build_graph(assoc.frames, assoc.nodes, mock_backend(), fps=1.0, max_retries=2)
         assert report.fallback_entities == []
         assert graph.events == {e: tuple(per_frame_events(graph, e)) for e in graph.entity_ids()}
 
@@ -739,9 +739,9 @@ class FirstReplyEmptyBackend(CountingBackend):
 
 def test_memo_keeps_the_retry_and_reuses_the_accepted_reply():
     world = synth_world(1, 24, 3)
-    flaky = FirstReplyEmptyBackend()
+    flaky = mock_backend(FirstReplyEmptyBackend)
     graph = build(world, flaky, max_retries=2)
-    want = build(world, MockBackend())
+    want = build(world, mock_backend())
     assert len(flaky.payloads) < len(graph.nodes)
     assert set(flaky.payloads.values()) == {2}
     # Every block of a batch is rejected once, and the batch is asked again in one more call.
@@ -752,8 +752,8 @@ def test_memo_keeps_the_retry_and_reuses_the_accepted_reply():
 class TimeoutOnceBackend(CountingBackend):
     """Times out the first time it is asked a prompt holding the node block ``payload``."""
 
-    def __init__(self, payload):
-        super().__init__()
+    def __init__(self, payload, **backend_args):
+        super().__init__(**backend_args)
         self.payload = payload
         self.timed_out = False
 
@@ -770,10 +770,10 @@ class TimeoutOnceBackend(CountingBackend):
 
 def test_timeout_on_a_repeated_prompt_propagates_and_is_not_remembered():
     world = synth_world(1, 24, 3)
-    want = build(world, MockBackend())
+    want = build(world, mock_backend())
     repeated = next(p for p, n in Counter(node_payloads(want)).items() if n > 1)
 
-    flaky = TimeoutOnceBackend(repeated)
+    flaky = mock_backend(TimeoutOnceBackend, repeated)
     with pytest.raises(Timeout):
         build(world, flaky)
     assert flaky.timed_out and repeated not in flaky.payloads
@@ -793,9 +793,9 @@ def test_embed_error_names_the_node_and_is_not_remembered():
             return super().embed(text)
 
     graph = small_described_graph()
-    backend = EmbedTimeoutOnce()
+    backend = mock_backend(EmbedTimeoutOnce)
     with pytest.raises(Timeout, match="embedding entity 0 frame 0: slow"):
         embed_graph(graph, backend)
     columns = embed_graph(graph, backend)
     assert backend.calls == 1 + len({n.description for n in graph.nodes})
-    assert record_rows(columns) == record_rows(embed_graph(graph, MockBackend()))
+    assert record_rows(columns) == record_rows(embed_graph(graph, mock_backend()))

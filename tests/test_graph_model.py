@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.errors import NotFound, ParseError
 from ravu.evaluate import build_video
@@ -34,7 +33,7 @@ from ravu.graph_model import (
 )
 from ravu.synth import synth_world
 
-from conftest import count_table_builds, new_state, rows, table
+from conftest import count_table_builds, mock_backend, new_state, rows, table
 
 ATTRS = {"appearance": "red ball", "action": "rolling", "body_pose": "none"}
 
@@ -402,7 +401,7 @@ def test_node_edges_reads_the_edges_of_its_own_graph():
 
 def test_a_built_graph_cannot_be_changed_in_place():
     world = synth_world(1, 24, 3)
-    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    graph = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
     before = serialize(graph)
     node, other = graph.nodes[0], graph.nodes[-1]
     for name in EntityNode._fields:
@@ -428,7 +427,7 @@ def test_a_built_graph_cannot_be_changed_in_place():
 
 def test_node_attributes_cannot_be_written_in_a_built_or_a_loaded_graph():
     world = synth_world(1, 24, 3)
-    built = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    built = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
     document = serialize(built)
     loaded = deserialize(document)
     # The loaded nodes of one state share its one mapping, so a write to one node's would change them all.

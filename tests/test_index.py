@@ -14,7 +14,7 @@ from ravu.graph_model import EntityEvent, SpatioTemporalGraph
 from ravu.index import EmbeddingIndex, rerank
 from ravu.reasoning import hierarchical_retrieve
 
-from conftest import make_columns, record_rows
+from conftest import make_columns, mock_backend, record_rows
 
 
 def rec(entity, frame, vector, description=""):
@@ -160,8 +160,8 @@ def test_top_k_matches_the_sorted_reference(drawn, q, k):
 class Selecting(MockBackend):
     """Embeds every text as ``query`` and answers event selection with ``reply``."""
 
-    def __init__(self, query, reply):
-        super().__init__()
+    def __init__(self, query, reply, **backend_args):
+        super().__init__(**backend_args)
         self.query, self.reply, self.payloads = query, reply, []
 
     def embed(self, text):
@@ -214,7 +214,7 @@ def check_hierarchical_retrieve(drawn, q, spans, per_event, top, reply):
     graph = SpatioTemporalGraph(events={
         e: [EntityEvent(e, start, end, "") for start, end in ranges] for e, ranges in spans.items()
     })
-    got_backend, want_backend = Selecting(q, reply), Selecting(q, reply)
+    got_backend, want_backend = mock_backend(Selecting, q, reply), mock_backend(Selecting, q, reply)
     got = hierarchical_retrieve("q", graph, index, got_backend, per_event=per_event, top=top)
     want = sorted_hierarchical_retrieve("q", graph, records, want_backend, per_event, top)
     assert got == want
@@ -235,7 +235,7 @@ def test_hierarchical_retrieve_shows_the_selector_the_ten_per_pick_best(reply, f
     best = sorted_rank(records, scores, pool, 50)
     assert len(pool) == 120 and len(best) == 50
 
-    backend = Selecting(q, reply)
+    backend = mock_backend(Selecting, q, reply)
     frames, fell_back = hierarchical_retrieve("q", graph, index, backend, per_event=3, top=5)
     assert backend.payloads == [
         backends.event_select_payload("q", [records[r].description for r in best], 5)
@@ -323,7 +323,7 @@ def test_rank_rejects_a_negative_k(k):
 def test_hierarchical_retrieve_rejects_an_empty_pick(per_event, top):
     records = [rec(0, f, [1, f]) for f in range(5)]
     graph = SpatioTemporalGraph(events={0: [EntityEvent(0, 0, 4, "")]})
-    backend = Selecting(np.array([1.0, 0.0]), "0")
+    backend = mock_backend(Selecting, np.array([1.0, 0.0]), "0")
     # Worded as the config words ``hier_per_event`` and ``budget``, whose values they take.
     name, value = ("per_event", per_event) if per_event < 1 else ("top", top)
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
@@ -452,24 +452,24 @@ def test_a_nan_query_still_gives_k_candidates():
         def embed(self, text):
             return q
 
-    assert index.localize("anything", 4, NanQuery()).candidate.entity_id == 4
+    assert index.localize("anything", 4, mock_backend(NanQuery)).candidate.entity_id == 4
 
 
 def test_rerank_protocol():
     class Reply(MockBackend):
-        def __init__(self, text):
-            super().__init__()
+        def __init__(self, text, **backend_args):
+            super().__init__(**backend_args)
             self.text, self.calls = text, 0
 
         def generate(self, bundle):
             self.calls += 1
             return self.text
 
-    assert rerank("x", ["a", "b", "c"], Reply(" 2\n")) == (2, False)
-    assert rerank("x", ["a", "b", "c"], Reply("3")) == (0, True)
-    assert rerank("x", ["a", "b", "c"], Reply("-1")) == (0, True)
-    assert rerank("x", ["a", "b", "c"], Reply("b")) == (0, True)
-    single = Reply("0")
+    assert rerank("x", ["a", "b", "c"], mock_backend(Reply, " 2\n")) == (2, False)
+    assert rerank("x", ["a", "b", "c"], mock_backend(Reply, "3")) == (0, True)
+    assert rerank("x", ["a", "b", "c"], mock_backend(Reply, "-1")) == (0, True)
+    assert rerank("x", ["a", "b", "c"], mock_backend(Reply, "b")) == (0, True)
+    single = mock_backend(Reply, "0")
     assert rerank("x", ["a"], single) == (0, False) and single.calls == 0
 
 
@@ -492,7 +492,7 @@ def test_localize_single_candidate_skips_rerank():
         def generate(self, bundle):
             raise AssertionError("generate must not be called")
 
-    b = NoGenerate()
+    b = mock_backend(NoGenerate)
     index = EmbeddingIndex(make_columns([EmbeddingRecord(3, 4, "only one", b.embed("only one"))]))
     out = index.localize("anything", 5, b)
     assert out.candidate.entity_id == 3 and not out.fallback
@@ -503,7 +503,7 @@ def test_localize_falls_back_on_garbage(backend):
         def generate(self, bundle):
             return "not an index"
 
-    b = Garbage()
+    b = mock_backend(Garbage)
     records = [
         EmbeddingRecord(0, 0, "alpha", b.embed("alpha")),
         EmbeddingRecord(1, 1, "beta", b.embed("beta")),
@@ -518,7 +518,7 @@ def test_localize_propagates_programming_errors():
         def generate(self, bundle):
             raise TypeError("bug in the backend")
 
-    b = Broken()
+    b = mock_backend(Broken)
     records = [
         EmbeddingRecord(0, 0, "alpha", b.embed("alpha")),
         EmbeddingRecord(1, 1, "beta", b.embed("beta")),

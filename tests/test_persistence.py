@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ravu import accel
-from ravu.backends import MockBackend
 from ravu.config import RavuConfig
 from ravu.evaluate import build_video
 from ravu.errors import ParseError
@@ -40,7 +39,7 @@ from ravu.graph_model import (
 from ravu.index import EmbeddingIndex
 from ravu.synth import synth_world
 
-from conftest import make_columns, record_rows, rows, table
+from conftest import make_columns, mock_backend, record_rows, rows, table
 
 # sha256 of (graph document, embeddings.bin, description index) for synth_world(1, frames, entities)
 # built with the mock backend and the default config.
@@ -70,7 +69,7 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("shape", sorted(GOLDEN_SHA256))
 def test_artifacts_match_their_golden_bytes(tmp_path, shape):
     world = synth_world(1, *shape)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
     write_embeddings(assets.index.records, bin_path, idx_path)
     got = (
@@ -208,7 +207,7 @@ def test_serialize_matches_the_json_dumps_document(graph):
 def test_serialize_matches_the_json_dumps_document_on_built_graphs():
     for shape in [(24, 3), (200, 6)]:
         world = synth_world(2, *shape)
-        graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+        graph = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
         assert serialize(graph) == oracle_serialize(graph)
 
 
@@ -242,7 +241,7 @@ FORMAT_1 = ("the graph document has no 'format', so it is format 1, which this v
 @pytest.mark.parametrize("spelling", [lambda text: text, indented], ids=["compact", "indented"])
 def test_a_format_1_document_is_refused_naming_its_format(spelling):
     world = synth_world(2, 24, 3)
-    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    graph = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
     document = serialize(graph)
     assert "\n" not in document[:-1] and deserialize(document) == graph
     doc = json.loads(document)
@@ -742,7 +741,7 @@ def test_write_embeddings_of_reloaded_columns_gives_back_the_same_bytes(shared, 
 @pytest.mark.parametrize("n_frames", [24, 200, 600])
 def test_read_embeddings_gives_back_the_written_columns(tmp_path, n_frames):
     world = synth_world(1, n_frames, 8)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
     written = assets.index.records
     write_embeddings(written, bin_path, idx_path)
@@ -756,7 +755,7 @@ def test_read_embeddings_gives_back_the_written_columns(tmp_path, n_frames):
 
 def test_built_and_reloaded_indexes_hold_one_vector_per_distinct_description(tmp_path):
     world = synth_world(1, 600, 8)
-    assets = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    assets = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     bin_path, idx_path = tmp_path / "embeddings.bin", tmp_path / "embeddings.index.jsonl"
     write_embeddings(assets.index.records, bin_path, idx_path)
     reloaded = EmbeddingIndex(read_embeddings(bin_path, idx_path, assets.graph))

@@ -18,6 +18,8 @@ from ravu.graph_model import deserialize, serialize
 from ravu.index import EmbeddingIndex
 from ravu.synth import synth_world
 
+from conftest import mock_backend
+
 PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
 
 
@@ -44,14 +46,14 @@ def test_the_untraced_persist_reload_and_checks_run(tmp_path):
     """What ``pipebench/workloads.py`` does with a build, checked as ``pipebench/checks.py`` checks it."""
     checks = load("checks")
     world = synth_world(1, 24, 3)
-    built = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig())
+    built = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig())
     graph_text = serialize(built.graph)
     bin_path, rows_path = tmp_path / "e.bin", tmp_path / "e.index.jsonl"
     write_embeddings(built.index.records, bin_path, rows_path)
     graph = deserialize(graph_text)
     reloaded = EmbeddingIndex(read_embeddings(bin_path, rows_path, graph))
     assert checks.roundtrip_problems(graph_text, graph, built.index.records, reloaded.records) == []
-    query = MockBackend().embed(built.index.descriptions[0])
+    query = mock_backend().embed(built.index.descriptions[0])
     assert checks.top_k_problems(reloaded, query, 5) == []
     assert accel.USE_NUMBA is False
 

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
+from ravu.backends import load_system_prompt
 from ravu.errors import ParseError
-from ravu.plan import Ref, parse_plan, render
+from ravu.plan import FUNCTIONS, Ref, parse_plan, render
 
 CANONICAL = """\
 localize_node(query="man on stage sitting")
@@ -107,3 +110,11 @@ def test_negative_cases_report_line_and_reason(text, line, fragment):
 def test_question_and_analysis_carried():
     plan = parse_plan("get_global_context()", question="Q?", analysis="A.")
     assert plan.question == "Q?" and plan.analysis == "A."
+
+
+def test_breakdown_prompt_lists_the_table_functions():
+    """The breakdown prompt's "Available functions" are the table's, in its order, each with its arguments in order."""
+    listed = load_system_prompt("breakdown").split("Available functions:", 1)[1]
+    calls = [(name, [arg.strip() for arg in args.split(",") if arg.strip()])
+             for name, args in re.findall(r"(\w+)\(([^)]*)\)", listed)]
+    assert calls == [(name, list(function.args)) for name, function in FUNCTIONS.items()]

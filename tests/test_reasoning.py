@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ravu.backends import MockBackend, content_words, words
 from ravu.config import RavuConfig
-from ravu.errors import BlockedContent, NotFound
+from ravu.errors import BlockedContent, NotFound, ParseError
 from ravu.evaluate import build_video
 from ravu.graph_builder import embed_graph
 from ravu.graph_model import (
@@ -21,11 +21,12 @@ from ravu.graph_model import (
     entity_timeline,
 )
 from ravu.index import EmbeddingIndex
-from ravu.plan import parse_plan
+from ravu.plan import COUNT, FRAMES, FUNCTIONS, NODE, SEGMENT, TIME, parse_plan
 from ravu import reasoning
 from ravu.reasoning import (
     NodeRef,
     Segment,
+    StepRunner,
     _split_plan,
     breakdown,
     execute,
@@ -38,6 +39,8 @@ from ravu.reasoning import (
     uniform_sample,
 )
 from ravu.synth import synth_world
+
+from conftest import mock_backend
 
 
 def test_uniform_sample_canonical_positions():
@@ -116,6 +119,15 @@ def test_sample_entity_events_unknown_entity(backend):
     graph, _ = make_graph(backend)
     with pytest.raises(NotFound):
         fn_sample_entity_events(graph, NodeRef(9, 0), 0, "all", 5)
+
+
+def test_sample_entity_events_refuses_what_a_plan_refuses(backend):
+    graph, _ = make_graph(backend)
+    for spec in ("previous:0", "next:01", "later"):
+        with pytest.raises(ValueError, match="bad events_to_sample"):
+            fn_sample_entity_events(graph, NodeRef(0, 5), 5, spec, 10)
+        with pytest.raises(ParseError):
+            parse_plan(f'identify_node(query="x")\nsample_entity_events(node=$1, sample_start_time=0, events_to_sample="{spec}")')
 
 
 def test_count_nodes(backend):
@@ -208,7 +220,7 @@ def per_node_count(graph, node_query, event_condition=None):
 def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
     world = synth_world(3, 60, 4)
     # build_video makes the graph's lookup before build_graph assigns the descriptions.
-    graph = build_video(world.observations_text, world.tracklets_text, MockBackend(), RavuConfig()).graph
+    graph = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
     vocabulary = sorted({w for n in graph.nodes for w in content_words(n.description or "")})
     queries = [*vocabulary, *(w + "s" for w in vocabulary), "man", "golden girls", "entity"]
     counts = [fn_count_nodes(graph, q) for q in queries]
@@ -220,7 +232,7 @@ def test_count_nodes_on_a_built_graph_matches_the_per_node_reference():
 
 
 def test_replacing_nodes_makes_a_graph_with_its_own_description_table():
-    graph, _ = make_graph(MockBackend())
+    graph, _ = make_graph(mock_backend())
     table = entity_descriptions(graph)
     assert entity_descriptions(graph) is table
     assert fn_count_nodes(graph, "yak") == 0
@@ -242,7 +254,7 @@ def test_identify_node_falls_back_to_first_entity_on_garbage(backend):
             return "the jay, obviously"
 
     graph, _ = make_graph(backend)
-    assert fn_identify_node(graph, "blue jay", Garbage()) == (NodeRef(0, 0), True)
+    assert fn_identify_node(graph, "blue jay", mock_backend(Garbage)) == (NodeRef(0, 0), True)
 
 
 def test_identify_node_single_entity_makes_no_backend_call(backend):
@@ -252,7 +264,7 @@ def test_identify_node_single_entity_makes_no_backend_call(backend):
 
     graph, _ = make_graph(backend)
     graph = dataclasses.replace(graph, nodes=[n for n in graph.nodes if n.entity_id == 1])
-    assert fn_identify_node(graph, "red fox", NoGenerate()) == (NodeRef(1, 0), False)
+    assert fn_identify_node(graph, "red fox", mock_backend(NoGenerate)) == (NodeRef(1, 0), False)
 
 
 def test_execute_canonical_before_plan(backend):
@@ -269,6 +281,50 @@ def test_execute_canonical_before_plan(backend):
     assert set(result.frames) <= {0, 1, 2, 3, 4, 5, 6, 7}
     assert len(result.frames) <= 5
     assert any(f in {0, 1, 2, 3} for f in result.frames)
+
+
+def test_execute_records_each_function_value(backend):
+    """Each step's value has its function's result type; a count step adds its note."""
+    graph, index = make_graph(backend)
+    plan = parse_plan(
+        'localize_node(query="red fox digging")\n'
+        'identify_node(query="blue jay")\n'
+        'analyze_events(query="when did the fox start digging", node=$1)\n'
+        'sample_entity_events(node=$1, sample_start_time=$3, events_to_sample="current")\n'
+        'extract_temporal_part(target_part="end")\n'
+        'count_nodes(node_query="fox")\n'
+        "get_global_context()"
+    )
+    assert [step.function for step in plan.steps] == list(FUNCTIONS)
+    result = execute(plan, graph, index, backend, budget=8, top_k=10, max_retries=2)
+    assert result.values == [NodeRef(0, 4), NodeRef(1, 0), 4, [4, 6, 7], Segment(8, 11), 1, [0, 11]]
+    kinds = {NODE: NodeRef, TIME: int, FRAMES: list, SEGMENT: Segment, COUNT: int}
+    assert [type(value) for value in result.values] == [kinds[FUNCTIONS[s.function].result] for s in plan.steps]
+    assert result.frames == [0, 4, 6, 7, 8, 10, 11]
+    assert (result.errors, result.flags, result.notes) == ([], [], "count of 'fox': 1")
+
+
+def test_each_plan_function_is_one_step_runner_method():
+    runners = {name for name, member in vars(StepRunner).items() if callable(member) and not name.startswith("_")}
+    assert runners == set(FUNCTIONS)
+
+
+def test_execute_flags_each_backend_fallback_with_its_step(backend):
+    class Garbage(MockBackend):
+        def generate(self, bundle):
+            return "garbage"
+
+    graph, index = make_graph(backend)
+    plan = parse_plan(
+        'identify_node(query="fox")\n'
+        'localize_node(query="red fox digging")\n'
+        'analyze_events(query="when did the fox start digging", node=$2)'
+    )
+    result = execute(plan, graph, index, mock_backend(Garbage), budget=5, top_k=10, max_retries=2)
+    assert result.flags == [
+        "step 1: identify fallback", "step 2: rerank fallback", "step 3: event-analysis fallback",
+    ]
+    assert result.values == [NodeRef(0, 0), NodeRef(0, 4), 4] and result.errors == []
 
 
 def test_execute_respects_budget(backend):
@@ -337,14 +393,22 @@ def test_execute_propagates_blocked(backend):
         execute(plan, graph, index, backend, budget=5, top_k=10, max_retries=2)
 
 
-def test_execute_propagates_programming_errors(backend, monkeypatch):
+# Each function ``pipebench/tracing.py`` replaces on the step path, with a plan that calls it.
+@pytest.mark.parametrize("owner, name, steps", [
+    (reasoning, "fn_count_nodes", 'count_nodes(node_query="fox")'),
+    (reasoning, "fn_identify_node", 'identify_node(query="fox")'),
+    (reasoning, "fn_analyze_events", 'identify_node(query="fox")\nanalyze_events(query="when", node=$1)'),
+    (EmbeddingIndex, "localize", 'localize_node(query="red fox digging")'),
+], ids=["fn_count_nodes", "fn_identify_node", "fn_analyze_events", "localize"])
+def test_execute_propagates_programming_errors(backend, monkeypatch, owner, name, steps):
+    """A step calls what its function's name holds when it runs, so a replaced function is the one called."""
     def broken(*args, **kwargs):
         raise TypeError("bug in a step")
 
     graph, index = make_graph(backend)
-    monkeypatch.setattr(reasoning, "fn_count_nodes", broken)
+    monkeypatch.setattr(owner, name, broken)
     with pytest.raises(TypeError, match="bug in a step"):
-        execute(parse_plan('count_nodes(node_query="fox")'), graph, index, backend, budget=5, top_k=10, max_retries=2)
+        execute(parse_plan(steps), graph, index, backend, budget=5, top_k=10, max_retries=2)
 
 
 def shipped_examples():
@@ -390,7 +454,7 @@ def test_split_plan_keeps_the_last_repeated_key_and_reads_a_reply_without_plan()
         def generate(self, bundle):
             return reply
 
-    out = breakdown("Where is the fox?", load_example_library(), BarePlan(), max_retries=2)
+    out = breakdown("Where is the fox?", load_example_library(), mock_backend(BarePlan), max_retries=2)
     assert not out.fallback
     assert [s.function for s in out.plan.steps] == ["localize_node"]
 
@@ -414,7 +478,7 @@ def test_breakdown_bundle_is_pinned():
             sent.append(bundle)
             return super().generate(bundle)
 
-    breakdown("What did the red fox do after digging?", load_example_library(), Capture(), max_retries=2)
+    breakdown("What did the red fox do after digging?", load_example_library(), mock_backend(Capture), max_retries=2)
     (bundle,) = sent
     digest = hashlib.sha256(f"{bundle.system_prompt}\0{bundle.user_payload}".encode()).hexdigest()
     assert digest == "b68b3bd5932b3e6e500911eadec92e981e3be6f8ad37f180634c840260ded0f7"
@@ -436,7 +500,7 @@ def test_breakdown_fallback_on_garbage():
         def generate(self, bundle):
             return "no plan here"
 
-    out = breakdown("anything?", load_example_library(), Garbage(), max_retries=2)
+    out = breakdown("anything?", load_example_library(), mock_backend(Garbage), max_retries=2)
     assert out.fallback
     assert [s.function for s in out.plan.steps] == ["get_global_context"]
 
