@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import BackendError, BlockedContent, MalformedResponse, Timeout
 from .graph_model import MENTION, SENTENCE_END
+from .plan import TEMPORAL_PARTS
 
 ROLES = frozenset(
     {
@@ -419,7 +420,7 @@ _BEFORE_AFTER_RE = re.compile(
     re.IGNORECASE,
 )
 _COUNT_RE = re.compile(r"^how many (?P<ent>.+?)\??$", re.IGNORECASE)
-_PART_RE = re.compile(r"\b(?:at|in|during) the (?P<part>beginning|middle|end)\b", re.IGNORECASE)
+_PART_RE = re.compile(rf"\b(?:at|in|during) the (?P<part>{'|'.join(TEMPORAL_PARTS)})\b", re.IGNORECASE)
 
 
 def mock_breakdown(question: str) -> str:

@@ -166,7 +166,10 @@ def _one_line(ctx, param, value):
 @click.option("--question", required=True, callback=_one_line)
 @click.option("--option", "options", multiple=True, callback=_one_line,
               help="Answer options; repeat for each. Omit to only retrieve frames.")
-@click.option("--category", default="temporal", type=click.Choice(CATEGORIES))
+@click.option("--category", default="temporal", type=click.Choice(CATEGORIES),
+              help="The question's category. It picks the route (global: hierarchical retrieval on a graph with "
+                   "events; any other: a breakdown into a plan) and the breakdown's examples: this category's, "
+                   "or all of them for a category with none.")
 @click.option("--budget", type=click.IntRange(min=1), default=None)
 @click.pass_context
 def ask(ctx, graph_path, emb_path, question, options, category, budget):

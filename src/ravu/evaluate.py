@@ -24,7 +24,7 @@ from .graph_model import SpatioTemporalGraph
 from .index import EmbeddingIndex
 from .ingestion import associate, parse_observations, parse_tracklets
 from .plan import ReasoningPlan
-from .reasoning import breakdown, execute, hierarchical_retrieve, load_example_library
+from .reasoning import breakdown, examples_for, execute, hierarchical_retrieve, load_example_library
 
 
 @dataclass
@@ -123,8 +123,10 @@ def retrieve(
 
     Global questions take the hierarchical-retrieval route; everything else,
     and a global question over a graph without events, is broken down into
-    a plan and executed. An empty hierarchical pick falls back to the first
-    ``budget`` frames. Each plan step that failed adds a flag naming it.
+    a plan and executed. The breakdown is shown the shipped examples of the
+    question's category (``examples_for``), or every example for a category
+    with none, such as ``global``. An empty hierarchical pick falls back to
+    the first ``budget`` frames. Each plan step that failed adds a flag naming it.
     Blocked content propagates to the caller, which records the item as
     blocked. A question holding a line break raises ParseError before any
     backend call: every payload is line-oriented.
@@ -140,7 +142,7 @@ def retrieve(
             plan=None,
             flags=["hierarchical selection fallback"] if fell_back else [],
         )
-    bd = breakdown(question, load_example_library(), backend, max_retries)
+    bd = breakdown(question, examples_for(load_example_library(), category), backend, max_retries)
     result = execute(
         bd.plan, graph, assets.index, backend, budget=budget, top_k=top_k, max_retries=max_retries
     )

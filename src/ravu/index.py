@@ -65,18 +65,22 @@ class LocalizeResult:
 def rerank(grounding: str, descriptions: list[str], backend) -> tuple[int, bool]:
     """Backend picks the description that best matches the grounding phrase.
 
-    Returns (index, fallback). The backend must reply with a bare index in
-    range; anything else falls back to index 0 with the fallback flag set.
-    A single description makes no backend call.
+    The backend is shown each distinct description once, in first-seen
+    order, and its pick maps back to the first description with that text,
+    the best ranked when ``descriptions`` are in rank order. Returns (index,
+    fallback). The backend must reply with a bare index into the distinct
+    list; anything else falls back to index 0 with the fallback flag set.
+    A list holding one distinct text makes no backend call.
     """
-    if len(descriptions) == 1:
+    distinct = list(dict.fromkeys(descriptions))
+    if len(distinct) == 1:
         return 0, False
-    bundle = make_bundle("rerank", backends.rerank_payload(grounding, descriptions))
+    bundle = make_bundle("rerank", backends.rerank_payload(grounding, distinct))
     try:
         chosen = int(backend.generate(bundle).strip())
     except (ValueError, MalformedResponse):
         return 0, True
-    return (chosen, False) if 0 <= chosen < len(descriptions) else (0, True)
+    return (descriptions.index(distinct[chosen]), False) if 0 <= chosen < len(distinct) else (0, True)
 
 
 class EmbeddingIndex:
@@ -204,8 +208,8 @@ class EmbeddingIndex:
     def localize(self, grounding_phrase: str, k: int, backend) -> LocalizeResult:
         """Two-stage retrieval: cosine top-k filter, then backend rerank.
 
-        The backend reranks the candidate descriptions in score order (see
-        ``rerank``); a bad reply falls back to the rank-1 candidate.
+        The backend reranks the candidates' distinct descriptions in score
+        order (see ``rerank``); a bad reply falls back to the rank-1 candidate.
         """
         if not grounding_phrase:
             raise ValueError("grounding phrase must be non-empty")

@@ -29,7 +29,8 @@ ALIASES = {"analyze_entity_events": "analyze_events"}
 
 # An ``events_to_sample`` value; its groups are the direction and count of ``previous:N`` or ``next:N``.
 EVENTS_TO_SAMPLE_RE = re.compile(r"^(?:(previous|next):([1-9]\d*)|current|all)$")
-_TARGET_PARTS = {"beginning", "middle", "end"}
+# The parts of a video that ``extract_temporal_part`` targets, in video order.
+TEMPORAL_PARTS = ("beginning", "middle", "end")
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ FUNCTIONS: dict[str, Function] = {
         "events_to_sample": ArgSpec(literal="str", pattern=EVENTS_TO_SAMPLE_RE),
     }),
     "extract_temporal_part": Function(SEGMENT, True, {
-        "target_part": ArgSpec(literal="str", choices=frozenset(_TARGET_PARTS)),
+        "target_part": ArgSpec(literal="str", choices=frozenset(TEMPORAL_PARTS)),
     }),
     "count_nodes": Function(COUNT, False, {
         "node_query": ArgSpec(literal="str"),

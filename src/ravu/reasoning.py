@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import backends
@@ -22,7 +24,7 @@ from .config import check_range
 from .errors import EmptyIndex, MalformedResponse, NotFound, ParseError
 from .graph_model import EntityEvent, SpatioTemporalGraph, entity_descriptions, entity_timeline
 from .index import EmbeddingIndex, rerank
-from .plan import EVENTS_TO_SAMPLE_RE, FUNCTIONS, ReasoningPlan, Ref, parse_plan
+from .plan import EVENTS_TO_SAMPLE_RE, FUNCTIONS, TEMPORAL_PARTS, ReasoningPlan, Ref, parse_plan
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,49 @@ def fn_sample_entity_events(
 
 
 def temporal_thirds(n_frames: int) -> dict[str, Segment]:
-    """Thirds of [0, N-1]; remainder frames go to the last third."""
+    """Thirds of [0, N-1], keyed by ``plan.TEMPORAL_PARTS``; remainder frames go to the last third."""
     if n_frames < 3:
         seg = Segment(0, max(0, n_frames - 1))
-        return {"beginning": seg, "middle": seg, "end": seg}
+        return dict.fromkeys(TEMPORAL_PARTS, seg)
     third = n_frames // 3
-    return {
-        "beginning": Segment(0, third - 1),
-        "middle": Segment(third, 2 * third - 1),
-        "end": Segment(2 * third, n_frames - 1),
-    }
+    segments = (Segment(0, third - 1), Segment(third, 2 * third - 1), Segment(2 * third, n_frames - 1))
+    return dict(zip(TEMPORAL_PARTS, segments, strict=True))
+
+
+# Irregular plurals and their singulars; any other word longer than three
+# letters ending in one ``s`` (not ``ss``) is a plural of itself without it.
+_IRREGULAR_PLURALS = {
+    "men": "man",
+    "women": "woman",
+    "children": "child",
+    "people": "person",
+    "mice": "mouse",
+    "geese": "goose",
+    "feet": "foot",
+    "teeth": "tooth",
+    "wolves": "wolf",
+    "knives": "knife",
+}
+_IRREGULAR_PLURAL_OF = {singular: plural for plural, singular in _IRREGULAR_PLURALS.items()}
 
 
 def _norm_word(word: str) -> str:
+    if word in _IRREGULAR_PLURALS:
+        return _IRREGULAR_PLURALS[word]
     if len(word) > 3 and word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
+
+
+def _written_in(word: str, lower: str) -> bool:
+    """Whether some written form of the normalised ``word`` is a substring of ``lower``.
+
+    A word ``x`` with ``_norm_word(x) == word`` holds ``word`` as a substring
+    or is one of its irregular plurals, so a text for which this is false
+    has no word that normalises to ``word``.
+    """
+    plural = _IRREGULAR_PLURAL_OF.get(word)
+    return word in lower or (plural is not None and plural in lower)
 
 
 def _needed_words(query: str) -> set[str]:
@@ -156,15 +185,15 @@ def _needed_words(query: str) -> set[str]:
 def _has_words(needed: set[str], text: str, word_sets: dict[str, set[str]] | None = None) -> bool:
     """Every needed word is a word of the text (plural-insensitive); none are needed means no match.
 
-    A text lacking a needed word as a substring is skipped untokenised:
-    ``_norm_word(x) == n`` implies that ``n`` is a substring of ``x``.
+    A text in which no written form of a needed word occurs as a substring
+    is skipped untokenised (see ``_written_in``).
     ``word_sets``, when given, is a memo of normalised word sets by text: a
     text found there is not tokenised again, and one tokenised here is added.
     """
     have = None if word_sets is None else word_sets.get(text)
     if have is None:
         lower = text.lower()
-        if not needed or not all(w in lower for w in needed):
+        if not needed or not all(_written_in(w, lower) for w in needed):
             return False
         have = {_norm_word(w) for w in backends.words(lower)}
         if word_sets is not None:
@@ -178,7 +207,7 @@ def fn_count_nodes(
     """Distinct entities with any node description matching the query.
 
     Reads the graph's description table: an entity whose joined
-    descriptions lack a needed word as a substring is skipped, and the
+    descriptions hold no written form of a needed word is skipped, and the
     others' distinct descriptions are matched with the table's word-set
     memo, so each is tokenised at most once per graph.
     """
@@ -187,7 +216,7 @@ def fn_count_nodes(
     table = entity_descriptions(graph)
     count = 0
     for entity_id, (texts, joined) in table.entities.items():
-        if not all(w in joined for w in node_words):
+        if not all(_written_in(w, joined) for w in node_words):
             continue
         if not any(_has_words(node_words, d, table.word_sets) for d in texts):
             continue
@@ -349,19 +378,27 @@ def _split_plan(text: str) -> tuple[dict[str, str], list[str] | None]:
 
 
 @cache
-def load_example_library() -> tuple[str, ...]:
-    """Shipped few-shot examples for question breakdown, read once per process.
+def load_example_library() -> Mapping[str, tuple[str, ...]]:
+    """Shipped few-shot examples for question breakdown, read once per process, keyed by category.
 
     Each ``breakdown_examples/<category>_<name>.txt`` file holds one example
     as the prompt sends it: ``question:`` and ``analysis:`` lines, then
-    ``plan:`` and the plan's steps.
+    ``plan:`` and the plan's steps. A category's examples are in file-name
+    order, and the categories in the order of their first file, so the
+    values in order are every example in file-name order.
     """
     root = resources.files("ravu").joinpath("breakdown_examples")
-    return tuple(
-        entry.read_text().strip()
-        for entry in sorted(root.iterdir(), key=lambda e: e.name)
-        if entry.name.endswith(".txt")
-    )
+    library: dict[str, tuple[str, ...]] = {}
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".txt"):
+            category = entry.name.partition("_")[0]
+            library[category] = (*library.get(category, ()), entry.read_text().strip())
+    return MappingProxyType(library)
+
+
+def examples_for(library: Mapping[str, tuple[str, ...]], category: str) -> tuple[str, ...]:
+    """The examples of ``category`` in ``library``, or, for a category with none, every example in file-name order."""
+    return library.get(category) or tuple(chain.from_iterable(library.values()))
 
 
 @dataclass

@@ -22,7 +22,7 @@ from ravu.evaluate import build_video, eval_localization, eval_qa
 from ravu.graph_builder import EmbeddingRecord, build_frame_graph
 from ravu.graph_model import LINE_BREAKS, EntityEvent, FrameRecord, RelationEdge
 from ravu.index import EmbeddingIndex, rerank
-from ravu.reasoning import load_example_library
+from ravu.reasoning import examples_for, load_example_library
 from ravu.synth import make_corpus, synth_world
 
 from conftest import make_columns, mock_backend
@@ -441,7 +441,7 @@ def test_remote_backend_requires_endpoint():
 # sha256 over every bundle (role, system prompt, payload, frame refs) and the MockBackend's reply
 # to it, while building, asking every question and localizing every annotation of
 # make_corpus(42, 6, 24, 3, 4) and synth_world(1, 200, 6) with the default config.
-PROMPT_GOLDEN_SHA256 = "c6e6751e7257808a0afc9faa56d57231f401fcbead2c1b08b274dd001741272f"
+PROMPT_GOLDEN_SHA256 = "b08c108eb563b30e1634df0f16dafdb75c3582eed939d5fdab5362806cc47dcb"
 
 
 class RecordingBackend:
@@ -608,6 +608,8 @@ NODE = st.tuples(
 )
 NUMBERED = st.lists(TEXT, max_size=5)
 INDEX = st.integers(0, 99)
+# Every shipped breakdown example, as the breakdown of a category without its own examples sends them.
+EVERY_EXAMPLE = examples_for(load_example_library(), "global")
 
 # role: (argument strategy, the builder, the builder as it was, the mock rule as it was)
 OLD_RULES = {
@@ -640,7 +642,7 @@ OLD_RULES = {
         old_event_analysis,
     ),
     "breakdown": (
-        st.tuples(TEXT, st.one_of(st.text(max_size=40), st.just("\n\n".join(load_example_library())))),
+        st.tuples(TEXT, st.one_of(st.text(max_size=40), st.just("\n\n".join(EVERY_EXAMPLE)))),
         backends.breakdown_payload,
         lambda question, examples_text: f"question: {question}\nexamples:\n{examples_text}",
         lambda payload: mock_breakdown(old_header_value(payload, "question")),

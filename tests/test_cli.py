@@ -10,6 +10,7 @@ from ravu.cli import main
 from ravu.config import RavuConfig
 from ravu.errors import read_document
 from ravu.evaluate import build_video
+from ravu.index import EmbeddingIndex
 
 from conftest import new_state, rows, table
 
@@ -124,6 +125,34 @@ def test_ingest_build_embed_events_ask(corpus_dir, built, tmp_path):
     assert result.exit_code == 0, result.output
     out = json.loads(result.output)
     assert out["frames"] and "plan" in out
+
+
+def test_ingest_writes_the_built_nodes_with_no_edges_or_events(corpus_dir, built, tmp_path):
+    vd = video_dir(corpus_dir)
+    ingested_doc = ingested(tmp_path, vd / "observations.jsonl", vd / "tracklets.json")
+    built_doc = json.loads(built[0].read_text())
+    n, m = (len(doc["nodes"]["entity_id"]) for doc in (built_doc, ingested_doc))
+    assert n == m and not ingested_doc["edges"]["frame_index"] and not ingested_doc["events"], (n, m)
+
+
+def test_events_prints_one_line_per_event(built):
+    result = CliRunner().invoke(main, ["events", "--graph", str(built[0])])
+    assert result.exit_code == 0, result.output
+    n = sum(len(evs["start_frame"]) for evs in json.loads(built[0].read_text())["events"].values())
+    lines = result.output.splitlines()
+    assert n and len(lines) == n, (n, len(lines))
+
+
+def test_the_graph_document_is_compact_sorted_key_json_of_format_2(built):
+    """Format 2: a column per field, each node state and relation once."""
+    text = built[0].read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert json.loads(text)["format"] == 2
+
+
+def test_the_graph_document_holds_no_nan_or_infinity(built):
+    """json loads it with every such token refused."""
+    json.loads(built[0].read_text(), parse_constant=lambda token: 1 / 0)
 
 
 def test_ask_routes_global_by_category_with_or_without_options(corpus_dir, built):
@@ -776,10 +805,22 @@ def test_ask_pools_the_configured_candidates_per_event(built, tmp_path, monkeypa
 
 
 def test_eval_loc_reranks_the_configured_top_k(corpus_dir, tmp_path, monkeypatch):
+    """The configured ``top_k`` is the number of candidate rows ``localize`` takes from the index; the
+    rerank prompt then lists each distinct text among them once, so it may list fewer."""
     args = ["eval", "loc", "--corpus", str(corpus_dir), "--dataset", str(corpus_dir / "localization.jsonl")]
-    counts = [set(recorded(monkeypatch, [*config_args(tmp_path, **values), *args])[0].candidates("rerank"))
-              for values in ({}, {"top_k": 3})]
-    assert counts == [{RavuConfig().top_k}, {3}]
+    top_k = EmbeddingIndex.top_k
+    taken = []  # per run, each (k, candidates returned) that ``top_k`` saw
+
+    def recording_top_k(index, query_vector, k):
+        candidates = top_k(index, query_vector, k)
+        taken[-1].add((k, len(candidates)))
+        return candidates
+
+    monkeypatch.setattr(EmbeddingIndex, "top_k", recording_top_k)
+    for values in ({}, {"top_k": 3}):
+        taken.append(set())
+        recorded(monkeypatch, [*config_args(tmp_path, **values), *args])
+    assert taken == [{(RavuConfig().top_k, RavuConfig().top_k)}, {(3, 3)}]
 
 
 def test_ask_asks_a_malformed_breakdown_the_configured_max_retries(built, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from ravu.backends import MockBackend, make_bundle
 from ravu.errors import EmptyIndex, MalformedResponse
 from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord
 from ravu.graph_model import EntityEvent, SpatioTemporalGraph
-from ravu.index import EmbeddingIndex, rerank
+from ravu.index import EmbeddingIndex, LocalizeResult, rerank
 from ravu.reasoning import hierarchical_retrieve
 
 from conftest import make_columns, mock_backend, record_rows
@@ -471,6 +471,72 @@ def test_rerank_protocol():
     assert rerank("x", ["a", "b", "c"], mock_backend(Reply, "b")) == (0, True)
     single = mock_backend(Reply, "0")
     assert rerank("x", ["a"], single) == (0, False) and single.calls == 0
+
+
+class Capture(MockBackend):
+    """Replies ``reply``, keeping every bundle it is sent."""
+
+    def __init__(self, reply, **backend_args):
+        super().__init__(**backend_args)
+        self.reply, self.bundles = reply, []
+
+    def generate(self, bundle):
+        self.bundles.append(bundle)
+        return self.reply
+
+
+def test_rerank_lists_each_distinct_text_once_in_first_seen_order():
+    backend = mock_backend(Capture, "1")
+    rerank("x", ["a", "b", "a", "c", "b"], backend)
+    (bundle,) = backend.bundles
+    assert bundle.user_payload == backends.rerank_payload("x", ["a", "b", "c"])
+
+
+def test_rerank_maps_a_pick_back_to_the_first_candidate_with_that_text():
+    texts = ["a", "b", "a", "c", "b"]
+    assert [rerank("x", texts, mock_backend(Capture, str(i))) for i in range(4)] == [
+        (0, False), (1, False), (3, False), (0, True)  # the distinct list has three texts
+    ]
+
+
+def test_rerank_of_one_distinct_text_makes_no_backend_call():
+    backend = mock_backend(Capture, "2")
+    assert rerank("x", ["same", "same", "same"], backend) == (0, False)
+    assert backend.bundles == []
+
+
+def full_list_rerank(grounding, descriptions, backend):
+    """``rerank`` as it was before it listed each distinct text once: every candidate, repeats too."""
+    if len(descriptions) == 1:
+        return 0, False
+    bundle = make_bundle("rerank", backends.rerank_payload(grounding, descriptions))
+    try:
+        chosen = int(backend.generate(bundle).strip())
+    except (ValueError, MalformedResponse):
+        return 0, True
+    return (chosen, False) if 0 <= chosen < len(descriptions) else (0, True)
+
+
+RERANK_WORDS = ["red", "fox", "digging", "gray", "cat", "running", "blue", "jay"]
+# Few texts of few words, so candidate lists repeat texts and tie on word overlap.
+rerank_text = st.lists(st.sampled_from(RERANK_WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.sampled_from(range(5))), min_size=1, max_size=25),
+    st.lists(rerank_text, min_size=1, max_size=5),
+    rerank_text,
+    st.integers(1, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_localize_picks_what_the_full_list_rerank_picked(drawn, texts, grounding, k):
+    backend = mock_backend()
+    records = [EmbeddingRecord(e, f, texts[t % len(texts)], backend.embed(texts[t % len(texts)]))
+               for e, f, t in drawn]
+    index = EmbeddingIndex(make_columns(records))
+    candidates = index.top_k(backend.embed(grounding), k)
+    chosen, fallback = full_list_rerank(grounding, [c.description for c in candidates], backend)
+    assert index.localize(grounding, k, backend) == LocalizeResult(candidates[chosen], fallback)
 
 
 def test_localize_uses_rerank(backend):

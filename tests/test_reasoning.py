@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from ravu.backends import MockBackend, content_words, words
 from ravu.config import RavuConfig
+from ravu.datasets import CATEGORIES
 from ravu.errors import BlockedContent, NotFound, ParseError
-from ravu.evaluate import build_video
+from ravu.evaluate import VideoAssets, build_video, retrieve
 from ravu.graph_builder import embed_graph
 from ravu.graph_model import (
     BoundingBox,
@@ -21,7 +22,7 @@ from ravu.graph_model import (
     entity_timeline,
 )
 from ravu.index import EmbeddingIndex
-from ravu.plan import COUNT, FRAMES, FUNCTIONS, NODE, SEGMENT, TIME, parse_plan
+from ravu.plan import COUNT, FRAMES, FUNCTIONS, NODE, SEGMENT, TEMPORAL_PARTS, TIME, parse_plan
 from ravu import reasoning
 from ravu.reasoning import (
     NodeRef,
@@ -29,6 +30,7 @@ from ravu.reasoning import (
     StepRunner,
     _split_plan,
     breakdown,
+    examples_for,
     execute,
     fn_count_nodes,
     fn_identify_node,
@@ -72,6 +74,22 @@ def test_temporal_thirds():
     assert parts["end"] == Segment(6, 9)  # remainder goes to the end
     tiny = temporal_thirds(2)
     assert tiny["beginning"] == tiny["end"] == Segment(0, 1)
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 2, 3, 10, 24])
+def test_every_temporal_part_choice_resolves_to_a_segment(n_frames):
+    choices = FUNCTIONS["extract_temporal_part"].args["target_part"].choices
+    assert choices == set(TEMPORAL_PARTS)
+    graph = SpatioTemporalGraph(frames=[FrameRecord(i, float(i), "") for i in range(n_frames)])
+    runner = StepRunner(graph, None, None, top_k=10, max_retries=2)
+    for part in choices:
+        parse_plan(f'extract_temporal_part(target_part="{part}")')
+        segment = temporal_thirds(n_frames)[part]
+        assert isinstance(segment, Segment) and runner.extract_temporal_part(3, part).value == segment
+    # The parts run in video order and cover every frame once.
+    if n_frames >= 3:
+        segments = [temporal_thirds(n_frames)[part] for part in TEMPORAL_PARTS]
+        assert [f for seg in segments for f in range(seg.start, seg.end + 1)] == list(range(n_frames))
 
 
 def make_graph(backend):
@@ -162,13 +180,13 @@ def oracle_count_nodes(graph, node_query, event_condition=None):
     return count
 
 
-# Plurals, words ending in "ss", words of three letters or fewer, stopwords,
-# a word inside another ("cat" in "cats", "scatter"; "man" in "woman",
-# "mans") and mixed case.
+# Plurals, irregular ones too, words ending in "ss", words of three letters
+# or fewer, stopwords, a word inside another ("cat" in "cats", "scatter"; "man"
+# in "woman", "mans"; "men" in "women") and mixed case.
 COUNT_WORDS = [
     "boy", "boys", "Boys", "glass", "glasses", "bus", "buses", "cat", "cats", "scatter",
     "ss", "is", "as", "gas", "the", "a", "of", "red", "RED", "running", "runs", "dogs!", "dog,",
-    "man", "mans", "woman", "Women",
+    "man", "mans", "woman", "Women", "men", "mens", "women", "child", "children", "wolf", "wolves",
 ]
 count_text = st.lists(st.sampled_from(COUNT_WORDS), max_size=5).map(" ".join)
 
@@ -198,12 +216,24 @@ def test_count_nodes_tells_a_word_from_a_substring():
     nodes = [EntityNode(e, 0, {}, BoundingBox(0, 0, 1, 1), text) for e, text in enumerate(texts)]
     events = {e: [EntityEvent(e, 0, 0, "running" if e % 2 else "sitting")] for e in range(len(texts))}
     graph = SpatioTemporalGraph(nodes=nodes, events=events)
-    # "mans" normalises to "man"; "woman" and "women" hold "man" and "men" only as substrings.
-    assert [fn_count_nodes(graph, q) for q in ("man", "mans", "woman", "women", "men")] == [2, 2, 1, 1, 0]
+    # "mans" and "men" normalise to "man", "women" to "woman"; "woman" and "women" hold "man" and
+    # "men" only as substrings.
+    assert [fn_count_nodes(graph, q) for q in ("man", "mans", "woman", "women", "men")] == [2, 2, 2, 2, 2]
     assert fn_count_nodes(graph, "man", "running") == 1
     assert fn_count_nodes(graph, "man", "sitting") == 1
     assert fn_count_nodes(graph, "man", "runs") == 0
     assert set(entity_descriptions(graph).word_sets) == {"woman", "mans", "a man", "Women running"}
+
+
+def test_count_nodes_reads_irregular_plurals_in_the_query_and_the_descriptions():
+    world = synth_world(1)
+    graph = build_video(world.observations_text, world.tracklets_text, mock_backend(), RavuConfig()).graph
+    assert [fn_count_nodes(graph, q) for q in ("woman", "women", "the women")] == [1, 1, 1]
+    texts = ["two women waiting", "a man", "children running", "a wolf"]
+    nodes = [EntityNode(e, 0, {}, BoundingBox(0, 0, 1, 1), text) for e, text in enumerate(texts)]
+    graph = SpatioTemporalGraph(nodes=nodes, events={})
+    counts = [fn_count_nodes(graph, q) for q in ("woman", "women", "men", "child", "wolves", "children running")]
+    assert counts == [1, 1, 1, 1, 1, 1]
 
 
 def per_node_count(graph, node_query, event_condition=None):
@@ -428,14 +458,21 @@ def test_example_library_is_read_once_and_immutable(monkeypatch):
     monkeypatch.setattr(reasoning.resources, "files", counting_files)
     first, second = load_example_library(), load_example_library()
     assert opened == ["ravu"]
-    assert first is second and isinstance(first, tuple)
-    assert all(isinstance(example, str) for example in first)
+    assert first is second
+    with pytest.raises(TypeError):
+        first["temporal"] = ()
+    for examples in first.values():
+        assert isinstance(examples, tuple) and all(isinstance(example, str) for example in examples)
+
+
+def every_example():
+    return examples_for(load_example_library(), "global")
 
 
 def test_split_plan_reads_every_shipped_example():
     entries = shipped_examples()
-    assert len(entries) == len(load_example_library())
-    for entry, example in zip(entries, load_example_library()):
+    assert len(entries) == len(every_example())
+    for entry, example in zip(entries, every_example()):
         assert example == entry.read_text().strip()
         fields, plan_lines = _split_plan(example)
         assert set(fields) == {"question", "analysis"} and all(fields.values())
@@ -454,19 +491,44 @@ def test_split_plan_keeps_the_last_repeated_key_and_reads_a_reply_without_plan()
         def generate(self, bundle):
             return reply
 
-    out = breakdown("Where is the fox?", load_example_library(), mock_backend(BarePlan), max_retries=2)
+    out = breakdown("Where is the fox?", every_example(), mock_backend(BarePlan), max_retries=2)
     assert not out.fallback
     assert [s.function for s in out.plan.steps] == ["localize_node"]
 
 
 def test_example_library_loads_and_parses():
     library = load_example_library()
-    assert len(library) >= 4
-    # A file is named ``<category>_<name>.txt``.
-    categories = {entry.name.partition("_")[0] for entry in shipped_examples()}
-    assert {"temporal", "descriptive", "causal"} <= categories
-    for example in library:
+    assert len(every_example()) >= 4
+    # A file is named ``<category>_<name>.txt``, its category one of ``datasets.CATEGORIES``.
+    names = [entry.name for entry in shipped_examples()]
+    assert all(any(name.startswith(f"{category}_") for category in CATEGORIES) for name in names), names
+    assert {"temporal", "descriptive", "causal"} <= set(library) <= set(CATEGORIES)
+    for example in every_example():
         parse_plan("\n".join(_split_plan(example)[1]))  # every shipped example must be valid
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_the_breakdown_prompt_holds_exactly_its_category_examples(category):
+    """``retrieve`` shows the breakdown its category's files in file-name order, or every file for
+    ``global``, which has none (its questions reach a breakdown only on a graph without events)."""
+    entries = shipped_examples()
+    own = [e.read_text().strip() for e in entries if e.name.startswith(f"{category}_")]
+    expected = own or [e.read_text().strip() for e in entries]
+    if category == "global":
+        assert not own
+    graph, index = make_graph(mock_backend())
+    assets = VideoAssets(dataclasses.replace(graph, events={}), index, None)
+    sent = []
+
+    class Capture(MockBackend):
+        def generate(self, bundle):
+            sent.append(bundle)
+            return super().generate(bundle)
+
+    retrieve(assets, "What did the fox do after digging?", category, mock_backend(Capture), budget=5, top_k=10,
+             per_event=3, max_retries=2)
+    (bundle,) = [b for b in sent if b.role == "breakdown"]
+    assert bundle.user_payload.partition("\nexamples:\n")[2] == "\n\n".join(expected)
 
 
 def test_breakdown_bundle_is_pinned():
@@ -478,15 +540,15 @@ def test_breakdown_bundle_is_pinned():
             sent.append(bundle)
             return super().generate(bundle)
 
-    breakdown("What did the red fox do after digging?", load_example_library(), mock_backend(Capture), max_retries=2)
+    examples = examples_for(load_example_library(), "temporal")
+    breakdown("What did the red fox do after digging?", examples, mock_backend(Capture), max_retries=2)
     (bundle,) = sent
     digest = hashlib.sha256(f"{bundle.system_prompt}\0{bundle.user_payload}".encode()).hexdigest()
-    assert digest == "b68b3bd5932b3e6e500911eadec92e981e3be6f8ad37f180634c840260ded0f7"
+    assert digest == "d4243278e033c924d9d5c9e5a425881b9faa1d95c5451fb1f1a971c94bc3184f"
 
 
 def test_breakdown_uses_mock_templates(backend):
-    library = load_example_library()
-    out = breakdown("What did the red fox do before digging?", library, backend, max_retries=2)
+    out = breakdown("What did the red fox do before digging?", every_example(), backend, max_retries=2)
     assert not out.fallback
     assert [s.function for s in out.plan.steps] == [
         "localize_node",
@@ -500,7 +562,7 @@ def test_breakdown_fallback_on_garbage():
         def generate(self, bundle):
             return "no plan here"
 
-    out = breakdown("anything?", load_example_library(), mock_backend(Garbage), max_retries=2)
+    out = breakdown("anything?", every_example(), mock_backend(Garbage), max_retries=2)
     assert out.fallback
     assert [s.function for s in out.plan.steps] == ["get_global_context"]
 
