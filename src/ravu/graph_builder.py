@@ -34,6 +34,7 @@ from .graph_model import (
     entity_timeline,
     first_seen,
     node_edges,
+    node_rows,
 )
 
 
@@ -224,20 +225,6 @@ def _describe(items: list[tuple[tuple[int, int], str]], backend, max_retries: in
     )
 
 
-def _node_rows(nodes: NodeTable, entity: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The row of the node ``(entity[k], frame[k])`` for each ``k``, or -1 where ``nodes`` has none."""
-    if not len(nodes):
-        return np.full(len(entity), -1, dtype=np.intp)
-    # The rows ascend by (frame, entity), so by frame rank and entity rank folded into one number; a pair that
-    # is no node's folds to a number that finds another node's row, which the check below refuses. (A plain
-    # ``np.unique``, with no inverse, imports ``numpy.ma``, about 1 MB, on its first call.)
-    frames, frame_rank = np.unique(nodes.frame, return_inverse=True)
-    entities, entity_rank = np.unique(nodes.entity, return_inverse=True)
-    folded = np.searchsorted(frames, frame) * len(entities) + np.searchsorted(entities, entity)
-    row = np.minimum(np.searchsorted(frame_rank * len(entities) + entity_rank, folded), len(nodes) - 1)
-    return np.where((nodes.entity[row] == entity) & (nodes.frame[row] == frame), row, -1)
-
-
 def _node_blocks(graph: SpatioTemporalGraph) -> tuple[list[tuple[tuple[int, int], str]], np.ndarray]:
     """Each distinct ``node_description`` block of the graph's nodes, in first-seen (frame, entity) order and
     labelled by its first node's key ``(entity, frame)``, and each node's block number.
@@ -255,7 +242,7 @@ def _node_blocks(graph: SpatioTemporalGraph) -> tuple[list[tuple[tuple[int, int]
     # gives that node the edge's line, the node's lines in edge order.
     other = np.flatnonzero(edges.subject != edges.object)
     end_edge = np.concatenate([np.arange(len(edges)), other])
-    end_row = _node_rows(nodes, np.concatenate([edges.subject, edges.object[other]]), edges.frame[end_edge])
+    end_row = node_rows(nodes, np.concatenate([edges.subject, edges.object[other]]), edges.frame[end_edge])
     order = np.lexsort((end_edge, end_row))
     order = order[end_row[order] >= 0]
     end_lines = [lines[e] for e in end_edge[order].tolist()]

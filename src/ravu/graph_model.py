@@ -26,10 +26,11 @@ entity), edges by (frame, subject, object, relation), and events by entity,
 each entity's by (start frame, end frame, summary). A field already in its
 order is kept as it is and any other is sorted stably; a node key
 ``(entity_id, frame_index)`` listed twice raises ValueError. Every reader
-relies on these orders. The lookups (``nodes_in_frame``, ``entity_ids``,
-``entity_timeline``, ``node_edges`` and ``entity_descriptions``) read tables
-that the graph builds from its columns at their first use and keeps for its
-lifetime. A graph is safe for concurrent reads.
+relies on these orders. ``nodes_in_frame`` and ``node_edges`` read slices
+of the columns, found by binary search (``node_rows`` finds a node key's
+row); ``entity_ids``, ``entity_timeline`` and ``entity_descriptions`` read
+tables that the graph builds from its columns at their first use and keeps
+for its lifetime. A graph is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -60,15 +61,19 @@ SENTENCE_END = re.compile(r"[.!?]")
 
 
 class BoundingBox(NamedTuple):
-    """Axis-aligned box in frame pixel coordinates, xyxy; valid when finite, non-negative and non-empty."""
+    """Axis-aligned box in frame pixel coordinates, xyxy; ``valid_boxes`` says whether it is valid."""
 
     x_min: float
     y_min: float
     x_max: float
     y_max: float
 
-    def is_valid(self) -> bool:
-        return 0 <= self.x_min < self.x_max < inf and 0 <= self.y_min < self.y_max < inf
+
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Whether each row of an (n, 4) xyxy array is a valid box: finite, non-negative and non-empty."""
+    x0, y0, x1, y1 = boxes.T
+    # A NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
+    return (0 <= x0) & (x0 < x1) & (x1 < inf) & (0 <= y0) & (y0 < y1) & (y1 < inf)
 
 
 class EntityNode(NamedTuple):
@@ -267,6 +272,20 @@ class NodeRows(Sequence[EntityNode]):
         return map(self.table.__getitem__, self.rows.tolist())
 
 
+def node_rows(nodes: NodeTable, entity: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The row of the node ``(entity[k], frame[k])`` for each ``k``, or -1 where ``nodes`` has none."""
+    # The rows ascend by (frame, entity): each key's frame bounds a run of rows, halved by entity, for all keys at once.
+    lo, end = nodes.frame.searchsorted(frame), nodes.frame.searchsorted(frame, "right")
+    hi = end
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = open_ & (nodes.entity[np.where(open_, mid, 0)] < entity)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    found = lo < end
+    found[found] = nodes.entity[lo[found]] == entity[found]
+    return np.where(found, lo, -1)
+
+
 class EdgeTable(Sequence[RelationEdge]):
     """A graph's edges as columns, in (frame, subject, object, relation) order.
 
@@ -359,32 +378,11 @@ class SpatioTemporalGraph:
         return SpatioTemporalGraph, (self.frames, self.nodes, self.edges, dict(self.events), self.fps)
 
     @cached_property
-    def _by_frame(self) -> dict[int, list[EntityNode]]:
-        """Nodes per frame, in entity order."""
-        nodes = self.nodes._all()
-        frames, firsts = np.unique(self.nodes.frame, return_index=True)
-        bounds = [*firsts.tolist(), len(nodes)]
-        return {f: nodes[a:b] for f, a, b in zip(frames.tolist(), bounds, bounds[1:])}
-
-    @cached_property
     def _timeline(self) -> dict[int, NodeRows]:
         """Rows per entity, keys in entity order, each in frame order."""
         order = np.argsort(self.nodes.entity, kind="stable")
         entities, firsts = np.unique(self.nodes.entity[order], return_index=True)
         return {e: NodeRows(self.nodes, rows) for e, rows in zip(entities.tolist(), np.split(order, firsts[1:]))}
-
-    @cached_property
-    def _edges_at(self) -> dict[tuple[int, int], list[RelationEdge]]:
-        """Edges per node key ``(entity_id, frame_index)``, in the graph's edge order; a self-edge is listed once."""
-        edges_at: dict[tuple[int, int], list[RelationEdge]] = {
-            key: [] for key in zip(self.nodes.entity.tolist(), self.nodes.frame.tolist())
-        }
-        for e in self.edges:
-            for entity_id in {e.subject_id, e.object_id}:
-                bucket = edges_at.get((entity_id, e.frame_index))
-                if bucket is not None:
-                    bucket.append(e)
-        return edges_at
 
     @cached_property
     def _descriptions(self) -> DescriptionTable:
@@ -398,7 +396,9 @@ class SpatioTemporalGraph:
         return list(self._timeline)
 
     def nodes_in_frame(self, frame_index: int) -> list[EntityNode]:
-        return list(self._by_frame.get(frame_index, ()))
+        """The frame's nodes, in entity order: the run of rows holding the frame."""
+        rows = range(self.nodes.frame.searchsorted(frame_index), self.nodes.frame.searchsorted(frame_index, "right"))
+        return [self.nodes[i] for i in rows]
 
 
 _EVENT_KEY = attrgetter("start_frame", "end_frame", "summary")
@@ -429,133 +429,150 @@ class DescriptionTable:
 
 @dataclass(frozen=True)
 class Violation:
+    """A break of ``rule``, ``detail`` naming what breaks it, and the graph document's ``field`` that holds it,
+    which equality ignores."""
+
     rule: str
     detail: str
+    field: str | None = field(default=None, compare=False)
+
+
+# The event rules checked by one walk of each entity's events.
+_WALKED_EVENT_RULES = ("event-entity-unknown", "event-entity-mismatch", "event-overlap", "event-absent-frame",
+                       "event-order", "event-coverage")
+# Every rule ``validate`` checks, in the order it checks them.
+RULES = ("fps-finite", "frame-index-dense", "timestamp-finite", "timestamp-order", "node-frame-unknown",
+         "box-invalid", "missing-attribute", "self-edge", "dangling-edge", "event-span", *_WALKED_EVENT_RULES,
+         "line-break")
+# The rules a graph document must keep to load. The others wait on what a build writes: one from observations
+# that lack an attribute breaks missing-attribute, and loading must not refuse it.
+LOAD_RULES = frozenset({"fps-finite", "frame-index-dense", "timestamp-finite", "timestamp-order",
+                        "node-frame-unknown", "event-span", "line-break"})
 
 
 def validate(graph: SpatioTemporalGraph) -> list[Violation]:
-    """Check every structural invariant; an empty report means valid.
+    """Check every rule of ``RULES``; an empty report means valid.
 
-    Violations are data, not errors: callers decide whether to raise.
-    The ``line-break`` rule reports ``line_break_fields``, which ``deserialize``
-    raises from. No rule looks for a repeated node: a graph cannot hold one.
-    Every rule reads the fields in the graph's orders: frames by index, events by start frame.
+    Violations are data, not errors: callers decide whether to raise. Each
+    rule is a pass over the columns, which makes no node or edge record, and
+    the passes report in the order of ``RULES``, each rule's violations in
+    the graph's orders: frames by index, nodes by (frame, entity), edges in
+    the edge order (a dangling edge's subject before its object), events by
+    entity, each entity's by start frame. The one walk of each entity's
+    events reports its rules entity by entity, each entity's in the order of
+    its events. No rule looks for a repeated node: a graph cannot hold one.
     """
-    out = [Violation("line-break", f"{owner} {name}") for owner, name in line_break_fields(graph)]
+    return list(_violations(graph, frozenset(RULES)))
+
+
+def _violations(graph: SpatioTemporalGraph, rules: frozenset[str]) -> Iterator[Violation]:
+    """The violations of the rules in ``rules`` (of every walked event rule when one is asked), in ``validate``'s
+    order; no other rule is checked."""
+    frames, nodes, edges, events = graph.frames, graph.nodes, graph.edges, graph.events
+    last = len(frames) - 1
     # A NaN fails the comparison too, and JSON has no token for NaN or infinity.
-    if not (0 < graph.fps < inf):
-        out.append(Violation("fps-finite", f"fps {graph.fps}"))
+    if "fps-finite" in rules and not 0 < graph.fps < inf:
+        yield Violation("fps-finite", f"fps must be finite and > 0, found {graph.fps}", "fps")
+    index, timestamp, description = _columns(frames, 4)[:3]
+    if "frame-index-dense" in rules:  # a reader takes frame f as frames[f]
+        yield from (Violation("frame-index-dense", f"frame {f}: frame indices must be 0..{last}, each once",
+                              "frame_index") for i, f in enumerate(index) if f != i)
+    seconds = np.array(timestamp, dtype=np.float64)
+    if "timestamp-finite" in rules:
+        for i in np.flatnonzero(~np.isfinite(seconds)).tolist():
+            yield Violation("timestamp-finite", f"frame {i}: timestamp_s {timestamp[i]} is not finite", "timestamp_s")
+    if "timestamp-order" in rules:  # a NaN is neither before nor after a timestamp: timestamp-finite reports it
+        for i in (np.flatnonzero(seconds[1:] <= seconds[:-1]) + 1).tolist():
+            yield Violation("timestamp-order", f"frame {i}: timestamp_s {timestamp[i]} is not after frame {i - 1}'s "
+                            f"{timestamp[i - 1]}", "timestamp_s")
 
-    for i, frame in enumerate(graph.frames):
-        if frame.frame_index != i:
-            out.append(Violation("frame-index-dense", f"position {i} has index {frame.frame_index}"))
-        # A NaN fails every order check below, and JSON has no token for NaN or infinity.
-        if not isfinite(frame.timestamp_s):
-            out.append(Violation("timestamp-finite", f"frame {frame.frame_index}"))
-    for prev, cur in zip(graph.frames, graph.frames[1:]):
-        if cur.timestamp_s <= prev.timestamp_s:
-            out.append(Violation("timestamp-order", f"frame {cur.frame_index}"))
+    entity, frame, state = nodes.entity, nodes.frame, nodes.state
+    if "node-frame-unknown" in rules:  # the rows ascend by frame: those outside the video come first and last
+        for i in chain(range(frame.searchsorted(0)), range(frame.searchsorted(last, "right"), len(frame))):
+            yield Violation("node-frame-unknown", f"node entity {entity[i]} frame {frame[i]} is not in frames "
+                            f"0..{last}", "frame_index")
+    if "box-invalid" in rules:
+        for i in np.flatnonzero(~valid_boxes(nodes.box)).tolist():
+            yield Violation("box-invalid", f"entity {entity[i]} frame {frame[i]}", "box")
+    if "missing-attribute" in rules:
+        # A node's attributes are its state's: each state is searched once, and only the rows of one lacking any.
+        missing = [[name for name in REQUIRED_ATTRIBUTES if name not in a] for a in nodes.attributes]
+        for i in np.flatnonzero(np.isin(state, [s for s, names in enumerate(missing) if names])).tolist():
+            yield from (Violation("missing-attribute", f"entity {entity[i]} frame {frame[i]}: {name}", "attributes")
+                        for name in missing[state[i]])
 
-    nodes_by_frame: dict[int, set[int]] = {}
-    appearance: dict[int, list[int]] = {}  # each entity's frames, ascending: the graph holds nodes in frame order
-    for node in graph.nodes:
-        nodes_by_frame.setdefault(node.frame_index, set()).add(node.entity_id)
-        appearance.setdefault(node.entity_id, []).append(node.frame_index)
-        if not 0 <= node.frame_index < len(graph.frames):
-            out.append(Violation("node-frame-unknown", f"entity {node.entity_id} frame {node.frame_index}"))
-        if not node.box.is_valid():
-            out.append(Violation("box-invalid", f"entity {node.entity_id} frame {node.frame_index}"))
-        for attr in REQUIRED_ATTRIBUTES:
-            if attr not in node.attributes:
-                out.append(
-                    Violation("missing-attribute", f"entity {node.entity_id} frame {node.frame_index}: {attr}")
-                )
+    if "self-edge" in rules:
+        for i in np.flatnonzero(edges.subject == edges.object).tolist():
+            yield Violation("self-edge", f"frame {edges.frame[i]} entity {edges.subject[i]}", "object_id")
+    if "dangling-edge" in rules:
+        ends = [(edges.subject, "subject_id"), (edges.object, "object_id")]
+        absent = [node_rows(nodes, ids, edges.frame) < 0 for ids, _ in ends]
+        for i in np.flatnonzero(absent[0] | absent[1]).tolist():
+            yield from (Violation("dangling-edge", f"frame {edges.frame[i]} entity {ids[i]}", name)
+                        for (ids, name), gone in zip(ends, absent) if gone[i])
 
-    for edge in graph.edges:
-        if edge.subject_id == edge.object_id:
-            out.append(Violation("self-edge", f"frame {edge.frame_index} entity {edge.subject_id}"))
-        present = nodes_by_frame.get(edge.frame_index, set())
-        for endpoint in (edge.subject_id, edge.object_id):
-            if endpoint not in present:
-                out.append(
-                    Violation("dangling-edge", f"frame {edge.frame_index} entity {endpoint}")
-                )
-
-    for entity_id, events in graph.events.items():
-        if entity_id not in appearance:
-            out.append(Violation("event-entity-unknown", f"entity {entity_id}"))
-            continue
-        frames_here = appearance[entity_id]
-        # Spans are checked by arithmetic, never expanded. Events come by start frame, so one meets an earlier one
-        # exactly when it starts by the furthest frame they reach, and the entity's frames in between are uncovered.
-        reached, missing = -inf, []
-        for ev in events:
-            if ev.entity_id != entity_id:
-                out.append(Violation("event-entity-mismatch", f"entity {entity_id} holds event of {ev.entity_id}"))
-            start, end = ev.start_frame, ev.end_frame
-            if start > end:
-                out.append(Violation("event-span", f"entity {entity_id} [{start}..{end}]"))
+    # An event's span lies within the video's frames: sampling or validating any other would expand it.
+    outside = {(k, i): ev for k, evs in events.items() for i, ev in enumerate(evs)
+               if not 0 <= ev.start_frame <= ev.end_frame <= last}
+    if "event-span" in rules:
+        for (k, i), ev in outside.items():
+            yield Violation("event-span", f"event {i} of entity {k}: {ev.start_frame}..{ev.end_frame} is not a span "
+                            f"of frames 0..{last}", "end_frame" if ev.end_frame > last else "start_frame")
+    if not rules.isdisjoint(_WALKED_EVENT_RULES):  # one walk of each entity's events checks all of these
+        timeline = graph._timeline
+        for k, evs in events.items():
+            if k not in timeline:
+                yield Violation("event-entity-unknown", f"entity {k}", "events")
                 continue
-            if start <= reached:
-                out.append(Violation("event-overlap", f"entity {entity_id} [{start}..{end}]"))
-            # The entity's frames ascend, each once: they hold all of start..end when end is end - start after start.
-            i, n = bisect_left(frames_here, start), end - start
-            if not (i + n < len(frames_here) and frames_here[i] == start and frames_here[i + n] == end):
-                out.append(Violation("event-absent-frame", f"entity {entity_id} [{start}..{end}]"))
-            missing += frames_here[bisect_right(frames_here, reached):i]
-            reached = max(reached, end)
-        for prev, cur in zip(events, events[1:]):
-            if cur.start_frame <= prev.end_frame:
-                out.append(Violation("event-order", f"entity {entity_id} at frame {cur.start_frame}"))
-        # Coverage is only enforced once the entity has events at all, so
-        # partially built graphs (pre-segmentation) still validate.
-        missing += frames_here[bisect_right(frames_here, reached):]
-        if events and missing:
-            out.append(Violation("event-coverage", f"entity {entity_id} frames {missing}"))
+            frames_here = frame[timeline[k].rows].tolist()  # ascending, each once
+            # Spans are checked by arithmetic, never expanded. Events come by start frame, so one meets an earlier one
+            # when it starts by the furthest frame they reach; the entity's frames in between are uncovered.
+            reached, missing = -inf, []
+            for i, ev in enumerate(evs):
+                if ev.entity_id != k:
+                    yield Violation("event-entity-mismatch", f"entity {k} holds event of {ev.entity_id}", "events")
+                if (k, i) in outside:
+                    continue
+                start, end = ev.start_frame, ev.end_frame
+                if start <= reached:
+                    yield Violation("event-overlap", f"entity {k} [{start}..{end}]", "events")
+                # The entity's frames ascend, each once: they hold start..end when end is end - start after start.
+                at, n = bisect_left(frames_here, start), end - start
+                if not (at + n < len(frames_here) and frames_here[at] == start and frames_here[at + n] == end):
+                    yield Violation("event-absent-frame", f"entity {k} [{start}..{end}]", "events")
+                missing += frames_here[bisect_right(frames_here, reached):at]
+                reached = max(reached, end)
+            for prev, cur in zip(evs, evs[1:]):
+                if cur.start_frame <= prev.end_frame:
+                    yield Violation("event-order", f"entity {k} at frame {cur.start_frame}", "events")
+            # Coverage is only enforced once the entity has events at all, so
+            # partially built graphs (pre-segmentation) still validate.
+            missing += frames_here[bisect_right(frames_here, reached):]
+            if evs and missing:
+                yield Violation("event-coverage", f"entity {k} frames {missing}", "events")
 
-    return out
-
-
-def line_break_fields(graph: SpatioTemporalGraph) -> Iterator[tuple[str, str]]:
-    """Each text field that holds a line break, as ``(owner, field)``.
-
-    The fields are frame and node descriptions, node attributes (keys and
-    values), edge relations and event summaries, walked in that order. A
-    node's texts are its state's, so the states and relations tables are
-    searched once each, and only the rows of a state or relation found
-    there are walked.
-    """
-    frames, nodes, edges = graph.frames, graph.nodes, graph.edges
-    events = list(chain.from_iterable(graph.events.values()))
-    texts = "\0".join(chain(
-        (f.description for f in frames),
-        (d or "" for d in nodes.descriptions),
-        chain.from_iterable(chain(a, a.values()) for a in nodes.attributes),
-        edges.relations,
-        (ev.summary for ev in events),
-    ))
-    # One substring scan per break of all the text is a fifth of a regex search per field.
-    if not any(c in texts for c in LINE_BREAKS):
-        return
-    for f in frames:
-        if LINE_BREAK.search(f.description):
-            yield f"frame {f.frame_index}", "description"
-    broken = [(d is not None and bool(LINE_BREAK.search(d)), any(map(LINE_BREAK.search, chain(a, a.values()))))
-              for a, d in zip(nodes.attributes, nodes.descriptions)]
-    bad = [s for s, fields in enumerate(broken) if any(fields)]
-    for i in np.flatnonzero(np.isin(nodes.state, bad)).tolist():
-        owner = f"node entity {nodes.entity[i]} frame {nodes.frame[i]}"
-        description, attributes = broken[nodes.state[i]]
-        if description:
-            yield owner, "description"
-        if attributes:
-            yield owner, "attributes"
-    bad = [r for r, text in enumerate(edges.relations) if LINE_BREAK.search(text)]
-    for i in np.flatnonzero(np.isin(edges.relation, bad)).tolist():
-        yield f"edge frame {edges.frame[i]} {edges.subject[i]}->{edges.object[i]}", "relation"
-    for ev in events:
-        if LINE_BREAK.search(ev.summary):
-            yield f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}]", "summary"
+    if "line-break" in rules:
+        # Frame and node descriptions, node attributes (keys and values), edge relations and event summaries. A node's
+        # texts are its state's: the states and relations tables are searched once, then only their rows found.
+        summaries = list(chain.from_iterable(events.values()))
+        texts = "\0".join(chain(description, (d or "" for d in nodes.descriptions),
+                                chain.from_iterable(chain(a, a.values()) for a in nodes.attributes),
+                                edges.relations, (ev.summary for ev in summaries)))
+        # One substring scan per break of all the text is a fifth of a regex search per field.
+        if not any(c in texts for c in LINE_BREAKS):
+            return
+        broken = [(f"frame {f}", "description") for f, text in zip(index, description) if LINE_BREAK.search(text)]
+        breaks = [(d is not None and bool(LINE_BREAK.search(d)), any(map(LINE_BREAK.search, chain(a, a.values()))))
+                  for a, d in zip(nodes.attributes, nodes.descriptions)]
+        for i in np.flatnonzero(np.isin(state, [s for s, found in enumerate(breaks) if any(found)])).tolist():
+            broken += [(f"node entity {entity[i]} frame {frame[i]}", name)
+                       for name, found in zip(("description", "attributes"), breaks[state[i]]) if found]
+        relations = [r for r, text in enumerate(edges.relations) if LINE_BREAK.search(text)]
+        broken += [(f"edge frame {edges.frame[i]} {edges.subject[i]}->{edges.object[i]}", "relation")
+                   for i in np.flatnonzero(np.isin(edges.relation, relations)).tolist()]
+        broken += [(f"event entity {ev.entity_id} [{ev.start_frame}..{ev.end_frame}]", "summary")
+                   for ev in summaries if LINE_BREAK.search(ev.summary)]
+        yield from (Violation("line-break", f"{owner} has a line break in its {name}", name) for owner, name in broken)
 
 
 def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> NodeRows:
@@ -567,11 +584,14 @@ def entity_timeline(graph: SpatioTemporalGraph, entity_id: int) -> NodeRows:
 
 
 def node_edges(graph: SpatioTemporalGraph, entity_id: int, frame_index: int) -> list[RelationEdge]:
-    """Edges of the given frame that touch the given entity."""
-    edges = graph._edges_at.get((entity_id, frame_index))
-    if edges is None:
+    """Edges of the given frame that touch the given entity, in the graph's edge order, a self-edge once: those
+    of the run of edge rows holding the frame."""
+    if node_rows(graph.nodes, np.array([entity_id]), np.array([frame_index]))[0] < 0:
         raise NotFound(f"no node for entity {entity_id} in frame {frame_index}")
-    return list(edges)
+    edges = graph.edges
+    start, stop = edges.frame.searchsorted(frame_index), edges.frame.searchsorted(frame_index, "right")
+    touching = (edges.subject[start:stop] == entity_id) | (edges.object[start:stop] == entity_id)
+    return [edges[i] for i in (start + np.flatnonzero(touching)).tolist()]
 
 
 def entity_descriptions(graph: SpatioTemporalGraph) -> DescriptionTable:
@@ -655,15 +675,14 @@ def serialize(graph: SpatioTemporalGraph) -> str:
 
 
 def parse_box(raw, where: str, *args) -> BoundingBox:
-    """Read an ``[x0, y0, x1, y1]`` box; a malformed one raises one of ``MALFORMED``.
+    """Read an ``[x0, y0, x1, y1]`` box; a malformed or invalid one (``valid_boxes``) raises one of ``MALFORMED``.
 
     The error names the box's owner as ``where % args``, formatted only then.
     """
     if isinstance(raw, (list, tuple)) and len(raw) == 4:
-        x_min, y_min, x_max, y_max = float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
-        # A NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
-        if 0 <= x_min < x_max < inf and 0 <= y_min < y_max < inf:
-            return BoundingBox(x_min, y_min, x_max, y_max)
+        box = BoundingBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+        if valid_boxes(np.array([box]))[0]:
+            return box
     raise ValueError(
         f"box of {where % args} must be [x0, y0, x1, y1] with 0 <= x0 < x1 and 0 <= y0 < y1, all finite"
     )
@@ -694,9 +713,7 @@ def parse_boxes(raws: list) -> tuple[np.ndarray, int]:
             except MALFORMED:
                 break
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    x0, y0, x1, y1 = boxes.T
-    # As in ``parse_box``: a NaN fails every comparison, and x0 < x1 < inf keeps x0 finite too.
-    ok = (0 <= x0) & (x0 < x1) & (x1 < inf) & (0 <= y0) & (y0 < y1) & (y1 < inf)
+    ok = valid_boxes(boxes)
     return boxes, len(ok) if ok.all() else int(ok.argmin())
 
 
@@ -730,22 +747,24 @@ def _box_rows(column: list):
     return list(zip(*[iter(column)] * 4))
 
 
-def _integers(values: list, name: str, owner: str) -> list[int]:
-    """``integer`` of each value; the first it rejects raises ParseError naming its row as ``owner % i``."""
-    if set(map(type, values)) <= {int}:  # the common case, checked at C speed: documents hold thousands of IDs
-        return values
-    for i, value in enumerate(values):
-        try:
-            integer(value, name)
-        except ParseError as exc:
-            raise ParseError(f"{owner % i}: {exc}", field=name) from None
-    return [integer(value, name) for value in values]
+def _integers(columns: list[tuple[list, str, str]]) -> list[list[int]]:
+    """``integer`` of each value of each ``(values, name, owner)`` column; the first value it rejects raises
+    ParseError naming its row as ``owner % i``. One type scan covers every column: JSON numbers are ints almost
+    always, and documents hold thousands of IDs."""
+    if set(map(type, chain.from_iterable(values for values, _, _ in columns))) <= {int}:
+        return [values for values, _, _ in columns]
+    return [[_integer(value, name, owner, i) for i, value in enumerate(values)] for values, name, owner in columns]
 
 
-def _rows(values: list, name: str, owner: str, table: str, count: int) -> np.ndarray:
-    """``_integers`` of row numbers into a table of ``count`` rows, as an intp column; one outside it raises
-    ParseError."""
-    values = _integers(values, name, owner)
+def _integer(value, name: str, owner: str, i: int) -> int:
+    try:
+        return integer(value, name)
+    except ParseError as exc:
+        raise ParseError(f"{owner % i}: {exc}", field=name) from None
+
+
+def _rows(values: list[int], name: str, owner: str, table: str, count: int) -> np.ndarray:
+    """Row numbers into a table of ``count`` rows, as an intp column; one outside it raises ParseError."""
     try:
         rows = np.fromiter(values, dtype=np.intp, count=len(values))
         inside = not len(rows) or 0 <= rows.min() and rows.max() < count
@@ -791,13 +810,12 @@ def deserialize(document: str) -> SpatioTemporalGraph:
     A malformed document, one of another format (format 1, which has no
     ``format`` key, included), columns of one table of unequal length, a
     state or relation number that is not a row of its table, an entity ID or
-    frame index outside int64, an events key
-    that is not an entity ID in plain decimal, an fps or a timestamp that
-    is not finite (or an fps not > 0), frame indices that are not 0..n-1
-    each once, a timestamp not after the previous frame's, a node listed
-    twice or outside the video's frames, an event span outside them, or a
-    line break in a text field raises ParseError. The document may list the
-    rows of each table, and number its states and relations, in any order.
+    frame index outside int64, an events key that is not an entity ID in
+    plain decimal or a node listed twice raises ParseError. So does a graph
+    that breaks a rule of ``LOAD_RULES``, with the message and field of the
+    first violation ``validate`` would report of them. The document may list
+    the rows of each table, and number its states and relations, in any
+    order.
     """
     doc = json_object(document, "graph document")
     if "format" not in doc:
@@ -813,72 +831,52 @@ def deserialize(document: str) -> SpatioTemporalGraph:
     try:
         frame_index, timestamp_s, description, source_ref = _table(
             doc["frames"], ("frame_index", "timestamp_s", "description", "source_ref"), "frames")
-        frames = list(map(FrameRecord, _integers(frame_index, "frame_index", "frame %s"), map(float, timestamp_s),
-                          map(str, description), map(str, source_ref)))
         attributes, texts = _table(doc["states"], ("attributes", "description"), "states")
-        attributes = _attributes(attributes)
-        texts = [None if text is None else str(text) for text in texts]
         entity_id, node_frame, state, raw_boxes = _table(
             doc["nodes"], ("entity_id", "frame_index", "state", "box"), "nodes")
-        entity_id = _integers(entity_id, "entity_id", "node %s")
-        node_frame = _integers(node_frame, "frame_index", "node %s")
+        relations = doc["relations"]
+        if type(relations) is not list:
+            raise TypeError("relations must be a list")
+        edge_frame, subject_id, object_id, relation = _table(
+            doc["edges"], ("frame_index", "subject_id", "object_id", "relation"), "edges")
+        event_tables = {_entity_key(key): _table(table, ("start_frame", "end_frame", "summary"),
+                                                 f"events of entity {key}", "events")
+                        for key, table in doc["events"].items()}
+        frame_index, entity_id, node_frame, state, edge_frame, subject_id, object_id, relation, *spans = _integers([
+            (frame_index, "frame_index", "frame %s"), (entity_id, "entity_id", "node %s"),
+            (node_frame, "frame_index", "node %s"), (state, "state", "node %s"),
+            (edge_frame, "frame_index", "edge %s"), (subject_id, "subject_id", "edge %s"),
+            (object_id, "object_id", "edge %s"), (relation, "relation", "edge %s"),
+            *((column, name, f"event %s of entity {entity}") for entity, (start, end, _) in event_tables.items()
+              for column, name in ((start, "start_frame"), (end, "end_frame"))),
+        ])
+        frames = list(map(FrameRecord, frame_index, map(float, timestamp_s), map(str, description),
+                          map(str, source_ref)))
+        attributes = _attributes(attributes)
+        texts = [None if text is None else str(text) for text in texts]
         node = lambda i: f"node entity {entity_id[i]} frame {node_frame[i]}"
         entities, frame_column = _id_column(entity_id, "entity_id", node), _id_column(node_frame, "frame_index", node)
         state = _rows(state, "state", "node %s", "states", len(attributes))
         boxes, n_ok = parse_boxes(_box_rows(raw_boxes))
         if n_ok < len(raw_boxes) // 4:
             parse_box(raw_boxes[4 * n_ok:4 * n_ok + 4], "node %s frame %s", entity_id[n_ok], node_frame[n_ok])
-        relations = doc["relations"]
-        if type(relations) is not list:
-            raise TypeError("relations must be a list")
         relations = list(map(str, relations))
-        edge_frame, subject_id, object_id, relation = _table(
-            doc["edges"], ("frame_index", "subject_id", "object_id", "relation"), "edges")
-        edge_columns = [_id_column(_integers(values, name, "edge %s"), name, "edge {}".format) for values, name in
+        edge_columns = [_id_column(values, name, "edge {}".format) for values, name in
                         ((edge_frame, "frame_index"), (subject_id, "subject_id"), (object_id, "object_id"))]
         relation = _rows(relation, "relation", "edge %s", "relations", len(relations))
-        events = {}
-        for key, table in doc["events"].items():
-            entity = _entity_key(key)
-            owner = f"event %s of entity {key}"
-            start, end, summary = _table(table, ("start_frame", "end_frame", "summary"), f"events of entity {key}",
-                                         "events")
-            events[entity] = list(map(EntityEvent, [entity] * len(start), _integers(start, "start_frame", owner),
-                                      _integers(end, "end_frame", owner), map(str, summary)))
+        events = {entity: list(map(EntityEvent, [entity] * len(start), start, end, map(str, summary)))
+                  for (entity, (_, _, summary)), start, end in zip(event_tables.items(), spans[::2], spans[1::2])}
         fps = float(doc["fps"])
         edges = EdgeTable(*edge_columns, relation, relations)
     except MALFORMED as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
-    # ``validate``'s fps-finite rule, and below its timestamp-finite rule: json reads NaN, Infinity and 1e400 as floats.
-    if not 0 < fps < inf:
-        raise ParseError(f"fps must be finite and > 0, found {fps}", field="fps")
     try:
         nodes = NodeTable(entities, frame_column, boxes, state, attributes, texts)
     except ValueError as exc:  # a node listed twice
         raise ParseError(str(exc), field="nodes") from None
     graph = SpatioTemporalGraph(frames=frames, nodes=nodes, edges=edges, events=events, fps=fps)
-    last = len(frames) - 1
-    # ``validate``'s frame-index-dense, timestamp-finite and timestamp-order rules: a reader takes frame f as frames[f].
-    for i, f in enumerate(graph.frames):
-        if f.frame_index != i:
-            raise ParseError(f"frame {f.frame_index}: frame indices must be 0..{last}, each once", field="frame_index")
-        if not isfinite(f.timestamp_s):
-            raise ParseError(f"frame {i}: timestamp_s {f.timestamp_s} is not finite", field="timestamp_s")
-        if i and not f.timestamp_s > graph.frames[i - 1].timestamp_s:
-            raise ParseError(f"frame {i}: timestamp_s {f.timestamp_s} is not after frame {i - 1}'s "
-                             f"{graph.frames[i - 1].timestamp_s}", field="timestamp_s")
-    # In the graph's node order the first node holds the lowest frame and the last the highest.
-    for i in {0, len(nodes) - 1} if len(nodes) else ():
-        if not 0 <= nodes.frame[i] <= last:
-            raise ParseError(f"node entity {nodes.entity[i]} frame {nodes.frame[i]} is not in frames 0..{last}",
-                             field="frame_index")
-    for entity_id, evs in events.items():
-        for i, ev in enumerate(evs):
-            if not 0 <= ev.start_frame <= ev.end_frame <= last:  # sampling or validating would expand it
-                raise ParseError(f"event {i} of entity {entity_id}: {ev.start_frame}..{ev.end_frame} is not a span "
-                                 f"of frames 0..{last}", field="end_frame" if ev.end_frame > last else "start_frame")
     # A string holds a line break only as an escape or as a raw U+0085, U+2028 or U+2029: JSON forbids the others raw.
-    if any(c in document for c in "\\\x85\u2028\u2029"):
-        for owner, name in line_break_fields(graph):
-            raise ParseError(f"{owner} has a line break in its {name}", field=name)
+    rules = LOAD_RULES if any(c in document for c in "\\\x85\u2028\u2029") else LOAD_RULES - {"line-break"}
+    for violation in _violations(graph, rules):
+        raise ParseError(violation.detail, field=violation.field)
     return graph

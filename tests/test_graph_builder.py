@@ -489,13 +489,11 @@ def test_build_asks_each_distinct_prompt_once():
 
 @pytest.mark.parametrize("shape", [(24, 3), (200, 6)])
 def test_build_makes_each_node_table_once(monkeypatch, shape):
-    """One entity timeline per build, for the events; the frames' entity IDs and the nodes' edges are read
-    from the columns, so a build makes no node-by-frame table and no edge table."""
+    """One entity timeline per build, for the events, and no description table; the frames' entity IDs and
+    the nodes' edges are read from the columns."""
     built = count_table_builds(monkeypatch)
     graph = build(synth_world(1, *shape), mock_backend())
-    assert {name: len(graphs) for name, graphs in built.items()} == {
-        "_by_frame": 0, "_timeline": 1, "_edges_at": 0, "_descriptions": 0
-    }
+    assert {name: len(graphs) for name, graphs in built.items()} == {"_timeline": 1, "_descriptions": 0}
     assert graph.edges and graph.events
 
 

@@ -3,8 +3,10 @@ import json
 import pickle
 import re
 from dataclasses import fields as dataclass_fields, replace
+from math import inf, nan
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,11 +31,12 @@ from ravu.graph_model import (
     node_edges,
     parse_box,
     serialize,
+    valid_boxes,
     validate,
 )
 from ravu.synth import synth_world
 
-from conftest import count_table_builds, mock_backend, new_state, rows, table
+from conftest import by_rule, count_table_builds, event_rule_graphs, mock_backend, new_state, rows, table
 
 ATTRS = {"appearance": "red ball", "action": "rolling", "body_pose": "none"}
 
@@ -74,12 +77,15 @@ def with_frame(g, i, **changes):
 
 
 def test_bounding_box_validity():
-    assert box().is_valid()
-    assert not BoundingBox(5, 0, 5, 10).is_valid()  # zero width
-    assert not BoundingBox(-1, 0, 4, 10).is_valid()  # negative origin
-    assert not BoundingBox(4, 10, 1, 2).is_valid()  # inverted
-    assert not BoundingBox(0, 0, float("inf"), 1).is_valid()  # unbounded
-    assert not BoundingBox(0, float("nan"), 1, 1).is_valid()
+    boxes = [
+        box(),
+        BoundingBox(5, 0, 5, 10),  # zero width
+        BoundingBox(-1, 0, 4, 10),  # negative origin
+        BoundingBox(4, 10, 1, 2),  # inverted
+        BoundingBox(0, 0, inf, 1),  # unbounded
+        BoundingBox(0, nan, 1, 1),
+    ]
+    assert valid_boxes(np.array(boxes)).tolist() == [True, False, False, False, False, False]
 
 
 def test_valid_graph_has_no_violations():
@@ -99,7 +105,9 @@ def test_timestamp_order_checked():
 @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_timestamp_checked(timestamp):
     g = with_frame(small_graph(), 0, timestamp_s=timestamp)
-    assert [v for v in validate(g) if v.rule == "timestamp-finite"] == [Violation("timestamp-finite", "frame 0")]
+    assert [v for v in validate(g) if v.rule == "timestamp-finite"] == [
+        Violation("timestamp-finite", f"frame 0: timestamp_s {timestamp} is not finite")
+    ]
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
@@ -107,7 +115,9 @@ def test_non_finite_or_non_positive_fps_checked(fps):
     g = small_graph()
     assert not [v for v in validate(g) if v.rule == "fps-finite"]
     g = replace(g, fps=fps)
-    assert [v for v in validate(g) if v.rule == "fps-finite"] == [Violation("fps-finite", f"fps {fps}")]
+    assert [v for v in validate(g) if v.rule == "fps-finite"] == [
+        Violation("fps-finite", f"fps must be finite and > 0, found {fps}")
+    ]
 
 
 def test_duplicate_node_detected():
@@ -126,8 +136,9 @@ def test_duplicate_node_detected():
 def test_a_node_outside_the_video_frames_is_refused(frame):
     g = small_graph()
     g = replace(g, nodes=[*g.nodes, EntityNode(2, frame, dict(ATTRS), box())])
-    assert validate(g) == [Violation("node-frame-unknown", f"entity 2 frame {frame}")]
-    with pytest.raises(ParseError, match=f"^node entity 2 frame {frame} is not in frames 0..1$") as exc:
+    message = f"node entity 2 frame {frame} is not in frames 0..1"
+    assert validate(g) == [Violation("node-frame-unknown", message)]
+    with pytest.raises(ParseError, match=f"^{message}$") as exc:
         deserialize(serialize(g))
     assert exc.value.field == "frame_index"
 
@@ -136,14 +147,16 @@ def test_a_built_graph_cut_short_is_refused(assets):
     doc = json.loads(serialize(assets.graph))
     doc["frames"] = table(rows(doc["frames"])[:20], doc["frames"])
     doc["events"] = {}
-    last = rows(doc["nodes"])[-1]
-    assert last["frame_index"] == 23
-    with pytest.raises(ParseError, match=f"^node entity {last['entity_id']} frame 23 is not in frames 0..19$"):
+    # Loading names the first node past the last frame, in the graph's (frame, entity) order.
+    first = next(node for node in rows(doc["nodes"]) if node["frame_index"] >= 20)
+    assert first["frame_index"] == 20
+    with pytest.raises(ParseError, match=f"^node entity {first['entity_id']} frame 20 is not in frames 0..19$"):
         deserialize(json.dumps(doc))
     cut = SpatioTemporalGraph(frames=assets.graph.frames[:20], nodes=assets.graph.nodes)
     late = [n for n in assets.graph.nodes if n.frame_index >= 20]
     assert late and validate(cut) == [
-        Violation("node-frame-unknown", f"entity {n.entity_id} frame {n.frame_index}") for n in late
+        Violation("node-frame-unknown", f"node entity {n.entity_id} frame {n.frame_index} is not in frames 0..19")
+        for n in late
     ]
 
 
@@ -177,6 +190,9 @@ def test_event_invariants_detected():
     assert any(v.rule == "event-entity-unknown" for v in validate(g))
 
     g = replace(small_graph(), events={0: [EntityEvent(0, 0, 5, "out of range")]})
+    assert any(v.rule == "event-span" for v in validate(g))
+
+    g = replace(small_graph(), events={1: [EntityEvent(1, 0, 1, "in frame 1 too")]})  # entity 1 is in frame 0 only
     assert any(v.rule == "event-absent-frame" for v in validate(g))
 
 
@@ -187,25 +203,30 @@ def test_no_events_is_not_a_coverage_violation():
 
 def test_a_span_far_past_the_entity_frames_is_reported_not_expanded():
     g = replace(small_graph(), events={0: [EntityEvent(0, 0, 10**15, "forever")]})
-    assert validate(g) == [Violation("event-absent-frame", "entity 0 [0..1000000000000000]")]
+    assert validate(g) == [
+        Violation("event-span", "event 0 of entity 0: 0..1000000000000000 is not a span of frames 0..1"),
+        Violation("event-coverage", "entity 0 frames [0, 1]"),
+    ]
 
 
 def expanded_event_violations(graph):
     """The event rules of ``validate``, checked by expanding each span into a set of frames."""
-    out, appearance = [], {}
+    out, appearance, last = [], {}, len(graph.frames) - 1
     for n in graph.nodes:
         appearance.setdefault(n.entity_id, set()).add(n.frame_index)
     for entity_id, events in graph.events.items():
+        inside = [0 <= ev.start_frame <= ev.end_frame <= last for ev in events]
+        out += [Violation("event-span", f"event {i} of entity {entity_id}: {ev.start_frame}..{ev.end_frame} is not a "
+                          f"span of frames 0..{last}") for i, (ev, ok) in enumerate(zip(events, inside)) if not ok]
         if entity_id not in appearance:
             out.append(Violation("event-entity-unknown", f"entity {entity_id}"))
             continue
         covered = set()
-        for ev in events:
+        for ev, ok in zip(events, inside):
             where = f"entity {entity_id} [{ev.start_frame}..{ev.end_frame}]"
             if ev.entity_id != entity_id:
                 out.append(Violation("event-entity-mismatch", f"entity {entity_id} holds event of {ev.entity_id}"))
-            if ev.start_frame > ev.end_frame:
-                out.append(Violation("event-span", where))
+            if not ok:
                 continue
             span = set(range(ev.start_frame, ev.end_frame + 1))
             if covered & span:
@@ -222,20 +243,9 @@ def expanded_event_violations(graph):
     return out
 
 
-@given(
-    st.lists(st.sets(st.integers(0, 9)), min_size=2, max_size=2),
-    st.dictionaries(
-        st.integers(0, 2),
-        st.lists(st.builds(EntityEvent, st.integers(0, 2), st.integers(-2, 11), st.integers(-2, 11), st.just("e")),
-                 max_size=5),
-        max_size=3,
-    ),
-)
-def test_event_rules_match_the_span_expanding_reference(frames_of, events):
-    # Entities 0 and 1 appear in the drawn frames; entity 2 never does.
-    nodes = [EntityNode(e, f, dict(ATTRS), box()) for e, frames in enumerate(frames_of) for f in frames]
-    g = SpatioTemporalGraph(frames=[FrameRecord(i, float(i), "") for i in range(10)], nodes=nodes, events=events)
-    assert [v for v in validate(g) if v.rule.startswith("event-")] == expanded_event_violations(g)
+@given(event_rule_graphs())
+def test_event_rules_match_the_span_expanding_reference(g):
+    assert [v for v in validate(g) if v.rule.startswith("event-")] == by_rule(expanded_event_violations(g))
 
 
 def test_entity_timeline_sorted_and_missing():
@@ -368,26 +378,18 @@ def lookup_iterations(n_frames):
 def test_lookups_iterate_graph_lists_a_constant_number_of_times():
     small, large = lookup_iterations(4), lookup_iterations(64)
     assert small == large
-    assert max(large[:2]) <= 2 and large[2] == (1, 1, 1, 1)
+    assert max(large[:2]) <= 2 and large[2] == (1, 1)
 
 
-def test_lookups_without_node_edges_build_no_edge_table():
+def test_frame_and_edge_lookups_read_the_columns():
+    """``nodes_in_frame`` makes the records of its frame's rows alone, and neither it nor ``node_edges`` builds a
+    table on the graph."""
     nodes = make_nodes((entity_id, frame) for frame in range(4) for entity_id in range(3))
     g = SpatioTemporalGraph(nodes=nodes, edges=make_edges((f, 0, "near", 1) for f in range(4)))
-    g.nodes_in_frame(2)
-    entity_timeline(g, 1)
-    assert "_edges_at" not in vars(g)
-    assert {"_by_frame", "_timeline"} <= set(vars(g))
-
-
-def test_a_graph_given_its_edges_builds_no_node_table():
-    g = SpatioTemporalGraph(nodes=make_nodes([(0, 0), (1, 0)]), edges=make_edges([(0, 0, "near", 1)]))
-    by_frame = g._by_frame
-    with_edges = replace(g, edges=make_edges([(0, 1, "holding", 0)]))
-    assert [e.relation for e in node_edges(with_edges, 0, 0)] == ["holding"]
-    assert "_edges_at" in vars(with_edges) and "_by_frame" not in vars(with_edges)
-    assert "_timeline" not in vars(with_edges)
-    assert g._by_frame is by_frame and "_edges_at" not in vars(g)
+    assert [(n.entity_id, n.frame_index) for n in g.nodes_in_frame(2)] == [(0, 2), (1, 2), (2, 2)]
+    assert [i for i, view in enumerate(g.nodes._views) if view is not None] == [6, 7, 8]
+    assert [(e.frame_index, e.subject_id) for e in node_edges(g, 1, 3)] == [(3, 0)]
+    assert not {"_timeline", "_descriptions"} & set(vars(g))
 
 
 def test_node_edges_reads_the_edges_of_its_own_graph():
@@ -536,7 +538,10 @@ def test_deserialize_rejects_an_event_span_outside_the_video(assets, start, end,
     events = doc["events"]["0"]
     assert len(doc["frames"]["frame_index"]) == 24 and deserialize(json.dumps(doc)).events == assets.graph.events
     events["start_frame"][-1], events["end_frame"][-1] = start, end
-    with pytest.raises(ParseError, match=f"^event {len(events['start_frame']) - 1} of entity 0: {message}$") as exc:
+    # The event is numbered by its place in the graph's order of the entity's events.
+    place = sorted(zip(events["start_frame"], events["end_frame"], events["summary"])).index(
+        (start, end, events["summary"][-1]))
+    with pytest.raises(ParseError, match=f"^event {place} of entity 0: {message}$") as exc:
         deserialize(json.dumps(doc))
     assert exc.value.field == field
 
@@ -659,7 +664,8 @@ def test_validate_reports_a_line_break_exactly_when_deserialize_rejects_it(mark,
     except ParseError:
         rejected = True
     assert rejected == (char in LINE_BREAKS)
-    assert [(v.rule, v.detail) for v in validate(g)] == ([("line-break", f"{owner} {field}")] if rejected else [])
+    expected = [("line-break", f"{owner} has a line break in its {field}")] if rejected else []
+    assert [(v.rule, v.detail) for v in validate(g)] == expected
 
 
 def test_deserialize_accepts_escapes_and_text_that_are_not_line_breaks():

@@ -23,7 +23,6 @@ from ravu.evaluate import build_video
 from ravu.errors import ParseError
 from ravu.graph_builder import EmbeddingColumns, EmbeddingRecord, _node_columns, read_embeddings, write_embeddings
 from ravu.graph_model import (
-    LINE_BREAK,
     BoundingBox,
     EntityEvent,
     EntityNode,
@@ -39,7 +38,7 @@ from ravu.graph_model import (
 from ravu.index import EmbeddingIndex
 from ravu.synth import synth_world
 
-from conftest import make_columns, mock_backend, record_rows, rows, table
+from conftest import floats, loadable_graphs, make_columns, mock_backend, record_rows, rows, table, texts
 
 # sha256 of (graph document, embeddings.bin, description index) for synth_world(1, frames, entities)
 # built with the mock backend and the default config.
@@ -163,15 +162,6 @@ def format1_document(graph):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# Non-ASCII text, quotes, backslashes and control characters, besides any text.
-texts = st.one_of(
-    st.text(max_size=6),
-    st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f\x7f", "é", "€", "😀", " ", 'a "b" \\c']),
-)
-# Finite floats only: a non-finite float is refused (``test_a_non_finite_float_is_neither_written_nor_read``).
-floats = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 0.1, 1e16, 1e-7, 2.5])
-)
 ints = st.integers(-3, 10**20)
 frames = st.builds(FrameRecord, ints, floats, texts, texts)
 nodes = st.builds(
@@ -261,40 +251,6 @@ def test_a_document_of_another_format_is_refused(value):
     assert str(exc.value) == (f"the graph document is format {value!r}, and this version reads format 2 only; "
                               "re-run `ravu build` to rewrite it")
     assert exc.value.field == "format"
-
-
-# Text without a line break: loading refuses one in every text field but a frame's source_ref.
-one_line_texts = texts.filter(lambda text: not LINE_BREAK.search(text))
-positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-valid_boxes = st.builds(
-    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
-    st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(1e-3, 1e6), st.floats(1e-3, 1e6),
-)
-
-
-@st.composite
-def loadable_graphs(draw):
-    """Graphs that ``deserialize`` loads: frames 0..n-1 with increasing timestamps, a finite fps > 0, valid
-    boxes, nodes in those frames and event spans inside them."""
-    timestamps = sorted(draw(st.lists(floats, max_size=4, unique=True)))
-    frames = [FrameRecord(i, t, draw(one_line_texts), draw(texts)) for i, t in enumerate(timestamps)]
-    # A node or an event needs a frame to be in.
-    frame = st.integers(0, max(len(frames) - 1, 0))
-    room = 1 if frames else 0
-    keys = draw(st.lists(st.tuples(st.integers(0, 5), frame), max_size=6 * room, unique=True))
-    nodes = [
-        EntityNode(entity_id, frame_index, draw(st.dictionaries(one_line_texts, one_line_texts, max_size=3)),
-                   draw(valid_boxes), draw(st.one_of(st.none(), one_line_texts)))
-        for entity_id, frame_index in keys
-    ]
-    edges = draw(st.lists(st.builds(RelationEdge, st.integers(0, 3), st.integers(0, 3), one_line_texts,
-                                    st.integers(0, 3)), max_size=4))
-    spans = st.lists(st.tuples(frame, frame).map(sorted), max_size=3 * room)
-    events = {
-        entity_id: [EntityEvent(entity_id, start, end, draw(one_line_texts)) for start, end in draw(spans)]
-        for entity_id in draw(st.lists(st.integers(0, 12), max_size=4, unique=True))
-    }
-    return SpatioTemporalGraph(frames, nodes, edges, events, draw(positive_floats))
 
 
 @settings(max_examples=200)
